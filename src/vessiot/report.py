@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 class CheckReport:
     """Outcome of one named check.
 
-    status: "OK", "FAIL", "ERROR" or "UNDECIDED".
+    status: "OK", "FAIL" or "ERROR".
     witness: first offending expression (or None).
     numbers: named integers/rationals produced along the way.
     assumptions: genericity expressions assumed nonzero.

@@ -31,6 +31,19 @@ class VariableId:
     name: str
     key: tuple
 
+    def __post_init__(self):
+        # The dataclass's own hash value, computed once: monomial
+        # arithmetic hashes variables far more often than it makes them.
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.key)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled copy rehashes its
+        # strings under the receiving interpreter's hash seed
+        return VariableId, (self.kind, self.name, self.key)
+
     def __lt__(self, other):
         return (self.key, self.name) < (other.key, other.name)
 
@@ -87,10 +100,6 @@ def mono_gcd(a, b):
 
 def mono_degree(a):
     return sum(e for _, e in a)
-
-
-def mono_pow(a, n):
-    return tuple((v, e * n) for v, e in a)
 
 
 def mono_cmp(a, b):
@@ -312,22 +321,31 @@ class Polynomial:
         return s.replace("+ -", "- ")
 
 
-def _int_content_and_scale(p):
-    """Return (scaled polynomial with integer coprime coefficients, scale)
-    such that p = scale * scaled, scale a positive Fraction (sign kept in
-    the polynomial)."""
-    if p.is_zero():
-        return p, Fraction(1)
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(num_gcd, den_lcm)
-    q = Polynomial.__new__(Polynomial)
-    q.terms = {m: c / scale for m, c in p.terms.items()}
-    return q, scale
+def _joint_primitive(num, den):
+    """Scale num and den by one rational so that their coefficients are
+    integers with no common factor across both, and den's leading
+    coefficient is positive (den nonzero)."""
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    lcm = 1
+    for c in coeffs:
+        lcm = math.lcm(lcm, c.denominator)
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c.numerator * (lcm // c.denominator))
+    if den.leading_coefficient() < 0:
+        g = -g
+    if lcm == 1 and g == 1:
+        return num, den
+
+    def scaled(p):
+        q = Polynomial.__new__(Polynomial)
+        q.terms = {
+            m: Fraction(c.numerator * (lcm // c.denominator) // g)
+            for m, c in p.terms.items()
+        }
+        return q
+
+    return scaled(num), scaled(den)
 
 
 def poly_divexact(a, b):
@@ -353,6 +371,22 @@ def poly_divexact(a, b):
     return Polynomial(out)
 
 
+def _cancel(p, g):
+    """p / g for a gcd g known to divide p."""
+    if len(g.terms) == 1 and g.terms.get(UNIT) == 1:
+        return p
+    return poly_divexact(p, g)
+
+
+def _mono_quotient(p, m):
+    """p divided by a monomial that divides each of its terms."""
+    if not m:
+        return p
+    q = Polynomial.__new__(Polynomial)
+    q.terms = {mono_div(t, m): c for t, c in p.terms.items()}
+    return q
+
+
 def _mono_content(p):
     it = iter(p.terms)
     g = next(it)
@@ -372,13 +406,6 @@ def _as_univariate(p, v):
         rest = mono_make(d.items())
         out.setdefault(e, {})[rest] = out.setdefault(e, {}).get(rest, Fraction(0)) + c
     return {e: Polynomial(t) for e, t in out.items()}
-
-
-def _from_univariate(coeffs, v):
-    total = Polynomial()
-    for e, c in coeffs.items():
-        total = total + c * (Polynomial.var(v, e) if e else Polynomial.const(1))
-    return total
 
 
 def _poly_content_in(p, v):
@@ -424,10 +451,7 @@ def _norm_primitive(p):
     """Integer-primitive form with positive leading coefficient."""
     if p.is_zero():
         return p
-    q, _ = _int_content_and_scale(p)
-    if q.leading_coefficient() < 0:
-        q = -q
-    return q
+    return _joint_primitive(Polynomial(), p)[1]
 
 
 def poly_gcd(a, b):
@@ -437,13 +461,13 @@ def poly_gcd(a, b):
         return _norm_primitive(b)
     if b.is_zero():
         return _norm_primitive(a)
-    ma, mb = _mono_content(a), _mono_content(b)
-    mg = mono_gcd(ma, mb)
-    a = poly_divexact(a, Polynomial({ma: Fraction(1)}))
-    b = poly_divexact(b, Polynomial({mb: Fraction(1)}))
-    base = Polynomial({mg: Fraction(1)})
     if a.is_constant() or b.is_constant():
-        return _norm_primitive(base)
+        return Polynomial.const(1)
+    ma, mb = _mono_content(a), _mono_content(b)
+    base = Polynomial({mono_gcd(ma, mb): Fraction(1)})
+    a, b = _mono_quotient(a, ma), _mono_quotient(b, mb)
+    if a.is_constant() or b.is_constant():
+        return base
     # cheap trial divisions first
     if poly_divexact(a, b) is not None:
         return _norm_primitive(base * _norm_primitive(b))
@@ -505,6 +529,12 @@ class RationalExpr:
     Normal form: gcd(num, den) = 1, all coefficients integers with no
     common integer factor across num and den jointly, and den's leading
     coefficient positive.
+
+    The constructor is the full-gcd path: it cancels gcd(num, den) from
+    any pair.  The field operators instead cancel by Henrici's scheme
+    (Henrici, JACM 1956; Knuth, TAOCP Vol. 2, 4.5.1): their operands are
+    already coprime, so gcds of the smaller crosswise factors leave a
+    coprime result that needs only the joint integer normalization.
     """
 
     __slots__ = ("num", "den")
@@ -527,28 +557,22 @@ class RationalExpr:
             self.den = Polynomial.const(1)
             return
         g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        # joint integer normalization
-        nq, ns = _int_content_and_scale(num)
-        dq, ds = _int_content_and_scale(den)
-        ratio = ns / ds  # num/den = ratio * nq/dq
-        nq = nq * ratio.numerator
-        dq = dq * ratio.denominator
-        # clear the shared integer factor reintroduced by the scaling
-        gi = 0
-        for c in nq.terms.values():
-            gi = math.gcd(gi, abs(c.numerator))
-        for c in dq.terms.values():
-            gi = math.gcd(gi, abs(c.numerator))
-        if gi > 1:
-            nq = nq * Fraction(1, gi)
-            dq = dq * Fraction(1, gi)
-        if dq.leading_coefficient() < 0:
-            nq, dq = -nq, -dq
-        self.num = nq
-        self.den = dq
+        self.num, self.den = _joint_primitive(_cancel(num, g), _cancel(den, g))
+
+    @staticmethod
+    def _coprime(num, den):
+        """The normal form of num/den for coprime nonzero num and den."""
+        return RationalExpr(*_joint_primitive(num, den), _normalized=True)
+
+    @staticmethod
+    def _product(a, b, c, d):
+        """(a/b) * (c/d) for coprime pairs (a, b) and (c, d)."""
+        if a.is_zero() or c.is_zero():
+            return ZERO
+        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+        return RationalExpr._coprime(
+            _cancel(a, g1) * _cancel(c, g2), _cancel(b, g2) * _cancel(d, g1)
+        )
 
     # -- helpers ------------------------------------------------------
     @staticmethod
@@ -597,11 +621,26 @@ class RationalExpr:
         other = RationalExpr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RationalExpr(self.num + other.num, self.den)
-        return RationalExpr(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return other
+        if c.is_zero():
+            return self
+        if b == d:
+            t = a + c
+            if t.is_zero():
+                return ZERO
+            h = poly_gcd(t, b)
+            return RationalExpr._coprime(_cancel(t, h), _cancel(b, h))
+        # a/b + c/d = t / (b/g * d/g * g) with g = gcd(b, d); t is coprime
+        # to b/g and to d/g, so only a factor shared with g can cancel
+        g = poly_gcd(b, d)
+        bg = _cancel(b, g)
+        t = a * _cancel(d, g) + c * bg
+        if t.is_zero():
+            return ZERO
+        h = poly_gcd(t, g)
+        return RationalExpr._coprime(_cancel(t, h), bg * _cancel(d, h))
 
     __radd__ = __add__
 
@@ -621,7 +660,7 @@ class RationalExpr:
         other = RationalExpr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.num * other.num, self.den * other.den)
+        return RationalExpr._product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -631,7 +670,7 @@ class RationalExpr:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero expression")
-        return RationalExpr(self.num * other.den, self.den * other.num)
+        return RationalExpr._product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return RationalExpr._coerce(other) / self
@@ -642,7 +681,7 @@ class RationalExpr:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power")
-            return RationalExpr(self.den ** (-n), self.num ** (-n))
+            return RationalExpr._coprime(self.den ** (-n), self.num ** (-n))
         return RationalExpr(self.num**n, self.den**n, _normalized=True)
 
     def __eq__(self, other):

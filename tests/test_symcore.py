@@ -1,5 +1,7 @@
 """Canonical arithmetic: normal forms, substitution, partials, rewrite
 reduction and exact evaluation."""
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from vessiot.symcore import (
     Polynomial,
     RationalExpr,
     eval_point,
+    poly_divexact,
+    poly_gcd,
     is_zero,
     normalize,
     partial,
@@ -197,3 +201,114 @@ class TestIsZero:
         si = E("y1[x]*y2[x,x] - y2[x]*y1[x,x]")
         up = E("y1[x,x]^2 + y2[x,x]^2")
         assert is_zero(om * up - ga**2 - si**2)
+
+
+class TestHenrici:
+    """The field operators cancel by Henrici's scheme; the constructor's
+    full gcd of the multiplied-out pair is the reference."""
+
+    CASES = 10
+
+    @pytest.fixture
+    def xyz(self):
+        ctx = JetContext(["x", "y", "z"], ["u"], max_order=1)
+        return [ctx.var(n) for n in ("x", "y", "z")]
+
+    @staticmethod
+    def poly(rng, xyz):
+        """A random linear polynomial with a nonzero constant term and
+        at least one variable."""
+        out = {(): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))}
+        for v in rng.sample(xyz, rng.randint(1, 2)):
+            out[((v, 1),)] = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        return Polynomial(out)
+
+    @staticmethod
+    def check_all(a, b):
+        full = RationalExpr
+        assert a + b == full(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert a - b == full(a.num * b.den - b.num * a.den, a.den * b.den)
+        assert a * b == full(a.num * b.num, a.den * b.den)
+        assert a / b == full(a.num * b.den, a.den * b.num)
+
+    def test_planted_common_denominator_factor(self, xyz):
+        rng = random.Random(20)
+        for _ in range(self.CASES):
+            f = self.poly(rng, xyz)
+            a = RationalExpr(self.poly(rng, xyz), f * self.poly(rng, xyz))
+            b = RationalExpr(self.poly(rng, xyz), f * self.poly(rng, xyz))
+            assert not poly_gcd(a.den, b.den).is_constant()
+            self.check_all(a, b)
+
+    def test_sum_numerator_shares_factor_with_gcd(self, xyz):
+        # a = (b1*w + f*v1) / (f*b1) and b = (f*v2 - b2*w) / (f*b2) have
+        # g = f, and t = b2*(b1*w + f*v1) + b1*(f*v2 - b2*w) is divisible by f
+        rng = random.Random(21)
+        for _ in range(self.CASES):
+            f, b1, b2, w, v1, v2 = (self.poly(rng, xyz) for _ in range(6))
+            a = RationalExpr(b1 * w + f * v1, f * b1)
+            b = RationalExpr(f * v2 - b2 * w, f * b2)
+            g = poly_gcd(a.den, b.den)
+            t = a.num * poly_divexact(b.den, g) + b.num * poly_divexact(a.den, g)
+            assert not poly_gcd(t, g).is_constant()
+            self.check_all(a, b)
+
+    def test_sum_cancels_to_zero(self, xyz):
+        rng = random.Random(22)
+        for _ in range(self.CASES):
+            f = self.poly(rng, xyz)
+            a = RationalExpr(self.poly(rng, xyz), f * self.poly(rng, xyz))
+            b = RationalExpr(self.poly(rng, xyz), f * self.poly(rng, xyz))
+            s = RationalExpr(a.num * b.den + b.num * a.den, a.den * b.den)
+            for zero in (a + b - s, a - a, (a + b) - b - a, -s + a + b):
+                assert zero == RationalExpr.const(0)
+                assert zero.den == Polynomial.const(1)
+
+    def test_divisor_with_negative_leading_coefficient(self, xyz):
+        rng = random.Random(23)
+        for _ in range(self.CASES):
+            a = RationalExpr(self.poly(rng, xyz), self.poly(rng, xyz))
+            b = RationalExpr(self.poly(rng, xyz), self.poly(rng, xyz))
+            if b.num.leading_coefficient() > 0:
+                b = -b
+            assert (a / b).den.leading_coefficient() > 0
+            assert b**-1 == RationalExpr(b.den, b.num)
+            self.check_all(a, b)
+
+    def test_constant_denominators(self, xyz):
+        X, Y = (Polynomial.var(v) for v in xyz[:2])
+        x, y = RationalExpr(X), RationalExpr(Y)
+        assert x / 2 + y / 3 == RationalExpr(X * 3 + Y * 2, 6)
+        assert (x / 2 + y / 3).den == Polynomial.const(6)
+        assert (x / 2) * (y / 3) == RationalExpr(X * Y, 6)
+        assert (x / 2) / (y / -4) == RationalExpr(X * -2, Y)
+        rng = random.Random(24)
+        for _ in range(self.CASES):
+            a = RationalExpr(self.poly(rng, xyz), rng.randint(2, 9))
+            c = Fraction(rng.randint(1, 9), rng.randint(2, 5))
+            self.check_all(a, RationalExpr(self.poly(rng, xyz), c))
+            b = RationalExpr(self.poly(rng, xyz), self.poly(rng, xyz))
+            self.check_all(a, b)
+
+    def test_gcd_with_a_nonzero_constant_is_one(self, xyz):
+        rng = random.Random(25)
+        for _ in range(self.CASES):
+            p = self.poly(rng, xyz) * Polynomial.var(xyz[1])
+            c = Polynomial.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            assert poly_gcd(c, p) == Polynomial.const(1)
+            assert poly_gcd(p, -c) == Polynomial.const(1)
+
+
+class TestVariableId:
+    def test_hash_is_the_dataclass_field_hash(self, surf):
+        for v in (surf.var("x1"), surf.jet_by_dirs("y2", ["x1", "x2"])):
+            assert hash(v) == hash((v.kind, v.name, v.key))
+
+    def test_pickle_round_trip(self, surf):
+        v = surf.jet_by_dirs("y1", ["x2"])
+        data = pickle.dumps(v)
+        # the cached hash follows the interpreter's hash seed, so it must
+        # be recomputed on loading, not carried in the pickle
+        assert b"_hash" not in data
+        w = pickle.loads(data)
+        assert w == v and hash(w) == hash(v) and {w: 1}[v] == 1

@@ -33,33 +33,24 @@ class DiffPolySet:
         self.generators = gens
 
 
-def _canonical_key(e):
-    num = tuple(sorted(e.num.terms.items()))
-    den = tuple(sorted(e.den.terms.items()))
-    return num, den
-
-
 def prolong_gens(S, r):
     """All formal derivatives d_nu(a), |nu| <= r, of the generators,
     deduplicated by canonical form."""
     if r == 0:
         return S
     ctx = S.ctx
-    seen = {}
+    seen = dict.fromkeys(S.generators)  # RationalExpr is canonical
     frontier = list(S.generators)
-    for g in frontier:
-        seen.setdefault(_canonical_key(g), g)
     for _ in range(r):
         nxt = []
         for g in frontier:
             for x in ctx.independents:
                 dg = normalize(ctx.total_derivative(g, x))
-                key = _canonical_key(dg)
-                if key not in seen:
-                    seen[key] = dg
+                if dg not in seen:
+                    seen[dg] = None
                     nxt.append(dg)
         frontier = nxt
-    return DiffPolySet(ctx, list(seen.values()))
+    return DiffPolySet(ctx, list(seen))
 
 
 def syzygy_check(combination, name="syzygy"):

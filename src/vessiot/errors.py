@@ -25,6 +25,10 @@ class OrderOverflow(VessiotError):
     """A jet bump would exceed the context's max_order."""
 
 
+class JetAboveOrder(VessiotError):
+    """An equation carries a jet above the order of its system."""
+
+
 class NotClosed(VessiotError):
     """A bracket left the rational span of the generator set."""
 

@@ -21,7 +21,7 @@ def _is_zero(x):
 def _weight(x):
     if isinstance(x, RationalExpr):
         return x.complexity()
-    return 1
+    return 2  # as RationalExpr.const: pivots follow values, not types
 
 
 def rref(rows, ncols, col_order=None):
@@ -31,6 +31,11 @@ def rref(rows, ncols, col_order=None):
     sequence of column indices in pivot-preference order.  Returns
     (reduced rows, pivots) where pivots is a list of (row, col); rows
     that become zero are kept (all-zero) at the end.
+
+    Each pivot step divides and eliminates only over the pivot row's
+    nonzero columns, since a - f*0 is exactly a.  An entry it skips
+    keeps its type (a Fraction stays a Fraction), so compare results by
+    value.
     """
     rows = [list(r) for r in rows]
     if col_order is None:
@@ -48,13 +53,19 @@ def rref(rows, ncols, col_order=None):
             continue
         used.add(best)
         pivots.append((best, col))
-        pv = rows[best][col]
-        rows[best] = [x / pv for x in rows[best]]
-        for r in range(len(rows)):
-            if r == best or _is_zero(rows[r][col]):
+        prow = rows[best]
+        pv = prow[col]
+        # only the pivot row's nonzero columns change; they are taken
+        # over the whole row, which may be wider than ncols
+        nz = [j for j, x in enumerate(prow) if not _is_zero(x)]
+        for j in nz:
+            prow[j] = prow[j] / pv
+        for r, row in enumerate(rows):
+            if r == best or _is_zero(row[col]):
                 continue
-            f = rows[r][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[best])]
+            f = row[col]
+            for j in nz:
+                row[j] = row[j] - f * prow[j]
     return rows, pivots
 
 
@@ -79,10 +90,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum((a[i][k] * v[k] for k in range(len(v))), start=ZERO) for i in range(len(a))]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def transpose(a):
@@ -135,24 +142,3 @@ def inverse(a):
         cof.append(row)
     adj = transpose(cof)
     return [[x / d for x in row] for row in adj]
-
-
-def solve_rational_qsystem(rows, rhs):
-    """Solve A c = b for constants c in Q, where the entries of A and b
-    are Fractions.  Returns the solution list or None when inconsistent;
-    raises ValueError when the solution is not unique."""
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    red, pivots = rref(aug, m)
-    sol = [Fraction(0)] * m
-    for r, c in pivots:
-        sol[c] = red[r][m]
-    pivot_cols = {c for _, c in pivots}
-    if len(pivot_cols) < m:
-        free = [c for c in range(m) if c not in pivot_cols]
-        raise ValueError(f"underdetermined system; free columns {free}")
-    for r in range(n):
-        if all(_is_zero(x) for x in red[r][:m]) and not _is_zero(red[r][m]):
-            return None
-    return sol

@@ -180,9 +180,6 @@ class Polynomial:
                 out.add(v)
         return out
 
-    def total_degree(self):
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def degree_in(self, v):
         d = 0
         for m in self.terms:
@@ -762,11 +759,23 @@ def coordinate_partial(e, v):
     """Partial derivative treating every VariableId as an independent
     coordinate (no chain rule for specials)."""
     e = normalize(e)
-    dn = e.num.partial(v)
-    dd = e.den.partial(v)
+    n, d = e.num, e.den
+    dn = n.partial(v)
+    dd = d.partial(v)
     if dd.is_zero():
-        return RationalExpr(dn, e.den)
-    return RationalExpr(dn * e.den - e.num * dd, e.den * e.den)
+        return RationalExpr(dn, d)
+    # Henrici's quotient rule: with g = gcd(d, d') and d1 = d/g,
+    # (n'd - nd')/d^2 = t / (g*d1^2) for t = n'*d1 - n*(d'/g).  An
+    # irreducible p with p^k || d has p^(k-1) || d' over Q, so p divides
+    # d1 but not d'/g, and not n either: t is coprime to d1, and only a
+    # factor shared with g can cancel.
+    g = poly_gcd(d, dd)
+    d1 = _cancel(d, g)
+    t = dn * d1 - n * _cancel(dd, g)
+    if t.is_zero():
+        return ZERO
+    h = poly_gcd(t, g)
+    return RationalExpr._coprime(_cancel(t, h), _cancel(g, h) * d1 * d1)
 
 
 def partial(e, v, chain=()):
@@ -794,21 +803,25 @@ def _check_acyclic(bindings):
                 continue  # identity binding, allowed
             raise CyclicBinding(f"{v} appears in its own replacement")
         graph[v] = tgt & set(bindings)
-    seen = {}
-
-    def visit(v, stack):
-        if v in stack:
-            raise CyclicBinding(" -> ".join(w.name for w in stack) + f" -> {v.name}")
-        if seen.get(v):
-            return
-        stack.append(v)
-        for w in graph.get(v, ()):
-            visit(w, stack)
-        stack.pop()
-        seen[v] = True
-
-    for v in graph:
-        visit(v, [])
+    done = set()
+    for root in graph:
+        if root in done:
+            continue
+        # iterative depth-first search: ``path`` is the current branch,
+        # ``todo`` the unvisited successors of each variable on it
+        path, todo = [root], [iter(graph[root])]
+        while todo:
+            w = next(todo[-1], None)
+            if w is None:
+                done.add(path.pop())
+                todo.pop()
+            elif w in path:
+                raise CyclicBinding(
+                    " -> ".join(u.name for u in path) + f" -> {w.name}"
+                )
+            elif w not in done:
+                path.append(w)
+                todo.append(iter(graph.get(w, ())))
 
 
 def _poly_substitute(p, bindings):

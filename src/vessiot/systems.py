@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import symcore
-from .errors import DegenerateLocus, OrderOverflow
+from .errors import DegenerateLocus, JetAboveOrder, OrderOverflow
 from .jets import JetContext
 from .linalg import rank
 from .report import CheckReport
@@ -75,7 +75,8 @@ def implicit_equation(lhs, rhs=None, leading=None, genericity=()):
 
 @dataclass
 class SolvedSystem:
-    """A finite system of jet equations of order <= order.
+    """A finite system of jet equations of order <= order (a residual
+    carrying a higher jet raises JetAboveOrder).
 
     ``ordering`` ranks the independents x^1 < ... < x^n for class and
     board purposes; ``genericity`` lists expressions assumed nonzero;
@@ -110,6 +111,16 @@ class SolvedSystem:
                             f"rhs of {e.leading.name} contains leading "
                             f"jet {v.name}"
                         )
+        for e in self.equations:
+            if any(_jet_order(v) > self.order
+                   for v in e.lhs.variables() | e.rhs.variables()):
+                # lhs and rhs may cancel a high jet; the residual decides
+                for v in e.residual.variables():
+                    if _jet_order(v) > self.order:
+                        raise JetAboveOrder(
+                            f"jet {v.name} of order {_jet_order(v)} in an "
+                            f"equation of a system of order {self.order}"
+                        )
 
     # -- helpers ------------------------------------------------------
     def residuals(self):
@@ -129,11 +140,9 @@ class SolvedSystem:
         return out
 
 
-def _residual_key(e):
-    return (
-        tuple(sorted(e.num.terms.items())),
-        tuple(sorted(e.den.terms.items())),
-    )
+def _jet_order(v):
+    """Order of a jet variable; 0 for every other kind."""
+    return v.key[2] if v.kind == "jet" else 0
 
 
 def _substitute_leadings(rhs, assignments, max_passes=12):
@@ -162,7 +171,7 @@ def _prolong_once(S, ics):
             f"prolongation to order {new_order} > max_order {ctx.max_order}"
         )
     assignments = {e.leading: e.rhs for e in S.equations if e.strict}
-    seen = {_residual_key(r) for r in S.residuals()}
+    seen = set(S.residuals())
     new_eqs = list(S.equations)
     new_solved = {}
     pending = []
@@ -189,10 +198,9 @@ def _prolong_once(S, ics):
                 lhs = ctx.total_derivative(eq.lhs, x)
                 rhs = ctx.total_derivative(eq.rhs, x)
                 res = symcore.normalize(lhs - rhs)
-                key = _residual_key(res)
-                if key in seen or res.is_zero():
+                if res in seen or res.is_zero():
                     continue
-                seen.add(key)
+                seen.add(res)
                 lead = None
                 if eq.leading is not None:
                     dep, _ = ctx.jet_info(eq.leading)
@@ -273,17 +281,19 @@ def symbol_of(S):
     cols = _order_q_jets(ctx, S.order)
     rows = []
     for res in S.residuals():
-        row = [coordinate_partial(res, v) for v in cols]
+        carried = res.variables()
+        row = [coordinate_partial(res, v) if v in carried else symcore.ZERO
+               for v in cols]
         if any(not c.is_zero() for c in row):
             rows.append(row)
     return SymbolSystem(ctx, S.order, cols, rows)
 
 
-def _prolonged_symbol(S):
-    """Symbol of the first prolongation at order q+1."""
-    ctx = S.ctx
-    sym = symbol_of(S)
-    next_cols = _order_q_jets(ctx, S.order + 1)
+def _prolonged_symbol(sym):
+    """Symbol of the first prolongation at order q+1, from the order-q
+    symbol ``sym``: row (res, x) holds d res/d u_{nu-1_x} at u_nu."""
+    ctx = sym.ctx
+    next_cols = _order_q_jets(ctx, sym.order + 1)
     index = {v: j for j, v in enumerate(next_cols)}
     rows = []
     for row in sym.rows:
@@ -297,11 +307,11 @@ def _prolonged_symbol(S):
                 if x not in ctx.bases[dep]:
                     continue
                 j = index[_bump(ctx, v, i)]
-                out[j] = out[j] + c
+                out[j] = c  # v -> v + 1_x is one-to-one
                 nonzero = True
             if nonzero:
                 rows.append(out)
-    return SymbolSystem(ctx, S.order + 1, next_cols, rows)
+    return SymbolSystem(ctx, sym.order + 1, next_cols, rows)
 
 
 def _column_classes(S, cols):
@@ -332,13 +342,14 @@ def _is_covered(pivot, gens):
     return num.is_constant()
 
 
-def characters(S, strict=False):
+def characters(S, strict=False, sym=None):
     """Cartan characters (alpha^1, ..., alpha^n), ascending by class.
 
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
     class of a solved equation is the class of its leading jet, and
     implicit equations are classed by exact symbol elimination that
-    prefers the highest classes."""
+    prefers the highest classes.  ``sym`` is S's symbol when the caller
+    has already built it."""
     ctx = S.ctx
     n = len(S.ordering)
     cols = _order_q_jets(ctx, S.order)
@@ -354,7 +365,8 @@ def characters(S, strict=False):
         for e in S.equations:
             beta[S.leading_class(e)] += 1
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
-    sym = symbol_of(S)
+    if sym is None:
+        sym = symbol_of(S)
     if strict:
         _strict_pivot_audit(S, sym, classes)
     beta = [0] * (n + 2)
@@ -401,10 +413,11 @@ def _strict_pivot_audit(S, sym, classes):
 
 def cartan_test(S):
     """dim g_{q+1} against the character bound sum_i i*alpha^i."""
-    alpha = characters(S)
+    sym = symbol_of(S)
+    alpha = characters(S, sym=sym)
     bound = sum((i + 1) * a for i, a in enumerate(alpha))
-    dim_next = _prolonged_symbol(S).dimension()
-    sym_dim = symbol_of(S).dimension()
+    dim_next = _prolonged_symbol(sym).dimension()
+    sym_dim = sym.dimension()
     status = "OK" if dim_next == bound else "FAIL"
     return CheckReport(
         "cartan_test", status,
@@ -539,15 +552,18 @@ def automorphic_criterion(A, R, witness_a=None, witness_r=None):
 
 def compatibility_count(S):
     """Number of compatibility conditions among the first-prolongation
-    equations: rows minus the rank of their top-order linearization."""
-    ctx = S.ctx
-    next_cols = _order_q_jets(ctx, S.order + 1)
-    rows = []
-    count = 0
-    for eq in S.equations:
-        res = eq.residual
-        for x in ctx.independents:
-            d = symcore.normalize(ctx.total_derivative(res, x))
-            count += 1
-            rows.append([coordinate_partial(d, v) for v in next_cols])
-    return count - rank(rows, len(next_cols))
+    equations D_x res (one per equation and independent x): their count
+    minus the rank of their top-order linearization.
+
+    That linearization is the prolonged symbol.  Every residual has
+    order <= q, so in D_x res = d_x res + sum_w (d res/d w) u_{w+1_x}
+    only the term w = nu - 1_x carries the order-(q+1) jet u_nu, and
+
+        d(D_x res)/d u_nu = d res/d u_{nu-1_x}
+
+    when x is in the dependent's bases and nu_x >= 1; the entry is 0
+    otherwise.  ``_prolonged_symbol`` places exactly these entries; it
+    drops the all-zero rows of lower-order equations, which add nothing
+    to the rank but still count."""
+    n_rows = len(S.equations) * len(S.ctx.independents)
+    return n_rows - _prolonged_symbol(symbol_of(S)).rank()

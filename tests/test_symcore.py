@@ -1,5 +1,6 @@
 """Canonical arithmetic: normal forms, substitution, partials, rewrite
 reduction and exact evaluation."""
+import gc
 import pickle
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from vessiot.jets import JetContext
 from vessiot.symcore import (
     Polynomial,
     RationalExpr,
+    coordinate_partial,
     eval_point,
     poly_divexact,
     poly_gcd,
@@ -105,11 +107,35 @@ class TestSubstitute:
 
     def test_cyclic(self, pair):
         u, w = pair.var("x"), pair.jet_by_dirs("y1", [])
-        with pytest.raises(CyclicBinding):
+        with pytest.raises(CyclicBinding, match="^x -> y1 -> x$"):
             substitute(
                 pair.expr("x + y1"),
                 {u: RationalExpr.var(w), w: RationalExpr.var(u) + 1},
             )
+
+    def test_three_cycle_names_its_path(self, pair):
+        x, y1, y2, yb1 = (pair.var(n) for n in ("x", "y1", "y2", "yb1"))
+        bindings = {
+            yb1: pair.expr("y1"),  # a branch that leads into the cycle
+            y1: pair.expr("y2 + 1"),
+            y2: pair.expr("2*x"),
+            x: pair.expr("y1 / yb2"),
+        }
+        with pytest.raises(CyclicBinding, match="^yb1 -> y1 -> y2 -> x -> y1$"):
+            substitute(pair.expr("x + yb1"), bindings)
+
+    def test_acyclic_check_leaves_no_cyclic_garbage(self, pair):
+        x, y1, y2 = (pair.var(n) for n in ("x", "y1", "y2"))
+        bindings = {x: pair.expr("y1 + 1"), y1: pair.expr("y2^2")}
+        e = pair.expr("x * y1 + y2")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                substitute(e, bindings)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_vanishing_denominator(self, pair):
         with pytest.raises(DivisionByZero):
@@ -289,6 +315,58 @@ class TestHenrici:
             self.check_all(a, RationalExpr(self.poly(rng, xyz), c))
             b = RationalExpr(self.poly(rng, xyz), self.poly(rng, xyz))
             self.check_all(a, b)
+
+    @staticmethod
+    def check_partial(e, v):
+        n, d = e.num, e.den
+        dn, dd = n.partial(v), d.partial(v)
+        assert coordinate_partial(e, v) == RationalExpr(dn * d - n * dd, d * d)
+
+    def test_partial_repeated_denominator_factor(self, xyz):
+        X, Y = (Polynomial.var(v) for v in xyz[:2])
+        f = X + Y
+        # d/dx 1/(x+y)^2 = -2/(x+y)^3: g = x+y cancels once more
+        e = RationalExpr(Polynomial.const(1), f * f)
+        assert coordinate_partial(e, xyz[0]) == RationalExpr(
+            Polynomial.const(-2), f * f * f
+        )
+        rng = random.Random(26)
+        for _ in range(self.CASES):
+            f = self.poly(rng, xyz)
+            for den in (f**2 * self.poly(rng, xyz), f**3):
+                e = RationalExpr(self.poly(rng, xyz), den)
+                for v in xyz:
+                    self.check_partial(e, v)
+
+    def test_partial_cancels_to_zero(self, xyz):
+        rng = random.Random(27)
+        for _ in range(self.CASES):
+            # the planted factor f carries z and cancels in the
+            # constructor, so the quotient does not depend on z
+            f = self.poly(rng, xyz) + Polynomial.var(xyz[2])
+            p, q = self.poly(rng, xyz[:2]), self.poly(rng, xyz[:2])
+            e = RationalExpr(p * f, q * f)
+            assert coordinate_partial(e, xyz[2]) == RationalExpr.const(0)
+            self.check_partial(e, xyz[2])
+        # (xy + 1)/x = y + 1/x: the y terms of n'd - nd' cancel
+        X, Y = (Polynomial.var(v) for v in xyz[:2])
+        e = RationalExpr(X * Y + 1, X)
+        assert coordinate_partial(e, xyz[1]) == RationalExpr.const(1)
+        assert coordinate_partial(e, xyz[0]) == RationalExpr(
+            Polynomial.const(-1), X * X
+        )
+
+    def test_partial_negative_leading_denominator(self, xyz):
+        rng = random.Random(28)
+        for _ in range(self.CASES):
+            d = self.poly(rng, xyz) * self.poly(rng, xyz)
+            if d.leading_coefficient() > 0:
+                d = -d
+            e = RationalExpr(self.poly(rng, xyz), d)
+            for v in xyz:
+                out = coordinate_partial(e, v)
+                assert out.den.leading_coefficient() > 0
+                self.check_partial(e, v)
 
     def test_gcd_with_a_nonzero_constant_is_one(self, xyz):
         rng = random.Random(25)

@@ -1,13 +1,20 @@
 """Solved systems: prolongation, symbols, characters, Cartan test,
 Janet boards, fiber dimensions and the PHS/automorphic criteria."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from vessiot.errors import DegenerateLocus, OrderOverflow
+from vessiot import cli
+from vessiot.errors import DegenerateLocus, JetAboveOrder, OrderOverflow
 from vessiot.jets import JetContext, holonomic_section
-from vessiot.linalg import det
-from vessiot.symcore import RationalExpr, normalize, substitute
+from vessiot.linalg import det, rank, rref
+from vessiot.symcore import (
+    RationalExpr,
+    coordinate_partial,
+    normalize,
+    substitute,
+)
 from vessiot.systems import (
     SolvedSystem,
     automorphic_criterion,
@@ -694,3 +701,141 @@ class TestCriteria:
 
     def test_compatibility_count(self, shell):
         assert compatibility_count(shell["A2c"]) == 12
+
+
+# ---------------------------------------------------------------------------
+# compatibility counts against the total-derivative construction
+
+
+def reference_compatibility_count(S):
+    """Rows D_x res for every equation and independent x, linearized in
+    the order-(q+1) jets by coordinate partials, then ranked."""
+    ctx = S.ctx
+    cols = [v for v in ctx.jets_up_to(S.order + 1) if v.key[2] == S.order + 1]
+    rows = []
+    for res in S.residuals():
+        for x in ctx.independents:
+            d = ctx.total_derivative(res, x)
+            rows.append([coordinate_partial(d, v) for v in cols])
+    return len(rows) - rank(rows, len(cols))
+
+
+def corpus_system(stem, name, max_order=3):
+    path = cli.default_corpus_dir() / f"{stem}.json"
+    pf = cli.parse_problem(path.read_bytes(), str(path), max_order=max_order)
+    return cli._build(pf, name, "system")
+
+
+class TestCompatibilityCount:
+    def test_saddle_matches_total_derivatives(self, shell):
+        S = shell["A2c"]
+        assert compatibility_count(S) == reference_compatibility_count(S)
+
+    @pytest.mark.parametrize("stem, name", [
+        ("hj_contact_groupoid", "contact"),
+        ("hj_unimodular_groupoid", "unimodular"),
+        ("hj_eleven_equation", "eleven_equation"),
+    ])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_corpus_matches_total_derivatives(self, stem, name, r):
+        S = prolong_system(corpus_system(stem, name), r)
+        assert compatibility_count(S) == reference_compatibility_count(S)
+
+    def test_lower_order_equations_still_count(self):
+        # u_x = 0 and u = 0: D_x u = u_x carries no order-2 jet, so its
+        # row is zero in the prolonged symbol but counts as a condition
+        ctx = JetContext(["x"], ["u"], max_order=2)
+        E = ctx.expr
+        S = SolvedSystem(ctx, 1, [implicit_equation(E("u[x]")),
+                                  implicit_equation(E("u"))])
+        assert compatibility_count(S) == reference_compatibility_count(S) == 1
+
+
+class TestOrderInvariant:
+    def test_jet_above_order_raises(self):
+        ctx = JetContext(["x"], ["u"], max_order=2)
+        E = ctx.expr
+        with pytest.raises(JetAboveOrder, match=r"u\[x,x\] of order 2.*order 1"):
+            SolvedSystem(ctx, 1, [implicit_equation(E("u[x] + u[x,x]"))])
+        with pytest.raises(JetAboveOrder):
+            SolvedSystem(ctx, 1, [solved_equation(
+                ctx.jet_by_dirs("u", ["x"]), E("u[x,x]"))])
+
+    def test_cancelling_high_jet_is_allowed(self):
+        ctx = JetContext(["x"], ["u"], max_order=2)
+        E = ctx.expr
+        S = SolvedSystem(ctx, 1, [implicit_equation(E("u[x] + u[x,x]"),
+                                                    E("u[x,x] + u"))])
+        assert S.residuals() == [E("u[x] - u")]
+
+
+# ---------------------------------------------------------------------------
+# sparse row updates in rref against dense elimination
+
+
+def dense_rref(rows, ncols, col_order=None):
+    """Elimination that updates every entry of every row."""
+    def weight(x):
+        x = RationalExpr._coerce(x)
+        return len(x.num.terms) + len(x.den.terms)
+
+    rows = [[RationalExpr._coerce(x) for x in r] for r in rows]
+    pivots, used = [], set()
+    for col in (range(ncols) if col_order is None else col_order):
+        cands = [r for r in range(len(rows))
+                 if r not in used and not rows[r][col].is_zero()]
+        if not cands:
+            continue
+        best = min(cands, key=lambda r: weight(rows[r][col]))
+        used.add(best)
+        pivots.append((best, col))
+        pv = rows[best][col]
+        rows[best] = [x / pv for x in rows[best]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != best and not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[best])]
+    return rows, pivots
+
+
+class TestSparseRref:
+    @staticmethod
+    def entry(rng, ctx):
+        """Zero half the time, else a Fraction or a small rational
+        function."""
+        if rng.random() < 0.5:
+            return rng.choice([Fraction(0), RationalExpr.const(0)])
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        E = ctx.expr
+        num = E(f"{rng.randint(-3, 3) or 1}*x + {rng.randint(-2, 2)}*y")
+        den = E(f"x + {rng.randint(1, 3)}") if rng.random() < 0.3 else E("1")
+        return num / den
+
+    def test_matches_dense_elimination(self):
+        ctx = JetContext(["x", "y"], ["u"], max_order=1)
+        rng = random.Random(31)
+        for case in range(40):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            width = ncols + rng.randint(0, 2)  # augmented columns
+            rows = [[self.entry(rng, ctx) for _ in range(width)]
+                    for _ in range(nrows)]
+            col_order = None
+            if case % 2:
+                col_order = rng.sample(range(ncols), ncols)
+            got, got_pivots = rref(rows, ncols, col_order)
+            want, want_pivots = dense_rref(rows, ncols, col_order)
+            assert got_pivots == want_pivots
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert len(g) == width
+                assert all(RationalExpr._coerce(a) == b for a, b in zip(g, w))
+
+    def test_skipped_entries_keep_their_type(self):
+        ctx = JetContext(["x"], ["u"], max_order=1)
+        x = ctx.expr("x")
+        got, pivots = rref([[x, Fraction(0), Fraction(3)],
+                            [x, Fraction(2), Fraction(0)]], 2)
+        assert pivots == [(0, 0), (1, 1)]
+        assert got[1][2] == Fraction(-3) / 2
+        assert isinstance(got[0][1], Fraction)

@@ -124,16 +124,17 @@ def generic_rank(fields, seed=0):
     for f in fields:
         for c in f.components.values():
             varset |= c.variables()
+    # the point takes distinct primes; with more variables than primes
+    # the certificate is skipped and exact elimination decides
+    tries = 3 if len(varset) <= len(_PRIMES) else 0
     rng = random.Random(seed)
-    for _ in range(3):
+    for _ in range(tries):
         primes = rng.sample(_PRIMES, len(varset))
         point = dict(zip(sorted(varset), primes))
         try:
             num = [[eval_point(x, point) for x in r] for r in rows]
         except symcore.DenominatorVanishes:
             continue
-        except Exception:
-            break
         if linalg.rank(num, len(coords)) == bound:
             return bound
     return linalg.rank(rows, len(coords))
@@ -162,8 +163,8 @@ def _q_linear_solve(columns, target):
         monos |= set(p.terms)
     monos = sorted(monos, key=symcore._MONO_KEY)
     m = len(columns)
-    rows = [[p.terms.get(mono, Fraction(0)) for p in polys] for mono in monos]
-    rhs = [tpoly.terms.get(mono, Fraction(0)) for mono in monos]
+    rows = [[p.terms.get(mono, 0) for p in polys] for mono in monos]
+    rhs = [tpoly.terms.get(mono, 0) for mono in monos]
     aug = [r + [b] for r, b in zip(rows, rhs)]
     red, pivots = linalg.rref(aug, m)
     sol = [Fraction(0)] * m
@@ -237,8 +238,8 @@ def _stacked_solve(coord_columns, coord_targets, n):
         for p in polys:
             monos |= set(p.terms)
         for mono in sorted(monos, key=symcore._MONO_KEY):
-            all_rows.append([p.terms.get(mono, Fraction(0)) for p in polys])
-            all_rhs.append(tpoly.terms.get(mono, Fraction(0)))
+            all_rows.append([p.terms.get(mono, 0) for p in polys])
+            all_rhs.append(tpoly.terms.get(mono, 0))
     if not all_rows:
         return [Fraction(0)] * n
     aug = [r + [b] for r, b in zip(all_rows, all_rhs)]

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rational-function field.
 
-Entries are RationalExpr (or Fraction); zero tests are exact, so ranks
+Entries are RationalExpr or rational numbers; zero tests are exact, so ranks
 and solutions are authoritative at generic points of the coefficient
 field.
 """
@@ -27,7 +27,9 @@ def _weight(x):
 def rref(rows, ncols, col_order=None):
     """Reduced row echelon form by exact elimination.
 
-    ``rows``: list of lists (mutated copies are used).  ``col_order``:
+    ``rows``: list of lists (mutated copies are used; an entry that is
+    not a RationalExpr is copied as a Fraction, so that no division of
+    two ints gives a float).  ``col_order``:
     sequence of column indices in pivot-preference order.  Returns
     (reduced rows, pivots) where pivots is a list of (row, col); rows
     that become zero are kept (all-zero) at the end.
@@ -37,7 +39,9 @@ def rref(rows, ncols, col_order=None):
     keeps its type (a Fraction stays a Fraction), so compare results by
     value.
     """
-    rows = [list(r) for r in rows]
+    rows = [
+        [x if isinstance(x, RationalExpr) else Fraction(x) for x in r] for r in rows
+    ]
     if col_order is None:
         col_order = range(ncols)
     pivots = []

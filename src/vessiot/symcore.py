@@ -1,10 +1,19 @@
 """Exact scalar and expression arithmetic.
 
-Sparse multivariate polynomials over Fraction coefficients, canonical
-rational functions, substitution, partial differentiation and
-rewrite-relation reduction.  Everything is immutable and every
-RationalExpr is kept in a unique normal form, so structural equality is
-algebraic equality.
+Sparse multivariate polynomials over Q, canonical rational functions,
+substitution, partial differentiation and rewrite-relation reduction.
+Everything is immutable and every RationalExpr is kept in a unique
+normal form, so structural equality is algebraic equality.
+
+A coefficient is stored as an int when it is integral and as a Fraction
+otherwise (_coef), and the normal form's coefficients are all ints.
+Fractions appear only at the edges: in polynomials built from
+fractional input or holding an inexact quotient (arithmetic on them may
+leave an integral Fraction until the normal form turns it into an int),
+and in what constant_value returns.  Two coefficients are divided only
+through _qdiv, since int / int would give a float.  Equality, hashing
+and printing agree between the two types (3 == Fraction(3), with equal
+hashes and strings).
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from numbers import Rational
 
 from .errors import CyclicBinding, DenominatorVanishes, DivisionByZero
 
@@ -35,6 +45,8 @@ class VariableId:
         # The dataclass's own hash value, computed once: monomial
         # arithmetic hashes variables far more often than it makes them.
         object.__setattr__(self, "_hash", hash((self.kind, self.name, self.key)))
+        # the variable order's sort key, compared on every monomial build
+        object.__setattr__(self, "_sk", (self.key, self.name))
 
     def __hash__(self):
         return self._hash
@@ -45,7 +57,7 @@ class VariableId:
         return VariableId, (self.kind, self.name, self.key)
 
     def __lt__(self, other):
-        return (self.key, self.name) < (other.key, other.name)
+        return self._sk < other._sk
 
     def __repr__(self):
         return self.name
@@ -58,7 +70,7 @@ UNIT = ()
 
 def mono_make(pairs):
     items = [(v, e) for v, e in pairs if e]
-    items.sort(key=lambda p: (p[0].key, p[0].name))
+    items.sort(key=lambda p: p[0]._sk)
     return tuple(items)
 
 
@@ -115,7 +127,7 @@ def mono_cmp(a, b):
     while ia < len(a) and ib < len(b):
         va, ea = a[ia]
         vb, eb = b[ib]
-        ka, kb = (va.key, va.name), (vb.key, vb.name)
+        ka, kb = va._sk, vb._sk
         if ka == kb:
             if ea != eb:
                 return 1 if ea < eb else -1
@@ -135,8 +147,30 @@ def mono_cmp(a, b):
 _MONO_KEY = cmp_to_key(mono_cmp)
 
 
+def _coef(c):
+    """c as a stored coefficient: an int when integral, else a Fraction.
+    A float is refused: it would make every later zero test inexact."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not a rational number")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qdiv(a, b):
+    """a / b for coefficients: exact floor division when b divides a,
+    otherwise a Fraction; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coef(Fraction(a) / b)
+
+
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients, each an
+    int when integral and a Fraction otherwise (see _coef and _qdiv)."""
 
     __slots__ = ("terms",)
 
@@ -146,7 +180,7 @@ class Polynomial:
             for m, c in (terms.items() if isinstance(terms, dict) else terms):
                 if c:
                     c0 = t.get(m)
-                    c = c0 + c if c0 is not None else Fraction(c)
+                    c = _coef(c if c0 is None else c0 + c)
                     if c:
                         t[m] = c
                     else:
@@ -156,12 +190,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = _coef(c)
         return Polynomial({UNIT: c}) if c else Polynomial()
 
     @staticmethod
     def var(v, e=1):
-        return Polynomial({((v, e),): Fraction(1)})
+        return Polynomial({((v, e),): 1})
 
     # -- predicates ---------------------------------------------------
     def is_zero(self):
@@ -171,7 +205,7 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and UNIT in self.terms)
 
     def constant_value(self):
-        return self.terms.get(UNIT, Fraction(0))
+        return Fraction(self.terms.get(UNIT, 0))
 
     def variables(self):
         out = set()
@@ -200,7 +234,7 @@ class Polynomial:
             other = Polynomial.const(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
+            s = t.get(m, 0) + c
             if s:
                 t[m] = s
             else:
@@ -221,7 +255,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _coef(other)
             if not other:
                 return Polynomial()
             p = Polynomial.__new__(Polynomial)
@@ -234,7 +268,7 @@ class Polynomial:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = mono_mul(ma, mb)
-                s = t.get(m, Fraction(0)) + ca * cb
+                s = t.get(m, 0) + ca * cb
                 if s:
                     t[m] = s
                 else:
@@ -278,7 +312,7 @@ class Polynomial:
             else:
                 d[v] = e - 1
             m2 = mono_make(d.items())
-            s = t.get(m2, Fraction(0)) + c * e
+            s = t.get(m2, 0) + c * e
             if s:
                 t[m2] = s
             else:
@@ -320,24 +354,25 @@ class Polynomial:
 
 def _joint_primitive(num, den):
     """Scale num and den by one rational so that their coefficients are
-    integers with no common factor across both, and den's leading
+    ints with no common factor across both, and den's leading
     coefficient is positive (den nonzero)."""
     coeffs = [*num.terms.values(), *den.terms.values()]
-    lcm = 1
-    for c in coeffs:
-        lcm = math.lcm(lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c.numerator * (lcm // c.denominator))
+    integral = all(type(c) is int for c in coeffs)
+    if integral:
+        lcm = 1
+        g = math.gcd(*coeffs)
+    else:
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        g = math.gcd(*(c.numerator * (lcm // c.denominator) for c in coeffs))
     if den.leading_coefficient() < 0:
         g = -g
-    if lcm == 1 and g == 1:
+    if integral and g == 1:
         return num, den
 
     def scaled(p):
         q = Polynomial.__new__(Polynomial)
         q.terms = {
-            m: Fraction(c.numerator * (lcm // c.denominator) // g)
+            m: c.numerator * (lcm // c.denominator) // g
             for m, c in p.terms.items()
         }
         return q
@@ -352,7 +387,10 @@ def poly_divexact(a, b):
     if a.is_zero():
         return Polynomial()
     if b.is_constant():
-        return a * (Fraction(1) / b.constant_value())
+        cb = b.terms[UNIT]
+        q = Polynomial.__new__(Polynomial)
+        q.terms = {m: _qdiv(c, cb) for m, c in a.terms.items()}
+        return q
     out = {}
     rem = a
     lb = b.leading_monomial()
@@ -362,7 +400,7 @@ def poly_divexact(a, b):
         q = mono_div(la, lb)
         if q is None:
             return None
-        coef = rem.terms[la] / cb
+        coef = _qdiv(rem.terms[la], cb)
         out[q] = coef
         rem = rem - Polynomial({q: coef}) * b
     return Polynomial(out)
@@ -401,7 +439,7 @@ def _as_univariate(p, v):
         d = dict(m)
         e = d.pop(v, 0)
         rest = mono_make(d.items())
-        out.setdefault(e, {})[rest] = out.setdefault(e, {}).get(rest, Fraction(0)) + c
+        out.setdefault(e, {})[rest] = out.setdefault(e, {}).get(rest, 0) + c
     return {e: Polynomial(t) for e, t in out.items()}
 
 
@@ -461,7 +499,7 @@ def poly_gcd(a, b):
     if a.is_constant() or b.is_constant():
         return Polynomial.const(1)
     ma, mb = _mono_content(a), _mono_content(b)
-    base = Polynomial({mono_gcd(ma, mb): Fraction(1)})
+    base = Polynomial({mono_gcd(ma, mb): 1})
     a, b = _mono_quotient(a, ma), _mono_quotient(b, mb)
     if a.is_constant() or b.is_constant():
         return base
@@ -523,9 +561,9 @@ def _pow_poly(p, n):
 class RationalExpr:
     """Canonical ratio of two polynomials.
 
-    Normal form: gcd(num, den) = 1, all coefficients integers with no
-    common integer factor across num and den jointly, and den's leading
-    coefficient positive.
+    Normal form: gcd(num, den) = 1, all coefficients ints (never
+    Fractions) with no common integer factor across num and den jointly,
+    and den's leading coefficient positive.
 
     The constructor is the full-gcd path: it cancels gcd(num, den) from
     any pair.  The field operators instead cancel by Henrici's scheme
@@ -602,7 +640,7 @@ class RationalExpr:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.terms.get(UNIT, 0), self.den.terms[UNIT])
 
     def is_polynomial(self):
         return self.den.is_constant()

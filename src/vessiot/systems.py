@@ -7,6 +7,7 @@ homogeneous / automorphic dimension criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from . import symcore
@@ -50,8 +51,10 @@ class Equation:
     leading: object = None
     genericity: tuple = ()
 
-    @property
+    @cached_property
     def residual(self):
+        # formed once per equation: the instance __dict__ (the dataclass
+        # has no slots) keeps it, outside the fields that eq and hash use
         return symcore.normalize(self.lhs - self.rhs)
 
     @property

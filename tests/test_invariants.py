@@ -159,6 +159,41 @@ class TestGenericRank:
         _, G = area_set
         assert generic_rank(G.fields) == 5
 
+    def test_more_variables_than_primes_is_exact(self):
+        # 31 variables, one more than the point's distinct primes: the
+        # certificate is skipped and elimination gives the exact rank
+        names = [f"x{i}" for i in range(31)]
+        ctx = JetContext(names, ["u"], max_order=0)
+        xs = [ctx.var(n) for n in names]
+        t1 = VectorField({v: RationalExpr.var(w) for v, w in zip(xs, xs[1:])})
+        t2 = t1.scale(RationalExpr.var(xs[0]))
+        t3 = VectorField({xs[0]: RationalExpr.const(1)})
+        assert generic_rank([t1, t2, t3]) == 2
+
+    def test_type_error_is_not_swallowed(self, listed_set, monkeypatch):
+        import vessiot.invariants as inv
+
+        def broken(e, point):
+            raise TypeError("broken coefficient type")
+
+        monkeypatch.setattr(inv, "eval_point", broken)
+        with pytest.raises(TypeError, match="broken coefficient type"):
+            generic_rank(listed_set.fields)
+
+
+class TestQLinearSolve:
+    def test_returns_fractions(self, curve2):
+        from vessiot.invariants import _q_linear_solve
+
+        E = curve2.expr
+        cols = [E("y1"), E("y2"), E("y1*y2")]
+        sol = _q_linear_solve(cols, E("y1/2 + 3*y1*y2"))
+        assert sol == [Fraction(1, 2), 0, 3]
+        assert all(type(c) is Fraction for c in sol)
+        sol = _q_linear_solve([E("2*y1")], E("y1"))
+        assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
+        assert _q_linear_solve([E("y1")], E("y2")) is None
+
 
 class TestInvariantCount:
     def test_rigid_first_order(self, rigid3):

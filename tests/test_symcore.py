@@ -390,3 +390,178 @@ class TestVariableId:
         assert b"_hash" not in data
         w = pickle.loads(data)
         assert w == v and hash(w) == hash(v) and {w: 1}[v] == 1
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: ints in every normal form, Fractions at the edges
+
+
+def assert_normal_ints(e):
+    """Every coefficient of a normal form is a plain int, and den leads
+    with a positive one."""
+    coeffs = [*e.num.terms.values(), *e.den.terms.values()]
+    assert all(type(c) is int for c in coeffs), e
+    assert e.den.leading_coefficient() > 0
+
+
+def random_poly(rng, xs, terms=2, max_exp=1):
+    """Distinct random monomials in xs (exponents up to max_exp) with
+    small integer, or sometimes fractional, coefficients."""
+    out = {}
+    while len(out) < terms:
+        mono = tuple((v, e) for v in xs if (e := rng.randint(0, max_exp)))
+        c = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 4))
+        out[mono] = c
+    return Polynomial(out)
+
+
+class TestIntCoefficients:
+    @pytest.fixture
+    def xyz(self):
+        ctx = JetContext(["x", "y", "z"], ["u"], max_order=1)
+        return [ctx.var(n) for n in ("x", "y", "z")]
+
+    def test_constructors_store_ints(self, xyz):
+        x = xyz[0]
+        assert type(Polynomial.const(Fraction(4, 2)).terms[()]) is int
+        assert type(Polynomial.var(x).terms[((x, 1),)]) is int
+        assert Polynomial.const(Fraction(1, 2)).terms[()] == Fraction(1, 2)
+        # a Fraction operand may leave an integral Fraction in a product;
+        # the normal form turns it back into an int
+        p = Polynomial({((x, 1),): Fraction(1, 2)}) * 4
+        assert p.terms[((x, 1),)] == 2
+        assert_normal_ints(RationalExpr(p))
+        e = RationalExpr(Polynomial.var(x), Fraction(2, 3))
+        assert e.num.terms == {((x, 1),): 3} and e.den.terms == {(): 2}
+        assert_normal_ints(e)
+        for bad in (0.5, 2.0):
+            with pytest.raises(TypeError, match="not a rational number"):
+                Polynomial.const(bad)
+            with pytest.raises(TypeError, match="not a rational number"):
+                Polynomial({((x, 1),): bad})
+
+    def test_divexact_never_gives_a_float(self, xyz):
+        X, Y = (Polynomial.var(v) for v in xyz[:2])
+        even = X * 6 + Y * 4
+        q = poly_divexact(even, Polynomial.const(2))
+        assert q == X * 3 + Y * 2
+        assert all(type(c) is int for c in q.terms.values())
+        odd = poly_divexact(X * 3 + 1, Polynomial.const(2))
+        assert sorted(odd.terms.values()) == [Fraction(1, 2), Fraction(3, 2)]
+        assert all(type(c) is Fraction for c in odd.terms.values())
+        q = poly_divexact(X * X * 6 + X * 3, X * 4 + 2)
+        assert q == X * Fraction(3, 2)
+        assert type(q.terms[((xyz[0], 1),)]) is Fraction
+        q = poly_divexact(X * X * 4 - 4, X * 2 + 2)
+        assert q == X * 2 - 2
+        assert all(type(c) is int for c in q.terms.values())
+
+    def test_constant_value_is_a_fraction(self, xyz):
+        X = Polynomial.var(xyz[0])
+        assert type(Polynomial.const(3).constant_value()) is Fraction
+        assert type(Polynomial().constant_value()) is Fraction
+        e = RationalExpr(X * 6, X * 4)
+        assert e.constant_value() == Fraction(3, 2)
+        assert type(e.constant_value()) is Fraction
+        assert type(RationalExpr.const(4).constant_value()) is Fraction
+
+    def test_seeded_walk(self, xyz):
+        """+ - * /, coordinate_partial and substitute keep every normal
+        form's coefficients ints, constants read as Fractions, and no
+        float anywhere."""
+        rng = random.Random(40)
+
+        def fresh():
+            return RationalExpr(random_poly(rng, xyz), random_poly(rng, xyz))
+
+        pool = [fresh() for _ in range(6)]
+        point = {v: Fraction(p) for v, p in zip(xyz, (3, 5, 7))}
+        for step in range(120):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = step % 6
+            if op == 0:
+                out = a + b
+            elif op == 1:
+                out = a - b
+            elif op == 2:
+                out = a * b
+            elif op == 3:
+                out = a / b if not b.is_zero() else a
+            elif op == 4:
+                out = coordinate_partial(a, rng.choice(xyz))
+            else:
+                v = rng.choice(xyz)
+                rest = [w for w in xyz if w != v]
+                repl = RationalExpr(random_poly(rng, rest), random_poly(rng, rest))
+                try:
+                    out = substitute(a, {v: repl})
+                except DivisionByZero:
+                    continue
+            assert_normal_ints(out)
+            k = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            if not out.is_zero():
+                ratio = (out * k) / out
+                assert_normal_ints(ratio)
+                assert ratio.constant_value() == k
+                assert type(ratio.constant_value()) is Fraction
+            try:
+                value = eval_point(out, point)
+            except DenominatorVanishes:
+                value = None
+            assert value is None or type(value) is Fraction
+            if out.complexity() <= 12:
+                pool.append(out)
+            else:
+                pool[rng.randrange(len(pool))] = fresh()
+
+
+class TestSympyOracle:
+    """poly_gcd and the RationalExpr normal form against SymPy, used
+    here only as an independent reference."""
+
+    @pytest.fixture
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @pytest.fixture
+    def xyz(self):
+        ctx = JetContext(["x", "y", "z"], ["u"], max_order=1)
+        return [ctx.var(n) for n in ("x", "y", "z")]
+
+    @staticmethod
+    def to_sympy(sp, p):
+        return sp.Add(*(
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(sp.Symbol(v.name) ** e for v, e in m))
+            for m, c in p.terms.items()
+        ))
+
+    def test_poly_gcd(self, sp, xyz):
+        rng = random.Random(41)
+        for _ in range(20):
+            f = random_poly(rng, xyz, terms=3, max_exp=2)
+            a = random_poly(rng, xyz) * f
+            b = random_poly(rng, xyz) * f
+            if rng.random() < 0.3:
+                b = b * f
+            g = poly_gcd(a, b)
+            want = sp.gcd(self.to_sympy(sp, a), self.to_sympy(sp, b))
+            ratio = sp.cancel(self.to_sympy(sp, g) / want)
+            assert ratio.is_Rational and ratio != 0, (g, want)
+            assert all(type(c) is int for c in g.terms.values())
+            assert g.leading_coefficient() > 0
+
+    def test_normal_form(self, sp, xyz):
+        rng = random.Random(42)
+        for _ in range(20):
+            f = random_poly(rng, xyz, terms=2, max_exp=2)
+            e = RationalExpr(random_poly(rng, xyz) * f, random_poly(rng, xyz) * f)
+            e = e + RationalExpr(random_poly(rng, xyz), random_poly(rng, xyz))
+            assert_normal_ints(e)
+            num, den = self.to_sympy(sp, e.num), self.to_sympy(sp, e.den)
+            p, q = sp.fraction(sp.cancel(num / den))
+            assert sp.expand(num * q - p * den) == 0
+            scale = sp.cancel(num / p)
+            assert scale.is_Rational and scale != 0

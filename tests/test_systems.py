@@ -769,6 +769,19 @@ class TestOrderInvariant:
         assert S.residuals() == [E("u[x] - u")]
 
 
+class TestEquationResidual:
+    def test_formed_once(self):
+        ctx = JetContext(["x"], ["u"], max_order=2)
+        E = ctx.expr
+        eq = implicit_equation(E("u[x] + u[x,x]"), E("u[x,x] + u"))
+        r = eq.residual
+        assert r is eq.residual
+        assert r == eq.lhs - eq.rhs == E("u[x] - u")
+        # the cached value lives outside the fields: eq and hash ignore it
+        fresh = implicit_equation(E("u[x] + u[x,x]"), E("u[x,x] + u"))
+        assert fresh == eq and hash(fresh) == hash(eq)
+
+
 # ---------------------------------------------------------------------------
 # sparse row updates in rref against dense elimination
 
@@ -839,3 +852,13 @@ class TestSparseRref:
         assert pivots == [(0, 0), (1, 1)]
         assert got[1][2] == Fraction(-3) / 2
         assert isinstance(got[0][1], Fraction)
+
+    def test_int_entries_never_give_floats(self):
+        got, pivots = rref([[2, 1], [4, 3]], 2)
+        assert pivots == [(0, 0), (1, 1)]
+        flat = [x for row in got for x in row]
+        assert all(isinstance(x, (Fraction, RationalExpr)) for x in flat)
+        assert not any(isinstance(x, float) for x in flat)
+        assert got == [[1, 0], [0, 1]]
+        got, _ = rref([[2, 1, 1], [4, 3, 0]], 2)
+        assert got[0][2] == Fraction(3, 2) and type(got[0][2]) is Fraction

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .jets import JetContext, JetSection, VectorField, holonomic_section
 from .report import CheckReport
-from .symcore import RationalExpr, eval_point, normalize, substitute
+from .symcore import RationalExpr, normalize, substitute
 
 EXPECTED_STATUSES = ("OK", "FAIL")
 
@@ -167,10 +167,22 @@ def parse_problem(data, path="<memory>", max_order=None):
     return ProblemFile(path, raw, ctx, definitions, object_specs, checks)
 
 
+def _member(spec, key, typ, where):
+    """``spec[key]`` (an empty ``typ`` when absent), which must be a JSON
+    array (``typ`` list) or object (``typ`` dict)."""
+    value = spec.get(key, typ())
+    _require(isinstance(value, typ), f"{where}.{key}",
+             f"expected a JSON {'array' if typ is list else 'object'}, "
+             f"got {value!r}")
+    return value
+
+
 def _parse_context(spec, where, max_order=None):
     _require(isinstance(spec, dict), where, "context must be an object")
+    independents = _member(spec, "independents", list, where)
+    parameters = _member(spec, "parameters", list, where)
     deps = []
-    for d in spec.get("dependents", []):
+    for d in _member(spec, "dependents", list, where):
         if isinstance(d, str):
             deps.append(d)
         else:
@@ -179,12 +191,12 @@ def _parse_context(spec, where, max_order=None):
                 "dependent must be a name or [name, base-list]",
             )
             deps.append((d[0], tuple(d[1])))
-    specials = [tuple(s) for s in spec.get("specials", [])]
+    specials = [tuple(s) for s in _member(spec, "specials", list, where)]
     try:
         return JetContext(
-            spec.get("independents", []),
+            independents,
             deps,
-            parameters=spec.get("parameters", []),
+            parameters=parameters,
             specials=specials,
             max_order=(
                 max_order if max_order is not None
@@ -200,32 +212,39 @@ _OBJECT_KINDS = (
 )
 
 
-def _iter_expr_strings(spec):
+def _iter_expr_strings(spec, where):
+    """The expression strings of an object spec; a container of the
+    wrong JSON type on the way is a syntax error at its path."""
     kind = spec["kind"]
     if kind in ("surface", "curve"):
-        yield from spec.get("components", [])
+        yield from _member(spec, "components", list, where)
     elif kind == "section":
-        yield from (spec.get("components") or {}).values()
-        for jets in (spec.get("jets") or {}).values():
-            yield from jets.values()
+        yield from _member(spec, "components", dict, where).values()
+        jets = _member(spec, "jets", dict, where)
+        for dep in jets:
+            yield from _member(jets, dep, dict, f"{where}.jets").values()
     elif kind == "system":
-        for eq in spec.get("equations", []):
+        for i, eq in enumerate(_member(spec, "equations", list, where)):
+            at = f"{where}.equations[{i}]"
+            _require(isinstance(eq, dict), at, "equation must be an object")
             for key in ("leading", "lhs", "rhs"):
                 if key in eq:
                     yield eq[key]
-            yield from eq.get("genericity", [])
-        yield from spec.get("genericity", [])
+            yield from _member(eq, "genericity", list, at)
+        yield from _member(spec, "genericity", list, where)
     elif kind == "genset":
-        yield from spec.get("generators", [])
+        yield from _member(spec, "generators", list, where)
     elif kind == "generators":
-        for f in spec.get("fields", []):
-            for k, v in (f.get("components") or {}).items():
+        for i, f in enumerate(_member(spec, "fields", list, where)):
+            at = f"{where}.fields[{i}]"
+            _require(isinstance(f, dict), at, "field must be an object")
+            for k, v in _member(f, "components", dict, at).items():
                 yield k
                 yield v
 
 
 def _validate_object_exprs(ctx, definitions, spec, where):
-    for text in _iter_expr_strings(spec):
+    for text in _iter_expr_strings(spec, where):
         _require(isinstance(text, str), where,
                  f"expected an expression string, got {text!r}")
         try:
@@ -555,14 +574,19 @@ def op_janet_board(pf, args, options):
     ), board
 
 
+def _count_report(name, key, got, expected):
+    ok = got == expected
+    return CheckReport(
+        name, "OK" if ok else "FAIL",
+        witness=None if ok else got, numbers={key: got},
+    )
+
+
 def op_fiber_dimension(pf, args, options):
     S = _build(pf, args["system"], "system")
     dim = systems.fiber_dimension(S, _witness(pf, args, "witness"))
-    ok = dim == args["expected"]
-    return CheckReport(
-        "fiber_dimension", "OK" if ok else "FAIL",
-        witness=None if ok else dim, numbers={"dimension": dim},
-    )
+    return _count_report("fiber_dimension", "dimension", dim,
+                         args["expected"])
 
 
 def op_phs(pf, args, options):
@@ -585,23 +609,15 @@ def op_automorphic(pf, args, options):
 
 def op_compatibility_count(pf, args, options):
     S = _build(pf, args["system"], "system")
-    count = systems.compatibility_count(S)
-    ok = count == args["expected"]
-    return CheckReport(
-        "compatibility_count", "OK" if ok else "FAIL",
-        witness=None if ok else count, numbers={"count": count},
-    )
+    return _count_report("compatibility_count", "count",
+                         systems.compatibility_count(S), args["expected"])
 
 
 def op_prolong_count(pf, args, options):
     S = _build(pf, args["genset"], "genset")
     P = diffideal.prolong_gens(S, args["rounds"])
-    n = len(P.generators)
-    ok = n == args["expected"]
-    return CheckReport(
-        "prolong_count", "OK" if ok else "FAIL",
-        witness=None if ok else n, numbers={"generators": n},
-    )
+    return _count_report("prolong_count", "generators", len(P.generators),
+                         args["expected"])
 
 
 def op_syzygy(pf, args, options):
@@ -625,11 +641,7 @@ def op_invariant_count(pf, args, options):
     n = invariants.invariant_count(
         pf.ctx, G, args["order"], seed=options.seed
     )
-    ok = n == args["expected"]
-    return CheckReport(
-        "invariant_count", "OK" if ok else "FAIL",
-        witness=None if ok else n, numbers={"count": n},
-    )
+    return _count_report("invariant_count", "count", n, args["expected"])
 
 
 def op_structure_table(pf, args, options):

@@ -14,7 +14,7 @@ from .errors import (
     SingularFrame,
     ZeroCurvatureLocus,
 )
-from .linalg import det, identity, inverse, mat_mul, mat_vec, transpose
+from .linalg import det, inverse, mat_mul, mat_vec, transpose
 from .report import CheckReport
 from .symcore import RationalExpr, normalize
 
@@ -237,7 +237,7 @@ class Gauging:
         prod = mat_mul(self.A, transpose(self.A))
         n = len(self.A)
         return [
-            [red(prod[i][j] - identity(n)[i][j]) for j in range(n)]
+            [red(prod[i][j] - (1 if i == j else 0)) for j in range(n)]
             for i in range(n)
         ]
 

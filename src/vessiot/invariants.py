@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg, symcore
 from .errors import NotClosed
-from .jets import VectorField, bracket, prolong_field
+from .jets import JetContext, VectorField, bracket, prolong_field
 from .report import CheckReport
 from .symcore import Polynomial, RationalExpr, eval_point, substitute
 
@@ -147,31 +147,34 @@ def invariant_count(ctx, G, q, seed=0):
     return ctx.fiber_jet_count(q) - generic_rank(Gq.fields, seed=seed)
 
 
-def _q_linear_solve(columns, target):
-    """Solve target = sum c_i * columns_i for constants c_i in Q.
+def _q_linear_solve(blocks, n):
+    """Constants c_1..c_n in Q with target = sum_i c_i * columns_i in
+    every block (columns, target) at once.
 
     Returns the coefficient list (free coefficients set to 0) or None
     when no constant solution exists."""
-    den = Polynomial.const(1)
-    for e in itertools.chain(columns, [target]):
-        den = den * e.den
-    D = RationalExpr(den)
-    polys = [(e * D).num for e in columns]
-    tpoly = (target * D).num
-    monos = set(tpoly.terms)
-    for p in polys:
-        monos |= set(p.terms)
-    monos = sorted(monos, key=symcore._MONO_KEY)
-    m = len(columns)
-    rows = [[p.terms.get(mono, 0) for p in polys] for mono in monos]
-    rhs = [tpoly.terms.get(mono, 0) for mono in monos]
-    aug = [r + [b] for r, b in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug, m)
-    sol = [Fraction(0)] * m
+    rows = []
+    for columns, target in blocks:
+        den = Polynomial.const(1)
+        for e in itertools.chain(columns, [target]):
+            den = den * e.den
+        D = RationalExpr(den)
+        polys = [(e * D).num for e in columns]
+        tpoly = (target * D).num
+        monos = set(tpoly.terms)
+        for p in polys:
+            monos |= set(p.terms)
+        for mono in sorted(monos, key=symcore._MONO_KEY):
+            rows.append(
+                [p.terms.get(mono, 0) for p in polys]
+                + [tpoly.terms.get(mono, 0)]
+            )
+    red, pivots = linalg.rref(rows, n)
+    sol = [Fraction(0)] * n
     for r, c in pivots:
-        sol[c] = red[r][m]
+        sol[c] = red[r][n]
     for row in red:
-        if all(x == 0 for x in row[:m]) and row[m] != 0:
+        if all(x == 0 for x in row[:n]) and row[n] != 0:
             return None
     return sol
 
@@ -188,12 +191,12 @@ def structure_constants(G):
             b = bracket(G.fields[rho], G.fields[sigma])
             coeffs = None
             if all(v in coords for v in b.components):
-                coeffs = _stacked_solve(
+                coeffs = _q_linear_solve(
                     [
-                        [G.fields[t].component(v) for t in range(n)]
+                        ([G.fields[t].component(v) for t in range(n)],
+                         b.component(v))
                         for v in coords
                     ],
-                    [b.component(v) for v in coords],
                     n,
                 )
             if coeffs is None:
@@ -218,39 +221,6 @@ def structure_constants(G):
     for rho in range(n):
         table[(rho, rho)] = [Fraction(0)] * n
     return table
-
-
-def _stacked_solve(coord_columns, coord_targets, n):
-    """Q-linear solve of simultaneous per-coordinate equations.
-
-    ``coord_columns[j]`` lists, for coordinate j, the n candidate
-    entries; ``coord_targets[j]`` is the bracket entry there."""
-    all_rows = []
-    all_rhs = []
-    for cols, tgt in zip(coord_columns, coord_targets):
-        den = Polynomial.const(1)
-        for e in itertools.chain(cols, [tgt]):
-            den = den * e.den
-        D = RationalExpr(den)
-        polys = [(e * D).num for e in cols]
-        tpoly = (tgt * D).num
-        monos = set(tpoly.terms)
-        for p in polys:
-            monos |= set(p.terms)
-        for mono in sorted(monos, key=symcore._MONO_KEY):
-            all_rows.append([p.terms.get(mono, 0) for p in polys])
-            all_rhs.append(tpoly.terms.get(mono, 0))
-    if not all_rows:
-        return [Fraction(0)] * n
-    aug = [r + [b] for r, b in zip(all_rows, all_rhs)]
-    red, pivots = linalg.rref(aug, n)
-    sol = [Fraction(0)] * n
-    for r, c in pivots:
-        sol[c] = red[r][n]
-    for row in red:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
-    return sol
 
 
 def jacobi_residuals(table, n):
@@ -321,14 +291,6 @@ class FieldImage:
     verdict: str
 
 
-def _exponent_vectors(polys):
-    vecs = set()
-    for p in polys:
-        for m in p.terms:
-            vecs.add(m)
-    return vecs
-
-
 def _mono_vec(mono, var_index):
     v = [0] * len(var_index)
     for w, e in mono:
@@ -376,7 +338,7 @@ def noninvariance_witness(field_gens, delta):
         if img.is_zero():
             out.append(FieldImage(g, img, "stable"))
             continue
-        combo = _q_linear_solve(gens + [symcore.ONE], img)
+        combo = _q_linear_solve([(gens + [symcore.ONE], img)], len(gens) + 1)
         if combo is not None:
             out.append(FieldImage(g, img, "stable"))
             continue

@@ -7,19 +7,13 @@ with RationalExpr coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symcore
 from .errors import OrderOverflow, UnknownVariable
 from .parser import parse_expression
-from .symcore import (
-    Polynomial,
-    RationalExpr,
-    RewriteRule,
-    VariableId,
-    mono_make,
-)
+from .symcore import RationalExpr, RewriteRule, VariableId
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,6 @@ class JetContext:
                 return self.jet(name, (0,) * len(self.independents))
             raise UnknownVariable(name)
         return v
-
-    def has_name(self, name):
-        return name in self._vars or name in self.bases
 
     def jet(self, dep, mu):
         mu = tuple(mu)

@@ -100,25 +100,11 @@ def transpose(a):
     return [list(r) for r in zip(*a)]
 
 
-def identity(n):
-    from .symcore import ONE
-
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def det(a):
+    """Determinant by Laplace expansion along the first row."""
     n = len(a)
     if n == 1:
         return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    # fraction-free expansion for larger sizes (not used in hot paths)
     total = ZERO
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
@@ -127,22 +113,24 @@ def det(a):
     return total
 
 
-def inverse(a):
+def adjugate(a):
+    """Transposed cofactor matrix: a * adjugate(a) == det(a) * I."""
     n = len(a)
+    if n == 1:
+        return [[1]]
+    adj = [[None] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            m = det([
+                [a[i][j] for j in range(n) if j != c]
+                for i in range(n) if i != r
+            ])
+            adj[c][r] = m if (r + c) % 2 == 0 else -m
+    return adj
+
+
+def inverse(a):
     d = det(a)
     if _is_zero(d):
         raise SingularFrame("matrix not invertible over the function field")
-    if n == 1:
-        return [[1 / d if isinstance(d, Fraction) else RationalExpr.const(1) / d]]
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            m = minor[0][0] if n == 2 else det(minor)
-            row.append(m if (i + j) % 2 == 0 else -m)
-        cof.append(row)
-    adj = transpose(cof)
-    return [[x / d for x in row] for row in adj]
+    return [[x / d for x in row] for row in adjugate(a)]

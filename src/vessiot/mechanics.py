@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DegenerateHamiltonian, NotAMultiplier, SingularFrame
 from .jets import DiffForm, JetContext, exterior_derivative, wedge
-from .linalg import det
+from .linalg import adjugate, det
 from .report import CheckReport
 from .symcore import (
     RationalExpr,
@@ -113,29 +113,13 @@ def _jacobian(ctx, phi):
     return [[normalize(d(c, x)) for x in ctx.independents] for c in phi]
 
 
-def _adjugate(J):
-    n = len(J)
-    if n == 1:
-        return [[RationalExpr.const(1)]]
-    adj = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [
-                [J[i][j] for j in range(n) if j != c]
-                for i in range(n) if i != r
-            ]
-            adj[c][r] = (-1) ** (r + c) * det(minor)
-    return adj
-
-
-def _pullback_divergence(ctx, J, delta, fields):
+def _pullback_divergence(ctx, adj, delta, fields):
     """Delta^3 * sum_j dbar_j(fields[j] / Delta), where the target
-    derivations are dbar_j = (J^{-1})^k_j d_k.  Scaling by Delta^3 keeps
-    the computation polynomial (Delta != 0, so vanishing is
-    equivalent)."""
+    derivations are dbar_j = (J^{-1})^k_j d_k and ``adj`` is the
+    adjugate of the jacobian J.  Scaling by Delta^3 keeps the
+    computation polynomial (Delta != 0, so vanishing is equivalent)."""
     d = ctx.total_derivative
     n = len(ctx.independents)
-    adj = _adjugate(J)
     d_delta = [d(delta, x) for x in ctx.independents]
     res = ZERO
     for j in range(n):
@@ -164,10 +148,11 @@ def jacobi_multiplier_identity(n=2, ctx=None, phi=None):
     delta = normalize(det(J))
     if delta.is_zero():
         raise SingularFrame("jacobian determinant vanishes identically")
+    adj = adjugate(J)
     witness = None
     for i in range(n):
         cols = [J[j][i] for j in range(n)]
-        res = _pullback_divergence(ctx, J, delta, cols)
+        res = _pullback_divergence(ctx, adj, delta, cols)
         if not res.is_zero():
             witness = res
             break
@@ -203,7 +188,7 @@ def multiplier_transport(ctx, M, theta, phi):
         for j in range(n)
     ]
     fields = [normalize(M * tbar[j]) for j in range(n)]
-    res = _pullback_divergence(ctx, J, delta, fields)
+    res = _pullback_divergence(ctx, adjugate(J), delta, fields)
     return CheckReport(
         name="multiplier-transport",
         status="OK" if res.is_zero() else "FAIL",

@@ -6,9 +6,8 @@ homogeneous / automorphic dimension criteria.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 from . import symcore
 from .errors import DegenerateLocus, JetAboveOrder, OrderOverflow
@@ -384,8 +383,6 @@ def characters(S, strict=False, sym=None):
 
 
 def _strict_pivot_audit(S, sym, classes):
-    from .linalg import rref
-
     order = sorted(range(len(sym.columns)), key=lambda j: -classes[j])
     rows = [list(r) for r in sym.rows]
     used = set()

@@ -242,6 +242,22 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def _rejected(self, tmp_path, capsys, text, json_path):
+        with pytest.raises(ProblemSyntaxError, match=re.escape(json_path)):
+            parse_problem(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert json_path in capsys.readouterr().err
+
+    def test_non_list_equations(self, tmp_path, capsys):
+        text = problem(objects={"S": {"kind": "system", "equations": 5}})
+        self._rejected(tmp_path, capsys, text, "objects.S.equations")
+
+    def test_string_independents(self, tmp_path, capsys):
+        text = problem(context={"independents": "xy", "dependents": ["u"]})
+        self._rejected(tmp_path, capsys, text, "context.independents")
+
     def test_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["check", "--format", "yaml"]) == 2

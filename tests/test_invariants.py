@@ -187,12 +187,20 @@ class TestQLinearSolve:
 
         E = curve2.expr
         cols = [E("y1"), E("y2"), E("y1*y2")]
-        sol = _q_linear_solve(cols, E("y1/2 + 3*y1*y2"))
+        sol = _q_linear_solve([(cols, E("y1/2 + 3*y1*y2"))], 3)
         assert sol == [Fraction(1, 2), 0, 3]
         assert all(type(c) is Fraction for c in sol)
-        sol = _q_linear_solve([E("2*y1")], E("y1"))
+        sol = _q_linear_solve([([E("2*y1")], E("y1"))], 1)
         assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
-        assert _q_linear_solve([E("y1")], E("y2")) is None
+        assert _q_linear_solve([([E("y1")], E("y2"))], 1) is None
+        # each block alone has a solution (2, then 3); together none
+        first, second = ([E("y1")], E("2*y1")), ([E("y2")], E("3*y2"))
+        assert _q_linear_solve([first], 1) == [2]
+        assert _q_linear_solve([second], 1) == [3]
+        assert _q_linear_solve([first, second], 1) is None
+        # a target without monomials, and no equations at all
+        assert _q_linear_solve([(cols, E("0"))], 3) == [0, 0, 0]
+        assert _q_linear_solve([], 3) == [0, 0, 0]
 
 
 class TestInvariantCount:

@@ -182,16 +182,27 @@ def _parse_context(spec, where, max_order=None):
     independents = _member(spec, "independents", list, where)
     parameters = _member(spec, "parameters", list, where)
     deps = []
-    for d in _member(spec, "dependents", list, where):
+    for i, d in enumerate(_member(spec, "dependents", list, where)):
         if isinstance(d, str):
             deps.append(d)
         else:
             _require(
-                isinstance(d, list) and len(d) == 2, where,
-                "dependent must be a name or [name, base-list]",
+                isinstance(d, list) and len(d) == 2
+                and isinstance(d[0], str) and isinstance(d[1], list),
+                f"{where}.dependents[{i}]",
+                f"dependent must be a name or [name, base-list], got {d!r}",
             )
             deps.append((d[0], tuple(d[1])))
-    specials = [tuple(s) for s in _member(spec, "specials", list, where)]
+    specials = []
+    for i, s in enumerate(_member(spec, "specials", list, where)):
+        _require(
+            isinstance(s, list) and len(s) in (3, 4)
+            and all(isinstance(part, str) for part in s),
+            f"{where}.specials[{i}]",
+            "special must be [name, base, derivative] or [name, base, "
+            f"derivative, rewrite], got {s!r}",
+        )
+        specials.append(tuple(s))
     try:
         return JetContext(
             independents,

@@ -29,6 +29,11 @@ class JetAboveOrder(VessiotError):
     """An equation carries a jet above the order of its system."""
 
 
+class LeadingsNotEliminated(VessiotError):
+    """Solved leading jets remain in an expression after the cap on
+    substitution passes."""
+
+
 class NotClosed(VessiotError):
     """A bracket left the rational span of the generator set."""
 

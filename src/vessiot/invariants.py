@@ -164,7 +164,7 @@ def _q_linear_solve(blocks, n):
         monos = set(tpoly.terms)
         for p in polys:
             monos |= set(p.terms)
-        for mono in sorted(monos, key=symcore._MONO_KEY):
+        for mono in sorted(monos, key=symcore.mono_key):
             rows.append(
                 [p.terms.get(mono, 0) for p in polys]
                 + [tpoly.terms.get(mono, 0)]

@@ -14,13 +14,20 @@ and in what constant_value returns.  Two coefficients are divided only
 through _qdiv, since int / int would give a float.  Equality, hashing
 and printing agree between the two types (3 == Fraction(3), with equal
 hashes and strings).
+
+A monomial is a tuple of (VariableId, exponent) pairs.  Every monomial
+kernel (mono_mul, mono_div, mono_gcd, mono_key and the variable lookups
+of degree_in, partial and _as_univariate) assumes canonical monomials:
+pairs sorted by the variables' _sk, one pair per variable, exponents
+positive.  The kernels merge such tuples by comparing _sk and never hash
+a variable; equal _sk means equal VariableId, since the sort key's first
+entry encodes the kind.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from numbers import Rational
 
 from .errors import CyclicBinding, DenominatorVanishes, DivisionByZero
@@ -63,12 +70,13 @@ class VariableId:
         return self.name
 
 
-# A monomial is a tuple of (VariableId, exponent) pairs, sorted by the
-# variable order, exponents > 0.  The empty tuple is the unit monomial.
+# The unit monomial.
 UNIT = ()
 
 
 def mono_make(pairs):
+    """The monomial of (variable, exponent) pairs with distinct
+    variables; zero exponents are dropped."""
     items = [(v, e) for v, e in pairs if e]
     items.sort(key=lambda p: p[0]._sk)
     return tuple(items)
@@ -79,72 +87,85 @@ def mono_mul(a, b):
         return b
     if not b:
         return a
-    d = {}
-    for v, e in a:
-        d[v] = e
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return mono_make(d.items())
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        ka, kb = va._sk, vb._sk
+        if ka == kb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_div(a, b):
     """a / b, or None when b does not divide a."""
-    d = dict(a)
-    for v, e in b:
-        r = d.get(v, 0) - e
-        if r < 0:
+    out = []
+    i, na = 0, len(a)
+    for vb, eb in b:
+        kb = vb._sk
+        while i < na and a[i][0]._sk < kb:
+            out.append(a[i])
+            i += 1
+        if i == na:
             return None
-        if r == 0:
-            d.pop(v, None)
-        else:
-            d[v] = r
-    return mono_make(d.items())
+        va, ea = a[i]
+        if va._sk != kb or ea < eb:
+            return None
+        if ea > eb:
+            out.append((va, ea - eb))
+        i += 1
+    return (*out, *a[i:])
 
 
 def mono_gcd(a, b):
-    db = dict(b)
     out = []
-    for v, e in a:
-        if v in db:
-            out.append((v, min(e, db[v])))
-    return mono_make(out)
-
-
-def mono_degree(a):
-    return sum(e for _, e in a)
-
-
-def mono_cmp(a, b):
-    """Graded reverse-lexicographic comparison; returns -1, 0 or 1.
-
-    Degrees first; on ties scan variables ascending in the global order
-    and the first exponent difference decides with reversed sign.
-    """
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
         ka, kb = va._sk, vb._sk
         if ka == kb:
-            if ea != eb:
-                return 1 if ea < eb else -1
-            ia += 1
-            ib += 1
+            out.append((va, min(ea, eb)))
+            i += 1
+            j += 1
         elif ka < kb:
-            return -1  # a carries the smaller variable: reversed tie-break
+            i += 1
         else:
-            return 1
-    if ia < len(a):
-        return -1
-    if ib < len(b):
-        return 1
-    return 0
+            j += 1
+    return tuple(out)
 
 
-_MONO_KEY = cmp_to_key(mono_cmp)
+def mono_key(m):
+    """Sort key of the graded reverse-lexicographic order: degree first;
+    on ties the first variable, ascending in the global order, at which
+    the exponents differ decides, the larger exponent ranking lower.
+    (Of two canonical monomials of one degree neither is a prefix of the
+    other, so the tuple comparison never falls back on length.)"""
+    d = 0
+    k = []
+    for v, e in m:
+        d += e
+        k.append((v._sk, -e))
+    return d, tuple(k)
+
+
+def _index(m, sk):
+    """Position of the variable with sort key sk in monomial m, or -1."""
+    for i, (w, _) in enumerate(m):
+        if w._sk == sk:
+            return i
+    return -1
 
 
 def _coef(c):
@@ -191,11 +212,15 @@ class Polynomial:
     @staticmethod
     def const(c):
         c = _coef(c)
-        return Polynomial({UNIT: c}) if c else Polynomial()
+        p = Polynomial.__new__(Polynomial)
+        p.terms = {UNIT: c} if c else {}
+        return p
 
     @staticmethod
     def var(v, e=1):
-        return Polynomial({((v, e),): 1})
+        if e < 0:
+            raise ValueError("negative exponent on a variable")
+        return Polynomial({((v, e),): 1}) if e else Polynomial.const(1)
 
     # -- predicates ---------------------------------------------------
     def is_zero(self):
@@ -215,15 +240,18 @@ class Polynomial:
         return out
 
     def degree_in(self, v):
+        sk = v._sk
         d = 0
         for m in self.terms:
             for w, e in m:
-                if w == v and e > d:
-                    d = e
+                if w._sk == sk:
+                    if e > d:
+                        d = e
+                    break
         return d
 
     def leading_monomial(self):
-        return max(self.terms, key=_MONO_KEY)
+        return max(self.terms, key=mono_key)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -302,16 +330,16 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
     def partial(self, v):
         t = {}
+        sk = v._sk
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(v)
-            if not e:
+            i = _index(m, sk)
+            if i < 0:
                 continue
+            w, e = m[i]
             if e == 1:
-                del d[v]
+                m2 = m[:i] + m[i + 1:]
             else:
-                d[v] = e - 1
-            m2 = mono_make(d.items())
+                m2 = m[:i] + ((w, e - 1),) + m[i + 1:]
             s = t.get(m2, 0) + c * e
             if s:
                 t[m2] = s
@@ -335,7 +363,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_MONO_KEY, reverse=True):
+        for m in sorted(self.terms, key=mono_key, reverse=True):
             c = self.terms[m]
             body = "*".join(
                 v.name if e == 1 else f"{v.name}^{e}" for v, e in m
@@ -391,19 +419,34 @@ def poly_divexact(a, b):
         q = Polynomial.__new__(Polynomial)
         q.terms = {m: _qdiv(c, cb) for m, c in a.terms.items()}
         return q
-    out = {}
-    rem = a
+    # long division on one remainder dict: each step takes the leading
+    # term off and subtracts coef * q * (b - lt(b)) in place; the sort
+    # keys of the remainder's monomials are kept for the whole call
     lb = b.leading_monomial()
     cb = b.terms[lb]
-    while not rem.is_zero():
-        la = rem.leading_monomial()
+    tail = [(m, c) for m, c in b.terms.items() if m != lb]
+    rem = dict(a.terms)
+    keys = {m: mono_key(m) for m in rem}
+    out = {}
+    while rem:
+        la = max(rem, key=keys.__getitem__)
         q = mono_div(la, lb)
         if q is None:
             return None
-        coef = _qdiv(rem.terms[la], cb)
+        coef = _qdiv(rem.pop(la), cb)
         out[q] = coef
-        rem = rem - Polynomial({q: coef}) * b
-    return Polynomial(out)
+        for m, c in tail:
+            t = mono_mul(q, m)
+            r = rem.get(t, 0) - coef * c
+            if r:
+                rem[t] = r
+                if t not in keys:
+                    keys[t] = mono_key(t)
+            else:
+                del rem[t]
+    p = Polynomial.__new__(Polynomial)
+    p.terms = out
+    return p
 
 
 def _cancel(p, g):
@@ -434,13 +477,19 @@ def _mono_content(p):
 
 def _as_univariate(p, v):
     """View p as a univariate polynomial in v: dict degree -> Polynomial."""
+    sk = v._sk
     out = {}
     for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        rest = mono_make(d.items())
-        out.setdefault(e, {})[rest] = out.setdefault(e, {}).get(rest, 0) + c
-    return {e: Polynomial(t) for e, t in out.items()}
+        i = _index(m, sk)
+        if i < 0:
+            e, rest = 0, m
+        else:
+            e, rest = m[i][1], m[:i] + m[i + 1:]
+        out.setdefault(e, {})[rest] = c
+    for e, t in out.items():
+        out[e] = q = Polynomial.__new__(Polynomial)
+        q.terms = t
+    return out
 
 
 def _poly_content_in(p, v):
@@ -760,7 +809,7 @@ class RewriteRule:
             proj = mono_make(
                 (v, e) for v, e in m if any(v == w for w, _ in self.pattern)
             )
-            if mono_cmp(proj, self.pattern) >= 0:
+            if mono_key(proj) >= mono_key(self.pattern):
                 raise ValueError("rewrite rule does not terminate")
 
 

@@ -10,7 +10,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import symcore
-from .errors import DegenerateLocus, JetAboveOrder, OrderOverflow
+from .errors import (
+    DegenerateLocus,
+    JetAboveOrder,
+    LeadingsNotEliminated,
+    OrderOverflow,
+)
 from .jets import JetContext
 from .linalg import rank
 from .report import CheckReport
@@ -148,14 +153,19 @@ def _jet_order(v):
 
 
 def _substitute_leadings(rhs, assignments, max_passes=12):
-    """Eliminate solved leading jets from rhs by repeated substitution."""
-    for _ in range(max_passes):
+    """Eliminate solved leading jets from rhs by repeated substitution;
+    LeadingsNotEliminated when some remain after max_passes passes."""
+    for passes in range(max_passes + 1):
         hits = [v for v in rhs.variables() if v in assignments]
         if not hits:
             return rhs
+        if passes == max_passes:
+            raise LeadingsNotEliminated(
+                f"leading jets {', '.join(sorted(v.name for v in hits))} "
+                f"remain after {max_passes} substitution passes"
+            )
         for v in hits:
             rhs = symcore.substitute(rhs, {v: assignments[v]})
-    return rhs
 
 
 def _bump(ctx, v, i):

@@ -29,8 +29,8 @@ from vessiot.invariants import (
     structure_constants,
 )
 from vessiot.jets import JetContext, VectorField, holonomic_section
-from vessiot.linalg import det, inverse, mat_mul
-from vessiot.symcore import RationalExpr, eval_point, normalize, substitute
+from vessiot.linalg import inverse, mat_mul
+from vessiot.symcore import RationalExpr, normalize, substitute
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 ZERO = RationalExpr.const(0)

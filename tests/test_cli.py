@@ -258,6 +258,16 @@ class TestMain:
         text = problem(context={"independents": "xy", "dependents": ["u"]})
         self._rejected(tmp_path, capsys, text, "context.independents")
 
+    def test_string_dependent_bases(self, tmp_path, capsys):
+        text = problem(context={"independents": ["x", "y"],
+                                "dependents": [["u", "xy"]]})
+        self._rejected(tmp_path, capsys, text, "context.dependents[0]")
+
+    def test_string_special(self, tmp_path, capsys):
+        text = problem(context={"independents": ["x"], "dependents": ["u"],
+                                "specials": ["ab"]})
+        self._rejected(tmp_path, capsys, text, "context.specials[0]")
+
     def test_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["check", "--format", "yaml"]) == 2

@@ -1,6 +1,4 @@
 """Total derivatives, prolongation, Spencer operator, brackets, forms."""
-from fractions import Fraction
-
 import pytest
 
 from vessiot.errors import OrderOverflow
@@ -19,7 +17,7 @@ from vessiot.jets import (
     wedge,
 )
 from vessiot.linalg import rank
-from vessiot.symcore import RationalExpr, is_zero
+from vessiot.symcore import RationalExpr
 
 
 @pytest.fixture

@@ -14,16 +14,21 @@ from vessiot.errors import (
 )
 from vessiot.jets import JetContext
 from vessiot.symcore import (
+    UNIT,
     Polynomial,
     RationalExpr,
     coordinate_partial,
     eval_point,
+    mono_div,
+    mono_gcd,
+    mono_key,
+    mono_make,
+    mono_mul,
     poly_divexact,
     poly_gcd,
     is_zero,
     normalize,
     partial,
-    reduce_expr,
     substitute,
 )
 
@@ -515,6 +520,143 @@ class TestIntCoefficients:
                 pool.append(out)
             else:
                 pool[rng.randrange(len(pool))] = fresh()
+
+
+# ---------------------------------------------------------------------------
+# monomial kernels against comparison- and dict-based references
+
+
+def ref_mono_cmp(a, b):
+    """Graded reverse-lexicographic comparison, -1, 0 or 1: degrees
+    first; on ties scan variables ascending in the global order and the
+    first exponent difference decides with reversed sign."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia, ib = 0, 0
+    while ia < len(a) and ib < len(b):
+        (va, ea), (vb, eb) = a[ia], b[ib]
+        if va._sk == vb._sk:
+            if ea != eb:
+                return 1 if ea < eb else -1
+            ia += 1
+            ib += 1
+        else:
+            return -1 if va._sk < vb._sk else 1
+    if ia < len(a):
+        return -1
+    if ib < len(b):
+        return 1
+    return 0
+
+
+def ref_mono_mul(a, b):
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return mono_make(d.items())
+
+
+def ref_mono_div(a, b):
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) - e
+        if d[v] < 0:
+            return None
+    return mono_make(d.items())
+
+
+def ref_mono_gcd(a, b):
+    db = dict(b)
+    return mono_make((v, min(e, db[v])) for v, e in a if v in db)
+
+
+class TestMonomialKernels:
+    @pytest.fixture
+    def two_contexts(self):
+        """The same five variables from two contexts with equal
+        declarations: equal VariableIds that are distinct objects."""
+        def variables():
+            ctx = JetContext(["x", "y"], ["u"], parameters=["a"], max_order=2)
+            return [ctx.var("x"), ctx.var("y"), ctx.var("a"),
+                    ctx.jet_by_dirs("u", ["x"]),
+                    ctx.jet_by_dirs("u", ["x", "y"])]
+
+        one, two = variables(), variables()
+        assert one == two and all(v is not w for v, w in zip(one, two))
+        return one, two
+
+    @staticmethod
+    def monomials(rng, two_contexts, n):
+        """The unit monomial and n - 1 random ones, each variable taken
+        from either context."""
+        out = [UNIT]
+        while len(out) < n:
+            out.append(mono_make(
+                (rng.choice(pair), e) for pair in zip(*two_contexts)
+                if (e := rng.choice((0, 0, 1, 2, 3)))
+            ))
+        return out
+
+    def test_key_orders_as_the_comparison(self, two_contexts):
+        rng = random.Random(51)
+        monos = self.monomials(rng, two_contexts, 120)
+        for _ in range(4000):
+            a, b = rng.choice(monos), rng.choice(monos)
+            ka, kb = mono_key(a), mono_key(b)
+            assert (ka > kb) - (ka < kb) == ref_mono_cmp(a, b), (a, b)
+
+    def test_merges_match_dict_references(self, two_contexts):
+        rng = random.Random(52)
+        monos = self.monomials(rng, two_contexts, 60)
+        for a in monos:
+            assert mono_mul(UNIT, a) == mono_mul(a, UNIT) == a
+            assert mono_div(a, UNIT) == a and mono_div(a, a) == UNIT
+            assert mono_gcd(a, UNIT) == mono_gcd(UNIT, a) == UNIT
+            for b in monos:
+                ab = mono_mul(a, b)
+                assert ab == ref_mono_mul(a, b)
+                assert mono_div(a, b) == ref_mono_div(a, b)
+                assert mono_div(ab, b) == a
+                assert mono_gcd(a, b) == ref_mono_gcd(a, b)
+
+    def test_variable_lookups_across_contexts(self, two_contexts):
+        one, two = two_contexts
+        rng = random.Random(53)
+        monos = self.monomials(rng, two_contexts, 8)
+        p = Polynomial({m: rng.randint(1, 9) for m in monos})
+        for w in two:
+            assert p.degree_in(w) == max(dict(m).get(w, 0) for m in monos)
+            dp = Polynomial({
+                ref_mono_div(m, ((w, 1),)): c * dict(m)[w]
+                for m, c in p.terms.items() if w in dict(m)
+            })
+            assert p.partial(w) == dp
+
+    def test_var_is_canonical(self, two_contexts):
+        x = two_contexts[0][0]
+        assert Polynomial.var(x, 0) == Polynomial.const(1)
+        assert Polynomial.var(x, 0) * Polynomial.var(x) == Polynomial.var(x)
+        assert Polynomial.var(x, 2).terms == {((x, 2),): 1}
+        with pytest.raises(ValueError):
+            Polynomial.var(x, -1)
+
+    def test_divexact(self, two_contexts):
+        rng = random.Random(54)
+        xs = two_contexts[0][:3] + two_contexts[1][3:]
+        for _ in range(60):
+            a = random_poly(rng, xs, terms=rng.randint(1, 4), max_exp=2)
+            b = random_poly(rng, xs, terms=rng.randint(1, 3), max_exp=2)
+            ab = a * b
+            q = poly_divexact(ab, b)
+            assert q == a and q * b == ab
+            if not b.is_constant():
+                assert poly_divexact(ab + 1, b) is None
+        X, Y = (Polynomial.var(v) for v in xs[:2])
+        assert poly_divexact(X * X - Y * Y, X + Y) == X - Y
+        assert poly_divexact(X * X + Y * Y, X + Y) is None
+        h = Fraction(1, 2)
+        assert poly_divexact(X * X * h - Y * h, X * 3 + Y * 2) is None
 
 
 class TestSympyOracle:

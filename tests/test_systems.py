@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from vessiot import cli
-from vessiot.errors import DegenerateLocus, JetAboveOrder, OrderOverflow
+from vessiot.errors import (
+    DegenerateLocus,
+    JetAboveOrder,
+    LeadingsNotEliminated,
+    OrderOverflow,
+)
 from vessiot.jets import JetContext, holonomic_section
 from vessiot.linalg import det, rank, rref
 from vessiot.symcore import (
@@ -17,6 +22,7 @@ from vessiot.symcore import (
 )
 from vessiot.systems import (
     SolvedSystem,
+    _substitute_leadings,
     automorphic_criterion,
     cartan_test,
     characters,
@@ -395,6 +401,30 @@ class TestProlong:
         b = prolong_system(shell["A1"], 2)
         keys = lambda S: sorted(str(r) for r in S.residuals())
         assert keys(a) == keys(b)
+
+
+class TestSubstituteLeadings:
+    @staticmethod
+    def chain():
+        """Two links of leading jets: u[x] -> v[x] + 1 -> w + 1."""
+        ctx = JetContext(["x"], ["u", "v", "w"], max_order=2)
+        E = ctx.expr
+        table = {
+            ctx.jet_by_dirs("u", ["x"]): E("v[x] + 1"),
+            ctx.jet_by_dirs("v", ["x"]): E("w"),
+        }
+        return E, table
+
+    def test_chain_within_cap(self):
+        E, table = self.chain()
+        assert _substitute_leadings(E("x*u[x]"), table) == E("x*(w + 1)")
+        assert _substitute_leadings(E("u[x]"), table, max_passes=2) == E("w + 1")
+
+    def test_pass_cap_is_loud(self):
+        E, table = self.chain()
+        with pytest.raises(LeadingsNotEliminated,
+                           match=r"v\[x\] remain after 1 substitution pass"):
+            _substitute_leadings(E("u[x]"), table, max_passes=1)
 
 
 class TestSymbol:

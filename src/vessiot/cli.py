@@ -44,9 +44,6 @@ def default_corpus_dir():
 @dataclass
 class Options:
     only: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    max_order: int | None = None
     corpus_dir: Path = field(default_factory=default_corpus_dir)
 
 
@@ -146,6 +143,7 @@ def parse_problem(data, path="<memory>", max_order=None):
         kind = spec.get("kind")
         _require(kind in _OBJECT_KINDS, where, f"unknown object kind {kind!r}")
         _validate_object_exprs(ctx, definitions, spec, where)
+        _check_order(spec, where)
         object_specs[name] = spec
     checks = []
     seen = set()
@@ -262,6 +260,19 @@ def _validate_object_exprs(ctx, definitions, spec, where):
             ctx.expr(text, extra=definitions)
         except UnknownVariable as exc:
             raise UnknownReference(f"{where}: {exc}")
+
+
+def _check_order(spec, where):
+    """``order`` is required on a system and a section and optional on
+    generators; where present it must be a non-negative int."""
+    kind = spec["kind"]
+    if kind in ("system", "section"):
+        _require("order" in spec, f"{where}.order", "missing order")
+    elif kind != "generators" or "order" not in spec:
+        return
+    order = spec["order"]
+    _require(type(order) is int and order >= 0, f"{where}.order",
+             f"order must be a non-negative integer, got {order!r}")
 
 
 def render_problem(pf):
@@ -649,9 +660,7 @@ def op_is_invariant(pf, args, options):
 
 def op_invariant_count(pf, args, options):
     G = _build(pf, args["generators"], "generators")
-    n = invariants.invariant_count(
-        pf.ctx, G, args["order"], seed=options.seed
-    )
+    n = invariants.invariant_count(pf.ctx, G, args["order"])
     return _count_report("invariant_count", "count", n, args["expected"])
 
 
@@ -800,8 +809,8 @@ def run(pf, options=None):
 
 
 def report_json(reports):
-    """Machine-readable report; byte-stable for a fixed seed (timings
-    are deliberately excluded)."""
+    """Machine-readable report; byte-stable (timings are deliberately
+    excluded)."""
     files = []
     for rep in reports:
         files.append({
@@ -887,7 +896,6 @@ def main(argv=None):
     chk.add_argument("--only", default=None, metavar="GLOB",
                      help="run only checks whose id matches the glob")
     chk.add_argument("--format", choices=("json", "text"), default="text")
-    chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--max-order", type=int, default=None)
     try:
         ns = parser.parse_args(argv)
@@ -896,21 +904,20 @@ def main(argv=None):
     if ns.command != "check":
         parser.print_help(sys.stderr)
         return 2
-    options = Options(only=ns.only, fmt=ns.format, seed=ns.seed,
-                      max_order=ns.max_order)
+    options = Options(only=ns.only)
     try:
         files = _resolve_files(ns.files, options)
         reports = []
         for path in files:
             pf = parse_problem(
-                path.read_bytes(), str(path), max_order=options.max_order
+                path.read_bytes(), str(path), max_order=ns.max_order
             )
             reports.append(run(pf, options))
     except (ProblemSyntaxError, UnknownReference, ContextMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = (
-        report_json(reports) if options.fmt == "json"
+        report_json(reports) if ns.format == "json"
         else report_text(reports)
     )
     sys.stdout.write(text)

@@ -8,7 +8,6 @@ structure constants of closed distributions, verifies commuting
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,10 +15,10 @@ from . import linalg, symcore
 from .errors import NotClosed
 from .jets import JetContext, VectorField, bracket, prolong_field
 from .report import CheckReport
-from .symcore import Polynomial, RationalExpr, eval_point, substitute
-
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-           59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+from .symcore import Polynomial, RationalExpr, substitute
+# not called here; kept as a module attribute because perfbench's tests
+# check that the tracer wraps this imported copy of symcore.eval_point
+from .symcore import eval_point  # noqa: F401
 
 
 def _is_point_field(f):
@@ -109,42 +108,18 @@ def _component_matrix(fields):
     return rows, coords
 
 
-def generic_rank(fields, seed=0):
-    """Rank of the component matrix over the rational-function field.
-
-    A seeded random-point evaluation serves as a fast path: a full
-    numeric rank is a certificate (numeric rank never exceeds the true
-    rank).  Otherwise exact elimination decides.
-    """
+def generic_rank(fields):
+    """Rank of the component matrix over the rational-function field,
+    by exact elimination."""
     rows, coords = _component_matrix(fields)
-    if not coords:
-        return 0
-    bound = min(len(rows), len(coords))
-    varset = set(coords)
-    for f in fields:
-        for c in f.components.values():
-            varset |= c.variables()
-    # the point takes distinct primes; with more variables than primes
-    # the certificate is skipped and exact elimination decides
-    tries = 3 if len(varset) <= len(_PRIMES) else 0
-    rng = random.Random(seed)
-    for _ in range(tries):
-        primes = rng.sample(_PRIMES, len(varset))
-        point = dict(zip(sorted(varset), primes))
-        try:
-            num = [[eval_point(x, point) for x in r] for r in rows]
-        except symcore.DenominatorVanishes:
-            continue
-        if linalg.rank(num, len(coords)) == bound:
-            return bound
     return linalg.rank(rows, len(coords))
 
 
-def invariant_count(ctx, G, q, seed=0):
+def invariant_count(ctx, G, q):
     """Fiber dimension of jets of order <= q minus the generic rank of
     the prolonged distribution: the number of independent invariants."""
     Gq = G.prolonged(q) if q != G.order else G
-    return ctx.fiber_jet_count(q) - generic_rank(Gq.fields, seed=seed)
+    return ctx.fiber_jet_count(q) - generic_rank(Gq.fields)
 
 
 def _q_linear_solve(blocks, n):
@@ -358,8 +333,8 @@ def noninvariance_witness(field_gens, delta):
     return out
 
 
-def generically_free(G, q, seed=0):
+def generically_free(G, q):
     """True iff the prolonged distribution has rank equal to the number
     of generators at a generic point."""
     Gq = G.prolonged(q) if q != G.order else G
-    return generic_rank(Gq.fields, seed=seed) == len(Gq.fields)
+    return generic_rank(Gq.fields) == len(Gq.fields)

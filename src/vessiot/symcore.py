@@ -838,8 +838,12 @@ def poly_reduce(p, rules):
 
 def normalize(e):
     """Expressions built with the overloaded operators are always
-    canonical; this re-coerces scalars and asserts the invariant."""
-    return RationalExpr._coerce(e)
+    canonical; this re-coerces scalars and asserts the invariant.
+    Anything else (a float, a string) is a TypeError."""
+    out = RationalExpr._coerce(e)
+    if out is NotImplemented:
+        raise TypeError(f"not an expression: {type(e).__name__}")
+    return out
 
 
 def coordinate_partial(e, v):

@@ -153,7 +153,8 @@ def _jet_order(v):
 
 
 def _substitute_leadings(rhs, assignments, max_passes=12):
-    """Eliminate solved leading jets from rhs by repeated substitution;
+    """Eliminate solved leading jets from rhs by repeated substitution,
+    each pass binding every leading jet rhs carries at once;
     LeadingsNotEliminated when some remain after max_passes passes."""
     for passes in range(max_passes + 1):
         hits = [v for v in rhs.variables() if v in assignments]
@@ -164,8 +165,7 @@ def _substitute_leadings(rhs, assignments, max_passes=12):
                 f"leading jets {', '.join(sorted(v.name for v in hits))} "
                 f"remain after {max_passes} substitution passes"
             )
-        for v in hits:
-            rhs = symcore.substitute(rhs, {v: assignments[v]})
+        rhs = symcore.substitute(rhs, {v: assignments[v] for v in hits})
 
 
 def _bump(ctx, v, i):
@@ -275,8 +275,6 @@ class SymbolSystem:
     rows: list
 
     def rank(self):
-        if not self.rows:
-            return 0
         return rank(self.rows, len(self.columns))
 
     def dimension(self):
@@ -362,6 +360,8 @@ def characters(S, strict=False, sym=None):
     implicit equations are classed by exact symbol elimination that
     prefers the highest classes.  ``sym`` is S's symbol when the caller
     has already built it."""
+    if S.order < 1:
+        raise ValueError("characters need a system of order >= 1")
     ctx = S.ctx
     n = len(S.ordering)
     cols = _order_q_jets(ctx, S.order)
@@ -386,13 +386,16 @@ def characters(S, strict=False, sym=None):
     for i in range(n, 0, -1):
         keep = [j for j, c in enumerate(classes) if c >= i]
         sub = [[row[j] for j in keep] for row in sym.rows]
-        r = rank(sub, len(keep)) if keep and sub else 0
+        r = rank(sub, len(keep))
         beta[i] = r - prev
         prev = r
     return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
 
 
 def _strict_pivot_audit(S, sym, classes):
+    # its own dense elimination, not linalg.rref: it takes the first
+    # nonzero row as pivot and stops at the first pivot the genericity
+    # does not cover, where rref would finish the whole matrix first
     order = sorted(range(len(sym.columns)), key=lambda j: -classes[j])
     rows = [list(r) for r in sym.rows]
     used = set()

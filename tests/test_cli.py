@@ -166,8 +166,8 @@ class TestReports:
 
     def test_json_is_stable(self):
         pf = read_corpus("invariants_rigid3.json")
-        first = report_json([run(pf, Options(seed=7))])
-        second = report_json([run(pf, Options(seed=7))])
+        first = report_json([run(pf, Options())])
+        second = report_json([run(pf, Options())])
         assert first == second
 
     def test_json_shape(self, saddle_report):
@@ -268,6 +268,19 @@ class TestMain:
                                 "specials": ["ab"]})
         self._rejected(tmp_path, capsys, text, "context.specials[0]")
 
+    @pytest.mark.parametrize("kind, order", [
+        ("system", "one"), ("system", None), ("system", True),
+        ("system", -1), ("section", None), ("section", 1.0),
+        ("generators", True), ("generators", "0"),
+    ])
+    def test_bad_order(self, tmp_path, capsys, kind, order):
+        spec = {"kind": kind}
+        if order is not None:
+            spec["order"] = order
+        text = problem(objects={"S": spec})
+        self._rejected(tmp_path, capsys, text, "objects.S.order")
+
     def test_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["check", "--format", "yaml"]) == 2
+        assert main(["check", "--seed", "7"]) == 2

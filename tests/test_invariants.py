@@ -160,8 +160,8 @@ class TestGenericRank:
         assert generic_rank(G.fields) == 5
 
     def test_more_variables_than_primes_is_exact(self):
-        # 31 variables, one more than the point's distinct primes: the
-        # certificate is skipped and elimination gives the exact rank
+        # 31 variables and a rank below min(rows, columns): exact
+        # elimination gives the rank whatever the number of variables
         names = [f"x{i}" for i in range(31)]
         ctx = JetContext(names, ["u"], max_order=0)
         xs = [ctx.var(n) for n in names]
@@ -169,16 +169,6 @@ class TestGenericRank:
         t2 = t1.scale(RationalExpr.var(xs[0]))
         t3 = VectorField({xs[0]: RationalExpr.const(1)})
         assert generic_rank([t1, t2, t3]) == 2
-
-    def test_type_error_is_not_swallowed(self, listed_set, monkeypatch):
-        import vessiot.invariants as inv
-
-        def broken(e, point):
-            raise TypeError("broken coefficient type")
-
-        monkeypatch.setattr(inv, "eval_point", broken)
-        with pytest.raises(TypeError, match="broken coefficient type"):
-            generic_rank(listed_set.fields)
 
 
 class TestQLinearSolve:

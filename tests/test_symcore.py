@@ -90,6 +90,16 @@ class TestNormalize:
         with pytest.raises(DivisionByZero):
             surf.expr("x1") / (surf.expr("x1") - surf.expr("x1"))
 
+    @pytest.mark.parametrize("value, name", [(1.5, "float"), ("x", "str")])
+    def test_non_expression_is_a_type_error(self, value, name):
+        match = f"not an expression: {name}"
+        with pytest.raises(TypeError, match=match):
+            normalize(value)
+        with pytest.raises(TypeError, match=match):
+            eval_point(value, {})
+        with pytest.raises(TypeError, match=match):
+            substitute(value, {})
+
 
 class TestSubstitute:
     @pytest.fixture

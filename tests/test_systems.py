@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vessiot import cli
+from vessiot import cli, symcore
 from vessiot.errors import (
     DegenerateLocus,
     JetAboveOrder,
@@ -420,6 +420,24 @@ class TestSubstituteLeadings:
         assert _substitute_leadings(E("x*u[x]"), table) == E("x*(w + 1)")
         assert _substitute_leadings(E("u[x]"), table, max_passes=2) == E("w + 1")
 
+    def test_one_substitution_per_pass(self, monkeypatch):
+        ctx = JetContext(["x"], ["u", "v", "w"], max_order=2)
+        E = ctx.expr
+        table = {
+            ctx.jet_by_dirs("u", ["x"]): E("w + 1"),
+            ctx.jet_by_dirs("v", ["x"]): E("w^2"),
+        }
+        calls = []
+
+        def counted(e, bindings):
+            calls.append(sorted(v.name for v in bindings))
+            return substitute(e, bindings)
+
+        monkeypatch.setattr(symcore, "substitute", counted)
+        out = _substitute_leadings(E("u[x]*v[x] + x"), table)
+        assert out == E("(w + 1)*w^2 + x")
+        assert calls == [["u[x]", "v[x]"]]
+
     def test_pass_cap_is_loud(self):
         E, table = self.chain()
         with pytest.raises(LeadingsNotEliminated,
@@ -495,6 +513,21 @@ class TestCharacters:
             genericity=[E("u")],
         )
         assert characters(S, strict=True) == (0, 1)
+
+    def test_order_zero_system(self):
+        ctx = JetContext(["x1", "x2"], ["u"], max_order=2)
+        E = ctx.expr
+        implicit = SolvedSystem(
+            ctx, 0, [implicit_equation(E("u^2"), E("x1"))]
+        )
+        solved = SolvedSystem(
+            ctx, 0, [solved_equation(ctx.jet_by_dirs("u", []), E("x1"))]
+        )
+        for S in (implicit, solved):
+            with pytest.raises(ValueError, match="order >= 1"):
+                characters(S)
+            with pytest.raises(ValueError, match="order >= 1"):
+                cartan_test(S)
 
 
 class TestCartan:

@@ -3,9 +3,16 @@
 Problem files are JSON documents with four sections: ``context``
 (variable declarations), ``definitions`` (named expressions),
 ``objects`` (surfaces, curves, sections, systems, generator sets) and
-``checks`` (named check invocations with expected statuses).  The runner
-executes each check through the owning module and emits a deterministic
-text or JSON report; Janet boards are rendered in the text format.
+``checks`` (named check invocations with expected statuses).
+
+A file is fully checked at load: the context and its ``max_order``,
+every object spec (one loader per kind parses each expression once),
+and each check's required arguments and object references.  The first
+error names the file and a JSON path (``f.json:objects.S.order``), and
+``vessiot check`` exits 2.  Objects are built on first use, from the
+inputs parsed at load.  The runner executes each check through the
+owning module and emits a deterministic text or JSON report; Janet
+boards are rendered in the text format.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
 
 from . import diffideal, geomkit, invariants, mechanics, systems
@@ -61,11 +69,8 @@ class ProblemFile:
     raw: dict
     ctx: JetContext
     definitions: dict
-    object_specs: dict
+    objects: dict  # name -> (kind, cached zero-argument constructor)
     checks: list
-
-    def __post_init__(self):
-        self._built = {}
 
 
 @dataclass
@@ -96,7 +101,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: one loader per object kind reads its JSON layout once
 
 
 def _fail(where, message):
@@ -109,8 +114,10 @@ def _require(cond, where, message):
 
 
 def parse_problem(data, path="<memory>", max_order=None):
-    """Parse a problem file; the first error carries its location
-    (line/column for JSON syntax, a JSON path otherwise)."""
+    """Parse and check a problem file; the first error carries its
+    location (line/column for JSON syntax, a JSON path otherwise).
+    Every expression of the context, definitions and objects is parsed
+    here, once; objects are built on first use from the parsed inputs."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -126,25 +133,29 @@ def parse_problem(data, path="<memory>", max_order=None):
     allowed = {"context", "definitions", "objects", "checks"}
     for key in raw:
         _require(key in allowed, path, f"unknown section {key!r}")
-    _require("context" in raw, path, "missing 'context' section")
-    ctx = _parse_context(raw["context"], f"{path}:context", max_order)
+    _require("context" in raw, f"{path}:context", "missing section")
+    for key, typ in (("definitions", dict), ("objects", dict),
+                     ("checks", list)):
+        _require(isinstance(raw.get(key) or typ(), typ), f"{path}:{key}",
+                 f"expected a JSON {'array' if typ is list else 'object'}")
+    ctx = _parse_context(raw["context"], path, max_order)
     definitions = {}
     for name, text in (raw.get("definitions") or {}).items():
-        where = f"{path}:definitions.{name}"
-        _require(isinstance(text, str), where, "definition must be a string")
-        try:
-            definitions[name] = ctx.expr(text, extra=definitions)
-        except UnknownVariable as exc:
-            raise UnknownReference(f"{where}: {exc}")
-    object_specs = {}
+        definitions[name] = _parse(
+            ctx, text, f"{path}:definitions.{name}", definitions
+        )
+
+    def expr(text, where):
+        return _parse(ctx, text, where, definitions)
+
+    objects = {}
     for name, spec in (raw.get("objects") or {}).items():
         where = f"{path}:objects.{name}"
         _require(isinstance(spec, dict), where, "object must be an object")
         kind = spec.get("kind")
-        _require(kind in _OBJECT_KINDS, where, f"unknown object kind {kind!r}")
-        _validate_object_exprs(ctx, definitions, spec, where)
-        _check_order(spec, where)
-        object_specs[name] = spec
+        _require(isinstance(kind, str) and kind in _LOADERS, where,
+                 f"unknown object kind {kind!r}")
+        objects[name] = (kind, cache(_LOADERS[kind](ctx, spec, where, expr)))
     checks = []
     seen = set()
     for i, c in enumerate(raw.get("checks") or []):
@@ -155,19 +166,22 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(cid not in seen, where, f"duplicate check id {cid!r}")
         seen.add(cid)
         op = c.get("op")
-        _require(op in OPS, where, f"unknown op {op!r}")
+        _require(isinstance(op, str) and op in OPS, where,
+                 f"unknown op {op!r}")
         expect = c.get("expect", "OK")
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args") or {}
         _require(isinstance(args, dict), where, "args must be an object")
+        _check_args(args, OPS[op][1], objects, f"{where}.args")
         checks.append(CheckSpec(cid, op, args, expect))
-    return ProblemFile(path, raw, ctx, definitions, object_specs, checks)
+    return ProblemFile(path, raw, ctx, definitions, objects, checks)
 
 
-def _member(spec, key, typ, where):
-    """``spec[key]`` (an empty ``typ`` when absent), which must be a JSON
-    array (``typ`` list) or object (``typ`` dict)."""
+def _member(spec, key, typ, where, required=False):
+    """``spec[key]`` (an empty ``typ`` when absent and not ``required``),
+    which must be a JSON array (``typ`` list) or object (``typ`` dict)."""
+    _require(key in spec or not required, f"{where}.{key}", "missing")
     value = spec.get(key, typ())
     _require(isinstance(value, typ), f"{where}.{key}",
              f"expected a JSON {'array' if typ is list else 'object'}, "
@@ -175,10 +189,25 @@ def _member(spec, key, typ, where):
     return value
 
 
-def _parse_context(spec, where, max_order=None):
+def _names(spec, key, where):
+    names = _member(spec, key, list, where)
+    for i, name in enumerate(names):
+        _require(isinstance(name, str), f"{where}.{key}[{i}]",
+                 f"expected a name, got {name!r}")
+    return names
+
+
+def _max_order(value, where):
+    _require(type(value) is int and value >= 0, where,
+             f"must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _parse_context(spec, path, max_order=None):
+    where = f"{path}:context"
     _require(isinstance(spec, dict), where, "context must be an object")
-    independents = _member(spec, "independents", list, where)
-    parameters = _member(spec, "parameters", list, where)
+    independents = _names(spec, "independents", where)
+    parameters = _names(spec, "parameters", where)
     deps = []
     for i, d in enumerate(_member(spec, "dependents", list, where)):
         if isinstance(d, str):
@@ -186,7 +215,8 @@ def _parse_context(spec, where, max_order=None):
         else:
             _require(
                 isinstance(d, list) and len(d) == 2
-                and isinstance(d[0], str) and isinstance(d[1], list),
+                and isinstance(d[0], str) and isinstance(d[1], list)
+                and all(isinstance(b, str) for b in d[1]),
                 f"{where}.dependents[{i}]",
                 f"dependent must be a name or [name, base-list], got {d!r}",
             )
@@ -201,78 +231,195 @@ def _parse_context(spec, where, max_order=None):
             f"derivative, rewrite], got {s!r}",
         )
         specials.append(tuple(s))
+    order = _max_order(spec.get("max_order", 4), f"{where}.max_order")
+    if max_order is not None:
+        order = _max_order(max_order, f"{path}: --max-order")
     try:
-        return JetContext(
-            independents,
-            deps,
-            parameters=parameters,
-            specials=specials,
-            max_order=(
-                max_order if max_order is not None
-                else spec.get("max_order", 4)
-            ),
-        )
+        ctx = JetContext(independents, deps, parameters=parameters,
+                         specials=specials, max_order=order)
+    except (VessiotError, ValueError) as exc:  # unknown base, duplicate
+        _fail(where, exc)
+    try:
+        ctx.rules  # parses each special's derivative and rewrite now
+    except (VessiotError, ValueError) as exc:
+        _fail(f"{where}.specials", exc)
+    return ctx
+
+
+def _parse(ctx, text, where, definitions=None):
+    """The one parse of an expression string; errors name ``where``."""
+    _require(isinstance(text, str), where,
+             f"expected an expression string, got {text!r}")
+    try:
+        return ctx.expr(text, extra=definitions)
+    except UnknownVariable as exc:
+        raise UnknownReference(f"{where}: {exc}")
     except VessiotError as exc:
-        raise ProblemSyntaxError(f"{where}: {exc}")
+        _fail(where, exc)
 
 
-_OBJECT_KINDS = (
-    "surface", "curve", "section", "system", "genset", "generators",
-)
+def _variable(ctx, text, where, jet=False):
+    """The variable (a ``jet`` if asked) that ``text`` names."""
+    e = _parse(ctx, text, where)
+    vs = list(e.variables())
+    _require(len(vs) == 1 and e == RationalExpr.var(vs[0])
+             and (vs[0].kind == "jet" or not jet), where,
+             f"not a plain {'jet' if jet else 'variable'}: {text!r}")
+    return vs[0]
 
 
-def _iter_expr_strings(spec, where):
-    """The expression strings of an object spec; a container of the
-    wrong JSON type on the way is a syntax error at its path."""
-    kind = spec["kind"]
-    if kind in ("surface", "curve"):
-        yield from _member(spec, "components", list, where)
-    elif kind == "section":
-        yield from _member(spec, "components", dict, where).values()
-        jets = _member(spec, "jets", dict, where)
-        for dep in jets:
-            yield from _member(jets, dep, dict, f"{where}.jets").values()
-    elif kind == "system":
-        for i, eq in enumerate(_member(spec, "equations", list, where)):
-            at = f"{where}.equations[{i}]"
-            _require(isinstance(eq, dict), at, "equation must be an object")
-            for key in ("leading", "lhs", "rhs"):
-                if key in eq:
-                    yield eq[key]
-            yield from _member(eq, "genericity", list, at)
-        yield from _member(spec, "genericity", list, where)
-    elif kind == "genset":
-        yield from _member(spec, "generators", list, where)
-    elif kind == "generators":
-        for i, f in enumerate(_member(spec, "fields", list, where)):
-            at = f"{where}.fields[{i}]"
-            _require(isinstance(f, dict), at, "field must be an object")
-            for k, v in _member(f, "components", dict, at).items():
-                yield k
-                yield v
+def _order(ctx, spec, where, default=None):
+    """``spec["order"]``, 0 to max_order; required without a default."""
+    order = spec.get("order", default)
+    _require(type(order) is int and 0 <= order <= ctx.max_order,
+             f"{where}.order", f"expected an integer from 0 to max_order "
+             f"{ctx.max_order}, got {order!r}")
+    return order
 
 
-def _validate_object_exprs(ctx, definitions, spec, where):
-    for text in _iter_expr_strings(spec, where):
-        _require(isinstance(text, str), where,
-                 f"expected an expression string, got {text!r}")
-        try:
-            ctx.expr(text, extra=definitions)
-        except UnknownVariable as exc:
-            raise UnknownReference(f"{where}: {exc}")
+def _load_explicit(invariants_of, n_independents, counts,
+                   ctx, spec, where, expr):
+    """A surface or a curve: explicit components."""
+    at = f"{where}.components"
+    comps = [expr(c, f"{at}[{i}]") for i, c in
+             enumerate(_member(spec, "components", list, where))]
+    _require(len(ctx.independents) == n_independents
+             and len(comps) in counts, at,
+             f"expected {'/'.join(map(str, counts))} components over "
+             f"{n_independents} independent(s)")
+    return lambda: invariants_of(ctx, comps)
 
 
-def _check_order(spec, where):
-    """``order`` is required on a system and a section and optional on
-    generators; where present it must be a non-negative int."""
-    kind = spec["kind"]
-    if kind in ("system", "section"):
-        _require("order" in spec, f"{where}.order", "missing order")
-    elif kind != "generators" or "order" not in spec:
-        return
-    order = spec["order"]
-    _require(type(order) is int and order >= 0, f"{where}.order",
-             f"order must be a non-negative integer, got {order!r}")
+def _load_section(ctx, spec, where, expr):
+    """Explicit ``components`` prolonged to ``order``, or the ``jets``
+    themselves, keyed by one count per independent (``"1,0"``)."""
+    order = _order(ctx, spec, where)
+    if "jets" not in spec:
+        comps = {}
+        for dep, text in _member(spec, "components", dict, where,
+                                 True).items():
+            at = f"{where}.components.{dep}"
+            _require(dep in ctx.bases, at, f"{dep!r} is not a dependent")
+            comps[dep] = expr(text, at)
+        return lambda: holonomic_section(ctx, comps, order, deps=list(comps))
+    values = {}
+    for dep, jets in _member(spec, "jets", dict, where).items():
+        at = f"{where}.jets.{dep}"
+        _require(dep in ctx.bases and isinstance(jets, dict), at,
+                 f"expected jets of a dependent, got {dep!r}: {jets!r}")
+        for mu, text in jets.items():
+            counts = mu.split(",")
+            _require(len(counts) == len(ctx.independents)
+                     and all(n.strip().isdecimal() for n in counts),
+                     f"{at}.{mu}", f"jet index {mu!r} needs one count "
+                     f"per independent variable")
+            values[(dep, tuple(map(int, counts)))] = expr(text, f"{at}.{mu}")
+    return lambda: JetSection(ctx, order, values)
+
+
+def _load_system(ctx, spec, where, expr):
+    """Equations ``lhs [= rhs]``, optionally solved for ``leading``, or
+    ``leading = rhs``; an ``ordering`` permutes the independents."""
+    equations = []
+    for i, eq in enumerate(_member(spec, "equations", list, where)):
+        at = f"{where}.equations[{i}]"
+        _require(isinstance(eq, dict)
+                 and ("lhs" in eq or {"leading", "rhs"} <= eq.keys()), at,
+                 "equation needs 'lhs', or 'leading' and 'rhs'")
+        lhs, rhs = (expr(eq[k], f"{at}.{k}") if k in eq else None
+                    for k in ("lhs", "rhs"))
+        lead = (_variable(ctx, eq["leading"], f"{at}.leading", jet=True)
+                if "leading" in eq else None)
+        gen = [expr(g, f"{at}.genericity[{j}]") for j, g in
+               enumerate(_member(eq, "genericity", list, at))]
+        if lhs is None:  # solved: leading = rhs
+            lhs = RationalExpr.var(lead)
+        equations.append((lhs, rhs, lead, gen))
+    ordering = _names(spec, "ordering", where) if "ordering" in spec else None
+    _require(ordering is None or sorted(ordering) == sorted(ctx.independents),
+             f"{where}.ordering", f"expected a permutation of the "
+             f"independents {ctx.independents}, got {ordering!r}")
+    genericity = [expr(g, f"{where}.genericity[{j}]") for j, g in
+                  enumerate(_member(spec, "genericity", list, where))]
+    order = _order(ctx, spec, where)
+    return lambda: systems.SolvedSystem(
+        ctx, order, [systems.implicit_equation(*e) for e in equations],
+        ordering=ordering, genericity=genericity,
+    )
+
+
+def _load_genset(ctx, spec, where, expr):
+    gens = [expr(g, f"{where}.generators[{i}]") for i, g in
+            enumerate(_member(spec, "generators", list, where, True))]
+    return lambda: diffideal.DiffPolySet(ctx, gens)
+
+
+def _load_generators(ctx, spec, where, expr):
+    """Labelled vector ``fields`` (variable -> component) at ``order``."""
+    order = _order(ctx, spec, where, default=0)
+    fields, labels = [], []
+    for i, f in enumerate(_member(spec, "fields", list, where, True)):
+        at = f"{where}.fields[{i}]"
+        _require(isinstance(f, dict), at, "field must be an object")
+        labels.append(f.get("label", f"theta{i + 1}"))
+        _require(isinstance(labels[-1], str), f"{at}.label",
+                 f"label must be a string, got {labels[-1]!r}")
+        fields.append({
+            _variable(ctx, k, f"{at}.components.{k}"):
+                expr(v, f"{at}.components.{k}")
+            for k, v in _member(f, "components", dict, at).items()
+        })
+    _require(fields, f"{where}.fields", "needs at least one field")
+    return lambda: invariants.GeneratorSet(
+        ctx, [VectorField(c) for c in fields], order, tuple(labels)
+    )
+
+
+_LOADERS = {
+    "surface": partial(_load_explicit, geomkit.surface_invariants, 2, (3,)),
+    "curve": partial(_load_explicit, geomkit.curve_invariants, 1, (2, 3)),
+    "section": _load_section,
+    "system": _load_system,
+    "genset": _load_genset,
+    "generators": _load_generators,
+}
+
+# check arguments that name an object -> the kind it must be; a
+# ``witness*`` argument names its section under "section"
+_REFERENCE_KINDS = {kind: kind for kind in _LOADERS} | {
+    "groupoid": "system", "source": "section", "target": "section",
+}
+
+
+def _lookup(objects, name, kind, where):
+    """The constructor of object ``name``, which must be a ``kind``."""
+    entry = objects.get(name)
+    if entry is None:
+        raise UnknownReference(f"{where}: no object named {name!r}")
+    if entry[0] != kind:
+        raise ContextMismatch(
+            f"{where}: object {name!r} is a {entry[0]}, not a {kind}"
+        )
+    return entry[1]
+
+
+def _check_args(args, required, objects, where):
+    """Each required argument (``a|b``: one of them) is there, and each
+    object reference names an object of the kind it needs."""
+    for key in required.split():
+        _require(any(k in args for k in key.split("|")), f"{where}.{key}",
+                 "missing argument")
+    for key, value in args.items():
+        at = f"{where}.{key}"
+        if key.startswith("witness") and value is not None:
+            _require(isinstance(value, dict)
+                     and isinstance(value.get("point"), dict), at,
+                     f"witness needs a section and a point, got {value!r}")
+            key, value, at = "section", value.get("section"), f"{at}.section"
+        if key in _REFERENCE_KINDS:
+            _require(isinstance(value, str), at,
+                     f"expected an object name, got {value!r}")
+            _lookup(objects, value, _REFERENCE_KINDS[key], at)
 
 
 def render_problem(pf):
@@ -282,113 +429,18 @@ def render_problem(pf):
 
 
 # ---------------------------------------------------------------------------
-# object construction (lazy, cached per ProblemFile)
+# object construction (lazy, cached per object)
 
 
 def _expr(pf, text):
-    if isinstance(text, (int, str)) and not isinstance(text, bool):
-        try:
-            return pf.ctx.expr(str(text), extra=pf.definitions)
-        except UnknownVariable as exc:
-            raise UnknownReference(f"{pf.path}: {exc}")
-    raise UnknownReference(f"{pf.path}: not an expression: {text!r}")
-
-
-def _spec_of(pf, name, kind):
-    spec = pf.object_specs.get(name)
-    if spec is None:
-        raise UnknownReference(f"{pf.path}: no object named {name!r}")
-    if spec["kind"] != kind:
-        raise ContextMismatch(
-            f"{pf.path}: object {name!r} is a {spec['kind']}, not a {kind}"
-        )
-    return spec
-
-
-def _single_variable(ctx, text):
-    e = ctx.expr(text)
-    vs = sorted(e.variables())
-    if len(vs) != 1 or not (e - RationalExpr.var(vs[0])).is_zero():
-        raise ProblemSyntaxError(f"not a plain variable: {text!r}")
-    return vs[0]
+    """An expression argument of a check; an int reads as its digits."""
+    text = str(text) if type(text) is int else text
+    return _parse(pf.ctx, text, pf.path, pf.definitions)
 
 
 def _build(pf, name, kind):
-    key = (kind, name)
-    if key in pf._built:
-        return pf._built[key]
-    spec = _spec_of(pf, name, kind)
-    ctx = pf.ctx
-    if kind == "surface":
-        obj = geomkit.surface_invariants(
-            ctx, [_expr(pf, c) for c in spec["components"]]
-        )
-    elif kind == "curve":
-        obj = geomkit.curve_invariants(
-            ctx, [_expr(pf, c) for c in spec["components"]]
-        )
-    elif kind == "section":
-        if "jets" in spec:
-            values = {}
-            for dep, jets in spec["jets"].items():
-                for mu, text in jets.items():
-                    index = tuple(int(i) for i in str(mu).split(","))
-                    if len(index) != len(ctx.independents):
-                        raise ProblemSyntaxError(
-                            f"{pf.path}: jet index {mu!r} needs one count "
-                            f"per independent variable"
-                        )
-                    values[(dep, index)] = _expr(pf, text)
-            obj = JetSection(ctx, spec["order"], values)
-        else:
-            comp = {d: _expr(pf, c) for d, c in spec["components"].items()}
-            obj = holonomic_section(ctx, comp, spec["order"], deps=list(comp))
-    elif kind == "system":
-        eqs = []
-        for eq in spec["equations"]:
-            gen = tuple(_expr(pf, g) for g in eq.get("genericity", []))
-            if "lhs" in eq:
-                lead = (
-                    _single_variable(ctx, eq["leading"])
-                    if "leading" in eq else None
-                )
-                eqs.append(systems.implicit_equation(
-                    _expr(pf, eq["lhs"]),
-                    _expr(pf, eq["rhs"]) if "rhs" in eq else None,
-                    leading=lead, genericity=gen,
-                ))
-            else:
-                eqs.append(systems.solved_equation(
-                    _single_variable(ctx, eq["leading"]),
-                    _expr(pf, eq["rhs"]), genericity=gen,
-                ))
-        obj = systems.SolvedSystem(
-            ctx, spec["order"], eqs,
-            ordering=tuple(spec["ordering"]) if "ordering" in spec else None,
-            genericity=tuple(
-                _expr(pf, g) for g in spec.get("genericity", [])
-            ),
-        )
-    elif kind == "genset":
-        obj = diffideal.DiffPolySet(
-            ctx, [_expr(pf, g) for g in spec["generators"]]
-        )
-    elif kind == "generators":
-        fields, labels = [], []
-        for f in spec["fields"]:
-            comp = {
-                _single_variable(ctx, k): _expr(pf, v)
-                for k, v in f["components"].items()
-            }
-            fields.append(VectorField(comp))
-            labels.append(f.get("label", f"theta{len(labels) + 1}"))
-        obj = invariants.GeneratorSet(
-            ctx, fields, order=spec.get("order", 0), labels=tuple(labels)
-        )
-    else:  # pragma: no cover - guarded by _spec_of
-        raise UnknownReference(f"{pf.path}: bad kind {kind!r}")
-    pf._built[key] = obj
-    return obj
+    """Object ``name`` (a ``kind``), built on first use and kept."""
+    return _lookup(pf.objects, name, kind, pf.path)()
 
 
 def _point(pf, mapping):
@@ -738,35 +790,37 @@ def op_separability(pf, args, options):
     )
 
 
+# op name -> (function, required args; "a|b" needs one of a and b)
 OPS = {
-    "surface_values": op_surface_values,
-    "surface_substitute": op_surface_substitute,
-    "gauss_codazzi": op_gauss_codazzi,
-    "curve_values": op_curve_values,
-    "curve_identities": op_curve_identities,
-    "frenet": op_frenet,
-    "gauging_forms": op_gauging_forms,
-    "characters": op_characters,
-    "cartan": op_cartan,
-    "cartan_bound": op_cartan_bound,
-    "janet_board": op_janet_board,
-    "fiber_dimension": op_fiber_dimension,
-    "phs": op_phs,
-    "automorphic": op_automorphic,
-    "compatibility_count": op_compatibility_count,
-    "prolong_count": op_prolong_count,
-    "syzygy": op_syzygy,
-    "radical_membership": op_radical_membership,
-    "is_invariant": op_is_invariant,
-    "invariant_count": op_invariant_count,
-    "structure_table": op_structure_table,
-    "jacobi_table": op_jacobi_table,
-    "lie_condition": op_lie_condition,
-    "jacobi_multiplier": op_jacobi_multiplier,
-    "multiplier_transport": op_multiplier_transport,
-    "hessian": op_hessian,
-    "hj_chain": op_hj_chain,
-    "separability": op_separability,
+    "surface_values": (op_surface_values, "surface values"),
+    "surface_substitute": (op_surface_substitute,
+                           "surface quantity at expected"),
+    "gauss_codazzi": (op_gauss_codazzi, "surface"),
+    "curve_values": (op_curve_values, "curve values"),
+    "curve_identities": (op_curve_identities, "curve"),
+    "frenet": (op_frenet, "curve kappa2"),
+    "gauging_forms": (op_gauging_forms, "source target"),
+    "characters": (op_characters, "system expected"),
+    "cartan": (op_cartan, "system"),
+    "cartan_bound": (op_cartan_bound, "system"),
+    "janet_board": (op_janet_board, "system golden|expected"),
+    "fiber_dimension": (op_fiber_dimension, "system expected"),
+    "phs": (op_phs, "system groupoid"),
+    "automorphic": (op_automorphic, "system groupoid"),
+    "compatibility_count": (op_compatibility_count, "system expected"),
+    "prolong_count": (op_prolong_count, "genset rounds expected"),
+    "syzygy": (op_syzygy, "combination"),
+    "radical_membership": (op_radical_membership, "element direction r"),
+    "is_invariant": (op_is_invariant, "generators candidate"),
+    "invariant_count": (op_invariant_count, "generators order expected"),
+    "structure_table": (op_structure_table, "generators expected"),
+    "jacobi_table": (op_jacobi_table, "generators"),
+    "lie_condition": (op_lie_condition, ""),
+    "jacobi_multiplier": (op_jacobi_multiplier, ""),
+    "multiplier_transport": (op_multiplier_transport, "field map"),
+    "hessian": (op_hessian, ""),
+    "hj_chain": (op_hj_chain, ""),
+    "separability": (op_separability, "hamiltonian"),
 }
 
 
@@ -785,7 +839,7 @@ def run(pf, options=None):
         start = time.monotonic()
         board = None
         try:
-            out = OPS[spec.op](pf, spec.args, options)
+            out = OPS[spec.op][0](pf, spec.args, options)
             if isinstance(out, tuple):
                 report, board = out
             else:

@@ -76,10 +76,10 @@ class ProblemSyntaxError(VessiotError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f" at line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(message + where)
+        at = [f"line {line}"] if line is not None else []
+        if column is not None:
+            at.append(f"column {column}")
+        super().__init__(message + (f" at {', '.join(at)}" if at else ""))
 
 
 class UnknownReference(VessiotError):

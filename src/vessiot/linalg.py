@@ -24,13 +24,12 @@ def _weight(x):
     return 2  # as RationalExpr.const: pivots follow values, not types
 
 
-def rref(rows, ncols, col_order=None):
+def rref(rows, ncols):
     """Reduced row echelon form by exact elimination.
 
     ``rows``: list of lists (mutated copies are used; an entry that is
     not a RationalExpr is copied as a Fraction, so that no division of
-    two ints gives a float).  ``col_order``:
-    sequence of column indices in pivot-preference order.  Returns
+    two ints gives a float).  Columns are taken left to right.  Returns
     (reduced rows, pivots) where pivots is a list of (row, col); rows
     that become zero are kept (all-zero) at the end.
 
@@ -42,11 +41,9 @@ def rref(rows, ncols, col_order=None):
     rows = [
         [x if isinstance(x, RationalExpr) else Fraction(x) for x in r] for r in rows
     ]
-    if col_order is None:
-        col_order = range(ncols)
     pivots = []
     used = set()
-    for col in col_order:
+    for col in range(ncols):
         best = None
         for r in range(len(rows)):
             if r in used or _is_zero(rows[r][col]):

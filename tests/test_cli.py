@@ -1,12 +1,16 @@
 """Problem-file parsing, the check runner, and the console entry point."""
+import copy
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+from vessiot import jets
 from vessiot.cli import (
     Options,
+    _build,
     default_corpus_dir,
     main,
     parse_problem,
@@ -15,7 +19,12 @@ from vessiot.cli import (
     report_text,
     run,
 )
-from vessiot.errors import ProblemSyntaxError, UnknownReference
+from vessiot.errors import (
+    ContextMismatch,
+    ProblemSyntaxError,
+    UnknownReference,
+    VessiotError,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 
@@ -35,6 +44,14 @@ def problem(**overrides):
     doc = {k: json.loads(json.dumps(v)) for k, v in MINIMAL.items()}
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def system(*equations, **spec):
+    return {"kind": "system", "order": 1, "equations": list(equations),
+            **spec}
+
+
+XY = {"independents": ["x", "z"], "dependents": ["y"], "max_order": 2}
 
 
 class TestParse:
@@ -97,6 +114,21 @@ class TestParse:
         with pytest.raises(ProblemSyntaxError):
             parse_problem(doc)
 
+    def test_objects_build_without_parsing(self, monkeypatch):
+        pf = read_corpus("shell_monkey_saddle.json")
+        texts = []
+        parse = jets.parse_expression
+        monkeypatch.setattr(jets, "parse_expression",
+                            lambda text, resolver: texts.append(text)
+                            or parse(text, resolver))
+        for name, kind in [
+            ("saddle", "surface"), ("graph", "section"),
+            ("metric_system", "system"), ("tangency_system", "system"),
+            ("projected_system", "system"), ("completed_system", "system"),
+        ]:
+            _build(pf, name, kind)
+        assert texts == []
+
     def test_round_trip(self):
         for path in sorted(CORPUS.glob("*.json")):
             pf = parse_problem(path.read_bytes(), str(path))
@@ -144,15 +176,15 @@ class TestRun:
     def test_error_isolation(self):
         doc = problem(
             checks=[
-                {"id": "boom", "op": "frenet",
-                 "args": {"curve": "missing", "kappa2": "0"}},
+                {"id": "boom", "op": "radical_membership",
+                 "args": {"element": "y", "direction": "x", "r": 5}},
                 {"id": "fine", "op": "lie_condition", "args": {}},
             ],
         )
         rep = run(parse_problem(doc))
         by_id = {r.id: r for r in rep.results}
         assert by_id["boom"].status == "ERROR"
-        assert by_id["boom"].detail
+        assert by_id["boom"].detail.startswith("CertificateSearchExceeded")
         assert by_id["fine"].status == "OK"
 
 
@@ -242,13 +274,16 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def _rejected(self, tmp_path, capsys, text, json_path):
-        with pytest.raises(ProblemSyntaxError, match=re.escape(json_path)):
-            parse_problem(text)
+    def _rejected(self, tmp_path, capsys, text, json_path,
+                  error=ProblemSyntaxError, max_order=None):
+        with pytest.raises(error, match=re.escape(json_path)):
+            parse_problem(text, max_order=max_order)
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        assert main(["check", str(bad)]) == 2
-        assert json_path in capsys.readouterr().err
+        option = [] if max_order is None else ["--max-order", str(max_order)]
+        assert main(["check", str(bad), *option]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and json_path in err
 
     def test_non_list_equations(self, tmp_path, capsys):
         text = problem(objects={"S": {"kind": "system", "equations": 5}})
@@ -280,7 +315,163 @@ class TestMain:
         text = problem(objects={"S": spec})
         self._rejected(tmp_path, capsys, text, "objects.S.order")
 
+    @pytest.mark.parametrize("doc, json_path, error, max_order", [
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x] + 1", "rhs": "0"})}},
+            "objects.S.equations[0].leading: not a plain jet",
+            ProblemSyntaxError, None, id="non-plain-leading"),
+        pytest.param(
+            {"objects": {"G": {"kind": "generators", "fields": [
+                {"components": {"x+1": "1"}}]}}},
+            "objects.G.fields[0].components.x+1: not a plain variable",
+            ProblemSyntaxError, None, id="generator-key"),
+        pytest.param(
+            {"objects": {"s": {"kind": "section", "order": 1,
+                               "jets": {"y": {"1,x": "1"}}}}},
+            "objects.s.jets.y.1,x: jet index", ProblemSyntaxError, None,
+            id="jet-index-letter"),
+        pytest.param(
+            {"context": XY, "objects": {"s": {
+                "kind": "section", "order": 1, "jets": {"y": {"1": "1"}}}}},
+            "objects.s.jets.y.1: jet index", ProblemSyntaxError, None,
+            id="jet-index-short"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"leading": "y[x]", "rhs": "0"}, ordering="zx")}},
+            "objects.S.ordering", ProblemSyntaxError, None,
+            id="string-ordering"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"leading": "y[x]", "rhs": "0"}, ordering=["x", "x"])}},
+            "objects.S.ordering: expected a permutation",
+            ProblemSyntaxError, None, id="non-permutation-ordering"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]"})}},
+            "objects.S.equations[0]: equation needs", ProblemSyntaxError,
+            None, id="no-lhs-no-rhs"),
+        pytest.param(
+            {"definitions": {"a": "x**2"}},
+            "definitions.a: unexpected token '*' at column 3",
+            ProblemSyntaxError, None, id="definition-syntax"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "x**2"})}},
+            "objects.S.equations[0].rhs: unexpected token '*' at column 3",
+            ProblemSyntaxError, None, id="object-syntax"),
+        pytest.param(
+            {"context": {**MINIMAL["context"],
+                         "specials": [["s", "x", "s**2"]]}},
+            "context.specials: unexpected token '*' at column 3",
+            ProblemSyntaxError, None, id="special-syntax"),
+        pytest.param(
+            {"context": {**MINIMAL["context"], "max_order": "2"}},
+            "context.max_order", ProblemSyntaxError, None,
+            id="string-max-order"),
+        pytest.param(
+            {"context": {**MINIMAL["context"], "max_order": True}},
+            "context.max_order", ProblemSyntaxError, None,
+            id="bool-max-order"),
+        pytest.param(
+            {}, "--max-order", ProblemSyntaxError, -1,
+            id="negative-max-order-option"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"},
+                                     order=3)}},
+            "objects.S.order", ProblemSyntaxError, None,
+            id="order-above-max-order"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"})},
+             "checks": [{"id": "c", "op": "characters",
+                         "args": {"expected": [1]}}]},
+            "checks[0].args.system: missing argument", ProblemSyntaxError,
+            None, id="missing-argument"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "cartan",
+                         "args": {"system": "Nope"}}]},
+            "checks[0].args.system: no object named 'Nope'",
+            UnknownReference, None, id="unknown-object"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"})},
+             "checks": [{"id": "c", "op": "fiber_dimension", "args": {
+                 "system": "S", "expected": 1,
+                 "witness": {"section": "S", "point": {"x": "1"}}}}]},
+            "checks[0].args.witness.section: object 'S' is a system",
+            ContextMismatch, None, id="witness-kind"),
+    ])
+    def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
+                              max_order):
+        self._rejected(tmp_path, capsys, problem(**doc), json_path, error,
+                       max_order)
+
     def test_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["check", "--format", "yaml"]) == 2
         assert main(["check", "--seed", "7"]) == 2
+
+
+def _json_type(value):
+    for name, typ in (("null", type(None)), ("boolean", bool),
+                      ("number", (int, float)), ("string", str),
+                      ("array", list), ("object", dict)):
+        if isinstance(value, typ):
+            return name
+
+
+def _slots(container, key):
+    """(container, key) of ``container[key]`` and of every member below."""
+    yield container, key
+    child = container[key]
+    if isinstance(child, (dict, list)):
+        for k in list(child) if isinstance(child, dict) else range(len(child)):
+            yield from _slots(child, k)
+
+
+class TestStructuralFuzz:
+    """Seeded structural mutations of the corpus files' context, objects
+    and check args (a key deleted, or a value replaced by one of another
+    JSON type; expression text is never edited). Each mutated file is
+    either refused at load with the file and a JSON path, or loads and
+    every object builds or raises a VessiotError."""
+
+    REPLACEMENTS = ["x", 0, 7, -1, 2.5, True, [], {}, None]
+
+    def mutate(self, doc, rng):
+        areas = [list(_slots(doc, "context"))]
+        if "objects" in doc:
+            areas.append(list(_slots(doc, "objects")))
+        args = [s for c in doc.get("checks", []) if "args" in c
+                for s in _slots(c, "args")]
+        if args:
+            areas.append(args)
+        container, key = rng.choice(rng.choice(areas))
+        if rng.random() < 0.3:
+            del container[key]
+        else:
+            old = _json_type(container[key])
+            container[key] = rng.choice([
+                v for v in self.REPLACEMENTS if _json_type(v) != old
+            ])
+
+    def test_mutations_load_or_fail_with_a_location(self):
+        docs = [json.loads(p.read_text())
+                for p in sorted(CORPUS.glob("*.json"))]
+        rng = random.Random(8)
+        outcomes = {"refused": 0, "loaded": 0}
+        for _ in range(300):
+            doc = copy.deepcopy(rng.choice(docs))
+            self.mutate(doc, rng)
+            try:
+                pf = parse_problem(json.dumps(doc), "fuzz.json")
+            except (ProblemSyntaxError, UnknownReference,
+                    ContextMismatch) as exc:
+                assert re.match(
+                    r"fuzz\.json:(context|definitions|objects|checks)",
+                    str(exc)), str(exc)
+                outcomes["refused"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for name, (kind, _) in pf.objects.items():
+                try:
+                    _build(pf, name, kind)
+                except VessiotError:
+                    pass
+        assert min(outcomes.values()) > 50, outcomes

@@ -6,13 +6,16 @@ Problem files are JSON documents with four sections: ``context``
 ``checks`` (named check invocations with expected statuses).
 
 A file is fully checked at load: the context and its ``max_order``,
-every object spec (one loader per kind parses each expression once),
-and each check's required arguments and object references.  The first
-error names the file and a JSON path (``f.json:objects.S.order``), and
-``vessiot check`` exits 2.  Objects are built on first use, from the
-inputs parsed at load.  The runner executes each check through the
-owning module and emits a deterministic text or JSON report; Janet
-boards are rendered in the text format.
+every object spec (one loader per kind parses each expression once, and
+a system's leading jets must not clash), and each check's arguments
+(required ones, object references, and every expression, point, number
+and table, read once by ``_ARG_READERS``).  The first error names the
+file and a JSON path (``f.json:objects.S.order``), and ``vessiot check``
+exits 2.  Objects are built on first use, from the inputs parsed at
+load.  The runner executes each check through the owning module with
+its arguments as read, and emits a deterministic text or JSON report;
+Janet boards are rendered in the text format, and ``--traceback`` adds
+the stack of each check that ends in ERROR.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -53,6 +57,7 @@ def default_corpus_dir():
 class Options:
     only: str | None = None
     corpus_dir: Path = field(default_factory=default_corpus_dir)
+    traceback: bool = False  # an ERROR result keeps its formatted stack
 
 
 @dataclass
@@ -84,6 +89,7 @@ class CheckResult:
     detail: str
     board: str | None
     seconds: float
+    traceback: str | None = None
 
     @property
     def matched(self):
@@ -173,8 +179,8 @@ def parse_problem(data, path="<memory>", max_order=None):
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args") or {}
         _require(isinstance(args, dict), where, "args must be an object")
-        _check_args(args, OPS[op][1], objects, f"{where}.args")
-        checks.append(CheckSpec(cid, op, args, expect))
+        checks.append(CheckSpec(cid, op, _read_args(
+            op, args, ctx, expr, objects, f"{where}.args"), expect))
     return ProblemFile(path, raw, ctx, definitions, objects, checks)
 
 
@@ -182,8 +188,13 @@ def _member(spec, key, typ, where, required=False):
     """``spec[key]`` (an empty ``typ`` when absent and not ``required``),
     which must be a JSON array (``typ`` list) or object (``typ`` dict)."""
     _require(key in spec or not required, f"{where}.{key}", "missing")
-    value = spec.get(key, typ())
-    _require(isinstance(value, typ), f"{where}.{key}",
+    return _typed(spec.get(key, typ()), typ, f"{where}.{key}")
+
+
+def _typed(value, typ, where):
+    """``value``, which must be a JSON array (``typ`` list) or object
+    (``typ`` dict)."""
+    _require(isinstance(value, typ), where,
              f"expected a JSON {'array' if typ is list else 'object'}, "
              f"got {value!r}")
     return value
@@ -334,7 +345,10 @@ def _load_system(ctx, spec, where, expr):
                enumerate(_member(eq, "genericity", list, at))]
         if lhs is None:  # solved: leading = rhs
             lhs = RationalExpr.var(lead)
-        equations.append((lhs, rhs, lead, gen))
+        equations.append(systems.implicit_equation(lhs, rhs, lead, gen))
+    conflict = systems.leading_conflict(equations)
+    if conflict is not None:
+        _fail(f"{where}.equations[{conflict[0]}].leading", conflict[1])
     ordering = _names(spec, "ordering", where) if "ordering" in spec else None
     _require(ordering is None or sorted(ordering) == sorted(ctx.independents),
              f"{where}.ordering", f"expected a permutation of the "
@@ -343,8 +357,7 @@ def _load_system(ctx, spec, where, expr):
                   enumerate(_member(spec, "genericity", list, where))]
     order = _order(ctx, spec, where)
     return lambda: systems.SolvedSystem(
-        ctx, order, [systems.implicit_equation(*e) for e in equations],
-        ordering=ordering, genericity=genericity,
+        ctx, order, equations, ordering=ordering, genericity=genericity,
     )
 
 
@@ -403,23 +416,131 @@ def _lookup(objects, name, kind, where):
     return entry[1]
 
 
-def _check_args(args, required, objects, where):
-    """Each required argument (``a|b``: one of them) is there, and each
-    object reference names an object of the kind it needs."""
-    for key in required.split():
+def _read_args(op, args, ctx, expr, objects, where):
+    """The check's arguments as its op uses them: each required one
+    (``a|b``: one of them) is there, each object reference names an
+    object of the kind it needs, and each expression, point, number and
+    table is read once, through ``_ARG_READERS``."""
+    for key in OPS[op][1].split():
         _require(any(k in args for k in key.split("|")), f"{where}.{key}",
                  "missing argument")
+    out = {}
     for key, value in args.items():
         at = f"{where}.{key}"
         if key.startswith("witness") and value is not None:
-            _require(isinstance(value, dict)
-                     and isinstance(value.get("point"), dict), at,
-                     f"witness needs a section and a point, got {value!r}")
-            key, value, at = "section", value.get("section"), f"{at}.section"
-        if key in _REFERENCE_KINDS:
-            _require(isinstance(value, str), at,
-                     f"expected an object name, got {value!r}")
-            _lookup(objects, value, _REFERENCE_KINDS[key], at)
+            section = _typed(value, dict, at).get("section")
+            _reference(objects, section, "section", f"{at}.section")
+            value = (section, _rational_point(value.get("point"),
+                                              f"{at}.point", ctx, expr))
+        elif key in _REFERENCE_KINDS:
+            _reference(objects, value, _REFERENCE_KINDS[key], at)
+        else:
+            reader = _ARG_READERS.get((op, key), _ARG_READERS.get(key))
+            if reader is not None:
+                value = reader(value, at, ctx, expr)
+        out[key] = value
+    return out
+
+
+def _reference(objects, value, kind, where):
+    _require(isinstance(value, str), where,
+             f"expected an object name, got {value!r}")
+    _lookup(objects, value, kind, where)
+
+
+def _expr_arg(value, where, ctx, expr):
+    """An expression; an int reads as its digits."""
+    return expr(str(value) if type(value) is int else value, where)
+
+
+def _optional_expr(value, where, ctx, expr):
+    return None if value is None else _expr_arg(value, where, ctx, expr)
+
+
+def _expr_list(value, where, ctx, expr):
+    return [_expr_arg(v, f"{where}[{i}]", ctx, expr)
+            for i, v in enumerate(_typed(value, list, where))]
+
+
+def _expr_map(value, where, ctx, expr):
+    """Quantity name -> expression."""
+    return {k: _expr_arg(v, f"{where}.{k}", ctx, expr)
+            for k, v in _typed(value, dict, where).items()}
+
+
+def _matrix(value, where, ctx, expr):
+    """Rows, each a list of expressions or one expression."""
+    return [
+        (_expr_list if isinstance(row, list) else _expr_arg)(
+            row, f"{where}[{i}]", ctx, expr)
+        for i, row in enumerate(_typed(value, list, where))
+    ]
+
+
+def _rational(value, where):
+    """A JSON number or a string such as ``"1/2"``."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        _fail(where, f"expected a rational number, got {value!r}")
+
+
+def _rational_point(value, where, ctx, expr):
+    """Variable name -> rational value."""
+    out = {}
+    for name, val in _typed(value, dict, where).items():
+        at = f"{where}.{name}"
+        try:
+            var = ctx.var(name)
+        except UnknownVariable as exc:
+            raise UnknownReference(f"{at}: unknown variable {exc}")
+        out[var] = _rational(val, at)
+    return out
+
+
+def _structure_table(value, where, ctx, expr):
+    """``"rho,sigma"`` (generator numbers from 1) -> the coefficients of
+    their bracket, as (key, (rho, sigma) from 0, coefficients)."""
+    out = []
+    for key, coeffs in _typed(value, dict, where).items():
+        at = f"{where}.{key}"
+        pair = key.split(",")
+        _require(len(pair) == 2 and all(p.strip().isdecimal()
+                                        and int(p) >= 1 for p in pair), at,
+                 f"expected a key 'rho,sigma' of generator numbers, "
+                 f"got {key!r}")
+        out.append((key, tuple(int(p) - 1 for p in pair),
+                    [_rational(c, f"{at}[{i}]") for i, c in
+                     enumerate(_typed(coeffs, list, at))]))
+    return out
+
+
+def _count(value, where, ctx, expr):
+    _require(type(value) is int and value >= 0, where,
+             f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _independent(value, where, ctx, expr):
+    _require(isinstance(value, str) and value in ctx.independents, where,
+             f"expected an independent variable, one of "
+             f"{ctx.independents}, got {value!r}")
+    return value
+
+
+# check argument -> its reader, by name or by (op, name)
+_ARG_READERS = {
+    "values": _expr_map, "kappa2": _expr_arg, "tau": _optional_expr,
+    "A": _matrix, "B": _matrix, "P": _matrix, "Q": _matrix,
+    "combination": _expr_arg, "element": _expr_arg, "candidate": _expr_arg,
+    "multiplier": _expr_arg, "lagrangian": _expr_arg,
+    "hamiltonian": _expr_arg, "coefficient": _expr_arg,
+    "field": _expr_list, "map": _expr_list, "at": _rational_point,
+    "direction": _independent,
+    "rounds": _count, "r": _count, "order": _count, "n": _count,
+    ("surface_substitute", "expected"): _expr_arg,
+    ("structure_table", "expected"): _structure_table,
+}
 
 
 def render_problem(pf):
@@ -432,30 +553,17 @@ def render_problem(pf):
 # object construction (lazy, cached per object)
 
 
-def _expr(pf, text):
-    """An expression argument of a check; an int reads as its digits."""
-    text = str(text) if type(text) is int else text
-    return _parse(pf.ctx, text, pf.path, pf.definitions)
-
-
 def _build(pf, name, kind):
     """Object ``name`` (a ``kind``), built on first use and kept."""
     return _lookup(pf.objects, name, kind, pf.path)()
-
-
-def _point(pf, mapping):
-    out = {}
-    for name, val in mapping.items():
-        out[pf.ctx.var(name)] = Fraction(str(val))
-    return out
 
 
 def _witness(pf, args, key):
     w = args.get(key)
     if w is None:
         return None
-    section = _build(pf, w["section"], "section")
-    return systems.witness_from_section(section, _point(pf, w["point"]))
+    name, point = w
+    return systems.witness_from_section(_build(pf, name, "section"), point)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +598,7 @@ def _surface_quantity(S, key):
 def op_surface_values(pf, args, options):
     S = _build(pf, args["surface"], "surface")
     res = [
-        pf.ctx.reduce(_surface_quantity(S, k) - _expr(pf, v))
+        pf.ctx.reduce(_surface_quantity(S, k) - v)
         for k, v in args["values"].items()
     ]
     return _residual_report("surface_values", res)
@@ -499,13 +607,10 @@ def op_surface_values(pf, args, options):
 def op_surface_substitute(pf, args, options):
     S = _build(pf, args["surface"], "surface")
     q = _surface_quantity(S, args["quantity"])
-    binding = {
-        pf.ctx.var(n): RationalExpr.const(Fraction(str(v)))
-        for n, v in args["at"].items()
-    }
+    binding = {v: RationalExpr.const(x) for v, x in args["at"].items()}
     val = pf.ctx.reduce(substitute(q, binding))
     return _residual_report(
-        "surface_substitute", [val - _expr(pf, args["expected"])]
+        "surface_substitute", [val - args["expected"]]
     )
 
 
@@ -527,7 +632,7 @@ def _curve_quantity(C, key):
 def op_curve_values(pf, args, options):
     C = _build(pf, args["curve"], "curve")
     res = [
-        pf.ctx.reduce(_curve_quantity(C, k) - _expr(pf, v))
+        pf.ctx.reduce(_curve_quantity(C, k) - v)
         for k, v in args["values"].items()
     ]
     return _residual_report("curve_values", res)
@@ -541,14 +646,14 @@ def op_curve_identities(pf, args, options):
 def op_frenet(pf, args, options):
     C = _build(pf, args["curve"], "curve")
     kappa2, tau = geomkit.frenet_squares(C)
-    res = [pf.ctx.reduce(kappa2 - _expr(pf, args["kappa2"]))]
+    res = [pf.ctx.reduce(kappa2 - args["kappa2"])]
     if "tau" in args:
         if args["tau"] is None:
             if tau is not None:
                 return CheckReport("frenet", "FAIL", witness=tau,
                                    detail="expected no torsion")
         else:
-            res.append(pf.ctx.reduce(tau - _expr(pf, args["tau"])))
+            res.append(pf.ctx.reduce(tau - args["tau"]))
     return _residual_report("frenet", res)
 
 
@@ -557,9 +662,9 @@ def _matrix_residuals(pf, got, expected):
     for grow, erow in zip(got, expected):
         if isinstance(grow, list):
             for g, e in zip(grow, erow):
-                out.append(pf.ctx.reduce(g - _expr(pf, e)))
+                out.append(pf.ctx.reduce(g - e))
         else:
-            out.append(pf.ctx.reduce(grow - _expr(pf, erow)))
+            out.append(pf.ctx.reduce(grow - erow))
     return out
 
 
@@ -695,19 +800,19 @@ def op_prolong_count(pf, args, options):
 
 
 def op_syzygy(pf, args, options):
-    return diffideal.syzygy_check(_expr(pf, args["combination"]))
+    return diffideal.syzygy_check(args["combination"])
 
 
 def op_radical_membership(pf, args, options):
     rep, _cert = diffideal.radical_power_membership(
-        pf.ctx, _expr(pf, args["element"]), args["direction"], args["r"]
+        pf.ctx, args["element"], args["direction"], args["r"]
     )
     return rep
 
 
 def op_is_invariant(pf, args, options):
     G = _build(pf, args["generators"], "generators")
-    return invariants.is_invariant(_expr(pf, args["candidate"]), G)
+    return invariants.is_invariant(args["candidate"], G)
 
 
 def op_invariant_count(pf, args, options):
@@ -720,10 +825,8 @@ def op_structure_table(pf, args, options):
     G = _build(pf, args["generators"], "generators")
     table = invariants.structure_constants(G)
     witness = None
-    for key, coeffs in args["expected"].items():
-        rho, sigma = (int(i) - 1 for i in key.split(","))
-        got = table[(rho, sigma)]
-        want = [Fraction(str(c)) for c in coeffs]
+    for key, pair, want in args["expected"]:
+        got = table[pair]
         if list(got) != want:
             witness = (key, tuple(got))
             break
@@ -758,26 +861,26 @@ def op_jacobi_multiplier(pf, args, options):
 def op_multiplier_transport(pf, args, options):
     return mechanics.multiplier_transport(
         pf.ctx,
-        _expr(pf, args.get("multiplier", "1")),
-        [_expr(pf, t) for t in args["field"]],
-        [_expr(pf, p) for p in args["map"]],
+        args.get("multiplier", RationalExpr.const(1)),
+        args["field"],
+        args["map"],
     )
 
 
 def op_hessian(pf, args, options):
     if "lagrangian" in args:
         return mechanics.hessian_multiplier_identity(
-            pf.ctx, _expr(pf, args["lagrangian"])
+            pf.ctx, args["lagrangian"]
         )
     return mechanics.hessian_multiplier_identity()
 
 
 def op_hj_chain(pf, args, options):
     ctx = pf.ctx if "hamiltonian" in args else None
-    H = _expr(pf, args["hamiltonian"]) if "hamiltonian" in args else None
+    H = args.get("hamiltonian")
     rep, art = mechanics.hj_closure_chain(ctx, H)
     if rep.ok and "coefficient" in args:
-        res = normalize(art["coefficient"] - _expr(pf, args["coefficient"]))
+        res = normalize(art["coefficient"] - args["coefficient"])
         if not res.is_zero():
             return CheckReport("hj_chain", "FAIL", witness=res,
                                detail="volume coefficient mismatch")
@@ -786,7 +889,7 @@ def op_hj_chain(pf, args, options):
 
 def op_separability(pf, args, options):
     return mechanics.separability_conditions(
-        pf.ctx, _expr(pf, args["hamiltonian"])
+        pf.ctx, args["hamiltonian"]
     )
 
 
@@ -837,7 +940,7 @@ def run(pf, options=None):
         if options.only and not fnmatch.fnmatch(spec.id, options.only):
             continue
         start = time.monotonic()
-        board = None
+        board = stack = None
         try:
             out = OPS[spec.op][0](pf, spec.args, options)
             if isinstance(out, tuple):
@@ -855,34 +958,37 @@ def run(pf, options=None):
             witness = None
             numbers = {}
             detail = f"{type(exc).__name__}: {exc}"
+            if options.traceback:
+                stack = traceback.format_exc()
         results.append(CheckResult(
             spec.id, spec.op, status, spec.expect, witness, numbers,
-            detail, board, time.monotonic() - start,
+            detail, board, time.monotonic() - start, stack,
         ))
     return RunReport(pf.path, results)
 
 
 def report_json(reports):
     """Machine-readable report; byte-stable (timings are deliberately
-    excluded)."""
+    excluded).  A check has a ``traceback`` key only when it carries a
+    stack (``--traceback``)."""
     files = []
     for rep in reports:
-        files.append({
-            "path": rep.path,
-            "checks": [
-                {
-                    "id": r.id,
-                    "op": r.op,
-                    "status": r.status,
-                    "expected": r.expect,
-                    "matched": r.matched,
-                    "witness": r.witness,
-                    "numbers": r.numbers,
-                    "detail": r.detail,
-                }
-                for r in rep.results
-            ],
-        })
+        checks = []
+        for r in rep.results:
+            check = {
+                "id": r.id,
+                "op": r.op,
+                "status": r.status,
+                "expected": r.expect,
+                "matched": r.matched,
+                "witness": r.witness,
+                "numbers": r.numbers,
+                "detail": r.detail,
+            }
+            if r.traceback is not None:
+                check["traceback"] = r.traceback
+            checks.append(check)
+        files.append({"path": rep.path, "checks": checks})
     total = sum(len(rep.results) for rep in reports)
     matched = sum(
         1 for rep in reports for r in rep.results if r.matched
@@ -916,6 +1022,9 @@ def report_text(reports):
                     lines.append(f"    witness: {r.witness}")
                 if r.detail:
                     lines.append(f"    detail: {r.detail}")
+                if r.traceback is not None:
+                    for row in r.traceback.rstrip("\n").split("\n"):
+                        lines.append(f"      {row}")
     total = sum(len(rep.results) for rep in reports)
     matched = sum(1 for rep in reports for r in rep.results if r.matched)
     lines.append(f"{matched}/{total} checks matched")
@@ -951,6 +1060,8 @@ def main(argv=None):
                      help="run only checks whose id matches the glob")
     chk.add_argument("--format", choices=("json", "text"), default="text")
     chk.add_argument("--max-order", type=int, default=None)
+    chk.add_argument("--traceback", action="store_true",
+                     help="show the stack of each check that ERRORs")
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
@@ -958,7 +1069,7 @@ def main(argv=None):
     if ns.command != "check":
         parser.print_help(sys.stderr)
         return 2
-    options = Options(only=ns.only)
+    options = Options(only=ns.only, traceback=ns.traceback)
     try:
         files = _resolve_files(ns.files, options)
         reports = []

@@ -3,6 +3,13 @@
 Entries are RationalExpr or rational numbers; zero tests are exact, so ranks
 and solutions are authoritative at generic points of the coefficient
 field.
+
+Elimination has one kernel, ``_forward``: forward elimination over sparse
+rows, ``{col: entry}`` dicts that hold only the nonzero entries, so a zero
+cell is never stored, updated or tested.  Its pivot in each column is the
+entry of lowest ``_weight`` (term count), the earliest row winning a tie.
+``rank`` counts the kernel's pivots; ``rref`` adds back-substitution over
+the pivot rows.  ``det`` and ``adjugate`` are cofactor expansions.
 """
 from __future__ import annotations
 
@@ -24,59 +31,108 @@ def _weight(x):
     return 2  # as RationalExpr.const: pivots follow values, not types
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form by exact elimination.
+def _sparse(row, width):
+    """The nonzero entries among the first ``width`` of ``row``, as
+    ``{col: entry}``; an entry that is not a RationalExpr becomes a
+    Fraction, so that no division of two ints gives a float."""
+    return {
+        j: x if isinstance(x, RationalExpr) else Fraction(x)
+        for j, x in enumerate(row[:width]) if x
+    }
 
-    ``rows``: list of lists (mutated copies are used; an entry that is
-    not a RationalExpr is copied as a Fraction, so that no division of
-    two ints gives a float).  Columns are taken left to right.  Returns
-    (reduced rows, pivots) where pivots is a list of (row, col); rows
-    that become zero are kept (all-zero) at the end.
 
-    Each pivot step divides and eliminates only over the pivot row's
-    nonzero columns, since a - f*0 is exactly a.  An entry it skips
-    keeps its type (a Fraction stays a Fraction), so compare results by
-    value.
+def _subtract(row, f, prow, skip):
+    """row -= f * prow over prow's entries other than column ``skip``;
+    an entry that cancels leaves the row."""
+    for j, x in prow.items():
+        if j == skip:
+            continue
+        old = row.get(j)
+        new = -(f * x) if old is None else old - f * x
+        if _is_zero(new):
+            del row[j]
+        else:
+            row[j] = new
+
+
+def _forward(rows, ncols):
+    """Forward elimination of sparse rows (see ``_sparse``), in place.
+
+    Columns are taken left to right up to ``ncols``; the pivot of a
+    column is the entry of lowest ``_weight`` among the rows that are
+    not yet pivot rows, the earliest row winning a tie.  Every other
+    such row with an entry there loses that entry, by subtracting
+    (entry / pivot) times the pivot row; that entry is dropped, not
+    computed, and pivot rows are neither divided nor reduced.  Returns
+    the pivots as (row, col) in column order.
     """
-    rows = [
-        [x if isinstance(x, RationalExpr) else Fraction(x) for x in r] for r in rows
-    ]
+    free = list(range(len(rows)))
     pivots = []
-    used = set()
     for col in range(ncols):
         best = None
-        for r in range(len(rows)):
-            if r in used or _is_zero(rows[r][col]):
+        for r in free:
+            x = rows[r].get(col)
+            if x is None:
                 continue
-            if best is None or _weight(rows[r][col]) < _weight(rows[best][col]):
-                best = r
+            w = _weight(x)
+            if best is None or w < weight:
+                best, weight = r, w
         if best is None:
             continue
-        used.add(best)
+        free.remove(best)
         pivots.append((best, col))
         prow = rows[best]
         pv = prow[col]
-        # only the pivot row's nonzero columns change; they are taken
-        # over the whole row, which may be wider than ncols
-        nz = [j for j, x in enumerate(prow) if not _is_zero(x)]
-        for j in nz:
-            prow[j] = prow[j] / pv
-        for r, row in enumerate(rows):
-            if r == best or _is_zero(row[col]):
-                continue
-            f = row[col]
-            for j in nz:
-                row[j] = row[j] - f * prow[j]
-    return rows, pivots
+        for r in free:
+            row = rows[r]
+            a = row.pop(col, None)
+            if a is not None:
+                _subtract(row, a / pv, prow, col)
+        if not free:
+            break
+    return pivots
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form by exact elimination.
+
+    ``rows``: list of lists, which are not mutated; columns at or past
+    ``ncols`` (an augmented part) are carried along but never pivoted.
+    The rows are made sparse (``_sparse``), run through the forward
+    kernel ``_forward`` (whose pivot rule this inherits), and each pivot
+    row is then divided by its pivot and subtracted from the pivot rows
+    above it, last pivot first.  Returns (reduced rows, pivots) where
+    pivots is a list of (row, col) in column order; rows keep their
+    input positions, and a row that is not a pivot row is zero in the
+    first ``ncols`` columns.  Zero entries come back as Fraction(0);
+    other entries are Fractions or RationalExprs, so compare by value.
+    """
+    sparse = [_sparse(r, len(r)) for r in rows]
+    pivots = _forward(sparse, ncols)
+    for k in range(len(pivots) - 1, -1, -1):
+        p, col = pivots[k]
+        prow = sparse[p]
+        pv = prow[col]
+        for j, x in prow.items():
+            prow[j] = x / pv
+        for q, _ in pivots[:k]:
+            a = sparse[q].pop(col, None)
+            if a is not None:
+                _subtract(sparse[q], a, prow, col)
+    zero = Fraction(0)
+    return [[s.get(j, zero) for j in range(len(r))]
+            for s, r in zip(sparse, rows)], pivots
 
 
 def rank(rows, ncols=None):
+    """Rank over the first ``ncols`` columns (all of them by default):
+    the number of pivots ``_forward`` finds.  Columns past ``ncols`` are
+    ignored, and nothing is eliminated above a pivot."""
     if not rows:
         return 0
     if ncols is None:
         ncols = len(rows[0])
-    _, pivots = rref(rows, ncols)
-    return len(pivots)
+    return len(_forward([_sparse(r, ncols) for r in rows], ncols))
 
 
 def mat_mul(a, b):

@@ -13,6 +13,7 @@ from . import symcore
 from .errors import (
     DegenerateLocus,
     JetAboveOrder,
+    LeadingJetConflict,
     LeadingsNotEliminated,
     OrderOverflow,
 )
@@ -106,18 +107,9 @@ class SolvedSystem:
             if sorted(self.ordering) != sorted(self.ctx.independents):
                 raise ValueError("ordering must permute the independents")
         self.genericity = tuple(self.genericity)
-        leads = [e.leading for e in self.equations if e.leading is not None]
-        if len(set(leads)) != len(leads):
-            raise ValueError("duplicate leading jets")
-        strict_leads = {e.leading for e in self.equations if e.strict}
-        for e in self.equations:
-            if e.strict:
-                for v in e.rhs.variables():
-                    if v in strict_leads:
-                        raise ValueError(
-                            f"rhs of {e.leading.name} contains leading "
-                            f"jet {v.name}"
-                        )
+        conflict = leading_conflict(self.equations)
+        if conflict is not None:
+            raise LeadingJetConflict(conflict[1])
         for e in self.equations:
             if any(_jet_order(v) > self.order
                    for v in e.lhs.variables() | e.rhs.variables()):
@@ -145,6 +137,29 @@ class SolvedSystem:
         for e in self.equations:
             out.extend(e.genericity)
         return out
+
+
+def leading_conflict(equations):
+    """The first equation, as (index, message), that is solved for a
+    leading jet an earlier one is solved for, or that is strictly solved
+    with another strict leading jet on its right-hand side; None when
+    the leading jets are consistent."""
+    first = {}
+    for i, e in enumerate(equations):
+        if e.leading is None:
+            continue
+        if e.leading in first:
+            return i, (f"duplicate leading jet {e.leading.name} (also "
+                       f"equations[{first[e.leading]}])")
+        first[e.leading] = i
+    strict = [(i, e) for i, e in enumerate(equations) if e.strict]
+    strict_leads = {e.leading for _, e in strict}
+    for i, e in strict:
+        carried = e.rhs.variables() & strict_leads
+        if carried:
+            return i, (f"rhs of {e.leading.name} contains leading jet "
+                       f"{min(carried).name}")
+    return None
 
 
 def _jet_order(v):
@@ -393,9 +408,10 @@ def characters(S, strict=False, sym=None):
 
 
 def _strict_pivot_audit(S, sym, classes):
-    # its own dense elimination, not linalg.rref: it takes the first
-    # nonzero row as pivot and stops at the first pivot the genericity
-    # does not cover, where rref would finish the whole matrix first
+    # its own dense elimination, not linalg's kernel: it takes the first
+    # nonzero row as pivot, a choice that decides DegenerateLocus, and it
+    # stops at the first pivot the genericity does not cover, where the
+    # kernel picks lowest-weight pivots and finishes the whole matrix
     order = sorted(range(len(sym.columns)), key=lambda j: -classes[j])
     rows = [list(r) for r in sym.rows]
     used = set()

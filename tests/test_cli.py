@@ -396,11 +396,76 @@ class TestMain:
                  "witness": {"section": "S", "point": {"x": "1"}}}}]},
             "checks[0].args.witness.section: object 'S' is a system",
             ContextMismatch, None, id="witness-kind"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"},
+                                     {"leading": "y[x]", "rhs": "x"})}},
+            "objects.S.equations[1].leading: duplicate leading jet y[x]",
+            ProblemSyntaxError, None, id="duplicate-leading"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"leading": "y[x]", "rhs": "y[z]"},
+                {"leading": "y[z]", "rhs": "0"})}},
+            "objects.S.equations[0].leading: rhs of y[x] contains leading "
+            "jet y[z]", ProblemSyntaxError, None, id="leading-in-rhs"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"}),
+                         "s": {"kind": "section", "order": 1,
+                               "components": {"y": "x"}}},
+             "checks": [{"id": "c", "op": "fiber_dimension", "args": {
+                 "system": "S", "expected": 1,
+                 "witness": {"section": "s", "point": {"x": "abc"}}}}]},
+            "checks[0].args.witness.point.x: expected a rational number",
+            ProblemSyntaxError, None, id="witness-point-value"),
+        pytest.param(
+            {"objects": {"C": {"kind": "curve", "components": ["x", "x*x"]}},
+             "checks": [{"id": "c", "op": "curve_values", "args": {
+                 "curve": "C", "values": {"kappa2": "x**2"}}}]},
+            "checks[0].args.values.kappa2: unexpected token '*' at column 3",
+            ProblemSyntaxError, None, id="expression-map-syntax"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
         self._rejected(tmp_path, capsys, problem(**doc), json_path, error,
                        max_order)
+
+    BOOM = problem(checks=[{"id": "boom", "op": "radical_membership",
+                            "args": {"element": "y", "direction": "x",
+                                     "r": 5}}])
+    BOOM_DETAIL = ("CertificateSearchExceeded: radical certificates are "
+                   "constructed only up to r = 4")
+
+    def test_reports_without_traceback_are_unchanged(self, tmp_path, capsys):
+        bad = tmp_path / "boom.json"
+        bad.write_text(self.BOOM)
+        assert main(["check", str(bad)]) == 1
+        text = re.sub(r" \d+ms$", " 0ms", capsys.readouterr().out, flags=re.M)
+        assert text == (f"== {bad}\n"
+                        "  boom: ERROR (expected OK) [MISMATCH] 0ms\n"
+                        f"    detail: {self.BOOM_DETAIL}\n"
+                        "0/1 checks matched\n")
+        assert main(["check", str(bad), "--format", "json"]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["files"][0]["checks"]
+        assert check == {"id": "boom", "op": "radical_membership",
+                         "status": "ERROR", "expected": "OK",
+                         "matched": False, "witness": None, "numbers": {},
+                         "detail": self.BOOM_DETAIL}
+
+    def test_traceback_option_shows_the_stack(self, tmp_path, capsys):
+        bad = tmp_path / "boom.json"
+        bad.write_text(self.BOOM)
+        assert main(["check", str(bad), "--traceback"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index(f"    detail: {self.BOOM_DETAIL}")
+        assert lines[at + 1] == "      Traceback (most recent call last):"
+        assert "in radical_power_membership" in "\n".join(lines)
+        assert lines[-2] == f"      vessiot.errors.{self.BOOM_DETAIL}"
+        assert main(["check", str(bad), "--traceback",
+                     "--format", "json"]) == 1
+        (check,) = json.loads(capsys.readouterr().out)["files"][0]["checks"]
+        assert check["detail"] == self.BOOM_DETAIL
+        assert check["traceback"].startswith("Traceback (most recent call")
+        assert check["traceback"].endswith(
+            f"vessiot.errors.{self.BOOM_DETAIL}\n")
 
     def test_usage_error(self, capsys):
         assert main([]) == 2
@@ -456,7 +521,7 @@ class TestStructuralFuzz:
                 for p in sorted(CORPUS.glob("*.json"))]
         rng = random.Random(8)
         outcomes = {"refused": 0, "loaded": 0}
-        for _ in range(300):
+        for _ in range(400):
             doc = copy.deepcopy(rng.choice(docs))
             self.mutate(doc, rng)
             try:

@@ -8,15 +8,19 @@ import pytest
 from vessiot import cli, symcore
 from vessiot.errors import (
     DegenerateLocus,
+    DenominatorVanishes,
     JetAboveOrder,
+    LeadingJetConflict,
     LeadingsNotEliminated,
     OrderOverflow,
+    VessiotError,
 )
 from vessiot.jets import JetContext, holonomic_section
 from vessiot.linalg import det, rank, rref
 from vessiot.symcore import (
     RationalExpr,
     coordinate_partial,
+    eval_point,
     normalize,
     substitute,
 )
@@ -832,6 +836,22 @@ class TestOrderInvariant:
         assert S.residuals() == [E("u[x] - u")]
 
 
+class TestLeadingJetConflict:
+    def test_conflicts_are_typed(self):
+        ctx = JetContext(["x", "z"], ["u"], max_order=2)
+        E, jet = ctx.expr, ctx.jet_by_dirs
+        ux, uz = jet("u", ["x"]), jet("u", ["z"])
+        with pytest.raises(LeadingJetConflict, match=r"duplicate leading "
+                           r"jet u\[x\] \(also equations\[0\]\)"):
+            SolvedSystem(ctx, 1, [solved_equation(ux, E("0")),
+                                  solved_equation(ux, E("x"))])
+        with pytest.raises(LeadingJetConflict,
+                           match=r"rhs of u\[x\] contains leading jet u\[z\]"):
+            SolvedSystem(ctx, 1, [solved_equation(ux, E("u[z]")),
+                                  solved_equation(uz, E("0"))])
+        assert issubclass(LeadingJetConflict, VessiotError)
+
+
 class TestEquationResidual:
     def test_formed_once(self):
         ctx = JetContext(["x"], ["u"], max_order=2)
@@ -899,10 +919,21 @@ class TestSparseRref:
             got, got_pivots = rref(rows, ncols)
             want, want_pivots = dense_rref(rows, ncols)
             assert got_pivots == want_pivots
+            assert rank(rows, ncols) == len(want_pivots)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert len(g) == width
                 assert all(RationalExpr._coerce(a) == b for a, b in zip(g, w))
+
+    def test_rank_fixed_cases(self):
+        assert rank([]) == rank([], 3) == 0
+        assert rank([[0, Fraction(0)], [RationalExpr.const(0), 0]], 2) == 0
+        # int entries: 1/49 * 49 is not 1 in floats, so this is exact
+        assert rank([[49, 49], [1, 1]], 2) == 1
+        assert rank([[2, 1], [4, 3]]) == 2
+        # nonzero entries past ncols are not counted
+        assert rank([[1, 2, 5], [2, 4, 7]], 2) == 1
+        assert rank([[0, 0, 1]], 2) == 0
 
     def test_skipped_entries_keep_their_type(self):
         ctx = JetContext(["x"], ["u"], max_order=1)
@@ -922,3 +953,61 @@ class TestSparseRref:
         assert got == [[1, 0], [0, 1]]
         got, _ = rref([[2, 1, 1], [4, 3, 0]], 2)
         assert got[0][2] == Fraction(3, 2) and type(got[0][2]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# symbol ranks against plain Fraction elimination at rational points
+
+
+def fraction_rank(rows):
+    """Textbook Gaussian elimination over Fractions."""
+    rows = [list(r) for r in rows]
+    done = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for i in range(done + 1, len(rows)):
+            f = rows[i][c] / rows[done][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[done])]
+        done += 1
+    return done
+
+
+class TestSymbolRankOracle:
+    """A symbol rank over the function field is at least its rank at any
+    rational point where the entries and the genericity are defined and
+    nonzero, and reaches it at almost every such point."""
+
+    @pytest.mark.parametrize("stem, name", [
+        ("shell_monkey_saddle", "metric_system"),
+        ("shell_monkey_saddle", "completed_system"),
+        ("hj_contact_groupoid", "contact"),
+        ("hj_unimodular_groupoid", "unimodular"),
+        ("hj_eleven_equation", "eleven_equation"),
+        ("hj_nine_equation", "nine_equation"),
+    ])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_point_ranks_bound_and_reach_the_rank(self, stem, name, r):
+        P = prolong_system(corpus_system(stem, name, max_order=5), r)
+        sym = symbol_of(P)
+        gens = P.assumptions()
+        exprs = gens + [e for row in sym.rows for e in row]
+        variables = sorted({v for e in exprs for v in e.variables()})
+        rng = random.Random(f"{name}:{r}")
+        point_ranks = []
+        while len(point_ranks) < 3:
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for v in variables}
+            try:
+                if any(eval_point(g, point) == 0 for g in gens):
+                    continue
+                matrix = [[eval_point(e, point) for e in row]
+                          for row in sym.rows]
+            except DenominatorVanishes:
+                continue
+            point_ranks.append(fraction_rank(matrix))
+        exact = sym.rank()
+        assert all(pr <= exact for pr in point_ranks), (point_ranks, exact)
+        assert exact in point_ranks, (point_ranks, exact)

@@ -8,14 +8,16 @@ Problem files are JSON documents with four sections: ``context``
 A file is fully checked at load: the context and its ``max_order``,
 every object spec (one loader per kind parses each expression once, and
 a system's leading jets must not clash), and each check's arguments
-(required ones, object references, and every expression, point, number
-and table, read once by ``_ARG_READERS``).  The first error names the
-file and a JSON path (``f.json:objects.S.order``), and ``vessiot check``
-exits 2.  Objects are built on first use, from the inputs parsed at
-load.  The runner executes each check through the owning module with
-its arguments as read, and emits a deterministic text or JSON report;
-Janet boards are rendered in the text format, and ``--traceback`` adds
-the stack of each check that ends in ERROR.
+(required ones, object references, and every expression, point, number,
+quantity name and table, read once by ``_ARG_READERS``; curve quantity
+names and structure tables against the size of the curve or generator
+set the check names).  The first error names the file and a JSON path
+(``f.json:objects.S.order``), and ``vessiot check`` exits 2.  Objects
+are built on first use, from the inputs parsed at load.  The runner
+executes each check through the owning module with its arguments as
+read, and emits a deterministic text or JSON report; Janet boards are
+rendered in the text format, and ``--traceback`` adds the stack of each
+check that ends in ERROR.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from operator import attrgetter, methodcaller
 from pathlib import Path
 
 from . import diffideal, geomkit, invariants, mechanics, systems
@@ -154,14 +157,15 @@ def parse_problem(data, path="<memory>", max_order=None):
     def expr(text, where):
         return _parse(ctx, text, where, definitions)
 
-    objects = {}
+    objects, sizes = {}, {}
     for name, spec in (raw.get("objects") or {}).items():
         where = f"{path}:objects.{name}"
         _require(isinstance(spec, dict), where, "object must be an object")
         kind = spec.get("kind")
         _require(isinstance(kind, str) and kind in _LOADERS, where,
                  f"unknown object kind {kind!r}")
-        objects[name] = (kind, cache(_LOADERS[kind](ctx, spec, where, expr)))
+        build, sizes[name] = _LOADERS[kind](ctx, spec, where, expr)
+        objects[name] = (kind, cache(build))
     checks = []
     seen = set()
     for i, c in enumerate(raw.get("checks") or []):
@@ -180,7 +184,7 @@ def parse_problem(data, path="<memory>", max_order=None):
         args = c.get("args") or {}
         _require(isinstance(args, dict), where, "args must be an object")
         checks.append(CheckSpec(cid, op, _read_args(
-            op, args, ctx, expr, objects, f"{where}.args"), expect))
+            op, args, ctx, expr, objects, sizes, f"{where}.args"), expect))
     return ProblemFile(path, raw, ctx, definitions, objects, checks)
 
 
@@ -290,7 +294,7 @@ def _order(ctx, spec, where, default=None):
 
 def _load_explicit(invariants_of, n_independents, counts,
                    ctx, spec, where, expr):
-    """A surface or a curve: explicit components."""
+    """A surface or a curve: explicit components (its size)."""
     at = f"{where}.components"
     comps = [expr(c, f"{at}[{i}]") for i, c in
              enumerate(_member(spec, "components", list, where))]
@@ -298,7 +302,7 @@ def _load_explicit(invariants_of, n_independents, counts,
              and len(comps) in counts, at,
              f"expected {'/'.join(map(str, counts))} components over "
              f"{n_independents} independent(s)")
-    return lambda: invariants_of(ctx, comps)
+    return (lambda: invariants_of(ctx, comps)), len(comps)
 
 
 def _load_section(ctx, spec, where, expr):
@@ -312,7 +316,8 @@ def _load_section(ctx, spec, where, expr):
             at = f"{where}.components.{dep}"
             _require(dep in ctx.bases, at, f"{dep!r} is not a dependent")
             comps[dep] = expr(text, at)
-        return lambda: holonomic_section(ctx, comps, order, deps=list(comps))
+        return (lambda: holonomic_section(ctx, comps, order,
+                                          deps=list(comps))), None
     values = {}
     for dep, jets in _member(spec, "jets", dict, where).items():
         at = f"{where}.jets.{dep}"
@@ -325,7 +330,7 @@ def _load_section(ctx, spec, where, expr):
                      f"{at}.{mu}", f"jet index {mu!r} needs one count "
                      f"per independent variable")
             values[(dep, tuple(map(int, counts)))] = expr(text, f"{at}.{mu}")
-    return lambda: JetSection(ctx, order, values)
+    return (lambda: JetSection(ctx, order, values)), None
 
 
 def _load_system(ctx, spec, where, expr):
@@ -356,19 +361,20 @@ def _load_system(ctx, spec, where, expr):
     genericity = [expr(g, f"{where}.genericity[{j}]") for j, g in
                   enumerate(_member(spec, "genericity", list, where))]
     order = _order(ctx, spec, where)
-    return lambda: systems.SolvedSystem(
+    return (lambda: systems.SolvedSystem(
         ctx, order, equations, ordering=ordering, genericity=genericity,
-    )
+    )), None
 
 
 def _load_genset(ctx, spec, where, expr):
     gens = [expr(g, f"{where}.generators[{i}]") for i, g in
             enumerate(_member(spec, "generators", list, where, True))]
-    return lambda: diffideal.DiffPolySet(ctx, gens)
+    return (lambda: diffideal.DiffPolySet(ctx, gens)), None
 
 
 def _load_generators(ctx, spec, where, expr):
-    """Labelled vector ``fields`` (variable -> component) at ``order``."""
+    """Labelled vector ``fields`` (variable -> component) at ``order``;
+    its size is the number of fields."""
     order = _order(ctx, spec, where, default=0)
     fields, labels = [], []
     for i, f in enumerate(_member(spec, "fields", list, where, True)):
@@ -383,11 +389,14 @@ def _load_generators(ctx, spec, where, expr):
             for k, v in _member(f, "components", dict, at).items()
         })
     _require(fields, f"{where}.fields", "needs at least one field")
-    return lambda: invariants.GeneratorSet(
+    return (lambda: invariants.GeneratorSet(
         ctx, [VectorField(c) for c in fields], order, tuple(labels)
-    )
+    )), len(fields)
 
 
+# object kind -> loader(ctx, spec, where, expr) -> (constructor, size);
+# the size (components of a surface or curve, fields of a generator set,
+# None otherwise) is what some check arguments are read against
 _LOADERS = {
     "surface": partial(_load_explicit, geomkit.surface_invariants, 2, (3,)),
     "curve": partial(_load_explicit, geomkit.curve_invariants, 1, (2, 3)),
@@ -416,14 +425,20 @@ def _lookup(objects, name, kind, where):
     return entry[1]
 
 
-def _read_args(op, args, ctx, expr, objects, where):
+def _read_args(op, args, ctx, expr, objects, sizes, where):
     """The check's arguments as its op uses them: each required one
     (``a|b``: one of them) is there, each object reference names an
-    object of the kind it needs, and each expression, point, number and
-    table is read once, through ``_ARG_READERS``."""
+    object of the kind it needs, and each expression, point, number,
+    quantity name and table is read once, through ``_ARG_READERS``, or
+    ``_SIZED_READERS`` against the size of the object the check names
+    (``sizes``: object name -> size, from its loader)."""
     for key in OPS[op][1].split():
         _require(any(k in args for k in key.split("|")), f"{where}.{key}",
                  "missing argument")
+    for key, value in args.items():
+        if key in _REFERENCE_KINDS:
+            _reference(objects, value, _REFERENCE_KINDS[key],
+                       f"{where}.{key}")
     out = {}
     for key, value in args.items():
         at = f"{where}.{key}"
@@ -432,9 +447,10 @@ def _read_args(op, args, ctx, expr, objects, where):
             _reference(objects, section, "section", f"{at}.section")
             value = (section, _rational_point(value.get("point"),
                                               f"{at}.point", ctx, expr))
-        elif key in _REFERENCE_KINDS:
-            _reference(objects, value, _REFERENCE_KINDS[key], at)
-        else:
+        elif (op, key) in _SIZED_READERS:
+            of, reader = _SIZED_READERS[(op, key)]
+            value = reader(value, at, ctx, expr, sizes[args[of]])
+        elif key not in _REFERENCE_KINDS:
             reader = _ARG_READERS.get((op, key), _ARG_READERS.get(key))
             if reader is not None:
                 value = reader(value, at, ctx, expr)
@@ -468,6 +484,53 @@ def _expr_map(value, where, ctx, expr):
             for k, v in _typed(value, dict, where).items()}
 
 
+# indexed surface quantity -> (SurfaceData method, number of indices)
+_SURFACE_INDEXED = {"omega": ("om", 2), "sigma": ("si", 2),
+                    "gamma": ("ga", 3)}
+
+
+def _surface_quantity(key, where, ctx=None, expr=None):
+    """A surface quantity name, as the function that reads it off a
+    ``SurfaceData``."""
+    _require(isinstance(key, str), where,
+             f"expected a quantity name, got {key!r}")
+    if key in ("det_omega", "det_sigma"):
+        return attrgetter(key)
+    head, _, rest = key.partition("[")
+    method, arity = _SURFACE_INDEXED.get(head, (None, 0))
+    idx = rest[:-1].split(",") if rest.endswith("]") else []
+    _require(method is not None and len(idx) == arity
+             and all(i.strip() in ("1", "2") for i in idx), where,
+             f"unknown surface quantity {key!r} (det_omega, det_sigma, "
+             f"omega[i,j], sigma[i,j] or gamma[r,i,j], indices 1 or 2)")
+    return methodcaller(method, *(int(i) for i in idx))
+
+
+def _surface_values(value, where, ctx, expr):
+    """Surface quantity name -> expression, as (quantity, expression)
+    pairs."""
+    return [(_surface_quantity(k, f"{where}.{k}"), v)
+            for k, v in _expr_map(value, where, ctx, expr).items()]
+
+
+# the quantities of a curve with 2 or 3 components (CurveData fields)
+_CURVE_QUANTITIES = {2: ("omega", "gamma", "sigma", "upsilon")}
+_CURVE_QUANTITIES[3] = _CURVE_QUANTITIES[2] + ("phi", "psi", "rho")
+
+
+def _curve_values(value, where, ctx, expr, m):
+    """Quantity name of a curve with ``m`` components -> expression, as
+    (quantity, expression) pairs."""
+    names = _CURVE_QUANTITIES[m]
+    out = []
+    for k, v in _expr_map(value, where, ctx, expr).items():
+        _require(k in names, f"{where}.{k}",
+                 f"unknown curve quantity {k!r} (a curve with {m} "
+                 f"components has {', '.join(names)})")
+        out.append((attrgetter(k), v))
+    return out
+
+
 def _matrix(value, where, ctx, expr):
     """Rows, each a list of expressions or one expression."""
     return [
@@ -498,20 +561,24 @@ def _rational_point(value, where, ctx, expr):
     return out
 
 
-def _structure_table(value, where, ctx, expr):
-    """``"rho,sigma"`` (generator numbers from 1) -> the coefficients of
-    their bracket, as (key, (rho, sigma) from 0, coefficients)."""
+def _structure_table(value, where, ctx, expr, n):
+    """``"rho,sigma"`` (generator numbers from 1 to the ``n`` fields) ->
+    the n coefficients of their bracket, as (key, (rho, sigma) from 0,
+    coefficients)."""
     out = []
     for key, coeffs in _typed(value, dict, where).items():
         at = f"{where}.{key}"
         pair = key.split(",")
         _require(len(pair) == 2 and all(p.strip().isdecimal()
-                                        and int(p) >= 1 for p in pair), at,
-                 f"expected a key 'rho,sigma' of generator numbers, "
-                 f"got {key!r}")
+                                        and 1 <= int(p) <= n for p in pair),
+                 at, f"expected a key 'rho,sigma' of generator numbers "
+                 f"from 1 to {n}, got {key!r}")
+        coeffs = _typed(coeffs, list, at)
+        _require(len(coeffs) == n, at,
+                 f"expected {n} coefficients, got {len(coeffs)}")
         out.append((key, tuple(int(p) - 1 for p in pair),
                     [_rational(c, f"{at}[{i}]") for i, c in
-                     enumerate(_typed(coeffs, list, at))]))
+                     enumerate(coeffs)]))
     return out
 
 
@@ -530,7 +597,7 @@ def _independent(value, where, ctx, expr):
 
 # check argument -> its reader, by name or by (op, name)
 _ARG_READERS = {
-    "values": _expr_map, "kappa2": _expr_arg, "tau": _optional_expr,
+    "kappa2": _expr_arg, "tau": _optional_expr,
     "A": _matrix, "B": _matrix, "P": _matrix, "Q": _matrix,
     "combination": _expr_arg, "element": _expr_arg, "candidate": _expr_arg,
     "multiplier": _expr_arg, "lagrangian": _expr_arg,
@@ -538,8 +605,16 @@ _ARG_READERS = {
     "field": _expr_list, "map": _expr_list, "at": _rational_point,
     "direction": _independent,
     "rounds": _count, "r": _count, "order": _count, "n": _count,
+    ("surface_values", "values"): _surface_values,
+    ("surface_substitute", "quantity"): _surface_quantity,
     ("surface_substitute", "expected"): _expr_arg,
-    ("structure_table", "expected"): _structure_table,
+}
+
+# check argument -> (the argument naming the object whose size it is
+# read against, its reader), by (op, name)
+_SIZED_READERS = {
+    ("curve_values", "values"): ("curve", _curve_values),
+    ("structure_table", "expected"): ("generators", _structure_table),
 }
 
 
@@ -579,34 +654,15 @@ def _residual_report(name, residuals, numbers=None):
     return CheckReport(name, "OK", numbers=numbers or {})
 
 
-def _surface_quantity(S, key):
-    if key == "det_omega":
-        return S.det_omega
-    if key == "det_sigma":
-        return S.det_sigma
-    head, rest = key.split("[")
-    idx = [int(i) for i in rest.rstrip("]").split(",")]
-    if head == "omega":
-        return S.om(*idx)
-    if head == "sigma":
-        return S.si(*idx)
-    if head == "gamma":
-        return S.ga(*idx)
-    raise UnknownReference(f"unknown surface quantity {key!r}")
-
-
 def op_surface_values(pf, args, options):
     S = _build(pf, args["surface"], "surface")
-    res = [
-        pf.ctx.reduce(_surface_quantity(S, k) - v)
-        for k, v in args["values"].items()
-    ]
+    res = [pf.ctx.reduce(q(S) - v) for q, v in args["values"]]
     return _residual_report("surface_values", res)
 
 
 def op_surface_substitute(pf, args, options):
     S = _build(pf, args["surface"], "surface")
-    q = _surface_quantity(S, args["quantity"])
+    q = args["quantity"](S)
     binding = {v: RationalExpr.const(x) for v, x in args["at"].items()}
     val = pf.ctx.reduce(substitute(q, binding))
     return _residual_report(
@@ -622,19 +678,9 @@ def op_gauss_codazzi(pf, args, options):
     )
 
 
-def _curve_quantity(C, key):
-    val = getattr(C, key, None)
-    if val is None:
-        raise UnknownReference(f"unknown curve quantity {key!r}")
-    return val
-
-
 def op_curve_values(pf, args, options):
     C = _build(pf, args["curve"], "curve")
-    res = [
-        pf.ctx.reduce(_curve_quantity(C, k) - v)
-        for k, v in args["values"].items()
-    ]
+    res = [pf.ctx.reduce(q(C) - v) for q, v in args["values"]]
     return _residual_report("curve_values", res)
 
 

@@ -199,19 +199,26 @@ def structure_constants(G):
 
 
 def jacobi_residuals(table, n):
-    """All sums c^lam_{rho sigma} c^tau_{lam nu} + cyclic; zero for any
-    genuine Lie algebra of constants."""
+    """The n^4 Jacobi residuals of a structure table ``{(a, b): [c^0_{ab},
+    ..., c^{n-1}_{ab}]}`` (every pair of generators 0..n-1), each a
+    ``Fraction``, in (rho, sigma, nu, tau) order: c^lam_{rho sigma}
+    c^tau_{lam nu} summed over lam, plus its two cyclic shifts in
+    (rho, sigma, nu).  All are zero exactly when the constants satisfy
+    the Jacobi identity; the length of the list is what ``jacobi_table``
+    reports as ``residuals``.  Only nonzero constants enter the sums."""
+    nonzero = {key: [(lam, c) for lam, c in enumerate(row) if c]
+               for key, row in table.items()}
     out = []
     for rho in range(n):
         for sigma in range(n):
             for nu in range(n):
-                for tau in range(n):
-                    s = Fraction(0)
-                    for lam in range(n):
-                        s += table[(rho, sigma)][lam] * table[(lam, nu)][tau]
-                        s += table[(sigma, nu)][lam] * table[(lam, rho)][tau]
-                        s += table[(nu, rho)][lam] * table[(lam, sigma)][tau]
-                    out.append(s)
+                acc = [Fraction(0)] * n
+                for a, b, d in ((rho, sigma, nu), (sigma, nu, rho),
+                                (nu, rho, sigma)):
+                    for lam, c in nonzero[(a, b)]:
+                        for tau, e in nonzero[(lam, d)]:
+                            acc[tau] += c * e
+                out.extend(acc)
     return out
 
 

@@ -62,8 +62,9 @@ class Equation:
         # has no slots) keeps it, outside the fields that eq and hash use
         return symcore.normalize(self.lhs - self.rhs)
 
-    @property
+    @cached_property
     def strict(self):
+        # kept like residual: RationalExpr.var normalizes (one gcd)
         if self.leading is None:
             return False
         return self.lhs == RationalExpr.var(self.leading)

@@ -26,7 +26,10 @@ from vessiot.errors import (
     VessiotError,
 )
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "vessiot" / "corpus"
+# the corpus JSON report recorded at the first commit, path prefix removed
+CORPUS_REPORT = ROOT / "perfbench" / "expected" / "corpus_report.json"
 
 
 def read_corpus(name):
@@ -52,6 +55,12 @@ def system(*equations, **spec):
 
 
 XY = {"independents": ["x", "z"], "dependents": ["y"], "max_order": 2}
+GENERATORS3 = {"kind": "generators", "fields": [
+    {"components": {"x": "1"}}, {"components": {"x": "x"}},
+    {"components": {"x": "x*x"}}]}
+SURFACE_CONTEXT = {"independents": ["x1", "x2"], "dependents": [],
+                   "max_order": 2}
+SURFACE = {"kind": "surface", "components": ["x1", "x2", "x1*x2"]}
 
 
 class TestParse:
@@ -244,6 +253,12 @@ class TestMain:
         assert code == 0
         assert "4/4 checks matched" in capsys.readouterr().out
 
+    def test_corpus_report_is_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.setenv("VESSIOT_CORPUS", str(CORPUS))
+        assert main(["check", "--format", "json"]) == 0
+        text = capsys.readouterr().out.replace(f'"{CORPUS}/', '"')
+        assert text == CORPUS_REPORT.read_text()
+
     def test_json_output(self, capsys):
         code = main([
             "check", str(CORPUS / "invariants_curves.json"),
@@ -422,6 +437,59 @@ class TestMain:
                  "curve": "C", "values": {"kappa2": "x**2"}}}]},
             "checks[0].args.values.kappa2: unexpected token '*' at column 3",
             ProblemSyntaxError, None, id="expression-map-syntax"),
+        pytest.param(
+            {"objects": {"G": GENERATORS3}, "checks": [{
+                "id": "c", "op": "structure_table", "args": {
+                    "generators": "G", "expected": {"1,9": [0, 0, 1]}}}]},
+            "checks[0].args.expected.1,9: expected a key 'rho,sigma' of "
+            "generator numbers from 1 to 3", ProblemSyntaxError, None,
+            id="structure-table-pair-range"),
+        pytest.param(
+            {"objects": {"G": GENERATORS3}, "checks": [{
+                "id": "c", "op": "structure_table", "args": {
+                    "generators": "G", "expected": {"1,2": [1]}}}]},
+            "checks[0].args.expected.1,2: expected 3 coefficients, got 1",
+            ProblemSyntaxError, None, id="structure-table-length"),
+        pytest.param(
+            {"objects": {"C": {"kind": "curve", "components": ["x", "x*x"]}},
+             "checks": [{"id": "c", "op": "curve_values", "args": {
+                 "curve": "C", "values": {"bogus": "1"}}}]},
+            "checks[0].args.values.bogus: unknown curve quantity 'bogus'",
+            ProblemSyntaxError, None, id="curve-quantity"),
+        pytest.param(
+            {"objects": {"C": {"kind": "curve", "components": ["x", "x*x"]}},
+             "checks": [{"id": "c", "op": "curve_values", "args": {
+                 "curve": "C", "values": {"omega": "1 + 4*x^2",
+                                          "phi": "0"}}}]},
+            "checks[0].args.values.phi: unknown curve quantity 'phi' (a "
+            "curve with 2 components", ProblemSyntaxError, None,
+            id="space-curve-quantity-on-plane-curve"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT, "objects": {"S": SURFACE},
+             "checks": [{"id": "c", "op": "surface_values", "args": {
+                 "surface": "S", "values": {"omega": "1"}}}]},
+            "checks[0].args.values.omega: unknown surface quantity 'omega'",
+            ProblemSyntaxError, None, id="surface-quantity-no-indices"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT, "objects": {"S": SURFACE},
+             "checks": [{"id": "c", "op": "surface_values", "args": {
+                 "surface": "S", "values": {"gamma[1,3,1]": "1"}}}]},
+            "checks[0].args.values.gamma[1,3,1]: unknown surface quantity",
+            ProblemSyntaxError, None, id="surface-quantity-index"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT, "objects": {"S": SURFACE},
+             "checks": [{"id": "c", "op": "surface_substitute", "args": {
+                 "surface": "S", "quantity": "sigma[1]", "expected": "0",
+                 "at": {"x1": "0", "x2": "0"}}}]},
+            "checks[0].args.quantity: unknown surface quantity 'sigma[1]'",
+            ProblemSyntaxError, None, id="substitute-quantity"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT, "objects": {"S": SURFACE},
+             "checks": [{"id": "c", "op": "surface_substitute", "args": {
+                 "surface": "S", "quantity": 3, "expected": "0",
+                 "at": {"x1": "0", "x2": "0"}}}]},
+            "checks[0].args.quantity: expected a quantity name, got 3",
+            ProblemSyntaxError, None, id="substitute-quantity-type"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):

@@ -1,5 +1,6 @@
 """Invariance checks, generic ranks, structure constants, reciprocal
 distributions, constancy and field-stability witnesses."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,79 @@ class TestStructureConstants:
         for G in (listed_set, rigid3[1]):
             c = structure_constants(G)
             assert all(s == 0 for s in jacobi_residuals(c, len(G.fields)))
+
+
+def dense_jacobi_residuals(table, n):
+    """Reference: every product c^lam_{..} c^tau_{lam .}, zeros included."""
+    out = []
+    for rho in range(n):
+        for sigma in range(n):
+            for nu in range(n):
+                for tau in range(n):
+                    s = Fraction(0)
+                    for lam in range(n):
+                        s += table[(rho, sigma)][lam] * table[(lam, nu)][tau]
+                        s += table[(sigma, nu)][lam] * table[(lam, rho)][tau]
+                        s += table[(nu, rho)][lam] * table[(lam, sigma)][tau]
+                    out.append(s)
+    return out
+
+
+def random_table(rng, n, antisymmetric):
+    """Mostly zeros, with ints and Fractions among the nonzero entries."""
+    def entry():
+        pick = rng.random()
+        if pick < 0.6:
+            return rng.choice([0, Fraction(0)])
+        if pick < 0.8:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            if antisymmetric and a == b:
+                table[(a, b)] = [Fraction(0)] * n
+            elif antisymmetric and b < a:
+                table[(a, b)] = [-c for c in table[(b, a)]]
+            else:
+                table[(a, b)] = [entry() for _ in range(n)]
+    return table
+
+
+class TestJacobiResiduals:
+    """The sparse kernel against the dense n^5 loop it replaced."""
+
+    # 224 tables; the dense reference costs n^5, so the large n are fewer
+    SIZES = [1, 2, 3, 4] * 48 + [5] * 16 + [6] * 8
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(10)
+        nonzero = 0
+        for k, n in enumerate(self.SIZES):
+            table = random_table(rng, n, antisymmetric=k % 2 == 0)
+            got = jacobi_residuals(table, n)
+            want = dense_jacobi_residuals(table, n)
+            assert len(got) == n ** 4
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert all(type(v) is Fraction for v in got)
+            # the witness jacobi_table reports: the first nonzero residual
+            first = next((v for v in got if v != 0), None)
+            assert first == next((v for v in want if v != 0), None)
+            nonzero += first is not None
+        assert nonzero > 100
+
+    def test_lie_algebra_so3(self):
+        # c^k_{ij} = epsilon_{ijk}: the cross product on R^3
+        eps = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
+        table = {(a, b): [Fraction(0)] * 3 for a in range(3) for b in range(3)}
+        for (a, b), k in eps.items():
+            table[(a, b)][k] = Fraction(1)
+            table[(b, a)][k] = Fraction(-1)
+        got = jacobi_residuals(table, 3)
+        assert len(got) == 81 and all(v == 0 for v in got)
+        assert got == dense_jacobi_residuals(table, 3)
 
 
 @pytest.fixture

@@ -294,7 +294,9 @@ def _order(ctx, spec, where, default=None):
 
 def _load_explicit(invariants_of, n_independents, counts,
                    ctx, spec, where, expr):
-    """A surface or a curve: explicit components (its size)."""
+    """A surface or a curve: explicit components (its size).
+    ``invariants_of`` names the geomkit function, looked up when the
+    object is built, so that a rebinding of it (a tracer's) is seen."""
     at = f"{where}.components"
     comps = [expr(c, f"{at}[{i}]") for i, c in
              enumerate(_member(spec, "components", list, where))]
@@ -302,7 +304,7 @@ def _load_explicit(invariants_of, n_independents, counts,
              and len(comps) in counts, at,
              f"expected {'/'.join(map(str, counts))} components over "
              f"{n_independents} independent(s)")
-    return (lambda: invariants_of(ctx, comps)), len(comps)
+    return (lambda: getattr(geomkit, invariants_of)(ctx, comps)), len(comps)
 
 
 def _load_section(ctx, spec, where, expr):
@@ -398,8 +400,8 @@ def _load_generators(ctx, spec, where, expr):
 # the size (components of a surface or curve, fields of a generator set,
 # None otherwise) is what some check arguments are read against
 _LOADERS = {
-    "surface": partial(_load_explicit, geomkit.surface_invariants, 2, (3,)),
-    "curve": partial(_load_explicit, geomkit.curve_invariants, 1, (2, 3)),
+    "surface": partial(_load_explicit, "surface_invariants", 2, (3,)),
+    "curve": partial(_load_explicit, "curve_invariants", 1, (2, 3)),
     "section": _load_section,
     "system": _load_system,
     "genset": _load_genset,

@@ -9,6 +9,11 @@ class DivisionByZero(VessiotError):
     """A divisor normalized to the zero rational expression."""
 
 
+class InexactSubresultant(VessiotError):
+    """A division in the subresultant remainder sequence, exact by the
+    subresultant theorem, left a remainder: an arithmetic fault."""
+
+
 class CyclicBinding(VessiotError):
     """A substitution binds a variable that reappears in a replacement."""
 

@@ -16,20 +16,17 @@ from .errors import (
 )
 from .linalg import det, inverse, mat_mul, mat_vec, transpose
 from .report import CheckReport
-from .symcore import RationalExpr, normalize
-
-ZERO = RationalExpr.const(0)
+from .symcore import RationalExpr, sum_of_products
 
 
 def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), start=ZERO)
+    return sum_of_products(zip(a, b))
 
 
 def _cross(a, b):
     return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        sum_of_products([(a[i], b[j]), (-1, a[j], b[i])])
+        for i, j in ((1, 2), (2, 0), (0, 1))
     ]
 
 
@@ -61,7 +58,11 @@ class SurfaceData:
 
 def surface_invariants(ctx, f):
     """Metric, tangential and normal second-order invariants of an
-    explicit surface f = (f^1, f^2, f^3)(x^1, x^2)."""
+    explicit surface f = (f^1, f^2, f^3)(x^1, x^2).
+
+    The second-form density sigma_ij = det(f_1, f_2, f_ij) is taken as
+    the triple product N . f_ij with the normal N = f_1 x f_2, formed
+    once for all three (i, j)."""
     if len(ctx.independents) != 2 or len(f) != 3:
         raise ValueError("surface data needs 2 source and 3 target components")
     red = ctx.reduce
@@ -69,6 +70,7 @@ def surface_invariants(ctx, f):
     f1 = [red(p(c, 1)) for c in f]
     f2 = [red(p(c, 2)) for c in f]
     fd = {1: f1, 2: f2}
+    nrm = _cross(f1, f2)
     omega, gamma, sigma = {}, {}, {}
     for i in (1, 2):
         for j in (1, 2):
@@ -76,16 +78,21 @@ def surface_invariants(ctx, f):
                 continue
             omega[(i, j)] = red(_dot(fd[i], fd[j]))
             fij = [red(p(c, j)) for c in fd[i]]
-            sigma[(i, j)] = red(
-                det([[f1[k], f2[k], fij[k]] for k in range(3)])
-            )
+            sigma[(i, j)] = red(_dot(nrm, fij))
             for r in (1, 2):
                 gamma[(r, i, j)] = red(_dot(fd[r], fij))
-    det_omega = red(omega[(1, 1)] * omega[(2, 2)] - omega[(1, 2)] ** 2)
+    det_omega = red(_det2(omega))
     if det_omega.is_zero():
         raise DegenerateMetric("det(omega) vanishes identically")
-    det_sigma = red(sigma[(1, 1)] * sigma[(2, 2)] - sigma[(1, 2)] ** 2)
+    det_sigma = red(_det2(sigma))
     return SurfaceData(ctx, omega, gamma, sigma, det_omega, det_sigma)
+
+
+def _det2(form):
+    """Determinant of a symmetric 2x2 form kept as {(i, j): value}."""
+    return sum_of_products(
+        [(form[(1, 1)], form[(2, 2)]), (-1, form[(1, 2)], form[(1, 2)])]
+    )
 
 
 def gauss_residual(S):
@@ -94,46 +101,48 @@ def gauss_residual(S):
     embedded surface."""
     ctx = S.ctx
     p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
-    lhs = -S.det_omega * (p(S.ga(2, 1, 2), 1) - p(S.ga(2, 1, 1), 2))
-    q1 = (
-        S.om(2, 2) * S.ga(1, 1, 1) * S.ga(1, 2, 2)
-        + S.om(1, 1) * S.ga(2, 1, 1) * S.ga(2, 2, 2)
-        - S.om(1, 2)
-        * (S.ga(1, 1, 1) * S.ga(2, 2, 2) + S.ga(2, 1, 1) * S.ga(1, 2, 2))
-    )
-    q2 = (
-        S.om(2, 2) * S.ga(1, 1, 2) ** 2
-        + S.om(1, 1) * S.ga(2, 1, 2) ** 2
-        - 2 * S.om(1, 2) * S.ga(1, 1, 2) * S.ga(2, 1, 2)
-    )
-    return ctx.reduce(normalize(lhs - (S.det_sigma + q1 - q2)))
+    om, ga = S.om, S.ga
+    # -det(omega) (d_1 ga^2_12 - d_2 ga^2_11) - (det(sigma) + q1 - q2),
+    # with q1 and q2 quadratic in the gammas
+    return ctx.reduce(sum_of_products([
+        (-1, S.det_omega, p(ga(2, 1, 2), 1)),
+        (S.det_omega, p(ga(2, 1, 1), 2)),
+        (-1, S.det_sigma),
+        # -q1
+        (-1, om(2, 2), ga(1, 1, 1), ga(1, 2, 2)),
+        (-1, om(1, 1), ga(2, 1, 1), ga(2, 2, 2)),
+        (om(1, 2), ga(1, 1, 1), ga(2, 2, 2)),
+        (om(1, 2), ga(2, 1, 1), ga(1, 2, 2)),
+        # +q2
+        (om(2, 2), ga(1, 1, 2), ga(1, 1, 2)),
+        (om(1, 1), ga(2, 1, 2), ga(2, 1, 2)),
+        (-2, om(1, 2), ga(1, 1, 2), ga(2, 1, 2)),
+    ]))
 
 
 def _codazzi_one(S, a, b):
     """First-order compatibility residual for the second form, written for
-    the index pair (a, b); the companion residual swaps the two."""
+    the index pair (a, b); the companion residual swaps the two.
+
+    With W = det(omega) and W G^l_ij = sum_m adj(omega)^lm gamma_m,ij it
+    is W (d_b s_ab - d_a s_bb) - W (G^l_bb s_la - G^l_ab s_lb
+    + G^l_lb s_ab - G^l_la s_bb): the Codazzi equation of the unit-normal
+    form s / sqrt(W), since d_k log sqrt(W) = G^l_lk."""
     ctx = S.ctx
     p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
-    lhs = S.det_omega * (p(S.si(a, b), b) - p(S.si(b, b), a))
-    rhs = (
-        (S.ga(a, b, b) * S.om(b, b) - S.ga(b, b, b) * S.om(a, b))
-        * S.si(a, a)
-        + (
-            2 * S.ga(a, a, b) * S.om(a, b)
-            - 2 * S.ga(b, a, b) * S.om(a, a)
-            + S.ga(b, a, a) * S.om(a, b)
-            - S.ga(a, a, a) * S.om(b, b)
-        )
-        * S.si(b, b)
-        + (
-            2 * S.ga(b, a, b) * S.om(a, b)
-            - 2 * S.ga(a, a, b) * S.om(b, b)
-            + 2 * S.ga(b, b, b) * S.om(a, a)
-            - 2 * S.ga(a, b, b) * S.om(a, b)
-        )
-        * S.si(a, b)
-    )
-    return ctx.reduce(normalize(lhs - rhs))
+    om, ga, si = S.om, S.ga, S.si
+    return ctx.reduce(sum_of_products([
+        (S.det_omega, p(si(a, b), b)),
+        (-1, S.det_omega, p(si(b, b), a)),
+        (-1, ga(a, b, b), om(b, b), si(a, a)),
+        (ga(b, b, b), om(a, b), si(a, a)),
+        (-2, ga(a, a, b), om(a, b), si(b, b)),
+        (2, ga(b, a, b), om(a, a), si(b, b)),
+        (-1, ga(b, a, a), om(a, b), si(b, b)),
+        (ga(a, a, a), om(b, b), si(b, b)),
+        (-2, ga(b, b, b), om(a, a), si(a, b)),
+        (2, ga(a, b, b), om(a, b), si(a, b)),
+    ]))
 
 
 def codazzi_residual(S):

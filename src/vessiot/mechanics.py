@@ -18,6 +18,7 @@ from .symcore import (
     coordinate_partial,
     normalize,
     substitute,
+    sum_of_products,
 )
 
 ZERO = RationalExpr.const(0)
@@ -117,18 +118,21 @@ def _pullback_divergence(ctx, adj, delta, fields):
     """Delta^3 * sum_j dbar_j(fields[j] / Delta), where the target
     derivations are dbar_j = (J^{-1})^k_j d_k and ``adj`` is the
     adjugate of the jacobian J.  Scaling by Delta^3 keeps the
-    computation polynomial (Delta != 0, so vanishing is equivalent)."""
+    computation polynomial (Delta != 0, so vanishing is equivalent).
+
+    Delta is factored out of each field's sum: the value is
+    sum_j (Delta * sum_k adj^k_j d_k F_j - F_j * sum_k adj^k_j d_k Delta),
+    one sum of 2n products."""
     d = ctx.total_derivative
-    n = len(ctx.independents)
-    d_delta = [d(delta, x) for x in ctx.independents]
-    res = ZERO
-    for j in range(n):
-        for k in range(n):
-            res = res + adj[k][j] * (
-                d(fields[j], ctx.independents[k]) * delta
-                - fields[j] * d_delta[k]
-            )
-    return normalize(res)
+    xs = ctx.independents
+    n = len(xs)
+    d_delta = [d(delta, x) for x in xs]
+    terms = []
+    for j, f in enumerate(fields):
+        df = sum_of_products((adj[k][j], d(f, xs[k])) for k in range(n))
+        dd = sum_of_products((adj[k][j], d_delta[k]) for k in range(n))
+        terms += [(delta, df), (-1, f, dd)]
+    return sum_of_products(terms)
 
 
 def jacobi_multiplier_identity(n=2, ctx=None, phi=None):
@@ -173,10 +177,9 @@ def multiplier_transport(ctx, M, theta, phi):
     n = len(ctx.independents)
     if len(theta) != n or len(phi) != n:
         raise ValueError("need one component per variable")
-    div = ZERO
-    for i, x in enumerate(ctx.independents):
-        div = div + d(M * theta[i], x)
-    div = normalize(div)
+    div = sum_of_products(
+        (d(M * theta[i], x),) for i, x in enumerate(ctx.independents)
+    )
     if not div.is_zero():
         raise NotAMultiplier(f"sum d_i(M theta^i) = {div}")
     J = _jacobian(ctx, phi)
@@ -184,7 +187,7 @@ def multiplier_transport(ctx, M, theta, phi):
     if delta.is_zero():
         raise SingularFrame("jacobian determinant vanishes identically")
     tbar = [
-        normalize(sum((J[j][i] * theta[i] for i in range(n)), start=ZERO))
+        sum_of_products((J[j][i], theta[i]) for i in range(n))
         for j in range(n)
     ]
     fields = [normalize(M * tbar[j]) for j in range(n)]

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import CyclicBinding, DenominatorVanishes, DivisionByZero
+from .errors import (
+    CyclicBinding,
+    DenominatorVanishes,
+    DivisionByZero,
+    InexactSubresultant,
+)
 
 KIND_RANK = {"independent": 0, "parameter": 1, "special": 2, "jet": 3}
 
@@ -580,24 +585,29 @@ def poly_gcd(a, b):
         if r.degree_in(v) == 0:
             g = Polynomial.const(1)
             break
-        q = poly_divexact(r, gc * _pow_poly(h, delta))
-        if q is None:
-            # fall back to the primitive sequence for this step
-            _, q = _primitive_in(r, v)
-            gc = Polynomial.const(1)
-            h = Polynomial.const(1)
-            pa, pb = pb, q
-            continue
+        q = _subresultant_div(r, gc * _pow_poly(h, delta), "remainder")
         pa, pb = pb, q
         gc = _as_univariate(pa, v)[pa.degree_in(v)]
         if delta == 1:
             h = gc
         elif delta > 1:
-            nh = poly_divexact(_pow_poly(gc, delta), _pow_poly(h, delta - 1))
-            h = nh if nh is not None else gc
+            h = _subresultant_div(
+                _pow_poly(gc, delta), _pow_poly(h, delta - 1), "h"
+            )
     if not g.is_constant():
         _, g = _primitive_in(g, v)
     return _norm_primitive(base * cg * g)
+
+
+def _subresultant_div(a, b, what):
+    """a / b for a division the subresultant theorem makes exact (the
+    remainder by g*h^delta, or the next h = g^delta / h^(delta-1))."""
+    q = poly_divexact(a, b)
+    if q is None:
+        raise InexactSubresultant(
+            f"subresultant {what} division left a remainder"
+        )
+    return q
 
 
 def _pow_poly(p, n):
@@ -791,6 +801,74 @@ class RationalExpr:
 
 ZERO = RationalExpr.const(0)
 ONE = RationalExpr.const(1)
+
+
+def sum_of_products(terms):
+    """The sum over ``terms`` of the product of each term's factors,
+    every factor an int, a Fraction or a RationalExpr.
+
+    Terms are grouped by their denominator polynomial, the plain product
+    of their factors' denominators.  A group of several terms is summed
+    over that one denominator: its numerators are multiplied and added
+    as plain polynomials, with no gcd, and the sum is normalized once by
+    the full-gcd constructor.  A term alone in its group is multiplied
+    out with Henrici's operator instead, whose gcds are of the factors'
+    own numerators and denominators, not of the whole product.  The
+    groups' values are added with Henrici's operator in a balanced tree,
+    neighbours first: groups that a caller lists side by side (one
+    field's terms) meet, and cancel, before they meet the rest.  The
+    normal form is unique, so the result equals the operator sum of the
+    operator products.
+    """
+    groups = []  # [den, [(c, factors), ...]] with distinct dens
+    for term in terms:
+        c, factors, den = 1, [], None
+        for f in term:
+            if isinstance(f, RationalExpr):
+                if not f.num.terms:
+                    c = 0
+                    break
+                factors.append(f)
+                if f.den.terms != ONE.den.terms:
+                    den = f.den if den is None else den * f.den
+            elif isinstance(f, (int, Fraction)):
+                c *= f
+            else:
+                raise TypeError(f"not a factor: {type(f).__name__}")
+        if not c:
+            continue
+        if den is None:
+            den = ONE.den
+        for g in groups:
+            if g[0] is den or g[0] == den:
+                g[1].append((c, factors))
+                break
+        else:
+            groups.append([den, [(c, factors)]])
+    values = []
+    for den, members in groups:
+        if len(members) == 1:
+            c, factors = members[0]
+            prod = factors[0] if factors else ONE
+            for f in factors[1:]:
+                prod = prod * f
+            values.append(prod if c == 1 else prod * c)
+            continue
+        num = Polynomial()
+        for c, factors in members:
+            p = factors[0].num if factors else ONE.num
+            for f in factors[1:]:
+                p = p * f.num
+            num = num + (p if c == 1 else p * c)
+        values.append(RationalExpr(num, den))
+    if not values:
+        return ZERO
+    while len(values) > 1:
+        values = [
+            values[i] + values[i + 1] if i + 1 < len(values) else values[i]
+            for i in range(0, len(values), 2)
+        ]
+    return values[0]
 
 
 @dataclass(frozen=True)

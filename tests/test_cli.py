@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import jets
+from vessiot import geomkit, jets
 from vessiot.cli import (
     Options,
     _build,
@@ -137,6 +137,21 @@ class TestParse:
         ]:
             _build(pf, name, kind)
         assert texts == []
+
+    def test_explicit_objects_call_the_current_geomkit_binding(
+            self, monkeypatch):
+        # a rebinding of geomkit.surface_invariants after import (as a
+        # tracer makes) is what building a surface or a curve calls
+        calls = []
+        for name in ("surface_invariants", "curve_invariants"):
+            monkeypatch.setattr(
+                geomkit, name,
+                lambda ctx, f, fn=getattr(geomkit, name), name=name:
+                    calls.append(name) or fn(ctx, f),
+            )
+        _build(read_corpus("shell_monkey_saddle.json"), "saddle", "surface")
+        _build(read_corpus("frenet_helix.json"), "helix", "curve")
+        assert calls == ["surface_invariants", "curve_invariants"]
 
     def test_round_trip(self):
         for path in sorted(CORPUS.glob("*.json")):

@@ -1,5 +1,6 @@
 """Surface/curve invariants, compatibility residuals, Frenet quantities,
 gauging and structure forms."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from vessiot.geomkit import (
     surface_invariants,
 )
 from vessiot.jets import JetContext, JetSection, holonomic_section, spencer
+from vessiot.linalg import det
 from vessiot.symcore import (
     RationalExpr,
     coordinate_partial,
@@ -161,6 +163,60 @@ class TestCompatibility:
             p(phi, "x1") ** 2 + p(phi, "x2") ** 2
         ) / 2
         assert ctx.reduce(normalize(lhs - rhs)).is_zero()
+
+
+@pytest.fixture(scope="module")
+def random_surfaces():
+    """Seeded rational surfaces (x1 + m1/3, x2 + m2/2, m3/l) with random
+    monomials m1, m2, m3 and a random linear l; their second form has
+    sigma_12 != 0 (those with sigma_12 = 0 are passed over), unlike the
+    saddle's, the sphere's and the plane's."""
+    rng = random.Random(70)
+    ctx = JetContext(["x1", "x2"], ["y1", "y2", "y3"], max_order=2)
+    E = ctx.expr
+
+    def mono():
+        c = rng.choice([-2, -1, 1, 3])
+        return E(f"{c}*{rng.choice(['x1', 'x2', 'x1*x2', 'x1^2', 'x2^2'])}")
+
+    def lin():
+        c, k = rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5])
+        return E(f"{c}*{rng.choice(['x1', 'x2'])} + {k}")
+
+    out = []
+    while len(out) < 4:
+        f = [E("x1") + mono() / 3, E("x2") + mono() / 2, mono() / lin()]
+        S = surface_invariants(ctx, f)
+        if not S.si(1, 2).is_zero():
+            out.append((ctx, f, S))
+    return out
+
+
+class TestRandomSurfaces:
+    """surface_invariants takes sigma_ij = N . f_ij with the normal
+    N = f_1 x f_2; the 3x3 determinant det(f_1, f_2, f_ij) it replaced
+    is the reference, and the compatibility residuals vanish."""
+
+    def test_sigma_is_the_determinant(self, random_surfaces):
+        for ctx, f, S in random_surfaces:
+            red = ctx.reduce
+            p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
+            fd = {i: [red(p(c, i)) for c in f] for i in (1, 2)}
+            for i, j in ((1, 1), (1, 2), (2, 2)):
+                fij = [red(p(c, j)) for c in fd[i]]
+                want = det([[fd[1][k], fd[2][k], fij[k]] for k in range(3)])
+                assert S.si(i, j) == red(want)
+            for form, d in ((S.om, S.det_omega), (S.si, S.det_sigma)):
+                assert d == red(form(1, 1) * form(2, 2) - form(1, 2) ** 2)
+
+    def test_gauss(self, random_surfaces):
+        for _, _, S in random_surfaces:
+            assert gauss_residual(S).is_zero()
+
+    def test_codazzi(self, random_surfaces):
+        for _, _, S in random_surfaces:
+            a, b = codazzi_residual(S)
+            assert a.is_zero() and b.is_zero()
 
 
 class TestCurveInvariants:

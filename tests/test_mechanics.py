@@ -1,5 +1,6 @@
 """Integrating factors, multipliers, the Hessian identity, and the
 contact-form closure chain."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from vessiot.errors import (
     SingularFrame,
 )
 from vessiot.jets import DiffForm, JetContext, holonomic_section, wedge
+from vessiot.linalg import adjugate, det
 from vessiot.mechanics import (
+    _jacobian,
+    _pullback_divergence,
     hessian_multiplier_identity,
     hj_closure_chain,
     jacobi_multiplier_identity,
@@ -94,6 +98,52 @@ class TestJacobiIdentity:
             jacobi_multiplier_identity(
                 ctx=ctx, phi=[ctx.expr("phi1"), ctx.expr("phi1")]
             )
+
+
+class TestPullbackDivergence:
+    """_pullback_divergence factors Delta out of each field's sum; the
+    term-by-term loop it replaced is the reference."""
+
+    @staticmethod
+    def reference(ctx, adj, delta, fields):
+        d = ctx.total_derivative
+        n = len(ctx.independents)
+        d_delta = [d(delta, x) for x in ctx.independents]
+        res = ZERO
+        for j in range(n):
+            for k in range(n):
+                res = res + adj[k][j] * (
+                    d(fields[j], ctx.independents[k]) * delta
+                    - fields[j] * d_delta[k]
+                )
+        return normalize(res)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_maps(self, n):
+        rng = random.Random(80 + n)
+        names = [f"x{i}" for i in range(1, n + 1)]
+        ctx = JetContext(names, [], max_order=3)
+        E = ctx.expr
+
+        def poly():
+            return E(" + ".join(
+                f"{rng.choice([-2, -1, 1, 3])}*{rng.choice(names)}"
+                f"^{rng.randint(0, 2)}" for _ in range(2)
+            ))
+
+        for _ in range(3):
+            phi = [E(x) + poly() for x in names]
+            J = _jacobian(ctx, phi)
+            delta = normalize(det(J))
+            if delta.is_zero():
+                continue
+            adj = adjugate(J)
+            fields = [poly() / (poly() + 4) for _ in range(n)]
+            got = _pullback_divergence(ctx, adj, delta, fields)
+            assert got == self.reference(ctx, adj, delta, fields)
+            # the chain-rule identity: the columns of d(phi) give zero
+            cols = [J[j][0] for j in range(n)]
+            assert _pullback_divergence(ctx, adj, delta, cols).is_zero()
 
 
 class TestMultiplierTransport:

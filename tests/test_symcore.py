@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from vessiot import symcore
 from vessiot.errors import (
     CyclicBinding,
     DenominatorVanishes,
     DivisionByZero,
+    InexactSubresultant,
+    VessiotError,
 )
 from vessiot.jets import JetContext
 from vessiot.symcore import (
@@ -30,6 +33,7 @@ from vessiot.symcore import (
     normalize,
     partial,
     substitute,
+    sum_of_products,
 )
 
 
@@ -717,3 +721,105 @@ class TestSympyOracle:
             assert sp.expand(num * q - p * den) == 0
             scale = sp.cancel(num / p)
             assert scale.is_Rational and scale != 0
+
+
+class TestSumOfProducts:
+    """sum_of_products against the left-to-right operator sum of the
+    operator products."""
+
+    @pytest.fixture
+    def xyz(self):
+        ctx = JetContext(["x", "y", "z"], ["u"], max_order=1)
+        return [ctx.var(n) for n in ("x", "y", "z")]
+
+    @staticmethod
+    def reference(terms):
+        out = RationalExpr.const(0)
+        for term in terms:
+            prod = RationalExpr.const(1)
+            for f in term:
+                prod = prod * f
+            out = out + prod
+        return out
+
+    def check(self, terms):
+        got = sum_of_products(terms)
+        want = self.reference(terms)
+        assert got.num == want.num and got.den == want.den, (got, want)
+        assert_normal_ints(got)
+        return got
+
+    def test_seeded_oracle(self, xyz):
+        rng = random.Random(60)
+        # a small pool of denominators, so that terms often share one
+        dens = [random_poly(rng, xyz, terms=2) for _ in range(3)]
+        dens.append(Polynomial.const(1))
+
+        def factor():
+            r = rng.random()
+            if r < 0.08:
+                return rng.choice([0, RationalExpr.const(0)])
+            if r < 0.2:
+                return rng.choice([-2, -1, 1, 3, Fraction(2, 3), Fraction(-5, 4)])
+            return RationalExpr(random_poly(rng, xyz), rng.choice(dens))
+
+        zeros = 0
+        for case in range(500):
+            terms = [
+                tuple(factor() for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 5))
+            ]
+            if case % 5 == 0 and terms:
+                # the same products again with the sign flipped, in
+                # another order: the sum cancels to exactly zero
+                terms += [(-1, *t[::-1]) for t in terms[::-1]]
+            if not self.check(terms):
+                zeros += 1
+        assert zeros >= 100
+
+    def test_edge_cases(self, xyz):
+        X, Y = (RationalExpr(Polynomial.var(v)) for v in xyz[:2])
+        assert sum_of_products([]) == RationalExpr.const(0)
+        assert sum_of_products([()]) == RationalExpr.const(1)
+        assert sum_of_products([(0, X), (X, RationalExpr.const(0))]) == 0
+        assert sum_of_products([(2, Fraction(1, 4))]).den == Polynomial.const(2)
+        # equal denominators group, and the group's numerator cancels
+        # against its denominator only after the addition
+        a, b = X / (X + Y), Y / (X + Y)
+        assert self.check([(a,), (b,)]) == RationalExpr.const(1)
+        # unequal denominators, one of them constant
+        self.check([(a, Fraction(1, 3)), (X / 2, Y), (-1, b, b)])
+        with pytest.raises(TypeError, match="not a factor: float"):
+            sum_of_products([(X, 0.5)])
+
+
+class TestSubresultantGcd:
+    """The subresultant remainder sequence divides exactly or raises a
+    typed error; there is no silent fallback."""
+
+    def test_degree_drop_above_one(self, monkeypatch):
+        # Knuth's example (TAOCP 4.6.1) with y in two coefficients: the
+        # remainder sequence in x has degrees 8, 6, 4, 2, 1, so the
+        # h = g^delta / h^(delta-1) update runs with delta = 2
+        ctx = JetContext(["y", "x"], ["u"], max_order=1)
+        E = ctx.expr
+        a = E("x^8 + y*x^6 - 3*x^4 - 3*x^3 + 8*x^2 + 2*x - 5")
+        b = E("3*x^6 + 5*x^4 - 4*y*x^2 - 9*x + 21")
+        g = E("x*y + 2*x - 1")
+        seen = []
+        div = symcore._subresultant_div
+
+        def spy(num, den, what):
+            seen.append((what, den.is_constant()))
+            return div(num, den, what)
+
+        monkeypatch.setattr(symcore, "_subresultant_div", spy)
+        assert poly_gcd((a * g).num, (b * g).num) == g.num
+        assert ("h", False) in seen
+        assert poly_gcd(a.num, b.num) == Polynomial.const(1)
+
+    def test_inexact_division_is_a_typed_error(self, surf):
+        X = Polynomial.var(surf.var("x1"))
+        with pytest.raises(InexactSubresultant, match="remainder division"):
+            symcore._subresultant_div(X * X, X + 1, "remainder")
+        assert issubclass(InexactSubresultant, VessiotError)

@@ -7,11 +7,9 @@ Problem files are JSON documents with four sections: ``context``
 
 A file is fully checked at load: the context and its ``max_order``,
 every object spec (one loader per kind parses each expression once, and
-a system's leading jets must not clash), and each check's arguments
-(required ones, object references, and every expression, point, number,
-quantity name and table, read once by ``_ARG_READERS``; curve quantity
-names and structure tables against the size of the curve or generator
-set the check names).  The first error names the file and a JSON path
+a system's leading jets must not clash), and each check's arguments, as
+the op declares them in ``OPS``: an undeclared key is refused, and every
+value is read once.  The first error names the file and a JSON path
 (``f.json:objects.S.order``), and ``vessiot check`` exits 2.  Objects
 are built on first use, from the inputs parsed at load.  The runner
 executes each check through the owning module with its arguments as
@@ -28,6 +26,7 @@ import os
 import sys
 import time
 import traceback
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -74,9 +73,7 @@ class CheckSpec:
 @dataclass
 class ProblemFile:
     path: str
-    raw: dict
     ctx: JetContext
-    definitions: dict
     objects: dict  # name -> (kind, cached zero-argument constructor)
     checks: list
 
@@ -181,11 +178,11 @@ def parse_problem(data, path="<memory>", max_order=None):
         expect = c.get("expect", "OK")
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
-        args = c.get("args") or {}
-        _require(isinstance(args, dict), where, "args must be an object")
+        args = c.get("args", {})
+        load = _Load(ctx, expr, objects, sizes, args)
         checks.append(CheckSpec(cid, op, _read_args(
-            op, args, ctx, expr, objects, sizes, f"{where}.args"), expect))
-    return ProblemFile(path, raw, ctx, definitions, objects, checks)
+            OPS[op][1], args, f"{where}.args", load), expect))
+    return ProblemFile(path, ctx, objects, checks)
 
 
 def _member(spec, key, typ, where, required=False):
@@ -309,7 +306,8 @@ def _load_explicit(invariants_of, n_independents, counts,
 
 def _load_section(ctx, spec, where, expr):
     """Explicit ``components`` prolonged to ``order``, or the ``jets``
-    themselves, keyed by one count per independent (``"1,0"``)."""
+    themselves, keyed by one count per independent (``"1,0"``): every
+    jet index of a listed dependent up to ``order`` and no other."""
     order = _order(ctx, spec, where)
     if "jets" not in spec:
         comps = {}
@@ -331,7 +329,15 @@ def _load_section(ctx, spec, where, expr):
                      and all(n.strip().isdecimal() for n in counts),
                      f"{at}.{mu}", f"jet index {mu!r} needs one count "
                      f"per independent variable")
-            values[(dep, tuple(map(int, counts)))] = expr(text, f"{at}.{mu}")
+            key = (dep, tuple(map(int, counts)))
+            _require(key not in values, f"{at}.{mu}", "duplicate jet index")
+            values[key] = expr(text, f"{at}.{mu}")
+        want = {mu for o in range(order + 1)
+                for mu in ctx.multi_indices(o, ctx.bases[dep])}
+        for mu in sorted(want ^ {m for d, m in values if d == dep}):
+            _fail(at, f"{'missing' if mu in want else 'unexpected'} jet "
+                  f"index {','.join(map(str, mu))}: expected one value per "
+                  f"jet index of {dep} up to order {order}")
     return (lambda: JetSection(ctx, order, values)), None
 
 
@@ -408,12 +414,6 @@ _LOADERS = {
     "generators": _load_generators,
 }
 
-# check arguments that name an object -> the kind it must be; a
-# ``witness*`` argument names its section under "section"
-_REFERENCE_KINDS = {kind: kind for kind in _LOADERS} | {
-    "groupoid": "system", "source": "section", "target": "section",
-}
-
 
 def _lookup(objects, name, kind, where):
     """The constructor of object ``name``, which must be a ``kind``."""
@@ -427,62 +427,94 @@ def _lookup(objects, name, kind, where):
     return entry[1]
 
 
-def _read_args(op, args, ctx, expr, objects, sizes, where):
-    """The check's arguments as its op uses them: each required one
-    (``a|b``: one of them) is there, each object reference names an
-    object of the kind it needs, and each expression, point, number,
-    quantity name and table is read once, through ``_ARG_READERS``, or
-    ``_SIZED_READERS`` against the size of the object the check names
-    (``sizes``: object name -> size, from its loader)."""
-    for key in OPS[op][1].split():
-        _require(any(k in args for k in key.split("|")), f"{where}.{key}",
-                 "missing argument")
-    for key, value in args.items():
-        if key in _REFERENCE_KINDS:
-            _reference(objects, value, _REFERENCE_KINDS[key],
-                       f"{where}.{key}")
+# ---------------------------------------------------------------------------
+# check arguments: ``OPS`` declares each op's keys as {key: (reader,
+# required)}; a reader(value, where, load) checks one value and returns
+# it as the op uses it
+
+# what check arguments are read against: the context, the expression
+# parser (text, where) with the definitions, the objects, their sizes
+# (object name -> size, from its loader) and the arguments as written
+_Load = namedtuple("_Load", "ctx expr objects sizes args")
+
+
+def _read_args(schema, args, where, load):
+    """``args`` read by ``schema`` ({key: (reader, required)}), in the
+    schema's order: a key the schema does not declare, a missing
+    required key and a value its reader refuses are all errors at
+    ``where.key``."""
+    for key in _typed(args, dict, where):
+        _require(key in schema, f"{where}.{key}", "unknown argument "
+                 f"(expected one of: {', '.join(schema)})")
     out = {}
-    for key, value in args.items():
-        at = f"{where}.{key}"
-        if key.startswith("witness") and value is not None:
-            section = _typed(value, dict, at).get("section")
-            _reference(objects, section, "section", f"{at}.section")
-            value = (section, _rational_point(value.get("point"),
-                                              f"{at}.point", ctx, expr))
-        elif (op, key) in _SIZED_READERS:
-            of, reader = _SIZED_READERS[(op, key)]
-            value = reader(value, at, ctx, expr, sizes[args[of]])
-        elif key not in _REFERENCE_KINDS:
-            reader = _ARG_READERS.get((op, key), _ARG_READERS.get(key))
-            if reader is not None:
-                value = reader(value, at, ctx, expr)
-        out[key] = value
+    for key, (reader, required) in schema.items():
+        if key in args:
+            out[key] = reader(args[key], f"{where}.{key}", load)
+        else:
+            _require(not required, f"{where}.{key}", "missing argument")
     return out
 
 
-def _reference(objects, value, kind, where):
-    _require(isinstance(value, str), where,
-             f"expected an object name, got {value!r}")
-    _lookup(objects, value, kind, where)
+def _json(typ, what):
+    """A JSON value of type ``typ`` (``what``), as it is."""
+    def read(value, where, load):
+        _require(isinstance(value, typ), where,
+                 f"expected {what}, got {value!r}")
+        return value
+    return read
 
 
-def _expr_arg(value, where, ctx, expr):
+_flag = _json(bool, "true or false")
+
+
+def _ref(kind):
+    """The name of an object of ``kind``, as the name."""
+    def read(value, where, load):
+        _require(isinstance(value, str), where,
+                 f"expected an object name, got {value!r}")
+        _lookup(load.objects, value, kind, where)
+        return value
+    return read
+
+
+def _count(value, where, load, least=0):
+    _require(type(value) is int and value >= least, where,
+             f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _expr_arg(value, where, load):
     """An expression; an int reads as its digits."""
-    return expr(str(value) if type(value) is int else value, where)
+    return load.expr(str(value) if type(value) is int else value, where)
 
 
-def _optional_expr(value, where, ctx, expr):
-    return None if value is None else _expr_arg(value, where, ctx, expr)
+def _optional_expr(value, where, load):
+    return None if value is None else _expr_arg(value, where, load)
 
 
-def _expr_list(value, where, ctx, expr):
-    return [_expr_arg(v, f"{where}[{i}]", ctx, expr)
-            for i, v in enumerate(_typed(value, list, where))]
+def _array(item, per):
+    """A JSON array of one value per ``ctx.<per>`` (``"independents"``
+    or ``"dependents"``), each read by ``item``."""
+    def read(value, where, load):
+        n = len(getattr(load.ctx, per))
+        _require(isinstance(value, list) and len(value) == n, where,
+                 f"expected an array of {n} entries, got {value!r}")
+        return [item(v, f"{where}[{i}]", load) for i, v in enumerate(value)]
+    return read
 
 
-def _expr_map(value, where, ctx, expr):
+def _one_independent(reader):
+    """``reader``, for a context with one independent only."""
+    def read(value, where, load):
+        _require(len(load.ctx.independents) == 1, where,
+                 "needs a context with one independent")
+        return reader(value, where, load)
+    return read
+
+
+def _expr_map(value, where, load):
     """Quantity name -> expression."""
-    return {k: _expr_arg(v, f"{where}.{k}", ctx, expr)
+    return {k: _expr_arg(v, f"{where}.{k}", load)
             for k, v in _typed(value, dict, where).items()}
 
 
@@ -491,7 +523,7 @@ _SURFACE_INDEXED = {"omega": ("om", 2), "sigma": ("si", 2),
                     "gamma": ("ga", 3)}
 
 
-def _surface_quantity(key, where, ctx=None, expr=None):
+def _surface_quantity(key, where, load=None):
     """A surface quantity name, as the function that reads it off a
     ``SurfaceData``."""
     _require(isinstance(key, str), where,
@@ -508,11 +540,11 @@ def _surface_quantity(key, where, ctx=None, expr=None):
     return methodcaller(method, *(int(i) for i in idx))
 
 
-def _surface_values(value, where, ctx, expr):
+def _surface_values(value, where, load):
     """Surface quantity name -> expression, as (quantity, expression)
     pairs."""
     return [(_surface_quantity(k, f"{where}.{k}"), v)
-            for k, v in _expr_map(value, where, ctx, expr).items()]
+            for k, v in _expr_map(value, where, load).items()]
 
 
 # the quantities of a curve with 2 or 3 components (CurveData fields)
@@ -520,26 +552,18 @@ _CURVE_QUANTITIES = {2: ("omega", "gamma", "sigma", "upsilon")}
 _CURVE_QUANTITIES[3] = _CURVE_QUANTITIES[2] + ("phi", "psi", "rho")
 
 
-def _curve_values(value, where, ctx, expr, m):
-    """Quantity name of a curve with ``m`` components -> expression, as
-    (quantity, expression) pairs."""
+def _curve_values(value, where, load):
+    """Quantity name of the check's curve -> expression, as (quantity,
+    expression) pairs."""
+    m = load.sizes[load.args["curve"]]
     names = _CURVE_QUANTITIES[m]
     out = []
-    for k, v in _expr_map(value, where, ctx, expr).items():
+    for k, v in _expr_map(value, where, load).items():
         _require(k in names, f"{where}.{k}",
                  f"unknown curve quantity {k!r} (a curve with {m} "
                  f"components has {', '.join(names)})")
         out.append((attrgetter(k), v))
     return out
-
-
-def _matrix(value, where, ctx, expr):
-    """Rows, each a list of expressions or one expression."""
-    return [
-        (_expr_list if isinstance(row, list) else _expr_arg)(
-            row, f"{where}[{i}]", ctx, expr)
-        for i, row in enumerate(_typed(value, list, where))
-    ]
 
 
 def _rational(value, where):
@@ -550,23 +574,24 @@ def _rational(value, where):
         _fail(where, f"expected a rational number, got {value!r}")
 
 
-def _rational_point(value, where, ctx, expr):
+def _rational_point(value, where, load):
     """Variable name -> rational value."""
     out = {}
     for name, val in _typed(value, dict, where).items():
         at = f"{where}.{name}"
         try:
-            var = ctx.var(name)
+            var = load.ctx.var(name)
         except UnknownVariable as exc:
             raise UnknownReference(f"{at}: unknown variable {exc}")
         out[var] = _rational(val, at)
     return out
 
 
-def _structure_table(value, where, ctx, expr, n):
-    """``"rho,sigma"`` (generator numbers from 1 to the ``n`` fields) ->
-    the n coefficients of their bracket, as (key, (rho, sigma) from 0,
-    coefficients)."""
+def _structure_table(value, where, load):
+    """``"rho,sigma"`` (generator numbers from 1 to the n fields of the
+    check's generators) -> the n coefficients of their bracket, as
+    (key, (rho, sigma) from 0, coefficients)."""
+    n = load.sizes[load.args["generators"]]
     out = []
     for key, coeffs in _typed(value, dict, where).items():
         at = f"{where}.{key}"
@@ -584,46 +609,16 @@ def _structure_table(value, where, ctx, expr, n):
     return out
 
 
-def _count(value, where, ctx, expr):
-    _require(type(value) is int and value >= 0, where,
-             f"expected a non-negative integer, got {value!r}")
+def _independent(value, where, load):
+    _require(isinstance(value, str) and value in load.ctx.independents,
+             where, f"expected an independent variable, one of "
+             f"{load.ctx.independents}, got {value!r}")
     return value
 
 
-def _independent(value, where, ctx, expr):
-    _require(isinstance(value, str) and value in ctx.independents, where,
-             f"expected an independent variable, one of "
-             f"{ctx.independents}, got {value!r}")
-    return value
-
-
-# check argument -> its reader, by name or by (op, name)
-_ARG_READERS = {
-    "kappa2": _expr_arg, "tau": _optional_expr,
-    "A": _matrix, "B": _matrix, "P": _matrix, "Q": _matrix,
-    "combination": _expr_arg, "element": _expr_arg, "candidate": _expr_arg,
-    "multiplier": _expr_arg, "lagrangian": _expr_arg,
-    "hamiltonian": _expr_arg, "coefficient": _expr_arg,
-    "field": _expr_list, "map": _expr_list, "at": _rational_point,
-    "direction": _independent,
-    "rounds": _count, "r": _count, "order": _count, "n": _count,
-    ("surface_values", "values"): _surface_values,
-    ("surface_substitute", "quantity"): _surface_quantity,
-    ("surface_substitute", "expected"): _expr_arg,
-}
-
-# check argument -> (the argument naming the object whose size it is
-# read against, its reader), by (op, name)
-_SIZED_READERS = {
-    ("curve_values", "values"): ("curve", _curve_values),
-    ("structure_table", "expected"): ("generators", _structure_table),
-}
-
-
-def render_problem(pf):
-    """Canonical text of a parsed problem file; reparses to an equal
-    structure."""
-    return json.dumps(pf.raw, indent=2, sort_keys=True) + "\n"
+# a witness point on a system's variety: a section's jets at ``point``
+_witness_arg = partial(_read_args, {"section": (_ref("section"), True),
+                                    "point": (_rational_point, True)})
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +632,20 @@ def _build(pf, name, kind):
 
 def _witness(pf, args, key):
     w = args.get(key)
-    if w is None:
-        return None
-    name, point = w
-    return systems.witness_from_section(_build(pf, name, "section"), point)
+    return None if w is None else systems.witness_from_section(
+        _build(pf, w["section"], "section"), w["point"])
 
 
 # ---------------------------------------------------------------------------
 # check operations
 
 
-def _residual_report(name, residuals, numbers=None):
+def _residual_report(name, residuals):
     for r in residuals:
         r = normalize(r)
         if not r.is_zero():
-            return CheckReport(name, "FAIL", witness=r,
-                               numbers=numbers or {})
-    return CheckReport(name, "OK", numbers=numbers or {})
+            return CheckReport(name, "FAIL", witness=r)
+    return CheckReport(name, "OK")
 
 
 def op_surface_values(pf, args, options):
@@ -705,38 +697,23 @@ def op_frenet(pf, args, options):
     return _residual_report("frenet", res)
 
 
-def _matrix_residuals(pf, got, expected):
-    out = []
-    for grow, erow in zip(got, expected):
-        if isinstance(grow, list):
-            for g, e in zip(grow, erow):
-                out.append(pf.ctx.reduce(g - e))
-        else:
-            out.append(pf.ctx.reduce(grow - erow))
-    return out
+def _entries(v):
+    """The entries of a vector, or of a matrix given as its rows."""
+    return [e for row in v for e in row] if isinstance(v[0], list) else v
 
 
 def op_gauging_forms(pf, args, options):
-    f = _build(pf, args["source"], "section")
-    fbar = _build(pf, args["target"], "section")
-    G = geomkit.gauging(f, fbar)
-    res = []
-    if "A" in args:
-        res += _matrix_residuals(pf, G.A, args["A"])
-    if "B" in args:
-        res += _matrix_residuals(pf, G.B, args["B"])
-    if "P" in args or "Q" in args:
-        P, Q = geomkit.maurer_cartan(G)
-        if "P" in args:
-            res += _matrix_residuals(pf, P, args["P"])
-        if "Q" in args:
-            res += _matrix_residuals(pf, Q, args["Q"])
-        if args.get("P_skew"):
-            n = len(P)
-            res += [
-                pf.ctx.reduce(P[i][j] + P[j][i])
-                for i in range(n) for j in range(i, n)
-            ]
+    G = geomkit.gauging(_build(pf, args["source"], "section"),
+                        _build(pf, args["target"], "section"))
+    got = {"A": G.A, "B": G.B}
+    if {"P", "Q", "P_skew"} & args.keys():
+        got["P"], got["Q"] = geomkit.maurer_cartan(G)
+    res = [pf.ctx.reduce(g - e) for key in "ABPQ" if key in args
+           for g, e in zip(_entries(got[key]), _entries(args[key]))]
+    if args.get("P_skew"):
+        P = got["P"]
+        res += [pf.ctx.reduce(P[i][j] + P[j][i])
+                for i in range(len(P)) for j in range(i, len(P))]
     if args.get("orthogonal"):
         for row in G.orthogonal_defect():
             res.extend(row)
@@ -747,12 +724,8 @@ def op_gauging_forms(pf, args, options):
 def op_characters(pf, args, options):
     S = _build(pf, args["system"], "system")
     alpha = systems.characters(S, strict=args.get("strict", False))
-    expected = list(args["expected"])
-    got = list(alpha)
-    ok = (
-        got == expected if args.get("ordered") else
-        sorted(got) == sorted(expected)
-    )
+    got, want = list(alpha), args["expected"]
+    ok = got == want if args.get("ordered") else sorted(got) == sorted(want)
     return CheckReport(
         "characters", "OK" if ok else "FAIL",
         witness=None if ok else tuple(alpha),
@@ -772,32 +745,22 @@ def op_cartan_bound(pf, args, options):
 
 
 def _golden_path(pf, options, name):
-    candidates = []
-    base = Path(pf.path).parent if pf.path != "<memory>" else None
-    if base is not None:
-        candidates += [base / "golden" / name, base / name]
-    candidates += [options.corpus_dir / "golden" / name,
-                   options.corpus_dir / name]
-    for c in candidates:
-        if c.is_file():
-            return c
+    """``name`` under ``golden/`` or beside the file, else in the corpus."""
+    bases = [] if pf.path == "<memory>" else [Path(pf.path).parent]
+    for base in bases + [options.corpus_dir]:
+        for c in (base / "golden" / name, base / name):
+            if c.is_file():
+                return c
     raise UnknownReference(f"{pf.path}: golden file {name!r} not found")
 
 
 def op_janet_board(pf, args, options):
     S = _build(pf, args["system"], "system")
     board = systems.janet_board(S).render()
-    if "golden" in args:
-        golden = _golden_path(pf, options, args["golden"]).read_text()
-        ok = board == golden
-        detail = "" if ok else f"differs from {args['golden']}"
-    else:
-        golden = args["expected"]
-        ok = board == golden
-        detail = "" if ok else "differs from inline expectation"
+    ok = board == _golden_path(pf, options, args["golden"]).read_text()
     return CheckReport(
-        "janet_board", "OK" if ok else "FAIL",
-        witness=None if ok else board, detail=detail,
+        "janet_board", "OK" if ok else "FAIL", witness=None if ok else board,
+        detail="" if ok else f"differs from {args['golden']}",
     ), board
 
 
@@ -816,22 +779,20 @@ def op_fiber_dimension(pf, args, options):
                          args["expected"])
 
 
+def _pair(pf, args):
+    """The system, the groupoid and their witnesses (``_PAIR``)."""
+    return (_build(pf, args["system"], "system"),
+            _build(pf, args["groupoid"], "system"),
+            _witness(pf, args, "witness_system"),
+            _witness(pf, args, "witness_groupoid"))
+
+
 def op_phs(pf, args, options):
-    return systems.phs_check(
-        _build(pf, args["system"], "system"),
-        _build(pf, args["groupoid"], "system"),
-        _witness(pf, args, "witness_system"),
-        _witness(pf, args, "witness_groupoid"),
-    )
+    return systems.phs_check(*_pair(pf, args))
 
 
 def op_automorphic(pf, args, options):
-    return systems.automorphic_criterion(
-        _build(pf, args["system"], "system"),
-        _build(pf, args["groupoid"], "system"),
-        _witness(pf, args, "witness_system"),
-        _witness(pf, args, "witness_groupoid"),
-    )
+    return systems.automorphic_criterion(*_pair(pf, args))
 
 
 def op_compatibility_count(pf, args, options):
@@ -941,37 +902,75 @@ def op_separability(pf, args, options):
     )
 
 
-# op name -> (function, required args; "a|b" needs one of a and b)
+def _needs(kind, key=None):
+    """The entry of a required argument ``key`` naming a ``kind``."""
+    return {key or kind: (_ref(kind), True)}
+
+
+# schema entries (capitals) and readers that several ops share
+_SURFACE, _CURVE, _SYSTEM, _GENERATORS = map(
+    _needs, ("surface", "curve", "system", "generators"))
+_PAIR = {**_SYSTEM, **_needs("system", "groupoid"),
+         "witness_system": (_witness_arg, False),
+         "witness_groupoid": (_witness_arg, False)}
+_EXPR, _COUNT, _FLAG = (_expr_arg, True), (_count, True), (_flag, False)
+_positive = partial(_count, least=1)
+_vector = _array(_expr_arg, "dependents")
+_FIELD = (_array(_expr_arg, "independents"), True)
+
+# op name -> (function, {argument: (reader, required)}): the one
+# declaration of each op's arguments, read by ``_read_args``
 OPS = {
-    "surface_values": (op_surface_values, "surface values"),
-    "surface_substitute": (op_surface_substitute,
-                           "surface quantity at expected"),
-    "gauss_codazzi": (op_gauss_codazzi, "surface"),
-    "curve_values": (op_curve_values, "curve values"),
-    "curve_identities": (op_curve_identities, "curve"),
-    "frenet": (op_frenet, "curve kappa2"),
-    "gauging_forms": (op_gauging_forms, "source target"),
-    "characters": (op_characters, "system expected"),
-    "cartan": (op_cartan, "system"),
-    "cartan_bound": (op_cartan_bound, "system"),
-    "janet_board": (op_janet_board, "system golden|expected"),
-    "fiber_dimension": (op_fiber_dimension, "system expected"),
-    "phs": (op_phs, "system groupoid"),
-    "automorphic": (op_automorphic, "system groupoid"),
-    "compatibility_count": (op_compatibility_count, "system expected"),
-    "prolong_count": (op_prolong_count, "genset rounds expected"),
-    "syzygy": (op_syzygy, "combination"),
-    "radical_membership": (op_radical_membership, "element direction r"),
-    "is_invariant": (op_is_invariant, "generators candidate"),
-    "invariant_count": (op_invariant_count, "generators order expected"),
-    "structure_table": (op_structure_table, "generators expected"),
-    "jacobi_table": (op_jacobi_table, "generators"),
-    "lie_condition": (op_lie_condition, ""),
-    "jacobi_multiplier": (op_jacobi_multiplier, ""),
-    "multiplier_transport": (op_multiplier_transport, "field map"),
-    "hessian": (op_hessian, ""),
-    "hj_chain": (op_hj_chain, ""),
-    "separability": (op_separability, "hamiltonian"),
+    "surface_values": (op_surface_values,
+                       {**_SURFACE, "values": (_surface_values, True)}),
+    "surface_substitute": (op_surface_substitute, {
+        **_SURFACE, "quantity": (_surface_quantity, True),
+        "at": (_rational_point, True), "expected": _EXPR}),
+    "gauss_codazzi": (op_gauss_codazzi, _SURFACE),
+    "curve_values": (op_curve_values,
+                     {**_CURVE, "values": (_curve_values, True)}),
+    "curve_identities": (op_curve_identities, _CURVE),
+    "frenet": (op_frenet, {**_CURVE, "kappa2": _EXPR,
+                           "tau": (_optional_expr, False)}),
+    "gauging_forms": (op_gauging_forms, {
+        **_needs("section", "source"), **_needs("section", "target"),
+        "A": (_array(_vector, "dependents"), False), "B": (_vector, False),
+        "P": (_one_independent(_array(_vector, "dependents")), False),
+        "Q": (_one_independent(_vector), False),
+        "P_skew": (_one_independent(_flag), False), "orthogonal": _FLAG}),
+    "characters": (op_characters, {
+        **_SYSTEM, "expected": (_array(_count, "independents"), True),
+        "strict": _FLAG, "ordered": _FLAG}),
+    "cartan": (op_cartan, _SYSTEM),
+    "cartan_bound": (op_cartan_bound, _SYSTEM),
+    "janet_board": (op_janet_board,
+                    {**_SYSTEM, "golden": (_json(str, "a file name"), True)}),
+    "fiber_dimension": (op_fiber_dimension, {
+        **_SYSTEM, "expected": _COUNT, "witness": (_witness_arg, False)}),
+    "phs": (op_phs, _PAIR),
+    "automorphic": (op_automorphic, _PAIR),
+    "compatibility_count": (op_compatibility_count,
+                            {**_SYSTEM, "expected": _COUNT}),
+    "prolong_count": (op_prolong_count, {
+        **_needs("genset"), "rounds": _COUNT, "expected": _COUNT}),
+    "syzygy": (op_syzygy, {"combination": _EXPR}),
+    "radical_membership": (op_radical_membership, {
+        "element": _EXPR, "direction": (_independent, True),
+        "r": (_positive, True)}),
+    "is_invariant": (op_is_invariant, {**_GENERATORS, "candidate": _EXPR}),
+    "invariant_count": (op_invariant_count, {
+        **_GENERATORS, "order": _COUNT, "expected": _COUNT}),
+    "structure_table": (op_structure_table,
+                        {**_GENERATORS, "expected": (_structure_table, True)}),
+    "jacobi_table": (op_jacobi_table, _GENERATORS),
+    "lie_condition": (op_lie_condition, {"flip_chi": _FLAG}),
+    "jacobi_multiplier": (op_jacobi_multiplier, {"n": (_positive, False)}),
+    "multiplier_transport": (op_multiplier_transport, {
+        "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD}),
+    "hessian": (op_hessian, {"lagrangian": (_expr_arg, False)}),
+    "hj_chain": (op_hj_chain, {"hamiltonian": (_expr_arg, False),
+                               "coefficient": (_expr_arg, False)}),
+    "separability": (op_separability, {"hamiltonian": _EXPR}),
 }
 
 

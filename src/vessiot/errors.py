@@ -44,6 +44,16 @@ class LeadingsNotEliminated(VessiotError):
     substitution passes."""
 
 
+class UnsolvedSystem(VessiotError):
+    """An operation that needs a leading jet on every equation met an
+    implicit equation (``fiber_dimension`` takes a witness point
+    instead)."""
+
+
+class OffVariety(VessiotError):
+    """A witness point does not satisfy a system's equations."""
+
+
 class NotClosed(VessiotError):
     """A bracket left the rational span of the generator set."""
 

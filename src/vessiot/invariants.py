@@ -338,10 +338,3 @@ def noninvariance_witness(field_gens, delta):
                         break
         out.append(FieldImage(g, img, verdict))
     return out
-
-
-def generically_free(G, q):
-    """True iff the prolonged distribution has rank equal to the number
-    of generators at a generic point."""
-    Gq = G.prolonged(q) if q != G.order else G
-    return generic_rank(Gq.fields) == len(Gq.fields)

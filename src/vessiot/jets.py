@@ -237,12 +237,6 @@ class JetContext:
             out = out + g * RationalExpr.var(self.jet(dep, bumped))
         return out
 
-    def total_derivative_multi(self, e, nu):
-        for i, times in enumerate(nu):
-            for _ in range(times):
-                e = self.total_derivative(e, i)
-        return e
-
 
 class VectorField:
     """Finite mapping coordinate VariableId -> RationalExpr."""
@@ -568,12 +562,3 @@ def interior_product(theta, phi):
             add = c * v * ((-1) ** j)
             terms[rest] = terms.get(rest, symcore.ZERO) + add
     return DiffForm(phi.ctx, phi.coords, phi.grade - 1, terms)
-
-
-def lie_derivative_form(theta, phi):
-    """Cartan's formula L(theta) = i(theta) d + d i(theta)."""
-    a = interior_product(theta, exterior_derivative(phi))
-    if phi.grade == 0:
-        return a  # i(theta) of a function is zero
-    b = exterior_derivative(interior_product(theta, phi))
-    return a + b

@@ -15,7 +15,9 @@ from .errors import (
     JetAboveOrder,
     LeadingJetConflict,
     LeadingsNotEliminated,
+    OffVariety,
     OrderOverflow,
+    UnsolvedSystem,
 )
 from .jets import JetContext
 from .linalg import rank
@@ -488,7 +490,8 @@ def janet_board(S):
     x^i ... x^n.  Rows are listed full rows first (class ascending)."""
     ctx = S.ctx
     if not S.all_leadings_declared():
-        raise ValueError("janet_board needs a leading jet on every equation")
+        raise UnsolvedSystem(
+            "janet_board needs a leading jet on every equation")
     n = len(S.ordering)
     rows = []
     for e in S.equations:
@@ -525,7 +528,7 @@ def fiber_dimension(S, witness=None):
     njets = ctx.fiber_jet_count(S.order)
     if witness is None:
         if not S.all_leadings_declared():
-            raise ValueError(
+            raise UnsolvedSystem(
                 "implicit system: fiber_dimension needs a witness point"
             )
         return njets - len(S.equations)
@@ -534,7 +537,7 @@ def fiber_dimension(S, witness=None):
     for res in S.residuals():
         val = eval_point(res, witness)
         if val != 0:
-            raise ValueError(f"witness is not on the variety: residual {val}")
+            raise OffVariety(f"witness is not on the variety: residual {val}")
         rows.append([eval_point(coordinate_partial(res, v), witness)
                      for v in jets])
     for g in S.assumptions():

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import geomkit, jets
+from vessiot import errors, geomkit, jets
 from vessiot.cli import (
     Options,
     _build,
     default_corpus_dir,
     main,
     parse_problem,
-    render_problem,
     report_json,
     report_text,
     run,
@@ -61,6 +60,11 @@ GENERATORS3 = {"kind": "generators", "fields": [
 SURFACE_CONTEXT = {"independents": ["x1", "x2"], "dependents": [],
                    "max_order": 2}
 SURFACE = {"kind": "surface", "components": ["x1", "x2", "x1*x2"]}
+SYSTEM1 = system({"leading": "y[x]", "rhs": "0"})
+SECTION1 = {"kind": "section", "order": 1, "components": {"y": "x"}}
+PLANE = {"independents": ["x"], "dependents": ["y1", "y2"], "max_order": 2}
+PLANE_SECTIONS = {name: {"kind": "section", "order": 2, "components": {
+    "y1": "x", "y2": f"{k}*x*x"}} for name, k in (("f", 1), ("g", 2))}
 
 
 class TestParse:
@@ -152,13 +156,6 @@ class TestParse:
         _build(read_corpus("shell_monkey_saddle.json"), "saddle", "surface")
         _build(read_corpus("frenet_helix.json"), "helix", "curve")
         assert calls == ["surface_invariants", "curve_invariants"]
-
-    def test_round_trip(self):
-        for path in sorted(CORPUS.glob("*.json")):
-            pf = parse_problem(path.read_bytes(), str(path))
-            again = parse_problem(render_problem(pf), str(path))
-            assert again.raw == pf.raw
-            assert render_problem(again) == render_problem(pf)
 
 
 class TestRun:
@@ -505,6 +502,154 @@ class TestMain:
                  "at": {"x1": "0", "x2": "0"}}}]},
             "checks[0].args.quantity: expected a quantity name, got 3",
             ProblemSyntaxError, None, id="substitute-quantity-type"),
+        pytest.param(
+            {"objects": {"s": {"kind": "section", "order": 2,
+                               "jets": {"y": {"0": "x", "1": "1"}}}}},
+            "objects.s.jets.y: missing jet index 2", ProblemSyntaxError,
+            None, id="jets-missing-index"),
+        pytest.param(
+            {"objects": {"s": {"kind": "section", "order": 1, "jets": {
+                "y": {"0": "x", "1": "1", "2": "0"}}}}},
+            "objects.s.jets.y: unexpected jet index 2", ProblemSyntaxError,
+            None, id="jets-index-above-order"),
+        pytest.param(
+            {"objects": {"s": {"kind": "section", "order": 0,
+                               "jets": {"y": {"0": "x", "00": "1"}}}}},
+            "objects.s.jets.y.00: duplicate jet index", ProblemSyntaxError,
+            None, id="jets-duplicate-index"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "lie_condition", "args": None}]},
+            "checks[0].args: expected a JSON object", ProblemSyntaxError,
+            None, id="null-args"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters", "args": {
+                    "system": "S", "expected": [1], "strict": "no"}}]},
+            "checks[0].args.strict: expected true or false",
+            ProblemSyntaxError, None, id="string-flag"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "lie_condition",
+                         "args": {"flip_chi": "false"}}]},
+            "checks[0].args.flip_chi: expected true or false",
+            ProblemSyntaxError, None, id="string-flip-chi"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters", "args": {
+                    "system": "S", "expected": [1], "orderd": True}}]},
+            "checks[0].args.orderd: unknown argument", ProblemSyntaxError,
+            None, id="misspelt-flag"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "cartan_bound",
+                "args": {"system": "S", "bogus": 1}}]},
+            "checks[0].args.bogus: unknown argument (expected one of: "
+            "system)", ProblemSyntaxError, None, id="unknown-argument"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1, "s": SECTION1}, "checks": [{
+                "id": "c", "op": "fiber_dimension", "args": {
+                    "system": "S", "expected": 1,
+                    "witnes": {"section": "s", "point": {"x": "1"}}}}]},
+            "checks[0].args.witnes: unknown argument", ProblemSyntaxError,
+            None, id="misspelt-witness"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1, "s": SECTION1}, "checks": [{
+                "id": "c", "op": "fiber_dimension", "args": {
+                    "system": "S", "expected": 1, "witness": {
+                        "section": "s", "point": {"x": "1"}, "at": 1}}}]},
+            "checks[0].args.witness.at: unknown argument (expected one of: "
+            "section, point)", ProblemSyntaxError, None,
+            id="witness-unknown-key"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "fiber_dimension",
+                "args": {"system": "S", "expected": "6"}}]},
+            "checks[0].args.expected: expected an integer >= 0, got '6'",
+            ProblemSyntaxError, None, id="string-count"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "fiber_dimension",
+                "args": {"system": "S", "expected": True}}]},
+            "checks[0].args.expected: expected an integer >= 0, got True",
+            ProblemSyntaxError, None, id="bool-count"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters",
+                "args": {"system": "S", "expected": "0012"}}]},
+            "checks[0].args.expected: expected an array of 1 entries",
+            ProblemSyntaxError, None, id="string-characters"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters",
+                "args": {"system": "S", "expected": 3}}]},
+            "checks[0].args.expected: expected an array of 1 entries",
+            ProblemSyntaxError, None, id="number-characters"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters",
+                "args": {"system": "S", "expected": [-1]}}]},
+            "checks[0].args.expected[0]: expected an integer >= 0",
+            ProblemSyntaxError, None, id="negative-character"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "janet_board",
+                "args": {"system": "S", "golden": 5}}]},
+            "checks[0].args.golden: expected a file name, got 5",
+            ProblemSyntaxError, None, id="number-golden"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "janet_board", "args": {
+                    "system": "S", "golden": "b.txt", "expected": "y\n"}}]},
+            "checks[0].args.expected: unknown argument", ProblemSyntaxError,
+            None, id="inline-board"),
+        pytest.param(
+            {"context": PLANE, "objects": PLANE_SECTIONS, "checks": [{
+                "id": "c", "op": "gauging_forms",
+                "args": {"source": "f", "target": "g", "A": []}}]},
+            "checks[0].args.A: expected an array of 2 entries, got []",
+            ProblemSyntaxError, None, id="empty-matrix"),
+        pytest.param(
+            {"context": PLANE, "objects": PLANE_SECTIONS, "checks": [{
+                "id": "c", "op": "gauging_forms", "args": {
+                    "source": "f", "target": "g", "A": [["1", "0"]]}}]},
+            "checks[0].args.A: expected an array of 2 entries",
+            ProblemSyntaxError, None, id="one-row-matrix"),
+        pytest.param(
+            {"context": PLANE, "objects": PLANE_SECTIONS, "checks": [{
+                "id": "c", "op": "gauging_forms", "args": {
+                    "source": "f", "target": "g",
+                    "A": [["1", "0"], ["1"]]}}]},
+            "checks[0].args.A[1]: expected an array of 2 entries",
+            ProblemSyntaxError, None, id="short-matrix-row"),
+        pytest.param(
+            {"context": PLANE, "objects": PLANE_SECTIONS, "checks": [{
+                "id": "c", "op": "gauging_forms", "args": {
+                    "source": "f", "target": "g", "Q": ["0"]}}]},
+            "checks[0].args.Q: expected an array of 2 entries",
+            ProblemSyntaxError, None, id="short-vector"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT | {"dependents": ["y"]},
+             "objects": {"f": SECTION1 | {"components": {"y": "x1"}}},
+             "checks": [{"id": "c", "op": "gauging_forms", "args": {
+                 "source": "f", "target": "f", "P": [["0"]]}}]},
+            "checks[0].args.P: needs a context with one independent",
+            ProblemSyntaxError, None, id="forms-on-two-independents"),
+        pytest.param(
+            {"context": {"independents": ["x1", "x2", "x3"],
+                         "dependents": []},
+             "checks": [{"id": "c", "op": "multiplier_transport", "args": {
+                 "field": ["1", "0", "0"], "map": ["x1", "x2"]}}]},
+            "checks[0].args.map: expected an array of 3 entries",
+            ProblemSyntaxError, None, id="short-map"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "radical_membership", "args": {
+                "element": "y", "direction": "x", "r": 0}}]},
+            "checks[0].args.r: expected an integer >= 1, got 0",
+            ProblemSyntaxError, None, id="zero-radical-power"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "jacobi_multiplier",
+                         "args": {"n": 0}}]},
+            "checks[0].args.n: expected an integer >= 1, got 0",
+            ProblemSyntaxError, None, id="zero-jacobi-variables"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
@@ -577,8 +722,9 @@ class TestStructuralFuzz:
     """Seeded structural mutations of the corpus files' context, objects
     and check args (a key deleted, or a value replaced by one of another
     JSON type; expression text is never edited). Each mutated file is
-    either refused at load with the file and a JSON path, or loads and
-    every object builds or raises a VessiotError."""
+    either refused at load with the file and a JSON path, or loads,
+    every object builds or raises a VessiotError, and every check ends
+    in OK, FAIL or an ERROR that carries a VessiotError."""
 
     REPLACEMENTS = ["x", 0, 7, -1, 2.5, True, [], {}, None]
 
@@ -604,7 +750,7 @@ class TestStructuralFuzz:
                 for p in sorted(CORPUS.glob("*.json"))]
         rng = random.Random(8)
         outcomes = {"refused": 0, "loaded": 0}
-        for _ in range(400):
+        for _ in range(650):
             doc = copy.deepcopy(rng.choice(docs))
             self.mutate(doc, rng)
             try:
@@ -622,4 +768,9 @@ class TestStructuralFuzz:
                     _build(pf, name, kind)
                 except VessiotError:
                     pass
+            for r in run(pf, Options(traceback=True)).results:
+                error = getattr(errors, r.detail.partition(":")[0], None)
+                assert r.status != "ERROR" or (
+                    isinstance(error, type)
+                    and issubclass(error, VessiotError)), r.traceback
         assert min(outcomes.values()) > 50, outcomes

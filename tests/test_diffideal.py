@@ -135,7 +135,8 @@ class TestRadicalCertificates:
         assert (cert[1] + E("y[x,x]") / 2).is_zero()
         assert (cert[2] - E("y[x]") / 2).is_zero()
         rebuilt = cert[1] * line_ctx.total_derivative(E("y^2"), "x")
-        d2 = line_ctx.total_derivative_multi(E("y^2"), (2,))
+        d2 = line_ctx.total_derivative(
+            line_ctx.total_derivative(E("y^2"), "x"), "x")
         rebuilt = rebuilt + cert[2] * d2
         assert (normalize(rebuilt) - E("y[x]^3")).is_zero()
 

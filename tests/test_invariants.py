@@ -11,7 +11,6 @@ from vessiot.invariants import (
     commutant_check,
     constancy_check,
     generic_rank,
-    generically_free,
     invariant_count,
     is_invariant,
     jacobi_residuals,
@@ -493,12 +492,3 @@ class TestGenericallyFree:
     def test_matrix_frames(self, matrix_group_ctx):
         T, _ = frame_sets(matrix_group_ctx)
         assert generic_rank(T.fields) == 4
-        assert generically_free(T, 1)
-
-    def test_area(self, area_set):
-        _, G = area_set
-        assert generically_free(G, 2)
-
-    def test_zero_field(self, curve2):
-        z = VectorField({jet(curve2, "y1"): RationalExpr.const(0)})
-        assert not generically_free(GeneratorSet(curve2, [z]), 0)

@@ -11,7 +11,6 @@ from vessiot.jets import (
     exterior_derivative,
     holonomic_section,
     interior_product,
-    lie_derivative_form,
     prolong_field,
     spencer,
     wedge,
@@ -261,18 +260,6 @@ class TestForms:
             g, exterior_derivative(a)
         )
         assert (lhs - rhs).is_zero()
-
-    def test_lie_translation(self, base2):
-        ctx, coords = base2
-        dx = DiffForm.d_coord(ctx, coords, "x1")
-        t = VectorField({ctx.var("x1"): RationalExpr.const(1)})
-        assert lie_derivative_form(t, dx).is_zero()
-
-    def test_lie_euler(self, base2):
-        ctx, coords = base2
-        dx = DiffForm.d_coord(ctx, coords, "x1")
-        e = VectorField({ctx.var("x1"): ctx.expr("x1")})
-        assert (lie_derivative_form(e, dx) - dx).is_zero()
 
     def test_interior_product(self, base2):
         ctx, coords = base2

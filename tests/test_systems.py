@@ -12,6 +12,7 @@ from vessiot.errors import (
     JetAboveOrder,
     LeadingJetConflict,
     LeadingsNotEliminated,
+    OffVariety,
     OrderOverflow,
     VessiotError,
 )
@@ -701,7 +702,7 @@ class TestFiberDimension:
         w = dict(shell["witness"])
         ctx = shell["ctx"]
         w[ctx.jet_by_dirs("y3", ["x1"])] += 1
-        with pytest.raises(ValueError):
+        with pytest.raises(OffVariety):
             fiber_dimension(shell["A1"], w)
 
 

@@ -8,14 +8,16 @@ Problem files are JSON documents with four sections: ``context``
 A file is fully checked at load: the context and its ``max_order``,
 every object spec (one loader per kind parses each expression once, and
 a system's leading jets must not clash), and each check's arguments, as
-the op declares them in ``OPS``: an undeclared key is refused, and every
-value is read once.  The first error names the file and a JSON path
-(``f.json:objects.S.order``), and ``vessiot check`` exits 2.  Objects
-are built on first use, from the inputs parsed at load.  The runner
-executes each check through the owning module with its arguments as
-read, and emits a deterministic text or JSON report; Janet boards are
-rendered in the text format, and ``--traceback`` adds the stack of each
-check that ends in ERROR.
+the op declares them in ``OPS``, every value read once.  An undeclared
+key is refused at every level (``_known``), and so is a check that could
+only end in an ERROR (a system of order 0 for characters, a section
+short of the frame gauging needs, ...).  The first error names the file
+and a JSON path (``f.json:objects.S.order``), and ``vessiot check``
+exits 2.  Objects are built on first use, from the inputs parsed at
+load.  The runner executes each check through the owning module with its
+arguments as read, and emits a deterministic text or JSON report; Janet
+boards are rendered in the text format, and ``--traceback`` adds the
+stack of each check that ends in ERROR.
 """
 from __future__ import annotations
 
@@ -41,9 +43,15 @@ from .errors import (
     UnknownVariable,
     VessiotError,
 )
-from .jets import JetContext, JetSection, VectorField, holonomic_section
+from .jets import (
+    JetContext,
+    JetSection,
+    VectorField,
+    holonomic_section,
+    jet_order,
+)
 from .report import CheckReport
-from .symcore import RationalExpr, normalize, substitute
+from .symcore import RationalExpr, substitute
 
 EXPECTED_STATUSES = ("OK", "FAIL")
 
@@ -154,20 +162,21 @@ def parse_problem(data, path="<memory>", max_order=None):
     def expr(text, where):
         return _parse(ctx, text, where, definitions)
 
-    objects, sizes = {}, {}
+    objects, shapes = {}, {}
     for name, spec in (raw.get("objects") or {}).items():
         where = f"{path}:objects.{name}"
         _require(isinstance(spec, dict), where, "object must be an object")
         kind = spec.get("kind")
         _require(isinstance(kind, str) and kind in _LOADERS, where,
                  f"unknown object kind {kind!r}")
-        build, sizes[name] = _LOADERS[kind](ctx, spec, where, expr)
+        build, shapes[name] = _LOADERS[kind](ctx, spec, where, expr)
         objects[name] = (kind, cache(build))
     checks = []
     seen = set()
     for i, c in enumerate(raw.get("checks") or []):
         where = f"{path}:checks[{i}]"
         _require(isinstance(c, dict), where, "check must be an object")
+        _known(c, ("id", "op", "expect", "args"), where)
         cid = c.get("id")
         _require(isinstance(cid, str) and cid, where, "check needs an 'id'")
         _require(cid not in seen, where, f"duplicate check id {cid!r}")
@@ -179,7 +188,7 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args", {})
-        load = _Load(ctx, expr, objects, sizes, args)
+        load = _Load(ctx, expr, objects, shapes, args)
         checks.append(CheckSpec(cid, op, _read_args(
             OPS[op][1], args, f"{where}.args", load), expect))
     return ProblemFile(path, ctx, objects, checks)
@@ -201,6 +210,14 @@ def _typed(value, typ, where):
     return value
 
 
+def _known(spec, keys, where):
+    """Check that ``spec`` is a JSON object with no key outside ``keys``;
+    another key is an error at ``where.key``."""
+    for key in _typed(spec, dict, where):
+        _require(key in keys, f"{where}.{key}", "unknown argument "
+                 f"(expected one of: {', '.join(keys)})")
+
+
 def _names(spec, key, where):
     names = _member(spec, key, list, where)
     for i, name in enumerate(names):
@@ -218,6 +235,8 @@ def _max_order(value, where):
 def _parse_context(spec, path, max_order=None):
     where = f"{path}:context"
     _require(isinstance(spec, dict), where, "context must be an object")
+    _known(spec, ("independents", "dependents", "parameters", "specials",
+                  "max_order"), where)
     independents = _names(spec, "independents", where)
     parameters = _names(spec, "parameters", where)
     deps = []
@@ -291,9 +310,11 @@ def _order(ctx, spec, where, default=None):
 
 def _load_explicit(invariants_of, n_independents, counts,
                    ctx, spec, where, expr):
-    """A surface or a curve: explicit components (its size).
+    """A surface or a curve: explicit components (their number is its
+    shape).
     ``invariants_of`` names the geomkit function, looked up when the
     object is built, so that a rebinding of it (a tracer's) is seen."""
+    _known(spec, ("kind", "components"), where)
     at = f"{where}.components"
     comps = [expr(c, f"{at}[{i}]") for i, c in
              enumerate(_member(spec, "components", list, where))]
@@ -307,7 +328,11 @@ def _load_explicit(invariants_of, n_independents, counts,
 def _load_section(ctx, spec, where, expr):
     """Explicit ``components`` prolonged to ``order``, or the ``jets``
     themselves, keyed by one count per independent (``"1,0"``): every
-    jet index of a listed dependent up to ``order`` and no other."""
+    jet index of a listed dependent up to ``order`` and no other.  Its
+    shape is (order, the dependents it lists)."""
+    _known(spec, ("kind", "order", "components", "jets"), where)
+    _require(not {"components", "jets"} <= spec.keys(), f"{where}.jets",
+             "a section gives 'components' or 'jets', not both")
     order = _order(ctx, spec, where)
     if "jets" not in spec:
         comps = {}
@@ -317,9 +342,10 @@ def _load_section(ctx, spec, where, expr):
             _require(dep in ctx.bases, at, f"{dep!r} is not a dependent")
             comps[dep] = expr(text, at)
         return (lambda: holonomic_section(ctx, comps, order,
-                                          deps=list(comps))), None
+                                          deps=list(comps))), (order, comps)
     values = {}
-    for dep, jets in _member(spec, "jets", dict, where).items():
+    listed = _member(spec, "jets", dict, where)
+    for dep, jets in listed.items():
         at = f"{where}.jets.{dep}"
         _require(dep in ctx.bases and isinstance(jets, dict), at,
                  f"expected jets of a dependent, got {dep!r}: {jets!r}")
@@ -338,17 +364,20 @@ def _load_section(ctx, spec, where, expr):
             _fail(at, f"{'missing' if mu in want else 'unexpected'} jet "
                   f"index {','.join(map(str, mu))}: expected one value per "
                   f"jet index of {dep} up to order {order}")
-    return (lambda: JetSection(ctx, order, values)), None
+    return (lambda: JetSection(ctx, order, values)), (order, listed)
 
 
 def _load_system(ctx, spec, where, expr):
     """Equations ``lhs [= rhs]``, optionally solved for ``leading``, or
-    ``leading = rhs``; an ``ordering`` permutes the independents."""
+    ``leading = rhs``; an ``ordering`` permutes the independents.  Its
+    shape is its order."""
+    _known(spec, ("kind", "order", "equations", "ordering", "genericity"),
+           where)
     equations = []
     for i, eq in enumerate(_member(spec, "equations", list, where)):
         at = f"{where}.equations[{i}]"
-        _require(isinstance(eq, dict)
-                 and ("lhs" in eq or {"leading", "rhs"} <= eq.keys()), at,
+        _known(eq, ("lhs", "rhs", "leading", "genericity"), at)
+        _require("lhs" in eq or {"leading", "rhs"} <= eq.keys(), at,
                  "equation needs 'lhs', or 'leading' and 'rhs'")
         lhs, rhs = (expr(eq[k], f"{at}.{k}") if k in eq else None
                     for k in ("lhs", "rhs"))
@@ -371,40 +400,49 @@ def _load_system(ctx, spec, where, expr):
     order = _order(ctx, spec, where)
     return (lambda: systems.SolvedSystem(
         ctx, order, equations, ordering=ordering, genericity=genericity,
-    )), None
+    )), order
 
 
 def _load_genset(ctx, spec, where, expr):
-    gens = [expr(g, f"{where}.generators[{i}]") for i, g in
-            enumerate(_member(spec, "generators", list, where, True))]
+    """Nonzero polynomial ``generators``."""
+    _known(spec, ("kind", "generators"), where)
+    gens = []
+    for i, g in enumerate(_member(spec, "generators", list, where, True)):
+        gens.append(expr(g, f"{where}.generators[{i}]"))
+        _require(gens[-1].is_polynomial() and not gens[-1].is_zero(),
+                 f"{where}.generators[{i}]",
+                 f"expected a nonzero polynomial, got {g!r}")
     return (lambda: diffideal.DiffPolySet(ctx, gens)), None
 
 
 def _load_generators(ctx, spec, where, expr):
-    """Labelled vector ``fields`` (variable -> component) at ``order``;
-    its size is the number of fields."""
+    """Labelled vector ``fields`` (variable -> component) at ``order``.
+    Its shape is (number of fields, order, whether every field has
+    order-0 data only and so can be prolonged above ``order``)."""
+    _known(spec, ("kind", "order", "fields"), where)
     order = _order(ctx, spec, where, default=0)
     fields, labels = [], []
     for i, f in enumerate(_member(spec, "fields", list, where, True)):
         at = f"{where}.fields[{i}]"
-        _require(isinstance(f, dict), at, "field must be an object")
+        _known(f, ("label", "components"), at)
         labels.append(f.get("label", f"theta{i + 1}"))
         _require(isinstance(labels[-1], str), f"{at}.label",
                  f"label must be a string, got {labels[-1]!r}")
-        fields.append({
+        fields.append(VectorField({
             _variable(ctx, k, f"{at}.components.{k}"):
                 expr(v, f"{at}.components.{k}")
             for k, v in _member(f, "components", dict, at).items()
-        })
+        }))
     _require(fields, f"{where}.fields", "needs at least one field")
+    liftable = all(map(invariants.is_point_field, fields))
     return (lambda: invariants.GeneratorSet(
-        ctx, [VectorField(c) for c in fields], order, tuple(labels)
-    )), len(fields)
+        ctx, fields, order, tuple(labels)
+    )), (len(fields), order, liftable)
 
 
-# object kind -> loader(ctx, spec, where, expr) -> (constructor, size);
-# the size (components of a surface or curve, fields of a generator set,
-# None otherwise) is what some check arguments are read against
+# object kind -> loader(ctx, spec, where, expr) -> (constructor, shape);
+# the shape (what each loader's docstring names, None for a genset) is
+# what some check arguments are read against
 _LOADERS = {
     "surface": partial(_load_explicit, "surface_invariants", 2, (3,)),
     "curve": partial(_load_explicit, "curve_invariants", 1, (2, 3)),
@@ -433,9 +471,9 @@ def _lookup(objects, name, kind, where):
 # it as the op uses it
 
 # what check arguments are read against: the context, the expression
-# parser (text, where) with the definitions, the objects, their sizes
-# (object name -> size, from its loader) and the arguments as written
-_Load = namedtuple("_Load", "ctx expr objects sizes args")
+# parser (text, where) with the definitions, the objects, their shapes
+# (object name -> shape, from its loader) and the arguments as written
+_Load = namedtuple("_Load", "ctx expr objects shapes args")
 
 
 def _read_args(schema, args, where, load):
@@ -443,9 +481,7 @@ def _read_args(schema, args, where, load):
     schema's order: a key the schema does not declare, a missing
     required key and a value its reader refuses are all errors at
     ``where.key``."""
-    for key in _typed(args, dict, where):
-        _require(key in schema, f"{where}.{key}", "unknown argument "
-                 f"(expected one of: {', '.join(schema)})")
+    _known(args, schema, where)
     out = {}
     for key, (reader, required) in schema.items():
         if key in args:
@@ -477,6 +513,34 @@ def _ref(kind):
     return read
 
 
+def _system_of_order_1(value, where, load):
+    """The name of a system of order 1 or more (characters, the Cartan
+    test and Janet boards have no meaning at order 0)."""
+    _ref("system")(value, where, load)
+    _require(load.shapes[value] >= 1, where, f"needs a system of order "
+             f">= 1, got {value!r} of order {load.shapes[value]}")
+    return value
+
+
+def _frame_section(value, where, load):
+    """The name of a section that gives the context's moving frame:
+    every dependent, up to the order the frame needs (the number of
+    dependents of a curve, 1 for a surface)."""
+    _ref("section")(value, where, load)
+    deps = load.ctx.dependents
+    n, m = len(load.ctx.independents), len(deps)
+    _require((n, m) in ((1, 2), (1, 3), (2, 3)), where,
+             f"needs a context with 1 independent and 2 or 3 dependents, or "
+             f"2 independents and 3, got {n} and {m}")
+    need = m if n == 1 else 1
+    order, listed = load.shapes[value]
+    _require(order >= need and all(d in listed for d in deps), where,
+             f"needs a section of every dependent ({', '.join(deps)}) up "
+             f"to order {need}, got {', '.join(listed) or 'none'} up to "
+             f"order {order}")
+    return value
+
+
 def _count(value, where, load, least=0):
     _require(type(value) is int and value >= least, where,
              f"expected an integer >= {least}, got {value!r}")
@@ -488,8 +552,45 @@ def _expr_arg(value, where, load):
     return load.expr(str(value) if type(value) is int else value, where)
 
 
-def _optional_expr(value, where, load):
-    return None if value is None else _expr_arg(value, where, load)
+def _contact_hamiltonian(value, where, load):
+    """An expression, in a context whose independents are the contact
+    coordinates t, x, z, p."""
+    names = mechanics.CONTACT_COORDINATES
+    _require(tuple(load.ctx.independents) == names, where,
+             f"needs the independents {', '.join(names)}, got "
+             f"{', '.join(load.ctx.independents) or 'none'}")
+    return _expr_arg(value, where, load)
+
+
+def _reached(q, where, load):
+    """Order ``q``, which the check's generators must reach: a set given
+    by jet-level components is not raised above its own order."""
+    _, order, liftable = load.shapes[load.args["generators"]]
+    _require(liftable or q <= order, where,
+             f"needs order {q}, above the order {order} of generators given "
+             f"by jet-level components")
+    return q
+
+
+def _reached_count(value, where, load):
+    return _reached(_count(value, where, load), where, load)
+
+
+def _candidate(value, where, load):
+    """An expression whose highest jet the check's generators reach."""
+    e = _expr_arg(value, where, load)
+    _reached(max(map(jet_order, e.variables()), default=0), where, load)
+    return e
+
+
+def _torsion(value, where, load):
+    """``null`` (no torsion expected) or an expression, which needs a
+    space curve (3 components)."""
+    if value is None:
+        return None
+    _require(load.shapes[load.args["curve"]] == 3, where,
+             "a plane curve has no torsion; expected null")
+    return _expr_arg(value, where, load)
 
 
 def _array(item, per):
@@ -555,7 +656,7 @@ _CURVE_QUANTITIES[3] = _CURVE_QUANTITIES[2] + ("phi", "psi", "rho")
 def _curve_values(value, where, load):
     """Quantity name of the check's curve -> expression, as (quantity,
     expression) pairs."""
-    m = load.sizes[load.args["curve"]]
+    m = load.shapes[load.args["curve"]]
     names = _CURVE_QUANTITIES[m]
     out = []
     for k, v in _expr_map(value, where, load).items():
@@ -591,7 +692,7 @@ def _structure_table(value, where, load):
     """``"rho,sigma"`` (generator numbers from 1 to the n fields of the
     check's generators) -> the n coefficients of their bracket, as
     (key, (rho, sigma) from 0, coefficients)."""
-    n = load.sizes[load.args["generators"]]
+    n = load.shapes[load.args["generators"]][0]
     out = []
     for key, coeffs in _typed(value, dict, where).items():
         at = f"{where}.{key}"
@@ -642,7 +743,6 @@ def _witness(pf, args, key):
 
 def _residual_report(name, residuals):
     for r in residuals:
-        r = normalize(r)
         if not r.is_zero():
             return CheckReport(name, "FAIL", witness=r)
     return CheckReport(name, "OK")
@@ -889,7 +989,7 @@ def op_hj_chain(pf, args, options):
     H = args.get("hamiltonian")
     rep, art = mechanics.hj_closure_chain(ctx, H)
     if rep.ok and "coefficient" in args:
-        res = normalize(art["coefficient"] - args["coefficient"])
+        res = art["coefficient"] - args["coefficient"]
         if not res.is_zero():
             return CheckReport("hj_chain", "FAIL", witness=res,
                                detail="volume coefficient mismatch")
@@ -915,6 +1015,7 @@ _PAIR = {**_SYSTEM, **_needs("system", "groupoid"),
          "witness_groupoid": (_witness_arg, False)}
 _EXPR, _COUNT, _FLAG = (_expr_arg, True), (_count, True), (_flag, False)
 _positive = partial(_count, least=1)
+_SYSTEM1 = {"system": (_system_of_order_1, True)}
 _vector = _array(_expr_arg, "dependents")
 _FIELD = (_array(_expr_arg, "independents"), True)
 
@@ -931,20 +1032,20 @@ OPS = {
                      {**_CURVE, "values": (_curve_values, True)}),
     "curve_identities": (op_curve_identities, _CURVE),
     "frenet": (op_frenet, {**_CURVE, "kappa2": _EXPR,
-                           "tau": (_optional_expr, False)}),
+                           "tau": (_torsion, False)}),
     "gauging_forms": (op_gauging_forms, {
-        **_needs("section", "source"), **_needs("section", "target"),
+        "source": (_frame_section, True), "target": (_frame_section, True),
         "A": (_array(_vector, "dependents"), False), "B": (_vector, False),
         "P": (_one_independent(_array(_vector, "dependents")), False),
         "Q": (_one_independent(_vector), False),
         "P_skew": (_one_independent(_flag), False), "orthogonal": _FLAG}),
     "characters": (op_characters, {
-        **_SYSTEM, "expected": (_array(_count, "independents"), True),
+        **_SYSTEM1, "expected": (_array(_count, "independents"), True),
         "strict": _FLAG, "ordered": _FLAG}),
-    "cartan": (op_cartan, _SYSTEM),
-    "cartan_bound": (op_cartan_bound, _SYSTEM),
+    "cartan": (op_cartan, _SYSTEM1),
+    "cartan_bound": (op_cartan_bound, _SYSTEM1),
     "janet_board": (op_janet_board,
-                    {**_SYSTEM, "golden": (_json(str, "a file name"), True)}),
+                    {**_SYSTEM1, "golden": (_json(str, "a file name"), True)}),
     "fiber_dimension": (op_fiber_dimension, {
         **_SYSTEM, "expected": _COUNT, "witness": (_witness_arg, False)}),
     "phs": (op_phs, _PAIR),
@@ -957,9 +1058,10 @@ OPS = {
     "radical_membership": (op_radical_membership, {
         "element": _EXPR, "direction": (_independent, True),
         "r": (_positive, True)}),
-    "is_invariant": (op_is_invariant, {**_GENERATORS, "candidate": _EXPR}),
+    "is_invariant": (op_is_invariant,
+                     {**_GENERATORS, "candidate": (_candidate, True)}),
     "invariant_count": (op_invariant_count, {
-        **_GENERATORS, "order": _COUNT, "expected": _COUNT}),
+        **_GENERATORS, "order": (_reached_count, True), "expected": _COUNT}),
     "structure_table": (op_structure_table,
                         {**_GENERATORS, "expected": (_structure_table, True)}),
     "jacobi_table": (op_jacobi_table, _GENERATORS),
@@ -968,7 +1070,7 @@ OPS = {
     "multiplier_transport": (op_multiplier_transport, {
         "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD}),
     "hessian": (op_hessian, {"lagrangian": (_expr_arg, False)}),
-    "hj_chain": (op_hj_chain, {"hamiltonian": (_expr_arg, False),
+    "hj_chain": (op_hj_chain, {"hamiltonian": (_contact_hamiltonian, False),
                                "coefficient": (_expr_arg, False)}),
     "separability": (op_separability, {"hamiltonian": _EXPR}),
 }

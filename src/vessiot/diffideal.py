@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateSearchExceeded
 from .report import CheckReport
-from .symcore import RationalExpr, normalize
+from .symcore import RationalExpr
 
 
 @dataclass
@@ -22,15 +22,11 @@ class DiffPolySet:
     generators: list
 
     def __post_init__(self):
-        gens = []
         for g in self.generators:
-            g = normalize(g)
             if g.is_zero():
                 raise ValueError("zero generator")
             if not g.is_polynomial():
                 raise ValueError("generators must be polynomial")
-            gens.append(g)
-        self.generators = gens
 
 
 def prolong_gens(S, r):
@@ -45,7 +41,7 @@ def prolong_gens(S, r):
         nxt = []
         for g in frontier:
             for x in ctx.independents:
-                dg = normalize(ctx.total_derivative(g, x))
+                dg = ctx.total_derivative(g, x)
                 if dg not in seen:
                     seen[dg] = None
                     nxt.append(dg)
@@ -56,10 +52,9 @@ def prolong_gens(S, r):
 def syzygy_check(combination, name="syzygy"):
     """OK iff the given combination of generator derivatives normalizes
     to zero; otherwise the normal form is reported as witness."""
-    res = normalize(combination)
-    if res.is_zero():
+    if combination.is_zero():
         return CheckReport(name=name, status="OK")
-    return CheckReport(name=name, status="FAIL", witness=res)
+    return CheckReport(name=name, status="FAIL", witness=combination)
 
 
 def radical_power_membership(ctx, a, direction, r):
@@ -78,7 +73,6 @@ def radical_power_membership(ctx, a, direction, r):
         raise CertificateSearchExceeded(
             "radical certificates are constructed only up to r = 4"
         )
-    a = normalize(a)
     d = lambda e: ctx.total_derivative(e, direction)
     da, dda = d(a), d(d(a))
     cert = {1: RationalExpr.const(1) / r}
@@ -91,7 +85,7 @@ def radical_power_membership(ctx, a, direction, r):
             new[o + 1] = new.get(o + 1, RationalExpr.const(0)) + (
                 da * c / (r - k)
             )
-        cert = {o: normalize(c) for o, c in new.items() if not c.is_zero()}
+        cert = {o: c for o, c in new.items() if not c.is_zero()}
     power = a ** r
     rebuilt = RationalExpr.const(0)
     derivs = {0: power}
@@ -101,7 +95,7 @@ def radical_power_membership(ctx, a, direction, r):
     for o, c in cert.items():
         rebuilt = rebuilt + c * derivs[o]
     target = da ** (2 * r - 1)
-    residual = normalize(rebuilt - target)
+    residual = rebuilt - target
     report = CheckReport(
         name="radical-power-membership",
         status="OK" if residual.is_zero() else "FAIL",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg, symcore
 from .errors import NotClosed
-from .jets import JetContext, VectorField, bracket, prolong_field
+from .jets import JetContext, VectorField, bracket, jet_order, prolong_field
 from .report import CheckReport
 from .symcore import Polynomial, RationalExpr, substitute
 # not called here; kept as a module attribute because perfbench's tests
@@ -21,15 +21,12 @@ from .symcore import Polynomial, RationalExpr, substitute
 from .symcore import eval_point  # noqa: F401
 
 
-def _is_point_field(f):
+def is_point_field(f):
     """True when the field has order-0 data only and can be prolonged."""
-    for v, c in f.components.items():
-        if v.kind == "jet" and v.key[2] > 0:
-            return False
-        for w in c.variables():
-            if w.kind == "jet" and w.key[2] > 0:
-                return False
-    return True
+    return all(
+        jet_order(w) == 0
+        for v, c in f.components.items() for w in (v, *c.variables())
+    )
 
 
 @dataclass
@@ -52,14 +49,14 @@ class GeneratorSet:
         """The same distribution lifted (or truncated) to jet order q."""
         if q == self.order:
             return self
-        if all(_is_point_field(f) for f in self.fields):
+        if all(map(is_point_field, self.fields)):
             lifted = [prolong_field(self.ctx, f, q) for f in self.fields]
             return GeneratorSet(self.ctx, lifted, q, self.labels)
         if q < self.order:
             cut = [
                 VectorField({
                     v: c for v, c in f.components.items()
-                    if v.kind != "jet" or v.key[2] <= q
+                    if jet_order(v) <= q
                 })
                 for f in self.fields
             ]
@@ -78,13 +75,11 @@ class InvariantCandidate:
 def _candidate(phi):
     if isinstance(phi, InvariantCandidate):
         return phi
-    return InvariantCandidate(symcore.normalize(phi))
+    return InvariantCandidate(phi)
 
 
 def _needed_order(e):
-    return max(
-        (v.key[2] for v in e.variables() if v.kind == "jet"), default=0
-    )
+    return max(map(jet_order, e.variables()), default=0)
 
 
 def is_invariant(phi, G):
@@ -304,7 +299,7 @@ def noninvariance_witness(field_gens, delta):
     is "stable"; a polynomial with a monomial outside the monoid spanned
     by the generators' monomials is "unstable"; anything else is
     "undecided"."""
-    gens = [symcore.normalize(g) for g in field_gens]
+    gens = list(field_gens)
     out = []
     poly_gens = [g for g in gens if g.is_polynomial()]
     varset = sorted({v for g in poly_gens for v in g.variables()})
@@ -316,7 +311,7 @@ def noninvariance_witness(field_gens, delta):
         if m  # ignore constant terms
     }
     for g in gens:
-        img = symcore.normalize(delta.apply(g))
+        img = delta.apply(g)
         if img.is_zero():
             out.append(FieldImage(g, img, "stable"))
             continue

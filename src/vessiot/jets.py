@@ -3,6 +3,12 @@
 Contexts declaring coordinates, total (formal) derivatives, prolongation
 of vector fields, the Spencer operator, brackets, and exterior calculus
 with RationalExpr coefficients.
+
+This module owns the jet index.  A jet variable's ``key`` is (3,
+dependent index, |mu|, mu); ``symcore`` orders and hashes variables by
+their keys, and apart from that only ``JetContext.jet``, ``jet_info``,
+``jet_order`` and ``JetContext.bump`` (the multi-index D_i reaches)
+build or read one.  Every other module goes through them.
 """
 from __future__ import annotations
 
@@ -25,6 +31,11 @@ class SpecialSpec:
     base: str
     derivative: str
     rewrite: str | None = None
+
+
+def jet_order(v):
+    """|mu| of a jet variable; 0 for every other kind."""
+    return v.key[2] if v.kind == "jet" else 0
 
 
 class JetContext:
@@ -119,6 +130,13 @@ class JetContext:
         if v.kind != "jet":
             raise ValueError(f"{v} is not a jet variable")
         return self.dependents[v.key[1]], v.key[3]
+
+    def bump(self, dep, mu, i):
+        """mu + 1_i, the multi-index D_i reaches from dependent ``dep``
+        at mu; None when x_i is not in dep's bases."""
+        if self.independents[i] not in self.bases[dep]:
+            return None
+        return mu[:i] + (mu[i] + 1,) + mu[i + 1:]
 
     def multi_indices(self, order, base=None):
         """All multi-indices of exact |mu| = order supported on base."""
@@ -215,26 +233,19 @@ class JetContext:
 
     def total_derivative(self, e, i):
         """Formal derivative d_i: partial plus jet-bump terms."""
-        if isinstance(i, str):
-            xi = i
-        else:
-            xi = self.independents[i]
-        v = self.var(xi)
-        e = symcore.normalize(e)
-        out = self.partial(e, v)
-        idx = self.independents.index(xi)
+        xi = i if isinstance(i, str) else self.independents[i]
+        out = self.partial(e, self.var(xi))
+        i = self.independents.index(xi)
         for w in sorted(e.variables()):
             if w.kind != "jet":
                 continue
             dep, mu = self.jet_info(w)
-            if xi not in self.bases[dep]:
+            nu = self.bump(dep, mu, i)
+            if nu is None:
                 continue  # the section does not depend on x_i
             g = symcore.coordinate_partial(e, w)
-            if g.is_zero():
-                continue
-            bumped = list(mu)
-            bumped[idx] += 1
-            out = out + g * RationalExpr.var(self.jet(dep, bumped))
+            if not g.is_zero():
+                out = out + g * RationalExpr.var(self.jet(dep, nu))
         return out
 
 
@@ -245,9 +256,7 @@ class VectorField:
 
     def __init__(self, components):
         self.components = {
-            v: symcore.normalize(c)
-            for v, c in components.items()
-            if not symcore.normalize(c).is_zero()
+            v: c for v, c in components.items() if not c.is_zero()
         }
 
     def component(self, v):
@@ -319,13 +328,12 @@ def prolong_field(ctx, theta, q):
     xi = {}
     comp = {}
     for v, c in theta.components.items():
-        for w in c.variables():
-            if w.kind == "jet" and w.key[2] > 0:
-                raise ValueError("prolong_field needs order-0 component data")
+        if any(jet_order(w) > 0 for w in c.variables()):
+            raise ValueError("prolong_field needs order-0 component data")
         if v.kind == "independent":
             xi[ctx.independents.index(v.name)] = c
             comp[v] = c
-        elif v.kind == "jet" and v.key[2] == 0:
+        elif v.kind == "jet" and jet_order(v) == 0:
             comp[v] = c
         else:
             raise ValueError(f"cannot prolong component on {v.name}")
@@ -333,31 +341,22 @@ def prolong_field(ctx, theta, q):
         (i, j): ctx.total_derivative(xi[j], i) for j in xi for i in range(n)
     }
     for dep in ctx.dependents:
-        base = ctx.bases[dep]
         zero_mu = (0,) * n
         eta = {zero_mu: comp.get(ctx.jet(dep, zero_mu), symcore.ZERO)}
         for order in range(q):
-            for mu in ctx.multi_indices(order, base):
-                if mu not in eta:
-                    continue
-                for i, x in enumerate(ctx.independents):
-                    if x not in base:
-                        continue
-                    bumped = list(mu)
-                    bumped[i] += 1
-                    bumped = tuple(bumped)
-                    if bumped in eta:
+            for mu in ctx.multi_indices(order, ctx.bases[dep]):
+                for i in range(n):
+                    nu = ctx.bump(dep, mu, i)
+                    if nu is None or nu in eta:
                         continue
                     val = ctx.total_derivative(eta[mu], i)
-                    for j, xj in xi.items():
-                        if ctx.independents[j] not in base:
-                            continue
-                        nb = list(mu)
-                        nb[j] += 1
-                        val = val - dxi[(i, j)] * RationalExpr.var(
-                            ctx.jet(dep, nb)
-                        )
-                    eta[bumped] = val
+                    for j in xi:
+                        nj = ctx.bump(dep, mu, j)
+                        if nj is not None:
+                            val = val - dxi[(i, j)] * RationalExpr.var(
+                                ctx.jet(dep, nj)
+                            )
+                    eta[nu] = val
         for mu, val in eta.items():
             if not val.is_zero():
                 comp[ctx.jet(dep, mu)] = val
@@ -382,21 +381,14 @@ def holonomic_section(ctx, components, order, deps=None):
     deps = list(components) if deps is None else deps
     values = {}
     for dep in deps:
-        base = ctx.bases[dep]
-        values[(dep, (0,) * len(ctx.independents))] = symcore.normalize(
-            components[dep]
-        )
+        values[(dep, (0,) * len(ctx.independents))] = components[dep]
         for o in range(order):
-            for mu in ctx.multi_indices(o, base):
+            for mu in ctx.multi_indices(o, ctx.bases[dep]):
                 cur = values[(dep, mu)]
-                for i, x in enumerate(ctx.independents):
-                    if x not in base:
-                        continue
-                    bumped = list(mu)
-                    bumped[i] += 1
-                    bumped = tuple(bumped)
-                    if (dep, bumped) not in values:
-                        values[(dep, bumped)] = ctx.total_derivative(cur, i)
+                for i in range(len(ctx.independents)):
+                    nu = ctx.bump(dep, mu, i)
+                    if nu is not None and (dep, nu) not in values:
+                        values[(dep, nu)] = ctx.total_derivative(cur, i)
     return JetSection(ctx, order, values)
 
 
@@ -407,13 +399,11 @@ def spencer(ctx, f):
     for (dep, mu), val in f.values.items():
         if sum(mu) >= f.order:
             continue
-        base = ctx.bases[dep]
         for i, x in enumerate(ctx.independents):
-            if x not in base:
-                continue
-            bumped = list(mu)
-            bumped[i] += 1
-            out[(dep, mu, x)] = ctx.total_derivative(val, i) - f.value(dep, bumped)
+            nu = ctx.bump(dep, mu, i)
+            if nu is not None:
+                out[(dep, mu, x)] = (ctx.total_derivative(val, i)
+                                     - f.value(dep, nu))
     return out
 
 
@@ -433,7 +423,6 @@ class DiffForm:
         self.grade = grade
         self.terms = {}
         for idx, c in terms.items():
-            c = symcore.normalize(c)
             if len(idx) != grade or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad index tuple {idx} for grade {grade}")
             if not c.is_zero():

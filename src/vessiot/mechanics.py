@@ -16,12 +16,13 @@ from .report import CheckReport
 from .symcore import (
     RationalExpr,
     coordinate_partial,
-    normalize,
     substitute,
     sum_of_products,
 )
 
 ZERO = RationalExpr.const(0)
+# the coordinates of hj_closure_chain's contact form, in order
+CONTACT_COORDINATES = ("t", "x", "z", "p")
 
 
 def _solve_and_substitute(expr, relation, designated):
@@ -30,13 +31,13 @@ def _solve_and_substitute(expr, relation, designated):
     coefficient) and substituting."""
     c = coordinate_partial(relation, designated)
     if c.is_zero():
-        if not normalize(relation).is_zero():
+        if not relation.is_zero():
             raise ValueError(
                 "relation does not contain the designated variable"
             )
-        return normalize(expr)
-    solved = normalize(RationalExpr.var(designated) - relation / c)
-    return normalize(substitute(expr, {designated: solved}))
+        return expr
+    solved = RationalExpr.var(designated) - relation / c
+    return substitute(expr, {designated: solved})
 
 
 # ---------------------------------------------------------------------------
@@ -69,19 +70,19 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     )
     W = eta - F * xi
     regrouped = d(W, "x") + F * d(W, "y") - d(F, "y") * W
-    equiv = normalize(cond - regrouped)
+    equiv = cond - regrouped
     if not equiv.is_zero():
         return CheckReport(
             name="lie-condition-equivalence", status="FAIL", witness=equiv,
             detail="the two regroupings of the condition disagree",
         )
-    denom = normalize(eta + F * xi) if flip_chi else normalize(W)
+    denom = eta + F * xi if flip_chi else W
     if denom.is_zero():
         raise ValueError("integrating-factor denominator vanishes")
     chi = RationalExpr.const(1) / denom
     omega = -F
     divergence = d(chi, "x") - d(omega * chi, "y")
-    deps = {v for v in normalize(cond).variables() if v.kind == "jet"}
+    deps = {v for v in cond.variables() if v.kind == "jet"}
     target = None
     if "eta" in ctx.dependents:
         v = ctx.jet("eta", (1, 0))
@@ -90,13 +91,13 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     if target is not None:
         residual = _solve_and_substitute(divergence, cond, target)
     else:
-        if not normalize(cond).is_zero():
+        if not cond.is_zero():
             return CheckReport(
                 name="lie-condition-equivalence", status="FAIL",
-                witness=normalize(cond),
+                witness=cond,
                 detail="specialized data violates the condition",
             )
-        residual = normalize(divergence)
+        residual = divergence
     residual = ctx.reduce(residual)
     return CheckReport(
         name="lie-condition-equivalence",
@@ -111,7 +112,7 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
 
 def _jacobian(ctx, phi):
     d = ctx.total_derivative
-    return [[normalize(d(c, x)) for x in ctx.independents] for c in phi]
+    return [[d(c, x) for x in ctx.independents] for c in phi]
 
 
 def _pullback_divergence(ctx, adj, delta, fields):
@@ -149,7 +150,7 @@ def jacobi_multiplier_identity(n=2, ctx=None, phi=None):
     if len(phi) != n:
         raise ValueError("need one component per variable")
     J = _jacobian(ctx, phi)
-    delta = normalize(det(J))
+    delta = det(J)
     if delta.is_zero():
         raise SingularFrame("jacobian determinant vanishes identically")
     adj = adjugate(J)
@@ -183,14 +184,14 @@ def multiplier_transport(ctx, M, theta, phi):
     if not div.is_zero():
         raise NotAMultiplier(f"sum d_i(M theta^i) = {div}")
     J = _jacobian(ctx, phi)
-    delta = normalize(det(J))
+    delta = det(J)
     if delta.is_zero():
         raise SingularFrame("jacobian determinant vanishes identically")
     tbar = [
         sum_of_products((J[j][i], theta[i]) for i in range(n))
         for j in range(n)
     ]
-    fields = [normalize(M * tbar[j]) for j in range(n)]
+    fields = [M * tbar[j] for j in range(n)]
     res = _pullback_divergence(ctx, adjugate(J), delta, fields)
     return CheckReport(
         name="multiplier-transport",
@@ -213,9 +214,7 @@ def hessian_multiplier_identity(ctx=None, L=None):
     Lx = d(L, "x")
     Ltv = d(d(L, "t"), "v")
     Lxv = d(d(L, "x"), "v")
-    res = normalize(
-        d(Lvv, "t") + d(v * Lvv, "x") + d(Lx - Ltv - v * Lxv, "v")
-    )
+    res = d(Lvv, "t") + d(v * Lvv, "x") + d(Lx - Ltv - v * Lxv, "v")
     return CheckReport(
         name="hessian-multiplier-identity",
         status="OK" if res.is_zero() else "FAIL",
@@ -244,11 +243,11 @@ def hj_closure_chain(ctx=None, H=None):
         ctx = JetContext(["t", "x", "z", "p"], ["H"], max_order=3)
     if H is None:
         H = ctx.expr("H")
-    names = ("t", "x", "z", "p")
-    if tuple(ctx.independents) != names:
+    if tuple(ctx.independents) != CONTACT_COORDINATES:
         raise ValueError("closure chain needs coordinates (t, x, z, p)")
-    coords = [ctx.var(nm) for nm in names]
-    one = {nm: DiffForm.d_coord(ctx, coords, nm) for nm in names}
+    coords = [ctx.var(nm) for nm in CONTACT_COORDINATES]
+    one = {nm: DiffForm.d_coord(ctx, coords, nm)
+           for nm in CONTACT_COORDINATES}
     p = ctx.expr("p")
     contact = one["z"] - one["x"].scale(p) + one["t"].scale(H)
     two = exterior_derivative(contact)
@@ -257,9 +256,8 @@ def hj_closure_chain(ctx=None, H=None):
     two_residual = two - expected_two
     three = wedge(contact, two)
     four = exterior_derivative(three)
-    coeff = normalize(four.coefficient((0, 1, 2, 3)))
-    hz = normalize(ctx.total_derivative(H, "z"))
-    coeff_residual = normalize(coeff - 2 * hz)
+    coeff = four.coefficient((0, 1, 2, 3))
+    coeff_residual = coeff - 2 * ctx.total_derivative(H, "z")
     ok = two_residual.is_zero() and coeff_residual.is_zero()
     witness = None
     if not two_residual.is_zero():
@@ -285,11 +283,11 @@ def separability_conditions(ctx, H):
     Hamiltonian H by separating x from t: d_z(H) and d_t(d_x(H)/d_p(H)).
     OK iff both normalize to zero."""
     d = ctx.total_derivative
-    Hp = normalize(d(H, "p"))
+    Hp = d(H, "p")
     if Hp.is_zero():
         raise DegenerateHamiltonian("d_p(H) vanishes identically")
-    c1 = normalize(d(H, "z")) if "z" in ctx.independents else ZERO
-    c2 = normalize(d(d(H, "x") / Hp, "t"))
+    c1 = d(H, "z") if "z" in ctx.independents else ZERO
+    c2 = d(d(H, "x") / Hp, "t")
     ok = c1.is_zero() and c2.is_zero()
     witness = None if ok else (c1 if not c1.is_zero() else c2)
     return CheckReport(

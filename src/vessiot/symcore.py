@@ -748,7 +748,10 @@ class RationalExpr:
         return self + (-other)
 
     def __rsub__(self, other):
-        return RationalExpr._coerce(other) - self
+        other = RationalExpr._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = RationalExpr._coerce(other)
@@ -767,7 +770,10 @@ class RationalExpr:
         return RationalExpr._product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
-        return RationalExpr._coerce(other) / self
+        other = RationalExpr._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if n == 0:
@@ -915,9 +921,11 @@ def poly_reduce(p, rules):
 
 
 def normalize(e):
-    """Expressions built with the overloaded operators are always
-    canonical; this re-coerces scalars and asserts the invariant.
-    Anything else (a float, a string) is a TypeError."""
+    """A caller's value as a RationalExpr: an int, Fraction or Polynomial
+    is converted and a RationalExpr is returned as it is (every one is
+    canonical by construction).  Anything else (a float, a string) is a
+    TypeError.  Only the entry points that take a caller's value,
+    ``substitute`` and ``eval_point``, call it."""
     out = RationalExpr._coerce(e)
     if out is NotImplemented:
         raise TypeError(f"not an expression: {type(e).__name__}")
@@ -927,7 +935,6 @@ def normalize(e):
 def coordinate_partial(e, v):
     """Partial derivative treating every VariableId as an independent
     coordinate (no chain rule for specials)."""
-    e = normalize(e)
     n, d = e.num, e.den
     dn = n.partial(v)
     dd = d.partial(v)
@@ -965,11 +972,8 @@ def partial(e, v, chain=()):
 def _check_acyclic(bindings):
     graph = {}
     for v, repl in bindings.items():
-        repl = normalize(repl)
         tgt = repl.variables()
         if v in tgt:
-            if repl == RationalExpr.var(v):
-                continue  # identity binding, allowed
             raise CyclicBinding(f"{v} appears in its own replacement")
         graph[v] = tgt & set(bindings)
     done = set()
@@ -1002,7 +1006,7 @@ def _poly_substitute(p, bindings):
             if repl is None:
                 term = term * RationalExpr(Polynomial.var(v, e))
             else:
-                term = term * (normalize(repl) ** e)
+                term = term * repl**e
         out = out + term
     return out
 
@@ -1010,10 +1014,9 @@ def _poly_substitute(p, bindings):
 def substitute(e, bindings):
     """Simultaneous substitution of variables by expressions."""
     e = normalize(e)
+    bindings = {v: normalize(r) for v, r in bindings.items()}
     bindings = {
-        v: normalize(r)
-        for v, r in bindings.items()
-        if normalize(r) != RationalExpr.var(v)
+        v: r for v, r in bindings.items() if r != RationalExpr.var(v)
     }
     if not bindings:
         return e
@@ -1027,7 +1030,6 @@ def substitute(e, bindings):
 
 def reduce_expr(e, rules):
     """Exhaustive rewrite of num and den, then renormalization."""
-    e = normalize(e)
     if not rules:
         return e
     n = poly_reduce(e.num, rules)
@@ -1043,7 +1045,3 @@ def eval_point(e, point):
     if dv == 0:
         raise DenominatorVanishes("denominator vanishes at the point")
     return e.num.eval(point) / dv
-
-
-def is_zero(e):
-    return normalize(e).is_zero()

@@ -19,7 +19,7 @@ from .errors import (
     OrderOverflow,
     UnsolvedSystem,
 )
-from .jets import JetContext
+from .jets import JetContext, jet_order
 from .linalg import rank
 from .report import CheckReport
 from .symcore import RationalExpr, coordinate_partial, eval_point
@@ -62,7 +62,7 @@ class Equation:
     def residual(self):
         # formed once per equation: the instance __dict__ (the dataclass
         # has no slots) keeps it, outside the fields that eq and hash use
-        return symcore.normalize(self.lhs - self.rhs)
+        return self.lhs - self.rhs
 
     @cached_property
     def strict(self):
@@ -73,15 +73,14 @@ class Equation:
 
 
 def solved_equation(leading, rhs, genericity=()):
-    return Equation(RationalExpr.var(leading), symcore.normalize(rhs),
-                    leading, tuple(genericity))
+    return Equation(RationalExpr.var(leading), rhs, leading,
+                    tuple(genericity))
 
 
 def implicit_equation(lhs, rhs=None, leading=None, genericity=()):
     if rhs is None:
         rhs = symcore.ZERO
-    return Equation(symcore.normalize(lhs), symcore.normalize(rhs),
-                    leading, tuple(genericity))
+    return Equation(lhs, rhs, leading, tuple(genericity))
 
 
 @dataclass
@@ -114,13 +113,13 @@ class SolvedSystem:
         if conflict is not None:
             raise LeadingJetConflict(conflict[1])
         for e in self.equations:
-            if any(_jet_order(v) > self.order
+            if any(jet_order(v) > self.order
                    for v in e.lhs.variables() | e.rhs.variables()):
                 # lhs and rhs may cancel a high jet; the residual decides
                 for v in e.residual.variables():
-                    if _jet_order(v) > self.order:
+                    if jet_order(v) > self.order:
                         raise JetAboveOrder(
-                            f"jet {v.name} of order {_jet_order(v)} in an "
+                            f"jet {v.name} of order {jet_order(v)} in an "
                             f"equation of a system of order {self.order}"
                         )
 
@@ -165,11 +164,6 @@ def leading_conflict(equations):
     return None
 
 
-def _jet_order(v):
-    """Order of a jet variable; 0 for every other kind."""
-    return v.key[2] if v.kind == "jet" else 0
-
-
 def _substitute_leadings(rhs, assignments, max_passes=12):
     """Eliminate solved leading jets from rhs by repeated substitution,
     each pass binding every leading jet rhs carries at once;
@@ -186,13 +180,6 @@ def _substitute_leadings(rhs, assignments, max_passes=12):
         rhs = symcore.substitute(rhs, {v: assignments[v] for v in hits})
 
 
-def _bump(ctx, v, i):
-    dep, mu = ctx.jet_info(v)
-    nb = list(mu)
-    nb[i] += 1
-    return ctx.jet(dep, nb)
-
-
 def _prolong_once(S, ics):
     ctx = S.ctx
     new_order = S.order + 1
@@ -206,18 +193,19 @@ def _prolong_once(S, ics):
     new_solved = {}
     pending = []
     for eq in S.equations:
+        if eq.leading is not None:
+            dep, mu = ctx.jet_info(eq.leading)
         for i, x in enumerate(ctx.independents):
+            nu = None if eq.leading is None else ctx.bump(dep, mu, i)
             if eq.strict:
-                dep, _ = ctx.jet_info(eq.leading)
-                if x not in ctx.bases[dep]:
+                if nu is None:
                     continue
-                lead = _bump(ctx, eq.leading, i)
+                lead = ctx.jet(dep, nu)
                 rhs = ctx.total_derivative(eq.rhs, x)
                 if lead in assignments or lead in new_solved:
                     prev = new_solved.get(lead, assignments.get(lead))
-                    diff = symcore.normalize(rhs - prev)
                     diff = _substitute_leadings(
-                        diff, {**assignments, **new_solved}
+                        rhs - prev, {**assignments, **new_solved}
                     )
                     if not diff.is_zero():
                         ics.append(diff)
@@ -227,15 +215,11 @@ def _prolong_once(S, ics):
             else:
                 lhs = ctx.total_derivative(eq.lhs, x)
                 rhs = ctx.total_derivative(eq.rhs, x)
-                res = symcore.normalize(lhs - rhs)
+                res = lhs - rhs
                 if res in seen or res.is_zero():
                     continue
                 seen.add(res)
-                lead = None
-                if eq.leading is not None:
-                    dep, _ = ctx.jet_info(eq.leading)
-                    if x in ctx.bases[dep]:
-                        lead = _bump(ctx, eq.leading, i)
+                lead = None if nu is None else ctx.jet(dep, nu)
                 new_eqs.append(Equation(lhs, rhs, lead, eq.genericity))
     # eliminate freshly solved leadings from the new right-hand sides
     table = {**assignments, **new_solved}
@@ -300,7 +284,7 @@ class SymbolSystem:
 
 
 def _order_q_jets(ctx, q):
-    return [v for v in ctx.jets_up_to(q) if v.key[2] == q]
+    return [v for v in ctx.jets_up_to(q) if jet_order(v) == q]
 
 
 def symbol_of(S):
@@ -325,17 +309,17 @@ def _prolonged_symbol(sym):
     index = {v: j for j, v in enumerate(next_cols)}
     rows = []
     for row in sym.rows:
-        for i, x in enumerate(ctx.independents):
+        for i in range(len(ctx.independents)):
             out = [symcore.ZERO] * len(next_cols)
             nonzero = False
             for v, c in zip(sym.columns, row):
                 if c.is_zero():
                     continue
-                dep, _ = ctx.jet_info(v)
-                if x not in ctx.bases[dep]:
+                dep, mu = ctx.jet_info(v)
+                nu = ctx.bump(dep, mu, i)
+                if nu is None:
                     continue
-                j = index[_bump(ctx, v, i)]
-                out[j] = c  # v -> v + 1_x is one-to-one
+                out[index[ctx.jet(dep, nu)]] = c  # one-to-one in v
                 nonzero = True
             if nonzero:
                 rows.append(out)
@@ -354,12 +338,12 @@ def _column_classes(S, cols):
 def _is_covered(pivot, gens):
     """True when the pivot's numerator divides out to a constant against
     the declared-nonzero generators."""
-    num = symcore.normalize(pivot).num
+    num = pivot.num
     progress = True
     while not num.is_constant() and progress:
         progress = False
         for g in gens:
-            gn = symcore.normalize(g).num
+            gn = g.num
             if gn.is_constant():
                 continue
             q = symcore.poly_divexact(num, gn)

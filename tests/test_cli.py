@@ -62,6 +62,9 @@ SURFACE_CONTEXT = {"independents": ["x1", "x2"], "dependents": [],
 SURFACE = {"kind": "surface", "components": ["x1", "x2", "x1*x2"]}
 SYSTEM1 = system({"leading": "y[x]", "rhs": "0"})
 SECTION1 = {"kind": "section", "order": 1, "components": {"y": "x"}}
+# a generator set given by jet-level components, at order 1
+JET_GENERATORS = {"kind": "generators", "order": 1,
+                  "fields": [{"components": {"y[x]": "1"}}]}
 PLANE = {"independents": ["x"], "dependents": ["y1", "y2"], "max_order": 2}
 PLANE_SECTIONS = {name: {"kind": "section", "order": 2, "components": {
     "y1": "x", "y2": f"{k}*x*x"}} for name, k in (("f", 1), ("g", 2))}
@@ -627,8 +630,9 @@ class TestMain:
             "checks[0].args.Q: expected an array of 2 entries",
             ProblemSyntaxError, None, id="short-vector"),
         pytest.param(
-            {"context": SURFACE_CONTEXT | {"dependents": ["y"]},
-             "objects": {"f": SECTION1 | {"components": {"y": "x1"}}},
+            {"context": SURFACE_CONTEXT | {"dependents": ["y1", "y2", "y3"]},
+             "objects": {"f": SECTION1 | {"components": {
+                 "y1": "x1", "y2": "x2", "y3": "x1*x2"}}},
              "checks": [{"id": "c", "op": "gauging_forms", "args": {
                  "source": "f", "target": "f", "P": [["0"]]}}]},
             "checks[0].args.P: needs a context with one independent",
@@ -650,6 +654,125 @@ class TestMain:
                          "args": {"n": 0}}]},
             "checks[0].args.n: expected an integer >= 1, got 0",
             ProblemSyntaxError, None, id="zero-jacobi-variables"),
+        pytest.param(
+            {"objects": {"C": {"kind": "curve", "components": ["x", "x*x"]}},
+             "checks": [{"id": "c", "op": "frenet", "args": {
+                 "curve": "C", "kappa2": "0", "tau": "0"}}]},
+            "checks[0].args.tau: a plane curve has no torsion",
+            ProblemSyntaxError, None, id="torsion-of-plane-curve"),
+        pytest.param(
+            {"context": {**MINIMAL["context"], "max_ordr": 3}},
+            "context.max_ordr: unknown argument (expected one of: "
+            "independents, dependents, parameters, specials, max_order)",
+            ProblemSyntaxError, None, id="context-unknown-key"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0"},
+                                     genericty=["y"])}},
+            "objects.S.genericty: unknown argument", ProblemSyntaxError,
+            None, id="system-unknown-key"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "0",
+                                      "genericty": ["y"]})}},
+            "objects.S.equations[0].genericty: unknown argument (expected "
+            "one of: lhs, rhs, leading, genericity)", ProblemSyntaxError,
+            None, id="equation-unknown-key"),
+        pytest.param(
+            {"context": SURFACE_CONTEXT,
+             "objects": {"S": SURFACE | {"order": 2}}},
+            "objects.S.order: unknown argument", ProblemSyntaxError, None,
+            id="surface-unknown-key"),
+        pytest.param(
+            {"objects": {"s": SECTION1 | {"label": "s"}}},
+            "objects.s.label: unknown argument", ProblemSyntaxError, None,
+            id="section-unknown-key"),
+        pytest.param(
+            {"objects": {"s": SECTION1 | {"jets": {"y": {"0": "x",
+                                                         "1": "1"}}}}},
+            "objects.s.jets: a section gives 'components' or 'jets', not "
+            "both", ProblemSyntaxError, None, id="section-components-and-jets"),
+        pytest.param(
+            {"objects": {"G": {"kind": "genset", "generators": ["y"],
+                               "rounds": 1}}},
+            "objects.G.rounds: unknown argument", ProblemSyntaxError, None,
+            id="genset-unknown-key"),
+        pytest.param(
+            {"objects": {"G": GENERATORS3 | {"labels": ["a", "b", "c"]}}},
+            "objects.G.labels: unknown argument", ProblemSyntaxError, None,
+            id="generators-unknown-key"),
+        pytest.param(
+            {"objects": {"G": {"kind": "generators", "fields": [
+                {"components": {"x": "1"}, "lable": "a"}]}}},
+            "objects.G.fields[0].lable: unknown argument (expected one of: "
+            "label, components)", ProblemSyntaxError, None,
+            id="field-unknown-key"),
+        pytest.param(
+            {"checks": [{"id": "c", "op": "lie_condition", "args": {},
+                         "expcet": "FAIL"}]},
+            "checks[0].expcet: unknown argument (expected one of: id, op, "
+            "expect, args)", ProblemSyntaxError, None,
+            id="check-unknown-key"),
+        pytest.param(
+            {"context": PLANE, "objects": {**PLANE_SECTIONS, "h": {
+                "kind": "section", "order": 2, "components": {"y1": "x"}}},
+             "checks": [{"id": "c", "op": "gauging_forms",
+                         "args": {"source": "f", "target": "h"}}]},
+            "checks[0].args.target: needs a section of every dependent "
+            "(y1, y2) up to order 2, got y1 up to order 2",
+            ProblemSyntaxError, None, id="gauging-missing-dependent"),
+        pytest.param(
+            {"context": PLANE, "objects": {**PLANE_SECTIONS, "h": {
+                "kind": "section", "order": 1,
+                "components": {"y1": "x", "y2": "x"}}},
+             "checks": [{"id": "c", "op": "gauging_forms",
+                         "args": {"source": "h", "target": "f"}}]},
+            "checks[0].args.source: needs a section of every dependent "
+            "(y1, y2) up to order 2, got y1, y2 up to order 1",
+            ProblemSyntaxError, None, id="gauging-order-too-low"),
+        pytest.param(
+            {"objects": {"s": SECTION1}, "checks": [{
+                "id": "c", "op": "gauging_forms",
+                "args": {"source": "s", "target": "s"}}]},
+            "checks[0].args.source: needs a context with 1 independent and "
+            "2 or 3 dependents", ProblemSyntaxError, None,
+            id="gauging-context-shape"),
+        pytest.param(
+            {"context": {"independents": ["t", "x", "p"], "dependents": []},
+             "checks": [{"id": "c", "op": "hj_chain",
+                         "args": {"hamiltonian": "p*p"}}]},
+            "checks[0].args.hamiltonian: needs the independents t, x, z, p",
+            ProblemSyntaxError, None, id="hj-chain-coordinates"),
+        pytest.param(
+            {"objects": {"G": {"kind": "genset",
+                               "generators": ["y", "1/y"]}}},
+            "objects.G.generators[1]: expected a nonzero polynomial",
+            ProblemSyntaxError, None, id="genset-rational-generator"),
+        pytest.param(
+            {"objects": {"G": {"kind": "genset", "generators": ["y - y"]}}},
+            "objects.G.generators[0]: expected a nonzero polynomial",
+            ProblemSyntaxError, None, id="genset-zero-generator"),
+        *(pytest.param(
+            {"objects": {"S": system({"leading": "y", "rhs": "x"}, order=0)},
+             "checks": [{"id": "c", "op": op, "args": {"system": "S",
+                                                       **extra}}]},
+            "checks[0].args.system: needs a system of order >= 1",
+            ProblemSyntaxError, None, id=f"{op}-order-0")
+          for op, extra in (("characters", {"expected": [0]}),
+                            ("cartan", {}), ("cartan_bound", {}),
+                            ("janet_board", {"golden": "b.txt"}))),
+        pytest.param(
+            {"objects": {"G": JET_GENERATORS}, "checks": [{
+                "id": "c", "op": "is_invariant",
+                "args": {"generators": "G", "candidate": "y[x,x]"}}]},
+            "checks[0].args.candidate: needs order 2, above the order 1 of "
+            "generators given by jet-level components", ProblemSyntaxError,
+            None, id="is-invariant-above-jet-level-order"),
+        pytest.param(
+            {"objects": {"G": JET_GENERATORS}, "checks": [{
+                "id": "c", "op": "invariant_count",
+                "args": {"generators": "G", "order": 2, "expected": 1}}]},
+            "checks[0].args.order: needs order 2, above the order 1 of "
+            "generators given by jet-level components", ProblemSyntaxError,
+            None, id="invariant-count-above-jet-level-order"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
@@ -718,17 +841,42 @@ def _slots(container, key):
             yield from _slots(child, k)
 
 
+def _declared_keys(doc):
+    """(container, key) of each key that a loader or an op's argument
+    schema declares: those of the context, of each object spec, equation
+    and generator field, of each check entry, its args and their witness
+    points."""
+    yield from ((doc["context"], k) for k in doc["context"])
+    for spec in doc.get("objects", {}).values():
+        yield from ((spec, k) for k in spec)
+        for part in spec.get("equations", []) + spec.get("fields", []):
+            yield from ((part, k) for k in part)
+    for check in doc.get("checks", []):
+        yield from ((check, k) for k in check)
+        args = check.get("args", {})
+        yield from ((args, k) for k in args)
+        for k, v in args.items():
+            if k.startswith("witness"):
+                yield from ((v, w) for w in v)
+
+
 class TestStructuralFuzz:
     """Seeded structural mutations of the corpus files' context, objects
-    and check args (a key deleted, or a value replaced by one of another
-    JSON type; expression text is never edited). Each mutated file is
-    either refused at load with the file and a JSON path, or loads,
-    every object builds or raises a VessiotError, and every check ends
-    in OK, FAIL or an ERROR that carries a VessiotError."""
+    and check args (a declared key renamed, a key deleted, or a value
+    replaced by one of another JSON type; expression text is never
+    edited). A file with a renamed key is refused at load with the file
+    and a JSON path; any other mutated file is either refused so, or
+    loads, every object builds or raises a VessiotError, and every check
+    ends in OK, FAIL or an ERROR that carries a VessiotError."""
 
     REPLACEMENTS = ["x", 0, 7, -1, 2.5, True, [], {}, None]
 
     def mutate(self, doc, rng):
+        """Mutate ``doc`` in place; True when a key was renamed."""
+        if rng.random() < 0.2:
+            container, key = rng.choice(list(_declared_keys(doc)))
+            container[key + rng.choice("_sx")] = container.pop(key)
+            return True
         areas = [list(_slots(doc, "context"))]
         if "objects" in doc:
             areas.append(list(_slots(doc, "objects")))
@@ -744,15 +892,18 @@ class TestStructuralFuzz:
             container[key] = rng.choice([
                 v for v in self.REPLACEMENTS if _json_type(v) != old
             ])
+        return False
 
     def test_mutations_load_or_fail_with_a_location(self):
         docs = [json.loads(p.read_text())
                 for p in sorted(CORPUS.glob("*.json"))]
         rng = random.Random(8)
         outcomes = {"refused": 0, "loaded": 0}
+        renames = 0
         for _ in range(650):
             doc = copy.deepcopy(rng.choice(docs))
-            self.mutate(doc, rng)
+            renamed = self.mutate(doc, rng)
+            renames += renamed
             try:
                 pf = parse_problem(json.dumps(doc), "fuzz.json")
             except (ProblemSyntaxError, UnknownReference,
@@ -762,6 +913,7 @@ class TestStructuralFuzz:
                     str(exc)), str(exc)
                 outcomes["refused"] += 1
                 continue
+            assert not renamed, json.dumps(doc)
             outcomes["loaded"] += 1
             for name, (kind, _) in pf.objects.items():
                 try:
@@ -773,4 +925,5 @@ class TestStructuralFuzz:
                 assert r.status != "ERROR" or (
                     isinstance(error, type)
                     and issubclass(error, VessiotError)), r.traceback
-        assert min(outcomes.values()) > 50, outcomes
+        assert min(outcomes.values()) > 50 and renames > 50, (
+            outcomes, renames)

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module or a test file imports is used."""
+"""Source hygiene: every name a module or a test file imports is used,
+and each of two representations has one owning module."""
 import ast
 from pathlib import Path
 
@@ -65,3 +66,47 @@ def test_scan_finds_an_unused_import():
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def representation_leaks(source, module):
+    """Calls of ``normalize`` outside ``symcore`` (a RationalExpr is
+    canonical by construction, so only symcore's entry points turn a
+    caller's value into one) and subscripts of a ``.key`` attribute
+    outside ``symcore`` and ``jets`` (the jet index layout is read only
+    through ``jets``), as (what, line) pairs."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if module != "symcore" and isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name == "normalize":
+                out.append(("normalize", node.lineno))
+        if (module not in ("symcore", "jets")
+                and isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "key"):
+            out.append((".key[]", node.lineno))
+    return out
+
+
+def test_scan_finds_representation_leaks():
+    source = (
+        "from . import symcore\n"
+        "e = symcore.normalize(x)\n"
+        "f = normalize(y)\n"
+        "order = v.key[2]\n"
+        "k = v.key\n"
+    )
+    leaks = [(".key[]", 4), ("normalize", 2), ("normalize", 3)]
+    assert sorted(representation_leaks(source, "systems")) == leaks
+    assert representation_leaks(source, "jets") == leaks[1:]
+    assert representation_leaks(source, "symcore") == []
+
+
+SOURCES = sorted((ROOT / "src" / "vessiot").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_one_owner_for_canonical_form_and_jet_index(path):
+    assert representation_leaks(path.read_text(), path.stem) == []

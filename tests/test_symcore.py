@@ -29,7 +29,6 @@ from vessiot.symcore import (
     mono_mul,
     poly_divexact,
     poly_gcd,
-    is_zero,
     normalize,
     partial,
     substitute,
@@ -103,6 +102,14 @@ class TestNormalize:
             eval_point(value, {})
         with pytest.raises(TypeError, match=match):
             substitute(value, {})
+
+    @pytest.mark.parametrize("value", [None, 1.5, "x"])
+    def test_reflected_operators_refuse_non_expressions(self, surf, value):
+        e = surf.expr("x1")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            value - e
+        with pytest.raises(TypeError, match="unsupported operand"):
+            value / e
 
 
 class TestSubstitute:
@@ -233,10 +240,10 @@ class TestEvalPoint:
 class TestIsZero:
     def test_binomial(self, surf):
         a, b = surf.expr("x1"), surf.expr("y1")
-        assert is_zero((a + b) ** 2 - a**2 - 2 * a * b - b**2)
+        assert ((a + b) ** 2 - a**2 - 2 * a * b - b**2).is_zero()
 
     def test_nonzero(self, surf):
-        assert not is_zero(surf.expr("y1[x1]"))
+        assert not surf.expr("y1[x1]").is_zero()
 
     def test_lagrange_identity(self):
         ctx = JetContext(["x"], ["y1", "y2"], max_order=2)
@@ -245,7 +252,7 @@ class TestIsZero:
         ga = E("y1[x]*y1[x,x] + y2[x]*y2[x,x]")
         si = E("y1[x]*y2[x,x] - y2[x]*y1[x,x]")
         up = E("y1[x,x]^2 + y2[x,x]^2")
-        assert is_zero(om * up - ga**2 - si**2)
+        assert (om * up - ga**2 - si**2).is_zero()
 
 
 class TestHenrici:

@@ -5,13 +5,13 @@ Problem files are JSON documents with four sections: ``context``
 ``objects`` (surfaces, curves, sections, systems, generator sets) and
 ``checks`` (named check invocations with expected statuses).
 
-A file is fully checked at load: the context and its ``max_order``,
-every object spec (one loader per kind parses each expression once, and
-a system's leading jets must not clash), and each check's arguments, as
-the op declares them in ``OPS``, every value read once.  An undeclared
-key is refused at every level (``_known``), and so is a check that could
-only end in an ERROR (a system of order 0 for characters, a section
-short of the frame gauging needs, ...).  The first error names the file
+A file is fully checked at load: each level of it (the context, each
+object kind in ``KINDS``, equations, generator fields, check entries
+and each op's arguments in ``OPS``) declares its keys in one schema,
+read by one walk that parses each expression once.  An undeclared or
+missing key, an ill-typed value and a check that could only end in an
+ERROR (a system of order 0 for characters, a section short of the frame
+gauging needs, ...) are refused alike.  The first error names the file
 and a JSON path (``f.json:objects.S.order``), and ``vessiot check``
 exits 2.  Objects are built on first use, from the inputs parsed at
 load.  The runner executes each check through the owning module with its
@@ -29,7 +29,7 @@ import sys
 import time
 import traceback
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter, methodcaller
@@ -66,7 +66,6 @@ def default_corpus_dir():
 @dataclass
 class Options:
     only: str | None = None
-    corpus_dir: Path = field(default_factory=default_corpus_dir)
     traceback: bool = False  # an ERROR result keeps its formatted stack
 
 
@@ -115,7 +114,9 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing: one loader per object kind reads its JSON layout once
+# parsing: ``_read_args`` reads each level of a file by its schema, {key:
+# (reader, required)}; a reader(value, where, load) checks one value and
+# returns it as it is used
 
 
 def _fail(where, message):
@@ -152,31 +153,27 @@ def parse_problem(data, path="<memory>", max_order=None):
                      ("checks", list)):
         _require(isinstance(raw.get(key) or typ(), typ), f"{path}:{key}",
                  f"expected a JSON {'array' if typ is list else 'object'}")
-    ctx = _parse_context(raw["context"], path, max_order)
+    ctx = _read_context(raw["context"], path, max_order)
     definitions = {}
     for name, text in (raw.get("definitions") or {}).items():
         definitions[name] = _parse(
             ctx, text, f"{path}:definitions.{name}", definitions
         )
-
-    def expr(text, where):
-        return _parse(ctx, text, where, definitions)
-
-    objects, shapes = {}, {}
+    objects, facts = {}, {}
     for name, spec in (raw.get("objects") or {}).items():
         where = f"{path}:objects.{name}"
-        _require(isinstance(spec, dict), where, "object must be an object")
-        kind = spec.get("kind")
-        _require(isinstance(kind, str) and kind in _LOADERS, where,
+        kind = _json_object(spec, where, None).get("kind")
+        _require(isinstance(kind, str) and kind in KINDS, where,
                  f"unknown object kind {kind!r}")
-        build, shapes[name] = _LOADERS[kind](ctx, spec, where, expr)
-        objects[name] = (kind, cache(build))
+        make, schema = KINDS[kind]
+        load = _Load(ctx, definitions, objects, facts, spec)
+        facts[name] = _read_args(schema, spec, where, load)
+        objects[name] = (kind, cache(make(facts[name], where, load)))
     checks = []
     seen = set()
     for i, c in enumerate(raw.get("checks") or []):
         where = f"{path}:checks[{i}]"
-        _require(isinstance(c, dict), where, "check must be an object")
-        _known(c, ("id", "op", "expect", "args"), where)
+        c = _read_args(_CHECK, c, where, None)
         cid = c.get("id")
         _require(isinstance(cid, str) and cid, where, "check needs an 'id'")
         _require(cid not in seen, where, f"duplicate check id {cid!r}")
@@ -188,292 +185,17 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args", {})
-        load = _Load(ctx, expr, objects, shapes, args)
+        load = _Load(ctx, definitions, objects, facts, args)
         checks.append(CheckSpec(cid, op, _read_args(
             OPS[op][1], args, f"{where}.args", load), expect))
     return ProblemFile(path, ctx, objects, checks)
 
 
-def _member(spec, key, typ, where, required=False):
-    """``spec[key]`` (an empty ``typ`` when absent and not ``required``),
-    which must be a JSON array (``typ`` list) or object (``typ`` dict)."""
-    _require(key in spec or not required, f"{where}.{key}", "missing")
-    return _typed(spec.get(key, typ()), typ, f"{where}.{key}")
-
-
-def _typed(value, typ, where):
-    """``value``, which must be a JSON array (``typ`` list) or object
-    (``typ`` dict)."""
-    _require(isinstance(value, typ), where,
-             f"expected a JSON {'array' if typ is list else 'object'}, "
-             f"got {value!r}")
-    return value
-
-
-def _known(spec, keys, where):
-    """Check that ``spec`` is a JSON object with no key outside ``keys``;
-    another key is an error at ``where.key``."""
-    for key in _typed(spec, dict, where):
-        _require(key in keys, f"{where}.{key}", "unknown argument "
-                 f"(expected one of: {', '.join(keys)})")
-
-
-def _names(spec, key, where):
-    names = _member(spec, key, list, where)
-    for i, name in enumerate(names):
-        _require(isinstance(name, str), f"{where}.{key}[{i}]",
-                 f"expected a name, got {name!r}")
-    return names
-
-
-def _max_order(value, where):
-    _require(type(value) is int and value >= 0, where,
-             f"must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _parse_context(spec, path, max_order=None):
-    where = f"{path}:context"
-    _require(isinstance(spec, dict), where, "context must be an object")
-    _known(spec, ("independents", "dependents", "parameters", "specials",
-                  "max_order"), where)
-    independents = _names(spec, "independents", where)
-    parameters = _names(spec, "parameters", where)
-    deps = []
-    for i, d in enumerate(_member(spec, "dependents", list, where)):
-        if isinstance(d, str):
-            deps.append(d)
-        else:
-            _require(
-                isinstance(d, list) and len(d) == 2
-                and isinstance(d[0], str) and isinstance(d[1], list)
-                and all(isinstance(b, str) for b in d[1]),
-                f"{where}.dependents[{i}]",
-                f"dependent must be a name or [name, base-list], got {d!r}",
-            )
-            deps.append((d[0], tuple(d[1])))
-    specials = []
-    for i, s in enumerate(_member(spec, "specials", list, where)):
-        _require(
-            isinstance(s, list) and len(s) in (3, 4)
-            and all(isinstance(part, str) for part in s),
-            f"{where}.specials[{i}]",
-            "special must be [name, base, derivative] or [name, base, "
-            f"derivative, rewrite], got {s!r}",
-        )
-        specials.append(tuple(s))
-    order = _max_order(spec.get("max_order", 4), f"{where}.max_order")
-    if max_order is not None:
-        order = _max_order(max_order, f"{path}: --max-order")
-    try:
-        ctx = JetContext(independents, deps, parameters=parameters,
-                         specials=specials, max_order=order)
-    except (VessiotError, ValueError) as exc:  # unknown base, duplicate
-        _fail(where, exc)
-    try:
-        ctx.rules  # parses each special's derivative and rewrite now
-    except (VessiotError, ValueError) as exc:
-        _fail(f"{where}.specials", exc)
-    return ctx
-
-
-def _parse(ctx, text, where, definitions=None):
-    """The one parse of an expression string; errors name ``where``."""
-    _require(isinstance(text, str), where,
-             f"expected an expression string, got {text!r}")
-    try:
-        return ctx.expr(text, extra=definitions)
-    except UnknownVariable as exc:
-        raise UnknownReference(f"{where}: {exc}")
-    except VessiotError as exc:
-        _fail(where, exc)
-
-
-def _variable(ctx, text, where, jet=False):
-    """The variable (a ``jet`` if asked) that ``text`` names."""
-    e = _parse(ctx, text, where)
-    vs = list(e.variables())
-    _require(len(vs) == 1 and e == RationalExpr.var(vs[0])
-             and (vs[0].kind == "jet" or not jet), where,
-             f"not a plain {'jet' if jet else 'variable'}: {text!r}")
-    return vs[0]
-
-
-def _order(ctx, spec, where, default=None):
-    """``spec["order"]``, 0 to max_order; required without a default."""
-    order = spec.get("order", default)
-    _require(type(order) is int and 0 <= order <= ctx.max_order,
-             f"{where}.order", f"expected an integer from 0 to max_order "
-             f"{ctx.max_order}, got {order!r}")
-    return order
-
-
-def _load_explicit(invariants_of, n_independents, counts,
-                   ctx, spec, where, expr):
-    """A surface or a curve: explicit components (their number is its
-    shape).
-    ``invariants_of`` names the geomkit function, looked up when the
-    object is built, so that a rebinding of it (a tracer's) is seen."""
-    _known(spec, ("kind", "components"), where)
-    at = f"{where}.components"
-    comps = [expr(c, f"{at}[{i}]") for i, c in
-             enumerate(_member(spec, "components", list, where))]
-    _require(len(ctx.independents) == n_independents
-             and len(comps) in counts, at,
-             f"expected {'/'.join(map(str, counts))} components over "
-             f"{n_independents} independent(s)")
-    return (lambda: getattr(geomkit, invariants_of)(ctx, comps)), len(comps)
-
-
-def _load_section(ctx, spec, where, expr):
-    """Explicit ``components`` prolonged to ``order``, or the ``jets``
-    themselves, keyed by one count per independent (``"1,0"``): every
-    jet index of a listed dependent up to ``order`` and no other.  Its
-    shape is (order, the dependents it lists)."""
-    _known(spec, ("kind", "order", "components", "jets"), where)
-    _require(not {"components", "jets"} <= spec.keys(), f"{where}.jets",
-             "a section gives 'components' or 'jets', not both")
-    order = _order(ctx, spec, where)
-    if "jets" not in spec:
-        comps = {}
-        for dep, text in _member(spec, "components", dict, where,
-                                 True).items():
-            at = f"{where}.components.{dep}"
-            _require(dep in ctx.bases, at, f"{dep!r} is not a dependent")
-            comps[dep] = expr(text, at)
-        return (lambda: holonomic_section(ctx, comps, order,
-                                          deps=list(comps))), (order, comps)
-    values = {}
-    listed = _member(spec, "jets", dict, where)
-    for dep, jets in listed.items():
-        at = f"{where}.jets.{dep}"
-        _require(dep in ctx.bases and isinstance(jets, dict), at,
-                 f"expected jets of a dependent, got {dep!r}: {jets!r}")
-        for mu, text in jets.items():
-            counts = mu.split(",")
-            _require(len(counts) == len(ctx.independents)
-                     and all(n.strip().isdecimal() for n in counts),
-                     f"{at}.{mu}", f"jet index {mu!r} needs one count "
-                     f"per independent variable")
-            key = (dep, tuple(map(int, counts)))
-            _require(key not in values, f"{at}.{mu}", "duplicate jet index")
-            values[key] = expr(text, f"{at}.{mu}")
-        want = {mu for o in range(order + 1)
-                for mu in ctx.multi_indices(o, ctx.bases[dep])}
-        for mu in sorted(want ^ {m for d, m in values if d == dep}):
-            _fail(at, f"{'missing' if mu in want else 'unexpected'} jet "
-                  f"index {','.join(map(str, mu))}: expected one value per "
-                  f"jet index of {dep} up to order {order}")
-    return (lambda: JetSection(ctx, order, values)), (order, listed)
-
-
-def _load_system(ctx, spec, where, expr):
-    """Equations ``lhs [= rhs]``, optionally solved for ``leading``, or
-    ``leading = rhs``; an ``ordering`` permutes the independents.  Its
-    shape is its order."""
-    _known(spec, ("kind", "order", "equations", "ordering", "genericity"),
-           where)
-    equations = []
-    for i, eq in enumerate(_member(spec, "equations", list, where)):
-        at = f"{where}.equations[{i}]"
-        _known(eq, ("lhs", "rhs", "leading", "genericity"), at)
-        _require("lhs" in eq or {"leading", "rhs"} <= eq.keys(), at,
-                 "equation needs 'lhs', or 'leading' and 'rhs'")
-        lhs, rhs = (expr(eq[k], f"{at}.{k}") if k in eq else None
-                    for k in ("lhs", "rhs"))
-        lead = (_variable(ctx, eq["leading"], f"{at}.leading", jet=True)
-                if "leading" in eq else None)
-        gen = [expr(g, f"{at}.genericity[{j}]") for j, g in
-               enumerate(_member(eq, "genericity", list, at))]
-        if lhs is None:  # solved: leading = rhs
-            lhs = RationalExpr.var(lead)
-        equations.append(systems.implicit_equation(lhs, rhs, lead, gen))
-    conflict = systems.leading_conflict(equations)
-    if conflict is not None:
-        _fail(f"{where}.equations[{conflict[0]}].leading", conflict[1])
-    ordering = _names(spec, "ordering", where) if "ordering" in spec else None
-    _require(ordering is None or sorted(ordering) == sorted(ctx.independents),
-             f"{where}.ordering", f"expected a permutation of the "
-             f"independents {ctx.independents}, got {ordering!r}")
-    genericity = [expr(g, f"{where}.genericity[{j}]") for j, g in
-                  enumerate(_member(spec, "genericity", list, where))]
-    order = _order(ctx, spec, where)
-    return (lambda: systems.SolvedSystem(
-        ctx, order, equations, ordering=ordering, genericity=genericity,
-    )), order
-
-
-def _load_genset(ctx, spec, where, expr):
-    """Nonzero polynomial ``generators``."""
-    _known(spec, ("kind", "generators"), where)
-    gens = []
-    for i, g in enumerate(_member(spec, "generators", list, where, True)):
-        gens.append(expr(g, f"{where}.generators[{i}]"))
-        _require(gens[-1].is_polynomial() and not gens[-1].is_zero(),
-                 f"{where}.generators[{i}]",
-                 f"expected a nonzero polynomial, got {g!r}")
-    return (lambda: diffideal.DiffPolySet(ctx, gens)), None
-
-
-def _load_generators(ctx, spec, where, expr):
-    """Labelled vector ``fields`` (variable -> component) at ``order``.
-    Its shape is (number of fields, order, whether every field has
-    order-0 data only and so can be prolonged above ``order``)."""
-    _known(spec, ("kind", "order", "fields"), where)
-    order = _order(ctx, spec, where, default=0)
-    fields, labels = [], []
-    for i, f in enumerate(_member(spec, "fields", list, where, True)):
-        at = f"{where}.fields[{i}]"
-        _known(f, ("label", "components"), at)
-        labels.append(f.get("label", f"theta{i + 1}"))
-        _require(isinstance(labels[-1], str), f"{at}.label",
-                 f"label must be a string, got {labels[-1]!r}")
-        fields.append(VectorField({
-            _variable(ctx, k, f"{at}.components.{k}"):
-                expr(v, f"{at}.components.{k}")
-            for k, v in _member(f, "components", dict, at).items()
-        }))
-    _require(fields, f"{where}.fields", "needs at least one field")
-    liftable = all(map(invariants.is_point_field, fields))
-    return (lambda: invariants.GeneratorSet(
-        ctx, fields, order, tuple(labels)
-    )), (len(fields), order, liftable)
-
-
-# object kind -> loader(ctx, spec, where, expr) -> (constructor, shape);
-# the shape (what each loader's docstring names, None for a genset) is
-# what some check arguments are read against
-_LOADERS = {
-    "surface": partial(_load_explicit, "surface_invariants", 2, (3,)),
-    "curve": partial(_load_explicit, "curve_invariants", 1, (2, 3)),
-    "section": _load_section,
-    "system": _load_system,
-    "genset": _load_genset,
-    "generators": _load_generators,
-}
-
-
-def _lookup(objects, name, kind, where):
-    """The constructor of object ``name``, which must be a ``kind``."""
-    entry = objects.get(name)
-    if entry is None:
-        raise UnknownReference(f"{where}: no object named {name!r}")
-    if entry[0] != kind:
-        raise ContextMismatch(
-            f"{where}: object {name!r} is a {entry[0]}, not a {kind}"
-        )
-    return entry[1]
-
-
-# ---------------------------------------------------------------------------
-# check arguments: ``OPS`` declares each op's keys as {key: (reader,
-# required)}; a reader(value, where, load) checks one value and returns
-# it as the op uses it
-
-# what check arguments are read against: the context, the expression
-# parser (text, where) with the definitions, the objects, their shapes
-# (object name -> shape, from its loader) and the arguments as written
-_Load = namedtuple("_Load", "ctx expr objects shapes args")
+# what a reader reads against: the context, the definitions, the objects
+# (name -> (kind, constructor)) and their facts (name -> the values its
+# kind's schema read, and the defaults its make filled in), and the JSON
+# object being read
+_Load = namedtuple("_Load", "ctx definitions objects facts args")
 
 
 def _read_args(schema, args, where, load):
@@ -481,7 +203,9 @@ def _read_args(schema, args, where, load):
     schema's order: a key the schema does not declare, a missing
     required key and a value its reader refuses are all errors at
     ``where.key``."""
-    _known(args, schema, where)
+    for key in _json_object(args, where, load):
+        _require(key in schema, f"{where}.{key}", "unknown argument "
+                 f"(expected one of: {', '.join(schema)})")
     out = {}
     for key, (reader, required) in schema.items():
         if key in args:
@@ -500,6 +224,286 @@ def _json(typ, what):
     return read
 
 
+_json_object = _json(dict, "a JSON object")
+_json_array = _json(list, "a JSON array")
+
+
+def _list(item):
+    """A JSON array, each entry read by ``item``."""
+    def read(value, where, load):
+        return [item(v, f"{where}[{i}]", load)
+                for i, v in enumerate(_json_array(value, where, load))]
+    return read
+
+
+def _map(key, item, what="key"):
+    """A JSON object, each value read by ``item`` and then its key by
+    ``key``, both at ``where.key``; two keys may not read the same."""
+    def read(value, where, load):
+        out = {}
+        for k, v in _json_object(value, where, load).items():
+            at = f"{where}.{k}"
+            v = item(v, at, load)
+            k = key(k, at, load)
+            _require(k not in out, at, f"duplicate {what}")
+            out[k] = v
+        return out
+    return read
+
+
+def _parse(ctx, text, where, definitions=None):
+    """The one parse of an expression string; errors name ``where``."""
+    _require(isinstance(text, str), where,
+             f"expected an expression string, got {text!r}")
+    try:
+        return ctx.expr(text, extra=definitions)
+    except UnknownVariable as exc:
+        raise UnknownReference(f"{where}: {exc}")
+    except VessiotError as exc:
+        _fail(where, exc)
+
+
+def _expr(value, where, load):
+    """An expression string, which may use the definitions."""
+    return _parse(load.ctx, value, where, load.definitions)
+
+
+def _variable(text, where, load, jet=False):
+    """The variable (a ``jet`` if asked) that ``text`` names."""
+    e = _parse(load.ctx, text, where)
+    vs = list(e.variables())
+    _require(len(vs) == 1 and e == RationalExpr.var(vs[0])
+             and (vs[0].kind == "jet" or not jet), where,
+             f"not a plain {'jet' if jet else 'variable'}: {text!r}")
+    return vs[0]
+
+
+def _dependent_name(dep, where, load):
+    _require(dep in load.ctx.bases, where, f"{dep!r} is not a dependent")
+    return dep
+
+
+_name = _json(str, "a name")
+
+
+def _dependent(value, where, load):
+    """A name, or [name, base-list] as (name, bases)."""
+    if isinstance(value, str):
+        return value
+    _require(isinstance(value, list) and len(value) == 2
+             and isinstance(value[0], str) and isinstance(value[1], list)
+             and all(isinstance(b, str) for b in value[1]), where,
+             f"dependent must be a name or [name, base-list], got {value!r}")
+    return value[0], tuple(value[1])
+
+
+def _special(value, where, load):
+    """[name, base, derivative] or [name, base, derivative, rewrite]."""
+    _require(isinstance(value, list) and len(value) in (3, 4)
+             and all(isinstance(part, str) for part in value), where,
+             "special must be [name, base, derivative] or [name, base, "
+             f"derivative, rewrite], got {value!r}")
+    return tuple(value)
+
+
+def _max_order(value, where, load=None):
+    _require(type(value) is int and value >= 0, where,
+             f"must be a non-negative integer, got {value!r}")
+    return value
+
+
+# JetContext's parameters
+_CONTEXT = {"independents": (_list(_name), False),
+            "dependents": (_list(_dependent), False),
+            "parameters": (_list(_name), False),
+            "specials": (_list(_special), False),
+            "max_order": (_max_order, False)}
+
+
+def _read_context(spec, path, max_order=None):
+    """The context; ``max_order`` (``--max-order``) replaces its own."""
+    where = f"{path}:context"
+    c = {"independents": [], "dependents": [],
+         **_read_args(_CONTEXT, spec, where, None)}
+    if max_order is not None:
+        c["max_order"] = _max_order(max_order, f"{path}: --max-order")
+    try:
+        ctx = JetContext(**c)
+    except (VessiotError, ValueError) as exc:  # unknown base, duplicate
+        _fail(where, exc)
+    try:
+        ctx.rules  # parses each special's derivative and rewrite now
+    except (VessiotError, ValueError) as exc:
+        _fail(f"{where}.specials", exc)
+    return ctx
+
+
+# a check entry; ``parse_problem`` checks its id against the other
+# entries, its op against ``OPS`` and its args by the op's schema
+_CHECK = dict.fromkeys(("id", "op", "expect", "args"),
+                       (lambda value, where, load: value, False))
+
+
+def _order(value, where, load):
+    """An object's order, 0 to the context's max_order."""
+    _require(type(value) is int and 0 <= value <= load.ctx.max_order, where,
+             f"expected an integer from 0 to max_order "
+             f"{load.ctx.max_order}, got {value!r}")
+    return value
+
+
+def _explicit(invariants_of, n_independents, counts, c, where, load):
+    """A surface or a curve, from its explicit ``components``.
+    ``invariants_of`` names the geomkit function, looked up when the
+    object is built, so that a rebinding of it (a tracer's) is seen."""
+    ctx, comps = load.ctx, c["components"]
+    _require(len(ctx.independents) == n_independents
+             and len(comps) in counts, f"{where}.components",
+             f"expected {'/'.join(map(str, counts))} components over "
+             f"{n_independents} independent(s)")
+    return lambda: getattr(geomkit, invariants_of)(ctx, comps)
+
+
+def _jet_index(mu, where, load):
+    """One count per independent (``"1,0"``), as a multi-index."""
+    counts = mu.split(",")
+    _require(len(counts) == len(load.ctx.independents)
+             and all(n.strip().isdecimal() for n in counts), where,
+             f"jet index {mu!r} needs one count per independent variable")
+    return tuple(map(int, counts))
+
+
+def _section(s, where, load):
+    """Explicit ``components`` prolonged to ``order``, or the ``jets``
+    themselves: every jet index of a listed dependent up to ``order``
+    and no other."""
+    _require(not {"components", "jets"} <= s.keys(), f"{where}.jets",
+             "a section gives 'components' or 'jets', not both")
+    _require(s.keys() & {"components", "jets"}, f"{where}.components",
+             "missing argument")
+    ctx, order = load.ctx, s["order"]
+    if "components" in s:
+        comps = s["components"]
+        return lambda: holonomic_section(ctx, comps, order, deps=list(comps))
+    for dep, jets in s["jets"].items():
+        want = {mu for o in range(order + 1)
+                for mu in ctx.multi_indices(o, ctx.bases[dep])}
+        for mu in sorted(want ^ jets.keys()):
+            _fail(f"{where}.jets.{dep}",
+                  f"{'missing' if mu in want else 'unexpected'} jet index "
+                  f"{','.join(map(str, mu))}: expected one value per jet "
+                  f"index of {dep} up to order {order}")
+    values = {(dep, mu): e for dep, jets in s["jets"].items()
+              for mu, e in jets.items()}
+    return lambda: JetSection(ctx, order, values)
+
+
+_EQUATION = {"lhs": (_expr, False), "rhs": (_expr, False),
+             "leading": (partial(_variable, jet=True), False),
+             "genericity": (_list(_expr), False)}
+
+
+def _equation(value, where, load):
+    """``lhs [= rhs]``, optionally solved for ``leading``, or ``leading =
+    rhs``."""
+    eq = _read_args(_EQUATION, value, where, load)
+    _require("lhs" in eq or {"leading", "rhs"} <= eq.keys(), where,
+             "equation needs 'lhs', or 'leading' and 'rhs'")
+    lead = eq.get("leading")
+    return systems.implicit_equation(
+        eq["lhs"] if "lhs" in eq else RationalExpr.var(lead), eq.get("rhs"),
+        lead, eq.get("genericity", []))
+
+
+def _system(s, where, load):
+    """Equations whose leading jets do not clash, at ``order``; an
+    ``ordering`` permutes the independents."""
+    ctx, equations = load.ctx, s.setdefault("equations", [])
+    conflict = systems.leading_conflict(equations)
+    if conflict is not None:
+        _fail(f"{where}.equations[{conflict[0]}].leading", conflict[1])
+    _require(sorted(s.get("ordering", ctx.independents))
+             == sorted(ctx.independents), f"{where}.ordering",
+             f"expected a permutation of the independents "
+             f"{ctx.independents}, got {s.get('ordering')!r}")
+    return lambda: systems.SolvedSystem(
+        ctx, s["order"], equations, ordering=s.get("ordering"),
+        genericity=s.get("genericity", []))
+
+
+def _generator(value, where, load):
+    g = _expr(value, where, load)
+    _require(g.is_polynomial() and not g.is_zero(), where,
+             f"expected a nonzero polynomial, got {value!r}")
+    return g
+
+
+def _genset(s, where, load):
+    ctx, gens = load.ctx, s["generators"]
+    return lambda: diffideal.DiffPolySet(ctx, gens)
+
+
+_GENERATOR_FIELD = {"label": (_json(str, "a label"), False),
+                    "components": (_map(_variable, _expr), False)}
+
+
+def _fields(value, where, load):
+    """At least one vector field, as (label, VectorField) pairs; the
+    label of the i-th defaults to ``theta<i>``."""
+    fields = _list(partial(_read_args, _GENERATOR_FIELD))(value, where, load)
+    _require(fields, where, "needs at least one field")
+    return [(f.get("label", f"theta{i + 1}"),
+             VectorField(f.get("components", {})))
+            for i, f in enumerate(fields)]
+
+
+def _generators(g, where, load):
+    ctx, order = load.ctx, g.setdefault("order", 0)
+    labels, fields = zip(*g["fields"])
+    return lambda: invariants.GeneratorSet(ctx, list(fields), order, labels)
+
+
+_KIND = {"kind": (_name, True)}
+
+# object kind -> (make, {key: (reader, required)}): the one declaration
+# of each kind's keys.  The values read are the object's facts, which
+# some check arguments are read against; make(facts, where, load) checks
+# the rules that span keys and returns the object's constructor
+KINDS = {
+    "surface": (partial(_explicit, "surface_invariants", 2, (3,)),
+                {**_KIND, "components": (_list(_expr), True)}),
+    "curve": (partial(_explicit, "curve_invariants", 1, (2, 3)),
+              {**_KIND, "components": (_list(_expr), True)}),
+    "section": (_section, {
+        **_KIND, "order": (_order, True),
+        "components": (_map(_dependent_name, _expr), False),
+        "jets": (_map(_dependent_name, _map(_jet_index, _expr, "jet index")),
+                 False)}),
+    "system": (_system, {**_KIND, "equations": (_list(_equation), False),
+                         "ordering": (_list(_name), False),
+                         "genericity": (_list(_expr), False),
+                         "order": (_order, True)}),
+    "genset": (_genset, {**_KIND, "generators": (_list(_generator), True)}),
+    "generators": (_generators, {**_KIND, "order": (_order, False),
+                                 "fields": (_fields, True)}),
+}
+
+
+def _lookup(objects, name, kind, where):
+    """The constructor of object ``name``, which must be a ``kind``."""
+    entry = objects.get(name)
+    if entry is None:
+        raise UnknownReference(f"{where}: no object named {name!r}")
+    if entry[0] != kind:
+        raise ContextMismatch(
+            f"{where}: object {name!r} is a {entry[0]}, not a {kind}"
+        )
+    return entry[1]
+
+
+# ---------------------------------------------------------------------------
+# check arguments: ``OPS`` declares each op's keys
+
 _flag = _json(bool, "true or false")
 
 
@@ -517,8 +521,21 @@ def _system_of_order_1(value, where, load):
     """The name of a system of order 1 or more (characters, the Cartan
     test and Janet boards have no meaning at order 0)."""
     _ref("system")(value, where, load)
-    _require(load.shapes[value] >= 1, where, f"needs a system of order "
-             f">= 1, got {value!r} of order {load.shapes[value]}")
+    order = load.facts[value]["order"]
+    _require(order >= 1, where, f"needs a system of order >= 1, got "
+             f"{value!r} of order {order}")
+    return value
+
+
+def _janet_system(value, where, load):
+    """The name of a system of order 1 or more whose leading jets are of
+    order 1 or more (a row's class is that of its leading jet, and an
+    order-0 jet has none)."""
+    _system_of_order_1(value, where, load)
+    for i, e in enumerate(load.facts[value]["equations"]):
+        if e.leading is not None and jet_order(e.leading) == 0:
+            _fail(where, f"needs leading jets of order >= 1, got "
+                  f"{e.leading.name} in {value!r}.equations[{i}]")
     return value
 
 
@@ -533,7 +550,8 @@ def _frame_section(value, where, load):
              f"needs a context with 1 independent and 2 or 3 dependents, or "
              f"2 independents and 3, got {n} and {m}")
     need = m if n == 1 else 1
-    order, listed = load.shapes[value]
+    s = load.facts[value]
+    order, listed = s["order"], s.get("components", s.get("jets"))
     _require(order >= need and all(d in listed for d in deps), where,
              f"needs a section of every dependent ({', '.join(deps)}) up "
              f"to order {need}, got {', '.join(listed) or 'none'} up to "
@@ -549,7 +567,7 @@ def _count(value, where, load, least=0):
 
 def _expr_arg(value, where, load):
     """An expression; an int reads as its digits."""
-    return load.expr(str(value) if type(value) is int else value, where)
+    return _expr(str(value) if type(value) is int else value, where, load)
 
 
 def _contact_hamiltonian(value, where, load):
@@ -565,10 +583,11 @@ def _contact_hamiltonian(value, where, load):
 def _reached(q, where, load):
     """Order ``q``, which the check's generators must reach: a set given
     by jet-level components is not raised above its own order."""
-    _, order, liftable = load.shapes[load.args["generators"]]
-    _require(liftable or q <= order, where,
-             f"needs order {q}, above the order {order} of generators given "
-             f"by jet-level components")
+    g = load.facts[load.args["generators"]]
+    _require(q <= g["order"] or all(
+        invariants.is_point_field(f) for _, f in g["fields"]), where,
+        f"needs order {q}, above the order {g['order']} of generators "
+        f"given by jet-level components")
     return q
 
 
@@ -588,7 +607,7 @@ def _torsion(value, where, load):
     space curve (3 components)."""
     if value is None:
         return None
-    _require(load.shapes[load.args["curve"]] == 3, where,
+    _require(len(load.facts[load.args["curve"]]["components"]) == 3, where,
              "a plane curve has no torsion; expected null")
     return _expr_arg(value, where, load)
 
@@ -600,7 +619,7 @@ def _array(item, per):
         n = len(getattr(load.ctx, per))
         _require(isinstance(value, list) and len(value) == n, where,
                  f"expected an array of {n} entries, got {value!r}")
-        return [item(v, f"{where}[{i}]", load) for i, v in enumerate(value)]
+        return _list(item)(value, where, load)
     return read
 
 
@@ -611,12 +630,6 @@ def _one_independent(reader):
                  "needs a context with one independent")
         return reader(value, where, load)
     return read
-
-
-def _expr_map(value, where, load):
-    """Quantity name -> expression."""
-    return {k: _expr_arg(v, f"{where}.{k}", load)
-            for k, v in _typed(value, dict, where).items()}
 
 
 # indexed surface quantity -> (SurfaceData method, number of indices)
@@ -641,11 +654,7 @@ def _surface_quantity(key, where, load=None):
     return methodcaller(method, *(int(i) for i in idx))
 
 
-def _surface_values(value, where, load):
-    """Surface quantity name -> expression, as (quantity, expression)
-    pairs."""
-    return [(_surface_quantity(k, f"{where}.{k}"), v)
-            for k, v in _expr_map(value, where, load).items()]
+_surface_values = _map(_surface_quantity, _expr_arg)
 
 
 # the quantities of a curve with 2 or 3 components (CurveData fields)
@@ -653,21 +662,20 @@ _CURVE_QUANTITIES = {2: ("omega", "gamma", "sigma", "upsilon")}
 _CURVE_QUANTITIES[3] = _CURVE_QUANTITIES[2] + ("phi", "psi", "rho")
 
 
-def _curve_values(value, where, load):
-    """Quantity name of the check's curve -> expression, as (quantity,
-    expression) pairs."""
-    m = load.shapes[load.args["curve"]]
-    names = _CURVE_QUANTITIES[m]
-    out = []
-    for k, v in _expr_map(value, where, load).items():
-        _require(k in names, f"{where}.{k}",
-                 f"unknown curve quantity {k!r} (a curve with {m} "
-                 f"components has {', '.join(names)})")
-        out.append((attrgetter(k), v))
-    return out
+def _curve_quantity(key, where, load):
+    """A quantity name of the check's curve, as the function that reads
+    it off a ``CurveData``."""
+    m = len(load.facts[load.args["curve"]]["components"])
+    _require(key in _CURVE_QUANTITIES[m], where,
+             f"unknown curve quantity {key!r} (a curve with {m} "
+             f"components has {', '.join(_CURVE_QUANTITIES[m])})")
+    return attrgetter(key)
 
 
-def _rational(value, where):
+_curve_values = _map(_curve_quantity, _expr_arg)
+
+
+def _rational(value, where, load=None):
     """A JSON number or a string such as ``"1/2"``."""
     try:
         return Fraction(str(value))
@@ -675,38 +683,35 @@ def _rational(value, where):
         _fail(where, f"expected a rational number, got {value!r}")
 
 
-def _rational_point(value, where, load):
-    """Variable name -> rational value."""
-    out = {}
-    for name, val in _typed(value, dict, where).items():
-        at = f"{where}.{name}"
-        try:
-            var = load.ctx.var(name)
-        except UnknownVariable as exc:
-            raise UnknownReference(f"{at}: unknown variable {exc}")
-        out[var] = _rational(val, at)
-    return out
+def _point_variable(name, where, load):
+    try:
+        return load.ctx.var(name)
+    except UnknownVariable as exc:
+        raise UnknownReference(f"{where}: unknown variable {exc}")
+
+
+# variable name -> rational value
+_rational_point = _map(_point_variable, _rational)
 
 
 def _structure_table(value, where, load):
     """``"rho,sigma"`` (generator numbers from 1 to the n fields of the
     check's generators) -> the n coefficients of their bracket, as
     (key, (rho, sigma) from 0, coefficients)."""
-    n = load.shapes[load.args["generators"]][0]
+    n = len(load.facts[load.args["generators"]]["fields"])
     out = []
-    for key, coeffs in _typed(value, dict, where).items():
+    for key, coeffs in _json_object(value, where, load).items():
         at = f"{where}.{key}"
         pair = key.split(",")
         _require(len(pair) == 2 and all(p.strip().isdecimal()
                                         and 1 <= int(p) <= n for p in pair),
                  at, f"expected a key 'rho,sigma' of generator numbers "
                  f"from 1 to {n}, got {key!r}")
-        coeffs = _typed(coeffs, list, at)
+        coeffs = _json_array(coeffs, at, load)
         _require(len(coeffs) == n, at,
                  f"expected {n} coefficients, got {len(coeffs)}")
         out.append((key, tuple(int(p) - 1 for p in pair),
-                    [_rational(c, f"{at}[{i}]") for i, c in
-                     enumerate(coeffs)]))
+                    _list(_rational)(coeffs, at, load)))
     return out
 
 
@@ -748,13 +753,13 @@ def _residual_report(name, residuals):
     return CheckReport(name, "OK")
 
 
-def op_surface_values(pf, args, options):
+def op_surface_values(pf, args):
     S = _build(pf, args["surface"], "surface")
-    res = [pf.ctx.reduce(q(S) - v) for q, v in args["values"]]
+    res = [pf.ctx.reduce(q(S) - v) for q, v in args["values"].items()]
     return _residual_report("surface_values", res)
 
 
-def op_surface_substitute(pf, args, options):
+def op_surface_substitute(pf, args):
     S = _build(pf, args["surface"], "surface")
     q = args["quantity"](S)
     binding = {v: RationalExpr.const(x) for v, x in args["at"].items()}
@@ -764,7 +769,7 @@ def op_surface_substitute(pf, args, options):
     )
 
 
-def op_gauss_codazzi(pf, args, options):
+def op_gauss_codazzi(pf, args):
     S = _build(pf, args["surface"], "surface")
     c1, c2 = geomkit.codazzi_residual(S)
     return _residual_report(
@@ -772,18 +777,18 @@ def op_gauss_codazzi(pf, args, options):
     )
 
 
-def op_curve_values(pf, args, options):
+def op_curve_values(pf, args):
     C = _build(pf, args["curve"], "curve")
-    res = [pf.ctx.reduce(q(C) - v) for q, v in args["values"]]
+    res = [pf.ctx.reduce(q(C) - v) for q, v in args["values"].items()]
     return _residual_report("curve_values", res)
 
 
-def op_curve_identities(pf, args, options):
+def op_curve_identities(pf, args):
     C = _build(pf, args["curve"], "curve")
     return C.identity_report()
 
 
-def op_frenet(pf, args, options):
+def op_frenet(pf, args):
     C = _build(pf, args["curve"], "curve")
     kappa2, tau = geomkit.frenet_squares(C)
     res = [pf.ctx.reduce(kappa2 - args["kappa2"])]
@@ -802,7 +807,7 @@ def _entries(v):
     return [e for row in v for e in row] if isinstance(v[0], list) else v
 
 
-def op_gauging_forms(pf, args, options):
+def op_gauging_forms(pf, args):
     G = geomkit.gauging(_build(pf, args["source"], "section"),
                         _build(pf, args["target"], "section"))
     got = {"A": G.A, "B": G.B}
@@ -821,7 +826,7 @@ def op_gauging_forms(pf, args, options):
     return _residual_report("gauging_forms", res)
 
 
-def op_characters(pf, args, options):
+def op_characters(pf, args):
     S = _build(pf, args["system"], "system")
     alpha = systems.characters(S, strict=args.get("strict", False))
     got, want = list(alpha), args["expected"]
@@ -833,31 +838,31 @@ def op_characters(pf, args, options):
     )
 
 
-def op_cartan(pf, args, options):
+def op_cartan(pf, args):
     return systems.cartan_test(_build(pf, args["system"], "system"))
 
 
-def op_cartan_bound(pf, args, options):
+def op_cartan_bound(pf, args):
     rep = systems.cartan_test(_build(pf, args["system"], "system"))
     ok = rep.numbers["dim_symbol_next"] <= rep.numbers["bound"]
     return CheckReport("cartan_bound", "OK" if ok else "FAIL",
                        numbers=dict(rep.numbers))
 
 
-def _golden_path(pf, options, name):
+def _golden_path(pf, name):
     """``name`` under ``golden/`` or beside the file, else in the corpus."""
     bases = [] if pf.path == "<memory>" else [Path(pf.path).parent]
-    for base in bases + [options.corpus_dir]:
+    for base in bases + [default_corpus_dir()]:
         for c in (base / "golden" / name, base / name):
             if c.is_file():
                 return c
     raise UnknownReference(f"{pf.path}: golden file {name!r} not found")
 
 
-def op_janet_board(pf, args, options):
+def op_janet_board(pf, args):
     S = _build(pf, args["system"], "system")
     board = systems.janet_board(S).render()
-    ok = board == _golden_path(pf, options, args["golden"]).read_text()
+    ok = board == _golden_path(pf, args["golden"]).read_text()
     return CheckReport(
         "janet_board", "OK" if ok else "FAIL", witness=None if ok else board,
         detail="" if ok else f"differs from {args['golden']}",
@@ -872,7 +877,7 @@ def _count_report(name, key, got, expected):
     )
 
 
-def op_fiber_dimension(pf, args, options):
+def op_fiber_dimension(pf, args):
     S = _build(pf, args["system"], "system")
     dim = systems.fiber_dimension(S, _witness(pf, args, "witness"))
     return _count_report("fiber_dimension", "dimension", dim,
@@ -887,50 +892,50 @@ def _pair(pf, args):
             _witness(pf, args, "witness_groupoid"))
 
 
-def op_phs(pf, args, options):
+def op_phs(pf, args):
     return systems.phs_check(*_pair(pf, args))
 
 
-def op_automorphic(pf, args, options):
+def op_automorphic(pf, args):
     return systems.automorphic_criterion(*_pair(pf, args))
 
 
-def op_compatibility_count(pf, args, options):
+def op_compatibility_count(pf, args):
     S = _build(pf, args["system"], "system")
     return _count_report("compatibility_count", "count",
                          systems.compatibility_count(S), args["expected"])
 
 
-def op_prolong_count(pf, args, options):
+def op_prolong_count(pf, args):
     S = _build(pf, args["genset"], "genset")
     P = diffideal.prolong_gens(S, args["rounds"])
     return _count_report("prolong_count", "generators", len(P.generators),
                          args["expected"])
 
 
-def op_syzygy(pf, args, options):
+def op_syzygy(pf, args):
     return diffideal.syzygy_check(args["combination"])
 
 
-def op_radical_membership(pf, args, options):
+def op_radical_membership(pf, args):
     rep, _cert = diffideal.radical_power_membership(
         pf.ctx, args["element"], args["direction"], args["r"]
     )
     return rep
 
 
-def op_is_invariant(pf, args, options):
+def op_is_invariant(pf, args):
     G = _build(pf, args["generators"], "generators")
     return invariants.is_invariant(args["candidate"], G)
 
 
-def op_invariant_count(pf, args, options):
+def op_invariant_count(pf, args):
     G = _build(pf, args["generators"], "generators")
     n = invariants.invariant_count(pf.ctx, G, args["order"])
     return _count_report("invariant_count", "count", n, args["expected"])
 
 
-def op_structure_table(pf, args, options):
+def op_structure_table(pf, args):
     G = _build(pf, args["generators"], "generators")
     table = invariants.structure_constants(G)
     witness = None
@@ -945,7 +950,7 @@ def op_structure_table(pf, args, options):
     )
 
 
-def op_jacobi_table(pf, args, options):
+def op_jacobi_table(pf, args):
     G = _build(pf, args["generators"], "generators")
     table = invariants.structure_constants(G)
     residuals = invariants.jacobi_residuals(table, len(G.fields))
@@ -957,17 +962,17 @@ def op_jacobi_table(pf, args, options):
     )
 
 
-def op_lie_condition(pf, args, options):
+def op_lie_condition(pf, args):
     return mechanics.lie_condition_equivalence(
         flip_chi=args.get("flip_chi", False)
     )
 
 
-def op_jacobi_multiplier(pf, args, options):
+def op_jacobi_multiplier(pf, args):
     return mechanics.jacobi_multiplier_identity(args.get("n", 2))
 
 
-def op_multiplier_transport(pf, args, options):
+def op_multiplier_transport(pf, args):
     return mechanics.multiplier_transport(
         pf.ctx,
         args.get("multiplier", RationalExpr.const(1)),
@@ -976,7 +981,7 @@ def op_multiplier_transport(pf, args, options):
     )
 
 
-def op_hessian(pf, args, options):
+def op_hessian(pf, args):
     if "lagrangian" in args:
         return mechanics.hessian_multiplier_identity(
             pf.ctx, args["lagrangian"]
@@ -984,7 +989,7 @@ def op_hessian(pf, args, options):
     return mechanics.hessian_multiplier_identity()
 
 
-def op_hj_chain(pf, args, options):
+def op_hj_chain(pf, args):
     ctx = pf.ctx if "hamiltonian" in args else None
     H = args.get("hamiltonian")
     rep, art = mechanics.hj_closure_chain(ctx, H)
@@ -996,7 +1001,7 @@ def op_hj_chain(pf, args, options):
     return rep
 
 
-def op_separability(pf, args, options):
+def op_separability(pf, args):
     return mechanics.separability_conditions(
         pf.ctx, args["hamiltonian"]
     )
@@ -1045,7 +1050,8 @@ OPS = {
     "cartan": (op_cartan, _SYSTEM1),
     "cartan_bound": (op_cartan_bound, _SYSTEM1),
     "janet_board": (op_janet_board,
-                    {**_SYSTEM1, "golden": (_json(str, "a file name"), True)}),
+                    {"system": (_janet_system, True),
+                     "golden": (_json(str, "a file name"), True)}),
     "fiber_dimension": (op_fiber_dimension, {
         **_SYSTEM, "expected": _COUNT, "witness": (_witness_arg, False)}),
     "phs": (op_phs, _PAIR),
@@ -1091,7 +1097,7 @@ def run(pf, options=None):
         start = time.monotonic()
         board = stack = None
         try:
-            out = OPS[spec.op][0](pf, spec.args, options)
+            out = OPS[spec.op][0](pf, spec.args)
             if isinstance(out, tuple):
                 report, board = out
             else:
@@ -1180,14 +1186,15 @@ def report_text(reports):
     return "\n".join(lines) + "\n"
 
 
-def _resolve_files(paths, options):
+def _resolve_files(paths):
+    corpus = default_corpus_dir()
     if not paths:
-        return sorted(options.corpus_dir.glob("*.json"))
+        return sorted(corpus.glob("*.json"))
     out = []
     for p in paths:
         cand = Path(p)
         if not cand.is_file():
-            alt = options.corpus_dir / p
+            alt = corpus / p
             if alt.is_file():
                 cand = alt
             else:
@@ -1220,7 +1227,7 @@ def main(argv=None):
         return 2
     options = Options(only=ns.only, traceback=ns.traceback)
     try:
-        files = _resolve_files(ns.files, options)
+        files = _resolve_files(ns.files)
         reports = []
         for path in files:
             pf = parse_problem(

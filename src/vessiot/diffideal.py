@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateSearchExceeded
 from .report import CheckReport
-from .symcore import RationalExpr
+from .symcore import ONE, ZERO
 
 
 @dataclass
@@ -75,19 +75,19 @@ def radical_power_membership(ctx, a, direction, r):
         )
     d = lambda e: ctx.total_derivative(e, direction)
     da, dda = d(a), d(d(a))
-    cert = {1: RationalExpr.const(1) / r}
+    cert = {1: ONE / r}
     for k in range(1, r):
         new = {}
         for o, c in cert.items():
             main = (da * d(c) - (2 * k - 1) * dda * c) / (r - k)
             if not main.is_zero():
-                new[o] = new.get(o, RationalExpr.const(0)) + main
-            new[o + 1] = new.get(o + 1, RationalExpr.const(0)) + (
+                new[o] = new.get(o, ZERO) + main
+            new[o + 1] = new.get(o + 1, ZERO) + (
                 da * c / (r - k)
             )
         cert = {o: c for o, c in new.items() if not c.is_zero()}
     power = a ** r
-    rebuilt = RationalExpr.const(0)
+    rebuilt = ZERO
     derivs = {0: power}
     top = max(cert)
     for o in range(1, top + 1):

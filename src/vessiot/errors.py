@@ -44,6 +44,11 @@ class LeadingsNotEliminated(VessiotError):
     substitution passes."""
 
 
+class ClasslessLeading(VessiotError):
+    """A Janet board met an equation solved for an order-0 jet, which
+    has no class."""
+
+
 class UnsolvedSystem(VessiotError):
     """An operation that needs a leading jet on every equation met an
     implicit equation (``fiber_dimension`` takes a witness point

@@ -14,13 +14,14 @@ from .jets import DiffForm, JetContext, exterior_derivative, wedge
 from .linalg import adjugate, det
 from .report import CheckReport
 from .symcore import (
+    ONE,
+    ZERO,
     RationalExpr,
     coordinate_partial,
     substitute,
     sum_of_products,
 )
 
-ZERO = RationalExpr.const(0)
 # the coordinates of hj_closure_chain's contact form, in order
 CONTACT_COORDINATES = ("t", "x", "z", "p")
 
@@ -79,7 +80,7 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     denom = eta + F * xi if flip_chi else W
     if denom.is_zero():
         raise ValueError("integrating-factor denominator vanishes")
-    chi = RationalExpr.const(1) / denom
+    chi = ONE / denom
     omega = -F
     divergence = d(chi, "x") - d(omega * chi, "y")
     deps = {v for v in cond.variables() if v.kind == "jet"}

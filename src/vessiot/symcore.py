@@ -585,15 +585,13 @@ def poly_gcd(a, b):
         if r.degree_in(v) == 0:
             g = Polynomial.const(1)
             break
-        q = _subresultant_div(r, gc * _pow_poly(h, delta), "remainder")
+        q = _subresultant_div(r, gc * h ** delta, "remainder")
         pa, pb = pb, q
         gc = _as_univariate(pa, v)[pa.degree_in(v)]
         if delta == 1:
             h = gc
         elif delta > 1:
-            h = _subresultant_div(
-                _pow_poly(gc, delta), _pow_poly(h, delta - 1), "h"
-            )
+            h = _subresultant_div(gc ** delta, h ** (delta - 1), "h")
     if not g.is_constant():
         _, g = _primitive_in(g, v)
     return _norm_primitive(base * cg * g)
@@ -608,13 +606,6 @@ def _subresultant_div(a, b, what):
             f"subresultant {what} division left a remainder"
         )
     return q
-
-
-def _pow_poly(p, n):
-    out = Polynomial.const(1)
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 class RationalExpr:

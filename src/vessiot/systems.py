@@ -11,6 +11,7 @@ from functools import cached_property
 
 from . import symcore
 from .errors import (
+    ClasslessLeading,
     DegenerateLocus,
     JetAboveOrder,
     LeadingJetConflict,
@@ -482,7 +483,8 @@ def janet_board(S):
         dep, mu = ctx.jet_info(e.leading)
         cls = class_of(ctx, S.ordering, mu)
         if cls is None:
-            raise ValueError("order-0 leading has no class")
+            raise ClasslessLeading(
+                f"order-0 leading jet {e.leading.name} has no class")
         flags = tuple(j >= cls for j in range(1, n + 1))
         rows.append((dep, cls, flags))
     rows.sort(key=lambda r: (r[1], ctx.dependents.index(r[0])))

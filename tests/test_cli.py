@@ -760,6 +760,15 @@ class TestMain:
                             ("cartan", {}), ("cartan_bound", {}),
                             ("janet_board", {"golden": "b.txt"}))),
         pytest.param(
+            {"context": {"independents": ["x"], "dependents": ["y", "u"]},
+             "objects": {"S": system({"leading": "y[x]", "rhs": "0"},
+                                     {"leading": "u", "rhs": "x"})},
+             "checks": [{"id": "c", "op": "janet_board",
+                         "args": {"system": "S", "golden": "b.txt"}}]},
+            "checks[0].args.system: needs leading jets of order >= 1, got u "
+            "in 'S'.equations[1]", ProblemSyntaxError, None,
+            id="janet_board-order-0-leading"),
+        pytest.param(
             {"objects": {"G": JET_GENERATORS}, "checks": [{
                 "id": "c", "op": "is_invariant",
                 "args": {"generators": "G", "candidate": "y[x,x]"}}]},

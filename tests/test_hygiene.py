@@ -110,3 +110,70 @@ SOURCES = sorted((ROOT / "src" / "vessiot").glob("*.py"))
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_one_owner_for_canonical_form_and_jet_index(path):
     assert representation_leaks(path.read_text(), path.stem) == []
+
+
+def dead_helpers(sources):
+    """Module-level functions and classes, as ``module.name``, that no
+    source in ``sources`` (module -> text) refers to other than from
+    their own body.  A reference is a name, an attribute, a string
+    argument of a call (``getattr(geomkit, "curve_invariants")``) or an
+    ``__all__`` entry."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, own))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names = [sub.id]
+                elif isinstance(sub, ast.Attribute):
+                    names = [sub.attr]
+                elif isinstance(sub, ast.Call):
+                    names = [a.value for a in sub.args
+                             if isinstance(a, ast.Constant)]
+                elif isinstance(sub, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__"
+                        for t in sub.targets):
+                    names = [e.value for e in sub.value.elts]
+                else:
+                    continue
+                used |= {n for n in names if n != own}
+    return sorted(f"{m}.{name}" for m, name in defined if name not in used)
+
+
+def test_scan_finds_a_dead_helper():
+    sources = {
+        "a": ("from functools import partial\n"
+              "__all__ = ['exported']\n"
+              "def exported(): pass\n"
+              "def by_name(): pass\n"
+              "def by_string(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "class Unused: pass\n"
+              "def _helper(): pass\n"
+              "f = partial(getattr, None, 'by_string')\n"),
+        "b": "from . import a\nprint(a.by_name)\n",
+    }
+    assert dead_helpers(sources) == ["a.Unused", "a._helper", "a.recursive"]
+
+
+# paper operations that no check op reaches yet, kept for the
+# Lie-pseudogroup problem set (ROADMAP item 3)
+KEPT = [
+    # Spencer operator D on jet sections: zero exactly on holonomic ones
+    "jets.spencer",
+    # contraction i(theta) phi of a differential form by a vector field
+    "jets.interior_product",
+    # non-invariance certificate of a derivation on a differential field
+    "invariants.noninvariance_witness",
+    # reciprocal distributions: every field of one commutes with the other
+    "invariants.commutant_check",
+    # (delta + delta_bar) annihilates targets under identifications
+    "invariants.constancy_check",
+]
+
+
+def test_no_dead_helpers():
+    found = dead_helpers({p.stem: p.read_text() for p in SOURCES})
+    assert found == sorted(KEPT)

@@ -7,6 +7,7 @@ import pytest
 
 from vessiot import cli, symcore
 from vessiot.errors import (
+    ClasslessLeading,
     DegenerateLocus,
     DenominatorVanishes,
     JetAboveOrder,
@@ -631,6 +632,17 @@ class TestJanetBoard:
                              RationalExpr.const(0))],
         )
         assert janet_board(S).render() == "x1\n"
+
+    def test_order_0_leading_is_a_typed_error(self):
+        # y[x] = 0 and u = x: a system of order 1 whose second equation
+        # is solved for an order-0 jet, which has no class
+        ctx = JetContext(["x"], ["y", "u"], max_order=2)
+        S = SolvedSystem(ctx, 1, [
+            solved_equation(ctx.jet_by_dirs("y", ["x"]), symcore.ZERO),
+            solved_equation(ctx.jet_by_dirs("u", []), ctx.expr("x")),
+        ])
+        with pytest.raises(ClasslessLeading, match="u has no class"):
+            janet_board(S)
 
     def test_permutation_stable(self, unimodular_integral_system):
         S = unimodular_integral_system

@@ -149,18 +149,20 @@ def parse_problem(data, path="<memory>", max_order=None):
     for key in raw:
         _require(key in allowed, path, f"unknown section {key!r}")
     _require("context" in raw, f"{path}:context", "missing section")
+    # an absent section is empty; a present one must have its type
     for key, typ in (("definitions", dict), ("objects", dict),
                      ("checks", list)):
-        _require(isinstance(raw.get(key) or typ(), typ), f"{path}:{key}",
+        raw.setdefault(key, typ())
+        _require(isinstance(raw[key], typ), f"{path}:{key}",
                  f"expected a JSON {'array' if typ is list else 'object'}")
     ctx = _read_context(raw["context"], path, max_order)
     definitions = {}
-    for name, text in (raw.get("definitions") or {}).items():
+    for name, text in raw["definitions"].items():
         definitions[name] = _parse(
             ctx, text, f"{path}:definitions.{name}", definitions
         )
     objects, facts = {}, {}
-    for name, spec in (raw.get("objects") or {}).items():
+    for name, spec in raw["objects"].items():
         where = f"{path}:objects.{name}"
         kind = _json_object(spec, where, None).get("kind")
         _require(isinstance(kind, str) and kind in KINDS, where,
@@ -171,7 +173,7 @@ def parse_problem(data, path="<memory>", max_order=None):
         objects[name] = (kind, cache(make(facts[name], where, load)))
     checks = []
     seen = set()
-    for i, c in enumerate(raw.get("checks") or []):
+    for i, c in enumerate(raw["checks"]):
         where = f"{path}:checks[{i}]"
         c = _read_args(_CHECK, c, where, None)
         cid = c.get("id")

@@ -229,24 +229,23 @@ class JetContext:
             v = self.var(v)
         self._ensure_special_tables()
         chain = self._chains.get(v.name, ()) if v.kind == "independent" else ()
-        return symcore.partial(e, v, chain)
+        return symcore.derive(e, [(v, symcore.ONE), *chain])
 
     def total_derivative(self, e, i):
-        """Formal derivative d_i: partial plus jet-bump terms."""
+        """Formal derivative d_i, one derivation: x_i -> 1, each special
+        on x_i -> its derivative, each jet w -> w + 1_i."""
         xi = i if isinstance(i, str) else self.independents[i]
-        out = self.partial(e, self.var(xi))
         i = self.independents.index(xi)
-        for w in sorted(e.variables()):
+        self._ensure_special_tables()
+        coeffs = [(self.var(xi), symcore.ONE), *self._chains.get(xi, ())]
+        for w in e.variables():
             if w.kind != "jet":
                 continue
             dep, mu = self.jet_info(w)
             nu = self.bump(dep, mu, i)
-            if nu is None:
-                continue  # the section does not depend on x_i
-            g = symcore.coordinate_partial(e, w)
-            if not g.is_zero():
-                out = out + g * RationalExpr.var(self.jet(dep, nu))
-        return out
+            if nu is not None:  # else the section does not depend on x_i
+                coeffs.append((w, RationalExpr.var(self.jet(dep, nu))))
+        return symcore.derive(e, coeffs)
 
 
 class VectorField:
@@ -267,12 +266,7 @@ class VectorField:
 
     def apply(self, e):
         """Directional derivative of an expression (coordinate partials)."""
-        out = symcore.ZERO
-        for v, c in self.components.items():
-            g = symcore.coordinate_partial(e, v)
-            if not g.is_zero():
-                out = out + c * g
-        return out
+        return symcore.derive(e, self.components.items())
 
     def __add__(self, other):
         comp = dict(self.components)

@@ -1,9 +1,19 @@
 """Exact scalar and expression arithmetic.
 
 Sparse multivariate polynomials over Q, canonical rational functions,
-substitution, partial differentiation and rewrite-relation reduction.
+substitution, differentiation and rewrite-relation reduction.
 Everything is immutable and every RationalExpr is kept in a unique
 normal form, so structural equality is algebraic equality.
+
+Sums are normalized once where a common denominator is known.  The
+derivation kernel ``derive`` applies D = sum c_v d/dv to n/d by forming
+B*D n and B*D d as plain polynomials (B the product of the distinct
+denominators of the c_v), one Henrici quotient rule and one division by
+B; coordinate partials, the chain rule for specials, total derivatives
+and vector fields go through it.  ``substitute`` sums a polynomial's
+terms over the product of its bindings' denominators, each to the
+polynomial's degree in the bound variable, and normalizes the sum once;
+``sum_of_products`` does the same for groups of equal denominators.
 
 A coefficient is stored as an int when it is integral and as a Fraction
 otherwise (_coef), and the normal form's coefficients are all ints.
@@ -217,9 +227,7 @@ class Polynomial:
     @staticmethod
     def const(c):
         c = _coef(c)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {UNIT: c} if c else {}
-        return p
+        return _poly({UNIT: c} if c else {})
 
     @staticmethod
     def var(v, e=1):
@@ -272,14 +280,10 @@ class Polynomial:
                 t[m] = s
             else:
                 t.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+        return _poly(t)
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,24 +295,13 @@ class Polynomial:
             other = _coef(other)
             if not other:
                 return Polynomial()
-            p = Polynomial.__new__(Polynomial)
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
+            return _poly({m: c * other for m, c in self.terms.items()})
         t = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                s = t.get(m, 0) + ca * cb
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+        _add_product(t, a, b)
+        return _poly(t)
 
     __rmul__ = __mul__
 
@@ -350,9 +343,7 @@ class Polynomial:
                 t[m2] = s
             else:
                 t.pop(m2, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = t
-        return p
+        return _poly(t)
 
     def eval(self, point):
         total = Fraction(0)
@@ -385,6 +376,25 @@ class Polynomial:
         return s.replace("+ -", "- ")
 
 
+def _poly(t):
+    """The Polynomial whose term dict is t (no zero coefficients), as it is."""
+    p = Polynomial.__new__(Polynomial)
+    p.terms = t
+    return p
+
+
+def _add_product(t, a, b):
+    """Add the product of the term dicts a and b into the term dict t."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            s = t.get(m, 0) + ca * cb
+            if s:
+                t[m] = s
+            else:
+                t.pop(m, None)
+
+
 def _joint_primitive(num, den):
     """Scale num and den by one rational so that their coefficients are
     ints with no common factor across both, and den's leading
@@ -403,12 +413,10 @@ def _joint_primitive(num, den):
         return num, den
 
     def scaled(p):
-        q = Polynomial.__new__(Polynomial)
-        q.terms = {
+        return _poly({
             m: c.numerator * (lcm // c.denominator) // g
             for m, c in p.terms.items()
-        }
-        return q
+        })
 
     return scaled(num), scaled(den)
 
@@ -421,9 +429,7 @@ def poly_divexact(a, b):
         return Polynomial()
     if b.is_constant():
         cb = b.terms[UNIT]
-        q = Polynomial.__new__(Polynomial)
-        q.terms = {m: _qdiv(c, cb) for m, c in a.terms.items()}
-        return q
+        return _poly({m: _qdiv(c, cb) for m, c in a.terms.items()})
     # long division on one remainder dict: each step takes the leading
     # term off and subtracts coef * q * (b - lt(b)) in place; the sort
     # keys of the remainder's monomials are kept for the whole call
@@ -449,9 +455,7 @@ def poly_divexact(a, b):
                     keys[t] = mono_key(t)
             else:
                 del rem[t]
-    p = Polynomial.__new__(Polynomial)
-    p.terms = out
-    return p
+    return _poly(out)
 
 
 def _cancel(p, g):
@@ -465,9 +469,7 @@ def _mono_quotient(p, m):
     """p divided by a monomial that divides each of its terms."""
     if not m:
         return p
-    q = Polynomial.__new__(Polynomial)
-    q.terms = {mono_div(t, m): c for t, c in p.terms.items()}
-    return q
+    return _poly({mono_div(t, m): c for t, c in p.terms.items()})
 
 
 def _mono_content(p):
@@ -492,8 +494,7 @@ def _as_univariate(p, v):
             e, rest = m[i][1], m[:i] + m[i + 1:]
         out.setdefault(e, {})[rest] = c
     for e, t in out.items():
-        out[e] = q = Polynomial.__new__(Polynomial)
-        q.terms = t
+        out[e] = _poly(t)
     return out
 
 
@@ -666,7 +667,7 @@ class RationalExpr:
 
     @staticmethod
     def var(v):
-        return RationalExpr(Polynomial.var(v))
+        return RationalExpr(Polynomial.var(v), _normalized=True)
 
     @staticmethod
     def _coerce(x):
@@ -923,41 +924,84 @@ def normalize(e):
     return out
 
 
+def derive(e, coeffs):
+    """D e for the derivation D = sum of c_v * d/dv over the pairs (v, c_v)
+    of ``coeffs``, each c_v a RationalExpr; every VariableId counts as an
+    independent coordinate.
+
+    Let B be the product of the distinct denominators of the c_v that are
+    not 1.  B*D maps polynomials to polynomials, so B*D n and B*D d are
+    formed as plain polynomials, each partial times its coefficient's
+    numerator times B over its denominator, with no gcd.  One quotient
+    rule, Henrici's, follows: with g = gcd(d, B*D d) and d1 = d/g,
+
+        B*D (n/d) = t / (g * d1^2),   t = (B*D n) * d1 - n * (B*D d)/g,
+
+    and only gcd(t, g) can cancel.  This holds for any derivation D' that
+    maps polynomials to polynomials (here B*D), not only for a coordinate
+    partial: for an irreducible p with p^k || d, Leibniz gives
+    p^(k-1) | D'd.  If p^k | D'd, p divides g k times and not d1.
+    Otherwise p^(k-1) || D'd, so p || d1, and p divides neither D'd/g nor
+    n (n/d is reduced), so p does not divide t.  Either way t is coprime
+    to d1, also when p | D'p (D_x (ch + sh) = ch + sh under the
+    catenary's specials).  Last, 1/B is multiplied in with Henrici's
+    operator.  A constant d needs no gcd, and when D'd = 0 the full
+    constructor cancels gcd(D'n, d).
+    """
+    n, d = e.num, e.den
+    parts, dens = [], []  # (D'n, D'd, numerator, den index); dens distinct
+    for v, c in coeffs:
+        if not c.num.terms:
+            continue
+        dn, dd = n.partial(v), d.partial(v)
+        if not (dn.terms or dd.terms):
+            continue
+        j = -1
+        if c.den.terms != ONE.den.terms:
+            for j, b in enumerate(dens):
+                if b is c.den or b == c.den:
+                    break
+            else:
+                j = len(dens)
+                dens.append(c.den)
+        parts.append((dn, dd, c.num, j))
+    if not parts:
+        return ZERO
+    bdn, bdd = {}, {}
+    for dn, dd, a, j in parts:
+        for i, b in enumerate(dens):
+            if i != j:
+                a = a * b
+        _add_product(bdn, dn.terms, a.terms)
+        _add_product(bdd, dd.terms, a.terms)
+    bdn, bdd = _poly(bdn), _poly(bdd)
+    if not bdd.terms:
+        if not bdn.terms:
+            return ZERO
+        num, den = bdn, d
+        if not d.is_constant():
+            r = RationalExpr(bdn, d)
+            num, den = r.num, r.den
+    else:
+        g = poly_gcd(d, bdd)
+        d1 = _cancel(d, g)
+        t = bdn * d1 - n * _cancel(bdd, g)
+        if t.is_zero():
+            return ZERO
+        h = poly_gcd(t, g)
+        num, den = _cancel(t, h), _cancel(g, h) * d1 * d1
+    if not dens:
+        return RationalExpr._coprime(num, den)
+    B = dens[0]
+    for b in dens[1:]:
+        B = B * b
+    return RationalExpr._product(num, den, ONE.num, B)
+
+
 def coordinate_partial(e, v):
     """Partial derivative treating every VariableId as an independent
     coordinate (no chain rule for specials)."""
-    n, d = e.num, e.den
-    dn = n.partial(v)
-    dd = d.partial(v)
-    if dd.is_zero():
-        return RationalExpr(dn, d)
-    # Henrici's quotient rule: with g = gcd(d, d') and d1 = d/g,
-    # (n'd - nd')/d^2 = t / (g*d1^2) for t = n'*d1 - n*(d'/g).  An
-    # irreducible p with p^k || d has p^(k-1) || d' over Q, so p divides
-    # d1 but not d'/g, and not n either: t is coprime to d1, and only a
-    # factor shared with g can cancel.
-    g = poly_gcd(d, dd)
-    d1 = _cancel(d, g)
-    t = dn * d1 - n * _cancel(dd, g)
-    if t.is_zero():
-        return ZERO
-    h = poly_gcd(t, g)
-    return RationalExpr._coprime(_cancel(t, h), _cancel(g, h) * d1 * d1)
-
-
-def partial(e, v, chain=()):
-    """Partial derivative with respect to v.
-
-    ``chain`` lists pairs (s, ds) of special-symbol variables based on v
-    together with their derivative expressions, e.g. (ch, sh) for
-    d/dx ch(x) = sh(x).
-    """
-    out = coordinate_partial(e, v)
-    for s, ds in chain:
-        g = coordinate_partial(e, s)
-        if not g.is_zero():
-            out = out + g * ds
-    return out
+    return derive(e, ((v, ONE),))
 
 
 def _check_acyclic(bindings):
@@ -989,17 +1033,44 @@ def _check_acyclic(bindings):
 
 
 def _poly_substitute(p, bindings):
-    out = ZERO
+    """p with its bound variables replaced, over one denominator.
+
+    With k_v the degree of p in a bound variable v and a_v/b_v its
+    binding, every term of p is a polynomial over D = prod b_v^(k_v): a
+    term's power v^e becomes a_v^e * b_v^(k_v - e), b_v^(k_v) for a term
+    without v.  The terms are grouped by their exponents of the bound
+    variables, each group's factor is a product of cached powers, and
+    the sum is normalized once by the constructor.
+    """
+    groups, degree = {}, {}  # bound exponents -> {free monomial: coef}
     for m, c in p.terms.items():
-        term = RationalExpr.const(c)
+        free, exps = [], []
         for v, e in m:
-            repl = bindings.get(v)
-            if repl is None:
-                term = term * RationalExpr(Polynomial.var(v, e))
+            if v in bindings:
+                exps.append((v, e))
+                if e > degree.get(v, 0):
+                    degree[v] = e
             else:
-                term = term * repl**e
-        out = out + term
-    return out
+                free.append((v, e))
+        groups.setdefault(tuple(exps), {})[tuple(free)] = c
+    den = ONE.num
+    for v, k in degree.items():
+        if bindings[v].den.terms != ONE.den.terms:
+            den = den * bindings[v].den ** k
+    powers = {}
+    t = {}
+    for exps, free in groups.items():
+        exps = dict(exps)
+        factor = ONE.num
+        for v, k in degree.items():
+            e = exps.get(v, 0)
+            f = powers.get((v, e))
+            if f is None:
+                r = bindings[v]
+                f = powers[(v, e)] = r.num ** e * r.den ** (k - e)
+            factor = factor * f
+        _add_product(t, free, factor.terms)
+    return RationalExpr(_poly(t), den)
 
 
 def substitute(e, bindings):

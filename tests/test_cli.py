@@ -788,6 +788,22 @@ class TestMain:
         self._rejected(tmp_path, capsys, problem(**doc), json_path, error,
                        max_order)
 
+    @pytest.mark.parametrize("section, value", [
+        ("checks", 0), ("checks", {}), ("checks", None), ("checks", ""),
+        ("objects", []), ("objects", None), ("objects", 0),
+        ("definitions", []), ("definitions", None), ("definitions", ""),
+    ])
+    def test_falsy_section_is_refused(self, tmp_path, capsys, section,
+                                      value):
+        kind = "array" if section == "checks" else "object"
+        self._rejected(tmp_path, capsys, problem(**{section: value}),
+                       f":{section}: expected a JSON {kind}")
+
+    def test_absent_sections_are_empty(self):
+        doc = {"context": MINIMAL["context"]}
+        pf = parse_problem(json.dumps(doc))
+        assert pf.objects == {} and pf.checks == []
+
     BOOM = problem(checks=[{"id": "boom", "op": "radical_membership",
                             "args": {"element": "y", "direction": "x",
                                      "r": 5}}])

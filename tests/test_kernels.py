@@ -1,0 +1,330 @@
+"""Differential tests of the derivation kernel ``symcore.derive`` and of
+``substitute`` over one common denominator, against the term-by-term
+operator loops they replaced; those loops are kept here as references.
+"""
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from vessiot import cli, symcore, systems
+from vessiot.errors import CyclicBinding, DivisionByZero
+from vessiot.jets import JetContext, VectorField
+from vessiot.symcore import (
+    ONE,
+    ZERO,
+    Polynomial,
+    RationalExpr,
+    coordinate_partial,
+    derive,
+    mono_make,
+    substitute,
+)
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
+PROLONG_SYSTEMS = (
+    ("shell_monkey_saddle", "metric_system"),
+    ("shell_monkey_saddle", "completed_system"),
+    ("hj_contact_groupoid", "contact"),
+    ("hj_unimodular_groupoid", "unimodular"),
+    ("hj_eleven_equation", "eleven_equation"),
+    ("hj_nine_equation", "nine_equation"),
+)
+
+
+# -- the reference loops ------------------------------------------------
+def ref_coordinate_partial(e, v):
+    """(n'd - nd') / d^2 through the full-gcd constructor."""
+    n, d = e.num, e.den
+    return RationalExpr(n.partial(v) * d - n * d.partial(v), d * d)
+
+
+def ref_derive(e, coeffs):
+    out = ZERO
+    for v, c in coeffs:
+        out = out + c * ref_coordinate_partial(e, v)
+    return out
+
+
+def ref_partial(e, v, chain=()):
+    out = ref_coordinate_partial(e, v)
+    for s, ds in chain:
+        g = ref_coordinate_partial(e, s)
+        if not g.is_zero():
+            out = out + g * ds
+    return out
+
+
+def ref_total_derivative(ctx, e, i):
+    xi = ctx.independents[i]
+    ctx._ensure_special_tables()
+    out = ref_partial(e, ctx.var(xi), ctx._chains.get(xi, ()))
+    for w in sorted(e.variables()):
+        if w.kind != "jet":
+            continue
+        dep, mu = ctx.jet_info(w)
+        nu = ctx.bump(dep, mu, i)
+        if nu is None:
+            continue
+        g = ref_coordinate_partial(e, w)
+        if not g.is_zero():
+            out = out + g * RationalExpr.var(ctx.jet(dep, nu))
+    return out
+
+
+def ref_apply(field, e):
+    out = ZERO
+    for v, c in field.components.items():
+        g = ref_coordinate_partial(e, v)
+        if not g.is_zero():
+            out = out + c * g
+    return out
+
+
+def ref_poly_substitute(p, bindings):
+    out = ZERO
+    for m, c in p.terms.items():
+        term = RationalExpr.const(c)
+        for v, e in m:
+            repl = bindings.get(v)
+            if repl is None:
+                term = term * RationalExpr(Polynomial.var(v, e))
+            else:
+                term = term * repl**e
+        out = out + term
+    return out
+
+
+def ref_substitute(e, bindings):
+    bindings = {v: r for v, r in bindings.items() if r != RationalExpr.var(v)}
+    if not bindings:
+        return e
+    n = ref_poly_substitute(e.num, bindings)
+    d = ref_poly_substitute(e.den, bindings)
+    if d.is_zero():
+        raise DivisionByZero("denominator vanished under substitution")
+    return n / d
+
+
+# -- seeded inputs ------------------------------------------------------
+@pytest.fixture
+def ctx():
+    """x carries ch, sh (the catenary's specials) and z carries lg, whose
+    derivative 1/z is not a polynomial."""
+    return JetContext(
+        ["x", "z"], ["u"], max_order=3,
+        specials=[("ch", "x", "sh", "ch^2 -> 1 + sh^2"), ("sh", "x", "ch"),
+                  ("lg", "z", "1/z")],
+    )
+
+
+def variables(ctx):
+    """The variables a case draws four of; more make the reference loops'
+    gcds slow."""
+    return [ctx.var(n) for n in ("x", "z", "ch", "sh", "lg")] + [
+        ctx.jet_by_dirs("u", dirs) for dirs in ([], ["x"], ["z"], ["x", "z"])
+    ]
+
+
+def rand_poly(rng, vs, nonconstant=False, terms=3, deg=2):
+    while True:
+        t = {}
+        for _ in range(rng.randint(1, terms)):
+            m = mono_make((v, rng.randint(1, deg))
+                          for v in rng.sample(vs, rng.randint(0, 2)))
+            t[m] = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)])
+        p = Polynomial(t)
+        if not p.is_zero() and not (nonconstant and p.is_constant()):
+            return p
+
+
+def rand_expr(rng, vs):
+    """A quotient whose denominator is 1, a constant, f, f^2 or f*g."""
+    f, g = rand_poly(rng, vs, True, 2, 1), rand_poly(rng, vs, True, 2, 1)
+    den = rng.choice([Polynomial.const(1), Polynomial.const(rng.randint(2, 6)),
+                      f, f * f, f * g])
+    return RationalExpr(rand_poly(rng, vs), den)
+
+
+def rand_coeffs(rng, vs):
+    """Coefficients that share a denominator, carry a repeated factor, have
+    distinct denominators, are constants or are zero."""
+    f, g = rand_poly(rng, vs, True, 2, 1), rand_poly(rng, vs, True, 2, 1)
+    a = [rand_poly(rng, vs, terms=2) for _ in range(5)]
+    pool = [ZERO, ONE, RationalExpr.const(Fraction(-3, 2)), RationalExpr(a[0]),
+            RationalExpr(a[1], f), RationalExpr(a[2], f),
+            RationalExpr(a[3], f * f), RationalExpr(a[4], g)]
+    return [(v, rng.choice(pool)) for v in rng.sample(vs, rng.randint(1, 3))]
+
+
+# -- derive -------------------------------------------------------------
+class TestDerive:
+    def test_matches_the_operator_sum(self, ctx):
+        rng = random.Random(1501)
+        for k in range(150):
+            vs = rng.sample(variables(ctx), 4)
+            e, coeffs = rand_expr(rng, vs), rand_coeffs(rng, vs)
+            assert derive(e, coeffs) == ref_derive(e, coeffs), k
+
+    def test_coordinate_partials(self, ctx):
+        rng = random.Random(1502)
+        for k in range(100):
+            vs = rng.sample(variables(ctx), 4)
+            e = rand_expr(rng, vs)
+            for v in rng.sample(vs, 3):
+                assert coordinate_partial(e, v) == ref_coordinate_partial(
+                    e, v), (k, v)
+
+    def test_constant_denominator_and_no_derivative_of_it(self, ctx):
+        x, z, u = ctx.var("x"), ctx.var("z"), ctx.var("u")
+        cases = [
+            (ctx.expr("x^2*u/6"), [(x, ONE)]),  # constant d
+            (ctx.expr("x^2*u/6"), [(x, ctx.expr("1/(z+1)"))]),
+            # D d = 0 but gcd(D n, d) = u: (x*u + 1)/u = x + 1/u
+            (ctx.expr("(x*u + 1)/u"), [(x, ONE)]),
+            (ctx.expr("(x*u + 1)/u"), [(x, ctx.expr("u/(z+1)"))]),
+            (ctx.expr("(x^3 + z)/(u^2 + 1)"),
+             [(x, ctx.expr("1/z")), (z, ctx.expr("x/z"))]),
+        ]
+        for e, coeffs in cases:
+            assert derive(e, coeffs) == ref_derive(e, coeffs), e
+
+    def test_results_that_cancel_to_zero(self, ctx):
+        x, z = ctx.var("x"), ctx.var("z")
+        cases = [
+            # a rotation annihilates x^2 + z^2 (D d = 0)
+            (ctx.expr("(x^2 + z^2)/(x^2 + z^2 + 1)"), [(x, ctx.expr("z")),
+                                                       (z, ctx.expr("-x"))]),
+            # the Euler field annihilates x/z (D d = z)
+            (ctx.expr("x/z"), [(x, ctx.expr("x")), (z, ctx.expr("z"))]),
+            (ctx.expr("x/z"), [(x, ctx.expr("x/(u+1)")),
+                               (z, ctx.expr("z/(u+1)"))]),
+            (ctx.expr("x/z"), [(x, ZERO), (ctx.var("u"), ONE)]),
+            (ctx.expr("x/z"), []),
+        ]
+        for e, coeffs in cases:
+            assert derive(e, coeffs) == ZERO == ref_derive(e, coeffs), e
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_factor_dividing_its_own_derivative(self, ctx, k):
+        # D_x (ch + sh) = ch + sh, so D_x (ch + sh)^(-k) = -k (ch + sh)^(-k):
+        # the derivative of the denominator carries its whole power
+        e = ctx.expr(f"1/(ch + sh)^{k}")
+        got = ctx.partial(e, "x")
+        chain = ctx._chains["x"]
+        assert got == ref_partial(e, ctx.var("x"), chain) == e * -k
+        assert got == ctx.total_derivative(e, 0)
+        assert got.den == e.den
+
+    def test_chain_rule_for_specials(self, ctx):
+        rng = random.Random(1503)
+        ctx._ensure_special_tables()
+        for k in range(100):
+            e = rand_expr(rng, rng.sample(variables(ctx), 4))
+            for name in ("x", "z"):
+                assert ctx.partial(e, name) == ref_partial(
+                    e, ctx.var(name), ctx._chains.get(name, ())), (k, name)
+
+    def test_total_derivatives(self, ctx):
+        rng = random.Random(1504)
+        for k in range(100):
+            e = rand_expr(rng, rng.sample(variables(ctx), 4))
+            for i in (0, 1):
+                assert ctx.total_derivative(e, i) == ref_total_derivative(
+                    ctx, e, i), (k, i)
+
+    def test_vector_field_apply(self, ctx):
+        rng = random.Random(1505)
+        for k in range(100):
+            vs = rng.sample(variables(ctx), 4)
+            field = VectorField(dict(rand_coeffs(rng, vs)))
+            e = rand_expr(rng, vs)
+            assert field.apply(e) == ref_apply(field, e), k
+
+
+# -- substitute ---------------------------------------------------------
+class TestSubstitute:
+    def test_matches_the_operator_loop(self, ctx):
+        rng = random.Random(1506)
+        vs = variables(ctx)
+        bound, targets = vs[5:8], vs[:5] + vs[8:]
+        for k in range(150):
+            # u, u_x and u_z carry exponents up to 3, and a bound variable
+            # is absent from some monomials; two bindings share f
+            e = RationalExpr(rand_poly(rng, vs, deg=3), rand_poly(rng, vs))
+            f = rand_poly(rng, targets, True, 2, 1)
+            pool = [
+                ZERO, RationalExpr.const(rng.choice([2, Fraction(-1, 3)])),
+                RationalExpr(rand_poly(rng, targets)),
+                RationalExpr(rand_poly(rng, targets), f),
+                RationalExpr(rand_poly(rng, targets), f),
+                RationalExpr(rand_poly(rng, targets), f * f),
+            ]
+            bindings = {v: rng.choice(pool)
+                        for v in rng.sample(bound, rng.randint(1, 3))}
+            try:
+                want = ref_substitute(e, bindings)
+            except DivisionByZero:
+                with pytest.raises(DivisionByZero):
+                    substitute(e, bindings)
+                continue
+            assert substitute(e, bindings) == want, k
+
+    def test_zero_and_constant_bindings(self, ctx):
+        u, ux = ctx.var("u"), ctx.jet_by_dirs("u", ["x"])
+        e = ctx.expr("(u^3*x + u*u[x]^2 + z)/(u[x]^3 + 2)")
+        for bindings in ({u: ZERO}, {ux: ZERO}, {u: ZERO, ux: ZERO},
+                         {u: RationalExpr.const(Fraction(2, 3))},
+                         {u: RationalExpr.const(-1), ux: ctx.expr("1/z")}):
+            assert substitute(e, bindings) == ref_substitute(e, bindings)
+
+    def test_denominator_vanishing_over_the_common_denominator(self, ctx):
+        u, ux = ctx.var("u"), ctx.jet_by_dirs("u", ["x"])
+        for e, bindings in [
+            (ctx.expr("1/(u - x^2)"), {u: ctx.expr("x^2")}),
+            # u*u_x - 1 vanishes only once both terms share a denominator
+            (ctx.expr("x/(u*u[x] - 1)"),
+             {u: ctx.expr("1/(z+1)"), ux: ctx.expr("z+1")}),
+        ]:
+            vanished = "denominator vanished under substitution"
+            with pytest.raises(DivisionByZero, match=vanished):
+                substitute(e, bindings)
+            with pytest.raises(DivisionByZero):
+                ref_substitute(e, bindings)
+
+    def test_cyclic_binding_text(self, ctx):
+        x, u = ctx.var("x"), ctx.var("u")
+        with pytest.raises(CyclicBinding, match="^x -> u -> x$"):
+            substitute(ctx.expr("x + u"),
+                       {x: ctx.expr("u/(z+1)"), u: ctx.expr("x^2")})
+
+
+# -- the kernels on prolongation traffic --------------------------------
+def test_prolongation_traffic_equals_the_reference_loops(monkeypatch):
+    derived, substituted = [], []
+    derive0, substitute0 = symcore.derive, symcore.substitute
+
+    def traced_derive(e, coeffs):
+        coeffs = list(coeffs)
+        out = derive0(e, coeffs)
+        derived.append((e, coeffs, out))
+        return out
+
+    def traced_substitute(e, bindings):
+        out = substitute0(e, bindings)
+        substituted.append((e, bindings, out))
+        return out
+
+    monkeypatch.setattr(symcore, "derive", traced_derive)
+    monkeypatch.setattr(symcore, "substitute", traced_substitute)
+    for stem, name in PROLONG_SYSTEMS:
+        path = CORPUS / f"{stem}.json"
+        pf = cli.parse_problem(path.read_bytes(), str(path), max_order=5)
+        systems.prolong_system(cli._build(pf, name, "system"), 2)
+    monkeypatch.undo()
+    assert len(derived) > 500 and len(substituted) > 50
+    for e, coeffs, out in derived:
+        assert out == ref_derive(e, coeffs), (e, coeffs)
+    for e, bindings, out in substituted:
+        assert out == ref_substitute(e, bindings), (e, bindings)

@@ -11,10 +11,10 @@ and each op's arguments in ``OPS``) declares its keys in one schema,
 read by one walk that parses each expression once.  An undeclared or
 missing key, an ill-typed value and a check that could only end in an
 ERROR (a system of order 0 for characters, a section short of the frame
-gauging needs, ...) are refused alike.  The first error names the file
-and a JSON path (``f.json:objects.S.order``), and ``vessiot check``
-exits 2.  Objects are built on first use, from the inputs parsed at
-load.  The runner executes each check through the owning module with its
+gauging needs, a witness short of a value its check evaluates, ...) are
+refused alike.  The first error names the file and a JSON path
+(``f.json:objects.S.order``), and ``vessiot check`` exits 2.  Objects
+are built on first use, from the inputs parsed at load.  The runner executes each check through the owning module with its
 arguments as read, and emits a deterministic text or JSON report; Janet
 boards are rendered in the text format, and ``--traceback`` adds the
 stack of each check that ends in ERROR.
@@ -50,7 +50,7 @@ from .jets import (
     holonomic_section,
     jet_order,
 )
-from .report import CheckReport
+from .report import CheckReport, verdict
 from .symcore import RationalExpr, substitute
 
 EXPECTED_STATUSES = ("OK", "FAIL")
@@ -424,6 +424,9 @@ def _system(s, where, load):
     conflict = systems.leading_conflict(equations)
     if conflict is not None:
         _fail(f"{where}.equations[{conflict[0]}].leading", conflict[1])
+    above = systems.jet_above_order(equations, s["order"])
+    if above is not None:
+        _fail(f"{where}.equations[{above[0]}]", above[1])
     _require(sorted(s.get("ordering", ctx.independents))
              == sorted(ctx.independents), f"{where}.ordering",
              f"expected a permutation of the independents "
@@ -724,9 +727,42 @@ def _independent(value, where, load):
     return value
 
 
-# a witness point on a system's variety: a section's jets at ``point``
-_witness_arg = partial(_read_args, {"section": (_ref("section"), True),
-                                    "point": (_rational_point, True)})
+_WITNESS = {"section": (_ref("section"), True),
+            "point": (_rational_point, True)}
+
+
+def _witness_arg(system, prolongs=0):
+    """A witness point on the variety of the system that the check's
+    argument ``system`` names: a section's jets at ``point``.  It gives
+    every value the check evaluates: the section lists each dependent
+    whose jets the system's equations and genericity carry (those the
+    point does not bind), up to their highest order, one more for a
+    check that ``prolongs`` the system; the point binds every other
+    variable of them and of the section's values."""
+    def read(value, where, load):
+        w = _read_args(_WITNESS, value, where, load)
+        S, s = load.facts[load.args[system]], load.facts[w["section"]]
+        point = w["point"]
+        exprs = [*S.get("genericity", ()), *(
+            x for e in S["equations"] for x in (e.residual, *e.genericity))]
+        used = {v for e in exprs for v in e.variables()} - point.keys()
+        jets = {v for v in used if v.kind == "jet"}
+        deps = sorted({load.ctx.jet_info(v)[0] for v in jets})
+        order = max(map(jet_order, jets), default=0) + prolongs
+        listed = s.get("components", s.get("jets"))
+        _require(s["order"] >= order and all(d in listed for d in deps),
+                 f"{where}.section", f"needs a section of "
+                 f"{', '.join(deps) or 'any dependent'} up to order {order}, "
+                 f"got {', '.join(listed) or 'none'} up to order "
+                 f"{s['order']}")
+        values = (listed.values() if "components" in s
+                  else [e for jet in listed.values() for e in jet.values()])
+        unbound = (used - jets | {v for e in values for v in e.variables()}
+                   ) - point.keys()
+        _require(not unbound, f"{where}.point", "gives no value for "
+                 f"{', '.join(sorted(v.name for v in unbound))}")
+        return w
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -748,17 +784,10 @@ def _witness(pf, args, key):
 # check operations
 
 
-def _residual_report(name, residuals):
-    for r in residuals:
-        if not r.is_zero():
-            return CheckReport(name, "FAIL", witness=r)
-    return CheckReport(name, "OK")
-
-
 def op_surface_values(pf, args):
     S = _build(pf, args["surface"], "surface")
-    res = [pf.ctx.reduce(q(S) - v) for q, v in args["values"].items()]
-    return _residual_report("surface_values", res)
+    return verdict(pf.ctx.reduce(q(S) - v)
+                   for q, v in args["values"].items())
 
 
 def op_surface_substitute(pf, args):
@@ -766,23 +795,19 @@ def op_surface_substitute(pf, args):
     q = args["quantity"](S)
     binding = {v: RationalExpr.const(x) for v, x in args["at"].items()}
     val = pf.ctx.reduce(substitute(q, binding))
-    return _residual_report(
-        "surface_substitute", [val - args["expected"]]
-    )
+    return verdict([val - args["expected"]])
 
 
 def op_gauss_codazzi(pf, args):
     S = _build(pf, args["surface"], "surface")
-    c1, c2 = geomkit.codazzi_residual(S)
-    return _residual_report(
-        "gauss_codazzi", [geomkit.gauss_residual(S), c1, c2]
-    )
+    return verdict([geomkit.gauss_residual(S),
+                    *geomkit.codazzi_residual(S)])
 
 
 def op_curve_values(pf, args):
     C = _build(pf, args["curve"], "curve")
-    res = [pf.ctx.reduce(q(C) - v) for q, v in args["values"].items()]
-    return _residual_report("curve_values", res)
+    return verdict(pf.ctx.reduce(q(C) - v)
+                   for q, v in args["values"].items())
 
 
 def op_curve_identities(pf, args):
@@ -797,11 +822,11 @@ def op_frenet(pf, args):
     if "tau" in args:
         if args["tau"] is None:
             if tau is not None:
-                return CheckReport("frenet", "FAIL", witness=tau,
+                return CheckReport("FAIL", witness=tau,
                                    detail="expected no torsion")
         else:
             res.append(pf.ctx.reduce(tau - args["tau"]))
-    return _residual_report("frenet", res)
+    return verdict(res)
 
 
 def _entries(v):
@@ -825,7 +850,7 @@ def op_gauging_forms(pf, args):
         for row in G.orthogonal_defect():
             res.extend(row)
         res.append(G.det_defect())
-    return _residual_report("gauging_forms", res)
+    return verdict(res)
 
 
 def op_characters(pf, args):
@@ -834,7 +859,7 @@ def op_characters(pf, args):
     got, want = list(alpha), args["expected"]
     ok = got == want if args.get("ordered") else sorted(got) == sorted(want)
     return CheckReport(
-        "characters", "OK" if ok else "FAIL",
+        "OK" if ok else "FAIL",
         witness=None if ok else tuple(alpha),
         numbers={f"alpha{i + 1}": a for i, a in enumerate(alpha)},
     )
@@ -846,8 +871,9 @@ def op_cartan(pf, args):
 
 def op_cartan_bound(pf, args):
     rep = systems.cartan_test(_build(pf, args["system"], "system"))
-    ok = rep.numbers["dim_symbol_next"] <= rep.numbers["bound"]
-    return CheckReport("cartan_bound", "OK" if ok else "FAIL",
+    got = rep.numbers["dim_symbol_next"], rep.numbers["bound"]
+    ok = got[0] <= got[1]
+    return CheckReport("OK" if ok else "FAIL", witness=None if ok else got,
                        numbers=dict(rep.numbers))
 
 
@@ -866,15 +892,15 @@ def op_janet_board(pf, args):
     board = systems.janet_board(S).render()
     ok = board == _golden_path(pf, args["golden"]).read_text()
     return CheckReport(
-        "janet_board", "OK" if ok else "FAIL", witness=None if ok else board,
-        detail="" if ok else f"differs from {args['golden']}",
-    ), board
+        "OK" if ok else "FAIL", witness=None if ok else board,
+        detail="" if ok else f"differs from {args['golden']}", board=board,
+    )
 
 
-def _count_report(name, key, got, expected):
+def _count_report(key, got, expected):
     ok = got == expected
     return CheckReport(
-        name, "OK" if ok else "FAIL",
+        "OK" if ok else "FAIL",
         witness=None if ok else got, numbers={key: got},
     )
 
@@ -882,12 +908,11 @@ def _count_report(name, key, got, expected):
 def op_fiber_dimension(pf, args):
     S = _build(pf, args["system"], "system")
     dim = systems.fiber_dimension(S, _witness(pf, args, "witness"))
-    return _count_report("fiber_dimension", "dimension", dim,
-                         args["expected"])
+    return _count_report("dimension", dim, args["expected"])
 
 
 def _pair(pf, args):
-    """The system, the groupoid and their witnesses (``_PAIR``)."""
+    """The system, the groupoid and their witnesses (``_pair_args``)."""
     return (_build(pf, args["system"], "system"),
             _build(pf, args["groupoid"], "system"),
             _witness(pf, args, "witness_system"),
@@ -904,15 +929,14 @@ def op_automorphic(pf, args):
 
 def op_compatibility_count(pf, args):
     S = _build(pf, args["system"], "system")
-    return _count_report("compatibility_count", "count",
-                         systems.compatibility_count(S), args["expected"])
+    return _count_report("count", systems.compatibility_count(S),
+                         args["expected"])
 
 
 def op_prolong_count(pf, args):
     S = _build(pf, args["genset"], "genset")
     P = diffideal.prolong_gens(S, args["rounds"])
-    return _count_report("prolong_count", "generators", len(P.generators),
-                         args["expected"])
+    return _count_report("generators", len(P.generators), args["expected"])
 
 
 def op_syzygy(pf, args):
@@ -934,7 +958,7 @@ def op_is_invariant(pf, args):
 def op_invariant_count(pf, args):
     G = _build(pf, args["generators"], "generators")
     n = invariants.invariant_count(pf.ctx, G, args["order"])
-    return _count_report("invariant_count", "count", n, args["expected"])
+    return _count_report("count", n, args["expected"])
 
 
 def op_structure_table(pf, args):
@@ -946,22 +970,14 @@ def op_structure_table(pf, args):
         if list(got) != want:
             witness = (key, tuple(got))
             break
-    return CheckReport(
-        "structure_table", "OK" if witness is None else "FAIL",
-        witness=witness,
-    )
+    return CheckReport("OK" if witness is None else "FAIL", witness=witness)
 
 
 def op_jacobi_table(pf, args):
     G = _build(pf, args["generators"], "generators")
     table = invariants.structure_constants(G)
     residuals = invariants.jacobi_residuals(table, len(G.fields))
-    bad = [r for r in residuals if r != 0]
-    return CheckReport(
-        "jacobi_table", "OK" if not bad else "FAIL",
-        witness=bad[0] if bad else None,
-        numbers={"residuals": len(residuals)},
-    )
+    return verdict(residuals, numbers={"residuals": len(residuals)})
 
 
 def op_lie_condition(pf, args):
@@ -998,7 +1014,7 @@ def op_hj_chain(pf, args):
     if rep.ok and "coefficient" in args:
         res = art["coefficient"] - args["coefficient"]
         if not res.is_zero():
-            return CheckReport("hj_chain", "FAIL", witness=res,
+            return CheckReport("FAIL", witness=res,
                                detail="volume coefficient mismatch")
     return rep
 
@@ -1017,9 +1033,16 @@ def _needs(kind, key=None):
 # schema entries (capitals) and readers that several ops share
 _SURFACE, _CURVE, _SYSTEM, _GENERATORS = map(
     _needs, ("surface", "curve", "system", "generators"))
-_PAIR = {**_SYSTEM, **_needs("system", "groupoid"),
-         "witness_system": (_witness_arg, False),
-         "witness_groupoid": (_witness_arg, False)}
+
+
+def _pair_args(prolongs):
+    """A system, a groupoid and their optional witnesses (``_pair``), for
+    a check that ``prolongs`` them that many times."""
+    return {**_SYSTEM, **_needs("system", "groupoid"), **{
+        f"witness_{key}": (_witness_arg(key, prolongs), False)
+        for key in ("system", "groupoid")}}
+
+
 _EXPR, _COUNT, _FLAG = (_expr_arg, True), (_count, True), (_flag, False)
 _positive = partial(_count, least=1)
 _SYSTEM1 = {"system": (_system_of_order_1, True)}
@@ -1055,9 +1078,10 @@ OPS = {
                     {"system": (_janet_system, True),
                      "golden": (_json(str, "a file name"), True)}),
     "fiber_dimension": (op_fiber_dimension, {
-        **_SYSTEM, "expected": _COUNT, "witness": (_witness_arg, False)}),
-    "phs": (op_phs, _PAIR),
-    "automorphic": (op_automorphic, _PAIR),
+        **_SYSTEM, "expected": _COUNT,
+        "witness": (_witness_arg("system"), False)}),
+    "phs": (op_phs, _pair_args(0)),
+    "automorphic": (op_automorphic, _pair_args(1)),
     "compatibility_count": (op_compatibility_count,
                             {**_SYSTEM, "expected": _COUNT}),
     "prolong_count": (op_prolong_count, {
@@ -1097,22 +1121,17 @@ def run(pf, options=None):
         if options.only and not fnmatch.fnmatch(spec.id, options.only):
             continue
         start = time.monotonic()
-        board = stack = None
+        stack = None
         try:
-            out = OPS[spec.op][0](pf, spec.args)
-            if isinstance(out, tuple):
-                report, board = out
-            else:
-                report = out
-            status = report.status
+            report = OPS[spec.op][0](pf, spec.args)
+            status, detail, board = report.status, report.detail, report.board
             witness = (
                 None if report.witness is None else str(report.witness)
             )
             numbers = dict(report.numbers)
-            detail = report.detail
         except Exception as exc:  # per-check isolation, by contract
             status = "ERROR"
-            witness = None
+            witness = board = None
             numbers = {}
             detail = f"{type(exc).__name__}: {exc}"
             if options.traceback:

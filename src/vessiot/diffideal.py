@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateSearchExceeded
-from .report import CheckReport
+from .report import verdict
 from .symcore import ONE, ZERO
 
 
@@ -49,12 +49,10 @@ def prolong_gens(S, r):
     return DiffPolySet(ctx, list(seen))
 
 
-def syzygy_check(combination, name="syzygy"):
+def syzygy_check(combination):
     """OK iff the given combination of generator derivatives normalizes
     to zero; otherwise the normal form is reported as witness."""
-    if combination.is_zero():
-        return CheckReport(name=name, status="OK")
-    return CheckReport(name=name, status="FAIL", witness=combination)
+    return verdict([combination])
 
 
 def radical_power_membership(ctx, a, direction, r):
@@ -89,17 +87,12 @@ def radical_power_membership(ctx, a, direction, r):
     power = a ** r
     rebuilt = ZERO
     derivs = {0: power}
-    top = max(cert)
+    top = max(cert, default=0)  # da = 0 leaves no term: 0 is in the ideal
     for o in range(1, top + 1):
         derivs[o] = d(derivs[o - 1])
     for o, c in cert.items():
         rebuilt = rebuilt + c * derivs[o]
     target = da ** (2 * r - 1)
-    residual = rebuilt - target
-    report = CheckReport(
-        name="radical-power-membership",
-        status="OK" if residual.is_zero() else "FAIL",
-        witness=None if residual.is_zero() else residual,
-        numbers={"r": r, "power": 2 * r - 1, "terms": len(cert)},
-    )
+    report = verdict([rebuilt - target],
+                     numbers={"r": r, "power": 2 * r - 1, "terms": len(cert)})
     return report, cert

@@ -26,6 +26,10 @@ class DenominatorVanishes(VessiotError):
     """Point evaluation hit a zero denominator; retry at another point."""
 
 
+class UnboundVariable(VessiotError):
+    """Point evaluation met a variable the point gives no value for."""
+
+
 class OrderOverflow(VessiotError):
     """A jet bump would exceed the context's max_order."""
 

@@ -15,7 +15,7 @@ from .errors import (
     ZeroCurvatureLocus,
 )
 from .linalg import det, inverse, mat_mul, mat_vec, transpose
-from .report import CheckReport
+from .report import verdict
 from .symcore import RationalExpr, sum_of_products
 
 
@@ -182,14 +182,8 @@ class CurveData:
         else:
             res["phi"] = ctx.reduce(self.phi - (p(self.gamma) - self.sigma))
             res["psi"] = ctx.reduce(self.psi - p(self.sigma) / 2)
-        ok = all(v.is_zero() for v in res.values())
-        return CheckReport(
-            name="curve-identities",
-            status="OK" if ok else "FAIL",
-            detail=", ".join(
-                f"{k}: {'0' if v.is_zero() else v}" for k, v in res.items()
-            ),
-        )
+        return verdict(res.values(), detail=", ".join(
+            f"{k}: {'0' if v.is_zero() else v}" for k, v in res.items()))
 
 
 def curve_invariants(ctx, f):

@@ -66,35 +66,21 @@ class GeneratorSet:
         )
 
 
-@dataclass
-class InvariantCandidate:
-    expr: RationalExpr
-    name: str = "Phi"
-
-
-def _candidate(phi):
-    if isinstance(phi, InvariantCandidate):
-        return phi
-    return InvariantCandidate(phi)
-
-
 def _needed_order(e):
     return max(map(jet_order, e.variables()), default=0)
 
 
 def is_invariant(phi, G):
-    """OK iff every (suitably prolonged) generator kills the candidate."""
-    phi = _candidate(phi)
-    q = max(_needed_order(phi.expr), G.order)
+    """OK iff every (suitably prolonged) generator kills the candidate
+    Phi."""
+    q = max(_needed_order(phi), G.order)
     Gq = G.prolonged(q) if q > G.order else G
     for label, theta in zip(Gq.labels, Gq.fields):
-        r = Gq.ctx.reduce(theta.apply(phi.expr))
+        r = Gq.ctx.reduce(theta.apply(phi))
         if not r.is_zero():
-            return CheckReport(
-                name=f"is_invariant({phi.name})", status="FAIL", witness=r,
-                detail=f"{label} does not kill {phi.name}",
-            )
-    return CheckReport(name=f"is_invariant({phi.name})", status="OK")
+            return CheckReport("FAIL", witness=r,
+                               detail=f"{label} does not kill Phi")
+    return CheckReport("OK")
 
 
 def _component_matrix(fields):
@@ -232,11 +218,10 @@ def commutant_check(delta_set, theta_set):
                     break
             if nonzero is not None:
                 return CheckReport(
-                    name="commutant_check", status="FAIL",
-                    witness=nonzero[1],
+                    "FAIL", witness=nonzero[1],
                     detail=f"[{dl}, {tl}] has component on {nonzero[0].name}",
                 )
-    return CheckReport(name="commutant_check", status="OK")
+    return CheckReport("OK")
 
 
 def constancy_check(targets, pairs, identifications=None, ctx=None):
@@ -251,10 +236,10 @@ def constancy_check(targets, pairs, identifications=None, ctx=None):
                 r = ctx.reduce(r)
             if not r.is_zero():
                 return CheckReport(
-                    name="constancy_check", status="FAIL", witness=r,
+                    "FAIL", witness=r,
                     detail=f"pair {i + 1} does not kill target {j + 1}",
                 )
-    return CheckReport(name="constancy_check", status="OK")
+    return CheckReport("OK")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import DegenerateHamiltonian, NotAMultiplier, SingularFrame
 from .jets import DiffForm, JetContext, exterior_derivative, wedge
 from .linalg import adjugate, det
-from .report import CheckReport
+from .report import CheckReport, verdict
 from .symcore import (
     ONE,
     ZERO,
@@ -74,7 +74,7 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     equiv = cond - regrouped
     if not equiv.is_zero():
         return CheckReport(
-            name="lie-condition-equivalence", status="FAIL", witness=equiv,
+            "FAIL", witness=equiv,
             detail="the two regroupings of the condition disagree",
         )
     denom = eta + F * xi if flip_chi else W
@@ -94,17 +94,11 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     else:
         if not cond.is_zero():
             return CheckReport(
-                name="lie-condition-equivalence", status="FAIL",
-                witness=cond,
+                "FAIL", witness=cond,
                 detail="specialized data violates the condition",
             )
         residual = divergence
-    residual = ctx.reduce(residual)
-    return CheckReport(
-        name="lie-condition-equivalence",
-        status="OK" if residual.is_zero() else "FAIL",
-        witness=None if residual.is_zero() else residual,
-    )
+    return verdict([ctx.reduce(residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +149,9 @@ def jacobi_multiplier_identity(n=2, ctx=None, phi=None):
     if delta.is_zero():
         raise SingularFrame("jacobian determinant vanishes identically")
     adj = adjugate(J)
-    witness = None
-    for i in range(n):
-        cols = [J[j][i] for j in range(n)]
-        res = _pullback_divergence(ctx, adj, delta, cols)
-        if not res.is_zero():
-            witness = res
-            break
-    return CheckReport(
-        name="jacobi-multiplier-identity",
-        status="OK" if witness is None else "FAIL",
-        witness=witness,
+    return verdict(
+        (_pullback_divergence(ctx, adj, delta, [J[j][i] for j in range(n)])
+         for i in range(n)),
         numbers={"n": n},
     )
 
@@ -193,12 +179,7 @@ def multiplier_transport(ctx, M, theta, phi):
         for j in range(n)
     ]
     fields = [M * tbar[j] for j in range(n)]
-    res = _pullback_divergence(ctx, adjugate(J), delta, fields)
-    return CheckReport(
-        name="multiplier-transport",
-        status="OK" if res.is_zero() else "FAIL",
-        witness=None if res.is_zero() else res,
-    )
+    return verdict([_pullback_divergence(ctx, adjugate(J), delta, fields)])
 
 
 def hessian_multiplier_identity(ctx=None, L=None):
@@ -215,12 +196,8 @@ def hessian_multiplier_identity(ctx=None, L=None):
     Lx = d(L, "x")
     Ltv = d(d(L, "t"), "v")
     Lxv = d(d(L, "x"), "v")
-    res = d(Lvv, "t") + d(v * Lvv, "x") + d(Lx - Ltv - v * Lxv, "v")
-    return CheckReport(
-        name="hessian-multiplier-identity",
-        status="OK" if res.is_zero() else "FAIL",
-        witness=None if res.is_zero() else res,
-    )
+    return verdict(
+        [d(Lvv, "t") + d(v * Lvv, "x") + d(Lx - Ltv - v * Lxv, "v")])
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +236,7 @@ def hj_closure_chain(ctx=None, H=None):
     four = exterior_derivative(three)
     coeff = four.coefficient((0, 1, 2, 3))
     coeff_residual = coeff - 2 * ctx.total_derivative(H, "z")
-    ok = two_residual.is_zero() and coeff_residual.is_zero()
-    witness = None
-    if not two_residual.is_zero():
-        witness = next(iter(two_residual.terms.values()))
-    elif not coeff_residual.is_zero():
-        witness = coeff_residual
-    report = CheckReport(
-        name="hj-closure-chain",
-        status="OK" if ok else "FAIL",
-        witness=witness,
-    )
+    report = verdict([*two_residual.terms.values(), coeff_residual])
     artifacts = {
         "two_form": two,
         "three_form": three,
@@ -289,11 +256,5 @@ def separability_conditions(ctx, H):
         raise DegenerateHamiltonian("d_p(H) vanishes identically")
     c1 = d(H, "z") if "z" in ctx.independents else ZERO
     c2 = d(d(H, "x") / Hp, "t")
-    ok = c1.is_zero() and c2.is_zero()
-    witness = None if ok else (c1 if not c1.is_zero() else c2)
-    return CheckReport(
-        name="separability-conditions",
-        status="OK" if ok else "FAIL",
-        witness=witness,
-        detail=f"z-dependence: {c1}; mixed quotient: {c2}",
-    )
+    return verdict([c1, c2],
+                   detail=f"z-dependence: {c1}; mixed quotient: {c2}")

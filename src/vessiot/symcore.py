@@ -45,6 +45,7 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZero,
     InexactSubresultant,
+    UnboundVariable,
 )
 
 KIND_RANK = {"independent": 0, "parameter": 1, "special": 2, "jet": 3}
@@ -1103,7 +1104,11 @@ def reduce_expr(e, rules):
 
 def eval_point(e, point):
     e = normalize(e)
-    dv = e.den.eval(point)
+    try:
+        nv, dv = e.num.eval(point), e.den.eval(point)
+    except KeyError as exc:
+        raise UnboundVariable(
+            f"the point gives no value for {exc.args[0]}") from None
     if dv == 0:
         raise DenominatorVanishes("denominator vanishes at the point")
-    return e.num.eval(point) / dv
+    return nv / dv

@@ -113,16 +113,9 @@ class SolvedSystem:
         conflict = leading_conflict(self.equations)
         if conflict is not None:
             raise LeadingJetConflict(conflict[1])
-        for e in self.equations:
-            if any(jet_order(v) > self.order
-                   for v in e.lhs.variables() | e.rhs.variables()):
-                # lhs and rhs may cancel a high jet; the residual decides
-                for v in e.residual.variables():
-                    if jet_order(v) > self.order:
-                        raise JetAboveOrder(
-                            f"jet {v.name} of order {jet_order(v)} in an "
-                            f"equation of a system of order {self.order}"
-                        )
+        above = jet_above_order(self.equations, self.order)
+        if above is not None:
+            raise JetAboveOrder(above[1])
 
     # -- helpers ------------------------------------------------------
     def residuals(self):
@@ -162,6 +155,20 @@ def leading_conflict(equations):
         if carried:
             return i, (f"rhs of {e.leading.name} contains leading jet "
                        f"{min(carried).name}")
+    return None
+
+
+def jet_above_order(equations, order):
+    """The first equation, as (index, message), whose residual carries a
+    jet above ``order``; None when there is none.  lhs and rhs may
+    cancel a high jet, so the residual decides."""
+    for i, e in enumerate(equations):
+        if any(jet_order(v) > order
+               for v in e.lhs.variables() | e.rhs.variables()):
+            for v in e.residual.variables():
+                if jet_order(v) > order:
+                    return i, (f"jet {v.name} of order {jet_order(v)} in an "
+                               f"equation of a system of order {order}")
     return None
 
 
@@ -437,7 +444,7 @@ def cartan_test(S):
     sym_dim = sym.dimension()
     status = "OK" if dim_next == bound else "FAIL"
     return CheckReport(
-        "cartan_test", status,
+        status,
         witness=None if status == "OK" else (dim_next, bound),
         numbers={
             "characters": alpha,
@@ -445,7 +452,6 @@ def cartan_test(S):
             "dim_symbol_next": dim_next,
             "bound": bound,
         },
-        assumptions=list(S.assumptions()),
         detail="ordering assumed delta-regular",
     )
 
@@ -532,15 +538,14 @@ def fiber_dimension(S, witness=None):
     return njets - rank(rows, len(jets))
 
 
-def phs_check(A, R, witness_a=None, witness_r=None, name="phs"):
+def phs_check(A, R, witness_a=None, witness_r=None):
     da = fiber_dimension(A, witness_a)
     dr = fiber_dimension(R, witness_r)
     status = "OK" if da == dr else "FAIL"
     return CheckReport(
-        name, status,
+        status,
         witness=None if status == "OK" else (da, dr),
         numbers={"dim_system": da, "dim_groupoid": dr},
-        assumptions=list(A.assumptions()) + list(R.assumptions()),
     )
 
 
@@ -548,13 +553,13 @@ def automorphic_criterion(A, R, witness_a=None, witness_r=None):
     """PHS at the given order and again after one prolongation, with the
     system required involutive."""
     ct = cartan_test(A)
-    p0 = phs_check(A, R, witness_a, witness_r, name="phs_q")
+    p0 = phs_check(A, R, witness_a, witness_r)
     A1 = prolong_system(A, 1)
     R1 = prolong_system(R, 1)
-    p1 = phs_check(A1, R1, witness_a, witness_r, name="phs_q1")
+    p1 = phs_check(A1, R1, witness_a, witness_r)
     ok = ct.ok and p0.ok and p1.ok
     return CheckReport(
-        "automorphic_criterion", "OK" if ok else "FAIL",
+        "OK" if ok else "FAIL",
         witness=None if ok else {
             "involutive": ct.ok, "phs_q": p0.numbers, "phs_q1": p1.numbers,
         },
@@ -565,7 +570,6 @@ def automorphic_criterion(A, R, witness_a=None, witness_r=None):
             "dim_groupoid_q1": p1.numbers["dim_groupoid"],
             "involutive": ct.ok,
         },
-        assumptions=list(A.assumptions()) + list(R.assumptions()),
     )
 
 

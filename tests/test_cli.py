@@ -181,6 +181,18 @@ class TestRun:
         assert r.status == "FAIL" and r.matched
         assert r.witness is not None and r.witness != "0"
 
+    def test_cartan_bound_failure_has_a_witness(self):
+        # both equations have one residual, so the symbol has rank 1, but
+        # their two leading jets count as two: the bound reads 0
+        doc = problem(context=XY, objects={"S": system(
+            {"lhs": "y[x] - y[z]", "leading": "y[x]"},
+            {"lhs": "y[x] - y[z]", "leading": "y[z]"})}, checks=[{
+                "id": "c", "op": "cartan_bound", "args": {"system": "S"},
+                "expect": "FAIL"}])
+        (r,) = run(parse_problem(doc)).results
+        assert r.status == "FAIL" and r.witness == "(1, 0)"
+        assert (r.numbers["dim_symbol_next"], r.numbers["bound"]) == (1, 0)
+
     def test_syzygy_mutation_witness(self):
         pf = read_corpus("diffideal_pair.json")
         rep = run(pf, Options(only="pair_syzygy_flipped"))
@@ -782,6 +794,47 @@ class TestMain:
             "checks[0].args.order: needs order 2, above the order 1 of "
             "generators given by jet-level components", ProblemSyntaxError,
             None, id="invariant-count-above-jet-level-order"),
+        pytest.param(
+            {"objects": {"S": system({"leading": "y[x]", "rhs": "y[x,x]"})}},
+            "objects.S.equations[0]: jet y[x,x] of order 2 in an equation "
+            "of a system of order 1", ProblemSyntaxError, None,
+            id="jet-above-order"),
+        pytest.param(
+            {"objects": {"S": system({"lhs": "y[x]^2", "rhs": "1"}),
+                         "s": SECTION1 | {"order": 0}},
+             "checks": [{"id": "c", "op": "fiber_dimension", "args": {
+                 "system": "S", "expected": 1, "witness": {
+                     "section": "s", "point": {"x": "1"}}}}]},
+            "checks[0].args.witness.section: needs a section of y up to "
+            "order 1, got y up to order 0", ProblemSyntaxError, None,
+            id="witness-section-below-order"),
+        pytest.param(
+            {"context": {"independents": ["x"], "dependents": ["y", "u"]},
+             "objects": {"S": system({"lhs": "u[x]*y[x]", "rhs": "1"}),
+                         "s": SECTION1},
+             "checks": [{"id": "c", "op": "phs", "args": {
+                 "system": "S", "groupoid": "S", "witness_groupoid": {
+                     "section": "s", "point": {"x": "1"}}}}]},
+            "checks[0].args.witness_groupoid.section: needs a section of u, "
+            "y up to order 1, got y up to order 1", ProblemSyntaxError, None,
+            id="witness-section-without-dependent"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1, "s": SECTION1}, "checks": [{
+                "id": "c", "op": "automorphic", "args": {
+                    "system": "S", "groupoid": "S", "witness_system": {
+                        "section": "s", "point": {"x": "1"}}}}]},
+            "checks[0].args.witness_system.section: needs a section of y up "
+            "to order 2, got y up to order 1", ProblemSyntaxError, None,
+            id="automorphic-witness-below-prolonged-order"),
+        pytest.param(
+            {"context": XY, "objects": {
+                "S": system({"lhs": "y[x] - z", "rhs": "0"}),
+                "s": SECTION1 | {"components": {"y": "x*z"}}},
+             "checks": [{"id": "c", "op": "fiber_dimension", "args": {
+                 "system": "S", "expected": 2, "witness": {
+                     "section": "s", "point": {"x": "1"}}}}]},
+            "checks[0].args.witness.point: gives no value for z",
+            ProblemSyntaxError, None, id="witness-point-unbound"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
@@ -798,6 +851,11 @@ class TestMain:
         kind = "array" if section == "checks" else "object"
         self._rejected(tmp_path, capsys, problem(**{section: value}),
                        f":{section}: expected a JSON {kind}")
+
+    def test_cancelled_high_jet_loads(self):
+        pf = parse_problem(problem(objects={"S": system(
+            {"lhs": "y[x,x] + y[x]", "rhs": "y[x,x]"})}))
+        assert _build(pf, "S", "system").residuals() == [pf.ctx.expr("y[x]")]
 
     def test_absent_sections_are_empty(self):
         doc = {"context": MINIMAL["context"]}
@@ -887,12 +945,13 @@ def _declared_keys(doc):
 
 class TestStructuralFuzz:
     """Seeded structural mutations of the corpus files' context, objects
-    and check args (a declared key renamed, a key deleted, or a value
-    replaced by one of another JSON type; expression text is never
-    edited). A file with a renamed key is refused at load with the file
-    and a JSON path; any other mutated file is either refused so, or
-    loads, every object builds or raises a VessiotError, and every check
-    ends in OK, FAIL or an ERROR that carries a VessiotError."""
+    and check args (a declared key renamed, a key deleted, a value
+    replaced by one of another JSON type, or an integer stepped by one or
+    set to 0; expression text is never edited). A file with a renamed key
+    is refused at load with the file and a JSON path; any other mutated
+    file is either refused so, or loads, every object builds or raises a
+    VessiotError, and every check ends in OK, FAIL or an ERROR that
+    carries a VessiotError."""
 
     REPLACEMENTS = ["x", 0, 7, -1, 2.5, True, [], {}, None]
 
@@ -902,6 +961,13 @@ class TestStructuralFuzz:
             container, key = rng.choice(list(_declared_keys(doc)))
             container[key + rng.choice("_sx")] = container.pop(key)
             return True
+        witnesses = [s for c in doc.get("checks", [])
+                     for k in c.get("args", {}) if k.startswith("witness")
+                     for s in list(_slots(c["args"], k))[1:]]
+        if witnesses and rng.random() < 0.3:
+            container, key = rng.choice(witnesses)
+            del container[key]
+            return False
         areas = [list(_slots(doc, "context"))]
         if "objects" in doc:
             areas.append(list(_slots(doc, "objects")))
@@ -910,7 +976,10 @@ class TestStructuralFuzz:
         if args:
             areas.append(args)
         container, key = rng.choice(rng.choice(areas))
-        if rng.random() < 0.3:
+        value = container[key]
+        if type(value) is int and rng.random() < 0.5:
+            container[key] = rng.choice([value - 1, value + 1, 0])
+        elif rng.random() < 0.3:
             del container[key]
         else:
             old = _json_type(container[key])

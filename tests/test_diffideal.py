@@ -154,6 +154,13 @@ class TestRadicalCertificates:
         assert rep.ok
         assert max(cert) <= r
 
+    @pytest.mark.parametrize("element", ["3", "x"])
+    def test_element_constant_along_the_direction(self, element):
+        # d(a) = 0: the certificate is empty and 0 is in every ideal
+        ctx = JetContext(["x", "z"], ["y"], max_order=5)
+        rep, cert = radical_power_membership(ctx, ctx.expr(element), "z", 2)
+        assert rep.ok and cert == {} and rep.numbers["terms"] == 0
+
     def test_jet_argument(self):
         ctx = JetContext(["x"], ["y"], max_order=5)
         rep, _ = radical_power_membership(ctx, ctx.expr("y[x]"), "x", 2)

@@ -1,5 +1,6 @@
 """Surface/curve invariants, compatibility residuals, Frenet quantities,
 gauging and structure forms."""
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -247,6 +248,13 @@ class TestCurveInvariants:
         assert (C.sigma - E("r^2")).is_zero()
         assert (C.upsilon - E("h*r^2")).is_zero()
         assert C.identity_report().ok
+
+    def test_identity_failure_has_a_witness(self, trig3_ctx):
+        E = trig3_ctx.expr
+        C = curve_invariants(trig3_ctx, [E("r*cs"), E("r*sn"), E("h*x")])
+        rep = dataclasses.replace(C, psi=C.psi + 1).identity_report()
+        assert rep.status == "FAIL" and rep.witness == 1
+        assert rep.detail == "gamma: 0, phi: 0, psi: 1"
 
     def test_degenerate(self, catenary_ctx):
         with pytest.raises(DegenerateCurve):

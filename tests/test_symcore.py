@@ -13,6 +13,7 @@ from vessiot.errors import (
     DenominatorVanishes,
     DivisionByZero,
     InexactSubresultant,
+    UnboundVariable,
     VessiotError,
 )
 from vessiot.jets import JetContext
@@ -225,6 +226,11 @@ class TestEvalPoint:
     def test_pole(self, surf):
         with pytest.raises(DenominatorVanishes):
             eval_point(surf.expr("1/x1"), {surf.var("x1"): 0})
+
+    @pytest.mark.parametrize("text", ["x1 + x2", "1/(x1 + x2)"])
+    def test_unbound_variable(self, surf, text):
+        with pytest.raises(UnboundVariable, match="no value for x2"):
+            eval_point(surf.expr(text), {surf.var("x1"): 1})
 
     def test_homomorphism(self, surf):
         a = surf.expr("x1 + y1")

@@ -168,7 +168,7 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(isinstance(kind, str) and kind in KINDS, where,
                  f"unknown object kind {kind!r}")
         make, schema = KINDS[kind]
-        load = _Load(ctx, definitions, objects, facts, spec)
+        load = _Load(path, ctx, definitions, objects, facts, spec)
         facts[name] = _read_args(schema, spec, where, load)
         objects[name] = (kind, cache(make(facts[name], where, load)))
     checks = []
@@ -187,17 +187,17 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args", {})
-        load = _Load(ctx, definitions, objects, facts, args)
+        load = _Load(path, ctx, definitions, objects, facts, args)
         checks.append(CheckSpec(cid, op, _read_args(
             OPS[op][1], args, f"{where}.args", load), expect))
     return ProblemFile(path, ctx, objects, checks)
 
 
-# what a reader reads against: the context, the definitions, the objects
-# (name -> (kind, constructor)) and their facts (name -> the values its
-# kind's schema read, and the defaults its make filled in), and the JSON
-# object being read
-_Load = namedtuple("_Load", "ctx definitions objects facts args")
+# what a reader reads against: the problem file's path, the context, the
+# definitions, the objects (name -> (kind, constructor)) and their facts
+# (name -> the values its kind's schema read, and the defaults its make
+# filled in), and the JSON object being read
+_Load = namedtuple("_Load", "path ctx definitions objects facts args")
 
 
 def _read_args(schema, args, where, load):
@@ -877,23 +877,27 @@ def op_cartan_bound(pf, args):
                        numbers=dict(rep.numbers))
 
 
-def _golden_path(pf, name):
-    """``name`` under ``golden/`` or beside the file, else in the corpus."""
-    bases = [] if pf.path == "<memory>" else [Path(pf.path).parent]
+def _golden(value, where, load):
+    """The path of the golden board file named ``value``: under
+    ``golden/`` or beside the problem file, else in the corpus."""
+    name = _json(str, "a file name")(value, where, load)
+    _require(name != ".." and not {"/", "\\"} & set(name), where,
+             f"expected a file name, not a path: {name!r}")
+    bases = [] if load.path == "<memory>" else [Path(load.path).parent]
     for base in bases + [default_corpus_dir()]:
         for c in (base / "golden" / name, base / name):
             if c.is_file():
                 return c
-    raise UnknownReference(f"{pf.path}: golden file {name!r} not found")
+    raise UnknownReference(f"{where}: golden file {name!r} not found")
 
 
 def op_janet_board(pf, args):
     S = _build(pf, args["system"], "system")
     board = systems.janet_board(S).render()
-    ok = board == _golden_path(pf, args["golden"]).read_text()
+    ok = board == args["golden"].read_text()
     return CheckReport(
         "OK" if ok else "FAIL", witness=None if ok else board,
-        detail="" if ok else f"differs from {args['golden']}", board=board,
+        detail="" if ok else f"differs from {args['golden'].name}", board=board,
     )
 
 
@@ -1076,7 +1080,7 @@ OPS = {
     "cartan_bound": (op_cartan_bound, _SYSTEM1),
     "janet_board": (op_janet_board,
                     {"system": (_janet_system, True),
-                     "golden": (_json(str, "a file name"), True)}),
+                     "golden": (_golden, True)}),
     "fiber_dimension": (op_fiber_dimension, {
         **_SYSTEM, "expected": _COUNT,
         "witness": (_witness_arg("system"), False)}),

@@ -7,7 +7,6 @@ structure constants of closed distributions, verifies commuting
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,16 +82,12 @@ def is_invariant(phi, G):
     return CheckReport("OK")
 
 
-def _component_matrix(fields):
-    coords = sorted({v for f in fields for v in f.components})
-    rows = [[f.component(v) for v in coords] for f in fields]
-    return rows, coords
-
-
 def generic_rank(fields):
     """Rank of the component matrix over the rational-function field,
     by exact elimination."""
-    rows, coords = _component_matrix(fields)
+    coords = sorted({v for f in fields for v in f.components})
+    col = {v: j for j, v in enumerate(coords)}
+    rows = [{col[v]: c for v, c in f.components.items()} for f in fields]
     return linalg.rank(rows, len(coords))
 
 
@@ -111,27 +106,23 @@ def _q_linear_solve(blocks, n):
     when no constant solution exists."""
     rows = []
     for columns, target in blocks:
+        exprs = [*columns, target]  # the target is column n
         den = Polynomial.const(1)
-        for e in itertools.chain(columns, [target]):
+        for e in exprs:
             den = den * e.den
         D = RationalExpr(den)
-        polys = [(e * D).num for e in columns]
-        tpoly = (target * D).num
-        monos = set(tpoly.terms)
-        for p in polys:
-            monos |= set(p.terms)
+        polys = [(e * D).num for e in exprs]
+        monos = set().union(*(p.terms for p in polys))
         for mono in sorted(monos, key=symcore.mono_key):
-            rows.append(
-                [p.terms.get(mono, 0) for p in polys]
-                + [tpoly.terms.get(mono, 0)]
-            )
+            rows.append({j: p.terms[mono] for j, p in enumerate(polys)
+                         if mono in p.terms})
     red, pivots = linalg.rref(rows, n)
+    # a row reduced to its target entry alone reads 0 = target
+    if any(row.keys() == {n} for row in red):
+        return None
     sol = [Fraction(0)] * n
     for r, c in pivots:
-        sol[c] = red[r][n]
-    for row in red:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
+        sol[c] = red[r].get(n, Fraction(0))
     return sol
 
 
@@ -140,7 +131,7 @@ def structure_constants(G):
     sum_tau c^tau theta_tau; raises NotClosed naming the first pair for
     which no constant combination reproduces the bracket."""
     n = len(G.fields)
-    cols, coords = _component_matrix(G.fields)
+    coords = sorted({v for f in G.fields for v in f.components})
     table = {}
     for rho in range(n):
         for sigma in range(rho + 1, n):

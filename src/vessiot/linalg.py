@@ -4,12 +4,14 @@ Entries are RationalExpr or rational numbers; zero tests are exact, so ranks
 and solutions are authoritative at generic points of the coefficient
 field.
 
-Elimination has one kernel, ``_forward``: forward elimination over sparse
-rows, ``{col: entry}`` dicts that hold only the nonzero entries, so a zero
-cell is never stored, updated or tested.  Its pivot in each column is the
-entry of lowest ``_weight`` (term count), the earliest row winning a tie.
-``rank`` counts the kernel's pivots; ``rref`` adds back-substitution over
-the pivot rows.  ``det`` and ``adjugate`` are cofactor expansions.
+Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
+the nonzero entries, so a zero cell is never stored, updated or tested;
+``systems`` and ``invariants`` build their matrices in this form.  The
+one kernel, ``_forward``, pivots each column on the entry of lowest
+``_weight`` (term count), the earliest row winning a tie, and updates
+rows with ``subtract``.  ``rank`` counts its pivots; ``rref`` adds
+back-substitution over the pivot rows.  ``det`` and ``adjugate`` are
+cofactor expansions over small dense square matrices.
 """
 from __future__ import annotations
 
@@ -31,19 +33,19 @@ def _weight(x):
     return 2  # as RationalExpr.const: pivots follow values, not types
 
 
-def _sparse(row, width):
-    """The nonzero entries among the first ``width`` of ``row``, as
-    ``{col: entry}``; an entry that is not a RationalExpr becomes a
-    Fraction, so that no division of two ints gives a float."""
+def _sparse(row):
+    """A copy of the sparse row ``row`` without its zero entries, in
+    which an entry that is not a RationalExpr becomes a Fraction, so
+    that no division of two ints gives a float."""
     return {
         j: x if isinstance(x, RationalExpr) else Fraction(x)
-        for j, x in enumerate(row[:width]) if x
+        for j, x in row.items() if x
     }
 
 
-def _subtract(row, f, prow, skip):
-    """row -= f * prow over prow's entries other than column ``skip``;
-    an entry that cancels leaves the row."""
+def subtract(row, f, prow, skip):
+    """Sparse row update: row -= f * prow over prow's entries other than
+    column ``skip``, in place; an entry that cancels leaves the row."""
     for j, x in prow.items():
         if j == skip:
             continue
@@ -56,7 +58,7 @@ def _subtract(row, f, prow, skip):
 
 
 def _forward(rows, ncols):
-    """Forward elimination of sparse rows (see ``_sparse``), in place.
+    """Forward elimination of sparse rows, in place.
 
     Columns are taken left to right up to ``ncols``; the pivot of a
     column is the entry of lowest ``_weight`` among the rows that are
@@ -87,7 +89,7 @@ def _forward(rows, ncols):
             row = rows[r]
             a = row.pop(col, None)
             if a is not None:
-                _subtract(row, a / pv, prow, col)
+                subtract(row, a / pv, prow, col)
         if not free:
             break
     return pivots
@@ -96,18 +98,18 @@ def _forward(rows, ncols):
 def rref(rows, ncols):
     """Reduced row echelon form by exact elimination.
 
-    ``rows``: list of lists, which are not mutated; columns at or past
-    ``ncols`` (an augmented part) are carried along but never pivoted.
-    The rows are made sparse (``_sparse``), run through the forward
-    kernel ``_forward`` (whose pivot rule this inherits), and each pivot
-    row is then divided by its pivot and subtracted from the pivot rows
-    above it, last pivot first.  Returns (reduced rows, pivots) where
-    pivots is a list of (row, col) in column order; rows keep their
-    input positions, and a row that is not a pivot row is zero in the
-    first ``ncols`` columns.  Zero entries come back as Fraction(0);
-    other entries are Fractions or RationalExprs, so compare by value.
+    ``rows``: sparse rows ``{col: entry}`` (a zero entry is dropped),
+    which are not mutated; columns at or past ``ncols`` (an augmented
+    part) are carried along but never pivoted.  The rows are run through
+    the forward kernel ``_forward`` (whose pivot rule this inherits),
+    and each pivot row is then divided by its pivot and subtracted from
+    the pivot rows above it, last pivot first.  Returns (reduced rows,
+    pivots) where pivots is a list of (row, col) in column order; the
+    reduced rows are sparse, keep their input positions, and a row that
+    is not a pivot row has no entry in the first ``ncols`` columns.
+    Entries are Fractions or RationalExprs, so compare by value.
     """
-    sparse = [_sparse(r, len(r)) for r in rows]
+    sparse = [_sparse(r) for r in rows]
     pivots = _forward(sparse, ncols)
     for k in range(len(pivots) - 1, -1, -1):
         p, col = pivots[k]
@@ -118,21 +120,16 @@ def rref(rows, ncols):
         for q, _ in pivots[:k]:
             a = sparse[q].pop(col, None)
             if a is not None:
-                _subtract(sparse[q], a, prow, col)
-    zero = Fraction(0)
-    return [[s.get(j, zero) for j in range(len(r))]
-            for s, r in zip(sparse, rows)], pivots
+                subtract(sparse[q], a, prow, col)
+    return sparse, pivots
 
 
-def rank(rows, ncols=None):
-    """Rank over the first ``ncols`` columns (all of them by default):
-    the number of pivots ``_forward`` finds.  Columns past ``ncols`` are
-    ignored, and nothing is eliminated above a pivot."""
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    return len(_forward([_sparse(r, ncols) for r in rows], ncols))
+def rank(rows, ncols):
+    """Rank of the sparse rows ``rows`` (as ``rref`` takes them, and not
+    mutated) over the first ``ncols`` columns: the number of pivots
+    ``_forward`` finds.  Entries past ``ncols`` are never pivots, and
+    nothing is eliminated above a pivot."""
+    return len(_forward([_sparse(r) for r in rows], ncols))
 
 
 def mat_mul(a, b):

@@ -21,7 +21,7 @@ from .errors import (
     UnsolvedSystem,
 )
 from .jets import JetContext, jet_order
-from .linalg import rank
+from .linalg import rank, subtract
 from .report import CheckReport
 from .symcore import RationalExpr, coordinate_partial, eval_point
 
@@ -276,8 +276,9 @@ def prolong_system(S, r):
 
 @dataclass
 class SymbolSystem:
-    """Homogeneous linearization in the order-q jets: rows of
-    coefficients over the columns ``columns`` (all order-q jets)."""
+    """Homogeneous linearization in the order-q jets ``columns`` (all of
+    them): each row is sparse, ``{j: coefficient of columns[j]}``, as
+    ``linalg.rank`` takes it, with no zero entry and never empty."""
 
     ctx: JetContext
     order: int
@@ -296,17 +297,17 @@ def _order_q_jets(ctx, q):
 
 
 def symbol_of(S):
-    """Linearize each equation in its order-q jets only."""
-    ctx = S.ctx
-    cols = _order_q_jets(ctx, S.order)
+    """Linearize each equation in its order-q jets only.  A residual is
+    in lowest terms, so its partial by a jet it carries is nonzero."""
+    cols = _order_q_jets(S.ctx, S.order)
+    index = {v: j for j, v in enumerate(cols)}
     rows = []
     for res in S.residuals():
-        carried = res.variables()
-        row = [coordinate_partial(res, v) if v in carried else symcore.ZERO
-               for v in cols]
-        if any(not c.is_zero() for c in row):
+        row = {index[v]: coordinate_partial(res, v)
+               for v in res.variables() if v in index}
+        if row:
             rows.append(row)
-    return SymbolSystem(ctx, S.order, cols, rows)
+    return SymbolSystem(S.ctx, S.order, cols, rows)
 
 
 def _prolonged_symbol(sym):
@@ -315,21 +316,17 @@ def _prolonged_symbol(sym):
     ctx = sym.ctx
     next_cols = _order_q_jets(ctx, sym.order + 1)
     index = {v: j for j, v in enumerate(next_cols)}
+    jets = [ctx.jet_info(v) for v in sym.columns]
     rows = []
     for row in sym.rows:
         for i in range(len(ctx.independents)):
-            out = [symcore.ZERO] * len(next_cols)
-            nonzero = False
-            for v, c in zip(sym.columns, row):
-                if c.is_zero():
-                    continue
-                dep, mu = ctx.jet_info(v)
+            out = {}
+            for j, c in row.items():
+                dep, mu = jets[j]
                 nu = ctx.bump(dep, mu, i)
-                if nu is None:
-                    continue
-                out[index[ctx.jet(dep, nu)]] = c  # one-to-one in v
-                nonzero = True
-            if nonzero:
+                if nu is not None:
+                    out[index[ctx.jet(dep, nu)]] = c  # one-to-one in j
+            if out:
                 rows.append(out)
     return SymbolSystem(ctx, sym.order + 1, next_cols, rows)
 
@@ -394,8 +391,11 @@ def characters(S, strict=False, sym=None):
     beta = [0] * (n + 2)
     prev = 0
     for i in range(n, 0, -1):
-        keep = [j for j, c in enumerate(classes) if c >= i]
-        sub = [[row[j] for j in keep] for row in sym.rows]
+        # the columns of class >= i, renumbered in their order
+        keep = {j: k for k, j in enumerate(
+            j for j, c in enumerate(classes) if c >= i)}
+        sub = [{keep[j]: x for j, x in row.items() if j in keep}
+               for row in sym.rows]
         r = rank(sub, len(keep))
         beta[i] = r - prev
         prev = r
@@ -403,36 +403,29 @@ def characters(S, strict=False, sym=None):
 
 
 def _strict_pivot_audit(S, sym, classes):
-    # its own dense elimination, not linalg's kernel: it takes the first
-    # nonzero row as pivot, a choice that decides DegenerateLocus, and it
+    # its own pivot rule, not linalg's kernel: the first row carrying the
+    # column is the pivot, a choice that decides DegenerateLocus, and it
     # stops at the first pivot the genericity does not cover, where the
-    # kernel picks lowest-weight pivots and finishes the whole matrix
+    # kernel picks lowest-weight pivots and finishes the whole matrix;
+    # only rows not yet pivots are ever inspected, so only they are reduced
     order = sorted(range(len(sym.columns)), key=lambda j: -classes[j])
-    rows = [list(r) for r in sym.rows]
-    used = set()
+    free = [dict(r) for r in sym.rows]
     for col in order:
-        best = None
-        for r in range(len(rows)):
-            if r in used or rows[r][col].is_zero():
-                continue
-            best = r
-            break
-        if best is None:
+        k = next((k for k, row in enumerate(free) if col in row), None)
+        if k is None:
             continue
-        used.add(best)
-        pv = rows[best][col]
+        prow = free.pop(k)
+        pv = prow[col]
         if not (pv.num.is_constant() and pv.den.is_constant()):
             if not _is_covered(pv, S.assumptions()):
                 raise DegenerateLocus(
                     f"pivot {pv} on {sym.columns[col].name} not covered "
                     "by declared genericity"
                 )
-        rows[best] = [x / pv for x in rows[best]]
-        for r in range(len(rows)):
-            if r == best or rows[r][col].is_zero():
-                continue
-            f = rows[r][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[best])]
+        for row in free:
+            a = row.pop(col, None)
+            if a is not None:
+                subtract(row, a / pv, prow, col)
 
 
 def cartan_test(S):
@@ -524,18 +517,18 @@ def fiber_dimension(S, witness=None):
                 "implicit system: fiber_dimension needs a witness point"
             )
         return njets - len(S.equations)
-    jets = ctx.jets_up_to(S.order)
+    index = {v: j for j, v in enumerate(ctx.jets_up_to(S.order))}
     rows = []
     for res in S.residuals():
         val = eval_point(res, witness)
         if val != 0:
             raise OffVariety(f"witness is not on the variety: residual {val}")
-        rows.append([eval_point(coordinate_partial(res, v), witness)
-                     for v in jets])
+        rows.append({index[v]: eval_point(coordinate_partial(res, v), witness)
+                     for v in res.variables() if v in index})
     for g in S.assumptions():
         if eval_point(g, witness) == 0:
             raise DegenerateLocus(f"witness kills genericity {g}")
-    return njets - rank(rows, len(jets))
+    return njets - rank(rows, len(index))
 
 
 def phs_check(A, R, witness_a=None, witness_r=None):

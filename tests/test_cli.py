@@ -612,6 +612,21 @@ class TestMain:
             ProblemSyntaxError, None, id="number-golden"),
         pytest.param(
             {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "janet_board",
+                "args": {"system": "S", "golden": "no_such_board.txt"}}]},
+            "checks[0].args.golden: golden file 'no_such_board.txt' not "
+            "found", UnknownReference, None, id="missing-golden"),
+        *(pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "janet_board",
+                "args": {"system": "S", "golden": name}}]},
+            "checks[0].args.golden: expected a file name, not a path",
+            ProblemSyntaxError, None, id=f"golden-path-{i}")
+          for i, name in enumerate(("golden/board_contact_groupoid.txt",
+                                    "..", "../corpus/golden",
+                                    "golden\\board_contact_groupoid.txt"))),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
                 "id": "c", "op": "janet_board", "args": {
                     "system": "S", "golden": "b.txt", "expected": "y\n"}}]},
             "checks[0].args.expected: unknown argument", ProblemSyntaxError,

@@ -177,3 +177,55 @@ KEPT = [
 def test_no_dead_helpers():
     found = dead_helpers({p.stem: p.read_text() for p in SOURCES})
     assert found == sorted(KEPT)
+
+
+def private_reach(source):
+    """Private names (one leading underscore) of other vessiot modules
+    that ``source`` imports or reads through a module it imported, as
+    (name, line) pairs: what two modules share is public, so the owner
+    of a helper is the only module that can change it alone."""
+    modules, out = set(), []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("vessiot")):
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    out.append((alias.name, node.lineno))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("vessiot."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            out.append((f"{node.value.id}.{node.attr}", node.lineno))
+    return sorted(out, key=lambda leak: leak[1])
+
+
+def test_scan_finds_private_reach():
+    source = (
+        "from . import linalg, symcore as sc\n"
+        "from .systems import _prolonged_symbol, symbol_of\n"
+        "import vessiot.jets as vj\n"
+        "from fractions import _gcd\n"
+        "linalg._forward(rows, 3)\n"
+        "sc._product(a, b)\n"
+        "vj._private\n"
+        "linalg.rank(rows, 3)\n"
+        "print(linalg.__name__, obj._cache, RationalExpr._coerce(1))\n"
+    )
+    assert private_reach(source) == [
+        ("_prolonged_symbol", 2), ("linalg._forward", 5),
+        ("sc._product", 6), ("vj._private", 7),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_module_reaches_into_another(path):
+    assert private_reach(path.read_text()) == []

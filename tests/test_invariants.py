@@ -192,6 +192,21 @@ class TestQLinearSolve:
         assert _q_linear_solve([(cols, E("0"))], 3) == [0, 0, 0]
         assert _q_linear_solve([], 3) == [0, 0, 0]
 
+    def test_free_and_absent_coefficients_are_zero(self, curve2):
+        from vessiot.invariants import _q_linear_solve
+
+        E = curve2.expr
+        # 2*y1 is a multiple of y1: its coefficient is free, set to 0
+        sol = _q_linear_solve([([E("y1"), E("2*y1"), E("y2")],
+                                E("3*y1 + y2"))], 3)
+        assert sol == [3, 0, 1] and all(type(c) is Fraction for c in sol)
+        # a pivot whose row carries no target entry solves to 0
+        sol = _q_linear_solve([([E("y1"), E("y2")], E("y2"))], 2)
+        assert sol == [0, 1] and all(type(c) is Fraction for c in sol)
+        # a dependent column cannot absorb what its pivot cannot reach
+        assert _q_linear_solve([([E("y1"), E("2*y1")], E("y1 + 1"))],
+                               2) is None
+
 
 class TestInvariantCount:
     def test_rigid_first_order(self, rigid3):

@@ -105,9 +105,10 @@ class TestProlongField:
         coords = sorted(
             {v for f in lifted + listed for v in f.components}
         )
-        mat = lambda fs: [[f.component(v) for v in coords] for f in fs]
-        assert rank(mat(lifted)) == 3
-        assert rank(mat(lifted + listed)) == 3
+        mat = lambda fs: [{j: f.component(v) for j, v in enumerate(coords)}
+                          for f in fs]
+        assert rank(mat(lifted), len(coords)) == 3
+        assert rank(mat(lifted + listed), len(coords)) == 3
 
     def test_linear_in_theta(self, curve2):
         E = curve2.expr

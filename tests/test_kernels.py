@@ -1,6 +1,7 @@
-"""Differential tests of the derivation kernel ``symcore.derive`` and of
-``substitute`` over one common denominator, against the term-by-term
-operator loops they replaced; those loops are kept here as references.
+"""Differential tests of the derivation kernel ``symcore.derive``, of
+``substitute`` over one common denominator and of the sparse symbol rows
+of ``systems``, against the term-by-term operator loops and the dense
+row builders they replaced; those are kept here as references.
 """
 import random
 from fractions import Fraction
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import cli, symcore, systems
-from vessiot.errors import CyclicBinding, DivisionByZero
-from vessiot.jets import JetContext, VectorField
+from vessiot import cli, linalg, symcore, systems
+from vessiot.errors import CyclicBinding, DegenerateLocus, DivisionByZero
+from vessiot.jets import JetContext, VectorField, jet_order
 from vessiot.symcore import (
     ONE,
     ZERO,
@@ -328,3 +329,127 @@ def test_prolongation_traffic_equals_the_reference_loops(monkeypatch):
         assert out == ref_derive(e, coeffs), (e, coeffs)
     for e, bindings, out in substituted:
         assert out == ref_substitute(e, bindings), (e, bindings)
+
+
+# -- sparse symbol rows against the dense builders -----------------------
+def ref_sparse(row, width):
+    """The nonzero entries among the first ``width`` of a dense row, as
+    ``{col: entry}``, an entry that is not a RationalExpr as a
+    Fraction."""
+    return {
+        j: x if isinstance(x, RationalExpr) else Fraction(x)
+        for j, x in enumerate(row[:width]) if x
+    }
+
+
+def ref_symbol(S):
+    """Columns and dense rows of the symbol: one row per residual over
+    every order-q jet, padded with ZERO; an all-zero row is dropped."""
+    ctx = S.ctx
+    cols = [v for v in ctx.jets_up_to(S.order) if jet_order(v) == S.order]
+    rows = []
+    for res in S.residuals():
+        carried = res.variables()
+        row = [coordinate_partial(res, v) if v in carried else ZERO
+               for v in cols]
+        if any(not c.is_zero() for c in row):
+            rows.append(row)
+    return cols, rows
+
+
+def ref_prolonged_symbol(ctx, order, cols, rows):
+    """Dense rows of the first prolongation's symbol, as above."""
+    next_cols = [v for v in ctx.jets_up_to(order + 1)
+                 if jet_order(v) == order + 1]
+    index = {v: j for j, v in enumerate(next_cols)}
+    out_rows = []
+    for row in rows:
+        for i in range(len(ctx.independents)):
+            out = [ZERO] * len(next_cols)
+            nonzero = False
+            for v, c in zip(cols, row):
+                if c.is_zero():
+                    continue
+                dep, mu = ctx.jet_info(v)
+                nu = ctx.bump(dep, mu, i)
+                if nu is None:
+                    continue
+                out[index[ctx.jet(dep, nu)]] = c
+                nonzero = True
+            if nonzero:
+                out_rows.append(out)
+    return next_cols, out_rows
+
+
+def ref_strict_pivot_audit(S, cols, rows, classes):
+    """The dense audit: first nonzero unused row as pivot, Gauss-Jordan
+    on every row; DegenerateLocus at the first uncovered pivot."""
+    order = sorted(range(len(cols)), key=lambda j: -classes[j])
+    rows = [list(r) for r in rows]
+    used = set()
+    for col in order:
+        best = next((r for r in range(len(rows))
+                     if r not in used and not rows[r][col].is_zero()), None)
+        if best is None:
+            continue
+        used.add(best)
+        pv = rows[best][col]
+        if not (pv.num.is_constant() and pv.den.is_constant()):
+            if not systems._is_covered(pv, S.assumptions()):
+                raise DegenerateLocus(
+                    f"pivot {pv} on {cols[col].name} not covered "
+                    "by declared genericity"
+                )
+        rows[best] = [x / pv for x in rows[best]]
+        for r in range(len(rows)):
+            if r == best or rows[r][col].is_zero():
+                continue
+            f = rows[r][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[best])]
+
+
+CORPUS_SYSTEMS = (
+    ("hj_complete_integral", "complete_integral"),
+    ("shell_monkey_saddle", "tangency_system"),
+    ("shell_monkey_saddle", "projected_system"),
+) + PROLONG_SYSTEMS
+
+
+def prolonged(stem, name, r):
+    path = CORPUS / f"{stem}.json"
+    pf = cli.parse_problem(path.read_bytes(), str(path), max_order=5)
+    return systems.prolong_system(cli._build(pf, name, "system"), r)
+
+
+def audit_outcome(audit, *args):
+    try:
+        audit(*args)
+    except DegenerateLocus as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("stem, name, r", [
+    (stem, name, r) for stem, name in CORPUS_SYSTEMS for r in (0, 1)
+] + [(stem, name, 2) for stem, name in PROLONG_SYSTEMS])
+def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
+    P = prolonged(stem, name, r)
+    sym = systems.symbol_of(P)
+    cols, dense = ref_symbol(P)
+    assert sym.columns == cols
+    # equal rows give equal ranks: rank runs one kernel on either
+    assert sym.rows == [ref_sparse(row, len(cols)) for row in dense]
+    nxt = systems._prolonged_symbol(sym)
+    next_cols, next_dense = ref_prolonged_symbol(P.ctx, P.order, cols, dense)
+    assert nxt.columns == next_cols
+    assert nxt.rows == [ref_sparse(row, len(next_cols)) for row in next_dense]
+    for s in (sym, nxt):
+        # no stored row holds a zero or is empty
+        assert all(row and not any(c.is_zero() for c in row.values())
+                   for row in s.rows)
+        assert [linalg._sparse(row) for row in s.rows] == s.rows
+    classes = systems._column_classes(P, cols)
+    assert audit_outcome(
+        systems._strict_pivot_audit, P, sym, classes
+    ) == audit_outcome(ref_strict_pivot_audit, P, cols, dense, classes)
+

@@ -460,7 +460,7 @@ class TestSymbol:
         E = ctx.expr
         col = sym.columns.index(ctx.jet_by_dirs("y2", ["x1", "x2"]))
         # the row of the (r=1, ij=12) equation carries y2_{x1}
-        hits = [row[col] for row in sym.rows if not row[col].is_zero()]
+        hits = [row[col] for row in sym.rows if col in row]
         assert any((c - E("y2[x1]")).is_zero() for c in hits)
 
     def test_extra_row(self, shell, shell_extra):
@@ -796,7 +796,8 @@ def reference_compatibility_count(S):
     for res in S.residuals():
         for x in ctx.independents:
             d = ctx.total_derivative(res, x)
-            rows.append([coordinate_partial(d, v) for v in cols])
+            rows.append({j: coordinate_partial(d, v)
+                         for j, v in enumerate(cols)})
     return len(rows) - rank(rows, len(cols))
 
 
@@ -883,7 +884,8 @@ class TestEquationResidual:
 
 
 def dense_rref(rows, ncols):
-    """Elimination that updates every entry of every row."""
+    """Elimination that updates every entry of every row, over dense
+    rows (lists)."""
     def weight(x):
         x = RationalExpr._coerce(x)
         return len(x.num.terms) + len(x.den.terms)
@@ -927,45 +929,62 @@ class TestSparseRref:
         for case in range(40):
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             width = ncols + rng.randint(0, 2)  # augmented columns
-            rows = [[self.entry(rng, ctx) for _ in range(width)]
-                    for _ in range(nrows)]
+            dense = [[self.entry(rng, ctx) for _ in range(width)]
+                     for _ in range(nrows)]
+            # the sparse input may still hold zeros; rref drops them
+            rows = [dict(enumerate(r)) for r in dense]
+            copies = [dict(r) for r in rows]
             got, got_pivots = rref(rows, ncols)
-            want, want_pivots = dense_rref(rows, ncols)
+            want, want_pivots = dense_rref(dense, ncols)
             assert got_pivots == want_pivots
             assert rank(rows, ncols) == len(want_pivots)
+            assert rows == copies  # neither call mutates its input
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert len(g) == width
-                assert all(RationalExpr._coerce(a) == b for a, b in zip(g, w))
+                assert all(0 <= j < width and not RationalExpr._coerce(
+                    x).is_zero() for j, x in g.items())
+                assert all(RationalExpr._coerce(g.get(j, 0)) == b
+                           for j, b in enumerate(w))
 
     def test_rank_fixed_cases(self):
-        assert rank([]) == rank([], 3) == 0
-        assert rank([[0, Fraction(0)], [RationalExpr.const(0), 0]], 2) == 0
+        assert rank([], 0) == rank([], 3) == 0
+        assert rank([{0: 0, 1: Fraction(0)},
+                     {0: RationalExpr.const(0), 1: 0}], 2) == 0
         # int entries: 1/49 * 49 is not 1 in floats, so this is exact
-        assert rank([[49, 49], [1, 1]], 2) == 1
-        assert rank([[2, 1], [4, 3]]) == 2
+        assert rank([{0: 49, 1: 49}, {0: 1, 1: 1}], 2) == 1
+        assert rank([{0: 2, 1: 1}, {0: 4, 1: 3}], 2) == 2
         # nonzero entries past ncols are not counted
-        assert rank([[1, 2, 5], [2, 4, 7]], 2) == 1
-        assert rank([[0, 0, 1]], 2) == 0
+        assert rank([{0: 1, 1: 2, 2: 5}, {0: 2, 1: 4, 2: 7}], 2) == 1
+        assert rank([{2: 1}], 2) == 0
+        assert rank([{}, {1: 3}], 2) == 1
 
     def test_skipped_entries_keep_their_type(self):
         ctx = JetContext(["x"], ["u"], max_order=1)
         x = ctx.expr("x")
-        got, pivots = rref([[x, Fraction(0), Fraction(3)],
-                            [x, Fraction(2), Fraction(0)]], 2)
+        got, pivots = rref([{0: x, 2: Fraction(3)},
+                            {0: x, 1: Fraction(2)}], 2)
         assert pivots == [(0, 0), (1, 1)]
-        assert got[1][2] == Fraction(-3) / 2
-        assert isinstance(got[0][1], Fraction)
+        assert got[1] == {1: 1, 2: Fraction(-3, 2)}
+        # row 0 has no column 1, so that entry of row 1 is only divided
+        assert type(got[1][1]) is Fraction
+        # and column 1 of row 0 is never computed, so never stored
+        assert got[0] == {0: 1, 2: 3 / x}
 
     def test_int_entries_never_give_floats(self):
-        got, pivots = rref([[2, 1], [4, 3]], 2)
+        got, pivots = rref([{0: 2, 1: 1}, {0: 4, 1: 3}], 2)
         assert pivots == [(0, 0), (1, 1)]
-        flat = [x for row in got for x in row]
+        flat = [x for row in got for x in row.values()]
         assert all(isinstance(x, (Fraction, RationalExpr)) for x in flat)
-        assert not any(isinstance(x, float) for x in flat)
-        assert got == [[1, 0], [0, 1]]
-        got, _ = rref([[2, 1, 1], [4, 3, 0]], 2)
+        assert got == [{0: 1}, {1: 1}]
+        got, _ = rref([{0: 2, 1: 1, 2: 1}, {0: 4, 1: 3}], 2)
         assert got[0][2] == Fraction(3, 2) and type(got[0][2]) is Fraction
+
+    def test_rows_that_vanish_are_empty(self):
+        got, pivots = rref(
+            [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 1, 1: 2, 2: 5}], 2)
+        assert pivots == [(0, 0)]
+        # a row that is not a pivot row keeps only its augmented part
+        assert got == [{0: 1, 1: 2}, {}, {2: 5}]
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1025,7 @@ class TestSymbolRankOracle:
         P = prolong_system(corpus_system(stem, name, max_order=5), r)
         sym = symbol_of(P)
         gens = P.assumptions()
-        exprs = gens + [e for row in sym.rows for e in row]
+        exprs = gens + [e for row in sym.rows for e in row.values()]
         variables = sorted({v for e in exprs for v in e.variables()})
         rng = random.Random(f"{name}:{r}")
         point_ranks = []
@@ -1016,7 +1035,8 @@ class TestSymbolRankOracle:
             try:
                 if any(eval_point(g, point) == 0 for g in gens):
                     continue
-                matrix = [[eval_point(e, point) for e in row]
+                matrix = [[eval_point(row[j], point) if j in row else 0
+                           for j in range(len(sym.columns))]
                           for row in sym.rows]
             except DenominatorVanishes:
                 continue

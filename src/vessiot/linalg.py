@@ -7,30 +7,30 @@ field.
 Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
 the nonzero entries, so a zero cell is never stored, updated or tested;
 ``systems`` and ``invariants`` build their matrices in this form.  The
-one kernel, ``_forward``, pivots each column on the entry of lowest
-``_weight`` (term count), the earliest row winning a tie, and updates
-rows with ``subtract``.  ``rank`` counts its pivots; ``rref`` adds
-back-substitution over the pivot rows.  ``det`` and ``adjugate`` are
-cofactor expansions over small dense square matrices.
+one kernel, ``_forward``, is fraction-free: a row that meets another in
+a pivot column is cleared to Polynomials once (``_clear``), the pivot is
+the cleared entry of fewest terms, and rows are updated as
+row <- pv*row - a*prow over Polynomials (``_eliminate``), so the forward
+pass takes no polynomial gcd.  ``rank`` counts its pivots; ``rref``
+divides each pivot row by its pivot once, which brings back Fraction
+and RationalExpr entries, and back-substitutes with ``subtract``, the
+field row update that ``systems``' strict pivot audit also uses.
+``det`` and ``adjugate`` are cofactor expansions over small dense square
+matrices.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SingularFrame
-from .symcore import RationalExpr, ZERO
+from .symcore import ONE, UNIT, Polynomial, RationalExpr, ZERO, poly_divexact
 
 
 def _is_zero(x):
     if isinstance(x, RationalExpr):
         return x.is_zero()
     return x == 0
-
-
-def _weight(x):
-    if isinstance(x, RationalExpr):
-        return x.complexity()
-    return 2  # as RationalExpr.const: pivots follow values, not types
 
 
 def _sparse(row):
@@ -57,42 +57,147 @@ def subtract(row, f, prow, skip):
             row[j] = new
 
 
-def _forward(rows, ncols):
-    """Forward elimination of sparse rows, in place.
+def _primitive(row):
+    """The Polynomial row ``row`` divided by the gcd of all the integer
+    coefficients of its entries."""
+    g = math.gcd(*(c for p in row.values() for c in p.terms.values()))
+    if g < 2:
+        return row
+    g = Polynomial.const(g)
+    return {j: poly_divexact(p, g) for j, p in row.items()}
 
-    Columns are taken left to right up to ``ncols``; the pivot of a
-    column is the entry of lowest ``_weight`` among the rows that are
-    not yet pivot rows, the earliest row winning a tie.  Every other
-    such row with an entry there loses that entry, by subtracting
-    (entry / pivot) times the pivot row; that entry is dropped, not
-    computed, and pivot rows are neither divided nor reduced.  Returns
-    the pivots as (row, col) in column order.
+
+def _clear(row):
+    """The row ``row`` of Fractions and RationalExprs as a row of
+    Polynomials with int coefficients: each entry times the product of
+    the row's distinct denominators other than its own (compared with
+    ==, so no gcd is taken), then divided by the integer content.  The
+    row is only scaled by a nonzero factor."""
+    parts, dens = [], []
+    for j, x in row.items():
+        if isinstance(x, RationalExpr):
+            num, den = x.num, x.den
+        else:
+            num = Polynomial.const(x.numerator)
+            den = Polynomial.const(x.denominator)
+        if den == ONE.num:
+            k = -1
+        elif den in dens:
+            k = dens.index(den)
+        else:
+            k = len(dens)
+            dens.append(den)
+        parts.append((j, num, k))
+    if not dens:
+        return _primitive({j: num for j, num, _ in parts})
+    # the product of all the denominators but the k-th (all of them at -1)
+    others = []
+    for k in [*range(len(dens)), -1]:
+        prod = ONE.num
+        for i, den in enumerate(dens):
+            if i != k:
+                prod = prod * den
+        others.append(prod)
+    return _primitive({j: num * others[k] for j, num, k in parts})
+
+
+def _times(c, p):
+    """c * p for Polynomials; a constant c only scales p's coefficients."""
+    if len(c.terms) == 1 and UNIT in c.terms:
+        k = c.terms[UNIT]
+        return p if k == 1 else p * k
+    return c * p
+
+
+def _ratio(a, b):
+    """Coprime ints (s, t), s > 0, with s*a == t*b, when the nonzero
+    Polynomials a and b are proportional; else None."""
+    if a.terms.keys() != b.terms.keys():
+        return None
+    m = next(iter(a.terms))
+    t, s = a.terms[m], b.terms[m]
+    g = math.gcd(t, s) if s > 0 else -math.gcd(t, s)
+    s, t = s // g, t // g
+    bt = b.terms
+    if all(s * c == t * bt[m] for m, c in a.terms.items()):
+        return s, t
+    return None
+
+
+def _eliminate(row, pv, prow, col):
+    """The cleared row pv*row - a*prow, a = row[col] and pv = prow[col],
+    without column ``col``; an entry that cancels is left out.  When a
+    is t/s times pv for ints s and t, the row is s*row - t*prow."""
+    a = row[col]
+    st = _ratio(a, pv)
+    if st is not None:
+        pv, a = Polynomial.const(st[0]), Polynomial.const(st[1])
+    na = -a
+    out = {}
+    for j, x in row.items():
+        if j == col:
+            continue
+        y = prow.get(j)
+        new = _times(pv, x) if y is None else _times(pv, x) + _times(na, y)
+        if new.terms:
+            out[j] = new
+    for j, y in prow.items():
+        if j not in row:
+            out[j] = _times(na, y)
+    return _primitive(out)
+
+
+def _forward(rows, ncols):
+    """Fraction-free forward elimination of sparse rows, in place.
+
+    Columns are taken left to right up to ``ncols``.  When one row that
+    is not yet a pivot row carries the column, its entry is the pivot as
+    it stands.  When several do, each of them is cleared (``_clear``)
+    if it was not already, the pivot is the cleared entry of fewest
+    terms, the earliest row winning a tie (so over Q the earliest row),
+    and every other of them becomes pv*row - a*prow, a its entry in the
+    column, with its integer content taken out.  Rows are only scaled
+    and combined, so the pivots are those of elimination over the field,
+    and no polynomial gcd is taken.  Pivot rows are neither divided nor
+    reduced; a row, once cleared, holds Polynomials.  Returns the pivots
+    as (row, col) in column order.
     """
     free = list(range(len(rows)))
+    cleared = set()
     pivots = []
     for col in range(ncols):
-        best = None
-        for r in free:
-            x = rows[r].get(col)
-            if x is None:
-                continue
-            w = _weight(x)
-            if best is None or w < weight:
-                best, weight = r, w
-        if best is None:
+        cands = [r for r in free if col in rows[r]]
+        if not cands:
             continue
+        best = cands[0]
+        if len(cands) > 1:
+            for r in cands:
+                if r not in cleared:
+                    rows[r] = _clear(rows[r])
+                    cleared.add(r)
+            best = min(cands, key=lambda r: len(rows[r][col].terms))
+            prow = rows[best]
+            pv = prow[col]
+            for r in cands:
+                if r != best:
+                    rows[r] = _eliminate(rows[r], pv, prow, col)
         free.remove(best)
         pivots.append((best, col))
-        prow = rows[best]
-        pv = prow[col]
-        for r in free:
-            row = rows[r]
-            a = row.pop(col, None)
-            if a is not None:
-                subtract(row, a / pv, prow, col)
         if not free:
             break
     return pivots
+
+
+def _quotient(x, pv):
+    """x / pv for two entries of one row after ``_forward``: Fractions
+    or RationalExprs as they are, or Polynomials of a cleared row, whose
+    quotient is a Fraction when it is constant and else a RationalExpr."""
+    if not isinstance(pv, Polynomial):
+        return x / pv
+    if x.is_constant() and pv.is_constant():
+        return Fraction(x.terms[UNIT], pv.terms[UNIT])
+    q = RationalExpr(x, pv)
+    return q.constant_value() if q.is_constant() else q
 
 
 def rref(rows, ncols):
@@ -102,33 +207,41 @@ def rref(rows, ncols):
     which are not mutated; columns at or past ``ncols`` (an augmented
     part) are carried along but never pivoted.  The rows are run through
     the forward kernel ``_forward`` (whose pivot rule this inherits),
-    and each pivot row is then divided by its pivot and subtracted from
-    the pivot rows above it, last pivot first.  Returns (reduced rows,
-    pivots) where pivots is a list of (row, col) in column order; the
-    reduced rows are sparse, keep their input positions, and a row that
-    is not a pivot row has no entry in the first ``ncols`` columns.
-    Entries are Fractions or RationalExprs, so compare by value.
+    each pivot row is then divided by its pivot once, and each is
+    subtracted from the pivot rows above it, last pivot first.  Returns
+    (reduced rows, pivots) where pivots is a list of (row, col) in
+    column order; the reduced rows are sparse and keep their input
+    positions.  A row that is not a pivot row has no entry in the first
+    ``ncols`` columns, and its augmented part is fixed only up to a
+    nonzero factor, since ``_forward`` scales rows.  Entries are
+    Fractions or RationalExprs, so compare by value.
     """
     sparse = [_sparse(r) for r in rows]
     pivots = _forward(sparse, ncols)
+    pivot_col = dict(pivots)
+    for r, row in enumerate(sparse):
+        if r in pivot_col:
+            pv = row[pivot_col[r]]
+        elif any(isinstance(x, Polynomial) for x in row.values()):
+            pv = ONE.num
+        else:
+            continue
+        sparse[r] = {j: _quotient(x, pv) for j, x in row.items()}
     for k in range(len(pivots) - 1, -1, -1):
         p, col = pivots[k]
-        prow = sparse[p]
-        pv = prow[col]
-        for j, x in prow.items():
-            prow[j] = x / pv
         for q, _ in pivots[:k]:
             a = sparse[q].pop(col, None)
             if a is not None:
-                subtract(sparse[q], a, prow, col)
+                subtract(sparse[q], a, sparse[p], col)
     return sparse, pivots
 
 
 def rank(rows, ncols):
     """Rank of the sparse rows ``rows`` (as ``rref`` takes them, and not
     mutated) over the first ``ncols`` columns: the number of pivots
-    ``_forward`` finds.  Entries past ``ncols`` are never pivots, and
-    nothing is eliminated above a pivot."""
+    ``_forward`` finds, with no polynomial gcd taken.  Entries past
+    ``ncols`` are never pivots, and nothing is eliminated above a
+    pivot."""
     return len(_forward([_sparse(r) for r in rows], ncols))
 
 
@@ -167,7 +280,7 @@ def adjugate(a):
     """Transposed cofactor matrix: a * adjugate(a) == det(a) * I."""
     n = len(a)
     if n == 1:
-        return [[1]]
+        return [[ONE]]  # not the int 1: inverse's 1 / det could be int / int
     adj = [[None] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):

@@ -1,7 +1,8 @@
 """Differential tests of the derivation kernel ``symcore.derive``, of
-``substitute`` over one common denominator and of the sparse symbol rows
-of ``systems``, against the term-by-term operator loops and the dense
-row builders they replaced; those are kept here as references.
+``substitute`` over one common denominator, of the sparse symbol rows
+of ``systems`` and of the fraction-free ``linalg.rank``, against the
+term-by-term operator loops, the dense row builders and the field
+elimination they replaced; those are kept here as references.
 """
 import random
 from fractions import Fraction
@@ -413,6 +414,9 @@ CORPUS_SYSTEMS = (
     ("shell_monkey_saddle", "tangency_system"),
     ("shell_monkey_saddle", "projected_system"),
 ) + PROLONG_SYSTEMS
+SYMBOL_CASES = [
+    (stem, name, r) for stem, name in CORPUS_SYSTEMS for r in (0, 1)
+] + [(stem, name, 2) for stem, name in PROLONG_SYSTEMS]
 
 
 def prolonged(stem, name, r):
@@ -429,9 +433,7 @@ def audit_outcome(audit, *args):
     return None
 
 
-@pytest.mark.parametrize("stem, name, r", [
-    (stem, name, r) for stem, name in CORPUS_SYSTEMS for r in (0, 1)
-] + [(stem, name, 2) for stem, name in PROLONG_SYSTEMS])
+@pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
 def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
     P = prolonged(stem, name, r)
     sym = systems.symbol_of(P)
@@ -453,3 +455,112 @@ def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
         systems._strict_pivot_audit, P, sym, classes
     ) == audit_outcome(ref_strict_pivot_audit, P, cols, dense, classes)
 
+
+# -- fraction-free rank against the field elimination -------------------
+def ref_subtract(row, f, prow, skip):
+    """row -= f * prow over prow's entries but column ``skip``, in
+    place, with the field operators; a cancelled entry leaves the row."""
+    for j, x in prow.items():
+        if j == skip:
+            continue
+        new = -(f * x) if j not in row else row[j] - f * x
+        if new == 0:
+            del row[j]
+        else:
+            row[j] = new
+
+
+def ref_rank(rows, ncols):
+    """Field elimination over sparse rows: in each column the pivot is
+    the entry of lowest weight (terms of numerator and denominator, 2
+    for a number), the earliest row winning a tie, and every other free
+    row carrying the column loses it by row -= (a / pv) * prow."""
+    def weight(x):
+        return x.complexity() if isinstance(x, RationalExpr) else 2
+
+    rows = [{j: x if isinstance(x, RationalExpr) else Fraction(x)
+             for j, x in row.items() if x} for row in rows]
+    free = list(range(len(rows)))
+    rank = 0
+    for col in range(ncols):
+        cands = [r for r in free if col in rows[r]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda r: weight(rows[r][col]))
+        free.remove(best)
+        rank += 1
+        prow = rows[best]
+        for r in cands:
+            if r != best:
+                ref_subtract(rows[r], rows[r].pop(col) / prow[col], prow, col)
+    return rank
+
+
+def rand_matrix(rng, vs):
+    """Sparse rows of ints, Fractions, quotients over one shared
+    denominator, over distinct or constant denominators, and sums of
+    multiples of earlier rows, which cancel to empty; up to two
+    augmented columns past ``ncols``."""
+    f = rand_poly(rng, vs, True, 2, 1)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+    width = ncols + rng.randint(0, 2)
+    kinds = [
+        lambda: rng.randint(-4, 4),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        lambda: RationalExpr(rand_poly(rng, vs, terms=2), f),
+        lambda: rand_expr(rng, vs),
+        lambda: RationalExpr(rand_poly(rng, vs, terms=2),
+                             Polynomial.const(rng.randint(2, 5))),
+    ]
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = (rng.choice([2, Fraction(-1, 3), RationalExpr(f),
+                                  rand_expr(rng, vs)]) for _ in range(2))
+            row = {j: ca * a.get(j, 0) + cb * b.get(j, 0)
+                   for j in a.keys() | b.keys()}
+        else:
+            row = {j: rng.choice(kinds)() for j in range(width)
+                   if rng.random() < 0.6}
+        rows.append(row)
+    return rows, ncols
+
+
+def rank_without_gcd(monkeypatch, rows, ncols):
+    """linalg.rank of the rows, asserting that it takes no poly_gcd."""
+    calls = []
+    gcd0 = symcore.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd0(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(symcore, "poly_gcd", counted)
+        got = linalg.rank(rows, ncols)
+    assert calls == []
+    return got
+
+
+def test_fraction_free_rank_on_seeded_matrices(ctx, monkeypatch):
+    rng = random.Random(1801)
+    for _ in range(60):
+        # from four variables the reference's gcds can take minutes
+        rows, ncols = rand_matrix(rng, rng.sample(variables(ctx), 3))
+        assert rank_without_gcd(monkeypatch, rows, ncols) == ref_rank(
+            rows, ncols), rows
+
+
+# complete_integral's 24 x 30 prolonged symbol, which is also the symbol
+# of its first prolongation, gets no rank from either kernel in minutes
+@pytest.mark.parametrize("stem, name, r", [
+    case for case in SYMBOL_CASES if case[1:] != ("complete_integral", 1)])
+def test_fraction_free_rank_on_symbol_traffic(stem, name, r, monkeypatch):
+    sym = systems.symbol_of(prolonged(stem, name, r))
+    mats = [sym]
+    if name != "complete_integral":
+        mats.append(systems._prolonged_symbol(sym))
+    for m in mats:
+        assert rank_without_gcd(monkeypatch, m.rows, len(m.columns)) == (
+            ref_rank(m.rows, len(m.columns)))

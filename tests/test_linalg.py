@@ -1,5 +1,6 @@
 """Determinant, adjugate and inverse on seeded matrices of sizes 1 to 4,
-over Q (Fraction entries) and over Q(x, y) (RationalExpr entries)."""
+over Q (int and Fraction entries) and over Q(x, y) (RationalExpr
+entries)."""
 import random
 from fractions import Fraction
 
@@ -12,6 +13,10 @@ from vessiot.linalg import adjugate, det, inverse, mat_mul
 CTX = JetContext(["x", "y"], [])
 
 
+def int_entry(rng):
+    return rng.randint(-5, 5)
+
+
 def fraction_entry(rng):
     return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
@@ -21,7 +26,8 @@ def rational_entry(rng):
     return CTX.expr(f"({a}*x + {b}*y) / {rng.randint(1, 3)} + {c}")
 
 
-ENTRIES = {"fraction": fraction_entry, "rational": rational_entry}
+ENTRIES = {"int": int_entry, "fraction": fraction_entry,
+           "rational": rational_entry}
 
 
 def random_matrix(n, entry, rng):
@@ -44,6 +50,8 @@ def is_scalar(m, d):
 class TestCofactors:
     def test_inverse(self, n, kind):
         a = random_matrix(n, ENTRIES[kind], random.Random(n))
+        # int / int would be a float, and no later zero test is exact
+        assert not any(isinstance(x, float) for r in inverse(a) for x in r)
         assert is_scalar(mat_mul(a, inverse(a)), 1)
         assert is_scalar(mat_mul(inverse(a), a), 1)
 
@@ -74,3 +82,4 @@ def test_known_values():
     x, y = CTX.expr("x"), CTX.expr("y")
     assert det([[x, y], [y, x]]) == CTX.expr("x^2 - y^2")
     assert adjugate([[x, y], [1, x]]) == [[x, -y], [-1, x]]
+    assert inverse([[2]]) == [[Fraction(1, 2)]]

@@ -1,5 +1,6 @@
 """Solved systems: prolongation, symbols, characters, Cartan test,
 Janet boards, fiber dimensions and the PHS/automorphic criteria."""
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from vessiot.errors import (
 from vessiot.jets import JetContext, holonomic_section
 from vessiot.linalg import det, rank, rref
 from vessiot.symcore import (
+    Polynomial,
     RationalExpr,
     coordinate_partial,
     eval_point,
@@ -909,6 +911,47 @@ def dense_rref(rows, ncols):
     return rows, pivots
 
 
+def fraction_free_pivots(rows, ncols):
+    """The pivots of linalg's documented rule, on dense rows: a column
+    carried by one free row takes that entry; when several carry it,
+    each is multiplied by the product of its distinct denominators
+    (once), the entry of fewest numerator terms is the pivot, the
+    earliest row winning a tie, and every other such row becomes
+    pv*row - a*prow.  Term counts ignore integer factors, so the rows'
+    integer contents are left in."""
+    rows = [[RationalExpr._coerce(x) for x in r] for r in rows]
+    pivots, used, cleared = [], set(), set()
+    for col in range(ncols):
+        cands = [r for r in range(len(rows))
+                 if r not in used and not rows[r][col].is_zero()]
+        if not cands:
+            continue
+        best = cands[0]
+        if len(cands) > 1:
+            for r in set(cands) - cleared:
+                dens = []
+                for x in rows[r]:
+                    if not x.is_zero() and x.den not in dens:
+                        dens.append(x.den)
+                d = RationalExpr(math.prod(dens, start=Polynomial.const(1)))
+                rows[r] = [x * d for x in rows[r]]
+                cleared.add(r)
+            best = min(cands, key=lambda r: len(rows[r][col].num.terms))
+            pv = rows[best][col]
+            for r in cands:
+                if r != best:
+                    a = rows[r][col]
+                    rows[r] = [pv * x - a * y
+                               for x, y in zip(rows[r], rows[best])]
+        used.add(best)
+        pivots.append((best, col))
+    return pivots
+
+
+def span_rank(vectors):
+    return len(dense_rref(vectors, len(vectors[0]))[1]) if vectors else 0
+
+
 class TestSparseRref:
     @staticmethod
     def entry(rng, ctx):
@@ -924,8 +967,15 @@ class TestSparseRref:
         return num / den
 
     def test_matches_dense_elimination(self):
+        """Pivot rows follow the fraction-free rule exactly; values match
+        field elimination, whose pivot rule (lowest RationalExpr weight)
+        may name other pivot rows for the same pivot columns.  Then the
+        reduced rows agree in the first ncols columns, and their
+        augmented parts differ only by the span of the augmented parts
+        left in the rows that are not pivot rows."""
         ctx = JetContext(["x", "y"], ["u"], max_order=1)
         rng = random.Random(31)
+        moved = 0
         for case in range(40):
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             width = ncols + rng.randint(0, 2)  # augmented columns
@@ -936,15 +986,31 @@ class TestSparseRref:
             copies = [dict(r) for r in rows]
             got, got_pivots = rref(rows, ncols)
             want, want_pivots = dense_rref(dense, ncols)
-            assert got_pivots == want_pivots
+            assert got_pivots == fraction_free_pivots(dense, ncols)
+            assert [c for _, c in got_pivots] == [c for _, c in want_pivots]
+            moved += got_pivots != want_pivots
             assert rank(rows, ncols) == len(want_pivots)
             assert rows == copies  # neither call mutates its input
             assert len(got) == len(want)
-            for g, w in zip(got, want):
+            for g in got:
                 assert all(0 <= j < width and not RationalExpr._coerce(
                     x).is_zero() for j, x in g.items())
-                assert all(RationalExpr._coerce(g.get(j, 0)) == b
-                           for j, b in enumerate(w))
+            got = [[RationalExpr._coerce(g.get(j, 0)) for j in range(width)]
+                   for g in got]
+            rest = [r for r in range(nrows) if r not in dict(got_pivots)]
+            assert all(not any(got[r][:ncols]) for r in rest)
+            left = [got[r][ncols:] for r in rest]
+            want_left = [want[r][ncols:] for r in range(nrows)
+                         if r not in dict(want_pivots)]
+            assert (span_rank(left) == span_rank(want_left)
+                    == span_rank(left + want_left))
+            for (p, _), (q, _) in zip(got_pivots, want_pivots):
+                assert got[p][:ncols] == want[q][:ncols]
+                diff = [a - b for a, b in zip(got[p][ncols:], want[q][ncols:])]
+                assert span_rank(want_left + [diff]) == span_rank(want_left)
+        # the two rules name other pivot rows in 5 cases, so the span
+        # comparison of augmented parts is exercised
+        assert moved == 5
 
     def test_rank_fixed_cases(self):
         assert rank([], 0) == rank([], 3) == 0
@@ -983,8 +1049,9 @@ class TestSparseRref:
         got, pivots = rref(
             [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 1, 1: 2, 2: 5}], 2)
         assert pivots == [(0, 0)]
-        # a row that is not a pivot row keeps only its augmented part
-        assert got == [{0: 1, 1: 2}, {}, {2: 5}]
+        # a row that is not a pivot row keeps only its augmented part, up
+        # to a nonzero factor: here its integer content 5 is taken out
+        assert got == [{0: 1, 1: 2}, {}, {2: 1}]
 
 
 # ---------------------------------------------------------------------------

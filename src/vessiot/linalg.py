@@ -101,14 +101,6 @@ def _clear(row):
     return _primitive({j: num * others[k] for j, num, k in parts})
 
 
-def _times(c, p):
-    """c * p for Polynomials; a constant c only scales p's coefficients."""
-    if len(c.terms) == 1 and UNIT in c.terms:
-        k = c.terms[UNIT]
-        return p if k == 1 else p * k
-    return c * p
-
-
 def _ratio(a, b):
     """Coprime ints (s, t), s > 0, with s*a == t*b, when the nonzero
     Polynomials a and b are proportional; else None."""
@@ -138,12 +130,12 @@ def _eliminate(row, pv, prow, col):
         if j == col:
             continue
         y = prow.get(j)
-        new = _times(pv, x) if y is None else _times(pv, x) + _times(na, y)
+        new = pv * x if y is None else pv * x + na * y
         if new.terms:
             out[j] = new
     for j, y in prow.items():
         if j not in row:
-            out[j] = _times(na, y)
+            out[j] = na * y
     return _primitive(out)
 
 

@@ -29,9 +29,12 @@ A monomial is a tuple of (VariableId, exponent) pairs.  Every monomial
 kernel (mono_mul, mono_div, mono_gcd, mono_key and the variable lookups
 of degree_in, partial and _as_univariate) assumes canonical monomials:
 pairs sorted by the variables' _sk, one pair per variable, exponents
-positive.  The kernels merge such tuples by comparing _sk and never hash
-a variable; equal _sk means equal VariableId, since the sort key's first
-entry encodes the kind.
+positive.  VariableIds are interned, one object per declaration, so the
+kernels test "same variable" with ``is`` and compare _sk only to order
+two variables, and a monomial's hash and equality (dict keys, set
+members) run in C with no Python frame per variable.  The iteration
+order of a set of variables follows memory addresses, so nothing whose
+result is printed may depend on it.
 """
 from __future__ import annotations
 
@@ -51,32 +54,38 @@ from .errors import (
 KIND_RANK = {"independent": 0, "parameter": 1, "special": 2, "jet": 3}
 
 
-@dataclass(frozen=True)
 class VariableId:
-    """A declared coordinate.
+    """A declared coordinate, interned: ``VariableId(kind, name, key)``
+    returns the one object for that triple, so equality is identity and
+    the hash is ``object``'s, both without a Python-level frame.  The
+    objects are immutable, and pickling, ``copy`` and ``deepcopy`` go
+    back through the constructor and give the same object.
 
     ``key`` is a context-global sort key: kind rank first, then the
     declaration index (independents, parameters, specials) or
     (dependent index, |mu|, mu) for jets.
     """
 
-    kind: str
-    name: str
-    key: tuple
+    __slots__ = ("kind", "name", "key", "_sk")
 
-    def __post_init__(self):
-        # The dataclass's own hash value, computed once: monomial
-        # arithmetic hashes variables far more often than it makes them.
-        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.key)))
-        # the variable order's sort key, compared on every monomial build
-        object.__setattr__(self, "_sk", (self.key, self.name))
+    def __new__(cls, kind, name, key):
+        v = _VARIABLES.get((kind, name, key))
+        if v is None:
+            v = _VARIABLES[kind, name, key] = object.__new__(cls)
+            object.__setattr__(v, "kind", kind)
+            object.__setattr__(v, "name", name)
+            object.__setattr__(v, "key", key)
+            # the variable order's sort key, compared on every monomial build
+            object.__setattr__(v, "_sk", (key, name))
+        return v
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"VariableId is immutable: cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"VariableId is immutable: cannot delete {attr}")
 
     def __reduce__(self):
-        # rebuild through __init__ so an unpickled copy rehashes its
-        # strings under the receiving interpreter's hash seed
         return VariableId, (self.kind, self.name, self.key)
 
     def __lt__(self, other):
@@ -84,6 +93,10 @@ class VariableId:
 
     def __repr__(self):
         return self.name
+
+
+# (kind, name, key) -> its one VariableId
+_VARIABLES = {}
 
 
 # The unit monomial.
@@ -109,12 +122,11 @@ def mono_mul(a, b):
     while i < na and j < nb:
         va, ea = a[i]
         vb, eb = b[j]
-        ka, kb = va._sk, vb._sk
-        if ka == kb:
+        if va is vb:
             out.append((va, ea + eb))
             i += 1
             j += 1
-        elif ka < kb:
+        elif va._sk < vb._sk:
             out.append(a[i])
             i += 1
         else:
@@ -135,7 +147,7 @@ def mono_div(a, b):
         if i == na:
             return None
         va, ea = a[i]
-        if va._sk != kb or ea < eb:
+        if va is not vb or ea < eb:
             return None
         if ea > eb:
             out.append((va, ea - eb))
@@ -150,12 +162,11 @@ def mono_gcd(a, b):
     while i < na and j < nb:
         va, ea = a[i]
         vb, eb = b[j]
-        ka, kb = va._sk, vb._sk
-        if ka == kb:
+        if va is vb:
             out.append((va, min(ea, eb)))
             i += 1
             j += 1
-        elif ka < kb:
+        elif va._sk < vb._sk:
             i += 1
         else:
             j += 1
@@ -176,10 +187,10 @@ def mono_key(m):
     return d, tuple(k)
 
 
-def _index(m, sk):
-    """Position of the variable with sort key sk in monomial m, or -1."""
+def _index(m, v):
+    """Position of the variable v in monomial m, or -1."""
     for i, (w, _) in enumerate(m):
-        if w._sk == sk:
+        if w is v:
             return i
     return -1
 
@@ -254,11 +265,10 @@ class Polynomial:
         return out
 
     def degree_in(self, v):
-        sk = v._sk
         d = 0
         for m in self.terms:
             for w, e in m:
-                if w._sk == sk:
+                if w is v:
                     if e > d:
                         d = e
                     break
@@ -292,17 +302,24 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        # a constant operand, an int, a Fraction or a constant Polynomial,
+        # only scales the other operand's coefficients
         if isinstance(other, (int, Fraction)):
-            other = _coef(other)
-            if not other:
-                return Polynomial()
-            return _poly({m: c * other for m, c in self.terms.items()})
-        t = {}
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        _add_product(t, a, b)
-        return _poly(t)
+            k, p = _coef(other), self
+        else:
+            a, b = self.terms, other.terms
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) != 1 or UNIT not in a:
+                t = {}
+                _add_product(t, a, b)
+                return _poly(t)
+            k, p = a[UNIT], (self if b is self.terms else other)
+        if not k:
+            return Polynomial()
+        if k == 1:
+            return p
+        return _poly({m: c * k for m, c in p.terms.items()})
 
     __rmul__ = __mul__
 
@@ -329,9 +346,8 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
     def partial(self, v):
         t = {}
-        sk = v._sk
         for m, c in self.terms.items():
-            i = _index(m, sk)
+            i = _index(m, v)
             if i < 0:
                 continue
             w, e = m[i]
@@ -485,10 +501,9 @@ def _mono_content(p):
 
 def _as_univariate(p, v):
     """View p as a univariate polynomial in v: dict degree -> Polynomial."""
-    sk = v._sk
     out = {}
     for m, c in p.terms.items():
-        i = _index(m, sk)
+        i = _index(m, v)
         if i < 0:
             e, rest = 0, m
         else:
@@ -500,8 +515,9 @@ def _as_univariate(p, v):
 
 
 def _poly_content_in(p, v):
-    """gcd of the coefficients of p seen as univariate in v."""
-    coeffs = list(_as_univariate(p, v).values())
+    """gcd of the coefficients of p seen as univariate in v, folded
+    smallest first, so that a constant coefficient ends the fold at once."""
+    coeffs = sorted(_as_univariate(p, v).values(), key=lambda c: len(c.terms))
     g = coeffs[0]
     for c in coeffs[1:]:
         g = poly_gcd(g, c)
@@ -512,8 +528,17 @@ def _poly_content_in(p, v):
 
 def _primitive_in(p, v):
     cont = _poly_content_in(p, v)
-    prim = poly_divexact(p, cont)
-    return cont, prim
+    return cont, _cancel(p, cont)
+
+
+def _degrees(p):
+    """Each variable of p mapped to p's degree in it."""
+    d = {}
+    for m in p.terms:
+        for v, e in m:
+            if e > d.get(v, 0):
+                d[v] = e
+    return d
 
 
 def _pseudo_rem(a, b, v):
@@ -559,12 +584,17 @@ def poly_gcd(a, b):
     a, b = _mono_quotient(a, ma), _mono_quotient(b, mb)
     if a.is_constant() or b.is_constant():
         return base
-    # cheap trial divisions first
-    if poly_divexact(a, b) is not None:
+    # cheap trial divisions first, each only when no variable has a
+    # higher degree in the divisor than in the dividend, a necessary
+    # condition for it to divide
+    da, db = _degrees(a), _degrees(b)
+    if (all(e <= da.get(v, 0) for v, e in db.items())
+            and poly_divexact(a, b) is not None):
         return _norm_primitive(base * _norm_primitive(b))
-    if poly_divexact(b, a) is not None:
+    if (all(e <= db.get(v, 0) for v, e in da.items())
+            and poly_divexact(b, a) is not None):
         return _norm_primitive(base * _norm_primitive(a))
-    common = a.variables() & b.variables()
+    common = da.keys() & db.keys()
     if not common:
         return _norm_primitive(base)
     v = max(common)

@@ -160,12 +160,13 @@ def leading_conflict(equations):
 
 def jet_above_order(equations, order):
     """The first equation, as (index, message), whose residual carries a
-    jet above ``order``; None when there is none.  lhs and rhs may
-    cancel a high jet, so the residual decides."""
+    jet above ``order``, and the first such jet in the variable order;
+    None when there is none.  lhs and rhs may cancel a high jet, so the
+    residual decides."""
     for i, e in enumerate(equations):
         if any(jet_order(v) > order
                for v in e.lhs.variables() | e.rhs.variables()):
-            for v in e.residual.variables():
+            for v in sorted(e.residual.variables()):
                 if jet_order(v) > order:
                     return i, (f"jet {v.name} of order {jet_order(v)} in an "
                                f"equation of a system of order {order}")

@@ -1,8 +1,11 @@
 """Problem-file parsing, the check runner, and the console entry point."""
 import copy
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -285,6 +288,25 @@ class TestMain:
         assert main(["check", "--format", "json"]) == 0
         text = capsys.readouterr().out.replace(f'"{CORPUS}/', '"')
         assert text == CORPUS_REPORT.read_text()
+
+    def test_report_does_not_follow_the_hash_seed(self):
+        """Variables hash by identity, so a set of them iterates in the
+        order of memory addresses, and strings hash by the seed; neither
+        may reach the report.  Each run is a fresh interpreter."""
+        def report(seed):
+            path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       VESSIOT_CORPUS=str(CORPUS),
+                       PYTHONPATH=os.pathsep.join(path))
+            return subprocess.run(
+                [sys.executable, "-m", "vessiot.cli", "check", "--format",
+                 "json"], env=env, capture_output=True, check=True,
+                timeout=600).stdout
+
+        one = report("1")
+        assert one == report("2")
+        assert one.decode().replace(f'"{CORPUS}/', '"') == (
+            CORPUS_REPORT.read_text())
 
     def test_json_output(self, capsys):
         code = main([
@@ -814,6 +836,12 @@ class TestMain:
             "objects.S.equations[0]: jet y[x,x] of order 2 in an equation "
             "of a system of order 1", ProblemSyntaxError, None,
             id="jet-above-order"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"leading": "y[x]", "rhs": "y[x,x] + y[x,z] + y[z,z]"})}},
+            "objects.S.equations[0]: jet y[z,z] of order 2 in an equation "
+            "of a system of order 1", ProblemSyntaxError, None,
+            id="jet-above-order-first-in-variable-order"),
         pytest.param(
             {"objects": {"S": system({"lhs": "y[x]^2", "rhs": "1"}),
                          "s": SECTION1 | {"order": 0}},

@@ -564,3 +564,126 @@ def test_fraction_free_rank_on_symbol_traffic(stem, name, r, monkeypatch):
     for m in mats:
         assert rank_without_gcd(monkeypatch, m.rows, len(m.columns)) == (
             ref_rank(m.rows, len(m.columns)))
+
+
+# -- poly_gcd against the ungated trial divisions ------------------------
+def ref_primitive_in(p, v):
+    """(content, primitive part) of p in v, the coefficients folded in the
+    order of _as_univariate and the content divided out even when 1."""
+    coeffs = list(symcore._as_univariate(p, v).values())
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        g = ref_poly_gcd(g, c)
+        if g.is_constant():
+            break
+    return g, symcore.poly_divexact(p, g)
+
+
+def ref_poly_gcd(a, b):
+    """poly_gcd with both trial divisions always tried."""
+    norm = symcore._norm_primitive
+    if a.is_zero():
+        return norm(b)
+    if b.is_zero():
+        return norm(a)
+    if a.is_constant() or b.is_constant():
+        return Polynomial.const(1)
+    ma, mb = symcore._mono_content(a), symcore._mono_content(b)
+    base = Polynomial({symcore.mono_gcd(ma, mb): 1})
+    a, b = symcore._mono_quotient(a, ma), symcore._mono_quotient(b, mb)
+    if a.is_constant() or b.is_constant():
+        return base
+    if symcore.poly_divexact(a, b) is not None:
+        return norm(base * norm(b))
+    if symcore.poly_divexact(b, a) is not None:
+        return norm(base * norm(a))
+    common = a.variables() & b.variables()
+    if not common:
+        return norm(base)
+    v = max(common)
+    ca, pa = ref_primitive_in(a, v)
+    cb, pb = ref_primitive_in(b, v)
+    cg = ref_poly_gcd(ca, cb)
+    if pa.degree_in(v) < pb.degree_in(v):
+        pa, pb = pb, pa
+    gc = h = Polynomial.const(1)
+    while True:
+        delta = pa.degree_in(v) - pb.degree_in(v)
+        r = symcore._pseudo_rem(pa, pb, v)
+        if r.is_zero():
+            g = pb
+            break
+        if r.degree_in(v) == 0:
+            g = Polynomial.const(1)
+            break
+        pa, pb = pb, symcore.poly_divexact(r, gc * h ** delta)
+        gc = symcore._as_univariate(pa, v)[pa.degree_in(v)]
+        if delta == 1:
+            h = gc
+        elif delta > 1:
+            h = symcore.poly_divexact(gc ** delta, h ** (delta - 1))
+    if not g.is_constant():
+        g = ref_primitive_in(g, v)[1]
+    return norm(base * cg * g)
+
+
+def gcd_pairs(rng, vs):
+    """Seeded pairs: b | a, a | b, likely coprime, a shared factor (also
+    squared), a shared monomial, one variable of higher degree in the
+    smaller operand, and Fraction coefficients throughout (rand_poly
+    draws 1/2)."""
+    def poly(terms=3, deg=2):
+        return rand_poly(rng, vs, True, terms, deg)
+
+    f = poly(2, 1)
+    m = Polynomial({mono_make([(rng.choice(vs), rng.randint(1, 2))]): 1})
+    b = poly()
+    c = poly()
+    return [
+        (b * c, b), (b, b * c), (poly(), poly()),
+        (f * poly(), f * poly()), (f * f * poly(2), f * poly(2)),
+        (m * poly(), m * f * poly(2)), (b * Fraction(3, 4), b * c * 6),
+        (b * c + 1, b), (b, b * b * c + b * f + 1),
+    ]
+
+
+def coefficient_types(p):
+    return {m: type(c) for m, c in p.terms.items()}
+
+
+def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
+    rng = random.Random(1901)
+    for k in range(120):
+        for a, b in gcd_pairs(rng, rng.sample(variables(ctx), 4)):
+            want = ref_poly_gcd(a, b)
+            for got in (symcore.poly_gcd(a, b), symcore.poly_gcd(b, a)):
+                assert got == want, (k, a, b)
+                assert coefficient_types(got) == coefficient_types(want)
+            assert all(type(c) is int for c in want.terms.values())
+
+
+def test_degree_gate_skips_only_impossible_divisions(ctx, monkeypatch):
+    """poly_gcd tries a division only where each variable's degree in the
+    divisor is at most its degree in the dividend."""
+    tried = []
+    divexact0 = symcore.poly_divexact
+
+    def traced(a, b):
+        tried.append((a, b))
+        return divexact0(a, b)
+
+    monkeypatch.setattr(symcore, "poly_divexact", traced)
+    x, z, u = ctx.var("x"), ctx.var("z"), ctx.var("u")
+    X, Z, U = (Polynomial.var(v) for v in (x, z, u))
+    # x^2 + z does not fit into x + z^2 either way: no trial division
+    a, b = X * X + Z, X + Z * Z
+    tried.clear()
+    symcore.poly_gcd(a, b)
+    assert (a, b) not in tried and (b, a) not in tried
+    # x + z fits into (x + z)*(x - u), not the other way round: one
+    # trial division, whichever operand comes first
+    big = (X + Z) * (X - U)
+    for a, b in ((big, X + Z), (X + Z, big)):
+        tried.clear()
+        assert symcore.poly_gcd(a, b) == X + Z
+        assert tried == [(big, X + Z)]

@@ -1,5 +1,6 @@
 """Canonical arithmetic: normal forms, substitution, partials, rewrite
 reduction and exact evaluation."""
+import copy
 import gc
 import pickle
 import random
@@ -21,6 +22,7 @@ from vessiot.symcore import (
     UNIT,
     Polynomial,
     RationalExpr,
+    VariableId,
     coordinate_partial,
     eval_point,
     mono_div,
@@ -412,9 +414,36 @@ class TestHenrici:
 
 
 class TestVariableId:
-    def test_hash_is_the_dataclass_field_hash(self, surf):
-        for v in (surf.var("x1"), surf.jet_by_dirs("y2", ["x1", "x2"])):
-            assert hash(v) == hash((v.kind, v.name, v.key))
+    @staticmethod
+    def declared(ctx):
+        return (ctx.var("x1"), ctx.var("x2"),
+                ctx.jet_by_dirs("y2", ["x1", "x2"]))
+
+    def test_equal_declarations_are_one_object(self):
+        def context():
+            return JetContext(["x1", "x2"], ["y1", "y2"], max_order=2)
+
+        one, two = self.declared(context()), self.declared(context())
+        assert all(v is w for v, w in zip(one, two))
+        assert VariableId(one[2].kind, one[2].name, one[2].key) is one[2]
+        # another declaration index is another variable
+        swapped = JetContext(["x2", "x1"], ["y1", "y2"], max_order=1)
+        assert swapped.var("x1") is not one[0] and swapped.var("x1") != one[0]
+
+    def test_pickle_and_copies_give_the_same_object(self, surf):
+        for v in self.declared(surf):
+            assert pickle.loads(pickle.dumps(v)) is v
+            assert copy.copy(v) is v and copy.deepcopy(v) is v
+            assert copy.deepcopy({v: [v]}) == {v: [v]}
+
+    def test_is_immutable(self, surf):
+        v = surf.var("x1")
+        for attr in ("kind", "name", "key", "_sk", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, attr, "z")
+            with pytest.raises(AttributeError):
+                delattr(v, attr)
+        assert (v.kind, v.name, v.key) == ("independent", "x1", (0, 0))
 
     def test_pickle_round_trip(self, surf):
         v = surf.jet_by_dirs("y1", ["x2"])
@@ -604,7 +633,7 @@ class TestMonomialKernels:
     @pytest.fixture
     def two_contexts(self):
         """The same five variables from two contexts with equal
-        declarations: equal VariableIds that are distinct objects."""
+        declarations: interning makes them the same objects."""
         def variables():
             ctx = JetContext(["x", "y"], ["u"], parameters=["a"], max_order=2)
             return [ctx.var("x"), ctx.var("y"), ctx.var("a"),
@@ -612,7 +641,7 @@ class TestMonomialKernels:
                     ctx.jet_by_dirs("u", ["x", "y"])]
 
         one, two = variables(), variables()
-        assert one == two and all(v is not w for v, w in zip(one, two))
+        assert one == two and all(v is w for v, w in zip(one, two))
         return one, two
 
     @staticmethod

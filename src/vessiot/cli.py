@@ -418,8 +418,9 @@ def _equation(value, where, load):
 
 
 def _system(s, where, load):
-    """Equations whose leading jets do not clash, at ``order``; an
-    ``ordering`` permutes the independents."""
+    """Equations whose leading jets do not clash and no two of whose
+    residuals are equal up to sign, at ``order``; an ``ordering``
+    permutes the independents."""
     ctx, equations = load.ctx, s.setdefault("equations", [])
     conflict = systems.leading_conflict(equations)
     if conflict is not None:
@@ -427,6 +428,15 @@ def _system(s, where, load):
     above = systems.jet_above_order(equations, s["order"])
     if above is not None:
         _fail(f"{where}.equations[{above[0]}]", above[1])
+    # a repeated residual would count twice where classes are counted
+    # from declared leading jets (systems.characters)
+    first = {}
+    for i, e in enumerate(equations):
+        j = first.get(e.residual, first.get(-e.residual))
+        if j is not None:
+            _fail(f"{where}.equations[{i}]",
+                  f"residual repeats that of equations[{j}] up to sign")
+        first[e.residual] = i
     _require(sorted(s.get("ordering", ctx.independents))
              == sorted(ctx.independents), f"{where}.ordering",
              f"expected a permutation of the independents "

@@ -7,13 +7,14 @@ normal form, so structural equality is algebraic equality.
 
 Sums are normalized once where a common denominator is known.  The
 derivation kernel ``derive`` applies D = sum c_v d/dv to n/d by forming
-B*D n and B*D d as plain polynomials (B the product of the distinct
-denominators of the c_v), one Henrici quotient rule and one division by
-B; coordinate partials, the chain rule for specials, total derivatives
-and vector fields go through it.  ``substitute`` sums a polynomial's
-terms over the product of its bindings' denominators, each to the
-polynomial's degree in the bound variable, and normalizes the sum once;
-``sum_of_products`` does the same for groups of equal denominators.
+B*D n and B*D d as plain polynomials in one sweep over each one's terms
+(B the product of the distinct denominators of the c_v), one Henrici
+quotient rule and one division by B; coordinate partials, the chain
+rule for specials, total derivatives and vector fields go through it.
+``substitute`` sums a polynomial's terms over the product of its
+bindings' denominators, each to the polynomial's degree in the bound
+variable, and normalizes the sum once; ``sum_of_products`` does the
+same for groups of equal denominators.
 
 A coefficient is stored as an int when it is integral and as a Fraction
 otherwise (_coef), and the normal form's coefficients are all ints.
@@ -32,7 +33,8 @@ pairs sorted by the variables' _sk, one pair per variable, exponents
 positive.  VariableIds are interned, one object per declaration, so the
 kernels test "same variable" with ``is`` and compare _sk only to order
 two variables, and a monomial's hash and equality (dict keys, set
-members) run in C with no Python frame per variable.  The iteration
+members) run in C with no Python frame per variable.  RationalExpr.var
+returns one expression per variable in the same way.  The iteration
 order of a set of variables follows memory addresses, so nothing whose
 result is printed may depend on it.
 """
@@ -97,6 +99,8 @@ class VariableId:
 
 # (kind, name, key) -> its one VariableId
 _VARIABLES = {}
+# VariableId -> its one RationalExpr (RationalExpr.var)
+_VAR_EXPRS = {}
 
 
 # The unit monomial.
@@ -281,8 +285,10 @@ class Polynomial:
         return self.terms[self.leading_monomial()]
 
     # -- ring operations ----------------------------------------------
+    # the operators test the operand's own class first: Fraction's
+    # metaclass is ABCMeta, whose isinstance runs a Python-level frame
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
@@ -297,14 +303,14 @@ class Polynomial:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
         return self + (-other)
 
     def __mul__(self, other):
         # a constant operand, an int, a Fraction or a constant Polynomial,
         # only scales the other operand's coefficients
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             k, p = _coef(other), self
         else:
             a, b = self.terms, other.terms
@@ -336,9 +342,12 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial.const(other)
+            elif not isinstance(other, Polynomial):
+                return False
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -657,11 +666,11 @@ class RationalExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _normalized=False):
-        if isinstance(num, (int, Fraction)):
+        if type(num) is not Polynomial and isinstance(num, (int, Fraction)):
             num = Polynomial.const(num)
         if den is None:
             den = Polynomial.const(1)
-        elif isinstance(den, (int, Fraction)):
+        elif type(den) is not Polynomial and isinstance(den, (int, Fraction)):
             den = Polynomial.const(den)
         if _normalized:
             self.num = num
@@ -698,7 +707,14 @@ class RationalExpr:
 
     @staticmethod
     def var(v):
-        return RationalExpr(Polynomial.var(v), _normalized=True)
+        """The one expression of the variable v: built on the first call
+        and returned as it is on every later one (expressions are
+        immutable, and VariableIds interned)."""
+        e = _VAR_EXPRS.get(v)
+        if e is None:
+            e = _VAR_EXPRS[v] = RationalExpr(Polynomial.var(v),
+                                             _normalized=True)
+        return e
 
     @staticmethod
     def _coerce(x):
@@ -958,13 +974,16 @@ def normalize(e):
 def derive(e, coeffs):
     """D e for the derivation D = sum of c_v * d/dv over the pairs (v, c_v)
     of ``coeffs``, each c_v a RationalExpr; every VariableId counts as an
-    independent coordinate.
+    independent coordinate, and the terms of a variable given twice add.
 
-    Let B be the product of the distinct denominators of the c_v that are
-    not 1.  B*D maps polynomials to polynomials, so B*D n and B*D d are
-    formed as plain polynomials, each partial times its coefficient's
-    numerator times B over its denominator, with no gcd.  One quotient
-    rule, Henrici's, follows: with g = gcd(d, B*D d) and d1 = d/g,
+    Let B be the product of the distinct denominators, other than 1, of
+    the c_v whose variable e carries (that scan of e's variables is made
+    only when some c_v has one).  B*D maps polynomials to polynomials, so
+    B*D n and B*D d are formed as plain polynomials, with no gcd, in one
+    sweep over each one's terms (_sweep): with a_v = B*c_v, a polynomial,
+    a term c*m gives c*k*(m/v)*a_v for each v^k in m that has a
+    coefficient.  One quotient rule, Henrici's, follows: with
+    g = gcd(d, B*D d) and d1 = d/g,
 
         B*D (n/d) = t / (g * d1^2),   t = (B*D n) * d1 - n * (B*D d)/g,
 
@@ -980,32 +999,32 @@ def derive(e, coeffs):
     constructor cancels gcd(D'n, d).
     """
     n, d = e.num, e.den
-    parts, dens = [], []  # (D'n, D'd, numerator, den index); dens distinct
+    live, dens = [], []  # (v, numerator of c_v, den index); dens distinct
+    carried = None
     for v, c in coeffs:
         if not c.num.terms:
             continue
-        dn, dd = n.partial(v), d.partial(v)
-        if not (dn.terms or dd.terms):
-            continue
         j = -1
         if c.den.terms != ONE.den.terms:
+            if carried is None:
+                carried = n.variables() | d.variables()
+            if v not in carried:
+                continue
             for j, b in enumerate(dens):
                 if b is c.den or b == c.den:
                     break
             else:
                 j = len(dens)
                 dens.append(c.den)
-        parts.append((dn, dd, c.num, j))
-    if not parts:
-        return ZERO
-    bdn, bdd = {}, {}
-    for dn, dd, a, j in parts:
+        live.append((v, c.num, j))
+    scaled = {}  # v -> a_v
+    for v, a, j in live:
         for i, b in enumerate(dens):
             if i != j:
                 a = a * b
-        _add_product(bdn, dn.terms, a.terms)
-        _add_product(bdd, dd.terms, a.terms)
-    bdn, bdd = _poly(bdn), _poly(bdd)
+        prev = scaled.get(v)
+        scaled[v] = a if prev is None else prev + a
+    bdn, bdd = _sweep(n, scaled), _sweep(d, scaled)
     if not bdd.terms:
         if not bdn.terms:
             return ZERO
@@ -1027,6 +1046,30 @@ def derive(e, coeffs):
     for b in dens[1:]:
         B = B * b
     return RationalExpr._product(num, den, ONE.num, B)
+
+
+def _sweep(p, scaled):
+    """sum of a_v * dp/dv over the pairs (v, a_v) of ``scaled``, in one
+    pass over p's terms."""
+    t = {}
+    for m, c in p.terms.items():
+        for i, (w, k) in enumerate(m):
+            a = scaled.get(w)
+            if a is None:
+                continue
+            if k == 1:
+                rest = m[:i] + m[i + 1:]
+            else:
+                rest = m[:i] + ((w, k - 1),) + m[i + 1:]
+            ck = c * k
+            for mb, cb in a.terms.items():
+                mm = mono_mul(rest, mb)
+                s = t.get(mm, 0) + ck * cb
+                if s:
+                    t[mm] = s
+                else:
+                    t.pop(mm, None)
+    return _poly(t)
 
 
 def coordinate_partial(e, v):

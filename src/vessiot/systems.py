@@ -67,7 +67,8 @@ class Equation:
 
     @cached_property
     def strict(self):
-        # kept like residual: RationalExpr.var normalizes (one gcd)
+        # kept like residual: compared once, with the leading jet's one
+        # expression
         if self.leading is None:
             return False
         return self.lhs == RationalExpr.var(self.leading)
@@ -101,6 +102,9 @@ class SolvedSystem:
     ordering: tuple = None
     genericity: tuple = ()
     integrability: list = field(default_factory=list)
+    # S's SymbolSystem, built on the first symbol_of(S) call
+    _symbol: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.ordering is None:
@@ -298,17 +302,27 @@ def _order_q_jets(ctx, q):
 
 
 def symbol_of(S):
-    """Linearize each equation in its order-q jets only.  A residual is
-    in lowest terms, so its partial by a jet it carries is nonzero."""
-    cols = _order_q_jets(S.ctx, S.order)
-    index = {v: j for j, v in enumerate(cols)}
-    rows = []
-    for res in S.residuals():
-        row = {index[v]: coordinate_partial(res, v)
-               for v in res.variables() if v in index}
-        if row:
-            rows.append(row)
-    return SymbolSystem(S.ctx, S.order, cols, rows)
+    """S's symbol: each equation linearized in its order-q jets only.  A
+    residual is in lowest terms, so its partial by a jet it carries is
+    nonzero.
+
+    The symbol is built on the first call, kept on S and returned as the
+    same object on every later call, so ``characters``, ``cartan_test``,
+    ``compatibility_count`` and direct callers share one build.  No
+    caller may change its rows (``rank`` and ``rref`` copy them), and S's
+    equations must not change once it has been asked for."""
+    sym = S._symbol
+    if sym is None:
+        cols = _order_q_jets(S.ctx, S.order)
+        index = {v: j for j, v in enumerate(cols)}
+        rows = []
+        for res in S.residuals():
+            row = {index[v]: coordinate_partial(res, v)
+                   for v in res.variables() if v in index}
+            if row:
+                rows.append(row)
+        sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows)
+    return sym
 
 
 def _prolonged_symbol(sym):
@@ -360,14 +374,13 @@ def _is_covered(pivot, gens):
     return num.is_constant()
 
 
-def characters(S, strict=False, sym=None):
+def characters(S, strict=False):
     """Cartan characters (alpha^1, ..., alpha^n), ascending by class.
 
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
     class of a solved equation is the class of its leading jet, and
     implicit equations are classed by exact symbol elimination that
-    prefers the highest classes.  ``sym`` is S's symbol when the caller
-    has already built it."""
+    prefers the highest classes."""
     if S.order < 1:
         raise ValueError("characters need a system of order >= 1")
     ctx = S.ctx
@@ -385,8 +398,7 @@ def characters(S, strict=False, sym=None):
         for e in S.equations:
             beta[S.leading_class(e)] += 1
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
-    if sym is None:
-        sym = symbol_of(S)
+    sym = symbol_of(S)
     if strict:
         _strict_pivot_audit(S, sym, classes)
     beta = [0] * (n + 2)
@@ -432,7 +444,7 @@ def _strict_pivot_audit(S, sym, classes):
 def cartan_test(S):
     """dim g_{q+1} against the character bound sum_i i*alpha^i."""
     sym = symbol_of(S)
-    alpha = characters(S, sym=sym)
+    alpha = characters(S)
     bound = sum((i + 1) * a for i, a in enumerate(alpha))
     dim_next = _prolonged_symbol(sym).dimension()
     sym_dim = sym.dimension()

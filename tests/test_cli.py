@@ -185,11 +185,12 @@ class TestRun:
         assert r.witness is not None and r.witness != "0"
 
     def test_cartan_bound_failure_has_a_witness(self):
-        # both equations have one residual, so the symbol has rank 1, but
-        # their two leading jets count as two: the bound reads 0
+        # the two residuals are proportional, so the symbol has rank 1,
+        # but their two leading jets count as two: the bound reads 0 (a
+        # residual repeated up to sign is refused at load)
         doc = problem(context=XY, objects={"S": system(
             {"lhs": "y[x] - y[z]", "leading": "y[x]"},
-            {"lhs": "y[x] - y[z]", "leading": "y[z]"})}, checks=[{
+            {"lhs": "2*y[x] - 2*y[z]", "leading": "y[z]"})}, checks=[{
                 "id": "c", "op": "cartan_bound", "args": {"system": "S"},
                 "expect": "FAIL"}])
         (r,) = run(parse_problem(doc)).results
@@ -465,6 +466,21 @@ class TestMain:
                                      {"leading": "y[x]", "rhs": "x"})}},
             "objects.S.equations[1].leading: duplicate leading jet y[x]",
             ProblemSyntaxError, None, id="duplicate-leading"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"lhs": "y[x] - y[z]", "leading": "y[x]"},
+                {"lhs": "y[x] - y[z]", "leading": "y[z]"})}},
+            "objects.S.equations[1]: residual repeats that of equations[0] "
+            "up to sign", ProblemSyntaxError, None, id="repeated-residual"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"lhs": "y[x]", "rhs": "y[z] + x"},
+                {"leading": "y[z]", "rhs": "0"},
+                {"lhs": "y[z] + x", "rhs": "y[x]", "leading": "y[x,z]"},
+                order=2)}},
+            "objects.S.equations[2]: residual repeats that of equations[0] "
+            "up to sign", ProblemSyntaxError, None,
+            id="negated-residual"),
         pytest.param(
             {"context": XY, "objects": {"S": system(
                 {"leading": "y[x]", "rhs": "y[z]"},

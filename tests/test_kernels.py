@@ -208,6 +208,39 @@ class TestDerive:
         for e, coeffs in cases:
             assert derive(e, coeffs) == ZERO == ref_derive(e, coeffs), e
 
+    def test_one_sweep_over_the_terms(self, ctx):
+        # the sweep takes each term once for all of its variables
+        x, z, u = ctx.var("x"), ctx.var("z"), ctx.var("u")
+        ux = ctx.jet_by_dirs("u", ["x"])
+        f = ctx.expr("1/(z + 1)")
+        cases = [
+            # a coefficient whose variable the expression does not carry,
+            # with a denominator that must not enter B
+            (ctx.expr("x^2/(z + 1)"), [(x, ONE), (u, ctx.expr("1/(x - 3)"))]),
+            (ctx.expr("x^2*z"), [(ux, ctx.expr("x/(z - 2)"))]),
+            # contributions that cancel across variables
+            (ctx.expr("x^2 + z^2"), [(x, ctx.expr("z")), (z, ctx.expr("-x"))]),
+            (ctx.expr("(x^2 + z^2)*u/(x + u)"),
+             [(x, ctx.expr("z")), (z, ctx.expr("-x"))]),
+            # exponents of 2 and more, on the numerator and the denominator
+            (ctx.expr("x^3*z^2*u^4/(x^2*u^3 + z^5)"),
+             [(x, ctx.expr("u")), (z, ctx.expr("x^2")), (u, ctx.expr("z"))]),
+            # the same variable given twice: its terms add, also to zero
+            (ctx.expr("x^2*u/(z + u)"), [(x, ONE), (x, ctx.expr("z"))]),
+            (ctx.expr("x^2*u/(z + u)"), [(x, f), (x, f), (z, ONE)]),
+            (ctx.expr("x^2*u/(z + u)"), [(x, ctx.expr("z")),
+                                         (x, ctx.expr("-z"))]),
+            # shared and distinct non-constant denominators
+            (ctx.expr("x*z*u/(x + z)"),
+             [(x, ctx.expr("u/(z + 1)")), (z, ctx.expr("x/(z + 1)")),
+              (u, ctx.expr("1/(x - u)"))]),
+            (ctx.expr("(x^2 + u)/(z^2 + 1)"),
+             [(x, ctx.expr("1/(z + 1)^2")), (z, ctx.expr("x/(z + 1)")),
+              (u, ctx.expr("z/(x*u + 1)"))]),
+        ]
+        for e, coeffs in cases:
+            assert derive(e, coeffs) == ref_derive(e, coeffs), (e, coeffs)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_factor_dividing_its_own_derivative(self, ctx, k):
         # D_x (ch + sh) = ch + sh, so D_x (ch + sh)^(-k) = -k (ch + sh)^(-k):
@@ -454,6 +487,41 @@ def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
     assert audit_outcome(
         systems._strict_pivot_audit, P, sym, classes
     ) == audit_outcome(ref_strict_pivot_audit, P, cols, dense, classes)
+
+
+@pytest.mark.parametrize("stem, name, r", [
+    ("shell_monkey_saddle", "projected_system", 0),
+    ("hj_eleven_equation", "eleven_equation", 0),
+    ("hj_contact_groupoid", "contact", 1),
+])
+def test_one_symbol_per_system_shared_and_unchanged(stem, name, r,
+                                                    monkeypatch):
+    P = prolonged(stem, name, r)
+    cols, dense = ref_symbol(P)
+    want = [ref_sparse(row, len(cols)) for row in dense]
+    one_build = sum(len(res.variables() & set(cols))
+                    for res in P.residuals())
+    calls = []
+    partial0 = systems.coordinate_partial
+
+    def counted(e, v):
+        calls.append(v)
+        return partial0(e, v)
+
+    monkeypatch.setattr(systems, "coordinate_partial", counted)
+    sym = systems.symbol_of(P)
+    assert systems.symbol_of(P) is sym
+    for consumer in (
+        lambda: systems.symbol_of(P).rank(),
+        lambda: systems.characters(P),
+        lambda: audit_outcome(systems.characters, P, True),
+        lambda: systems.cartan_test(P),
+        lambda: systems.compatibility_count(P),
+    ):
+        consumer()
+        assert systems.symbol_of(P) is sym
+        assert sym.columns == cols and sym.rows == want
+    assert len(calls) == one_build
 
 
 # -- fraction-free rank against the field elimination -------------------

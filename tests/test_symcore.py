@@ -430,6 +430,18 @@ class TestVariableId:
         swapped = JetContext(["x2", "x1"], ["y1", "y2"], max_order=1)
         assert swapped.var("x1") is not one[0] and swapped.var("x1") != one[0]
 
+    def test_one_expression_per_variable(self):
+        def context():
+            return JetContext(["x1", "x2"], ["y1", "y2"], max_order=2)
+
+        one, two = self.declared(context()), self.declared(context())
+        for v, w in zip(one, two):
+            e = RationalExpr.var(v)
+            assert e is RationalExpr.var(v) is RationalExpr.var(w)
+            assert e == RationalExpr(Polynomial.var(v))
+        # the parser's resolver hands out the same expression
+        assert context().expr("y2[x1,x2]") is RationalExpr.var(one[2])
+
     def test_pickle_and_copies_give_the_same_object(self, surf):
         for v in self.declared(surf):
             assert pickle.loads(pickle.dumps(v)) is v

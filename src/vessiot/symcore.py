@@ -16,6 +16,12 @@ bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once; ``sum_of_products`` does the
 same for groups of equal denominators.
 
+``poly_gcd`` takes out the monomial content and tries the degree-gated
+trial divisions; then an operand of degree 1 in some variable splits
+into the gcd of its two coefficients and an irreducible cofactor, and
+only a pair with no such operand runs a subresultant remainder
+sequence.
+
 A coefficient is stored as an int when it is integral and as a Fraction
 otherwise (_coef), and the normal form's coefficients are all ints.
 Fractions appear only at the edges: in polynomials built from
@@ -550,6 +556,12 @@ def _degrees(p):
     return d
 
 
+def _may_divide(db, da):
+    """Whether no variable has a higher degree in b than in a (db, da
+    their _degrees), a necessary condition for b | a."""
+    return all(e <= da.get(v, 0) for v, e in db.items())
+
+
 def _pseudo_rem(a, b, v):
     """Canonical pseudo-remainder prem(a, b) in v: the remainder of
     lc(b)^(deg a - deg b + 1) * a under division by b."""
@@ -581,7 +593,28 @@ def _norm_primitive(p):
 
 def poly_gcd(a, b):
     """gcd of two polynomials, integer-primitive with positive leading
-    coefficient (1 for coprime inputs)."""
+    coefficient (1 for coprime inputs).
+
+    After the monomial content and the trial divisions, an operand p of
+    degree 1 in some variable (the operand with fewer terms first, w the
+    lowest such variable in the variable order) is split: p = u1*w + u0
+    with both parts nonzero, c = gcd(u1, u0) and x = p / c.  x has degree
+    1 in w and is primitive in w, so it is irreducible (Gauss's lemma: a
+    factor free of w would divide both its coefficients) and coprime to
+    c, which is free of w.  Hence gcd(q, p) = gcd(q, c) * gcd(q, x), and
+    gcd(q, x) is x if x | q and 1 otherwise.  When c is 1, p itself is
+    irreducible and the trial divisions (or their gate) have shown that
+    it does not divide q, so only the monomial part remains.  A pair
+    with no such operand takes its contents in the largest common
+    variable v and runs a subresultant remainder sequence.
+
+    The recursion terminates: each recursive call replaces an operand
+    by polynomials free of w (u1 and u0, or c in place of p) or of v
+    (the contents and their coefficients).  So each call either has
+    fewer variables between its two operands or, for gcd(q, c), the same
+    variables and a lower sum of total degrees, since c is a proper
+    factor of p.
+    """
     if a.is_zero():
         return _norm_primitive(b)
     if b.is_zero():
@@ -593,16 +626,28 @@ def poly_gcd(a, b):
     a, b = _mono_quotient(a, ma), _mono_quotient(b, mb)
     if a.is_constant() or b.is_constant():
         return base
-    # cheap trial divisions first, each only when no variable has a
-    # higher degree in the divisor than in the dividend, a necessary
-    # condition for it to divide
+    # cheap trial divisions first, each only where the degrees allow it
     da, db = _degrees(a), _degrees(b)
-    if (all(e <= da.get(v, 0) for v, e in db.items())
-            and poly_divexact(a, b) is not None):
+    if _may_divide(db, da) and poly_divexact(a, b) is not None:
         return _norm_primitive(base * _norm_primitive(b))
-    if (all(e <= db.get(v, 0) for v, e in da.items())
-            and poly_divexact(b, a) is not None):
+    if _may_divide(da, db) and poly_divexact(b, a) is not None:
         return _norm_primitive(base * _norm_primitive(a))
+    # an operand linear in some w splits as c * x with x irreducible
+    for p, dp, q, dq in sorted(((a, da, b, db), (b, db, a, da)),
+                               key=lambda t: len(t[0].terms)):
+        w = min((v for v, e in dp.items() if e == 1), default=None)
+        if w is None:
+            continue
+        u = _as_univariate(p, w)
+        c = poly_gcd(u[1], u[0])
+        if c.is_constant():
+            # p itself is irreducible, and it does not divide q
+            return _norm_primitive(base)
+        x = _cancel(p, c)
+        g = base * poly_gcd(q, c)
+        if _may_divide(_degrees(x), dq) and poly_divexact(q, x) is not None:
+            g = g * x
+        return _norm_primitive(g)
     common = da.keys() & db.keys()
     if not common:
         return _norm_primitive(base)

@@ -719,10 +719,33 @@ def coefficient_types(p):
     return {m: type(c) for m, c in p.terms.items()}
 
 
+def split_pairs(rng, vs):
+    """Seeded pairs for the split of an operand linear in w = vs[0]:
+    p = c*x with c = c1*c2 free of w, against q sharing c1, x, both or
+    neither of them; a larger operand linear in w against a smaller one
+    whose variables all have degree 2 or more; Fraction coefficients
+    throughout (rand_poly draws 1/2, and some operands are scaled)."""
+    w, rest = vs[0], vs[1:]
+
+    def poly(terms=2, deg=2):
+        return rand_poly(rng, rest, True, terms, deg)
+
+    x = poly(2, 1) * Polynomial.var(w) + poly()
+    c1, c2 = poly(), poly(2, 1)
+    p, r = c1 * c2 * x, rand_poly(rng, vs, True, 3, 2)
+    f = poly()
+    return [
+        (p, r), (p, r * c1), (p, r * x), (p, r * c1 * x),
+        (p * Fraction(2, 3), r * c2 * x * 6),
+        (x * f * poly(3), f * f), (x * poly(3), f * f),
+    ]
+
+
 def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
-    rng = random.Random(1901)
+    rng, split_rng = random.Random(1901), random.Random(2101)
     for k in range(120):
-        for a, b in gcd_pairs(rng, rng.sample(variables(ctx), 4)):
+        vs = rng.sample(variables(ctx), 4)
+        for a, b in gcd_pairs(rng, vs) + split_pairs(split_rng, vs):
             want = ref_poly_gcd(a, b)
             for got in (symcore.poly_gcd(a, b), symcore.poly_gcd(b, a)):
                 assert got == want, (k, a, b)
@@ -730,28 +753,95 @@ def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
             assert all(type(c) is int for c in want.terms.values())
 
 
-def test_degree_gate_skips_only_impossible_divisions(ctx, monkeypatch):
-    """poly_gcd tries a division only where each variable's degree in the
-    divisor is at most its degree in the dividend."""
-    tried = []
-    divexact0 = symcore.poly_divexact
+def traced_kernels(monkeypatch):
+    """Record each poly_divexact and each recursive poly_gcd call as
+    ("div", a, b) or ("gcd", a, b); returns the list and the untraced
+    poly_gcd to start from."""
+    calls = []
+    gcd0, divexact0 = symcore.poly_gcd, symcore.poly_divexact
 
-    def traced(a, b):
-        tried.append((a, b))
+    def gcd(a, b):
+        calls.append(("gcd", a, b))
+        return gcd0(a, b)
+
+    def divexact(a, b):
+        calls.append(("div", a, b))
         return divexact0(a, b)
 
-    monkeypatch.setattr(symcore, "poly_divexact", traced)
-    x, z, u = ctx.var("x"), ctx.var("z"), ctx.var("u")
-    X, Z, U = (Polynomial.var(v) for v in (x, z, u))
+    monkeypatch.setattr(symcore, "poly_gcd", gcd)
+    monkeypatch.setattr(symcore, "poly_divexact", divexact)
+    return calls, gcd0
+
+
+def test_gcd_of_a_large_operand_and_a_small_linear_one_is_cheap(
+        monkeypatch):
+    """x1^2 + x0 - 4 has degree 1 in x0 and coefficients 1 and x1^2 - 4,
+    so it is irreducible: against a seeded 80-term a the gcd is 1 after
+    one trial division and one gcd of its coefficients.  Calls are
+    counted, not timed: the content of a and a remainder sequence take
+    14 gcds and 9 divisions on pieces of a instead."""
+    ctx = JetContext(["x0", "x1", "x2", "x3"], ["u"], max_order=1)
+    xs = [ctx.var(f"x{i}") for i in range(4)]
+    rng = random.Random(2102)
+    t = {}
+    while len(t) < 80:
+        m = mono_make((v, rng.randint(0, 3)) for v in xs)
+        t[m] = rng.randint(-9, 9) or 1
+    a = Polynomial(t)
+    X0, X1 = Polynomial.var(xs[0]), Polynomial.var(xs[1])
+    b = X1 * X1 + X0 - 4
+    calls, gcd0 = traced_kernels(monkeypatch)
+    for p, q in ((a, b), (b, a)):
+        calls.clear()
+        assert gcd0(p, q) == Polynomial.const(1)
+        assert [k for k, *_ in calls] == ["div", "gcd"]
+
+
+def test_degree_gate_skips_only_impossible_divisions(ctx, monkeypatch):
+    """poly_gcd tries a division only where each variable's degree in the
+    divisor is at most its degree in the dividend.  A coprime pair of
+    multilinear operands tries only those divisions and then splits the
+    operand with fewer terms in its lowest variable; with the term dicts
+    built in reversed order the sub-calls are the same, so w does not
+    follow the iteration order of terms or variables."""
+    calls, gcd0 = traced_kernels(monkeypatch)
+
+    def tried():
+        return [(a, b) for kind, a, b in calls if kind == "div"]
+
+    def reversed_terms(p):
+        return Polynomial(dict(reversed(list(p.terms.items()))))
+
+    X, Z, U, CH = (Polynomial.var(ctx.var(n)) for n in ("x", "z", "u", "ch"))
     # x^2 + z does not fit into x + z^2 either way: no trial division
     a, b = X * X + Z, X + Z * Z
-    tried.clear()
-    symcore.poly_gcd(a, b)
-    assert (a, b) not in tried and (b, a) not in tried
+    calls.clear()
+    gcd0(a, b)
+    assert (a, b) not in tried() and (b, a) not in tried()
     # x + z fits into (x + z)*(x - u), not the other way round: one
     # trial division, whichever operand comes first
     big = (X + Z) * (X - U)
     for a, b in ((big, X + Z), (X + Z, big)):
-        tried.clear()
-        assert symcore.poly_gcd(a, b) == X + Z
-        assert tried == [(big, X + Z)]
+        calls.clear()
+        assert gcd0(a, b) == X + Z
+        assert tried() == [(big, X + Z)]
+    # each operand's degrees fit into the other's; both are linear in x,
+    # z and u, b has fewer terms and x is the lowest: u1 = 1, u0 = z*u
+    a, b = X * Z + Z * U + U, X + Z * U
+    for p, q in ((a, b), (b, a)):
+        calls.clear()
+        assert gcd0(p, q) == Polynomial.const(1)
+        assert calls == [("div", p, q), ("div", q, p),
+                         ("gcd", Polynomial.const(1), Z * U)]
+    # the same sub-calls with every term dict reversed, also where the
+    # split has a nonconstant c: (x + z)*(u + ch) = (u + ch)*(x + z)
+    pairs = [(a, b), ((X + Z) * (U + CH), (X + Z) * (U - CH) * CH),
+             ((X * Z + U) * (CH + Z), (X * Z + U) * (X + CH) + Z)]
+    for a, b in pairs:
+        seqs = []
+        for p, q in ((a, b), (reversed_terms(a), reversed_terms(b))):
+            calls.clear()
+            g = gcd0(p, q)
+            seqs.append(list(calls))
+        assert seqs[0] == seqs[1]
+        assert g == symcore.poly_gcd(b, a)

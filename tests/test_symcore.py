@@ -765,6 +765,34 @@ class TestSympyOracle:
             assert all(type(c) is int for c in g.terms.values())
             assert g.leading_coefficient() > 0
 
+    def test_poly_gcd_of_split_shapes(self, sp, xyz):
+        """An operand p = c*x linear in x with c free of x, against a q
+        sharing a factor of c, x, both or neither; a larger operand
+        linear in x against a smaller square; Fraction coefficients
+        throughout (random_poly draws them). Both argument orders."""
+        rng = random.Random(43)
+        X = Polynomial.var(xyz[0])
+
+        def poly(terms=2, max_exp=2):
+            while True:
+                p = random_poly(rng, xyz[1:], terms, max_exp)
+                if not p.is_constant():
+                    return p
+
+        for _ in range(12):
+            x = poly(2, 1) * X + poly()
+            c1, c2, f = poly(), poly(2, 1), poly()
+            r = random_poly(rng, xyz, 3, 2)
+            for a, b in ((c1 * c2 * x, r), (c1 * c2 * x, r * c1),
+                         (c1 * c2 * x, r * x), (c1 * c2 * x, r * c1 * x),
+                         (x * f * poly(3), f * f), (x * poly(3), f * f)):
+                want = sp.gcd(self.to_sympy(sp, a), self.to_sympy(sp, b))
+                for g in (poly_gcd(a, b), poly_gcd(b, a)):
+                    ratio = sp.cancel(self.to_sympy(sp, g) / want)
+                    assert ratio.is_Rational and ratio != 0, (a, b, g, want)
+                    assert all(type(c) is int for c in g.terms.values())
+                    assert g.leading_coefficient() > 0
+
     def test_normal_form(self, sp, xyz):
         rng = random.Random(42)
         for _ in range(20):

@@ -432,7 +432,7 @@ def _system(s, where, load):
     # from declared leading jets (systems.characters)
     first = {}
     for i, e in enumerate(equations):
-        j = first.get(e.residual, first.get(-e.residual))
+        j = systems.same_equation(first, e.residual)
         if j is not None:
             _fail(f"{where}.equations[{i}]",
                   f"residual repeats that of equations[{j}] up to sign")

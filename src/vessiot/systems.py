@@ -93,7 +93,9 @@ class SolvedSystem:
     ``ordering`` ranks the independents x^1 < ... < x^n for class and
     board purposes; ``genericity`` lists expressions assumed nonzero;
     ``integrability`` collects lower-order conditions discovered during
-    prolongation.
+    prolongation.  No two equations declare one leading jet
+    (LeadingJetConflict); the loader and prolong_system also give no two
+    whose residuals agree up to sign, which is not re-checked here.
     """
 
     ctx: JetContext
@@ -177,102 +179,94 @@ def jet_above_order(equations, order):
     return None
 
 
-def _substitute_leadings(rhs, assignments, max_passes=12):
+MAX_PASSES = 12
+
+
+def _substitute_leadings(rhs, assignments):
     """Eliminate solved leading jets from rhs by repeated substitution,
     each pass binding every leading jet rhs carries at once;
-    LeadingsNotEliminated when some remain after max_passes passes."""
-    for passes in range(max_passes + 1):
+    LeadingsNotEliminated when some remain after MAX_PASSES passes."""
+    for passes in range(MAX_PASSES + 1):
         hits = [v for v in rhs.variables() if v in assignments]
         if not hits:
             return rhs
-        if passes == max_passes:
+        if passes == MAX_PASSES:
             raise LeadingsNotEliminated(
                 f"leading jets {', '.join(sorted(v.name for v in hits))} "
-                f"remain after {max_passes} substitution passes"
+                f"remain after {MAX_PASSES} substitution passes"
             )
         rhs = symcore.substitute(rhs, {v: assignments[v] for v in hits})
 
 
-def _prolong_once(S, ics):
+def same_equation(seen, res):
+    """What ``seen`` maps res or -res to, else None.  Two equations are
+    the same when their residuals agree up to sign: the loader refuses
+    such a repeat, and prolong_system leaves it out."""
+    return seen.get(res, seen.get(-res))
+
+
+def _prolong_once(S):
     ctx = S.ctx
     new_order = S.order + 1
     if new_order > ctx.max_order:
         raise OrderOverflow(
             f"prolongation to order {new_order} > max_order {ctx.max_order}"
         )
-    assignments = {e.leading: e.rhs for e in S.equations if e.strict}
-    seen = set(S.residuals())
-    new_eqs = list(S.equations)
-    new_solved = {}
-    pending = []
+    # strict leading jet -> rhs, S's and then each freshly solved one
+    table = {e.leading: e.rhs for e in S.equations if e.strict}
+    derived, solved, ics = [], [], list(S.integrability)
     for eq in S.equations:
         if eq.leading is not None:
             dep, mu = ctx.jet_info(eq.leading)
         for i, x in enumerate(ctx.independents):
             nu = None if eq.leading is None else ctx.bump(dep, mu, i)
-            if eq.strict:
-                if nu is None:
-                    continue
-                lead = ctx.jet(dep, nu)
-                rhs = ctx.total_derivative(eq.rhs, x)
-                if lead in assignments or lead in new_solved:
-                    prev = new_solved.get(lead, assignments.get(lead))
-                    diff = _substitute_leadings(
-                        rhs - prev, {**assignments, **new_solved}
-                    )
-                    if not diff.is_zero():
-                        ics.append(diff)
-                    continue
-                new_solved[lead] = rhs
-                pending.append((lead, eq.genericity))
+            lead = None if nu is None else ctx.jet(dep, nu)
+            if not (eq.strict and lead is not None):
+                derived.append(implicit_equation(
+                    ctx.total_derivative(eq.residual, x), None, lead,
+                    eq.genericity))
+                continue
+            rhs = ctx.total_derivative(eq.rhs, x)
+            if lead in table:
+                diff = _substitute_leadings(rhs - table[lead], table)
+                if not diff.is_zero():
+                    ics.append(diff)
             else:
-                lhs = ctx.total_derivative(eq.lhs, x)
-                rhs = ctx.total_derivative(eq.rhs, x)
-                res = lhs - rhs
-                if res in seen or res.is_zero():
-                    continue
-                seen.add(res)
-                lead = None if nu is None else ctx.jet(dep, nu)
-                new_eqs.append(Equation(lhs, rhs, lead, eq.genericity))
-    # eliminate freshly solved leadings from the new right-hand sides
-    table = {**assignments, **new_solved}
-    for lead, gen in pending:
-        rhs = _substitute_leadings(
-            new_solved[lead], {v: r for v, r in table.items() if v != lead}
-        )
-        new_eqs.append(solved_equation(lead, rhs, gen))
-    declared = {e.leading for e in new_eqs if e.leading is not None}
-    if len(declared) != len([e for e in new_eqs if e.leading is not None]):
-        # drop duplicate quasi-solved declarations (keep first)
-        seen_leads = set()
-        fixed = []
-        for e in new_eqs:
-            if e.leading is not None and e.leading in seen_leads:
-                fixed.append(Equation(e.lhs, e.rhs, None, e.genericity))
-            else:
-                if e.leading is not None:
-                    seen_leads.add(e.leading)
-                fixed.append(e)
-        new_eqs = fixed
-    return SolvedSystem(ctx, new_order, new_eqs, S.ordering, S.genericity,
-                        list(ics))
+                table[lead] = rhs
+                solved.append((lead, eq.genericity))
+    # each freshly solved rhs, cleared of every other solved leading jet
+    for lead, gen in solved:
+        rest = {v: r for v, r in table.items() if v != lead}
+        derived.append(solved_equation(
+            lead, _substitute_leadings(table[lead], rest), gen))
+    equations = list(S.equations)
+    seen = {e.residual: k for k, e in enumerate(equations)}
+    declared = {e.leading for e in equations}
+    for e in derived:
+        res = e.residual
+        if res.is_zero() or same_equation(seen, res) is not None:
+            continue
+        seen[res] = len(equations)
+        if e.leading is not None and e.leading in declared:
+            e = implicit_equation(e.lhs, e.rhs, None, e.genericity)
+        declared.add(e.leading)
+        equations.append(e)
+    return SolvedSystem(ctx, new_order, equations, S.ordering, S.genericity,
+                        ics)
 
 
 def prolong_system(S, r):
-    """All formal derivatives d_nu (|nu| <= r) of the system, re-solved
-    for bumped leading jets where possible.  Lower-order conditions
-    uncovered while merging duplicate leadings are accumulated on the
-    result's ``integrability`` list, not kept as equations."""
+    """All formal derivatives D_nu (|nu| <= r) of S's equations, with
+    no residual zero or equal to an earlier one up to sign.  D_i of a
+    strictly solved equation is solved for its bumped leading jet, and
+    two that reach the same jet leave their difference on
+    ``integrability``; any other D_i is that of the residual.  A later
+    equation declaring an earlier one's leading jet is kept without it."""
     if r < 0:
         raise ValueError("negative prolongation order")
-    cur = S
-    ics = list(S.integrability)
     for _ in range(r):
-        cur = _prolong_once(cur, ics)
-    if r == 0:
-        return S
-    cur.integrability = ics
-    return cur
+        S = _prolong_once(S)
+    return S
 
 
 # ---------------------------------------------------------------------------

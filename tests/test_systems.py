@@ -29,6 +29,7 @@ from vessiot.symcore import (
     substitute,
 )
 from vessiot.systems import (
+    MAX_PASSES,
     SolvedSystem,
     _substitute_leadings,
     automorphic_criterion,
@@ -361,6 +362,18 @@ def hyperbolic_curve():
 # ---------------------------------------------------------------------------
 
 
+# the corpus PDE systems, as (problem file stem, object name)
+PROLONG_SYSTEMS = [
+    ("shell_monkey_saddle", "metric_system"),
+    ("shell_monkey_saddle", "completed_system"),
+    ("hj_contact_groupoid", "contact"),
+    ("hj_unimodular_groupoid", "unimodular"),
+    ("hj_eleven_equation", "eleven_equation"),
+    ("hj_nine_equation", "nine_equation"),
+    ("hj_complete_integral", "complete_integral"),
+]
+
+
 class TestProlong:
     def test_identity_at_zero(self, shell):
         assert prolong_system(shell["A2"], 0) is shell["A2"]
@@ -404,11 +417,54 @@ class TestProlong:
         with pytest.raises(OrderOverflow):
             prolong_system(S, 3)
 
-    def test_composition(self, shell):
-        a = prolong_system(prolong_system(shell["A1"], 1), 1)
-        b = prolong_system(shell["A1"], 2)
+    @pytest.mark.parametrize("stem, name", [
+        ("shell", "A1"),
+        ("hj_contact_groupoid", "contact"),
+        ("hj_unimodular_groupoid", "unimodular"),
+        ("hj_nine_equation", "nine_equation"),
+        ("hj_complete_integral", "complete_integral"),
+    ])
+    def test_composition(self, shell, stem, name):
+        S = shell[name] if stem == "shell" else corpus_system(stem, name)
+        a = prolong_system(prolong_system(S, 1), 1)
+        b = prolong_system(S, 2)
+        keys = lambda exprs: sorted(str(e) for e in exprs)
+        assert keys(a.residuals()) == keys(b.residuals())
+        assert keys(a.integrability) == keys(b.integrability)
+
+    @pytest.mark.parametrize("stem, name", PROLONG_SYSTEMS)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_no_repeated_equations(self, stem, name, r):
+        P = prolong_system(corpus_system(stem, name, max_order=5), r)
+        seen = set()
+        for k, res in enumerate(P.residuals()):
+            assert not res.is_zero(), k
+            assert res not in seen and -res not in seen, (k, res)
+            seen.add(res)
+
+    def test_contact_compatibility_count_at_r2(self):
+        # 30 distinct equations times 3 independents, minus rank 24
+        S = corpus_system("hj_contact_groupoid", "contact", max_order=4)
+        P = prolong_system(S, 2)
+        assert len(P.equations) == 30
+        assert compatibility_count(P) == 66
+
+    def test_restricted_bases(self):
+        # u depends on x only, so D_y of u[x] - y is the contradiction -1,
+        # whether the equation is stated solved or implicit
+        ctx = JetContext(["x", "y"], [("u", ["x"])], max_order=2)
+        E = ctx.expr
+        solved = SolvedSystem(ctx, 1, [solved_equation(
+            ctx.jet_by_dirs("u", ["x"]), E("y"))])
+        implicit = SolvedSystem(ctx, 1, [implicit_equation(E("u[x] - y"))])
+        a, b = prolong_system(solved, 1), prolong_system(implicit, 1)
         keys = lambda S: sorted(str(r) for r in S.residuals())
         assert keys(a) == keys(b)
+        assert E("-1") in a.residuals()
+        # D_y of u[x] - x is zero, so it is left out
+        free = SolvedSystem(ctx, 1, [implicit_equation(E("u[x] - x"))])
+        assert prolong_system(free, 1).residuals() == [E("u[x] - x"),
+                                                       E("u[x,x] - 1")]
 
 
 class TestSubstituteLeadings:
@@ -423,10 +479,20 @@ class TestSubstituteLeadings:
         }
         return E, table
 
+    @staticmethod
+    def long_chain(links):
+        """u0[x] -> u1[x] -> ... -> w: one pass per link."""
+        deps = [f"u{k}" for k in range(links)]
+        ctx = JetContext(["x"], deps + ["w"], max_order=1)
+        jets = [ctx.jet_by_dirs(d, ["x"]) for d in deps]
+        targets = [RationalExpr.var(v) for v in jets[1:]] + [ctx.expr("w")]
+        return ctx.expr, dict(zip(jets, targets))
+
     def test_chain_within_cap(self):
         E, table = self.chain()
         assert _substitute_leadings(E("x*u[x]"), table) == E("x*(w + 1)")
-        assert _substitute_leadings(E("u[x]"), table, max_passes=2) == E("w + 1")
+        E, table = self.long_chain(MAX_PASSES)
+        assert _substitute_leadings(E("u0[x]"), table) == E("w")
 
     def test_one_substitution_per_pass(self, monkeypatch):
         ctx = JetContext(["x"], ["u", "v", "w"], max_order=2)
@@ -447,10 +513,12 @@ class TestSubstituteLeadings:
         assert calls == [["u[x]", "v[x]"]]
 
     def test_pass_cap_is_loud(self):
-        E, table = self.chain()
+        E, table = self.long_chain(MAX_PASSES + 1)
+        last = f"u{MAX_PASSES}"
         with pytest.raises(LeadingsNotEliminated,
-                           match=r"v\[x\] remain after 1 substitution pass"):
-            _substitute_leadings(E("u[x]"), table, max_passes=1)
+                           match=rf"{last}\[x\] remain after {MAX_PASSES} "
+                                 r"substitution passes"):
+            _substitute_leadings(E("u0[x]"), table)
 
 
 class TestSymbol:

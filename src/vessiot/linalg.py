@@ -11,15 +11,20 @@ one kernel, ``_forward``, is fraction-free: a row that meets another in
 a pivot column is cleared to Polynomials once (``_clear``), the pivot is
 the cleared entry of fewest terms, and rows are updated as
 row <- pv*row - a*prow over Polynomials (``_eliminate``), so the forward
-pass takes no polynomial gcd.  ``rank`` counts its pivots; ``rref``
-divides each pivot row by its pivot once, which brings back Fraction
-and RationalExpr entries, and back-substitutes with ``subtract``, the
-field row update that ``systems``' strict pivot audit also uses.
+pass takes no polynomial gcd.  Only its column rule differs between its
+two callers.  ``rank`` takes next the column that fewest remaining rows
+carry (Markowitz's rule), which keeps fill-in and entry growth down, and
+counts the pivots.  ``rref`` takes the lowest column, because its pivot
+columns are part of its answer, then divides each pivot row by its
+pivot once, which brings back Fraction and RationalExpr entries, and
+back-substitutes with ``subtract``, the field row update that
+``systems``' strict pivot audit also uses.
 ``det`` and ``adjugate`` are cofactor expansions over small dense square
 matrices.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -139,28 +144,65 @@ def _eliminate(row, pv, prow, col):
     return _primitive(out)
 
 
-def _forward(rows, ncols):
+def _forward(rows, ncols, sparsest=False):
     """Fraction-free forward elimination of sparse rows, in place.
 
-    Columns are taken left to right up to ``ncols``.  When one row that
-    is not yet a pivot row carries the column, its entry is the pivot as
-    it stands.  When several do, each of them is cleared (``_clear``)
-    if it was not already, the pivot is the cleared entry of fewest
-    terms, the earliest row winning a tie (so over Q the earliest row),
-    and every other of them becomes pv*row - a*prow, a its entry in the
-    column, with its integer content taken out.  Rows are only scaled
-    and combined, so the pivots are those of elimination over the field,
-    and no polynomial gcd is taken.  Pivot rows are neither divided nor
-    reduced; a row, once cleared, holds Polynomials.  Returns the pivots
-    as (row, col) in column order.
+    The pivot column is the lowest one up to ``ncols`` that a row not
+    yet a pivot row carries, or, with ``sparsest``, the one that fewest
+    such rows carry, the lowest winning a tie (Markowitz's rule, which
+    keeps fill-in down; its pivots are no longer in column order).  An
+    index from each column to the free rows that carry it is kept up to
+    date as rows change, and the column comes off a heap: of (count,
+    column) pairs, a pair whose count has since changed being passed
+    over, or of (0, column) pairs for the lowest column.  A column that
+    no free row carries leaves the index for good, since a row gains
+    only columns of the pivot row, itself a free row.  When one free row
+    carries the column, its entry is the pivot as it stands.  When
+    several do, each of them is cleared (``_clear``) if it was not
+    already, the pivot is the cleared entry of fewest terms, the earliest
+    row winning a tie (so over Q the earliest row), and every other of
+    them becomes pv*row - a*prow, a its entry in the column, with its
+    integer content taken out.  Rows are only scaled and combined, so
+    the pivots are those of elimination over the field, and no
+    polynomial gcd is taken.  Pivot rows are neither divided nor reduced;
+    a row, once cleared, holds Polynomials.  Returns the pivots as
+    (row, col) in the order they were taken.
     """
-    free = list(range(len(rows)))
+    where = {}  # column below ncols -> the free rows that carry it
+    for r, row in enumerate(rows):
+        for j in row:
+            if j < ncols:
+                where.setdefault(j, set()).add(r)
+    heap = [(len(rs) if sparsest else 0, j) for j, rs in where.items()]
+    heapq.heapify(heap)
+
+    def leave(r, cols):
+        for j in cols:
+            rs = where.get(j)
+            if rs is not None:  # else j is past ncols or the pivot column
+                rs.discard(r)
+                if not rs:
+                    del where[j]
+                elif sparsest:
+                    heapq.heappush(heap, (len(rs), j))
+
+    def enter(r, cols):
+        for j in cols:
+            if j < ncols:
+                rs = where.setdefault(j, set())
+                rs.add(r)
+                if sparsest:
+                    heapq.heappush(heap, (len(rs), j))
+
     cleared = set()
     pivots = []
-    for col in range(ncols):
-        cands = [r for r in free if col in rows[r]]
-        if not cands:
+    while where:
+        count, col = heapq.heappop(heap)
+        rs = where.get(col)
+        if rs is None or sparsest and len(rs) != count:
             continue
+        del where[col]
+        cands = sorted(rs)
         best = cands[0]
         if len(cands) > 1:
             for r in cands:
@@ -172,11 +214,12 @@ def _forward(rows, ncols):
             pv = prow[col]
             for r in cands:
                 if r != best:
-                    rows[r] = _eliminate(rows[r], pv, prow, col)
-        free.remove(best)
+                    old = rows[r]
+                    rows[r] = new = _eliminate(old, pv, prow, col)
+                    leave(r, old.keys() - new.keys())
+                    enter(r, new.keys() - old.keys())
+        leave(best, rows[best])
         pivots.append((best, col))
-        if not free:
-            break
     return pivots
 
 
@@ -198,12 +241,12 @@ def rref(rows, ncols):
     ``rows``: sparse rows ``{col: entry}`` (a zero entry is dropped),
     which are not mutated; columns at or past ``ncols`` (an augmented
     part) are carried along but never pivoted.  The rows are run through
-    the forward kernel ``_forward`` (whose pivot rule this inherits),
-    each pivot row is then divided by its pivot once, and each is
-    subtracted from the pivot rows above it, last pivot first.  Returns
-    (reduced rows, pivots) where pivots is a list of (row, col) in
-    column order; the reduced rows are sparse and keep their input
-    positions.  A row that is not a pivot row has no entry in the first
+    the forward kernel ``_forward``, lowest column first (its pivot-row
+    rule this inherits), each pivot row is then divided by its pivot
+    once, and each is subtracted from the pivot rows above it, last
+    pivot first.  Returns (reduced rows, pivots) where pivots is a list
+    of (row, col) in column order; the reduced rows are sparse and keep
+    their input positions.  A row that is not a pivot row has no entry in the first
     ``ncols`` columns, and its augmented part is fixed only up to a
     nonzero factor, since ``_forward`` scales rows.  Entries are
     Fractions or RationalExprs, so compare by value.
@@ -231,10 +274,12 @@ def rref(rows, ncols):
 def rank(rows, ncols):
     """Rank of the sparse rows ``rows`` (as ``rref`` takes them, and not
     mutated) over the first ``ncols`` columns: the number of pivots
-    ``_forward`` finds, with no polynomial gcd taken.  Entries past
-    ``ncols`` are never pivots, and nothing is eliminated above a
-    pivot."""
-    return len(_forward([_sparse(r) for r in rows], ncols))
+    ``_forward`` finds taking the sparsest column first, with no
+    polynomial gcd taken.  The rank does not depend on the order of the
+    columns, and this order keeps fill-in and entry growth down where
+    left to right can run for minutes.  Entries past ``ncols`` are never
+    pivots, and nothing is eliminated above a pivot."""
+    return len(_forward([_sparse(r) for r in rows], ncols, sparsest=True))
 
 
 def mat_mul(a, b):

@@ -182,12 +182,14 @@ def jet_above_order(equations, order):
 MAX_PASSES = 12
 
 
-def _substitute_leadings(rhs, assignments):
-    """Eliminate solved leading jets from rhs by repeated substitution,
-    each pass binding every leading jet rhs carries at once;
-    LeadingsNotEliminated when some remain after MAX_PASSES passes."""
+def _substitute_leadings(rhs, assignments, skip=None):
+    """Eliminate solved leading jets other than ``skip`` from rhs by
+    repeated substitution, each pass binding every such jet rhs carries
+    at once; LeadingsNotEliminated when some remain after MAX_PASSES
+    passes."""
     for passes in range(MAX_PASSES + 1):
-        hits = [v for v in rhs.variables() if v in assignments]
+        hits = [v for v in rhs.variables()
+                if v in assignments and v != skip]
         if not hits:
             return rhs
         if passes == MAX_PASSES:
@@ -205,7 +207,10 @@ def same_equation(seen, res):
     return seen.get(res, seen.get(-res))
 
 
-def _prolong_once(S):
+def _prolong_once(S, parents):
+    """S prolonged once by differentiating only ``parents``, the
+    equations of S that the previous round admitted (all of them in the
+    first round): D_i of an older equation was formed in that round."""
     ctx = S.ctx
     new_order = S.order + 1
     if new_order > ctx.max_order:
@@ -215,7 +220,7 @@ def _prolong_once(S):
     # strict leading jet -> rhs, S's and then each freshly solved one
     table = {e.leading: e.rhs for e in S.equations if e.strict}
     derived, solved, ics = [], [], list(S.integrability)
-    for eq in S.equations:
+    for eq in parents:
         if eq.leading is not None:
             dep, mu = ctx.jet_info(eq.leading)
         for i, x in enumerate(ctx.independents):
@@ -236,9 +241,8 @@ def _prolong_once(S):
                 solved.append((lead, eq.genericity))
     # each freshly solved rhs, cleared of every other solved leading jet
     for lead, gen in solved:
-        rest = {v: r for v, r in table.items() if v != lead}
         derived.append(solved_equation(
-            lead, _substitute_leadings(table[lead], rest), gen))
+            lead, _substitute_leadings(table[lead], table, lead), gen))
     equations = list(S.equations)
     seen = {e.residual: k for k, e in enumerate(equations)}
     declared = {e.leading for e in equations}
@@ -261,11 +265,19 @@ def prolong_system(S, r):
     strictly solved equation is solved for its bumped leading jet, and
     two that reach the same jet leave their difference on
     ``integrability``; any other D_i is that of the residual.  A later
-    equation declaring an earlier one's leading jet is kept without it."""
+    equation declaring an earlier one's leading jet is kept without it.
+
+    Each round differentiates only the equations the round before it
+    admitted, so an equation is differentiated once, in each of the n
+    independents: prolong_system(S, r) takes n times
+    len(prolong_system(S, r - 1).equations) total derivatives."""
     if r < 0:
         raise ValueError("negative prolongation order")
+    parents = S.equations
     for _ in range(r):
-        S = _prolong_once(S)
+        known = len(S.equations)
+        S = _prolong_once(S, parents)
+        parents = S.equations[known:]
     return S
 
 
@@ -292,7 +304,9 @@ class SymbolSystem:
 
 
 def _order_q_jets(ctx, q):
-    return [v for v in ctx.jets_up_to(q) if jet_order(v) == q]
+    """The order-q jets of ``jets_up_to(q)``, in its order."""
+    return [ctx.jet(dep, mu) for dep in ctx.dependents
+            for mu in ctx.multi_indices(q, ctx.bases[dep])]
 
 
 def symbol_of(S):

@@ -4,14 +4,21 @@ of ``systems`` and of the fraction-free ``linalg.rank``, against the
 term-by-term operator loops, the dense row builders and the field
 elimination they replaced; those are kept here as references.
 """
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vessiot import cli, linalg, symcore, systems
-from vessiot.errors import CyclicBinding, DegenerateLocus, DivisionByZero
+from vessiot.errors import (
+    CyclicBinding,
+    DegenerateLocus,
+    DenominatorVanishes,
+    DivisionByZero,
+)
 from vessiot.jets import JetContext, VectorField, jet_order
 from vessiot.symcore import (
     ONE,
@@ -356,13 +363,107 @@ def test_prolongation_traffic_equals_the_reference_loops(monkeypatch):
     for stem, name in PROLONG_SYSTEMS:
         path = CORPUS / f"{stem}.json"
         pf = cli.parse_problem(path.read_bytes(), str(path), max_order=5)
-        systems.prolong_system(cli._build(pf, name, "system"), 2)
+        systems.prolong_system(cli._build(pf, name, "system"), 3)
     monkeypatch.undo()
     assert len(derived) > 500 and len(substituted) > 50
     for e, coeffs, out in derived:
         assert out == ref_derive(e, coeffs), (e, coeffs)
     for e, bindings, out in substituted:
         assert out == ref_substitute(e, bindings), (e, bindings)
+
+
+# -- frontier prolongation against re-deriving every equation ------------
+def ref_prolong_once(S):
+    """One round that differentiates every equation of S, the older
+    ones again, and leaves out what repeats."""
+    ctx = S.ctx
+    table = {e.leading: e.rhs for e in S.equations if e.strict}
+    derived, solved, ics = [], [], list(S.integrability)
+    for eq in S.equations:
+        if eq.leading is not None:
+            dep, mu = ctx.jet_info(eq.leading)
+        for i, x in enumerate(ctx.independents):
+            nu = None if eq.leading is None else ctx.bump(dep, mu, i)
+            lead = None if nu is None else ctx.jet(dep, nu)
+            if not (eq.strict and lead is not None):
+                derived.append(systems.implicit_equation(
+                    ctx.total_derivative(eq.residual, x), None, lead,
+                    eq.genericity))
+                continue
+            rhs = ctx.total_derivative(eq.rhs, x)
+            if lead in table:
+                diff = systems._substitute_leadings(rhs - table[lead], table)
+                if not diff.is_zero():
+                    ics.append(diff)
+            else:
+                table[lead] = rhs
+                solved.append((lead, eq.genericity))
+    for lead, gen in solved:
+        rest = {v: r for v, r in table.items() if v != lead}
+        derived.append(systems.solved_equation(
+            lead, systems._substitute_leadings(table[lead], rest), gen))
+    equations = list(S.equations)
+    seen = {e.residual: k for k, e in enumerate(equations)}
+    declared = {e.leading for e in equations}
+    for e in derived:
+        res = e.residual
+        if res.is_zero() or systems.same_equation(seen, res) is not None:
+            continue
+        seen[res] = len(equations)
+        if e.leading is not None and e.leading in declared:
+            e = systems.implicit_equation(e.lhs, e.rhs, None, e.genericity)
+        declared.add(e.leading)
+        equations.append(e)
+    return systems.SolvedSystem(ctx, S.order + 1, equations, S.ordering,
+                                S.genericity, ics)
+
+
+PDE_SYSTEMS = PROLONG_SYSTEMS + (("hj_complete_integral",
+                                  "complete_integral"),)
+
+
+def count_total_derivatives(monkeypatch, ctx):
+    """The list that each later ctx.total_derivative call appends to."""
+    calls = []
+    total0 = ctx.total_derivative
+
+    def counted(e, i):
+        calls.append(i)
+        return total0(e, i)
+
+    monkeypatch.setattr(ctx, "total_derivative", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stem, name", PDE_SYSTEMS)
+def test_frontier_prolongation_equals_rederiving_everything(
+        stem, name, monkeypatch):
+    S = prolonged(stem, name, 0)
+    calls = count_total_derivatives(monkeypatch, S.ctx)
+    n = len(S.ctx.independents)
+    ref, prev = S, S
+    for r in range(1, 4):
+        if S.order + r > S.ctx.max_order:
+            break
+        ref = ref_prolong_once(ref)
+        del calls[:]
+        got = systems.prolong_system(S, r)
+        assert [(e.residual, e.leading, e.strict) for e in got.equations] \
+            == [(e.residual, e.leading, e.strict) for e in ref.equations]
+        assert got.integrability == ref.integrability
+        # each equation is differentiated once, in each independent
+        assert len(calls) == n * len(prev.equations)
+        prev = got
+
+
+def test_contact_derivations_at_r2(monkeypatch):
+    S = prolonged("hj_contact_groupoid", "contact", 0)
+    calls = count_total_derivatives(monkeypatch, S.ctx)
+    systems.prolong_system(S, 2)
+    assert len(calls) == 36  # 3 independents x 12 equations at r = 1
+    del calls[:]
+    ref_prolong_once(ref_prolong_once(S))
+    assert len(calls) == 45  # 3 x (3 + 12): the 3 again in round 2
 
 
 # -- sparse symbol rows against the dense builders -----------------------
@@ -611,27 +712,155 @@ def rank_without_gcd(monkeypatch, rows, ncols):
     return got
 
 
+def left_to_right_rank(rows, ncols):
+    """The number of pivots rref takes, lowest column first: those of
+    its forward pass.  Its back-substitution does not change them, and
+    over RationalExprs it can cost a thousand times the forward pass
+    (projected_system's prolonged symbol at r = 1)."""
+    return len(linalg._forward([linalg._sparse(r) for r in rows], ncols))
+
+
 def test_fraction_free_rank_on_seeded_matrices(ctx, monkeypatch):
     rng = random.Random(1801)
     for _ in range(60):
         # from four variables the reference's gcds can take minutes
         rows, ncols = rand_matrix(rng, rng.sample(variables(ctx), 3))
-        assert rank_without_gcd(monkeypatch, rows, ncols) == ref_rank(
-            rows, ncols), rows
+        got = rank_without_gcd(monkeypatch, rows, ncols)
+        assert got == ref_rank(rows, ncols), rows
+        assert got == left_to_right_rank(rows, ncols), rows
 
 
 # complete_integral's 24 x 30 prolonged symbol, which is also the symbol
-# of its first prolongation, gets no rank from either kernel in minutes
+# of its first prolongation, gets no rank in minutes when the columns
+# are taken left to right (ref_rank, rref); rank's sparsest-column rule
+# is checked on it against point ranks below.  Its 60 x 60 symbol at
+# r = 2 gets no rank from either column rule within 20 s, nor from rank
+# within 120 s (ROADMAP item 4)
 @pytest.mark.parametrize("stem, name, r", [
-    case for case in SYMBOL_CASES if case[1:] != ("complete_integral", 1)])
+    case for case in SYMBOL_CASES if case[1:] != ("complete_integral", 1)
+] + [("shell_monkey_saddle", name, 2)
+     for name in ("tangency_system", "projected_system")])
 def test_fraction_free_rank_on_symbol_traffic(stem, name, r, monkeypatch):
     sym = systems.symbol_of(prolonged(stem, name, r))
     mats = [sym]
     if name != "complete_integral":
         mats.append(systems._prolonged_symbol(sym))
     for m in mats:
-        assert rank_without_gcd(monkeypatch, m.rows, len(m.columns)) == (
-            ref_rank(m.rows, len(m.columns)))
+        got = rank_without_gcd(monkeypatch, m.rows, len(m.columns))
+        assert got == ref_rank(m.rows, len(m.columns))
+        assert got == left_to_right_rank(m.rows, len(m.columns))
+
+
+def test_rank_takes_the_sparsest_column_first():
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 2: 1}]
+    # column 2 has one row, then columns 0 and 1 have two each, and the
+    # lower wins; rref's rule takes them in order
+    assert linalg._forward([dict(r) for r in rows], 3, sparsest=True) == [
+        (2, 2), (0, 0), (1, 1)]
+    assert linalg._forward([dict(r) for r in rows], 3) == [
+        (0, 0), (1, 1), (2, 2)]
+
+
+def ref_pivots(rows, ncols, sparsest):
+    """_forward's pivots with the free rows of each column counted afresh
+    at every step, not kept in an index: the lowest column a free row
+    carries, or with ``sparsest`` the one fewest free rows carry, the
+    lowest on a tie.  The pivot row and the updates are the kernel's."""
+    rows = [linalg._sparse(r) for r in rows]
+    free, cleared, pivots = set(range(len(rows))), set(), []
+    while True:
+        counts = {}
+        for r in free:
+            for j in rows[r]:
+                if j < ncols:
+                    counts[j] = counts.get(j, 0) + 1
+        if not counts:
+            return pivots
+        col = min(counts, key=lambda j: (counts[j], j) if sparsest else j)
+        cands = sorted(r for r in free if col in rows[r])
+        best = cands[0]
+        if len(cands) > 1:
+            for r in cands:
+                if r not in cleared:
+                    rows[r] = linalg._clear(rows[r])
+                    cleared.add(r)
+            best = min(cands, key=lambda r: len(rows[r][col].terms))
+            prow = rows[best]
+            for r in cands:
+                if r != best:
+                    rows[r] = linalg._eliminate(rows[r], prow[col], prow, col)
+        free.remove(best)
+        pivots.append((best, col))
+
+
+@pytest.mark.parametrize("sparsest", [False, True], ids=["lowest", "sparsest"])
+def test_column_index_equals_recounting(ctx, sparsest):
+    rng = random.Random(2301)
+    mats = [rand_matrix(rng, rng.sample(variables(ctx), 3)) for _ in range(60)]
+    for stem, name, r in SYMBOL_CASES:
+        sym = systems.symbol_of(prolonged(stem, name, r))
+        if name != "complete_integral":
+            nxt = systems._prolonged_symbol(sym)
+            mats += [(m.rows, len(m.columns)) for m in (sym, nxt)]
+        elif r == 0 or sparsest:
+            # its 24 x 30 symbol at r = 1 takes minutes left to right
+            mats.append((sym.rows, len(sym.columns)))
+    for rows, ncols in mats:
+        got = linalg._forward([linalg._sparse(r) for r in rows], ncols,
+                              sparsest)
+        assert got == ref_pivots(rows, ncols, sparsest), rows
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def point_ranks(sym, gens, seed, count=3):
+    """The ranks of the symbol at ``count`` seeded rational points where
+    every entry and genericity expression is defined, and the latter
+    nonzero: lower bounds on its rank that almost every point meets."""
+    exprs = gens + [x for row in sym.rows for x in row.values()]
+    names = sorted({v for e in exprs for v in e.variables()})
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for v in names}
+        try:
+            if any(symcore.eval_point(g, point) == 0 for g in gens):
+                continue
+            rows = [{j: symcore.eval_point(x, point) for j, x in row.items()}
+                    for row in sym.rows]
+        except DenominatorVanishes:
+            continue
+        out.append(ref_rank(rows, len(sym.columns)))
+    return out
+
+
+def test_complete_integral_ranks_within_a_minute():
+    S = prolonged("hj_complete_integral", "complete_integral", 0)
+    P = prolonged("hj_complete_integral", "complete_integral", 1)
+    sym = systems.symbol_of(P)
+    shared = [dict(row) for row in sym.rows]
+    with deadline(60):
+        # 6 equations x 4 independents, less the prolonged symbol's 21
+        assert systems.compatibility_count(S) == 3
+        exact = sym.rank()
+    assert sym.rows == shared
+    assert (len(sym.rows), len(sym.columns)) == (24, 30)
+    ranks = point_ranks(sym, P.assumptions(), "complete_integral:1")
+    assert exact == max(ranks) == 21
 
 
 # -- poly_gcd against the ungated trial divisions ------------------------

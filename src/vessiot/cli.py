@@ -386,7 +386,7 @@ def _section(s, where, load):
     ctx, order = load.ctx, s["order"]
     if "components" in s:
         comps = s["components"]
-        return lambda: holonomic_section(ctx, comps, order, deps=list(comps))
+        return lambda: holonomic_section(ctx, comps, order)
     for dep, jets in s["jets"].items():
         want = {mu for o in range(order + 1)
                 for mu in ctx.multi_indices(o, ctx.bases[dep])}

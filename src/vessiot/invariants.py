@@ -244,68 +244,35 @@ class FieldImage:
     verdict: str
 
 
-def _mono_vec(mono, var_index):
-    v = [0] * len(var_index)
-    for w, e in mono:
-        v[var_index[w]] = e
-    return tuple(v)
-
-
-def _reachable(target, gen_vecs, memo):
-    """Is target a nonnegative-integer combination of the given exponent
-    vectors (monomial of the ring generated by the field generators)?"""
-    if all(x == 0 for x in target):
-        return True
-    if target in memo:
-        return memo[target]
-    ok = False
-    for g in gen_vecs:
-        if all(t >= x for t, x in zip(target, g)) and any(g):
-            rest = tuple(t - x for t, x in zip(target, g))
-            if _reachable(rest, gen_vecs, memo):
-                ok = True
-                break
-    memo[target] = ok
-    return ok
+def _jacobian_rank(exprs):
+    """Rank of the Jacobian of ``exprs`` (``coordinate_partial`` over
+    every variable they carry) over the rational-function field."""
+    coords = sorted({v for e in exprs for v in e.variables()})
+    col = {v: j for j, v in enumerate(coords)}
+    rows = [{col[v]: symcore.coordinate_partial(e, v)
+             for v in e.variables()} for e in exprs]
+    return linalg.rank(rows, len(coords))
 
 
 def noninvariance_witness(field_gens, delta):
     """Apply the derivation to each generator of a differential field
     and classify each image: zero or a Q-combination of the generators
-    is "stable"; a polynomial with a monomial outside the monoid spanned
-    by the generators' monomials is "unstable"; anything else is
-    "undecided"."""
+    is "stable"; an image that raises the Jacobian rank of the
+    generators is "unstable", since a rise proves it algebraically
+    independent of them, so outside the field they generate; anything
+    else is "undecided".  Specials count as independent coordinates,
+    since no context is given."""
     gens = list(field_gens)
+    base = _jacobian_rank(gens)
     out = []
-    poly_gens = [g for g in gens if g.is_polynomial()]
-    varset = sorted({v for g in poly_gens for v in g.variables()})
-    var_index = {v: i for i, v in enumerate(varset)}
-    gen_vecs = {
-        _mono_vec(m, var_index)
-        for g in poly_gens
-        for m in g.num.terms
-        if m  # ignore constant terms
-    }
     for g in gens:
         img = delta.apply(g)
-        if img.is_zero():
-            out.append(FieldImage(g, img, "stable"))
-            continue
-        combo = _q_linear_solve([(gens + [symcore.ONE], img)], len(gens) + 1)
-        if combo is not None:
-            out.append(FieldImage(g, img, "stable"))
-            continue
-        verdict = "undecided"
-        if img.is_polynomial():
-            if any(v not in var_index for v in img.variables()):
-                verdict = "unstable"
-            else:
-                memo = {}
-                for m in img.num.terms:
-                    if m and not _reachable(
-                        _mono_vec(m, var_index), gen_vecs, memo
-                    ):
-                        verdict = "unstable"
-                        break
+        if img.is_zero() or _q_linear_solve(
+                [(gens + [symcore.ONE], img)], len(gens) + 1) is not None:
+            verdict = "stable"
+        elif _jacobian_rank(gens + [img]) > base:
+            verdict = "unstable"
+        else:
+            verdict = "undecided"
         out.append(FieldImage(g, img, verdict))
     return out

@@ -138,13 +138,10 @@ class JetContext:
             return None
         return mu[:i] + (mu[i] + 1,) + mu[i + 1:]
 
-    def multi_indices(self, order, base=None):
+    def multi_indices(self, order, base):
         """All multi-indices of exact |mu| = order supported on base."""
         n = len(self.independents)
-        allowed = [
-            i for i, x in enumerate(self.independents)
-            if base is None or x in base
-        ]
+        allowed = [i for i, x in enumerate(self.independents) if x in base]
         out = []
         for combo in itertools.combinations_with_replacement(allowed, order):
             mu = [0] * n
@@ -153,18 +150,17 @@ class JetContext:
             out.append(tuple(mu))
         return out
 
-    def jets_up_to(self, q, deps=None):
-        """All jet VariableIds of order <= q for the given dependents."""
-        deps = self.dependents if deps is None else list(deps)
+    def jets_up_to(self, q):
+        """All jet VariableIds of order <= q, dependent by dependent."""
         out = []
-        for dep in deps:
+        for dep in self.dependents:
             for o in range(q + 1):
                 for mu in self.multi_indices(o, self.bases[dep]):
                     out.append(self.jet(dep, mu))
         return out
 
-    def fiber_jet_count(self, q, deps=None):
-        return len(self.jets_up_to(q, deps))
+    def fiber_jet_count(self, q):
+        return len(self.jets_up_to(q))
 
     # -- expressions --------------------------------------------------
     def expr(self, text, extra=None):
@@ -370,11 +366,11 @@ class JetSection:
         return self.values[(dep, tuple(mu))]
 
 
-def holonomic_section(ctx, components, order, deps=None):
-    """j_order of an explicit map: all jets by repeated differentiation."""
-    deps = list(components) if deps is None else deps
+def holonomic_section(ctx, components, order):
+    """j_order of an explicit map: all jets by repeated differentiation
+    of each component, in the order ``components`` lists them."""
     values = {}
-    for dep in deps:
+    for dep in components:
         values[(dep, (0,) * len(ctx.independents))] = components[dep]
         for o in range(order):
             for mu in ctx.multi_indices(o, ctx.bases[dep]):

@@ -7,18 +7,19 @@ field.
 Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
 the nonzero entries, so a zero cell is never stored, updated or tested;
 ``systems`` and ``invariants`` build their matrices in this form.  The
-one kernel, ``_forward``, is fraction-free: a row that meets another in
-a pivot column is cleared to Polynomials once (``_clear``), the pivot is
-the cleared entry of fewest terms, and rows are updated as
-row <- pv*row - a*prow over Polynomials (``_eliminate``), so the forward
-pass takes no polynomial gcd.  Only its column rule differs between its
-two callers.  ``rank`` takes next the column that fewest remaining rows
-carry (Markowitz's rule), which keeps fill-in and entry growth down, and
+one kernel, ``_forward``, works on one entry type: it clears each row
+once on entry to a row of int-coefficient Polynomials (``_clear``), the
+pivot is the entry of fewest terms, and rows are updated as
+row <- pv*row - a*prow over Polynomials (``_eliminate``), so it takes no
+polynomial gcd.  Only its column rule differs between its two callers.
+``rank`` takes next the column that fewest remaining rows carry
+(Markowitz's rule), which keeps fill-in and entry growth down, and
 counts the pivots.  ``rref`` takes the lowest column, because its pivot
-columns are part of its answer, then divides each pivot row by its
-pivot once, which brings back Fraction and RationalExpr entries, and
-back-substitutes with ``subtract``, the field row update that
-``systems``' strict pivot audit also uses.
+columns are part of its answer, back-substitutes with the same update
+and the forward pass's pivot rows, and only then divides each row by
+its pivot once, which brings back Fraction and RationalExpr entries.
+``subtract`` is the field row update of ``systems``' strict pivot
+audit.
 ``det`` and ``adjugate`` are cofactor expansions over small dense square
 matrices.
 """
@@ -38,19 +39,10 @@ def _is_zero(x):
     return x == 0
 
 
-def _sparse(row):
-    """A copy of the sparse row ``row`` without its zero entries, in
-    which an entry that is not a RationalExpr becomes a Fraction, so
-    that no division of two ints gives a float."""
-    return {
-        j: x if isinstance(x, RationalExpr) else Fraction(x)
-        for j, x in row.items() if x
-    }
-
-
 def subtract(row, f, prow, skip):
-    """Sparse row update: row -= f * prow over prow's entries other than
-    column ``skip``, in place; an entry that cancels leaves the row."""
+    """Field row update: row -= f * prow over prow's entries other than
+    column ``skip``, in place, on Fraction or RationalExpr rows; an
+    entry that cancels leaves the row.  The kernel does not use it."""
     for j, x in prow.items():
         if j == skip:
             continue
@@ -73,16 +65,19 @@ def _primitive(row):
 
 
 def _clear(row):
-    """The row ``row`` of Fractions and RationalExprs as a row of
-    Polynomials with int coefficients: each entry times the product of
-    the row's distinct denominators other than its own (compared with
-    ==, so no gcd is taken), then divided by the integer content.  The
-    row is only scaled by a nonzero factor."""
+    """The sparse row ``row`` of ints, Fractions and RationalExprs as a
+    new row of Polynomials with int coefficients, without its zero
+    entries: each entry times the product of the row's distinct
+    denominators other than its own (compared with ==, so no gcd is
+    taken), then divided by the integer content.  The row is only scaled
+    by a nonzero factor."""
     parts, dens = [], []
     for j, x in row.items():
+        if not x:
+            continue
         if isinstance(x, RationalExpr):
             num, den = x.num, x.den
-        else:
+        else:  # an int or a Fraction
             num = Polynomial.const(x.numerator)
             den = Polynomial.const(x.denominator)
         if den == ONE.num:
@@ -145,29 +140,32 @@ def _eliminate(row, pv, prow, col):
 
 
 def _forward(rows, ncols, sparsest=False):
-    """Fraction-free forward elimination of sparse rows, in place.
+    """Fraction-free forward elimination of the sparse rows ``rows``,
+    which are not mutated.
 
-    The pivot column is the lowest one up to ``ncols`` that a row not
-    yet a pivot row carries, or, with ``sparsest``, the one that fewest
-    such rows carry, the lowest winning a tie (Markowitz's rule, which
-    keeps fill-in down; its pivots are no longer in column order).  An
-    index from each column to the free rows that carry it is kept up to
-    date as rows change, and the column comes off a heap: of (count,
-    column) pairs, a pair whose count has since changed being passed
-    over, or of (0, column) pairs for the lowest column.  A column that
-    no free row carries leaves the index for good, since a row gains
-    only columns of the pivot row, itself a free row.  When one free row
-    carries the column, its entry is the pivot as it stands.  When
-    several do, each of them is cleared (``_clear``) if it was not
-    already, the pivot is the cleared entry of fewest terms, the earliest
-    row winning a tie (so over Q the earliest row), and every other of
-    them becomes pv*row - a*prow, a its entry in the column, with its
-    integer content taken out.  Rows are only scaled and combined, so
-    the pivots are those of elimination over the field, and no
-    polynomial gcd is taken.  Pivot rows are neither divided nor reduced;
-    a row, once cleared, holds Polynomials.  Returns the pivots as
-    (row, col) in the order they were taken.
+    Each row is cleared once on entry (``_clear``); from then on the
+    rows hold Polynomials with int coefficients.  The pivot column is
+    the lowest one up to ``ncols`` that a row not yet a pivot row
+    carries, or, with ``sparsest``, the one that fewest such rows carry,
+    the lowest winning a tie (Markowitz's rule, which keeps fill-in
+    down; its pivots are no longer in column order).  An index from each
+    column to the free rows that carry it is kept up to date as rows
+    change, and the column comes off a heap: of (count, column) pairs, a
+    pair whose count has since changed being passed over, or of
+    (0, column) pairs for the lowest column.  A column that no free row
+    carries leaves the index for good, since a row gains only columns of
+    the pivot row, itself a free row.  The pivot is the entry of fewest
+    terms among the free rows that carry the column, the earliest row
+    winning a tie (so over Q the earliest row), and every other of them
+    becomes pv*row - a*prow, a its entry in the column, with its integer
+    content taken out (``_eliminate``).  Rows are only scaled and
+    combined, so the pivots are those of elimination over the field, and
+    no polynomial gcd is taken.  Pivot rows are neither divided nor
+    reduced.  Returns (rows, pivots): the cleared rows after
+    elimination, in their input positions, and the pivots as (row, col)
+    in the order they were taken.
     """
+    rows = [_clear(r) for r in rows]
     where = {}  # column below ncols -> the free rows that carry it
     for r, row in enumerate(rows):
         for j in row:
@@ -194,7 +192,6 @@ def _forward(rows, ncols, sparsest=False):
                 if sparsest:
                     heapq.heappush(heap, (len(rs), j))
 
-    cleared = set()
     pivots = []
     while where:
         count, col = heapq.heappop(heap)
@@ -203,32 +200,23 @@ def _forward(rows, ncols, sparsest=False):
             continue
         del where[col]
         cands = sorted(rs)
-        best = cands[0]
-        if len(cands) > 1:
-            for r in cands:
-                if r not in cleared:
-                    rows[r] = _clear(rows[r])
-                    cleared.add(r)
-            best = min(cands, key=lambda r: len(rows[r][col].terms))
-            prow = rows[best]
-            pv = prow[col]
-            for r in cands:
-                if r != best:
-                    old = rows[r]
-                    rows[r] = new = _eliminate(old, pv, prow, col)
-                    leave(r, old.keys() - new.keys())
-                    enter(r, new.keys() - old.keys())
-        leave(best, rows[best])
+        best = min(cands, key=lambda r: len(rows[r][col].terms))
+        prow = rows[best]
+        pv = prow[col]
+        for r in cands:
+            if r != best:
+                old = rows[r]
+                rows[r] = new = _eliminate(old, pv, prow, col)
+                leave(r, old.keys() - new.keys())
+                enter(r, new.keys() - old.keys())
+        leave(best, prow)
         pivots.append((best, col))
-    return pivots
+    return rows, pivots
 
 
 def _quotient(x, pv):
-    """x / pv for two entries of one row after ``_forward``: Fractions
-    or RationalExprs as they are, or Polynomials of a cleared row, whose
-    quotient is a Fraction when it is constant and else a RationalExpr."""
-    if not isinstance(pv, Polynomial):
-        return x / pv
+    """x / pv for two Polynomials of one row after elimination: a
+    Fraction when it is constant, else a RationalExpr."""
     if x.is_constant() and pv.is_constant():
         return Fraction(x.terms[UNIT], pv.terms[UNIT])
     q = RationalExpr(x, pv)
@@ -242,33 +230,32 @@ def rref(rows, ncols):
     which are not mutated; columns at or past ``ncols`` (an augmented
     part) are carried along but never pivoted.  The rows are run through
     the forward kernel ``_forward``, lowest column first (its pivot-row
-    rule this inherits), each pivot row is then divided by its pivot
-    once, and each is subtracted from the pivot rows above it, last
-    pivot first.  Returns (reduced rows, pivots) where pivots is a list
-    of (row, col) in column order; the reduced rows are sparse and keep
-    their input positions.  A row that is not a pivot row has no entry in the first
+    rule this inherits).  Each pivot row then loses the pivot columns of
+    the pivot rows after it, in column order, by the forward update
+    (``_eliminate``) with those rows as the forward pass left them: such
+    a row holds no pivot column before its own, so each step leaves
+    only later pivot columns to clear.  A row is so scaled only by
+    forward pivots; with rows already reduced, as in back-substitution
+    last pivot first, the scale factors would compound from step to
+    step.  Then every row is divided once by its pivot, a row that is
+    not a pivot row by 1.
+    Returns (reduced rows, pivots) where pivots is a list of (row, col)
+    in column order; the reduced rows are sparse and keep their input
+    positions.  A row that is not a pivot row has no entry in the first
     ``ncols`` columns, and its augmented part is fixed only up to a
     nonzero factor, since ``_forward`` scales rows.  Entries are
     Fractions or RationalExprs, so compare by value.
     """
-    sparse = [_sparse(r) for r in rows]
-    pivots = _forward(sparse, ncols)
+    rows, pivots = _forward(rows, ncols)
+    for k, (q, _) in enumerate(pivots):
+        for p, col in pivots[k + 1:]:
+            if col in rows[q]:
+                rows[q] = _eliminate(rows[q], rows[p][col], rows[p], col)
     pivot_col = dict(pivots)
-    for r, row in enumerate(sparse):
-        if r in pivot_col:
-            pv = row[pivot_col[r]]
-        elif any(isinstance(x, Polynomial) for x in row.values()):
-            pv = ONE.num
-        else:
-            continue
-        sparse[r] = {j: _quotient(x, pv) for j, x in row.items()}
-    for k in range(len(pivots) - 1, -1, -1):
-        p, col = pivots[k]
-        for q, _ in pivots[:k]:
-            a = sparse[q].pop(col, None)
-            if a is not None:
-                subtract(sparse[q], a, sparse[p], col)
-    return sparse, pivots
+    for r, row in enumerate(rows):
+        pv = row[pivot_col[r]] if r in pivot_col else ONE.num
+        rows[r] = {j: _quotient(x, pv) for j, x in row.items()}
+    return rows, pivots
 
 
 def rank(rows, ncols):
@@ -279,7 +266,7 @@ def rank(rows, ncols):
     columns, and this order keeps fill-in and entry growth down where
     left to right can run for minutes.  Entries past ``ncols`` are never
     pivots, and nothing is eliminated above a pivot."""
-    return len(_forward([_sparse(r) for r in rows], ncols, sparsest=True))
+    return len(_forward(rows, ncols, sparsest=True)[1])
 
 
 def mat_mul(a, b):

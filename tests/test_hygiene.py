@@ -159,13 +159,14 @@ def test_scan_finds_a_dead_helper():
 
 
 # paper operations that no check op reaches yet, kept for the
-# Lie-pseudogroup problem set (ROADMAP item 3)
+# Lie-pseudogroup problem set (ROADMAP item 6)
 KEPT = [
     # Spencer operator D on jet sections: zero exactly on holonomic ones
     "jets.spencer",
     # contraction i(theta) phi of a differential form by a vector field
     "jets.interior_product",
-    # non-invariance certificate of a derivation on a differential field
+    # non-invariance verdict of a derivation on a differential field: an
+    # image that raises the generators' Jacobian rank is outside the field
     "invariants.noninvariance_witness",
     # reciprocal distributions: every field of one commutes with the other
     "invariants.commutant_check",

@@ -474,6 +474,17 @@ class TestNoninvariance:
         assert res[0].image.is_zero()
         assert res[0].verdict == "stable"
 
+    def test_image_in_the_field_but_not_the_monoid(self):
+        """x lies in Q(x^2, x^3) as x^3 / x^2, though no product of x^2
+        and x^3 is x: the image 2x of x^2 under d/dx raises no Jacobian
+        rank, so it is undecided, not unstable."""
+        ctx = JetContext(["x"], ["u"], max_order=1)
+        E = ctx.expr
+        d = VectorField({ctx.var("x"): E("1")})
+        res = noninvariance_witness([E("x^2"), E("x^3")], d)
+        assert [r.image for r in res] == [E("2*x"), E("3*x^2")]
+        assert [r.verdict for r in res] == ["undecided", "stable"]
+
     def test_curve_frame_rotation(self, curve2):
         """The rotation-like commutant field maps the second invariant
         onto the third, which lies outside the field it generates with

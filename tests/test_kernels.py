@@ -1,8 +1,9 @@
 """Differential tests of the derivation kernel ``symcore.derive``, of
 ``substitute`` over one common denominator, of the sparse symbol rows
-of ``systems`` and of the fraction-free ``linalg.rank``, against the
-term-by-term operator loops, the dense row builders and the field
-elimination they replaced; those are kept here as references.
+of ``systems`` and of the fraction-free ``linalg.rank`` and
+``linalg.rref``, against the term-by-term operator loops, the dense row
+builders, the field elimination and the field back-substitution they
+replaced; those are kept here as references.
 """
 import contextlib
 import random
@@ -583,7 +584,9 @@ def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
         # no stored row holds a zero or is empty
         assert all(row and not any(c.is_zero() for c in row.values())
                    for row in s.rows)
-        assert [linalg._sparse(row) for row in s.rows] == s.rows
+        # entries are Fractions or RationalExprs, never ints
+        assert all(isinstance(c, (Fraction, RationalExpr))
+                   for row in s.rows for c in row.values())
     classes = systems._column_classes(P, cols)
     assert audit_outcome(
         systems._strict_pivot_audit, P, sym, classes
@@ -717,7 +720,7 @@ def left_to_right_rank(rows, ncols):
     its forward pass.  Its back-substitution does not change them, and
     over RationalExprs it can cost a thousand times the forward pass
     (projected_system's prolonged symbol at r = 1)."""
-    return len(linalg._forward([linalg._sparse(r) for r in rows], ncols))
+    return len(linalg._forward(rows, ncols)[1])
 
 
 def test_fraction_free_rank_on_seeded_matrices(ctx, monkeypatch):
@@ -755,19 +758,19 @@ def test_rank_takes_the_sparsest_column_first():
     rows = [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 2: 1}]
     # column 2 has one row, then columns 0 and 1 have two each, and the
     # lower wins; rref's rule takes them in order
-    assert linalg._forward([dict(r) for r in rows], 3, sparsest=True) == [
+    assert linalg._forward(rows, 3, sparsest=True)[1] == [
         (2, 2), (0, 0), (1, 1)]
-    assert linalg._forward([dict(r) for r in rows], 3) == [
-        (0, 0), (1, 1), (2, 2)]
+    assert linalg._forward(rows, 3)[1] == [(0, 0), (1, 1), (2, 2)]
 
 
 def ref_pivots(rows, ncols, sparsest):
     """_forward's pivots with the free rows of each column counted afresh
     at every step, not kept in an index: the lowest column a free row
     carries, or with ``sparsest`` the one fewest free rows carry, the
-    lowest on a tie.  The pivot row and the updates are the kernel's."""
-    rows = [linalg._sparse(r) for r in rows]
-    free, cleared, pivots = set(range(len(rows))), set(), []
+    lowest on a tie.  The clearing, the pivot row and the updates are
+    the kernel's."""
+    rows = [linalg._clear(r) for r in rows]
+    free, pivots = set(range(len(rows))), []
     while True:
         counts = {}
         for r in free:
@@ -778,17 +781,11 @@ def ref_pivots(rows, ncols, sparsest):
             return pivots
         col = min(counts, key=lambda j: (counts[j], j) if sparsest else j)
         cands = sorted(r for r in free if col in rows[r])
-        best = cands[0]
-        if len(cands) > 1:
-            for r in cands:
-                if r not in cleared:
-                    rows[r] = linalg._clear(rows[r])
-                    cleared.add(r)
-            best = min(cands, key=lambda r: len(rows[r][col].terms))
-            prow = rows[best]
-            for r in cands:
-                if r != best:
-                    rows[r] = linalg._eliminate(rows[r], prow[col], prow, col)
+        best = min(cands, key=lambda r: len(rows[r][col].terms))
+        prow = rows[best]
+        for r in cands:
+            if r != best:
+                rows[r] = linalg._eliminate(rows[r], prow[col], prow, col)
         free.remove(best)
         pivots.append((best, col))
 
@@ -806,9 +803,104 @@ def test_column_index_equals_recounting(ctx, sparsest):
             # its 24 x 30 symbol at r = 1 takes minutes left to right
             mats.append((sym.rows, len(sym.columns)))
     for rows, ncols in mats:
-        got = linalg._forward([linalg._sparse(r) for r in rows], ncols,
-                              sparsest)
+        got = linalg._forward(rows, ncols, sparsest)[1]
         assert got == ref_pivots(rows, ncols, sparsest), rows
+
+
+# -- rref against lazy clearing and the field back-substitution ---------
+def ref_rref(rows, ncols):
+    """rref as it was before the kernel cleared every row on entry: a
+    row, its ints made Fractions, is cleared only when it meets another
+    in a pivot column (a row alone in it pivots as it stands), the
+    columns are taken lowest first, each row is divided by its pivot
+    (an uncleared row is left as it is) and the pivot rows are then
+    reduced with the field update ``linalg.subtract``, last pivot
+    first."""
+    rows = [{j: x if isinstance(x, RationalExpr) else Fraction(x)
+             for j, x in row.items() if x} for row in rows]
+    free, cleared, pivots = set(range(len(rows))), set(), []
+    while True:
+        col = min((j for r in free for j in rows[r] if j < ncols),
+                  default=None)
+        if col is None:
+            break
+        cands = sorted(r for r in free if col in rows[r])
+        best = cands[0]
+        if len(cands) > 1:
+            for r in cands:
+                if r not in cleared:
+                    rows[r] = linalg._clear(rows[r])
+                    cleared.add(r)
+            best = min(cands, key=lambda r: len(rows[r][col].terms))
+            prow = rows[best]
+            for r in cands:
+                if r != best:
+                    rows[r] = linalg._eliminate(rows[r], prow[col], prow, col)
+        free.remove(best)
+        pivots.append((best, col))
+
+    def quotient(x, pv):
+        if not isinstance(pv, Polynomial):
+            return x / pv
+        q = RationalExpr(x, pv)
+        return q.constant_value() if q.is_constant() else q
+
+    pivot_col = dict(pivots)
+    for r in cleared:
+        pv = rows[r][pivot_col[r]] if r in pivot_col else ONE.num
+        rows[r] = {j: quotient(x, pv) for j, x in rows[r].items()}
+    for r, col in pivots:
+        if r not in cleared:
+            pv = rows[r][col]
+            rows[r] = {j: x / pv for j, x in rows[r].items()}
+    for k in range(len(pivots) - 1, -1, -1):
+        p, col = pivots[k]
+        for q, _ in pivots[:k]:
+            a = rows[q].pop(col, None)
+            if a is not None:
+                linalg.subtract(rows[q], a, rows[p], col)
+    return rows, pivots
+
+
+def corpus_rref_calls(monkeypatch, capsys):
+    """The (rows, ncols) of every rref call of ``vessiot check`` over
+    the bundled corpus."""
+    calls = []
+    rref0 = linalg.rref
+
+    def recorded(rows, ncols):
+        calls.append(([dict(r) for r in rows], ncols))
+        return rref0(rows, ncols)
+
+    with monkeypatch.context() as m:
+        m.setenv("VESSIOT_CORPUS", str(CORPUS))
+        m.setattr(linalg, "rref", recorded)
+        assert cli.main(["check", "--format", "json"]) == 0
+    capsys.readouterr()
+    return calls
+
+
+def test_rref_equals_lazy_clearing_and_field_back_substitution(
+        ctx, monkeypatch, capsys):
+    rng = random.Random(2401)
+    # from three variables one matrix can take the reference over 15 s
+    mats = [rand_matrix(rng, rng.sample(variables(ctx), 2))
+            for _ in range(100)]
+    corpus = corpus_rref_calls(monkeypatch, capsys)
+    assert corpus
+    for rows, ncols in mats + corpus:
+        before = [dict(r) for r in rows]
+        got, pivots = linalg.rref(rows, ncols)
+        assert rows == before  # the input rows are not mutated
+        want, want_pivots = ref_rref(rows, ncols)
+        assert pivots == want_pivots, rows
+        pivot_rows = {r for r, _ in pivots}
+        for r, (g, w) in enumerate(zip(got, want)):
+            assert g.keys() == w.keys(), rows
+            if r in pivot_rows:
+                assert all(g[j] == w[j] for j in g), rows
+            assert all(isinstance(x, (Fraction, RationalExpr))
+                       for x in g.values())
 
 
 @contextlib.contextmanager

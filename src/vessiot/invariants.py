@@ -146,19 +146,11 @@ def structure_constants(G):
                     ],
                     n,
                 )
-            if coeffs is None:
-                raise NotClosed(
-                    f"[{G.labels[rho]}, {G.labels[sigma]}] is not a constant "
-                    "combination of the generators"
-                )
-            # exact verification of the solved combination
-            recon = VectorField({})
-            for t in range(n):
-                if coeffs[t]:
-                    recon = recon + G.fields[t].scale(
-                        RationalExpr.const(coeffs[t])
-                    )
-            if not (b - recon).is_zero():
+            # a solved combination is verified exactly before it is kept
+            if coeffs is None or not (b - sum(
+                    (f.scale(RationalExpr.const(c))
+                     for f, c in zip(G.fields, coeffs) if c),
+                    start=VectorField({}))).is_zero():
                 raise NotClosed(
                     f"[{G.labels[rho]}, {G.labels[sigma]}] is not a constant "
                     "combination of the generators"

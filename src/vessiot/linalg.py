@@ -11,15 +11,13 @@ one kernel, ``_forward``, works on one entry type: it clears each row
 once on entry to a row of int-coefficient Polynomials (``_clear``), the
 pivot is the entry of fewest terms, and rows are updated as
 row <- pv*row - a*prow over Polynomials (``_eliminate``), so it takes no
-polynomial gcd.  Only its column rule differs between its two callers.
-``rank`` takes next the column that fewest remaining rows carry
-(Markowitz's rule), which keeps fill-in and entry growth down, and
-counts the pivots.  ``rref`` takes the lowest column, because its pivot
-columns are part of its answer, back-substitutes with the same update
-and the forward pass's pivot rows, and only then divides each row by
-its pivot once, which brings back Fraction and RationalExpr entries.
-``subtract`` is the field row update of ``systems``' strict pivot
-audit.
+polynomial gcd.  Its one column rule takes next a column of the lowest
+block that fewest remaining rows carry (Markowitz's rule, which keeps
+fill-in down); each caller names the blocks.  ``rank`` puts all columns
+in one block.  ``rref`` gives each its own, so the lowest comes first,
+as its pivot columns are part of its answer; it back-substitutes with
+the same update and then divides each row by its pivot once.
+``pivot_columns`` serves ``systems.characters``, one block per class.
 ``det`` and ``adjugate`` are cofactor expansions over small dense square
 matrices.
 """
@@ -37,21 +35,6 @@ def _is_zero(x):
     if isinstance(x, RationalExpr):
         return x.is_zero()
     return x == 0
-
-
-def subtract(row, f, prow, skip):
-    """Field row update: row -= f * prow over prow's entries other than
-    column ``skip``, in place, on Fraction or RationalExpr rows; an
-    entry that cancels leaves the row.  The kernel does not use it."""
-    for j, x in prow.items():
-        if j == skip:
-            continue
-        old = row.get(j)
-        new = -(f * x) if old is None else old - f * x
-        if _is_zero(new):
-            del row[j]
-        else:
-            row[j] = new
 
 
 def _primitive(row):
@@ -139,22 +122,21 @@ def _eliminate(row, pv, prow, col):
     return _primitive(out)
 
 
-def _forward(rows, ncols, sparsest=False):
+def _forward(rows, ncols, block):
     """Fraction-free forward elimination of the sparse rows ``rows``,
     which are not mutated.
 
     Each row is cleared once on entry (``_clear``); from then on the
     rows hold Polynomials with int coefficients.  The pivot column is
-    the lowest one up to ``ncols`` that a row not yet a pivot row
-    carries, or, with ``sparsest``, the one that fewest such rows carry,
-    the lowest winning a tie (Markowitz's rule, which keeps fill-in
-    down; its pivots are no longer in column order).  An index from each
-    column to the free rows that carry it is kept up to date as rows
-    change, and the column comes off a heap: of (count, column) pairs, a
-    pair whose count has since changed being passed over, or of
-    (0, column) pairs for the lowest column.  A column that no free row
-    carries leaves the index for good, since a row gains only columns of
-    the pivot row, itself a free row.  The pivot is the entry of fewest
+    one up to ``ncols`` that a row not yet a pivot row carries: of the
+    lowest ``block[j]``, the one that fewest such rows carry, the lowest
+    winning a tie.  An index from each column to the free rows that
+    carry it is kept up to date as rows change, and the column comes off
+    a heap of (block, count, column) triples, a triple whose count has
+    since changed being passed over.  A column that no free row carries
+    leaves the index for good, since a row gains only columns of the
+    pivot row, itself a free row; so a block is done before the next
+    starts.  The pivot is the entry of fewest
     terms among the free rows that carry the column, the earliest row
     winning a tie (so over Q the earliest row), and every other of them
     becomes pv*row - a*prow, a its entry in the column, with its integer
@@ -171,7 +153,7 @@ def _forward(rows, ncols, sparsest=False):
         for j in row:
             if j < ncols:
                 where.setdefault(j, set()).add(r)
-    heap = [(len(rs) if sparsest else 0, j) for j, rs in where.items()]
+    heap = [(block[j], len(rs), j) for j, rs in where.items()]
     heapq.heapify(heap)
 
     def leave(r, cols):
@@ -181,22 +163,21 @@ def _forward(rows, ncols, sparsest=False):
                 rs.discard(r)
                 if not rs:
                     del where[j]
-                elif sparsest:
-                    heapq.heappush(heap, (len(rs), j))
+                else:
+                    heapq.heappush(heap, (block[j], len(rs), j))
 
     def enter(r, cols):
         for j in cols:
             if j < ncols:
                 rs = where.setdefault(j, set())
                 rs.add(r)
-                if sparsest:
-                    heapq.heappush(heap, (len(rs), j))
+                heapq.heappush(heap, (block[j], len(rs), j))
 
     pivots = []
     while where:
-        count, col = heapq.heappop(heap)
+        _, count, col = heapq.heappop(heap)
         rs = where.get(col)
-        if rs is None or sparsest and len(rs) != count:
+        if rs is None or len(rs) != count:
             continue
         del where[col]
         cands = sorted(rs)
@@ -229,8 +210,9 @@ def rref(rows, ncols):
     ``rows``: sparse rows ``{col: entry}`` (a zero entry is dropped),
     which are not mutated; columns at or past ``ncols`` (an augmented
     part) are carried along but never pivoted.  The rows are run through
-    the forward kernel ``_forward``, lowest column first (its pivot-row
-    rule this inherits).  Each pivot row then loses the pivot columns of
+    the forward kernel ``_forward`` with a block of its own for each
+    column, so the lowest column comes first (its pivot-row rule this
+    inherits).  Each pivot row then loses the pivot columns of
     the pivot rows after it, in column order, by the forward update
     (``_eliminate``) with those rows as the forward pass left them: such
     a row holds no pivot column before its own, so each step leaves
@@ -246,7 +228,7 @@ def rref(rows, ncols):
     nonzero factor, since ``_forward`` scales rows.  Entries are
     Fractions or RationalExprs, so compare by value.
     """
-    rows, pivots = _forward(rows, ncols)
+    rows, pivots = _forward(rows, ncols, range(ncols))
     for k, (q, _) in enumerate(pivots):
         for p, col in pivots[k + 1:]:
             if col in rows[q]:
@@ -261,12 +243,20 @@ def rref(rows, ncols):
 def rank(rows, ncols):
     """Rank of the sparse rows ``rows`` (as ``rref`` takes them, and not
     mutated) over the first ``ncols`` columns: the number of pivots
-    ``_forward`` finds taking the sparsest column first, with no
-    polynomial gcd taken.  The rank does not depend on the order of the
-    columns, and this order keeps fill-in and entry growth down where
-    left to right can run for minutes.  Entries past ``ncols`` are never
-    pivots, and nothing is eliminated above a pivot."""
-    return len(_forward(rows, ncols, sparsest=True)[1])
+    ``_forward`` finds with all columns in one block (sparsest first),
+    with no polynomial gcd taken.  The rank does not depend on the order
+    of the columns, and this order keeps fill-in and entry growth down
+    where left to right can run for minutes.  Entries past ``ncols`` are
+    never pivots, and nothing is eliminated above a pivot."""
+    return len(_forward(rows, ncols, [0] * ncols)[1])
+
+
+def pivot_columns(rows, ncols, block):
+    """The pivot columns of ``rows`` (as ``rank`` takes them) in the
+    order ``_forward`` takes them, ``block[j]`` the block of column j.
+    Once the blocks up to b are done no free row carries their columns,
+    so the pivots in them number the rank of those columns alone."""
+    return [col for _, col in _forward(rows, ncols, block)[1]]
 
 
 def mat_mul(a, b):

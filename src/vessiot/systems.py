@@ -21,7 +21,7 @@ from .errors import (
     UnsolvedSystem,
 )
 from .jets import JetContext, jet_order
-from .linalg import rank, subtract
+from .linalg import pivot_columns, rank
 from .report import CheckReport
 from .symcore import RationalExpr, coordinate_partial, eval_point
 
@@ -387,8 +387,9 @@ def characters(S, strict=False):
 
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
     class of a solved equation is the class of its leading jet, and
-    implicit equations are classed by exact symbol elimination that
-    prefers the highest classes."""
+    implicit equations are classed by one exact elimination of the
+    symbol, class n's columns first (``linalg.pivot_columns``): beta^i
+    is the number of its pivots in class-i columns."""
     if S.order < 1:
         raise ValueError("characters need a system of order >= 1")
     ctx = S.ctx
@@ -401,35 +402,39 @@ def characters(S, strict=False):
         if e.leading is not None and ctx.jet_info(e.leading)[1]
         and sum(ctx.jet_info(e.leading)[1]) == S.order
     ]
+    beta = [0] * (n + 1)
     if S.all_leadings_declared() and len(top) == len(S.equations):
-        beta = [0] * (n + 1)
         for e in S.equations:
             beta[S.leading_class(e)] += 1
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
     sym = symbol_of(S)
+    block = [n - c for c in classes]
     if strict:
-        _strict_pivot_audit(S, sym, classes)
-    beta = [0] * (n + 2)
-    prev = 0
-    for i in range(n, 0, -1):
-        # the columns of class >= i, renumbered in their order
-        keep = {j: k for k, j in enumerate(
-            j for j, c in enumerate(classes) if c >= i)}
-        sub = [{keep[j]: x for j, x in row.items() if j in keep}
-               for row in sym.rows]
-        r = rank(sub, len(keep))
-        beta[i] = r - prev
-        prev = r
+        _strict_pivot_audit(S, sym, block)
+    for j in pivot_columns(sym.rows, len(cols), block):
+        beta[classes[j]] += 1
     return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
 
 
-def _strict_pivot_audit(S, sym, classes):
+def _subtract(row, f, prow, skip):
+    """row -= f * prow in place, but column ``skip``; 0 leaves the row."""
+    for j, x in prow.items():
+        if j == skip:
+            continue
+        new = -(f * x) if j not in row else row[j] - f * x
+        if new.is_zero():
+            del row[j]
+        else:
+            row[j] = new
+
+
+def _strict_pivot_audit(S, sym, block):
     # its own pivot rule, not linalg's kernel: the first row carrying the
     # column is the pivot, a choice that decides DegenerateLocus, and it
     # stops at the first pivot the genericity does not cover, where the
     # kernel picks lowest-weight pivots and finishes the whole matrix;
     # only rows not yet pivots are ever inspected, so only they are reduced
-    order = sorted(range(len(sym.columns)), key=lambda j: -classes[j])
+    order = sorted(range(len(sym.columns)), key=lambda j: block[j])
     free = [dict(r) for r in sym.rows]
     for col in order:
         k = next((k for k, row in enumerate(free) if col in row), None)
@@ -446,7 +451,7 @@ def _strict_pivot_audit(S, sym, classes):
         for row in free:
             a = row.pop(col, None)
             if a is not None:
-                subtract(row, a / pv, prow, col)
+                _subtract(row, a / pv, prow, col)
 
 
 def cartan_test(S):

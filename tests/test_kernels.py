@@ -588,8 +588,9 @@ def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
         assert all(isinstance(c, (Fraction, RationalExpr))
                    for row in s.rows for c in row.values())
     classes = systems._column_classes(P, cols)
+    block = [len(P.ordering) - c for c in classes]
     assert audit_outcome(
-        systems._strict_pivot_audit, P, sym, classes
+        systems._strict_pivot_audit, P, sym, block
     ) == audit_outcome(ref_strict_pivot_audit, P, cols, dense, classes)
 
 
@@ -717,10 +718,11 @@ def rank_without_gcd(monkeypatch, rows, ncols):
 
 def left_to_right_rank(rows, ncols):
     """The number of pivots rref takes, lowest column first: those of
-    its forward pass.  Its back-substitution does not change them, and
-    over RationalExprs it can cost a thousand times the forward pass
-    (projected_system's prolonged symbol at r = 1)."""
-    return len(linalg._forward(rows, ncols)[1])
+    its forward pass, each column in a block of its own.  Its
+    back-substitution does not change them, and over RationalExprs it
+    can cost a thousand times the forward pass (projected_system's
+    prolonged symbol at r = 1)."""
+    return len(linalg._forward(rows, ncols, range(ncols))[1])
 
 
 def test_fraction_free_rank_on_seeded_matrices(ctx, monkeypatch):
@@ -756,19 +758,22 @@ def test_fraction_free_rank_on_symbol_traffic(stem, name, r, monkeypatch):
 
 def test_rank_takes_the_sparsest_column_first():
     rows = [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 2: 1}]
-    # column 2 has one row, then columns 0 and 1 have two each, and the
-    # lower wins; rref's rule takes them in order
-    assert linalg._forward(rows, 3, sparsest=True)[1] == [
-        (2, 2), (0, 0), (1, 1)]
-    assert linalg._forward(rows, 3)[1] == [(0, 0), (1, 1), (2, 2)]
+    # in one block column 2 has one row, then columns 0 and 1 have two
+    # each, and the lower wins; rref's blocks take them in order
+    assert linalg._forward(rows, 3, [0] * 3)[1] == [(2, 2), (0, 0), (1, 1)]
+    assert linalg._forward(rows, 3, range(3))[1] == [(0, 0), (1, 1), (2, 2)]
+    # column 2, the sparsest, waits for block 0; within block 0 column 1
+    # (two rows) goes before column 0 (three)
+    assert linalg._forward(rows, 3, [0, 0, 1])[1] == [
+        (0, 1), (1, 0), (2, 2)]
+    assert linalg.pivot_columns(rows, 3, [0, 0, 1]) == [1, 0, 2]
 
 
-def ref_pivots(rows, ncols, sparsest):
+def ref_pivots(rows, ncols, block):
     """_forward's pivots with the free rows of each column counted afresh
-    at every step, not kept in an index: the lowest column a free row
-    carries, or with ``sparsest`` the one fewest free rows carry, the
-    lowest on a tie.  The clearing, the pivot row and the updates are
-    the kernel's."""
+    at every step, not kept in an index: of the columns a free row
+    carries, the least by (block[j], number of free rows carrying j, j).
+    The clearing, the pivot row and the updates are the kernel's."""
     rows = [linalg._clear(r) for r in rows]
     free, pivots = set(range(len(rows))), []
     while True:
@@ -779,7 +784,7 @@ def ref_pivots(rows, ncols, sparsest):
                     counts[j] = counts.get(j, 0) + 1
         if not counts:
             return pivots
-        col = min(counts, key=lambda j: (counts[j], j) if sparsest else j)
+        col = min(counts, key=lambda j: (block[j], counts[j], j))
         cands = sorted(r for r in free if col in rows[r])
         best = min(cands, key=lambda r: len(rows[r][col].terms))
         prow = rows[best]
@@ -790,21 +795,114 @@ def ref_pivots(rows, ncols, sparsest):
         pivots.append((best, col))
 
 
-@pytest.mark.parametrize("sparsest", [False, True], ids=["lowest", "sparsest"])
-def test_column_index_equals_recounting(ctx, sparsest):
-    rng = random.Random(2301)
-    mats = [rand_matrix(rng, rng.sample(variables(ctx), 3)) for _ in range(60)]
+def column_blocks(kind, classes, n):
+    """_forward's blocks for columns of the classes ``classes`` (1 to
+    n): all in one (rank's), each in its own (rref's) or n - class
+    (characters')."""
+    if kind == "one":
+        return [0] * len(classes)
+    if kind == "column":
+        return range(len(classes))
+    return [n - c for c in classes]
+
+
+def seeded_class_matrices(ctx, seed, count=60):
+    """``count`` seeded rand_matrix matrices over three variables, each
+    with random classes 1 to 3 for its columns, as (rows, ncols,
+    classes, 3); the classes come from a generator of their own, so the
+    matrices are those of ``random.Random(seed)``."""
+    rng, crng = random.Random(seed), random.Random(seed + 1)
+    mats = [rand_matrix(rng, rng.sample(variables(ctx), 3))
+            for _ in range(count)]
+    return [(rows, ncols, [crng.randint(1, 3) for _ in range(ncols)], 3)
+            for rows, ncols in mats]
+
+
+@pytest.mark.parametrize("kind", ["one", "column", "class"])
+def test_column_index_equals_recounting(ctx, kind):
+    mats = seeded_class_matrices(ctx, 2301)
     for stem, name, r in SYMBOL_CASES:
-        sym = systems.symbol_of(prolonged(stem, name, r))
+        P = prolonged(stem, name, r)
+        sym = systems.symbol_of(P)
+        syms = [sym]
         if name != "complete_integral":
-            nxt = systems._prolonged_symbol(sym)
-            mats += [(m.rows, len(m.columns)) for m in (sym, nxt)]
-        elif r == 0 or sparsest:
-            # its 24 x 30 symbol at r = 1 takes minutes left to right
-            mats.append((sym.rows, len(sym.columns)))
-    for rows, ncols in mats:
-        got = linalg._forward(rows, ncols, sparsest)[1]
-        assert got == ref_pivots(rows, ncols, sparsest), rows
+            syms.append(systems._prolonged_symbol(sym))
+        elif r == 1 and kind == "column":
+            syms = []  # its 24 x 30 symbol takes minutes left to right
+        mats += [(m.rows, len(m.columns),
+                  systems._column_classes(P, m.columns), len(P.ordering))
+                 for m in syms]
+    for rows, ncols, classes, n in mats:
+        block = column_blocks(kind, classes, n)
+        got = linalg._forward(rows, ncols, block)[1]
+        assert got == ref_pivots(rows, ncols, block), rows
+
+
+# -- characters in one pass against one rank per class ------------------
+def ref_characters(rows, classes, n):
+    """[beta^1, ..., beta^n] as characters took them before its one
+    block-ordered pass: for i from n down to 1, the rank of the columns
+    of class >= i, renumbered in their order, less that of class > i."""
+    beta, prev = [0] * n, 0
+    for i in range(n, 0, -1):
+        keep = {j: k for k, j in enumerate(
+            j for j, c in enumerate(classes) if c >= i)}
+        sub = [{keep[j]: x for j, x in row.items() if j in keep}
+               for row in rows]
+        r = linalg.rank(sub, len(keep))
+        beta[i - 1] = r - prev
+        prev = r
+    return beta
+
+
+def one_pass_betas(rows, ncols, classes, n):
+    """[beta^1, ..., beta^n] from linalg.pivot_columns, class n first."""
+    beta = [0] * n
+    for j in linalg.pivot_columns(rows, ncols, [n - c for c in classes]):
+        beta[classes[j] - 1] += 1
+    return beta
+
+
+def test_one_pass_betas_on_seeded_matrices(ctx):
+    for rows, ncols, classes, n in seeded_class_matrices(ctx, 2501):
+        got = one_pass_betas(rows, ncols, classes, n)
+        assert got == ref_characters(rows, classes, n), rows
+        assert sum(got) == linalg.rank(rows, ncols), rows
+
+
+# complete_integral's 60 x 60 symbol at r = 2 gets no rank (see above)
+@pytest.mark.parametrize("stem, name, r", [
+    (stem, name, r) for stem, name in CORPUS_SYSTEMS for r in (0, 1, 2)
+    if (name, r) != ("complete_integral", 2)])
+def test_one_pass_characters_equal_one_rank_per_class(stem, name, r,
+                                                      monkeypatch):
+    P = prolonged(stem, name, r)
+    sym = systems.symbol_of(P)
+    ncols, n = len(sym.columns), len(P.ordering)
+    classes = systems._column_classes(P, sym.columns)
+    calls = []
+    forward0 = linalg._forward
+
+    def counted(*args):
+        calls.append(args)
+        return forward0(*args)
+
+    with deadline(60):
+        want = ref_characters(sym.rows, classes, n)
+        got = one_pass_betas(sym.rows, ncols, classes, n)
+        assert got == want
+        assert sum(got) == sym.rank()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_forward", counted)
+            alpha = systems.characters(P)
+    # a system whose equations are all solved for top-order jets has its
+    # characters read from their classes, with no elimination; in the
+    # corpus only systems at r = 0 are
+    assert calls or r == 0
+    if calls:
+        assert len(calls) == 1
+        assert alpha == tuple(
+            classes.count(i + 1) - b for i, b in enumerate(want))
 
 
 # -- rref against lazy clearing and the field back-substitution ---------
@@ -814,7 +912,7 @@ def ref_rref(rows, ncols):
     in a pivot column (a row alone in it pivots as it stands), the
     columns are taken lowest first, each row is divided by its pivot
     (an uncleared row is left as it is) and the pivot rows are then
-    reduced with the field update ``linalg.subtract``, last pivot
+    reduced with the field update ``ref_subtract``, last pivot
     first."""
     rows = [{j: x if isinstance(x, RationalExpr) else Fraction(x)
              for j, x in row.items() if x} for row in rows]
@@ -858,7 +956,7 @@ def ref_rref(rows, ncols):
         for q, _ in pivots[:k]:
             a = rows[q].pop(col, None)
             if a is not None:
-                linalg.subtract(rows[q], a, rows[p], col)
+                ref_subtract(rows[q], a, rows[p], col)
     return rows, pivots
 
 

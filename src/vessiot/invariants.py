@@ -103,7 +103,18 @@ def _q_linear_solve(blocks, n):
     every block (columns, target) at once.
 
     Returns the coefficient list (free coefficients set to 0) or None
-    when no constant solution exists."""
+    when no constant solution exists.
+
+    A returned list reproduces every target exactly.  With D the product
+    of a block's denominators, e*D is a polynomial for each of its
+    expressions e (its normal form has denominator 1, so (e*D).num is
+    all of it), and the block's rows are the coefficient equations of
+    sum_i c_i * (columns_i * D) = target * D, one per monomial.  rref
+    keeps the row space, so a solution of the reduced rows solves every
+    row; with the free coefficients 0, each pivot row reads c_pivot = its
+    target entry, and a row with no other entry left has been refused.
+    Both sides then agree at every monomial, hence as polynomials, and
+    dividing by D gives target = sum_i c_i * columns_i in every block."""
     rows = []
     for columns, target in blocks:
         exprs = [*columns, target]  # the target is column n

@@ -16,11 +16,15 @@ bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once; ``sum_of_products`` does the
 same for groups of equal denominators.
 
-``poly_gcd`` takes out the monomial content and tries the degree-gated
-trial divisions; then an operand of degree 1 in some variable splits
-into the gcd of its two coefficients and an irreducible cofactor, and
-only a pair with no such operand runs a subresultant remainder
-sequence.
+``poly_cofactors`` returns a gcd with both cofactors, and ``poly_gcd``
+is its first part.  It takes out the monomial content and tries the
+degree-gated trial divisions; then an operand of degree 1 in some
+variable splits into the gcd of its two coefficients and an irreducible
+cofactor, and only a pair with no such operand runs a subresultant
+remainder sequence.  Each branch builds the cofactors from quotients it
+already holds, so only the subresultant branch divides by the gcd; the
+constructor, the field operators and ``derive`` cancel through the
+cofactors.
 
 A coefficient is stored as an int when it is integral and as a Fraction
 otherwise (_coef), and the normal form's coefficients are all ints.
@@ -591,96 +595,165 @@ def _norm_primitive(p):
     return _joint_primitive(Polynomial(), p)[1]
 
 
+def _ratio(p, q):
+    """The constant p / q, for p a nonzero constant multiple of q."""
+    m = next(iter(q.terms))
+    return _qdiv(p.terms[m], q.terms[m])
+
+
+def _mono_times(p, m):
+    """p times the monomial m."""
+    if not m:
+        return p
+    return _poly({mono_mul(t, m): c for t, c in p.terms.items()})
+
+
+def _lift(mg, ma, mb, f, fa, fb):
+    """(g, a/g, b/g) for g = gcd(a, b) in its normal form, where a = ma*A
+    and b = mb*B with ma and mb their monomial contents, mg = gcd(ma, mb),
+    and f is a gcd of A and B up to a constant with A = f*fa and
+    B = f*fb.  g is mg*f made integer-primitive, so mg*f = k*g for a
+    constant k, and a/g = k * (ma/mg) * fa."""
+    p = _mono_times(f, mg)
+    g = _norm_primitive(p)
+    k = _ratio(p, g)
+    return (g, _mono_times(fa, mono_div(ma, mg)) * k,
+            _mono_times(fb, mono_div(mb, mg)) * k)
+
+
+def _mono_cofactors(a, b, m):
+    """(m, a/m, b/m) for a monomial m that divides every term of a and b:
+    the gcd when the rest of a and b is coprime."""
+    return Polynomial({m: 1}), _mono_quotient(a, m), _mono_quotient(b, m)
+
+
 def poly_gcd(a, b):
     """gcd of two polynomials, integer-primitive with positive leading
-    coefficient (1 for coprime inputs).
+    coefficient (1 for coprime inputs); see poly_cofactors."""
+    return poly_cofactors(a, b)[0]
 
-    After the monomial content and the trial divisions, an operand p of
-    degree 1 in some variable (the operand with fewer terms first, w the
-    lowest such variable in the variable order) is split: p = u1*w + u0
-    with both parts nonzero, c = gcd(u1, u0) and x = p / c.  x has degree
-    1 in w and is primitive in w, so it is irreducible (Gauss's lemma: a
-    factor free of w would divide both its coefficients) and coprime to
-    c, which is free of w.  Hence gcd(q, p) = gcd(q, c) * gcd(q, x), and
-    gcd(q, x) is x if x | q and 1 otherwise.  When c is 1, p itself is
+
+def poly_cofactors(a, b):
+    """(g, a/g, b/g) for the gcd g of a and b, integer-primitive with
+    positive leading coefficient (1 for coprime inputs).  For a = b = 0
+    all three are 0.
+
+    Each branch keeps the quotients it finds on the way, so the
+    cofactors cost no division except after a subresultant sequence.
+    After the monomial content and the trial divisions (a quotient
+    q = a/b gives a/g and b/g as constants times q and 1), an operand p
+    of degree 1 in some variable (the operand with fewer terms first, w
+    the lowest such variable in the variable order) is split:
+    p = u1*w + u0 with both parts nonzero and (c, u1/c, u0/c) the
+    cofactors of u1 and u0, so that x = p/c = (u1/c)*w + u0/c needs no
+    division.  x has degree 1 in w and is primitive in w, so it is
+    irreducible (Gauss's lemma: a factor free of w would divide both its
+    coefficients); c is free of w, so x does not divide c and the two
+    are coprime.  For the other operand q:
+
+    - if x | q, say q = x*r, then gcd(p, q) = gcd(x*c, x*r) = x * h with
+      (h, r/h, c/h) the cofactors of r and c, so p/g = c/h and
+      q/g = r/h; as x and c are coprime, h = gcd(q, c) as well;
+    - otherwise the irreducible x is coprime to q, so gcd(p, q) = h with
+      (h, q/h, c/h) the cofactors of q and c, and p/g = (c/h) * x.
+
+    (_lift then puts back the monomial content and the constant factor
+    that makes g integer-primitive.)  When c is constant, p itself is
     irreducible and the trial divisions (or their gate) have shown that
-    it does not divide q, so only the monomial part remains.  A pair
-    with no such operand takes its contents in the largest common
-    variable v and runs a subresultant remainder sequence.
+    it does not divide q, so only the monomial part remains.  A pair with no such operand takes its
+    contents in the largest common variable v, runs a subresultant
+    remainder sequence and divides the operands by the gcd it finds.
 
     The recursion terminates: each recursive call replaces an operand
     by polynomials free of w (u1 and u0, or c in place of p) or of v
     (the contents and their coefficients).  So each call either has
-    fewer variables between its two operands or, for gcd(q, c), the same
-    variables and a lower sum of total degrees, since c is a proper
-    factor of p.
+    fewer variables between its two operands or, for (q, c) and (r, c),
+    no new variable and a lower sum of total degrees, since c is a
+    proper factor of p and r one of q.
     """
     if a.is_zero():
-        return _norm_primitive(b)
+        if b.is_zero():
+            return a, a, a
+        g = _norm_primitive(b)
+        return g, a, Polynomial.const(_ratio(b, g))
     if b.is_zero():
-        return _norm_primitive(a)
+        g = _norm_primitive(a)
+        return g, Polynomial.const(_ratio(a, g)), b
     if a.is_constant() or b.is_constant():
-        return Polynomial.const(1)
+        return Polynomial.const(1), a, b
     ma, mb = _mono_content(a), _mono_content(b)
-    base = Polynomial({mono_gcd(ma, mb): 1})
-    a, b = _mono_quotient(a, ma), _mono_quotient(b, mb)
-    if a.is_constant() or b.is_constant():
-        return base
+    mg = mono_gcd(ma, mb)
+    pa, pb = _mono_quotient(a, ma), _mono_quotient(b, mb)
+    if pa.is_constant() or pb.is_constant():
+        return _mono_cofactors(a, b, mg)
     # cheap trial divisions first, each only where the degrees allow it
-    da, db = _degrees(a), _degrees(b)
-    if _may_divide(db, da) and poly_divexact(a, b) is not None:
-        return _norm_primitive(base * _norm_primitive(b))
-    if _may_divide(da, db) and poly_divexact(b, a) is not None:
-        return _norm_primitive(base * _norm_primitive(a))
+    da, db = _degrees(pa), _degrees(pb)
+    if _may_divide(db, da):
+        q = poly_divexact(pa, pb)
+        if q is not None:
+            return _lift(mg, ma, mb, pb, q, Polynomial.const(1))
+    if _may_divide(da, db):
+        q = poly_divexact(pb, pa)
+        if q is not None:
+            return _lift(mg, ma, mb, pa, Polynomial.const(1), q)
     # an operand linear in some w splits as c * x with x irreducible
-    for p, dp, q, dq in sorted(((a, da, b, db), (b, db, a, da)),
+    for p, dp, q, dq in sorted(((pa, da, pb, db), (pb, db, pa, da)),
                                key=lambda t: len(t[0].terms)):
         w = min((v for v, e in dp.items() if e == 1), default=None)
         if w is None:
             continue
         u = _as_univariate(p, w)
-        c = poly_gcd(u[1], u[0])
+        c, u1, u0 = poly_cofactors(u[1], u[0])
         if c.is_constant():
             # p itself is irreducible, and it does not divide q
-            return _norm_primitive(base)
-        x = _cancel(p, c)
-        g = base * poly_gcd(q, c)
-        if _may_divide(_degrees(x), dq) and poly_divexact(q, x) is not None:
-            g = g * x
-        return _norm_primitive(g)
+            return _mono_cofactors(a, b, mg)
+        x = _mono_times(u1, ((w, 1),)) + u0
+        r = poly_divexact(q, x) if _may_divide(_degrees(x), dq) else None
+        if r is not None:
+            h, fq, fp = poly_cofactors(r, c)
+            f = h * x
+        else:
+            h, fq, fp = poly_cofactors(q, c)
+            if h.is_constant():
+                return _mono_cofactors(a, b, mg)
+            f, fp = h, fp * x
+        if p is pa:
+            return _lift(mg, ma, mb, f, fp, fq)
+        return _lift(mg, ma, mb, f, fq, fp)
     common = da.keys() & db.keys()
     if not common:
-        return _norm_primitive(base)
+        return _mono_cofactors(a, b, mg)
     v = max(common)
-    ca, pa = _primitive_in(a, v)
-    cb, pb = _primitive_in(b, v)
+    ca, ra = _primitive_in(pa, v)
+    cb, rb = _primitive_in(pb, v)
     cg = poly_gcd(ca, cb)
-    if pa.degree_in(v) < pb.degree_in(v):
-        pa, pb = pb, pa
+    if ra.degree_in(v) < rb.degree_in(v):
+        ra, rb = rb, ra
     # subresultant polynomial remainder sequence: exact divisions by
     # g*h^delta keep the coefficient growth polynomial, so the content
     # extraction only happens once at the end
     gc = Polynomial.const(1)
     h = Polynomial.const(1)
     while True:
-        delta = pa.degree_in(v) - pb.degree_in(v)
-        r = _pseudo_rem(pa, pb, v)
+        delta = ra.degree_in(v) - rb.degree_in(v)
+        r = _pseudo_rem(ra, rb, v)
         if r.is_zero():
-            g = pb
+            g = rb
             break
         if r.degree_in(v) == 0:
             g = Polynomial.const(1)
             break
         q = _subresultant_div(r, gc * h ** delta, "remainder")
-        pa, pb = pb, q
-        gc = _as_univariate(pa, v)[pa.degree_in(v)]
+        ra, rb = rb, q
+        gc = _as_univariate(ra, v)[ra.degree_in(v)]
         if delta == 1:
             h = gc
         elif delta > 1:
             h = _subresultant_div(gc ** delta, h ** (delta - 1), "h")
     if not g.is_constant():
         _, g = _primitive_in(g, v)
-    return _norm_primitive(base * cg * g)
+    f = cg * g
+    return _lift(mg, ma, mb, f, _cancel(pa, f), _cancel(pb, f))
 
 
 def _subresultant_div(a, b, what):
@@ -706,6 +779,9 @@ class RationalExpr:
     (Henrici, JACM 1956; Knuth, TAOCP Vol. 2, 4.5.1): their operands are
     already coprime, so gcds of the smaller crosswise factors leave a
     coprime result that needs only the joint integer normalization.
+    Every gcd is taken with its cofactors (poly_cofactors), and the
+    cofactors are the cancelled parts, so no operator divides by a gcd
+    it has just found.
     """
 
     __slots__ = ("num", "den")
@@ -727,8 +803,8 @@ class RationalExpr:
             self.num = Polynomial()
             self.den = Polynomial.const(1)
             return
-        g = poly_gcd(num, den)
-        self.num, self.den = _joint_primitive(_cancel(num, g), _cancel(den, g))
+        _, num, den = poly_cofactors(num, den)
+        self.num, self.den = _joint_primitive(num, den)
 
     @staticmethod
     def _coprime(num, den):
@@ -740,10 +816,9 @@ class RationalExpr:
         """(a/b) * (c/d) for coprime pairs (a, b) and (c, d)."""
         if a.is_zero() or c.is_zero():
             return ZERO
-        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
-        return RationalExpr._coprime(
-            _cancel(a, g1) * _cancel(c, g2), _cancel(b, g2) * _cancel(d, g1)
-        )
+        _, a1, d1 = poly_cofactors(a, d)
+        _, c2, b2 = poly_cofactors(c, b)
+        return RationalExpr._coprime(a1 * c2, b2 * d1)
 
     # -- helpers ------------------------------------------------------
     @staticmethod
@@ -808,17 +883,17 @@ class RationalExpr:
             t = a + c
             if t.is_zero():
                 return ZERO
-            h = poly_gcd(t, b)
-            return RationalExpr._coprime(_cancel(t, h), _cancel(b, h))
+            _, th, bh = poly_cofactors(t, b)
+            return RationalExpr._coprime(th, bh)
         # a/b + c/d = t / (b/g * d/g * g) with g = gcd(b, d); t is coprime
-        # to b/g and to d/g, so only a factor shared with g can cancel
-        g = poly_gcd(b, d)
-        bg = _cancel(b, g)
-        t = a * _cancel(d, g) + c * bg
+        # to b/g and to d/g, so only h = gcd(t, g) can cancel, and the
+        # denominator is b/g * d/g * g/h
+        g, bg, dg = poly_cofactors(b, d)
+        t = a * dg + c * bg
         if t.is_zero():
             return ZERO
-        h = poly_gcd(t, g)
-        return RationalExpr._coprime(_cancel(t, h), bg * _cancel(d, h))
+        _, th, gh = poly_cofactors(t, g)
+        return RationalExpr._coprime(th, bg * (dg * gh))
 
     __radd__ = __add__
 
@@ -1078,13 +1153,12 @@ def derive(e, coeffs):
             r = RationalExpr(bdn, d)
             num, den = r.num, r.den
     else:
-        g = poly_gcd(d, bdd)
-        d1 = _cancel(d, g)
-        t = bdn * d1 - n * _cancel(bdd, g)
+        g, d1, bddg = poly_cofactors(d, bdd)
+        t = bdn * d1 - n * bddg
         if t.is_zero():
             return ZERO
-        h = poly_gcd(t, g)
-        num, den = _cancel(t, h), _cancel(g, h) * d1 * d1
+        _, num, gh = poly_cofactors(t, g)
+        den = gh * d1 * d1
     if not dens:
         return RationalExpr._coprime(num, den)
     B = dens[0]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from vessiot import invariants
 from vessiot.errors import NotClosed
 from vessiot.invariants import (
     GeneratorSet,
@@ -256,6 +257,17 @@ class TestStructureConstants:
         ])
         with pytest.raises(NotClosed):
             structure_constants(G)
+
+    def test_wrong_solution_is_refused(self, listed_set, monkeypatch):
+        """A combination that does not reproduce a bracket is refused by
+        the exact re-verification, which names the pair, even when the
+        solver returns it."""
+        def wrong(blocks, n):
+            return [Fraction(1)] * n
+
+        monkeypatch.setattr(invariants, "_q_linear_solve", wrong)
+        with pytest.raises(NotClosed, match=r"\[theta1, theta2\]"):
+            structure_constants(listed_set)
 
     def test_jacobi(self, listed_set, rigid3):
         for G in (listed_set, rigid3[1]):

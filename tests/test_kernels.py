@@ -6,6 +6,7 @@ builders, the field elimination and the field back-substitution they
 replaced; those are kept here as references.
 """
 import contextlib
+import math
 import random
 import signal
 from fractions import Fraction
@@ -701,16 +702,17 @@ def rand_matrix(rng, vs):
 
 
 def rank_without_gcd(monkeypatch, rows, ncols):
-    """linalg.rank of the rows, asserting that it takes no poly_gcd."""
+    """linalg.rank of the rows, asserting that it takes no gcd (every
+    gcd, poly_gcd's too, runs through poly_cofactors)."""
     calls = []
-    gcd0 = symcore.poly_gcd
+    cofactors0 = symcore.poly_cofactors
 
     def counted(a, b):
         calls.append((a, b))
-        return gcd0(a, b)
+        return cofactors0(a, b)
 
     with monkeypatch.context() as m:
-        m.setattr(symcore, "poly_gcd", counted)
+        m.setattr(symcore, "poly_cofactors", counted)
         got = linalg.rank(rows, ncols)
     assert calls == []
     return got
@@ -1161,35 +1163,72 @@ def split_pairs(rng, vs):
 
 
 def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
+    """poly_gcd and poly_cofactors' gcd equal the reference in both
+    argument orders, and the cofactors multiply back to the operands;
+    also with a zero and with a constant operand."""
     rng, split_rng = random.Random(1901), random.Random(2101)
+    zero, three = Polynomial(), Polynomial.const(Fraction(3, 2))
     for k in range(120):
         vs = rng.sample(variables(ctx), 4)
-        for a, b in gcd_pairs(rng, vs) + split_pairs(split_rng, vs):
+        pairs = gcd_pairs(rng, vs) + split_pairs(split_rng, vs)
+        a0 = pairs[0][0]
+        for a, b in pairs + [(a0, zero), (a0, three)]:
             want = ref_poly_gcd(a, b)
-            for got in (symcore.poly_gcd(a, b), symcore.poly_gcd(b, a)):
-                assert got == want, (k, a, b)
-                assert coefficient_types(got) == coefficient_types(want)
+            for p, q in ((a, b), (b, a)):
+                g, pg, qg = symcore.poly_cofactors(p, q)
+                for got in (symcore.poly_gcd(p, q), g):
+                    assert got == want, (k, p, q)
+                    assert coefficient_types(got) == coefficient_types(want)
+                assert g * pg == p and g * qg == q, (k, p, q)
             assert all(type(c) is int for c in want.terms.values())
 
 
-def traced_kernels(monkeypatch):
-    """Record each poly_divexact and each recursive poly_gcd call as
-    ("div", a, b) or ("gcd", a, b); returns the list and the untraced
-    poly_gcd to start from."""
-    calls = []
-    gcd0, divexact0 = symcore.poly_gcd, symcore.poly_divexact
+def ref_normal_form(a, b):
+    """a/b cancelled by ref_poly_gcd through poly_divexact, then scaled to
+    int coefficients with no common factor and a positive leading
+    denominator coefficient."""
+    g = ref_poly_gcd(a, b)
+    num, den = symcore.poly_divexact(a, g), symcore.poly_divexact(b, g)
+    coeffs = [Fraction(c) for c in [*num.terms.values(), *den.terms.values()]]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    content = math.gcd(*(int(c * lcm) for c in coeffs))
+    if den.leading_coefficient() < 0:
+        content = -content
+    scale = Fraction(lcm, content)
+    return num * scale, den * scale
 
-    def gcd(a, b):
+
+def test_normal_form_equals_the_reference_cancellation(ctx):
+    rng, split_rng = random.Random(2601), random.Random(2602)
+    for k in range(40):
+        vs = rng.sample(variables(ctx), 4)
+        for a, b in gcd_pairs(rng, vs) + split_pairs(split_rng, vs):
+            for p, q in ((a, b), (b, a)):
+                e = RationalExpr(p, q)
+                assert (e.num, e.den) == ref_normal_form(p, q), (k, p, q)
+                assert all(type(c) is int for c in e.num.terms.values())
+                assert all(type(c) is int for c in e.den.terms.values())
+
+
+def traced_kernels(monkeypatch):
+    """Record each poly_divexact and each recursive gcd call as
+    ("div", a, b) or ("gcd", a, b); returns the list and an untraced
+    gcd to start from.  Every gcd, poly_gcd's too, runs through
+    poly_cofactors, so tracing it records each gcd call once."""
+    calls = []
+    cofactors0, divexact0 = symcore.poly_cofactors, symcore.poly_divexact
+
+    def cofactors(a, b):
         calls.append(("gcd", a, b))
-        return gcd0(a, b)
+        return cofactors0(a, b)
 
     def divexact(a, b):
         calls.append(("div", a, b))
         return divexact0(a, b)
 
-    monkeypatch.setattr(symcore, "poly_gcd", gcd)
+    monkeypatch.setattr(symcore, "poly_cofactors", cofactors)
     monkeypatch.setattr(symcore, "poly_divexact", divexact)
-    return calls, gcd0
+    return calls, lambda a, b: cofactors0(a, b)[0]
 
 
 def test_gcd_of_a_large_operand_and_a_small_linear_one_is_cheap(

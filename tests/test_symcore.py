@@ -30,6 +30,7 @@ from vessiot.symcore import (
     mono_key,
     mono_make,
     mono_mul,
+    poly_cofactors,
     poly_divexact,
     poly_gcd,
     normalize,
@@ -792,6 +793,27 @@ class TestSympyOracle:
                     assert ratio.is_Rational and ratio != 0, (a, b, g, want)
                     assert all(type(c) is int for c in g.terms.values())
                     assert g.leading_coefficient() > 0
+
+    def test_poly_cofactors(self, sp, xyz):
+        """(g, a/g, b/g) equals SymPy's cofactors up to one rational
+        unit u: g = u*h, a/g = cff/u and b/g = cfg/u."""
+        rng = random.Random(44)
+        X = Polynomial.var(xyz[0])
+        for _ in range(20):
+            f = random_poly(rng, xyz, terms=3, max_exp=2)
+            x = random_poly(rng, xyz[1:], 2, 1) * X + random_poly(rng, xyz[1:])
+            cases = [(random_poly(rng, xyz) * f, random_poly(rng, xyz) * f),
+                     (x * random_poly(rng, xyz[1:]) * f, f * x),
+                     (x * f, random_poly(rng, xyz, 3, 2))]
+            for a, b in cases:
+                for p, q in ((a, b), (b, a)):
+                    g, pg, qg = poly_cofactors(p, q)
+                    h, cff, cfg = sp.cofactors(self.to_sympy(sp, p),
+                                               self.to_sympy(sp, q))
+                    u = sp.cancel(self.to_sympy(sp, g) / h)
+                    assert u.is_Rational and u != 0, (p, q, g, h)
+                    assert sp.expand(self.to_sympy(sp, pg) * u - cff) == 0
+                    assert sp.expand(self.to_sympy(sp, qg) * u - cfg) == 0
 
     def test_normal_form(self, sp, xyz):
         rng = random.Random(42)

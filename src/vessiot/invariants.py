@@ -248,12 +248,13 @@ class FieldImage:
 
 
 def _jacobian_rank(exprs):
-    """Rank of the Jacobian of ``exprs`` (``coordinate_partial`` over
-    every variable they carry) over the rational-function field."""
+    """Rank of the Jacobian of ``exprs`` (``gradient`` over every
+    variable they carry) over the rational-function field."""
     coords = sorted({v for e in exprs for v in e.variables()})
     col = {v: j for j, v in enumerate(coords)}
-    rows = [{col[v]: symcore.coordinate_partial(e, v)
-             for v in e.variables()} for e in exprs]
+    rows = [{col[v]: c
+             for v, c in symcore.gradient(e, e.variables()).items()}
+            for e in exprs]
     return linalg.rank(rows, len(coords))
 
 

@@ -9,6 +9,10 @@ dependent index, |mu|, mu); ``symcore`` orders and hashes variables by
 their keys, and apart from that only ``JetContext.jet``, ``jet_info``,
 ``jet_order`` and ``JetContext.bump`` (the multi-index D_i reaches)
 build or read one.  Every other module goes through them.
+
+``JetContext.shift`` gives the jet D_i reaches from a jet from one table
+per context, filled on first use; total derivatives, prolongation and
+the prolonged symbol read it, so each jet's shift is worked out once.
 """
 from __future__ import annotations
 
@@ -77,6 +81,7 @@ class JetContext:
             self.specials.append(s)
             self._vars[s.name] = VariableId("special", s.name, (2, i))
         self._jets = {}
+        self._shifts = {}  # (jet, i) -> the jet D_i reaches, or None
         self._chains = None
         self._rules = None
 
@@ -137,6 +142,20 @@ class JetContext:
         if self.independents[i] not in self.bases[dep]:
             return None
         return mu[:i] + (mu[i] + 1,) + mu[i + 1:]
+
+    def shift(self, w, i):
+        """The jet D_i reaches from the jet w, u_{mu + 1_i} for w = u_mu;
+        None when u does not depend on x_i.  A shift past max_order
+        raises OrderOverflow on every call and is never kept."""
+        key = (w, i)
+        try:
+            return self._shifts[key]
+        except KeyError:
+            pass
+        dep, mu = self.jet_info(w)
+        nu = self.bump(dep, mu, i)
+        s = self._shifts[key] = None if nu is None else self.jet(dep, nu)
+        return s
 
     def multi_indices(self, order, base):
         """All multi-indices of exact |mu| = order supported on base."""
@@ -229,18 +248,26 @@ class JetContext:
 
     def total_derivative(self, e, i):
         """Formal derivative d_i, one derivation: x_i -> 1, each special
-        on x_i -> its derivative, each jet w -> w + 1_i."""
-        xi = i if isinstance(i, str) else self.independents[i]
-        i = self.independents.index(xi)
+        on x_i -> its derivative, each jet w -> w + 1_i.  The direction
+        i is an independent's name or index; UnknownVariable for any
+        other."""
+        if isinstance(i, str):
+            xi = self._vars.get(i)
+            if xi is None or xi.kind != "independent":
+                raise UnknownVariable(f"direction {i!r}")
+            i = xi.key[1]
+        elif 0 <= i < len(self.independents):
+            xi = self._vars[self.independents[i]]
+        else:
+            raise UnknownVariable(
+                f"direction index {i} of {len(self.independents)}")
         self._ensure_special_tables()
-        coeffs = [(self.var(xi), symcore.ONE), *self._chains.get(xi, ())]
+        coeffs = [(xi, symcore.ONE), *self._chains.get(xi.name, ())]
         for w in e.variables():
-            if w.kind != "jet":
-                continue
-            dep, mu = self.jet_info(w)
-            nu = self.bump(dep, mu, i)
-            if nu is not None:  # else the section does not depend on x_i
-                coeffs.append((w, RationalExpr.var(self.jet(dep, nu))))
+            if w.kind == "jet":
+                s = self.shift(w, i)
+                if s is not None:  # else the section does not depend on x_i
+                    coeffs.append((w, RationalExpr.var(s)))
         return symcore.derive(e, coeffs)
 
 

@@ -11,6 +11,10 @@ B*D n and B*D d as plain polynomials in one sweep over each one's terms
 (B the product of the distinct denominators of the c_v), one Henrici
 quotient rule and one division by B; coordinate partials, the chain
 rule for specials, total derivatives and vector fields go through it.
+``gradient`` forms all partials of one expression that a Jacobian row
+needs: one sweep over num's and one over den's terms (``poly_partials``,
+the only polynomial partial) gives every dn/dv and dd/dv, and each
+partial then takes the same quotient rule (``_quotient``), the only one.
 ``substitute`` sums a polynomial's terms over the product of its
 bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once; ``sum_of_products`` does the
@@ -38,15 +42,15 @@ hashes and strings).
 
 A monomial is a tuple of (VariableId, exponent) pairs.  Every monomial
 kernel (mono_mul, mono_div, mono_gcd, mono_key and the variable lookups
-of degree_in, partial and _as_univariate) assumes canonical monomials:
-pairs sorted by the variables' _sk, one pair per variable, exponents
-positive.  VariableIds are interned, one object per declaration, so the
-kernels test "same variable" with ``is`` and compare _sk only to order
-two variables, and a monomial's hash and equality (dict keys, set
-members) run in C with no Python frame per variable.  RationalExpr.var
-returns one expression per variable in the same way.  The iteration
-order of a set of variables follows memory addresses, so nothing whose
-result is printed may depend on it.
+of degree_in, poly_partials and _as_univariate) assumes canonical
+monomials: pairs sorted by the variables' _sk, one pair per variable,
+exponents positive.  VariableIds are interned, one object per
+declaration, so the kernels test "same variable" with ``is`` and compare
+_sk only to order two variables, and a monomial's hash and equality
+(dict keys, set members) run in C with no Python frame per variable.
+RationalExpr.var returns one expression per variable in the same way.
+The iteration order of a set of variables follows memory addresses, so
+nothing whose result is printed may depend on it.
 """
 from __future__ import annotations
 
@@ -361,25 +365,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    # -- calculus -----------------------------------------------------
-    def partial(self, v):
-        t = {}
-        for m, c in self.terms.items():
-            i = _index(m, v)
-            if i < 0:
-                continue
-            w, e = m[i]
-            if e == 1:
-                m2 = m[:i] + m[i + 1:]
-            else:
-                m2 = m[:i] + ((w, e - 1),) + m[i + 1:]
-            s = t.get(m2, 0) + c * e
-            if s:
-                t[m2] = s
-            else:
-                t.pop(m2, None)
-        return _poly(t)
 
     def eval(self, point):
         total = Fraction(0)
@@ -1102,21 +1087,8 @@ def derive(e, coeffs):
     B*D n and B*D d are formed as plain polynomials, with no gcd, in one
     sweep over each one's terms (_sweep): with a_v = B*c_v, a polynomial,
     a term c*m gives c*k*(m/v)*a_v for each v^k in m that has a
-    coefficient.  One quotient rule, Henrici's, follows: with
-    g = gcd(d, B*D d) and d1 = d/g,
-
-        B*D (n/d) = t / (g * d1^2),   t = (B*D n) * d1 - n * (B*D d)/g,
-
-    and only gcd(t, g) can cancel.  This holds for any derivation D' that
-    maps polynomials to polynomials (here B*D), not only for a coordinate
-    partial: for an irreducible p with p^k || d, Leibniz gives
-    p^(k-1) | D'd.  If p^k | D'd, p divides g k times and not d1.
-    Otherwise p^(k-1) || D'd, so p || d1, and p divides neither D'd/g nor
-    n (n/d is reduced), so p does not divide t.  Either way t is coprime
-    to d1, also when p | D'p (D_x (ch + sh) = ch + sh under the
-    catenary's specials).  Last, 1/B is multiplied in with Henrici's
-    operator.  A constant d needs no gcd, and when D'd = 0 the full
-    constructor cancels gcd(D'n, d).
+    coefficient.  The quotient rule (_quotient) gives B*D (n/d), and 1/B
+    is multiplied in last with Henrici's operator.
     """
     n, d = e.num, e.den
     live, dens = [], []  # (v, numerator of c_v, den index); dens distinct
@@ -1144,27 +1116,48 @@ def derive(e, coeffs):
                 a = a * b
         prev = scaled.get(v)
         scaled[v] = a if prev is None else prev + a
-    bdn, bdd = _sweep(n, scaled), _sweep(d, scaled)
-    if not bdd.terms:
-        if not bdn.terms:
-            return ZERO
-        num, den = bdn, d
-        if not d.is_constant():
-            r = RationalExpr(bdn, d)
-            num, den = r.num, r.den
-    else:
-        g, d1, bddg = poly_cofactors(d, bdd)
-        t = bdn * d1 - n * bddg
-        if t.is_zero():
-            return ZERO
-        _, num, gh = poly_cofactors(t, g)
-        den = gh * d1 * d1
+    q = _quotient(n, d, _sweep(n, scaled), _sweep(d, scaled))
+    if q is None:
+        return ZERO
     if not dens:
-        return RationalExpr._coprime(num, den)
+        return RationalExpr._coprime(*q)
     B = dens[0]
     for b in dens[1:]:
         B = B * b
-    return RationalExpr._product(num, den, ONE.num, B)
+    return RationalExpr._product(*q, ONE.num, B)
+
+
+def _quotient(n, d, dn, dd):
+    """D (n/d) for a reduced n/d, as a coprime pair (num, den), from
+    dn = D n and dd = D d; None when it is zero.
+
+    D is any derivation that maps polynomials to polynomials (derive's
+    B*D, a coordinate partial).  The rule is Henrici's: with
+    g = gcd(d, D d) and d1 = d/g,
+
+        D (n/d) = t / (g * d1^2),   t = (D n) * d1 - n * (D d)/g,
+
+    and only gcd(t, g) can cancel.  For an irreducible p with p^k || d,
+    Leibniz gives p^(k-1) | D d.  If p^k | D d, p divides g k times and
+    not d1.  Otherwise p^(k-1) || D d, so p || d1, and p divides neither
+    D d/g nor n (n/d is reduced), so p does not divide t.  Either way t
+    is coprime to d1, also when p | D p (D_x (ch + sh) = ch + sh under
+    the catenary's specials).  A constant d needs no gcd, and when
+    D d = 0 the full constructor cancels gcd(D n, d).
+    """
+    if not dd.terms:
+        if not dn.terms:
+            return None
+        if d.is_constant():
+            return dn, d
+        r = RationalExpr(dn, d)
+        return r.num, r.den
+    g, d1, ddg = poly_cofactors(d, dd)
+    t = dn * d1 - n * ddg
+    if not t.terms:
+        return None
+    _, num, gh = poly_cofactors(t, g)
+    return num, gh * d1 * d1
 
 
 def _sweep(p, scaled):
@@ -1195,6 +1188,40 @@ def coordinate_partial(e, v):
     """Partial derivative treating every VariableId as an independent
     coordinate (no chain rule for specials)."""
     return derive(e, ((v, ONE),))
+
+
+def poly_partials(p, vs):
+    """{v: dp/dv} for each v of the set ``vs`` that p carries, in one
+    pass over p's terms.  Dividing out one v is one-to-one on the
+    monomials that carry v, so no two terms of one partial meet."""
+    out = {}
+    for m, c in p.terms.items():
+        for i, (w, k) in enumerate(m):
+            if w not in vs:
+                continue
+            t = out.get(w)
+            if t is None:
+                t = out[w] = {}
+            if k == 1:
+                t[m[:i] + m[i + 1:]] = c
+            else:
+                t[m[:i] + ((w, k - 1),) + m[i + 1:]] = c * k
+    return {v: _poly(t) for v, t in out.items()}
+
+
+def gradient(e, vs):
+    """{v: coordinate_partial(e, v)} for each v of ``vs``, ZERO where e
+    does not carry v: one sweep over num's and one over den's terms
+    (poly_partials), then the quotient rule for each v."""
+    n, d = e.num, e.den
+    want = set(vs)
+    dn, dd = poly_partials(n, want), poly_partials(d, want)
+    none = Polynomial()
+    out = {}
+    for v in vs:
+        q = _quotient(n, d, dn.get(v, none), dd.get(v, none))
+        out[v] = ZERO if q is None else RationalExpr._coprime(*q)
+    return out
 
 
 def _check_acyclic(bindings):

@@ -23,7 +23,7 @@ from .errors import (
 from .jets import JetContext, jet_order
 from .linalg import pivot_columns, rank
 from .report import CheckReport
-from .symcore import RationalExpr, coordinate_partial, eval_point
+from .symcore import RationalExpr, eval_point, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,10 @@ class SolvedSystem:
     prolongation.  No two equations declare one leading jet
     (LeadingJetConflict); the loader and prolong_system also give no two
     whose residuals agree up to sign, which is not re-checked here.
+
+    The first prolongation is kept on the system once it is formed, and
+    the symbol once it is asked for (``prolong_system``, ``symbol_of``),
+    so the equations must not change once either has been.
     """
 
     ctx: JetContext
@@ -107,6 +111,10 @@ class SolvedSystem:
     # S's SymbolSystem, built on the first symbol_of(S) call
     _symbol: object = field(default=None, init=False, repr=False,
                             compare=False)
+    # S prolonged once, formed on the first prolong_system(S, r >= 1)
+    # call; its equations past len(S.equations) are that round's frontier
+    _prolonged: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.ordering is None:
@@ -204,7 +212,8 @@ def same_equation(seen, res):
     """What ``seen`` maps res or -res to, else None.  Two equations are
     the same when their residuals agree up to sign: the loader refuses
     such a repeat, and prolong_system leaves it out."""
-    return seen.get(res, seen.get(-res))
+    k = seen.get(res)
+    return seen.get(-res) if k is None else k
 
 
 def _prolong_once(S, parents):
@@ -221,17 +230,14 @@ def _prolong_once(S, parents):
     table = {e.leading: e.rhs for e in S.equations if e.strict}
     derived, solved, ics = [], [], list(S.integrability)
     for eq in parents:
-        if eq.leading is not None:
-            dep, mu = ctx.jet_info(eq.leading)
-        for i, x in enumerate(ctx.independents):
-            nu = None if eq.leading is None else ctx.bump(dep, mu, i)
-            lead = None if nu is None else ctx.jet(dep, nu)
+        for i in range(len(ctx.independents)):
+            lead = None if eq.leading is None else ctx.shift(eq.leading, i)
             if not (eq.strict and lead is not None):
                 derived.append(implicit_equation(
-                    ctx.total_derivative(eq.residual, x), None, lead,
+                    ctx.total_derivative(eq.residual, i), None, lead,
                     eq.genericity))
                 continue
-            rhs = ctx.total_derivative(eq.rhs, x)
+            rhs = ctx.total_derivative(eq.rhs, i)
             if lead in table:
                 diff = _substitute_leadings(rhs - table[lead], table)
                 if not diff.is_zero():
@@ -269,14 +275,20 @@ def prolong_system(S, r):
 
     Each round differentiates only the equations the round before it
     admitted, so an equation is differentiated once, in each of the n
-    independents: prolong_system(S, r) takes n times
-    len(prolong_system(S, r - 1).equations) total derivatives."""
+    independents: on a fresh S, prolong_system(S, r) takes n times
+    len(prolong_system(S, r - 1).equations) total derivatives.  Each
+    round's result is kept on the system it prolongs, so a later call
+    on the same S extends that tower: prolong_system(S, 2) after
+    prolong_system(S, 1) runs round 2 alone, and a repeated call returns
+    the same object."""
     if r < 0:
         raise ValueError("negative prolongation order")
     parents = S.equations
     for _ in range(r):
         known = len(S.equations)
-        S = _prolong_once(S, parents)
+        if S._prolonged is None:
+            S._prolonged = _prolong_once(S, parents)
+        S = S._prolonged
         parents = S.equations[known:]
     return S
 
@@ -325,10 +337,10 @@ def symbol_of(S):
         index = {v: j for j, v in enumerate(cols)}
         rows = []
         for res in S.residuals():
-            row = {index[v]: coordinate_partial(res, v)
-                   for v in res.variables() if v in index}
-            if row:
-                rows.append(row)
+            top = [v for v in res.variables() if v in index]
+            if top:
+                rows.append({index[v]: c
+                             for v, c in gradient(res, top).items()})
         sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows)
     return sym
 
@@ -339,16 +351,15 @@ def _prolonged_symbol(sym):
     ctx = sym.ctx
     next_cols = _order_q_jets(ctx, sym.order + 1)
     index = {v: j for j, v in enumerate(next_cols)}
-    jets = [ctx.jet_info(v) for v in sym.columns]
+    cols = sym.columns
     rows = []
     for row in sym.rows:
         for i in range(len(ctx.independents)):
             out = {}
             for j, c in row.items():
-                dep, mu = jets[j]
-                nu = ctx.bump(dep, mu, i)
-                if nu is not None:
-                    out[index[ctx.jet(dep, nu)]] = c  # one-to-one in j
+                w = ctx.shift(cols[j], i)
+                if w is not None:
+                    out[index[w]] = c  # one-to-one in j
             if out:
                 rows.append(out)
     return SymbolSystem(ctx, sym.order + 1, next_cols, rows)
@@ -549,8 +560,9 @@ def fiber_dimension(S, witness=None):
         val = eval_point(res, witness)
         if val != 0:
             raise OffVariety(f"witness is not on the variety: residual {val}")
-        rows.append({index[v]: eval_point(coordinate_partial(res, v), witness)
-                     for v in res.variables() if v in index})
+        grad = gradient(res, [v for v in res.variables() if v in index])
+        rows.append({index[v]: eval_point(c, witness)
+                     for v, c in grad.items()})
     for g in S.assumptions():
         if eval_point(g, witness) == 0:
             raise DegenerateLocus(f"witness kills genericity {g}")

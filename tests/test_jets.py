@@ -1,7 +1,7 @@
 """Total derivatives, prolongation, Spencer operator, brackets, forms."""
 import pytest
 
-from vessiot.errors import OrderOverflow
+from vessiot.errors import OrderOverflow, UnknownVariable
 from vessiot.jets import (
     DiffForm,
     JetContext,
@@ -55,6 +55,36 @@ class TestTotalDerivative:
         top = curve2.expr("y1[x,x,x,x]")
         with pytest.raises(OrderOverflow):
             curve2.total_derivative(top, "x")
+
+    def test_unknown_direction(self, plane2):
+        e = plane2.expr("x1 * y1[x2]")
+        # a name that is not an independent, a dependent's name, and an
+        # index out of range on either side
+        for bad in ("q", "y1", 2, -1):
+            with pytest.raises(UnknownVariable):
+                plane2.total_derivative(e, bad)
+        want = plane2.expr("x1 * y1[x2,x2]")
+        assert plane2.total_derivative(e, 1) == want
+        assert plane2.total_derivative(e, "x2") == want
+
+
+class TestShift:
+    def test_bumped_jet_or_none(self):
+        ctx = JetContext(["x", "y"], ["u", ("v", ["x"])], max_order=2)
+        u_x, v = ctx.jet_by_dirs("u", ["x"]), ctx.var("v")
+        assert ctx.shift(u_x, 1) is ctx.jet_by_dirs("u", ["x", "y"])
+        assert ctx.shift(u_x, 0) is ctx.jet_by_dirs("u", ["x", "x"])
+        assert ctx.shift(v, 0) is ctx.jet_by_dirs("v", ["x"])
+        # v does not depend on y, on every call
+        assert ctx.shift(v, 1) is None and ctx.shift(v, 1) is None
+
+    def test_over_order_shift_keeps_raising(self, curve2):
+        top = curve2.jet_by_dirs("y1", ["x"] * 4)
+        for _ in range(3):
+            with pytest.raises(OrderOverflow):
+                curve2.shift(top, 0)
+            with pytest.raises(OrderOverflow):
+                curve2.total_derivative(RationalExpr.var(top), "x")
 
     def test_commuting(self, plane2):
         e = plane2.expr("y1[x1] * y2 + x2 * y2[x2]")

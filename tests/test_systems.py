@@ -1,5 +1,6 @@
 """Solved systems: prolongation, symbols, characters, Cartan test,
 Janet boards, fiber dimensions and the PHS/automorphic criteria."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -426,11 +427,30 @@ class TestProlong:
     ])
     def test_composition(self, shell, stem, name):
         S = shell[name] if stem == "shell" else corpus_system(stem, name)
-        a = prolong_system(prolong_system(S, 1), 1)
-        b = prolong_system(S, 2)
+        # each side on a copy of its own: on one S, the second call would
+        # return the tower the first one kept
+        a = prolong_system(prolong_system(dataclasses.replace(S), 1), 1)
+        b = prolong_system(dataclasses.replace(S), 2)
+        assert a is not b
         keys = lambda exprs: sorted(str(e) for e in exprs)
         assert keys(a.residuals()) == keys(b.residuals())
         assert keys(a.integrability) == keys(b.integrability)
+
+    @pytest.mark.parametrize("stem, name", PROLONG_SYSTEMS)
+    def test_tower_equals_a_fresh_prolongation(self, stem, name):
+        # prolonged to 1, then 2, then 3 on one S, each call extending the
+        # rounds the last one kept, against each height on a fresh system
+        S = corpus_system(stem, name, max_order=5)
+        for r in range(1, 4):
+            if S.order + r > S.ctx.max_order:
+                break
+            got = prolong_system(S, r)
+            assert prolong_system(S, r) is got
+            fresh = prolong_system(corpus_system(stem, name, max_order=5), r)
+            assert got is not fresh and got.order == fresh.order
+            assert [(e.residual, e.leading) for e in got.equations] \
+                == [(e.residual, e.leading) for e in fresh.equations]
+            assert got.integrability == fresh.integrability
 
     @pytest.mark.parametrize("stem, name", PROLONG_SYSTEMS)
     @pytest.mark.parametrize("r", [1, 2])

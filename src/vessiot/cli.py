@@ -865,7 +865,7 @@ def op_gauging_forms(pf, args):
 
 def op_characters(pf, args):
     S = _build(pf, args["system"], "system")
-    alpha = systems.characters(S, strict=args.get("strict", False))
+    alpha = systems.characters(S)
     got, want = list(alpha), args["expected"]
     ok = got == want if args.get("ordered") else sorted(got) == sorted(want)
     return CheckReport(
@@ -1085,7 +1085,7 @@ OPS = {
         "P_skew": (_one_independent(_flag), False), "orthogonal": _FLAG}),
     "characters": (op_characters, {
         **_SYSTEM1, "expected": (_array(_count, "independents"), True),
-        "strict": _FLAG, "ordered": _FLAG}),
+        "ordered": _FLAG}),
     "cartan": (op_cartan, _SYSTEM1),
     "cartan_bound": (op_cartan_bound, _SYSTEM1),
     "janet_board": (op_janet_board,

@@ -68,7 +68,7 @@ class NotClosed(VessiotError):
 
 
 class DegenerateLocus(VessiotError):
-    """Symbol elimination needs a pivot outside the declared genericity."""
+    """A witness point is one where a declared genericity vanishes."""
 
 
 class DegenerateMetric(VessiotError):

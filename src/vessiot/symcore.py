@@ -12,9 +12,13 @@ B*D n and B*D d as plain polynomials in one sweep over each one's terms
 quotient rule and one division by B; coordinate partials, the chain
 rule for specials, total derivatives and vector fields go through it.
 ``gradient`` forms all partials of one expression that a Jacobian row
-needs: one sweep over num's and one over den's terms (``poly_partials``,
-the only polynomial partial) gives every dn/dv and dd/dv, and each
-partial then takes the same quotient rule (``_quotient``), the only one.
+needs: one sweep over num's and one over den's terms (``poly_partials``)
+gives every dn/dv and dd/dv, and each partial then takes the same
+quotient rule (``_quotient``), the only one.  derive's ``_sweep`` walks
+the terms the same way but multiplies each partial's term by its a_v
+in place: summing ``poly_partials``' results times the a_v instead cost
+about 3 % of the ``prolong`` benchmark's pass time (Python 3.11, two
+shared CPUs).
 ``substitute`` sums a polynomial's terms over the product of its
 bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once; ``sum_of_products`` does the
@@ -66,9 +70,6 @@ from .errors import (
     InexactSubresultant,
     UnboundVariable,
 )
-
-KIND_RANK = {"independent": 0, "parameter": 1, "special": 2, "jet": 3}
-
 
 class VariableId:
     """A declared coordinate, interned: ``VariableId(kind, name, key)``

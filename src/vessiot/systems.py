@@ -374,26 +374,7 @@ def _column_classes(S, cols):
     return out
 
 
-def _is_covered(pivot, gens):
-    """True when the pivot's numerator divides out to a constant against
-    the declared-nonzero generators."""
-    num = pivot.num
-    progress = True
-    while not num.is_constant() and progress:
-        progress = False
-        for g in gens:
-            gn = g.num
-            if gn.is_constant():
-                continue
-            q = symcore.poly_divexact(num, gn)
-            if q is not None:
-                num = q
-                progress = True
-                break
-    return num.is_constant()
-
-
-def characters(S, strict=False):
+def characters(S):
     """Cartan characters (alpha^1, ..., alpha^n), ascending by class.
 
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
@@ -420,49 +401,9 @@ def characters(S, strict=False):
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
     sym = symbol_of(S)
     block = [n - c for c in classes]
-    if strict:
-        _strict_pivot_audit(S, sym, block)
     for j in pivot_columns(sym.rows, len(cols), block):
         beta[classes[j]] += 1
     return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
-
-
-def _subtract(row, f, prow, skip):
-    """row -= f * prow in place, but column ``skip``; 0 leaves the row."""
-    for j, x in prow.items():
-        if j == skip:
-            continue
-        new = -(f * x) if j not in row else row[j] - f * x
-        if new.is_zero():
-            del row[j]
-        else:
-            row[j] = new
-
-
-def _strict_pivot_audit(S, sym, block):
-    # its own pivot rule, not linalg's kernel: the first row carrying the
-    # column is the pivot, a choice that decides DegenerateLocus, and it
-    # stops at the first pivot the genericity does not cover, where the
-    # kernel picks lowest-weight pivots and finishes the whole matrix;
-    # only rows not yet pivots are ever inspected, so only they are reduced
-    order = sorted(range(len(sym.columns)), key=lambda j: block[j])
-    free = [dict(r) for r in sym.rows]
-    for col in order:
-        k = next((k for k, row in enumerate(free) if col in row), None)
-        if k is None:
-            continue
-        prow = free.pop(k)
-        pv = prow[col]
-        if not (pv.num.is_constant() and pv.den.is_constant()):
-            if not _is_covered(pv, S.assumptions()):
-                raise DegenerateLocus(
-                    f"pivot {pv} on {sym.columns[col].name} not covered "
-                    "by declared genericity"
-                )
-        for row in free:
-            a = row.pop(col, None)
-            if a is not None:
-                _subtract(row, a / pv, prow, col)
 
 
 def cartan_test(S):

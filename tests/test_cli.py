@@ -227,6 +227,22 @@ class TestRun:
         assert by_id["boom"].detail.startswith("CertificateSearchExceeded")
         assert by_id["fine"].status == "OK"
 
+    def test_witness_killing_genericity_is_an_error(self):
+        # u[x] = 0 holds at the witness, but there u = 0 kills the
+        # declared genericity u
+        doc = problem(
+            context={"independents": ["x"], "dependents": ["u"],
+                     "max_order": 1},
+            objects={"S": system({"lhs": "u[x]"}, genericity=["u"]),
+                     "s": {"kind": "section", "order": 1,
+                           "components": {"u": "0"}}},
+            checks=[{"id": "c", "op": "fiber_dimension", "args": {
+                "system": "S", "expected": 1, "witness": {
+                    "section": "s", "point": {"x": "1"}}}}])
+        (r,) = run(parse_problem(doc)).results
+        assert r.status == "ERROR"
+        assert r.detail.startswith("DegenerateLocus")
+
 
 @pytest.fixture(scope="module")
 def saddle_report():
@@ -577,9 +593,15 @@ class TestMain:
         pytest.param(
             {"objects": {"S": SYSTEM1}, "checks": [{
                 "id": "c", "op": "characters", "args": {
-                    "system": "S", "expected": [1], "strict": "no"}}]},
-            "checks[0].args.strict: expected true or false",
+                    "system": "S", "expected": [1], "ordered": "no"}}]},
+            "checks[0].args.ordered: expected true or false",
             ProblemSyntaxError, None, id="string-flag"),
+        pytest.param(
+            {"objects": {"S": SYSTEM1}, "checks": [{
+                "id": "c", "op": "characters", "args": {
+                    "system": "S", "expected": [1], "strict": True}}]},
+            "checks[0].args.strict: unknown argument", ProblemSyntaxError,
+            None, id="retired-strict-flag"),
         pytest.param(
             {"checks": [{"id": "c", "op": "lie_condition",
                          "args": {"flip_chi": "false"}}]},

@@ -590,26 +590,6 @@ class TestCharacters:
     def test_eleven_equation_system(self, additive_integral_system):
         assert sorted(characters(additive_integral_system)) == [0, 0, 0, 1]
 
-    def test_strict_uncovered_pivot(self):
-        ctx = JetContext(["x1", "x2"], ["u"], max_order=2)
-        E = ctx.expr
-        S = SolvedSystem(
-            ctx, 1,
-            [implicit_equation(E("u * u[x1]"), RationalExpr.const(1))],
-        )
-        with pytest.raises(DegenerateLocus):
-            characters(S, strict=True)
-
-    def test_strict_covered_pivot(self):
-        ctx = JetContext(["x1", "x2"], ["u"], max_order=2)
-        E = ctx.expr
-        S = SolvedSystem(
-            ctx, 1,
-            [implicit_equation(E("u * u[x1]"), RationalExpr.const(1))],
-            genericity=[E("u")],
-        )
-        assert characters(S, strict=True) == (0, 1)
-
     def test_order_zero_system(self):
         ctx = JetContext(["x1", "x2"], ["u"], max_order=2)
         E = ctx.expr
@@ -806,6 +786,19 @@ class TestFiberDimension:
         w[ctx.jet_by_dirs("y3", ["x1"])] += 1
         with pytest.raises(OffVariety):
             fiber_dimension(shell["A1"], w)
+
+    def test_witness_killing_genericity_rejected(self):
+        # on the variety u[x] = 0, but at u = 0, where the declared
+        # genericity u vanishes
+        ctx = JetContext(["x"], ["u"], max_order=1)
+        E = ctx.expr
+        S = SolvedSystem(ctx, 1, [implicit_equation(E("u[x]"))],
+                         genericity=[E("u")])
+        w = {ctx.var("x"): Fraction(1),
+             ctx.jet_by_dirs("u", []): Fraction(0),
+             ctx.jet_by_dirs("u", ["x"]): Fraction(0)}
+        with pytest.raises(DegenerateLocus, match="witness kills genericity"):
+            fiber_dimension(S, w)
 
 
 class TestCriteria:

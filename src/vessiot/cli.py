@@ -411,10 +411,10 @@ def _equation(value, where, load):
     eq = _read_args(_EQUATION, value, where, load)
     _require("lhs" in eq or {"leading", "rhs"} <= eq.keys(), where,
              "equation needs 'lhs', or 'leading' and 'rhs'")
-    lead = eq.get("leading")
-    return systems.implicit_equation(
-        eq["lhs"] if "lhs" in eq else RationalExpr.var(lead), eq.get("rhs"),
-        lead, eq.get("genericity", []))
+    lead, gen = eq.get("leading"), eq.get("genericity", [])
+    if "lhs" not in eq:
+        return systems.solved_equation(lead, eq["rhs"], gen)
+    return systems.implicit_equation(eq["lhs"], eq.get("rhs"), lead, gen)
 
 
 def _system(s, where, load):

@@ -14,7 +14,7 @@ from . import linalg, symcore
 from .errors import NotClosed
 from .jets import JetContext, VectorField, bracket, jet_order, prolong_field
 from .report import CheckReport
-from .symcore import Polynomial, RationalExpr, substitute
+from .symcore import RationalExpr, substitute
 # not called here; kept as a module attribute because perfbench's tests
 # check that the tracer wraps this imported copy of symcore.eval_point
 from .symcore import eval_point  # noqa: F401
@@ -105,24 +105,21 @@ def _q_linear_solve(blocks, n):
     Returns the coefficient list (free coefficients set to 0) or None
     when no constant solution exists.
 
-    A returned list reproduces every target exactly.  With D the product
-    of a block's denominators, e*D is a polynomial for each of its
-    expressions e (its normal form has denominator 1, so (e*D).num is
-    all of it), and the block's rows are the coefficient equations of
-    sum_i c_i * (columns_i * D) = target * D, one per monomial.  rref
-    keeps the row space, so a solution of the reduced rows solves every
-    row; with the free coefficients 0, each pivot row reads c_pivot = its
-    target entry, and a row with no other entry left has been refused.
-    Both sides then agree at every monomial, hence as polynomials, and
-    dividing by D gives target = sum_i c_i * columns_i in every block."""
+    A returned list reproduces every target exactly.  Over one
+    denominator B (symcore.over_one_denominator), each expression e of a
+    block is the polynomial e*B, and the block's rows are the coefficient
+    equations of sum_i c_i * (columns_i * B) = target * B, one per
+    monomial.  rref keeps the row space, so a solution of the reduced
+    rows solves every row; with the free coefficients 0, each pivot row
+    reads c_pivot = its target entry, and a row with no other entry left
+    has been refused.  Both sides then agree at every monomial, hence as
+    polynomials, and dividing by B gives target = sum_i c_i * columns_i
+    in every block.  Conversely any solution solves the rows, since B is
+    a nonzero polynomial, so no solution is lost."""
     rows = []
     for columns, target in blocks:
-        exprs = [*columns, target]  # the target is column n
-        den = Polynomial.const(1)
-        for e in exprs:
-            den = den * e.den
-        D = RationalExpr(den)
-        polys = [(e * D).num for e in exprs]
+        # the target is column n
+        polys, _ = symcore.over_one_denominator([*columns, target])
         monos = set().union(*(p.terms for p in polys))
         for mono in sorted(monos, key=symcore.mono_key):
             rows.append({j: p.terms[mono] for j, p in enumerate(polys)
@@ -250,12 +247,8 @@ class FieldImage:
 def _jacobian_rank(exprs):
     """Rank of the Jacobian of ``exprs`` (``gradient`` over every
     variable they carry) over the rational-function field."""
-    coords = sorted({v for e in exprs for v in e.variables()})
-    col = {v: j for j, v in enumerate(coords)}
-    rows = [{col[v]: c
-             for v, c in symcore.gradient(e, e.variables()).items()}
-            for e in exprs]
-    return linalg.rank(rows, len(coords))
+    return generic_rank([VectorField(symcore.gradient(e, e.variables()))
+                         for e in exprs])
 
 
 def noninvariance_witness(field_gens, delta):

@@ -189,18 +189,11 @@ class JetContext:
         text."""
 
         def resolver(name, directions, pos):
-            if directions is None:
-                if extra and name in extra:
-                    return extra[name]
-                if name in self.bases:
-                    return RationalExpr.var(
-                        self.jet(name, (0,) * len(self.independents))
-                    )
-                v = self._vars.get(name)
-                if v is None:
-                    raise UnknownVariable(name)
-                return RationalExpr.var(v)
-            return RationalExpr.var(self.jet_by_dirs(name, directions))
+            if directions is not None:
+                return RationalExpr.var(self.jet_by_dirs(name, directions))
+            if extra and name in extra:
+                return extra[name]
+            return RationalExpr.var(self.var(name))
 
         return parse_expression(text, resolver)
 

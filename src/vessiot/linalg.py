@@ -8,12 +8,14 @@ Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
 the nonzero entries, so a zero cell is never stored, updated or tested;
 ``systems`` and ``invariants`` build their matrices in this form.  The
 one kernel, ``_forward``, works on one entry type: it clears each row
-once on entry to a row of int-coefficient Polynomials (``_clear``), the
-pivot is the entry of fewest terms, and rows are updated as
-row <- pv*row - a*prow over Polynomials (``_eliminate``), so it takes no
-polynomial gcd.  Its one column rule takes next a column of the lowest
-block that fewest remaining rows carry (Markowitz's rule, which keeps
-fill-in down); each caller names the blocks.  ``rank`` puts all columns
+once on entry to a row of int-coefficient Polynomials (``_clear``: the
+row over one denominator, ``symcore.over_one_denominator``, then divided
+by its integer content), the pivot is the entry of fewest terms, and
+rows are updated as row <- pv*row - a*prow over Polynomials
+(``_eliminate``), so it takes no polynomial gcd.  Its one column rule
+takes next a column of the lowest block that fewest remaining rows carry
+(Markowitz's rule, which keeps fill-in down); each caller names the
+blocks.  ``rank`` puts all columns
 in one block.  ``rref`` gives each its own, so the lowest comes first,
 as its pivot columns are part of its answer; it back-substitutes with
 the same update and then divides each row by its pivot once.
@@ -28,7 +30,15 @@ import math
 from fractions import Fraction
 
 from .errors import SingularFrame
-from .symcore import ONE, UNIT, Polynomial, RationalExpr, ZERO, poly_divexact
+from .symcore import (
+    ONE,
+    UNIT,
+    Polynomial,
+    RationalExpr,
+    ZERO,
+    over_one_denominator,
+    poly_divexact,
+)
 
 
 def _is_zero(x):
@@ -50,38 +60,11 @@ def _primitive(row):
 def _clear(row):
     """The sparse row ``row`` of ints, Fractions and RationalExprs as a
     new row of Polynomials with int coefficients, without its zero
-    entries: each entry times the product of the row's distinct
-    denominators other than its own (compared with ==, so no gcd is
-    taken), then divided by the integer content.  The row is only scaled
-    by a nonzero factor."""
-    parts, dens = [], []
-    for j, x in row.items():
-        if not x:
-            continue
-        if isinstance(x, RationalExpr):
-            num, den = x.num, x.den
-        else:  # an int or a Fraction
-            num = Polynomial.const(x.numerator)
-            den = Polynomial.const(x.denominator)
-        if den == ONE.num:
-            k = -1
-        elif den in dens:
-            k = dens.index(den)
-        else:
-            k = len(dens)
-            dens.append(den)
-        parts.append((j, num, k))
-    if not dens:
-        return _primitive({j: num for j, num, _ in parts})
-    # the product of all the denominators but the k-th (all of them at -1)
-    others = []
-    for k in [*range(len(dens)), -1]:
-        prod = ONE.num
-        for i, den in enumerate(dens):
-            if i != k:
-                prod = prod * den
-        others.append(prod)
-    return _primitive({j: num * others[k] for j, num, k in parts})
+    entries: the row over one denominator (over_one_denominator), then
+    divided by the integer content.  The row is only scaled by a nonzero
+    factor."""
+    nums, _ = over_one_denominator(row.values())
+    return _primitive({j: p for j, p in zip(row, nums) if p.terms})
 
 
 def _ratio(a, b):

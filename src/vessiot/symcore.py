@@ -5,12 +5,15 @@ substitution, differentiation and rewrite-relation reduction.
 Everything is immutable and every RationalExpr is kept in a unique
 normal form, so structural equality is algebraic equality.
 
-Sums are normalized once where a common denominator is known.  The
-derivation kernel ``derive`` applies D = sum c_v d/dv to n/d by forming
-B*D n and B*D d as plain polynomials in one sweep over each one's terms
-(B the product of the distinct denominators of the c_v), one Henrici
-quotient rule and one division by B; coordinate partials, the chain
-rule for specials, total derivatives and vector fields go through it.
+Sums are normalized once where a common denominator is known.
+``over_one_denominator`` is the one rule that puts values over a common
+denominator without a gcd; ``derive``, linalg's row clearing and
+invariants' Q-linear solve use it.  The derivation kernel ``derive``
+applies D = sum c_v d/dv to n/d by forming B*D n and B*D d as plain
+polynomials in one sweep over each one's terms (B the c_v's common
+denominator), one Henrici quotient rule and one division by B;
+coordinate partials, the chain rule for specials, total derivatives and
+vector fields go through it.
 ``gradient`` forms all partials of one expression that a Jacobian row
 needs: one sweep over num's and one over den's terms (``poly_partials``)
 gives every dn/dv and dd/dv, and each partial then takes the same
@@ -852,9 +855,6 @@ class RationalExpr:
     def variables(self):
         return self.num.variables() | self.den.variables()
 
-    def complexity(self):
-        return len(self.num.terms) + len(self.den.terms)
-
     # -- field operations ---------------------------------------------
     def __add__(self, other):
         other = RationalExpr._coerce(other)
@@ -1077,54 +1077,70 @@ def normalize(e):
     return out
 
 
+def over_one_denominator(values):
+    """(nums, B) for the ints, Fractions and RationalExprs ``values``,
+    with no gcd taken: B is the product of their distinct denominators
+    other than 1, compared with ==, and nums[i] = values[i]*B as a
+    Polynomial (its numerator times every distinct denominator but its
+    own).  When every denominator is 1, nums are the numerators and B is
+    1."""
+    one = ONE.den.terms
+    nums, ks, dens = [], [], []  # ks[i]: index of values[i]'s den, or -1
+    for x in values:
+        if isinstance(x, RationalExpr):
+            num, den = x.num, x.den
+        else:  # an int or a Fraction
+            num = Polynomial.const(x.numerator)
+            den = Polynomial.const(x.denominator)
+        nums.append(num)
+        if den.terms == one:
+            ks.append(-1)
+        elif den in dens:  # by identity, then by ==
+            ks.append(dens.index(den))
+        else:
+            ks.append(len(dens))
+            dens.append(den)
+    if not dens:
+        return nums, ONE.num
+    # the product of all the denominators but the k-th (all of them at -1)
+    others = []
+    for k in [*range(len(dens)), -1]:
+        prod = ONE.num
+        for i, b in enumerate(dens):
+            if i != k:
+                prod = prod * b
+        others.append(prod)
+    return [num * others[k] for num, k in zip(nums, ks)], others[-1]
+
+
 def derive(e, coeffs):
     """D e for the derivation D = sum of c_v * d/dv over the pairs (v, c_v)
     of ``coeffs``, each c_v a RationalExpr; every VariableId counts as an
     independent coordinate, and the terms of a variable given twice add.
 
-    Let B be the product of the distinct denominators, other than 1, of
-    the c_v whose variable e carries (that scan of e's variables is made
-    only when some c_v has one).  B*D maps polynomials to polynomials, so
-    B*D n and B*D d are formed as plain polynomials, with no gcd, in one
-    sweep over each one's terms (_sweep): with a_v = B*c_v, a polynomial,
-    a term c*m gives c*k*(m/v)*a_v for each v^k in m that has a
-    coefficient.  The quotient rule (_quotient) gives B*D (n/d), and 1/B
-    is multiplied in last with Henrici's operator.
+    With a_v = B*c_v over one denominator B (over_one_denominator), B*D
+    maps polynomials to polynomials, so B*D n and B*D d are formed as
+    plain polynomials, with no gcd, in one sweep over each one's terms
+    (_sweep): a term c*m gives c*k*(m/v)*a_v for each v^k in m that has
+    a coefficient.  The quotient rule (_quotient) gives B*D (n/d), and
+    1/B is multiplied in last with Henrici's operator.
     """
     n, d = e.num, e.den
-    live, dens = [], []  # (v, numerator of c_v, den index); dens distinct
-    carried = None
+    vs, cs = [], []  # the pairs whose c_v is not zero
     for v, c in coeffs:
-        if not c.num.terms:
-            continue
-        j = -1
-        if c.den.terms != ONE.den.terms:
-            if carried is None:
-                carried = n.variables() | d.variables()
-            if v not in carried:
-                continue
-            for j, b in enumerate(dens):
-                if b is c.den or b == c.den:
-                    break
-            else:
-                j = len(dens)
-                dens.append(c.den)
-        live.append((v, c.num, j))
+        if c.num.terms:
+            vs.append(v)
+            cs.append(c)
+    nums, B = over_one_denominator(cs)
     scaled = {}  # v -> a_v
-    for v, a, j in live:
-        for i, b in enumerate(dens):
-            if i != j:
-                a = a * b
+    for v, a in zip(vs, nums):
         prev = scaled.get(v)
         scaled[v] = a if prev is None else prev + a
     q = _quotient(n, d, _sweep(n, scaled), _sweep(d, scaled))
     if q is None:
         return ZERO
-    if not dens:
+    if B.terms == ONE.num.terms:
         return RationalExpr._coprime(*q)
-    B = dens[0]
-    for b in dens[1:]:
-        B = B * b
     return RationalExpr._product(*q, ONE.num, B)
 
 

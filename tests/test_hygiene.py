@@ -297,7 +297,6 @@ UNREACHED = [
     "systems.automorphic_criterion",
     "systems.phs_check",
     "systems.prolong_system",
-    "systems.solved_equation",
     "cli._pair",
     "cli.op_automorphic",
     "cli.op_phs",
@@ -310,7 +309,6 @@ UNREACHED = [
     "jets.VectorField.__repr__",
     "symcore.RationalExpr.__rsub__",
     "symcore.RationalExpr.__rtruediv__",
-    "symcore.RationalExpr.complexity",
     "symcore.RationalExpr.constant_value",
     "symcore.RationalExpr.is_constant",
     "symcore.VariableId.__delattr__",

@@ -209,6 +209,29 @@ class TestQLinearSolve:
                                2) is None
 
 
+    def test_non_constant_denominators(self, curve2):
+        from vessiot.invariants import _q_linear_solve
+
+        E = curve2.expr
+        # one denominator shared by every expression of the block
+        assert _q_linear_solve([([E("1/x"), E("y1/x")],
+                                 E("(2 + 3*y1)/x"))], 2) == [2, 3]
+        # two distinct denominators, one of them repeated
+        cols = [E("1/x"), E("y1/x"), E("1/(x + 1)")]
+        target = E("2/x - 3/(x + 1) + 5*y1/x")
+        assert _q_linear_solve([(cols, target)], 3) == [2, 5, -3]
+        # blocks over different denominators are solved together
+        blocks = [([E("1/x"), E("1/(x + 1)")], E("2/x - 3/(x + 1)")),
+                  ([E("y1/(x*y2)"), E("0")], E("2*y1/(x*y2)"))]
+        assert _q_linear_solve(blocks, 2) == [2, -3]
+        # no constant combination exists: 1/(x + 1) is not c/x, and the
+        # two blocks ask for c = 1 and c = 2
+        assert _q_linear_solve([([E("1/x")], E("1/(x + 1)"))], 1) is None
+        assert _q_linear_solve([([E("y1/x")], E("y1/x")),
+                                ([E("1/(x + y2)")], E("2/(x + y2)"))],
+                               1) is None
+
+
 class TestInvariantCount:
     def test_rigid_first_order(self, rigid3):
         ctx, G = rigid3

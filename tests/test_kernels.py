@@ -31,7 +31,7 @@ from vessiot.symcore import (
     mono_make,
     substitute,
 )
-from test_symcore import ref_poly_partial
+from test_symcore import complexity, ref_poly_partial
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 PROLONG_SYSTEMS = (
@@ -618,7 +618,7 @@ def ref_rank(rows, ncols):
     for a number), the earliest row winning a tie, and every other free
     row carrying the column loses it by row -= (a / pv) * prow."""
     def weight(x):
-        return x.complexity() if isinstance(x, RationalExpr) else 2
+        return complexity(x) if isinstance(x, RationalExpr) else 2
 
     rows = [{j: x if isinstance(x, RationalExpr) else Fraction(x)
              for j, x in row.items() if x} for row in rows]

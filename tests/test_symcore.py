@@ -2,6 +2,7 @@
 reduction and exact evaluation."""
 import copy
 import gc
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from vessiot.symcore import (
     poly_divexact,
     poly_gcd,
     normalize,
+    over_one_denominator,
     substitute,
     sum_of_products,
 )
@@ -508,6 +510,12 @@ def assert_normal_ints(e):
     assert e.den.leading_coefficient() > 0
 
 
+def complexity(e):
+    """The size of an expression: the terms of its numerator and of its
+    denominator."""
+    return len(e.num.terms) + len(e.den.terms)
+
+
 def random_poly(rng, xs, terms=2, max_exp=1):
     """Distinct random monomials in xs (exponents up to max_exp) with
     small integer, or sometimes fractional, coefficients."""
@@ -615,7 +623,7 @@ class TestIntCoefficients:
             except DenominatorVanishes:
                 value = None
             assert value is None or type(value) is Fraction
-            if out.complexity() <= 12:
+            if complexity(out) <= 12:
                 pool.append(out)
             else:
                 pool[rng.randrange(len(pool))] = fresh()
@@ -872,6 +880,67 @@ class TestSympyOracle:
             assert sp.expand(num * q - p * den) == 0
             scale = sp.cancel(num / p)
             assert scale.is_Rational and scale != 0
+
+
+class TestOverOneDenominator:
+    """over_one_denominator against the canonical constructor: each
+    numerator over B gives back its value, and B is the product of the
+    distinct denominators, found here by hashing."""
+
+    @pytest.fixture
+    def xyz(self):
+        ctx = JetContext(["x", "y", "z"], ["u"], max_order=1)
+        return [ctx.var(n) for n in ("x", "y", "z")]
+
+    @staticmethod
+    def check(values):
+        nums, B = over_one_denominator(values)
+        dens = {RationalExpr._coerce(x).den for x in values}
+        dens.discard(Polynomial.const(1))
+        assert B == math.prod(dens, start=Polynomial.const(1))
+        assert len(nums) == len(values)
+        for num, x in zip(nums, values):
+            assert type(num) is Polynomial
+            assert all(type(c) is int for c in num.terms.values())
+            assert RationalExpr(num, B) == x
+        return nums, B
+
+    def test_seeded_values(self, xyz):
+        rng = random.Random(29)
+        X, Y, Z = (Polynomial.var(v) for v in xyz)
+        pool = [X + 1, Y * 2 - 3, X * Y + Z, Polynomial.const(3), X * X]
+        for _ in range(60):
+            values = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.randrange(5)
+                if kind == 0:
+                    values.append(rng.randint(-4, 4))
+                elif kind == 1:
+                    values.append(Fraction(rng.randint(-4, 4),
+                                           rng.randint(1, 4)))
+                elif kind == 2:  # no denominator
+                    values.append(RationalExpr(random_poly(rng, xyz)))
+                else:  # shared, repeated and distinct ones from the pool
+                    values.append(RationalExpr(random_poly(rng, xyz),
+                                               rng.choice(pool)))
+            self.check(values)
+
+    def test_named_cases(self, xyz):
+        x, y, _ = (RationalExpr.var(v) for v in xyz)
+        X, Y = Polynomial.var(xyz[0]), Polynomial.var(xyz[1])
+        # no denominator: the numerators as they are, B = 1
+        nums, B = self.check([x, y * 2, 5, Fraction(4), 0])
+        assert B == 1 and nums == [X, Y * 2, 5, 4, 0]
+        assert self.check([]) == ([], Polynomial.const(1))
+        # a repeated denominator counts once
+        nums, B = self.check([1 / x, y / x, 3 / x])
+        assert B == X and nums == [1, Y, 3]
+        # distinct ones multiply, and a constant one is one of them
+        nums, B = self.check([1 / x, 1 / (x + 1), Fraction(1, 2)])
+        assert B == X * (X + 1) * 2
+        assert nums == [(X + 1) * 2, X * 2, X * (X + 1)]
+        nums, B = self.check([x / 2, Fraction(3, 2), y])
+        assert B == 2 and nums == [X, 3, Y * 2]
 
 
 class TestSumOfProducts:

@@ -32,6 +32,7 @@ from vessiot.symcore import (
 from vessiot.systems import (
     MAX_PASSES,
     SolvedSystem,
+    _prolonged_symbol,
     _substitute_leadings,
     automorphic_criterion,
     cartan_test,
@@ -1192,3 +1193,104 @@ class TestSymbolRankOracle:
         exact = sym.rank()
         assert all(pr <= exact for pr in point_ranks), (point_ranks, exact)
         assert exact in point_ranks, (point_ranks, exact)
+
+
+# ---------------------------------------------------------------------------
+# flat Killing and conformal Killing equations: closed-form group dimensions
+
+
+def killing_system(n, conformal=False):
+    """The Killing equations of the flat metric on R^n in solved form,
+    u_j,i = -u_i,j (i < j) and u_i,i = 0; the conformal Killing
+    equations replace the last by u_i,i = u_0,0 (i >= 1)."""
+    xs, us = [f"x{i}" for i in range(n)], [f"u{i}" for i in range(n)]
+    ctx = JetContext(xs, us, max_order=4)
+
+    def d(j, i):  # the jet u_j,x_i
+        return ctx.jet(us[j], tuple(int(k == i) for k in range(n)))
+
+    eqs = [solved_equation(d(j, i), -RationalExpr.var(d(i, j)))
+           for i in range(n) for j in range(i + 1, n)]
+    trace = RationalExpr.var(d(0, 0)) if conformal else symcore.ZERO
+    eqs += [solved_equation(d(i, i), trace)
+            for i in range(1 if conformal else 0, n)]
+    return SolvedSystem(ctx, 1, eqs)
+
+
+def zero_jet_witness(S):
+    """Every jet 0 at x = (2, 3, ...): the equations are linear and
+    homogeneous, so the point is on the variety."""
+    ctx = S.ctx
+    point = {ctx.var(x): 2 + i for i, x in enumerate(ctx.independents)}
+    point.update((v, 0) for v in ctx.jets_up_to(S.order))
+    return point
+
+
+# (n, conformal) with the group dimension, n(n+1)/2 for the Euclidean
+# group and (n+1)(n+2)/2 for the conformal group (n >= 3), and the
+# dimension of g_2, the symbol of the first prolongation: 0 for Killing
+# (finite type at order 1) and n for conformal Killing
+KILLING_FAMILIES = [
+    (2, False, 3, 0),
+    (3, False, 6, 0),
+    (4, False, 10, 0),
+    (3, True, 10, 3),
+    (4, True, 15, 4),
+]
+
+
+# an order-(q+1) difference of two strict derivations is lost from the
+# equations; these start to pass when ROADMAP item 3 lands
+ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                           reason="ROADMAP item 3: strict collisions of "
+                           "order q+1 go on integrability")
+
+
+def killing_id(case):
+    n, conformal = case[:2]
+    return f"{'conformal' if conformal else 'killing'}-{n}"
+
+
+class TestKillingOracle:
+    """Fiber dimensions and symbols of the flat Killing and conformal
+    Killing equations against their closed forms (ROADMAP item 3).  The
+    prolonged cases are wrong today: two derivations of strict equations
+    that reach one leading jet leave their order-(q+1) difference on
+    ``integrability``, not on ``equations``."""
+
+    @pytest.mark.parametrize("case", KILLING_FAMILIES, ids=killing_id)
+    def test_fiber_dimension_at_order_one(self, case):
+        n, conformal = case[:2]
+        S = killing_system(n, conformal)
+        # n(n+1)/2, one more for conformal: the first-order jets of the
+        # group, translations, rotations and the dilation
+        assert fiber_dimension(S, zero_jet_witness(S)) == (
+            n * (n + 1) // 2 + conformal)
+
+    @pytest.mark.parametrize("case", KILLING_FAMILIES, ids=killing_id)
+    def test_prolonged_symbol_has_the_closed_form_dimension(self, case):
+        n, conformal, _, g2 = case
+        sym = symbol_of(killing_system(n, conformal))
+        assert _prolonged_symbol(sym).dimension() == g2
+
+    # HEAD gives Killing n = 2: 4, 5; n = 3: 10, 15; n = 4: 20, 35;
+    # conformal n = 3: 14, 25, 41; n = 4: 25, 50, 91
+    @ITEM_3
+    @pytest.mark.parametrize("case, r", [
+        (case, r) for case in KILLING_FAMILIES
+        for r in range(1, 4 if case[1] else 3)
+    ], ids=lambda x: killing_id(x) if isinstance(x, tuple) else f"r{x}")
+    def test_prolonged_fiber_dimension_is_the_group_dimension(self, case,
+                                                              r):
+        n, conformal, dim, _ = case
+        P = prolong_system(killing_system(n, conformal), r)
+        assert fiber_dimension(P, zero_jet_witness(P)) == dim
+
+    # HEAD gives 1, 4, 10, 7, 14
+    @ITEM_3
+    @pytest.mark.parametrize("case", KILLING_FAMILIES, ids=killing_id)
+    def test_symbol_of_the_prolongation_is_the_prolonged_symbol(self,
+                                                                case):
+        n, conformal, _, g2 = case
+        P = prolong_system(killing_system(n, conformal), 1)
+        assert symbol_of(P).dimension() == g2

@@ -595,6 +595,27 @@ def _contact_hamiltonian(value, where, load):
     return _expr_arg(value, where, load)
 
 
+def _declaring(names):
+    """An expression, in a context that declares the independents
+    ``names``, in any order and among others."""
+    def read(value, where, load):
+        have = load.ctx.independents
+        _require(set(names) <= set(have), where,
+                 f"needs the independents {', '.join(names)}, got "
+                 f"{', '.join(have) or 'none'}")
+        return _expr_arg(value, where, load)
+    return read
+
+
+def _chain_coefficient(value, where, load):
+    """An expression, beside a ``hamiltonian``: without one the chain
+    runs over a context of its own, where the file's names may stand for
+    other variables."""
+    _require("hamiltonian" in load.args, where,
+             "needs a 'hamiltonian' beside it")
+    return _expr_arg(value, where, load)
+
+
 def _reached(q, where, load):
     """Order ``q``, which the check's generators must reach: a set given
     by jet-level components is not raised above its own order."""
@@ -832,8 +853,7 @@ def op_frenet(pf, args):
     if "tau" in args:
         if args["tau"] is None:
             if tau is not None:
-                return CheckReport("FAIL", witness=tau,
-                                   detail="expected no torsion")
+                return CheckReport(witness=tau, detail="expected no torsion")
         else:
             res.append(pf.ctx.reduce(tau - args["tau"]))
     return verdict(res)
@@ -869,7 +889,6 @@ def op_characters(pf, args):
     got, want = list(alpha), args["expected"]
     ok = got == want if args.get("ordered") else sorted(got) == sorted(want)
     return CheckReport(
-        "OK" if ok else "FAIL",
         witness=None if ok else tuple(alpha),
         numbers={f"alpha{i + 1}": a for i, a in enumerate(alpha)},
     )
@@ -882,8 +901,7 @@ def op_cartan(pf, args):
 def op_cartan_bound(pf, args):
     rep = systems.cartan_test(_build(pf, args["system"], "system"))
     got = rep.numbers["dim_symbol_next"], rep.numbers["bound"]
-    ok = got[0] <= got[1]
-    return CheckReport("OK" if ok else "FAIL", witness=None if ok else got,
+    return CheckReport(witness=None if got[0] <= got[1] else got,
                        numbers=dict(rep.numbers))
 
 
@@ -906,17 +924,13 @@ def op_janet_board(pf, args):
     board = systems.janet_board(S).render()
     ok = board == args["golden"].read_text()
     return CheckReport(
-        "OK" if ok else "FAIL", witness=None if ok else board,
-        detail="" if ok else f"differs from {args['golden'].name}", board=board,
-    )
+        witness=None if ok else board, board=board,
+        detail="" if ok else f"differs from {args['golden'].name}")
 
 
 def _count_report(key, got, expected):
-    ok = got == expected
-    return CheckReport(
-        "OK" if ok else "FAIL",
-        witness=None if ok else got, numbers={key: got},
-    )
+    return CheckReport(witness=None if got == expected else got,
+                       numbers={key: got})
 
 
 def op_fiber_dimension(pf, args):
@@ -978,13 +992,10 @@ def op_invariant_count(pf, args):
 def op_structure_table(pf, args):
     G = _build(pf, args["generators"], "generators")
     table = invariants.structure_constants(G)
-    witness = None
     for key, pair, want in args["expected"]:
-        got = table[pair]
-        if list(got) != want:
-            witness = (key, tuple(got))
-            break
-    return CheckReport("OK" if witness is None else "FAIL", witness=witness)
+        if list(table[pair]) != want:
+            return CheckReport(witness=(key, tuple(table[pair])))
+    return CheckReport()
 
 
 def op_jacobi_table(pf, args):
@@ -1014,11 +1025,8 @@ def op_multiplier_transport(pf, args):
 
 
 def op_hessian(pf, args):
-    if "lagrangian" in args:
-        return mechanics.hessian_multiplier_identity(
-            pf.ctx, args["lagrangian"]
-        )
-    return mechanics.hessian_multiplier_identity()
+    ctx = pf.ctx if "lagrangian" in args else None
+    return mechanics.hessian_multiplier_identity(ctx, args.get("lagrangian"))
 
 
 def op_hj_chain(pf, args):
@@ -1028,7 +1036,7 @@ def op_hj_chain(pf, args):
     if rep.ok and "coefficient" in args:
         res = art["coefficient"] - args["coefficient"]
         if not res.is_zero():
-            return CheckReport("FAIL", witness=res,
+            return CheckReport(witness=res,
                                detail="volume coefficient mismatch")
     return rep
 
@@ -1115,10 +1123,12 @@ OPS = {
     "jacobi_multiplier": (op_jacobi_multiplier, {"n": (_positive, False)}),
     "multiplier_transport": (op_multiplier_transport, {
         "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD}),
-    "hessian": (op_hessian, {"lagrangian": (_expr_arg, False)}),
+    "hessian": (op_hessian, {"lagrangian": (
+        _declaring(mechanics.LAGRANGIAN_COORDINATES), False)}),
     "hj_chain": (op_hj_chain, {"hamiltonian": (_contact_hamiltonian, False),
-                               "coefficient": (_expr_arg, False)}),
-    "separability": (op_separability, {"hamiltonian": _EXPR}),
+                               "coefficient": (_chain_coefficient, False)}),
+    "separability": (op_separability, {"hamiltonian": (
+        _declaring(mechanics.HAMILTONIAN_COORDINATES), True)}),
 }
 
 

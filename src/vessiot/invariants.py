@@ -77,9 +77,8 @@ def is_invariant(phi, G):
     for label, theta in zip(Gq.labels, Gq.fields):
         r = Gq.ctx.reduce(theta.apply(phi))
         if not r.is_zero():
-            return CheckReport("FAIL", witness=r,
-                               detail=f"{label} does not kill Phi")
-    return CheckReport("OK")
+            return CheckReport(witness=r, detail=f"{label} does not kill Phi")
+    return CheckReport()
 
 
 def generic_rank(fields):
@@ -200,19 +199,13 @@ def commutant_check(delta_set, theta_set):
     ctx = delta_set.ctx
     for dl, d in zip(delta_set.labels, delta_set.fields):
         for tl, t in zip(theta_set.labels, theta_set.fields):
-            b = bracket(d, t)
-            nonzero = None
-            for v, c in b.components.items():
+            for v, c in bracket(d, t).components.items():
                 r = ctx.reduce(c)
                 if not r.is_zero():
-                    nonzero = (v, r)
-                    break
-            if nonzero is not None:
-                return CheckReport(
-                    "FAIL", witness=nonzero[1],
-                    detail=f"[{dl}, {tl}] has component on {nonzero[0].name}",
-                )
-    return CheckReport("OK")
+                    return CheckReport(
+                        witness=r,
+                        detail=f"[{dl}, {tl}] has component on {v.name}")
+    return CheckReport()
 
 
 def constancy_check(targets, pairs, identifications=None, ctx=None):
@@ -227,10 +220,9 @@ def constancy_check(targets, pairs, identifications=None, ctx=None):
                 r = ctx.reduce(r)
             if not r.is_zero():
                 return CheckReport(
-                    "FAIL", witness=r,
-                    detail=f"pair {i + 1} does not kill target {j + 1}",
-                )
-    return CheckReport("OK")
+                    witness=r,
+                    detail=f"pair {i + 1} does not kill target {j + 1}")
+    return CheckReport()
 
 
 @dataclass

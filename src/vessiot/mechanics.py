@@ -24,6 +24,10 @@ from .symcore import (
 
 # the coordinates of hj_closure_chain's contact form, in order
 CONTACT_COORDINATES = ("t", "x", "z", "p")
+# the coordinates that hessian_multiplier_identity's Lagrangian and
+# separability_conditions' Hamiltonian are differentiated by, in any order
+LAGRANGIAN_COORDINATES = ("t", "x", "v")
+HAMILTONIAN_COORDINATES = ("t", "x", "p")
 
 
 def _solve_and_substitute(expr, relation, designated):
@@ -74,9 +78,8 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     equiv = cond - regrouped
     if not equiv.is_zero():
         return CheckReport(
-            "FAIL", witness=equiv,
-            detail="the two regroupings of the condition disagree",
-        )
+            witness=equiv,
+            detail="the two regroupings of the condition disagree")
     denom = eta + F * xi if flip_chi else W
     if denom.is_zero():
         raise ValueError("integrating-factor denominator vanishes")
@@ -94,9 +97,7 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
     else:
         if not cond.is_zero():
             return CheckReport(
-                "FAIL", witness=cond,
-                detail="specialized data violates the condition",
-            )
+                witness=cond, detail="specialized data violates the condition")
         residual = divergence
     return verdict([ctx.reduce(residual)])
 
@@ -187,11 +188,11 @@ def hessian_multiplier_identity(ctx=None, L=None):
     multiplier for the associated first-order flow: the displayed
     three-term divergence vanishes identically in the jets of L."""
     if ctx is None:
-        ctx = JetContext(["t", "x", "v"], ["L"], max_order=4)
+        ctx = JetContext(LAGRANGIAN_COORDINATES, ["L"], max_order=4)
     if L is None:
         L = ctx.expr("L")
     d = ctx.total_derivative
-    v = ctx.expr(ctx.independents[2])
+    v = ctx.expr("v")
     Lvv = d(d(L, "v"), "v")
     Lx = d(L, "x")
     Ltv = d(d(L, "t"), "v")

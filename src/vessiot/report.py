@@ -2,39 +2,37 @@
 
 A check passes only when each of its residuals is exactly zero over Q:
 ``verdict`` decides that, and a FAIL carries the first nonzero residual
-as its witness.  ``CheckReport`` holds what the runner prints, and
-refuses a FAIL without a witness, so every expected failure can be
-reproduced from its report.
+as its witness.  ``CheckReport`` holds what the runner prints; its
+status is read off its witness (FAIL exactly when it carries one), so a
+report cannot fail without what reproduces the failure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CheckReport:
-    """Outcome of one check.
+    """Outcome of one check: FAIL exactly when ``witness`` is not None.
 
-    status: "OK" or "FAIL".
     witness: what shows a FAIL (the first nonzero residual, or the
-        numbers that disagree); a FAIL must have one, an OK has None.
+        numbers that disagree); None for an OK.
     numbers: named integers/rationals produced along the way.
     board: the rendered Janet board of a ``janet_board`` check.
     """
 
-    status: str
     witness: object = None
     numbers: dict = field(default_factory=dict)
     detail: str = ""
     board: str | None = None
 
-    def __post_init__(self):
-        if self.status == "FAIL" and self.witness is None:
-            raise ValueError("a FAIL report needs a witness")
-
     @property
     def ok(self):
-        return self.status == "OK"
+        return self.witness is None
+
+    @property
+    def status(self):
+        return "OK" if self.ok else "FAIL"
 
 
 def verdict(residuals, **fields):
@@ -42,7 +40,5 @@ def verdict(residuals, **fields):
     exactly zero; otherwise FAIL with the first nonzero one as witness.
     ``residuals`` is read lazily: nothing after the first nonzero
     residual is consumed.  ``fields`` go to the report either way."""
-    for r in residuals:
-        if r:
-            return CheckReport("FAIL", witness=r, **fields)
-    return CheckReport("OK", **fields)
+    return CheckReport(witness=next((r for r in residuals if r), None),
+                       **fields)

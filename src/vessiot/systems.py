@@ -413,10 +413,8 @@ def cartan_test(S):
     bound = sum((i + 1) * a for i, a in enumerate(alpha))
     dim_next = _prolonged_symbol(sym).dimension()
     sym_dim = sym.dimension()
-    status = "OK" if dim_next == bound else "FAIL"
     return CheckReport(
-        status,
-        witness=None if status == "OK" else (dim_next, bound),
+        witness=None if dim_next == bound else (dim_next, bound),
         numbers={
             "characters": alpha,
             "dim_symbol": sym_dim,
@@ -513,10 +511,8 @@ def fiber_dimension(S, witness=None):
 def phs_check(A, R, witness_a=None, witness_r=None):
     da = fiber_dimension(A, witness_a)
     dr = fiber_dimension(R, witness_r)
-    status = "OK" if da == dr else "FAIL"
     return CheckReport(
-        status,
-        witness=None if status == "OK" else (da, dr),
+        witness=None if da == dr else (da, dr),
         numbers={"dim_system": da, "dim_groupoid": dr},
     )
 
@@ -531,7 +527,6 @@ def automorphic_criterion(A, R, witness_a=None, witness_r=None):
     p1 = phs_check(A1, R1, witness_a, witness_r)
     ok = ct.ok and p0.ok and p1.ok
     return CheckReport(
-        "OK" if ok else "FAIL",
         witness=None if ok else {
             "involutive": ct.ok, "phs_q": p0.numbers, "phs_q1": p1.numbers,
         },

@@ -68,6 +68,9 @@ SECTION1 = {"kind": "section", "order": 1, "components": {"y": "x"}}
 # a generator set given by jet-level components, at order 1
 JET_GENERATORS = {"kind": "generators", "order": 1,
                   "fields": [{"components": {"y[x]": "1"}}]}
+# the contact coordinates, with two unknown Hamiltonians
+MECHANICS = {"independents": ["t", "x", "z", "p"], "dependents": ["G", "H"],
+             "max_order": 3}
 PLANE = {"independents": ["x"], "dependents": ["y1", "y2"], "max_order": 2}
 PLANE_SECTIONS = {name: {"kind": "section", "order": 2, "components": {
     "y1": "x", "y2": f"{k}*x*x"}} for name, k in (("f", 1), ("g", 2))}
@@ -333,6 +336,23 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["summary"]["mismatched"] == 0
+
+    def test_zero_witness_is_a_fail(self, tmp_path, capsys):
+        # u = x leaves a fiber of dimension 0 against the 1 expected: the
+        # witness 0 is falsy, and still makes the report a FAIL
+        doc = problem(
+            context={"independents": ["x"], "dependents": ["u"],
+                     "max_order": 1},
+            objects={"S": system({"leading": "u", "rhs": "x"}, order=0)},
+            checks=[{"id": "c", "op": "fiber_dimension",
+                     "args": {"system": "S", "expected": 1},
+                     "expect": "FAIL"}])
+        path = tmp_path / "zero.json"
+        path.write_text(doc)
+        assert main(["check", str(path), "--format", "json"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["files"][0]["checks"]
+        assert check["status"] == "FAIL" and check["witness"] == "0"
+        assert check["numbers"] == {"dimension": 0}
 
     def test_mismatch_exit_code(self, tmp_path, capsys):
         doc = json.loads((CORPUS / "frenet_helix.json").read_text())
@@ -828,6 +848,25 @@ class TestMain:
                          "args": {"hamiltonian": "p*p"}}]},
             "checks[0].args.hamiltonian: needs the independents t, x, z, p",
             ProblemSyntaxError, None, id="hj-chain-coordinates"),
+        pytest.param(
+            {"context": MECHANICS, "checks": [{
+                "id": "c", "op": "hj_chain",
+                "args": {"coefficient": "2*H[z]"}}]},
+            "checks[0].args.coefficient: needs a 'hamiltonian' beside it",
+            ProblemSyntaxError, None, id="hj-chain-coefficient-alone"),
+        pytest.param(
+            {"context": MECHANICS, "checks": [{
+                "id": "c", "op": "hessian", "args": {"lagrangian": "H"}}]},
+            "checks[0].args.lagrangian: needs the independents t, x, v, got "
+            "t, x, z, p", ProblemSyntaxError, None,
+            id="hessian-coordinates"),
+        pytest.param(
+            {"context": {"independents": ["t", "x", "v"], "dependents": []},
+             "checks": [{"id": "c", "op": "separability",
+                         "args": {"hamiltonian": "v*v"}}]},
+            "checks[0].args.hamiltonian: needs the independents t, x, p, "
+            "got t, x, v", ProblemSyntaxError, None,
+            id="separability-coordinates"),
         pytest.param(
             {"objects": {"G": {"kind": "genset",
                                "generators": ["y", "1/y"]}}},

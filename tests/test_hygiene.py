@@ -1,7 +1,8 @@
 """Source hygiene: every name a module or a test file imports is used,
 the runtime imports only the standard library, each of two
-representations has one owning module, and every def is reached by the
-bundled corpus or listed as not yet reached."""
+representations has one owning module, a check's status is named only
+where it is decided or expected, and every def is reached by the bundled
+corpus or listed as not yet reached."""
 import ast
 import json
 import os
@@ -145,6 +146,35 @@ def test_scan_finds_representation_leaks():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_one_owner_for_canonical_form_and_jet_index(path):
     assert representation_leaks(path.read_text(), path.stem) == []
+
+
+def status_literals(source, module):
+    """Lines of the string constants ``"OK"`` and ``"FAIL"`` outside
+    ``report`` (where a report's status is read off its witness) and
+    ``cli`` (which reads the statuses a file expects)."""
+    if module in ("report", "cli"):
+        return []
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and node.value in ("OK", "FAIL"))
+
+
+def test_scan_finds_a_stray_status():
+    source = (
+        '"""A docstring that says OK."""\n'
+        'status = "OK" if ok else "FAIL"\n'
+        'note = "FAILED"\n'
+        'rep = CheckReport(\n'
+        '    "FAIL", witness=w)\n'
+    )
+    assert status_literals(source, "systems") == [2, 2, 5]
+    assert status_literals(source, "report") == []
+    assert status_literals(source, "cli") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_one_owner_for_the_outcome_rule(path):
+    assert status_literals(path.read_text(), path.stem) == []
 
 
 def dead_helpers(sources):

@@ -239,6 +239,11 @@ class TestHessianIdentity:
             ctx, ctx.expr("v^2/2 - V")
         ).ok
 
+    @pytest.mark.parametrize("order", [("t", "v", "x"), ("v", "x", "t")])
+    def test_velocity_is_read_by_name(self, order):
+        ctx = JetContext(order, ["L"], max_order=4)
+        assert hessian_multiplier_identity(ctx, ctx.expr("L")).ok
+
 
 class TestClosureChain:
     def test_generic_coefficient(self):

@@ -1,4 +1,5 @@
-"""The one verdict rule, and the report type's witness rule."""
+"""The one verdict rule, and the outcome rule: a report is FAIL exactly
+when it carries a witness."""
 from fractions import Fraction
 
 import pytest
@@ -36,8 +37,18 @@ class TestVerdict:
             -1, 2)
 
 
-def test_fail_without_witness_is_refused():
-    with pytest.raises(ValueError, match="needs a witness"):
-        CheckReport("FAIL")
-    assert CheckReport("FAIL", witness=(1, 0)).status == "FAIL"
-    assert CheckReport("OK").ok
+class TestOutcomeRule:
+    def test_no_witness_is_ok(self):
+        rep = CheckReport(numbers={"n": 1}, detail="d")
+        assert rep.ok and rep.status == "OK"
+
+    @pytest.mark.parametrize("witness", [0, (), "", (1, 0)],
+                             ids=["zero", "empty-tuple", "empty-string",
+                                  "pair"])
+    def test_any_witness_is_fail(self, witness):
+        rep = CheckReport(witness=witness)
+        assert not rep.ok and rep.status == "FAIL"
+
+    def test_status_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            CheckReport("FAIL")

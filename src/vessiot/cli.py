@@ -968,7 +968,7 @@ def op_prolong_count(pf, args):
 
 
 def op_syzygy(pf, args):
-    return diffideal.syzygy_check(args["combination"])
+    return diffideal.syzygy_check(pf.ctx.reduce(args["combination"]))
 
 
 def op_radical_membership(pf, args):
@@ -1034,7 +1034,7 @@ def op_hj_chain(pf, args):
     H = args.get("hamiltonian")
     rep, art = mechanics.hj_closure_chain(ctx, H)
     if rep.ok and "coefficient" in args:
-        res = art["coefficient"] - args["coefficient"]
+        res = pf.ctx.reduce(art["coefficient"] - args["coefficient"])
         if not res.is_zero():
             return CheckReport(witness=res,
                                detail="volume coefficient mismatch")

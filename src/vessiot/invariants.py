@@ -1,9 +1,8 @@
 """Differential-invariant verification layer.
 
 Checks that candidate functions are killed by prolonged generator
-distributions, measures generic ranks and invariant counts, computes
-structure constants of closed distributions, verifies commuting
-(reciprocal) distributions, and runs two-sided constancy checks.
+distributions, measures generic ranks and invariant counts, and computes
+structure constants of closed distributions.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from . import linalg, symcore
 from .errors import NotClosed
 from .jets import JetContext, VectorField, bracket, jet_order, prolong_field
 from .report import CheckReport
-from .symcore import RationalExpr, substitute
+from .symcore import RationalExpr
 # not called here; kept as a module attribute because perfbench's tests
 # check that the tracer wraps this imported copy of symcore.eval_point
 from .symcore import eval_point  # noqa: F401
@@ -72,8 +71,7 @@ def _needed_order(e):
 def is_invariant(phi, G):
     """OK iff every (suitably prolonged) generator kills the candidate
     Phi."""
-    q = max(_needed_order(phi), G.order)
-    Gq = G.prolonged(q) if q > G.order else G
+    Gq = G.prolonged(max(_needed_order(phi), G.order))
     for label, theta in zip(Gq.labels, Gq.fields):
         r = Gq.ctx.reduce(theta.apply(phi))
         if not r.is_zero():
@@ -91,10 +89,14 @@ def generic_rank(fields):
 
 
 def invariant_count(ctx, G, q):
-    """Fiber dimension of jets of order <= q minus the generic rank of
-    the prolonged distribution: the number of independent invariants."""
-    Gq = G.prolonged(q) if q != G.order else G
-    return ctx.fiber_jet_count(q) - generic_rank(Gq.fields)
+    """The number of functionally independent invariants of the jets of
+    order <= q and the independents some field moves: those coordinates
+    less the generic rank of the prolonged distribution.  An independent
+    that no field moves is an invariant by itself and is not counted."""
+    Gq = G.prolonged(q)
+    moved = {v for f in Gq.fields for v in f.components
+             if v.kind == "independent"}
+    return ctx.fiber_jet_count(q) + len(moved) - generic_rank(Gq.fields)
 
 
 def _q_linear_solve(blocks, n):
@@ -190,78 +192,4 @@ def jacobi_residuals(table, n):
                         for tau, e in nonzero[(lam, d)]:
                             acc[tau] += c * e
                 out.extend(acc)
-    return out
-
-
-def commutant_check(delta_set, theta_set):
-    """OK iff every field of the first set commutes with every field of
-    the second (reciprocal distributions)."""
-    ctx = delta_set.ctx
-    for dl, d in zip(delta_set.labels, delta_set.fields):
-        for tl, t in zip(theta_set.labels, theta_set.fields):
-            for v, c in bracket(d, t).components.items():
-                r = ctx.reduce(c)
-                if not r.is_zero():
-                    return CheckReport(
-                        witness=r,
-                        detail=f"[{dl}, {tl}] has component on {v.name}")
-    return CheckReport()
-
-
-def constancy_check(targets, pairs, identifications=None, ctx=None):
-    """OK iff (delta + delta_bar) annihilates every target after the
-    given invariant identifications are substituted in."""
-    identifications = identifications or {}
-    for i, (d, dbar) in enumerate(pairs):
-        for j, t in enumerate(targets):
-            r = d.apply(t) + dbar.apply(t)
-            r = substitute(r, identifications)
-            if ctx is not None:
-                r = ctx.reduce(r)
-            if not r.is_zero():
-                return CheckReport(
-                    witness=r,
-                    detail=f"pair {i + 1} does not kill target {j + 1}")
-    return CheckReport()
-
-
-@dataclass
-class FieldImage:
-    """One derivation applied to one field generator, with a membership
-    verdict for the generated differential field: "stable", "unstable"
-    or "undecided"."""
-
-    generator: RationalExpr
-    image: RationalExpr
-    verdict: str
-
-
-def _jacobian_rank(exprs):
-    """Rank of the Jacobian of ``exprs`` (``gradient`` over every
-    variable they carry) over the rational-function field."""
-    return generic_rank([VectorField(symcore.gradient(e, e.variables()))
-                         for e in exprs])
-
-
-def noninvariance_witness(field_gens, delta):
-    """Apply the derivation to each generator of a differential field
-    and classify each image: zero or a Q-combination of the generators
-    is "stable"; an image that raises the Jacobian rank of the
-    generators is "unstable", since a rise proves it algebraically
-    independent of them, so outside the field they generate; anything
-    else is "undecided".  Specials count as independent coordinates,
-    since no context is given."""
-    gens = list(field_gens)
-    base = _jacobian_rank(gens)
-    out = []
-    for g in gens:
-        img = delta.apply(g)
-        if img.is_zero() or _q_linear_solve(
-                [(gens + [symcore.ONE], img)], len(gens) + 1) is not None:
-            verdict = "stable"
-        elif _jacobian_rank(gens + [img]) > base:
-            verdict = "unstable"
-        else:
-            verdict = "undecided"
-        out.append(FieldImage(g, img, verdict))
     return out

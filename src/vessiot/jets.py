@@ -540,24 +540,3 @@ def exterior_derivative(phi):
                 continue
             terms[merged] = terms.get(merged, symcore.ZERO) + dc * sign
     return DiffForm(ctx, phi.coords, phi.grade + 1, terms)
-
-
-def interior_product(theta, phi):
-    """Contraction i(theta) phi."""
-    if phi.grade == 0:
-        return DiffForm(phi.ctx, phi.coords, 0, {})
-    comp = {}
-    for pos, coord in enumerate(phi.coords):
-        c = theta.component(coord)
-        if not c.is_zero():
-            comp[pos] = c
-    terms = {}
-    for idx, c in phi.terms.items():
-        for j, pos in enumerate(idx):
-            v = comp.get(pos)
-            if v is None:
-                continue
-            rest = idx[:j] + idx[j + 1:]
-            add = c * v * ((-1) ** j)
-            terms[rest] = terms.get(rest, symcore.ZERO) + add
-    return DiffForm(phi.ctx, phi.coords, phi.grade - 1, terms)

@@ -237,7 +237,8 @@ def hj_closure_chain(ctx=None, H=None):
     four = exterior_derivative(three)
     coeff = four.coefficient((0, 1, 2, 3))
     coeff_residual = coeff - 2 * ctx.total_derivative(H, "z")
-    report = verdict([*two_residual.terms.values(), coeff_residual])
+    report = verdict(ctx.reduce(r) for r in [*two_residual.terms.values(),
+                                             coeff_residual])
     artifacts = {
         "two_form": two,
         "three_form": three,
@@ -250,12 +251,12 @@ def hj_closure_chain(ctx=None, H=None):
 def separability_conditions(ctx, H):
     """Both obstructions to finding a complete integral of the
     Hamiltonian H by separating x from t: d_z(H) and d_t(d_x(H)/d_p(H)).
-    OK iff both normalize to zero."""
+    OK iff both reduce to zero in the context."""
     d = ctx.total_derivative
     Hp = d(H, "p")
     if Hp.is_zero():
         raise DegenerateHamiltonian("d_p(H) vanishes identically")
-    c1 = d(H, "z") if "z" in ctx.independents else ZERO
-    c2 = d(d(H, "x") / Hp, "t")
+    c1 = ctx.reduce(d(H, "z")) if "z" in ctx.independents else ZERO
+    c2 = ctx.reduce(d(d(H, "x") / Hp, "t"))
     return verdict([c1, c2],
                    detail=f"z-dependence: {c1}; mixed quotient: {c2}")

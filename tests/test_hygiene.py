@@ -236,20 +236,12 @@ def test_scan_finds_a_dead_helper():
         "a.UNREAD", "a.Unused", "a._helper", "a.recursive"]
 
 
-# paper operations that no check op reaches yet, kept for the
-# Lie-pseudogroup problem set (ROADMAP item 6)
+# defs that no src module calls, kept on purpose (ROADMAP item 12)
 KEPT = [
-    # Spencer operator D on jet sections: zero exactly on holonomic ones
+    # Spencer operator D on jet sections, zero exactly on holonomic ones:
+    # the tests' oracle, which test_properties and test_geomkit compare
+    # sections against
     "jets.spencer",
-    # contraction i(theta) phi of a differential form by a vector field
-    "jets.interior_product",
-    # non-invariance verdict of a derivation on a differential field: an
-    # image that raises the generators' Jacobian rank is outside the field
-    "invariants.noninvariance_witness",
-    # reciprocal distributions: every field of one commutes with the other
-    "invariants.commutant_check",
-    # (delta + delta_bar) annihilates targets under identifications
-    "invariants.constancy_check",
 ]
 
 
@@ -313,12 +305,7 @@ json.dump(sorted(calls), sys.stdout)
 
 # defs the bundled corpus never calls; the list may only shrink
 UNREACHED = [
-    # paper operations kept for the Lie-pseudogroup problem set (KEPT)
-    "invariants.commutant_check",
-    "invariants.constancy_check",
-    "invariants.noninvariance_witness",
-    "invariants._jacobian_rank",
-    "jets.interior_product",
+    # the tests' oracle (KEPT)
     "jets.spencer",
     # the prolongation chain and the PHS / automorphic criteria, which
     # no bundled problem file checks (ROADMAP items 7 and 8)
@@ -333,17 +320,29 @@ UNREACHED = [
     # error paths: the corpus loads cleanly
     "cli._fail",
     "errors.ProblemSyntaxError.__init__",
-    # value-model methods that no check calls
-    "jets.DiffForm.__repr__",
-    "jets.DiffForm.is_zero",
+    # value-model methods that no check calls, each kept for a reason:
+    # the reprs are what an error message or a failed assertion prints
+    # for a variable, a field or a form
+    "symcore.VariableId.__repr__",
     "jets.VectorField.__repr__",
+    "jets.DiffForm.__repr__",
+    # the exterior-calculus tests (test_jets.TestForms) compare forms
+    "jets.DiffForm.is_zero",
+    # ``Fraction - expr``: the dense elimination references of
+    # test_kernels and test_systems, and test_symcore's refusal of
+    # non-expressions by the reflected operators
     "symcore.RationalExpr.__rsub__",
+    # ``1 / E("ch^4")`` in test_geomkit's catenary curvature
     "symcore.RationalExpr.__rtruediv__",
+    # a dense reference in test_kernels reads a constant quotient back as
+    # a Fraction, and test_symcore checks that it is one
     "symcore.RationalExpr.constant_value",
     "symcore.RationalExpr.is_constant",
+    # the guards and __reduce__ keep interning intact: a variable is
+    # never changed in place, and a copy or an unpickled one is the same
+    # object
     "symcore.VariableId.__delattr__",
     "symcore.VariableId.__reduce__",
-    "symcore.VariableId.__repr__",
     "symcore.VariableId.__setattr__",
 ]
 

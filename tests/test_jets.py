@@ -10,7 +10,6 @@ from vessiot.jets import (
     bracket,
     exterior_derivative,
     holonomic_section,
-    interior_product,
     prolong_field,
     spencer,
     wedge,
@@ -291,15 +290,3 @@ class TestForms:
             g, exterior_derivative(a)
         )
         assert (lhs - rhs).is_zero()
-
-    def test_interior_product(self, base2):
-        ctx, coords = base2
-        beta = wedge(
-            DiffForm.d_coord(ctx, coords, "x1"),
-            DiffForm.d_coord(ctx, coords, "x2"),
-        )
-        t = VectorField({ctx.var("x1"): RationalExpr.const(1)})
-        assert (
-            interior_product(t, beta)
-            - DiffForm.d_coord(ctx, coords, "x2")
-        ).is_zero()

@@ -27,9 +27,7 @@ import json
 import os
 import sys
 import time
-import traceback
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter, methodcaller
@@ -63,50 +61,53 @@ def default_corpus_dir():
     return Path(__file__).parent / "corpus"
 
 
-@dataclass
 class Options:
-    only: str | None = None
-    traceback: bool = False  # an ERROR result keeps its formatted stack
+    def __init__(self, only=None, traceback=False):
+        self.only = only
+        # an ERROR result keeps its formatted stack
+        self.traceback = traceback
 
 
-@dataclass
 class CheckSpec:
-    id: str
-    op: str
-    args: dict
-    expect: str
+    def __init__(self, id, op, args, expect):
+        self.id = id
+        self.op = op
+        self.args = args
+        self.expect = expect
 
 
-@dataclass
 class ProblemFile:
-    path: str
-    ctx: JetContext
-    objects: dict  # name -> (kind, cached zero-argument constructor)
-    checks: list
+    def __init__(self, path, ctx, objects, checks):
+        self.path = path
+        self.ctx = ctx
+        # name -> (kind, cached zero-argument constructor)
+        self.objects = objects
+        self.checks = checks
 
 
-@dataclass
 class CheckResult:
-    id: str
-    op: str
-    status: str
-    expect: str
-    witness: str | None
-    numbers: dict
-    detail: str
-    board: str | None
-    seconds: float
-    traceback: str | None = None
+    def __init__(self, id, op, status, expect, witness, numbers, detail,
+                 board, seconds, traceback=None):
+        self.id = id
+        self.op = op
+        self.status = status
+        self.expect = expect
+        self.witness = witness
+        self.numbers = numbers
+        self.detail = detail
+        self.board = board
+        self.seconds = seconds
+        self.traceback = traceback
 
     @property
     def matched(self):
         return self.status == self.expect
 
 
-@dataclass
 class RunReport:
-    path: str
-    results: list
+    def __init__(self, path, results):
+        self.path = path
+        self.results = results
 
     @property
     def all_matched(self):
@@ -1140,9 +1141,13 @@ def run(pf, options=None):
     """Execute the file's checks (optionally filtered by ``--only``);
     a check that raises reports ERROR and never aborts the run."""
     options = options or Options()
+    only = options.only
+    # ids are case-sensitive; a plain id needs no compiled pattern
+    glob = only and any(c in only for c in "*?[")
     results = []
     for spec in pf.checks:
-        if options.only and not fnmatch.fnmatch(spec.id, options.only):
+        if only and not (fnmatch.fnmatchcase(spec.id, only) if glob
+                         else spec.id == only):
             continue
         start = time.monotonic()
         stack = None
@@ -1159,6 +1164,8 @@ def run(pf, options=None):
             numbers = {}
             detail = f"{type(exc).__name__}: {exc}"
             if options.traceback:
+                import traceback
+
                 stack = traceback.format_exc()
         results.append(CheckResult(
             spec.id, spec.op, status, spec.expect, witness, numbers,
@@ -1258,7 +1265,8 @@ def main(argv=None):
     chk.add_argument("files", nargs="*",
                      help="problem files (default: the bundled corpus)")
     chk.add_argument("--only", default=None, metavar="GLOB",
-                     help="run only checks whose id matches the glob")
+                     help="run only checks whose id matches the"
+                     " case-sensitive glob")
     chk.add_argument("--format", choices=("json", "text"), default="text")
     chk.add_argument("--max-order", type=int, default=None)
     chk.add_argument("--traceback", action="store_true",

@@ -7,22 +7,18 @@ with an explicit combination that re-normalizes to the claimed element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CertificateSearchExceeded
 from .report import verdict
 from .symcore import ONE, ZERO
 
 
-@dataclass
 class DiffPolySet:
     """A finite set of differential-polynomial generators."""
 
-    ctx: object
-    generators: list
-
-    def __post_init__(self):
-        for g in self.generators:
+    def __init__(self, ctx, generators):
+        self.ctx = ctx
+        self.generators = generators
+        for g in generators:
             if g.is_zero():
                 raise ValueError("zero generator")
             if not g.is_polynomial():

@@ -6,8 +6,6 @@ reported as squares (kappa^2) or ratios, never via square roots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegenerateCurve,
     DegenerateMetric,
@@ -16,7 +14,7 @@ from .errors import (
 )
 from .linalg import det, inverse, mat_mul, mat_vec, transpose
 from .report import verdict
-from .symcore import RationalExpr, sum_of_products
+from .symcore import sum_of_products
 
 
 def _dot(a, b):
@@ -34,17 +32,17 @@ def _cross(a, b):
 # surfaces (2 source coordinates, 3 target components)
 
 
-@dataclass
 class SurfaceData:
     """First form, tangential quantities and the second-form density of an
     explicit surface, all rational in the source coordinates."""
 
-    ctx: object
-    omega: dict  # (i, j) with i <= j -> RationalExpr
-    gamma: dict  # (r, i, j) with i <= j -> RationalExpr
-    sigma: dict  # (i, j) with i <= j -> RationalExpr
-    det_omega: RationalExpr
-    det_sigma: RationalExpr
+    def __init__(self, ctx, omega, gamma, sigma, det_omega, det_sigma):
+        self.ctx = ctx
+        self.omega = omega  # (i, j) with i <= j -> RationalExpr
+        self.gamma = gamma  # (r, i, j) with i <= j -> RationalExpr
+        self.sigma = sigma  # (i, j) with i <= j -> RationalExpr
+        self.det_omega = det_omega
+        self.det_sigma = det_sigma
 
     def om(self, i, j):
         return self.omega[(min(i, j), max(i, j))]
@@ -155,20 +153,21 @@ def codazzi_residual(S):
 # curves (1 source coordinate, 2 or 3 target components)
 
 
-@dataclass
 class CurveData:
     """Differential invariants of an explicit curve; for 3 components the
     third-order quantities and rho = omega*sigma - gamma^2 are included."""
 
-    ctx: object
-    m: int
-    omega: RationalExpr
-    gamma: RationalExpr
-    sigma: RationalExpr
-    upsilon: RationalExpr
-    phi: RationalExpr | None = None
-    psi: RationalExpr | None = None
-    rho: RationalExpr | None = None
+    def __init__(self, ctx, m, omega, gamma, sigma, upsilon, phi=None,
+                 psi=None, rho=None):
+        self.ctx = ctx
+        self.m = m
+        self.omega = omega
+        self.gamma = gamma
+        self.sigma = sigma
+        self.upsilon = upsilon
+        self.phi = phi
+        self.psi = psi
+        self.rho = rho
 
     def identity_report(self):
         """Residuals of the derived relations among the invariants."""
@@ -227,13 +226,13 @@ def frenet_squares(C):
 # gauging
 
 
-@dataclass
 class Gauging:
     """Matrix/translation pair carrying one moving frame onto another."""
 
-    ctx: object
-    A: list  # matrix of RationalExpr
-    B: list  # vector of RationalExpr
+    def __init__(self, ctx, A, B):
+        self.ctx = ctx
+        self.A = A  # matrix of RationalExpr
+        self.B = B  # vector of RationalExpr
 
     def orthogonal_defect(self):
         red = self.ctx.reduce

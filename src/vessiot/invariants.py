@@ -6,12 +6,11 @@ structure constants of closed distributions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, symcore
 from .errors import NotClosed
-from .jets import JetContext, VectorField, bracket, jet_order, prolong_field
+from .jets import VectorField, bracket, jet_order, prolong_field
 from .report import CheckReport
 from .symcore import RationalExpr
 # not called here; kept as a module attribute because perfbench's tests
@@ -27,21 +26,18 @@ def is_point_field(f):
     )
 
 
-@dataclass
 class GeneratorSet:
     """A distribution given by a finite list of vector fields sharing one
     context; ``order`` is the jet order the components live at."""
 
-    ctx: JetContext
-    fields: list
-    order: int = 0
-    labels: tuple = ()
-
-    def __post_init__(self):
-        if not self.fields:
+    def __init__(self, ctx, fields, order=0, labels=()):
+        if not fields:
             raise ValueError("empty generator set")
-        if not self.labels:
-            self.labels = tuple(f"theta{i + 1}" for i in range(len(self.fields)))
+        self.ctx = ctx
+        self.fields = fields
+        self.order = order
+        self.labels = labels or tuple(
+            f"theta{i + 1}" for i in range(len(fields)))
 
     def prolonged(self, q):
         """The same distribution lifted (or truncated) to jet order q."""

@@ -17,7 +17,6 @@ the prolonged symbol read it, so each jet's shift is worked out once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symcore
@@ -26,15 +25,15 @@ from .parser import parse_expression
 from .symcore import RationalExpr, RewriteRule, VariableId
 
 
-@dataclass(frozen=True)
 class SpecialSpec:
     """A non-rational function symbol: name, base independent, name of the
     derivative expression, optional rewrite rule 'pattern -> replacement'."""
 
-    name: str
-    base: str
-    derivative: str
-    rewrite: str | None = None
+    def __init__(self, name, base, derivative, rewrite=None):
+        self.name = name
+        self.base = base
+        self.derivative = derivative
+        self.rewrite = rewrite
 
 
 def jet_order(v):
@@ -373,14 +372,14 @@ def prolong_field(ctx, theta, q):
     return VectorField(comp)
 
 
-@dataclass
 class JetSection:
     """Values f^k_mu, complete for |mu| <= order, as expressions in the
     independents (and possibly jets of auxiliary symbols)."""
 
-    ctx: JetContext
-    order: int
-    values: dict  # (dep name, mu) -> RationalExpr
+    def __init__(self, ctx, order, values):
+        self.ctx = ctx
+        self.order = order
+        self.values = values  # (dep name, mu) -> RationalExpr
 
     def value(self, dep, mu):
         return self.values[(dep, tuple(mu))]

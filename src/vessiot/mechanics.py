@@ -161,14 +161,14 @@ def multiplier_transport(ctx, M, theta, phi):
     """Given a multiplier M for the field theta (sum_i d_i(M theta^i) = 0,
     checked first), verify that M/Delta is a multiplier for the
     transformed field thetabar^j = d_i(phi^j) theta^i in the variables
-    phi."""
+    phi.  Both divergences are reduced by the context's rewrites."""
     d = ctx.total_derivative
     n = len(ctx.independents)
     if len(theta) != n or len(phi) != n:
         raise ValueError("need one component per variable")
-    div = sum_of_products(
+    div = ctx.reduce(sum_of_products(
         (d(M * theta[i], x),) for i, x in enumerate(ctx.independents)
-    )
+    ))
     if not div.is_zero():
         raise NotAMultiplier(f"sum d_i(M theta^i) = {div}")
     J = _jacobian(ctx, phi)
@@ -180,7 +180,8 @@ def multiplier_transport(ctx, M, theta, phi):
         for j in range(n)
     ]
     fields = [M * tbar[j] for j in range(n)]
-    return verdict([_pullback_divergence(ctx, adjugate(J), delta, fields)])
+    return verdict(
+        [ctx.reduce(_pullback_divergence(ctx, adjugate(J), delta, fields))])
 
 
 def hessian_multiplier_identity(ctx=None, L=None):

@@ -8,10 +8,7 @@ report cannot fail without what reproduces the failure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(kw_only=True)
 class CheckReport:
     """Outcome of one check: FAIL exactly when ``witness`` is not None.
 
@@ -21,10 +18,12 @@ class CheckReport:
     board: the rendered Janet board of a ``janet_board`` check.
     """
 
-    witness: object = None
-    numbers: dict = field(default_factory=dict)
-    detail: str = ""
-    board: str | None = None
+    def __init__(self, *, witness=None, numbers=None, detail="",
+                 board=None):
+        self.witness = witness
+        self.numbers = {} if numbers is None else numbers
+        self.detail = detail
+        self.board = board
 
     @property
     def ok(self):

@@ -62,7 +62,6 @@ nothing whose result is printed may depend on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -1022,7 +1021,6 @@ def sum_of_products(terms):
     return values[0]
 
 
-@dataclass(frozen=True)
 class RewriteRule:
     """Replace every monomial divisible by ``pattern`` using ``replacement``.
 
@@ -1030,16 +1028,15 @@ class RewriteRule:
     order (restricted to the rule's variables) so rewriting terminates.
     """
 
-    pattern: tuple  # a monomial
-    replacement: Polynomial
-
-    def __post_init__(self):
-        for m in self.replacement.terms:
+    def __init__(self, pattern, replacement):
+        for m in replacement.terms:
             proj = mono_make(
-                (v, e) for v, e in m if any(v == w for w, _ in self.pattern)
+                (v, e) for v, e in m if any(v == w for w, _ in pattern)
             )
-            if mono_key(proj) >= mono_key(self.pattern):
+            if mono_key(proj) >= mono_key(pattern):
                 raise ValueError("rewrite rule does not terminate")
+        self.pattern = pattern  # a monomial
+        self.replacement = replacement  # a Polynomial
 
 
 def poly_reduce(p, rules):

@@ -6,7 +6,6 @@ homogeneous / automorphic dimension criteria.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import symcore
@@ -20,7 +19,7 @@ from .errors import (
     OrderOverflow,
     UnsolvedSystem,
 )
-from .jets import JetContext, jet_order
+from .jets import jet_order
 from .linalg import pivot_columns, rank
 from .report import CheckReport
 from .symcore import RationalExpr, eval_point, gradient
@@ -48,21 +47,20 @@ def class_of(ctx, ordering, mu):
 # equations and systems
 
 
-@dataclass(frozen=True)
 class Equation:
     """lhs = rhs.  ``leading`` names the jet the equation is (or can be)
     solved for; it is None for fully implicit equations.  A strictly
     solved equation has lhs equal to its leading jet."""
 
-    lhs: RationalExpr
-    rhs: RationalExpr
-    leading: object = None
-    genericity: tuple = ()
+    def __init__(self, lhs, rhs, leading=None, genericity=()):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.leading = leading
+        self.genericity = genericity
 
     @cached_property
     def residual(self):
-        # formed once per equation: the instance __dict__ (the dataclass
-        # has no slots) keeps it, outside the fields that eq and hash use
+        # formed once per equation and kept in the instance __dict__
         return self.lhs - self.rhs
 
     @cached_property
@@ -85,7 +83,6 @@ def implicit_equation(lhs, rhs=None, leading=None, genericity=()):
     return Equation(lhs, rhs, leading, tuple(genericity))
 
 
-@dataclass
 class SolvedSystem:
     """A finite system of jet equations of order <= order (a residual
     carrying a higher jet raises JetAboveOrder).
@@ -102,34 +99,32 @@ class SolvedSystem:
     so the equations must not change once either has been.
     """
 
-    ctx: JetContext
-    order: int
-    equations: list
-    ordering: tuple = None
-    genericity: tuple = ()
-    integrability: list = field(default_factory=list)
-    # S's SymbolSystem, built on the first symbol_of(S) call
-    _symbol: object = field(default=None, init=False, repr=False,
-                            compare=False)
-    # S prolonged once, formed on the first prolong_system(S, r >= 1)
-    # call; its equations past len(S.equations) are that round's frontier
-    _prolonged: object = field(default=None, init=False, repr=False,
-                               compare=False)
-
-    def __post_init__(self):
-        if self.ordering is None:
-            self.ordering = tuple(self.ctx.independents)
+    def __init__(self, ctx, order, equations, ordering=None, genericity=(),
+                 integrability=None):
+        if ordering is None:
+            ordering = tuple(ctx.independents)
         else:
-            self.ordering = tuple(self.ordering)
-            if sorted(self.ordering) != sorted(self.ctx.independents):
+            ordering = tuple(ordering)
+            if sorted(ordering) != sorted(ctx.independents):
                 raise ValueError("ordering must permute the independents")
-        self.genericity = tuple(self.genericity)
-        conflict = leading_conflict(self.equations)
+        conflict = leading_conflict(equations)
         if conflict is not None:
             raise LeadingJetConflict(conflict[1])
-        above = jet_above_order(self.equations, self.order)
+        above = jet_above_order(equations, order)
         if above is not None:
             raise JetAboveOrder(above[1])
+        self.ctx = ctx
+        self.order = order
+        self.equations = equations
+        self.ordering = ordering
+        self.genericity = tuple(genericity)
+        self.integrability = [] if integrability is None else integrability
+        # S's SymbolSystem, built on the first symbol_of(S) call
+        self._symbol = None
+        # S prolonged once, formed on the first prolong_system(S, r >= 1)
+        # call; its equations past len(S.equations) are that round's
+        # frontier
+        self._prolonged = None
 
     # -- helpers ------------------------------------------------------
     def residuals(self):
@@ -297,16 +292,16 @@ def prolong_system(S, r):
 # symbols
 
 
-@dataclass
 class SymbolSystem:
     """Homogeneous linearization in the order-q jets ``columns`` (all of
     them): each row is sparse, ``{j: coefficient of columns[j]}``, as
     ``linalg.rank`` takes it, with no zero entry and never empty."""
 
-    ctx: JetContext
-    order: int
-    columns: list
-    rows: list
+    def __init__(self, ctx, order, columns, rows):
+        self.ctx = ctx
+        self.order = order
+        self.columns = columns
+        self.rows = rows
 
     def rank(self):
         return rank(self.rows, len(self.columns))
@@ -429,10 +424,11 @@ def cartan_test(S):
 # Janet boards
 
 
-@dataclass
 class JanetBoard:
-    ordering: tuple
-    rows: list  # (dependent label, class index, flags ascending by class)
+    def __init__(self, ordering, rows):
+        self.ordering = ordering
+        # (dependent label, class index, flags ascending by class)
+        self.rows = rows
 
     def render(self):
         n = len(self.ordering)

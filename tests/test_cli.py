@@ -1,5 +1,6 @@
 """Problem-file parsing, the check runner, and the console entry point."""
 import copy
+import fnmatch
 import json
 import os
 import random
@@ -179,6 +180,24 @@ class TestRun:
         pf = read_corpus("shell_monkey_saddle.json")
         rep = run(pf, Options(only="saddle_gauss*"))
         assert [r.id for r in rep.results] == ["saddle_gauss_codazzi"]
+        # over every corpus id, a plain id (compared by ==) and a glob
+        # select what the case-sensitive fnmatchcase does
+        files = [read_corpus(p.name) for p in sorted(CORPUS.glob("*.json"))]
+        for only, count in [
+            ("sphere_surface_values", 1),
+            ("SPHERE_SURFACE_VALUES", 0),
+            ("sphere.surface-values", 0),
+            ("*_gauss_codazzi", 3),
+            ("transport_rotatio?", 1),
+            ("helix_[fi]dentities", 1),
+        ]:
+            selected = []
+            for pf in files:
+                got = [r.id for r in run(pf, Options(only=only)).results]
+                assert got == [s.id for s in pf.checks
+                               if fnmatch.fnmatchcase(s.id, only)], only
+                selected += got
+            assert len(selected) == count, only
 
     def test_expected_failures_have_witnesses(self):
         pf = read_corpus("mech_identities.json")

@@ -1,6 +1,5 @@
 """Surface/curve invariants, compatibility residuals, Frenet quantities,
 gauging and structure forms."""
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from vessiot.errors import (
     ZeroCurvatureLocus,
 )
 from vessiot.geomkit import (
+    CurveData,
     curve_invariants,
     codazzi_residual,
     frenet_squares,
@@ -252,7 +252,8 @@ class TestCurveInvariants:
     def test_identity_failure_has_a_witness(self, trig3_ctx):
         E = trig3_ctx.expr
         C = curve_invariants(trig3_ctx, [E("r*cs"), E("r*sn"), E("h*x")])
-        rep = dataclasses.replace(C, psi=C.psi + 1).identity_report()
+        rep = CurveData(C.ctx, C.m, C.omega, C.gamma, C.sigma, C.upsilon,
+                        C.phi, C.psi + 1, C.rho).identity_report()
         assert rep.status == "FAIL" and rep.witness == 1
         assert rep.detail == "gamma: 0, phi: 0, psi: 1"
 

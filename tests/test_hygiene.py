@@ -1,8 +1,9 @@
 """Source hygiene: every name a module or a test file imports is used,
 the runtime imports only the standard library, each of two
 representations has one owning module, a check's status is named only
-where it is decided or expected, and every def is reached by the bundled
-corpus or listed as not yet reached."""
+where it is decided or expected, every def is reached by the bundled
+corpus or listed as not yet reached, and start-up loads no
+introspection modules."""
 import ast
 import json
 import os
@@ -361,6 +362,25 @@ def test_every_def_is_reached_by_the_corpus():
         if (str(path.resolve()), line) not in calls
     ]
     assert sorted(unreached) == sorted(UNREACHED)
+
+
+# stdlib modules that ``import vessiot.cli`` must not load: dataclasses
+# brings in the rest, and each fresh ``vessiot check`` process would pay
+# for them before its first check; ``--traceback`` imports traceback when
+# a check ends in ERROR
+STARTUP_FREE = ("dataclasses", "inspect", "traceback", "ast", "dis",
+                "tokenize")
+
+
+def test_startup_loads_no_introspection_modules():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, vessiot, vessiot.cli\n"
+             f"print(sorted(set({STARTUP_FREE!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"
 
 
 def private_reach(source):

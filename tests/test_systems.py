@@ -1,6 +1,5 @@
 """Solved systems: prolongation, symbols, characters, Cartan test,
 Janet boards, fiber dimensions and the PHS/automorphic criteria."""
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -430,8 +429,10 @@ class TestProlong:
         S = shell[name] if stem == "shell" else corpus_system(stem, name)
         # each side on a copy of its own: on one S, the second call would
         # return the tower the first one kept
-        a = prolong_system(prolong_system(dataclasses.replace(S), 1), 1)
-        b = prolong_system(dataclasses.replace(S), 2)
+        copy = lambda: SolvedSystem(S.ctx, S.order, S.equations, S.ordering,
+                                    S.genericity, S.integrability)
+        a = prolong_system(prolong_system(copy(), 1), 1)
+        b = prolong_system(copy(), 2)
         assert a is not b
         keys = lambda exprs: sorted(str(e) for e in exprs)
         assert keys(a.residuals()) == keys(b.residuals())
@@ -958,9 +959,6 @@ class TestEquationResidual:
         r = eq.residual
         assert r is eq.residual
         assert r == eq.lhs - eq.rhs == E("u[x] - u")
-        # the cached value lives outside the fields: eq and hash ignore it
-        fresh = implicit_equation(E("u[x] + u[x,x]"), E("u[x,x] + u"))
-        assert fresh == eq and hash(fresh) == hash(eq)
 
 
 # ---------------------------------------------------------------------------

@@ -355,15 +355,27 @@ def _order(value, where, load):
     return value
 
 
-def _explicit(invariants_of, n_independents, counts, c, where, load):
-    """A surface or a curve, from its explicit ``components``.
+def _within_order(comps, depth, where, load):
+    """Components whose jets, taken ``depth`` total derivatives further,
+    stay within max_order; jet-free components always do."""
+    top = max((jet_order(v) for c in comps for v in c.variables()
+               if v.kind == "jet"), default=None)
+    _require(top is None or top + depth <= load.ctx.max_order, where,
+             f"components carry a jet of order {top}, which {depth} total "
+             f"derivatives take above max_order {load.ctx.max_order}")
+
+
+def _explicit(invariants_of, n_independents, depths, c, where, load):
+    """A surface or a curve, from its ``components``; ``depths`` maps each
+    count allowed to the total derivatives its invariants take.
     ``invariants_of`` names the geomkit function, looked up when the
     object is built, so that a rebinding of it (a tracer's) is seen."""
     ctx, comps = load.ctx, c["components"]
     _require(len(ctx.independents) == n_independents
-             and len(comps) in counts, f"{where}.components",
-             f"expected {'/'.join(map(str, counts))} components over "
+             and len(comps) in depths, f"{where}.components",
+             f"expected {'/'.join(map(str, depths))} components over "
              f"{n_independents} independent(s)")
+    _within_order(comps, depths[len(comps)], f"{where}.components", load)
     return lambda: getattr(geomkit, invariants_of)(ctx, comps)
 
 
@@ -486,9 +498,9 @@ _KIND = {"kind": (_name, True)}
 # some check arguments are read against; make(facts, where, load) checks
 # the rules that span keys and returns the object's constructor
 KINDS = {
-    "surface": (partial(_explicit, "surface_invariants", 2, (3,)),
+    "surface": (partial(_explicit, "surface_invariants", 2, {3: 2}),
                 {**_KIND, "components": (_list(_expr), True)}),
-    "curve": (partial(_explicit, "curve_invariants", 1, (2, 3)),
+    "curve": (partial(_explicit, "curve_invariants", 1, {2: 2, 3: 3}),
               {**_KIND, "components": (_list(_expr), True)}),
     "section": (_section, {
         **_KIND, "order": (_order, True),
@@ -572,6 +584,14 @@ def _frame_section(value, where, load):
              f"needs a section of every dependent ({', '.join(deps)}) up "
              f"to order {need}, got {', '.join(listed) or 'none'} up to "
              f"order {order}")
+    return value
+
+
+def _codazzi_surface(value, where, load):
+    """The name of a surface whose compatibility residuals, one total
+    derivative past its invariants, stay within max_order."""
+    _ref("surface")(value, where, load)
+    _within_order(load.facts[value]["components"], 3, where, load)
     return value
 
 
@@ -691,9 +711,6 @@ def _surface_quantity(key, where, load=None):
     return methodcaller(method, *(int(i) for i in idx))
 
 
-_surface_values = _map(_surface_quantity, _expr_arg)
-
-
 # the quantities of a curve with 2 or 3 components (CurveData fields)
 _CURVE_QUANTITIES = {2: ("omega", "gamma", "sigma", "upsilon")}
 _CURVE_QUANTITIES[3] = _CURVE_QUANTITIES[2] + ("phi", "psi", "rho")
@@ -707,9 +724,6 @@ def _curve_quantity(key, where, load):
              f"unknown curve quantity {key!r} (a curve with {m} "
              f"components has {', '.join(_CURVE_QUANTITIES[m])})")
     return attrgetter(key)
-
-
-_curve_values = _map(_curve_quantity, _expr_arg)
 
 
 def _rational(value, where, load=None):
@@ -816,9 +830,10 @@ def _witness(pf, args, key):
 # check operations
 
 
-def op_surface_values(pf, args):
-    S = _build(pf, args["surface"], "surface")
-    return verdict(pf.ctx.reduce(q(S) - v)
+def op_values(kind, pf, args):
+    """Each quantity of the ``kind`` object against its expected value."""
+    obj = _build(pf, args[kind], kind)
+    return verdict(pf.ctx.reduce(q(obj) - v)
                    for q, v in args["values"].items())
 
 
@@ -834,12 +849,6 @@ def op_gauss_codazzi(pf, args):
     S = _build(pf, args["surface"], "surface")
     return verdict([geomkit.gauss_residual(S),
                     *geomkit.codazzi_residual(S)])
-
-
-def op_curve_values(pf, args):
-    C = _build(pf, args["curve"], "curve")
-    return verdict(pf.ctx.reduce(q(C) - v)
-                   for q, v in args["values"].items())
 
 
 def op_curve_identities(pf, args):
@@ -870,7 +879,8 @@ def op_gauging_forms(pf, args):
                         _build(pf, args["target"], "section"))
     got = {"A": G.A, "B": G.B}
     if {"P", "Q", "P_skew"} & args.keys():
-        got["P"], got["Q"] = geomkit.maurer_cartan(G)
+        x = pf.ctx.independents[0]  # the only one (_one_independent)
+        got["P"], got["Q"] = (f[x] for f in geomkit.maurer_cartan(G))
     res = [pf.ctx.reduce(g - e) for key in "ABPQ" if key in args
            for g, e in zip(_entries(got[key]), _entries(args[key]))]
     if args.get("P_skew"):
@@ -1075,14 +1085,15 @@ _FIELD = (_array(_expr_arg, "independents"), True)
 # op name -> (function, {argument: (reader, required)}): the one
 # declaration of each op's arguments, read by ``_read_args``
 OPS = {
-    "surface_values": (op_surface_values,
-                       {**_SURFACE, "values": (_surface_values, True)}),
+    "surface_values": (partial(op_values, "surface"), {
+        **_SURFACE, "values": (_map(_surface_quantity, _expr_arg), True)}),
     "surface_substitute": (op_surface_substitute, {
         **_SURFACE, "quantity": (_surface_quantity, True),
         "at": (_rational_point, True), "expected": _EXPR}),
-    "gauss_codazzi": (op_gauss_codazzi, _SURFACE),
-    "curve_values": (op_curve_values,
-                     {**_CURVE, "values": (_curve_values, True)}),
+    "gauss_codazzi": (op_gauss_codazzi,
+                      {"surface": (_codazzi_surface, True)}),
+    "curve_values": (partial(op_values, "curve"), {
+        **_CURVE, "values": (_map(_curve_quantity, _expr_arg), True)}),
     "curve_identities": (op_curve_identities, _CURVE),
     "frenet": (op_frenet, {**_CURVE, "kappa2": _EXPR,
                            "tau": (_torsion, False)}),

@@ -1,8 +1,10 @@
 """Surface and curve invariants, their compatibility residuals, and the
 gauging construction with its structure forms.
 
-All quantities stay inside the rational-function field: curvature data is
-reported as squares (kappa^2) or ratios, never via square roots.
+Components may carry dependents (unknown functions): every derivative
+along an independent is ``JetContext.total_derivative``.  All quantities
+stay inside the rational-function field: curvature data is reported as
+squares (kappa^2) or ratios, never via square roots.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ def _cross(a, b):
 
 
 class SurfaceData:
-    """First form, tangential quantities and the second-form density of an
-    explicit surface, all rational in the source coordinates."""
+    """First form, tangential quantities and the second-form density of a
+    surface, all rational in the source coordinates and their jets."""
 
     def __init__(self, ctx, omega, gamma, sigma, det_omega, det_sigma):
         self.ctx = ctx
@@ -55,8 +57,8 @@ class SurfaceData:
 
 
 def surface_invariants(ctx, f):
-    """Metric, tangential and normal second-order invariants of an
-    explicit surface f = (f^1, f^2, f^3)(x^1, x^2).
+    """Metric, tangential and normal second-order invariants of a
+    surface f = (f^1, f^2, f^3)(x^1, x^2).
 
     The second-form density sigma_ij = det(f_1, f_2, f_ij) is taken as
     the triple product N . f_ij with the normal N = f_1 x f_2, formed
@@ -64,11 +66,9 @@ def surface_invariants(ctx, f):
     if len(ctx.independents) != 2 or len(f) != 3:
         raise ValueError("surface data needs 2 source and 3 target components")
     red = ctx.reduce
-    p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
-    f1 = [red(p(c, 1)) for c in f]
-    f2 = [red(p(c, 2)) for c in f]
-    fd = {1: f1, 2: f2}
-    nrm = _cross(f1, f2)
+    p = lambda e, i: ctx.total_derivative(e, i - 1)
+    fd = {i: [red(p(c, i)) for c in f] for i in (1, 2)}
+    nrm = _cross(fd[1], fd[2])
     omega, gamma, sigma = {}, {}, {}
     for i in (1, 2):
         for j in (1, 2):
@@ -98,7 +98,7 @@ def gauss_residual(S):
     det(sigma) through the metric and its first derivatives; zero on every
     embedded surface."""
     ctx = S.ctx
-    p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
+    p = lambda e, i: ctx.total_derivative(e, i - 1)
     om, ga = S.om, S.ga
     # -det(omega) (d_1 ga^2_12 - d_2 ga^2_11) - (det(sigma) + q1 - q2),
     # with q1 and q2 quadratic in the gammas
@@ -127,7 +127,7 @@ def _codazzi_one(S, a, b):
     + G^l_lb s_ab - G^l_la s_bb): the Codazzi equation of the unit-normal
     form s / sqrt(W), since d_k log sqrt(W) = G^l_lk."""
     ctx = S.ctx
-    p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
+    p = lambda e, i: ctx.total_derivative(e, i - 1)
     om, ga, si = S.om, S.ga, S.si
     return ctx.reduce(sum_of_products([
         (S.det_omega, p(si(a, b), b)),
@@ -154,7 +154,7 @@ def codazzi_residual(S):
 
 
 class CurveData:
-    """Differential invariants of an explicit curve; for 3 components the
+    """Differential invariants of a curve; for 3 components the
     third-order quantities and rho = omega*sigma - gamma^2 are included."""
 
     def __init__(self, ctx, m, omega, gamma, sigma, upsilon, phi=None,
@@ -172,7 +172,7 @@ class CurveData:
     def identity_report(self):
         """Residuals of the derived relations among the invariants."""
         ctx = self.ctx
-        p = lambda e: ctx.partial(e, ctx.independents[0])
+        p = lambda e: ctx.total_derivative(e, 0)
         res = {"gamma": ctx.reduce(self.gamma - p(self.omega) / 2)}
         if self.m == 2:
             res["upsilon"] = ctx.reduce(
@@ -186,14 +186,13 @@ class CurveData:
 
 
 def curve_invariants(ctx, f):
-    """Differential invariants of an explicit curve with 2 or 3
-    components."""
+    """Differential invariants of a curve with 2 or 3 components."""
     if len(ctx.independents) != 1 or len(f) not in (2, 3):
         raise ValueError("curve data needs 1 source and 2 or 3 components")
     red = ctx.reduce
-    x = ctx.independents[0]
-    d1 = [red(ctx.partial(c, x)) for c in f]
-    d2 = [red(ctx.partial(c, x)) for c in d1]
+    p = lambda e: ctx.total_derivative(e, 0)
+    d1 = [red(p(c)) for c in f]
+    d2 = [red(p(c)) for c in d1]
     omega = red(_dot(d1, d1))
     if omega.is_zero():
         raise DegenerateCurve("omega vanishes identically")
@@ -202,7 +201,7 @@ def curve_invariants(ctx, f):
         sigma = red(d1[0] * d2[1] - d1[1] * d2[0])
         upsilon = red(_dot(d2, d2))
         return CurveData(ctx, 2, omega, gamma, sigma, upsilon)
-    d3 = [red(ctx.partial(c, x)) for c in d2]
+    d3 = [red(p(c)) for c in d2]
     sigma = red(_dot(d2, d2))
     phi = red(_dot(d1, d3))
     psi = red(_dot(d2, d3))
@@ -286,9 +285,8 @@ def gauging(f, fbar):
 
 
 def maurer_cartan(G):
-    """Structure forms of a gauging: P = dA A^{-1} and Q = dB - P B, per
-    source coordinate.  For a single source coordinate the two matrices
-    are returned directly; otherwise dicts keyed by coordinate name."""
+    """Structure forms of a gauging: P = dA A^{-1} and Q = dB - P B, one
+    of each per source coordinate, as two dicts keyed by its name."""
     ctx = G.ctx
     red = ctx.reduce
     if red(det(G.A)).is_zero():
@@ -296,12 +294,9 @@ def maurer_cartan(G):
     Ainv = [[red(c) for c in row] for row in inverse(G.A)]
     out_p, out_q = {}, {}
     for x in ctx.independents:
-        dA = [[ctx.partial(c, x) for c in row] for row in G.A]
+        dA = [[ctx.total_derivative(c, x) for c in row] for row in G.A]
         P = [[red(c) for c in row] for row in mat_mul(dA, Ainv)]
-        dB = [ctx.partial(c, x) for c in G.B]
+        dB = [ctx.total_derivative(c, x) for c in G.B]
         Q = [red(b - c) for b, c in zip(dB, mat_vec(P, G.B))]
         out_p[x], out_q[x] = P, Q
-    if len(ctx.independents) == 1:
-        x = ctx.independents[0]
-        return out_p[x], out_q[x]
     return out_p, out_q

@@ -13,6 +13,9 @@ build or read one.  Every other module goes through them.
 ``JetContext.shift`` gives the jet D_i reaches from a jet from one table
 per context, filled on first use; total derivatives, prolongation and
 the prolonged symbol read it, so each jet's shift is worked out once.
+
+``JetContext.total_derivative`` is the one derivative along an
+independent; ``symcore`` takes the partials along other coordinates.
 """
 from __future__ import annotations
 
@@ -229,15 +232,6 @@ class JetContext:
         return symcore.reduce_expr(e, self.rules)
 
     # -- calculus -----------------------------------------------------
-    def partial(self, e, v):
-        """Partial derivative; applies the special-symbol chain rule when
-        v is an independent carrying specials."""
-        if isinstance(v, str):
-            v = self.var(v)
-        self._ensure_special_tables()
-        chain = self._chains.get(v.name, ()) if v.kind == "independent" else ()
-        return symcore.derive(e, [(v, symcore.ONE), *chain])
-
     def total_derivative(self, e, i):
         """Formal derivative d_i, one derivation: x_i -> 1, each special
         on x_i -> its derivative, each jet w -> w + 1_i.  The direction

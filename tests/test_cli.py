@@ -77,6 +77,34 @@ PLANE_SECTIONS = {name: {"kind": "section", "order": 2, "components": {
     "y1": "x", "y2": f"{k}*x*x"}} for name, k in (("f", 1), ("g", 2))}
 
 
+def explicit_object(kind, components, op, **args):
+    return {"objects": {"S": {"kind": kind, "components": components}},
+            "checks": [{"id": "c", "op": op, "args": {kind: "S", **args}}]}
+
+
+# curves and surfaces of unknown functions, each with the least max_order
+# that loads it: the order of its highest jet plus the total derivatives
+# its checks take (2 for a plane curve and a surface's invariants, 3 for
+# a space curve and gauss_codazzi); one less is refused where it is read
+DEPTH_BOUNDARY = [
+    ("plane-curve",
+     explicit_object("curve", ["x", "y"], "curve_identities"),
+     "objects.S.components", 2),
+    ("plane-curve-of-a-first-jet",
+     explicit_object("curve", ["x", "y[x]"], "curve_identities"),
+     "objects.S.components", 3),
+    ("space-curve",
+     explicit_object("curve", ["x", "y", "x*y"], "curve_identities"),
+     "objects.S.components", 3),
+    ("surface", {"context": XY, **explicit_object(
+        "surface", ["x", "z", "y"], "surface_values",
+        values={"sigma[1,1]": "y[x,x]"})}, "objects.S.components", 2),
+    ("gauss-codazzi", {"context": XY, **explicit_object(
+        "surface", ["x", "z", "y"], "gauss_codazzi")},
+     "checks[0].args.surface", 3),
+]
+
+
 class TestParse:
     def test_corpus_file(self):
         pf = read_corpus("shell_monkey_saddle.json")
@@ -974,6 +1002,9 @@ class TestMain:
                      "section": "s", "point": {"x": "1"}}}}]},
             "checks[0].args.witness.point: gives no value for z",
             ProblemSyntaxError, None, id="witness-point-unbound"),
+        *(pytest.param(doc, f"{json_path}: components carry a jet of order",
+                       ProblemSyntaxError, least - 1, id=f"{name}-depth")
+          for name, doc, json_path, least in DEPTH_BOUNDARY),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
@@ -990,6 +1021,15 @@ class TestMain:
         kind = "array" if section == "checks" else "object"
         self._rejected(tmp_path, capsys, problem(**{section: value}),
                        f":{section}: expected a JSON {kind}")
+
+    @pytest.mark.parametrize("doc, least", [
+        pytest.param(doc, least, id=name)
+        for name, doc, _, least in DEPTH_BOUNDARY])
+    def test_depth_boundary_loads(self, tmp_path, capsys, doc, least):
+        path = tmp_path / "boundary.json"
+        path.write_text(problem(**doc))
+        assert main(["check", str(path), "--max-order", str(least)]) == 0
+        assert "1/1 checks matched" in capsys.readouterr().out
 
     def test_cancelled_high_jet_loads(self):
         pf = parse_problem(problem(objects={"S": system(

@@ -131,9 +131,7 @@ class TestSurfaceInvariants:
             for r in (1, 2):
                 for i in (1, 2):
                     for j in (1, 2):
-                        lhs = ctx.partial(
-                            S.om(i, j), ctx.independents[r - 1]
-                        )
+                        lhs = ctx.total_derivative(S.om(i, j), r - 1)
                         assert ctx.reduce(
                             lhs - S.ga(i, r, j) - S.ga(j, r, i)
                         ).is_zero()
@@ -151,14 +149,15 @@ class TestCompatibility:
 
     def test_saddle_direct_form(self, saddle):
         ctx, _, S = saddle
-        lhs = ctx.partial(S.si(1, 2), "x2") - ctx.partial(S.si(2, 2), "x1")
+        d = ctx.total_derivative
+        lhs = d(S.si(1, 2), "x2") - d(S.si(2, 2), "x1")
         assert lhs.is_zero()
 
     def test_sphere_scalar_form(self, sphere):
         ctx, _, S = sphere
         E = ctx.expr
         phi = S.om(1, 1)
-        p = lambda e, x: ctx.partial(e, x)
+        p = ctx.total_derivative
         lhs = phi ** 2 * (p(p(phi, "x1"), "x1") + p(p(phi, "x2"), "x2")) / 2
         rhs = -S.det_sigma + phi * (
             p(phi, "x1") ** 2 + p(phi, "x2") ** 2
@@ -201,7 +200,7 @@ class TestRandomSurfaces:
     def test_sigma_is_the_determinant(self, random_surfaces):
         for ctx, f, S in random_surfaces:
             red = ctx.reduce
-            p = lambda e, i: ctx.partial(e, ctx.independents[i - 1])
+            p = lambda e, i: ctx.total_derivative(e, i - 1)
             fd = {i: [red(p(c, i)) for c in f] for i in (1, 2)}
             for i, j in ((1, 1), (1, 2), (2, 2)):
                 fij = [red(p(c, j)) for c in fd[i]]
@@ -218,6 +217,55 @@ class TestRandomSurfaces:
         for _, _, S in random_surfaces:
             a, b = codazzi_residual(S)
             assert a.is_zero() and b.is_zero()
+
+
+class TestSpecialiseAfterDifferentiating:
+    """The invariants of a curve or a surface whose components carry
+    unknown functions, with each jet then replaced by that derivative of
+    a seeded polynomial, equal the invariants of the explicit object of
+    those polynomials: the total derivative differentiates the unknowns."""
+
+    @staticmethod
+    def polynomial(ctx, rng):
+        return ctx.expr(" + ".join(
+            f"{rng.randint(-3, 3)}*"
+            + "*".join(rng.choices(ctx.independents, k=rng.randint(1, 4)))
+            for _ in range(4)))
+
+    @staticmethod
+    def specialise(ctx, polys, order):
+        jets = holonomic_section(ctx, polys, order).values
+        binding = {ctx.jet(dep, mu): e for (dep, mu), e in jets.items()}
+        return lambda e: substitute(e, binding)
+
+    def test_surface(self):
+        ctx = JetContext(["x", "y"], ["F"], max_order=2)
+        E = ctx.expr
+        S = surface_invariants(ctx, [E("x"), E("y"), E("F")])
+        rng = random.Random(33)
+        for _ in range(3):
+            p = self.polynomial(ctx, rng)
+            at = self.specialise(ctx, {"F": p}, 2)
+            Sp = surface_invariants(ctx, [E("x"), E("y"), p])
+            for form in ("omega", "gamma", "sigma"):
+                got = {k: at(v) for k, v in getattr(S, form).items()}
+                assert got == getattr(Sp, form), form
+
+    @pytest.mark.parametrize("deps", [["F"], ["F", "G"]],
+                             ids=["plane", "space"])
+    def test_curve(self, deps):
+        ctx = JetContext(["x"], deps, max_order=3)
+        E = ctx.expr
+        C = curve_invariants(ctx, [E("x"), *map(E, deps)])
+        rng = random.Random(33)
+        for _ in range(3):
+            ps = {dep: self.polynomial(ctx, rng) for dep in deps}
+            at = self.specialise(ctx, ps, 3)
+            Cp = curve_invariants(ctx, [E("x"), *ps.values()])
+            for name in ("omega", "gamma", "sigma", "upsilon", "phi", "psi",
+                         "rho"):
+                if getattr(C, name) is not None:
+                    assert at(getattr(C, name)) == getattr(Cp, name), name
 
 
 class TestCurveInvariants:
@@ -345,7 +393,7 @@ class TestGauging:
     def test_maurer_cartan(self, catenary_pair):
         ctx, _, _, G = catenary_pair
         E = ctx.expr
-        P, Q = maurer_cartan(G)
+        P, Q = (form["x"] for form in maurer_cartan(G))
         ch = E("ch")
         expect_p = [[ZERO, 1 / ch], [-1 / ch, ZERO]]
         expect_q = [-1 / ch, E("sh") / ch]
@@ -362,13 +410,13 @@ class TestGauging:
             ctx, {"y1": -E("x") + 1, "y2": E("ch") + 2}, 2
         )
         G = gauging(f, fbar)
-        P, Q = maurer_cartan(G)
+        P, Q = (form["x"] for form in maurer_cartan(G))
         assert all(c.is_zero() for row in P for c in row)
         assert all(c.is_zero() for c in Q)
 
     def test_spencer_reconstruction(self, catenary_pair):
         ctx, _, fbar, G = catenary_pair
-        P, Q = maurer_cartan(G)
+        P, Q = (form["x"] for form in maurer_cartan(G))
         sp = spencer(ctx, fbar)
         for mu in ((0,), (1,)):
             vec = [fbar.value(dep, mu) for dep in ctx.dependents]
@@ -400,7 +448,7 @@ class TestGauging:
             assert G.B[i].is_zero()
             for j in range(3):
                 assert (G.A[i][j] - expect[i][j]).is_zero()
-        P, Q = maurer_cartan(G)
+        P, Q = (form["x"] for form in maurer_cartan(G))
         assert all(c.is_zero() for row in P for c in row)
         assert all(c.is_zero() for c in Q)
 

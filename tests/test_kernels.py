@@ -256,19 +256,20 @@ class TestDerive:
         # D_x (ch + sh) = ch + sh, so D_x (ch + sh)^(-k) = -k (ch + sh)^(-k):
         # the derivative of the denominator carries its whole power
         e = ctx.expr(f"1/(ch + sh)^{k}")
-        got = ctx.partial(e, "x")
+        got = ctx.total_derivative(e, "x")
         chain = ctx._chains["x"]
         assert got == ref_partial(e, ctx.var("x"), chain) == e * -k
-        assert got == ctx.total_derivative(e, 0)
         assert got.den == e.den
 
     def test_chain_rule_for_specials(self, ctx):
+        # jet-free draws (x, z, ch, sh, lg): the total derivative is the
+        # partial with the specials' chain rule
         rng = random.Random(1503)
         ctx._ensure_special_tables()
         for k in range(100):
-            e = rand_expr(rng, rng.sample(variables(ctx), 4))
+            e = rand_expr(rng, rng.sample(variables(ctx)[:5], 4))
             for name in ("x", "z"):
-                assert ctx.partial(e, name) == ref_partial(
+                assert ctx.total_derivative(e, name) == ref_partial(
                     e, ctx.var(name), ctx._chains.get(name, ())), (k, name)
 
     def test_total_derivatives(self, ctx):

@@ -180,7 +180,7 @@ class TestSubstitute:
 class TestPartial:
     def test_special_chain_rule(self, hyp):
         e = hyp.expr("ch^2")
-        assert hyp.partial(e, "x") == hyp.expr("2 * ch * sh")
+        assert hyp.total_derivative(e, "x") == hyp.expr("2 * ch * sh")
 
     def test_jet_coordinate(self, surf):
         e = surf.expr("y2 * y1[x1]")

@@ -389,9 +389,9 @@ def _jet_index(mu, where, load):
 
 
 def _section(s, where, load):
-    """Explicit ``components`` prolonged to ``order``, or the ``jets``
-    themselves: every jet index of a listed dependent up to ``order``
-    and no other."""
+    """Explicit ``components`` prolonged to ``order`` (within max_order),
+    or the ``jets`` themselves: every jet index of a listed dependent up
+    to ``order`` and no other."""
     _require(not {"components", "jets"} <= s.keys(), f"{where}.jets",
              "a section gives 'components' or 'jets', not both")
     _require(s.keys() & {"components", "jets"}, f"{where}.components",
@@ -399,6 +399,7 @@ def _section(s, where, load):
     ctx, order = load.ctx, s["order"]
     if "components" in s:
         comps = s["components"]
+        _within_order(comps.values(), order, f"{where}.components", load)
         return lambda: holonomic_section(ctx, comps, order)
     for dep, jets in s["jets"].items():
         want = {mu for o in range(order + 1)
@@ -567,10 +568,17 @@ def _janet_system(value, where, load):
     return value
 
 
+# the gauging_forms arguments that take maurer_cartan's structure forms
+_STRUCTURE_FORMS = {"P", "Q", "P_skew"}
+
+
 def _frame_section(value, where, load):
     """The name of a section that gives the context's moving frame:
     every dependent, up to the order the frame needs (the number of
-    dependents of a curve, 1 for a surface)."""
+    dependents of a curve, 1 for a surface).  When the check asks for
+    the structure forms (P, Q or P_skew), which take one total
+    derivative of the section's values, explicit components taken
+    ``order`` + 1 total derivatives stay within max_order."""
     _ref("section")(value, where, load)
     deps = load.ctx.dependents
     n, m = len(load.ctx.independents), len(deps)
@@ -584,6 +592,9 @@ def _frame_section(value, where, load):
              f"needs a section of every dependent ({', '.join(deps)}) up "
              f"to order {need}, got {', '.join(listed) or 'none'} up to "
              f"order {order}")
+    if "components" in s and _STRUCTURE_FORMS & load.args.keys():
+        # the structure forms take one total derivative of the values
+        _within_order(listed.values(), order + 1, where, load)
     return value
 
 
@@ -878,7 +889,7 @@ def op_gauging_forms(pf, args):
     G = geomkit.gauging(_build(pf, args["source"], "section"),
                         _build(pf, args["target"], "section"))
     got = {"A": G.A, "B": G.B}
-    if {"P", "Q", "P_skew"} & args.keys():
+    if _STRUCTURE_FORMS & args.keys():
         x = pf.ctx.independents[0]  # the only one (_one_independent)
         got["P"], got["Q"] = (f[x] for f in geomkit.maurer_cartan(G))
     res = [pf.ctx.reduce(g - e) for key in "ABPQ" if key in args

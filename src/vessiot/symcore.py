@@ -24,8 +24,12 @@ about 3 % of the ``prolong`` benchmark's pass time (Python 3.11, two
 shared CPUs).
 ``substitute`` sums a polynomial's terms over the product of its
 bindings' denominators, each to the polynomial's degree in the bound
-variable, and normalizes the sum once; ``sum_of_products`` does the
-same for groups of equal denominators.
+variable, and normalizes the sum once.  ``sum_of_products`` groups
+terms by the multiset of their factors' denominators, forms each
+multiset's product once and merges multisets whose products are equal;
+it sums each group's numerators with no gcd and cancels the sum against
+the group's factor denominators one at a time, so no gcd is taken
+against their expanded product.
 
 ``poly_cofactors`` returns a gcd with both cofactors, and ``poly_gcd``
 is its first part.  It takes out the monomial content and tries the
@@ -953,26 +957,55 @@ ZERO = RationalExpr.const(0)
 ONE = RationalExpr.const(1)
 
 
+def _same_factors(a, b):
+    """Whether the lists a and b hold the same polynomials with the same
+    multiplicities, in any order; each is compared by ``is`` and then
+    ``==``."""
+    if len(a) != len(b):
+        return False
+    rest = list(b)
+    for p in a:
+        for i, q in enumerate(rest):
+            if q is p or q == p:
+                del rest[i]
+                break
+        else:
+            return False
+    return True
+
+
 def sum_of_products(terms):
     """The sum over ``terms`` of the product of each term's factors,
     every factor an int, a Fraction or a RationalExpr.
 
-    Terms are grouped by their denominator polynomial, the plain product
-    of their factors' denominators.  A group of several terms is summed
-    over that one denominator: its numerators are multiplied and added
-    as plain polynomials, with no gcd, and the sum is normalized once by
-    the full-gcd constructor.  A term alone in its group is multiplied
-    out with Henrici's operator instead, whose gcds are of the factors'
-    own numerators and denominators, not of the whole product.  The
-    groups' values are added with Henrici's operator in a balanced tree,
-    neighbours first: groups that a caller lists side by side (one
-    field's terms) meet, and cancel, before they meet the rest.  The
-    normal form is unique, so the result equals the operator sum of the
-    operator products.
+    A term's denominator is the multiset of its factors' denominators
+    other than 1.  The product of each distinct multiset is formed once,
+    and multisets whose products are equal share one group (L^2*L^2 and
+    L*L^3 with L^4), so the groups are those of equal denominator
+    products.  A group of several terms is summed over its product: its
+    numerators are multiplied and added as plain polynomials, with no
+    gcd.  The sum num is then cancelled one factor at a time against
+    the group's first multiset d_1, ..., d_k: step i takes
+    (g_i, num, d_i') = poly_cofactors(num, d_i), and the value is
+    num / (d_1' * ... * d_k').  That is the group's value, since the
+    g_i taken out of num are those taken out of the d_i.  It is in
+    normal form up to the joint integer scaling: after step i, num is
+    coprime to d_i', and later steps only divide num, so the final num
+    is coprime to every d_i' and, in a UFD, to their product.  When
+    every g_i is constant (1), each d_i' is d_i and the group's product
+    is reused.  A term alone in its group is multiplied out with
+    Henrici's operator instead, whose gcds are of the factors' own
+    numerators and denominators, not of the whole product.  The groups'
+    values are added with Henrici's operator in a balanced tree,
+    neighbours first, in the order each group's product first appears:
+    groups that a caller lists side by side (one field's terms) meet,
+    and cancel, before they meet the rest.  The normal form is unique,
+    so the result equals the operator sum of the operator products.
     """
-    groups = []  # [den, [(c, factors), ...]] with distinct dens
+    groups = []  # [product, its first multiset, [(c, factors), ...]]
+    multisets = []  # (multiset, its group), one per distinct multiset
     for term in terms:
-        c, factors, den = 1, [], None
+        c, factors, dens = 1, [], []
         for f in term:
             if isinstance(f, RationalExpr):
                 if not f.num.terms:
@@ -980,23 +1013,28 @@ def sum_of_products(terms):
                     break
                 factors.append(f)
                 if f.den.terms != ONE.den.terms:
-                    den = f.den if den is None else den * f.den
+                    dens.append(f.den)
             elif isinstance(f, (int, Fraction)):
                 c *= f
             else:
                 raise TypeError(f"not a factor: {type(f).__name__}")
         if not c:
             continue
-        if den is None:
-            den = ONE.den
-        for g in groups:
-            if g[0] is den or g[0] == den:
-                g[1].append((c, factors))
+        for known, group in multisets:
+            if _same_factors(known, dens):
                 break
         else:
-            groups.append([den, [(c, factors)]])
+            den = math.prod(dens[1:], start=dens[0]) if dens else ONE.den
+            for group in groups:
+                if group[0] is den or group[0] == den:
+                    break
+            else:
+                group = [den, dens, []]
+                groups.append(group)
+            multisets.append((dens, group))
+        group[2].append((c, factors))
     values = []
-    for den, members in groups:
+    for den, dens, members in groups:
         if len(members) == 1:
             c, factors = members[0]
             prod = factors[0] if factors else ONE
@@ -1010,7 +1048,17 @@ def sum_of_products(terms):
             for f in factors[1:]:
                 p = p * f.num
             num = num + (p if c == 1 else p * c)
-        values.append(RationalExpr(num, den))
+        if num.is_zero():
+            values.append(ZERO)
+            continue
+        reduced, cut = [], False
+        for d in dens:
+            g, num, d = poly_cofactors(num, d)
+            reduced.append(d)
+            cut = cut or not g.is_constant()
+        if cut:
+            den = math.prod(reduced[1:], start=reduced[0])
+        values.append(RationalExpr._coprime(num, den))
     if not values:
         return ZERO
     while len(values) > 1:

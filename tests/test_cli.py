@@ -82,10 +82,12 @@ def explicit_object(kind, components, op, **args):
             "checks": [{"id": "c", "op": op, "args": {kind: "S", **args}}]}
 
 
-# curves and surfaces of unknown functions, each with the least max_order
-# that loads it: the order of its highest jet plus the total derivatives
-# its checks take (2 for a plane curve and a surface's invariants, 3 for
-# a space curve and gauss_codazzi); one less is refused where it is read
+# curves, surfaces and sections of unknown functions, each with the least
+# max_order that loads it: the order of its highest jet plus the total
+# derivatives its checks take (2 for a plane curve and a surface's
+# invariants, 3 for a space curve and gauss_codazzi, a section's order,
+# and one more for gauging_forms' P, Q and P_skew); one less is refused
+# where it is read
 DEPTH_BOUNDARY = [
     ("plane-curve",
      explicit_object("curve", ["x", "y"], "curve_identities"),
@@ -102,6 +104,21 @@ DEPTH_BOUNDARY = [
     ("gauss-codazzi", {"context": XY, **explicit_object(
         "surface", ["x", "z", "y"], "gauss_codazzi")},
      "checks[0].args.surface", 3),
+    ("section-of-a-first-jet", {"context": PLANE, "objects": {
+        "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
+                                        "components": {"y1": "x",
+                                                       "y2": "y2[x]"}}},
+        "checks": [{"id": "c", "op": "gauging_forms",
+                    "args": {"source": "f", "target": "g"}}]},
+     "objects.g.components", 3),
+    ("structure-forms", {"context": PLANE, "objects": {
+        "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
+                                        "components": {"y1": "x",
+                                                       "y2": "y2"}}},
+        "checks": [{"id": "c", "op": "gauging_forms", "args": {
+            "source": "f", "target": "g", "Q": [
+                "0", "(x*y2[x] - y2)*y2[x,x,x]/y2[x,x]"]}}]},
+     "checks[0].args.target", 3),
 ]
 
 

@@ -30,6 +30,7 @@ from vessiot.symcore import (
     derive,
     mono_make,
     substitute,
+    sum_of_products,
 )
 from test_symcore import complexity, ref_poly_partial
 
@@ -1272,3 +1273,34 @@ def test_degree_gate_skips_only_impossible_divisions(ctx, monkeypatch):
             seqs.append(list(calls))
         assert seqs[0] == seqs[1]
         assert g == symcore.poly_gcd(b, a)
+
+
+def test_a_group_cancels_one_factor_at_a_time(monkeypatch):
+    """sum_of_products cancels a group's numerator sum against each
+    factor denominator of the group's first multiset in turn, never
+    against their product.  The two terms of the first sum share the
+    multiset {L, L^2} in two orders; their numerators add up to L*x,
+    which cancels against L alone.  The three terms of the second sum
+    have the multisets L^2*L^2, L^4 and L*L^3, whose products are equal,
+    so they share one group and no operator sum meets L^4 either."""
+    ctx = JetContext(["x", "y"], ["u"], max_order=1)
+    X, Y = (Polynomial.var(ctx.var(n)) for n in ("x", "y"))
+    L = X * X + Y * Y + 1
+    R = RationalExpr
+    shared = [(R(X, L), R(Y, L ** 2)), (R(L * X - X * Y, L ** 2), R(1, L))]
+    merged = [(R(X + 1, L ** 2), R(Y, L ** 2)), (R(X * Y + 2, L ** 4),),
+              (R(Y - 3, L), R(X, L ** 3))]
+    want = [R(X, L ** 2), R(3 * X * Y + Y - 3 * X + 2, L ** 4)]
+    calls, _ = traced_kernels(monkeypatch)
+
+    def factor_gcds(dens):
+        return [b for kind, a, b in calls if kind == "gcd" and b in dens]
+
+    assert sum_of_products(shared) == want[0]
+    assert calls[0] == ("gcd", L * X, L)
+    assert factor_gcds([L, L ** 2]) == [L, L ** 2]
+    assert all(L ** 3 not in (a, b) for _, a, b in calls)
+    calls.clear()
+    assert sum_of_products(merged) == want[1]
+    assert factor_gcds([L ** 2]) == [L ** 2, L ** 2]
+    assert all(L ** 4 not in (a, b) for _, a, b in calls)

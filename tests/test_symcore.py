@@ -997,6 +997,53 @@ class TestSumOfProducts:
                 zeros += 1
         assert zeros >= 100
 
+    def test_seeded_powers_of_shared_bases(self, xyz):
+        """Denominators that are powers of one base B: multisets such as
+        B^2*B^2, B^4 and B*B^3 differ but multiply out equal, so their
+        terms share one group.  A planted pair sums over B^k to B*b,
+        which cancels against one factor only after the addition; the
+        pair less the same values over B^k alone is a group that sums to
+        zero.  One base per sum: a sum over powers of two bases spends
+        seconds in the reference's gcds."""
+        rng = random.Random(3401)
+        X, Y, Z = (Polynomial.var(v) for v in xyz)
+        bases = [X * X + Y * Y + 1, X - Z + 2]
+
+        def numerator():
+            """A random polynomial with integer coefficients, so that a
+            factor's denominator stays the power it is given."""
+            return Polynomial({m: Fraction(c).numerator for m, c in
+                               random_poly(rng, xyz).terms.items()})
+
+        def over_split(num, B, k):
+            """num / B^k as a term of factors over powers of B up to
+            B^4, whose exponents sum to k."""
+            parts = []
+            while k:
+                parts.append(rng.randint(1, min(k, 4)))
+                k -= parts[-1]
+            return (RationalExpr(num, B ** parts[0]),
+                    *(RationalExpr(1, B ** e) for e in parts[1:]))
+
+        merged = 0
+        for case in range(200):
+            B, k = rng.choice(bases), rng.randint(2, 6)
+            a, b = numerator(), numerator()
+            pair = [over_split(a, B, k), over_split(B * b - a, B, k)]
+            if len(pair[0]) != len(pair[1]):
+                merged += 1
+            assert self.check(pair) == RationalExpr(b, B ** (k - 1))
+            opposite = [(-1, RationalExpr(a, B ** k)),
+                        (-1, RationalExpr(B * b - a, B ** k))]
+            assert self.check([*pair, *opposite]) == 0
+            # beside a term over another power of B, in any order
+            terms = [*pair, *opposite[case % 2:],
+                     (Fraction(2, 3), *over_split(numerator(), B,
+                                                  rng.randint(1, 6)))]
+            rng.shuffle(terms)
+            self.check(terms)
+        assert merged >= 80
+
     def test_edge_cases(self, xyz):
         X, Y = (RationalExpr(Polynomial.var(v)) for v in xyz[:2])
         assert sum_of_products([]) == RationalExpr.const(0)

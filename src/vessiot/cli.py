@@ -578,7 +578,8 @@ def _frame_section(value, where, load):
     dependents of a curve, 1 for a surface).  When the check asks for
     the structure forms (P, Q or P_skew), which take one total
     derivative of the section's values, explicit components taken
-    ``order`` + 1 total derivatives stay within max_order."""
+    ``order`` + 1 total derivatives, and listed jet values taken one,
+    stay within max_order."""
     _ref("section")(value, where, load)
     deps = load.ctx.dependents
     n, m = len(load.ctx.independents), len(deps)
@@ -592,9 +593,13 @@ def _frame_section(value, where, load):
              f"needs a section of every dependent ({', '.join(deps)}) up "
              f"to order {need}, got {', '.join(listed) or 'none'} up to "
              f"order {order}")
-    if "components" in s and _STRUCTURE_FORMS & load.args.keys():
+    if _STRUCTURE_FORMS & load.args.keys():
         # the structure forms take one total derivative of the values
-        _within_order(listed.values(), order + 1, where, load)
+        if "components" in s:
+            _within_order(listed.values(), order + 1, where, load)
+        else:
+            _within_order([e for jets in listed.values()
+                           for e in jets.values()], 1, where, load)
     return value
 
 

@@ -28,7 +28,11 @@ def is_point_field(f):
 
 class GeneratorSet:
     """A distribution given by a finite list of vector fields sharing one
-    context; ``order`` is the jet order the components live at."""
+    context; ``order`` is the jet order the components live at.
+
+    The structure table is kept on the set once it is formed
+    (``structure_constants``), so the fields must not change once it
+    has been."""
 
     def __init__(self, ctx, fields, order=0, labels=()):
         if not fields:
@@ -38,6 +42,8 @@ class GeneratorSet:
         self.order = order
         self.labels = labels or tuple(
             f"theta{i + 1}" for i in range(len(fields)))
+        # the structure table, built on the first structure_constants call
+        self._structure = None
 
     def prolonged(self, q):
         """The same distribution lifted (or truncated) to jet order q."""
@@ -134,7 +140,15 @@ def _q_linear_solve(blocks, n):
 def structure_constants(G):
     """Constants c^tau_{rho sigma} with [theta_rho, theta_sigma] =
     sum_tau c^tau theta_tau; raises NotClosed naming the first pair for
-    which no constant combination reproduces the bracket."""
+    which no constant combination reproduces the bracket.
+
+    The table is built on the first call, kept on G and returned as the
+    same object on every later call, so ``structure_table`` and
+    ``jacobi_table`` checks of one set share one build; no caller may
+    change it.  A set that is not closed keeps nothing, and every call
+    raises anew."""
+    if G._structure is not None:
+        return G._structure
     n = len(G.fields)
     coords = sorted({v for f in G.fields for v in f.components})
     table = {}
@@ -164,6 +178,7 @@ def structure_constants(G):
             table[(sigma, rho)] = [-Fraction(c) for c in coeffs]
     for rho in range(n):
         table[(rho, rho)] = [Fraction(0)] * n
+    G._structure = table
     return table
 
 

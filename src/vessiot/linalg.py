@@ -8,9 +8,12 @@ Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
 the nonzero entries, so a zero cell is never stored, updated or tested;
 ``systems`` and ``invariants`` build their matrices in this form.  The
 one kernel, ``_forward``, works on one entry type: it clears each row
-once on entry to a row of int-coefficient Polynomials (``_clear``: the
-row over one denominator, ``symcore.over_one_denominator``, then divided
-by its integer content), the pivot is the entry of fewest terms, and
+on entry to a row of int-coefficient Polynomials (``clear``: the row
+over one denominator, ``symcore.over_one_denominator``, then divided by
+its integer content) and takes a row that is already cleared as it is,
+so a caller that keeps its rows cleared (``systems``' symbols) pays for
+the clearing once, where the rows are built, and not at every
+elimination.  The pivot is the entry of fewest terms, and
 rows are updated as row <- pv*row - a*prow over Polynomials
 (``_eliminate``), so it takes no polynomial gcd.  Its one column rule
 takes next a column of the lowest block that fewest remaining rows carry
@@ -57,12 +60,16 @@ def _primitive(row):
     return {j: poly_divexact(p, g) for j, p in row.items()}
 
 
-def _clear(row):
+def clear(row):
     """The sparse row ``row`` of ints, Fractions and RationalExprs as a
     new row of Polynomials with int coefficients, without its zero
     entries: the row over one denominator (over_one_denominator), then
     divided by the integer content.  The row is only scaled by a nonzero
-    factor."""
+    factor.  A row whose entries are all Polynomials is a row ``clear``
+    made, and is returned as it is: ``systems`` keeps the symbol's rows
+    cleared, so each is cleared once, not once per elimination."""
+    if all(isinstance(x, Polynomial) for x in row.values()):
+        return row
     nums, _ = over_one_denominator(row.values())
     return _primitive({j: p for j, p in zip(row, nums) if p.terms})
 
@@ -109,8 +116,8 @@ def _forward(rows, ncols, block):
     """Fraction-free forward elimination of the sparse rows ``rows``,
     which are not mutated.
 
-    Each row is cleared once on entry (``_clear``); from then on the
-    rows hold Polynomials with int coefficients.  The pivot column is
+    Each row not yet cleared is cleared on entry (``clear``); from then
+    on the rows hold Polynomials with int coefficients.  The pivot column is
     one up to ``ncols`` that a row not yet a pivot row carries: of the
     lowest ``block[j]``, the one that fewest such rows carry, the lowest
     winning a tie.  An index from each column to the free rows that
@@ -130,7 +137,7 @@ def _forward(rows, ncols, block):
     elimination, in their input positions, and the pivots as (row, col)
     in the order they were taken.
     """
-    rows = [_clear(r) for r in rows]
+    rows = [clear(r) for r in rows]
     where = {}  # column below ncols -> the free rows that carry it
     for r, row in enumerate(rows):
         for j in row:
@@ -224,9 +231,10 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    """Rank of the sparse rows ``rows`` (as ``rref`` takes them, and not
-    mutated) over the first ``ncols`` columns: the number of pivots
-    ``_forward`` finds with all columns in one block (sparsest first),
+    """Rank of the sparse rows ``rows`` (as ``rref`` takes them or as
+    ``clear`` makes them, and not mutated) over the first ``ncols``
+    columns: the number of pivots ``_forward`` finds with all columns in
+    one block (sparsest first),
     with no polynomial gcd taken.  The rank does not depend on the order
     of the columns, and this order keeps fill-in and entry growth down
     where left to right can run for minutes.  Entries past ``ncols`` are

@@ -991,7 +991,10 @@ def sum_of_products(terms):
     g_i taken out of num are those taken out of the d_i.  It is in
     normal form up to the joint integer scaling: after step i, num is
     coprime to d_i', and later steps only divide num, so the final num
-    is coprime to every d_i' and, in a UFD, to their product.  When
+    is coprime to every d_i' and, in a UFD, to their product.  A factor
+    equal to the one before it, whose gcd was 1, takes no gcd: num has
+    not changed since, so g_i = 1 and d_i' = d_i (L^2*L^2 takes one gcd
+    against L^2, not two).  When
     every g_i is constant (1), each d_i' is d_i and the group's product
     is reused.  A term alone in its group is multiplied out with
     Henrici's operator instead, whose gcds are of the factors' own
@@ -1051,11 +1054,17 @@ def sum_of_products(terms):
         if num.is_zero():
             values.append(ZERO)
             continue
-        reduced, cut = [], False
+        reduced, cut, coprime = [], False, None
         for d in dens:
-            g, num, d = poly_cofactors(num, d)
-            reduced.append(d)
-            cut = cut or not g.is_constant()
+            if d is coprime or d == coprime:
+                reduced.append(d)
+                continue
+            g, num, r = poly_cofactors(num, d)
+            reduced.append(r)
+            if g.is_constant():
+                coprime = d
+            else:
+                cut, coprime = True, None
         if cut:
             den = math.prod(reduced[1:], start=reduced[0])
         values.append(RationalExpr._coprime(num, den))

@@ -20,7 +20,7 @@ from .errors import (
     UnsolvedSystem,
 )
 from .jets import jet_order
-from .linalg import pivot_columns, rank
+from .linalg import clear, pivot_columns, rank
 from .report import CheckReport
 from .symcore import RationalExpr, eval_point, gradient
 
@@ -295,16 +295,24 @@ def prolong_system(S, r):
 class SymbolSystem:
     """Homogeneous linearization in the order-q jets ``columns`` (all of
     them): each row is sparse, ``{j: coefficient of columns[j]}``, as
-    ``linalg.rank`` takes it, with no zero entry and never empty."""
+    ``linalg.rank`` takes it, with no zero entry and never empty.
 
-    def __init__(self, ctx, order, columns, rows):
+    ``cleared`` holds each row times a nonzero factor, with its keys, as
+    ``linalg.clear`` makes it: ``symbol_of`` clears each row once, where
+    it is built, and ``_prolonged_symbol`` shifts the cleared rows with
+    the rows, so the eliminations of a symbol (``rank``, ``characters``)
+    clear no row.  A shifted cleared row may keep some integer content
+    (see ``_prolonged_symbol``)."""
+
+    def __init__(self, ctx, order, columns, rows, cleared):
         self.ctx = ctx
         self.order = order
         self.columns = columns
         self.rows = rows
+        self.cleared = cleared
 
     def rank(self):
-        return rank(self.rows, len(self.columns))
+        return rank(self.cleared, len(self.columns))
 
     def dimension(self):
         return len(self.columns) - self.rank()
@@ -324,8 +332,10 @@ def symbol_of(S):
     The symbol is built on the first call, kept on S and returned as the
     same object on every later call, so ``characters``, ``cartan_test``,
     ``compatibility_count`` and direct callers share one build.  No
-    caller may change its rows (``rank`` and ``rref`` copy them), and S's
-    equations must not change once it has been asked for."""
+    caller may change its rows or cleared rows (``rank`` and ``rref``
+    read them and build new rows), and S's equations must not change
+    once it has been asked for.  Each row is cleared here, once
+    (``SymbolSystem.cleared``)."""
     sym = S._symbol
     if sym is None:
         cols = _order_q_jets(S.ctx, S.order)
@@ -336,28 +346,39 @@ def symbol_of(S):
             if top:
                 rows.append({index[v]: c
                              for v, c in gradient(res, top).items()})
-        sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows)
+        sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows,
+                                       [clear(r) for r in rows])
     return sym
 
 
 def _prolonged_symbol(sym):
     """Symbol of the first prolongation at order q+1, from the order-q
-    symbol ``sym``: row (res, x) holds d res/d u_{nu-1_x} at u_nu."""
+    symbol ``sym``: row (res, x) holds d res/d u_{nu-1_x} at u_nu.
+
+    One table per independent x maps each order-q column to the column
+    of its jet shifted by x (None where x is not in the dependent's
+    bases), and each row and its cleared row go through it alike.  The
+    cleared row is the row times a nonzero factor B*k, and the shift
+    moves entries without changing them, so the shifted cleared row is
+    the shifted row times B*k, with the same keys, even where the shift
+    drops entries; ``rank`` needs no more.  It need not be the row that
+    ``linalg.clear`` would make of the shifted row: where entries drop,
+    what is left may keep some integer content or a common factor."""
     ctx = sym.ctx
     next_cols = _order_q_jets(ctx, sym.order + 1)
     index = {v: j for j, v in enumerate(next_cols)}
-    cols = sym.columns
-    rows = []
-    for row in sym.rows:
-        for i in range(len(ctx.independents)):
-            out = {}
-            for j, c in row.items():
-                w = ctx.shift(cols[j], i)
-                if w is not None:
-                    out[index[w]] = c  # one-to-one in j
+    tables = [[None if w is None else index[w]  # one-to-one in j
+               for w in (ctx.shift(v, i) for v in sym.columns)]
+              for i in range(len(ctx.independents))]
+    rows, cleared = [], []
+    for row, crow in zip(sym.rows, sym.cleared):
+        for to in tables:
+            out = {to[j]: c for j, c in row.items() if to[j] is not None}
             if out:
                 rows.append(out)
-    return SymbolSystem(ctx, sym.order + 1, next_cols, rows)
+                cleared.append({to[j]: p for j, p in crow.items()
+                                if to[j] is not None})
+    return SymbolSystem(ctx, sym.order + 1, next_cols, rows, cleared)
 
 
 def _column_classes(S, cols):
@@ -375,7 +396,8 @@ def characters(S):
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
     class of a solved equation is the class of its leading jet, and
     implicit equations are classed by one exact elimination of the
-    symbol, class n's columns first (``linalg.pivot_columns``): beta^i
+    symbol's cleared rows, class n's columns first
+    (``linalg.pivot_columns``): beta^i
     is the number of its pivots in class-i columns."""
     if S.order < 1:
         raise ValueError("characters need a system of order >= 1")
@@ -396,7 +418,7 @@ def characters(S):
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
     sym = symbol_of(S)
     block = [n - c for c in classes]
-    for j in pivot_columns(sym.rows, len(cols), block):
+    for j in pivot_columns(sym.cleared, len(cols), block):
         beta[classes[j]] += 1
     return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
 
@@ -550,6 +572,7 @@ def compatibility_count(S):
     when x is in the dependent's bases and nu_x >= 1; the entry is 0
     otherwise.  ``_prolonged_symbol`` places exactly these entries; it
     drops the all-zero rows of lower-order equations, which add nothing
-    to the rank but still count."""
+    to the rank but still count.  It shifts the symbol's cleared rows
+    too, so the rank clears no row: ``symbol_of`` cleared each once."""
     n_rows = len(S.equations) * len(S.ctx.independents)
     return n_rows - _prolonged_symbol(symbol_of(S)).rank()

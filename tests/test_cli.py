@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vessiot import errors, geomkit, jets
+from vessiot import errors, geomkit, invariants, jets
 from vessiot.cli import (
     Options,
     _build,
@@ -115,6 +115,16 @@ DEPTH_BOUNDARY = [
         "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
                                         "components": {"y1": "x",
                                                        "y2": "y2"}}},
+        "checks": [{"id": "c", "op": "gauging_forms", "args": {
+            "source": "f", "target": "g", "Q": [
+                "0", "(x*y2[x] - y2)*y2[x,x,x]/y2[x,x]"]}}]},
+     "checks[0].args.target", 3),
+    # the same section given by its jets, which carry y2[x,x] itself
+    ("structure-forms-of-listed-jets", {"context": PLANE, "objects": {
+        "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
+                                        "jets": {
+            "y1": {"0": "x", "1": "1", "2": "0"},
+            "y2": {"0": "y2", "1": "y2[x]", "2": "y2[x,x]"}}}},
         "checks": [{"id": "c", "op": "gauging_forms", "args": {
             "source": "f", "target": "g", "Q": [
                 "0", "(x*y2[x] - y2)*y2[x,x,x]/y2[x,x]"]}}]},
@@ -263,6 +273,25 @@ class TestRun:
         (r,) = run(parse_problem(doc)).results
         assert r.status == "FAIL" and r.witness == "(1, 0)"
         assert (r.numbers["dim_symbol_next"], r.numbers["bound"]) == (1, 0)
+
+    def test_structure_table_is_built_once_per_generator_set(
+            self, monkeypatch):
+        """listed's structure_table and jacobi_table checks read one
+        structure table, kept on the generator set: its 3 generators
+        take n(n-1)/2 = 3 brackets over both checks, not 6."""
+        brackets = []
+        bracket0 = invariants.bracket
+
+        def counted(a, b):
+            brackets.append((a, b))
+            return bracket0(a, b)
+
+        monkeypatch.setattr(invariants, "bracket", counted)
+        rep = run(read_corpus("invariants_curves.json"),
+                  Options(only="listed_[sj]*"))
+        assert [(r.id, r.status) for r in rep.results] == [
+            ("listed_structure_table", "OK"), ("listed_jacobi", "OK")]
+        assert len(brackets) == 3
 
     def test_syzygy_mutation_witness(self):
         pf = read_corpus("diffideal_pair.json")

@@ -271,13 +271,24 @@ class TestStructureConstants:
         c = structure_constants(G)
         assert c[(0, 1)] == [0, Fraction(-1)]
 
-    def test_not_closed(self, curve2):
+    def test_not_closed(self, curve2, monkeypatch):
+        """A set that is not closed keeps no table: a second call takes
+        the bracket again and raises again."""
         G = GeneratorSet(curve2, [
             VectorField({jet(curve2, "y1"): curve2.expr("y1^2")}),
             VectorField({jet(curve2, "y1"): RationalExpr.const(1)}),
         ])
-        with pytest.raises(NotClosed):
-            structure_constants(G)
+        brackets = []
+        monkeypatch.setattr(invariants, "bracket",
+                            lambda a, b: brackets.append(1) or bracket(a, b))
+        for _ in range(2):
+            with pytest.raises(NotClosed):
+                structure_constants(G)
+        assert len(brackets) == 2
+
+    def test_table_is_kept_on_the_set(self, listed_set):
+        c = structure_constants(listed_set)
+        assert structure_constants(listed_set) is c
 
     def test_wrong_solution_is_refused(self, listed_set, monkeypatch):
         """A combination that does not reproduce a bracket is refused by

@@ -565,6 +565,57 @@ def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
                    for row in s.rows for c in row.values())
 
 
+@pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
+def test_symbol_rows_are_cleared_once(stem, name, r, monkeypatch):
+    """symbol_of clears each symbol row once, and _prolonged_symbol
+    shifts the cleared rows with the rows: a shifted cleared row has its
+    row's keys and is that row times one nonzero factor.  So the rank
+    that compatibility_count takes puts no row over one denominator."""
+    P = prolonged(stem, name, r)
+    sym = systems.symbol_of(P)
+    assert sym.cleared == [linalg.clear(row) for row in sym.rows]
+    nxt = systems._prolonged_symbol(sym)
+    assert len(nxt.cleared) == len(nxt.rows)
+    for row, crow in zip(nxt.rows, nxt.cleared):
+        assert crow.keys() == row.keys()
+        (ratio,) = {RationalExpr(crow[j]) / row[j] for j in row}
+        assert not ratio.is_zero()
+    # complete_integral's prolonged symbol at r = 1 gets no rank in
+    # minutes (ROADMAP item 4)
+    if (name, r) == ("complete_integral", 1):
+        return
+    sym.rank()
+    calls = []
+    over0 = symcore.over_one_denominator
+
+    def counted(values):
+        calls.append(values)
+        return over0(values)
+
+    monkeypatch.setattr(symcore, "over_one_denominator", counted)
+    monkeypatch.setattr(linalg, "over_one_denominator", counted)
+    systems.compatibility_count(P)
+    assert calls == []
+
+
+def test_ranks_over_cleared_rows_equal_the_ranks_over_the_rows(ctx):
+    """rank takes a cleared row as it is, also one that kept some integer
+    content (as a shifted cleared row may): seeded matrices, and the
+    same with every cleared row times an int, have the same rank."""
+    rng = random.Random(3501)
+    for _ in range(60):
+        rows, ncols = rand_matrix(rng, rng.sample(variables(ctx), 3))
+        cleared = [linalg.clear(row) for row in rows]
+        assert all(linalg.clear(row) is row for row in cleared)
+        scaled = []
+        for row in cleared:
+            k = Polynomial.const(rng.choice([2, 3, -6]))
+            scaled.append({j: k * p for j, p in row.items()})
+        want = linalg.rank(rows, ncols)
+        assert linalg.rank(cleared, ncols) == want, rows
+        assert linalg.rank(scaled, ncols) == want, rows
+
+
 @pytest.mark.parametrize("stem, name, r", [
     ("shell_monkey_saddle", "projected_system", 0),
     ("hj_eleven_equation", "eleven_equation", 0),
@@ -597,6 +648,7 @@ def test_one_symbol_per_system_shared_and_unchanged(stem, name, r,
         consumer()
         assert systems.symbol_of(P) is sym
         assert sym.columns == cols and sym.rows == want
+        assert sym.cleared == [linalg.clear(row) for row in want]
     assert calls == [k for k in one_build if k]
 
 
@@ -746,7 +798,7 @@ def ref_pivots(rows, ncols, block):
     at every step, not kept in an index: of the columns a free row
     carries, the least by (block[j], number of free rows carrying j, j).
     The clearing, the pivot row and the updates are the kernel's."""
-    rows = [linalg._clear(r) for r in rows]
+    rows = [linalg.clear(r) for r in rows]
     free, pivots = set(range(len(rows))), []
     while True:
         counts = {}
@@ -899,7 +951,7 @@ def ref_rref(rows, ncols):
         if len(cands) > 1:
             for r in cands:
                 if r not in cleared:
-                    rows[r] = linalg._clear(rows[r])
+                    rows[r] = linalg.clear(rows[r])
                     cleared.add(r)
             best = min(cands, key=lambda r: len(rows[r][col].terms))
             prow = rows[best]
@@ -1282,7 +1334,10 @@ def test_a_group_cancels_one_factor_at_a_time(monkeypatch):
     multiset {L, L^2} in two orders; their numerators add up to L*x,
     which cancels against L alone.  The three terms of the second sum
     have the multisets L^2*L^2, L^4 and L*L^3, whose products are equal,
-    so they share one group and no operator sum meets L^4 either."""
+    so they share one group and no operator sum meets L^4 either; their
+    numerators add up to a sum coprime to L, so the group's second L^2,
+    the same factor as the first, takes no gcd.  Where the first L^2
+    cancels, the second takes its gcd."""
     ctx = JetContext(["x", "y"], ["u"], max_order=1)
     X, Y = (Polynomial.var(ctx.var(n)) for n in ("x", "y"))
     L = X * X + Y * Y + 1
@@ -1302,5 +1357,11 @@ def test_a_group_cancels_one_factor_at_a_time(monkeypatch):
     assert all(L ** 3 not in (a, b) for _, a, b in calls)
     calls.clear()
     assert sum_of_products(merged) == want[1]
-    assert factor_gcds([L ** 2]) == [L ** 2, L ** 2]
+    assert factor_gcds([L ** 2]) == [L ** 2]
     assert all(L ** 4 not in (a, b) for _, a, b in calls)
+    # numerators that add up to X*L^3: the first L^2 cancels, so the
+    # second still takes its gcd
+    one = Polynomial.const(1)
+    cubed = [(R(X, L ** 2), R(one, L ** 2)),
+             (R(one, L ** 2), R(X * L ** 3 - X, L ** 2))]
+    assert sum_of_products(cubed) == R(X, L)

@@ -10,9 +10,9 @@ object kind in ``KINDS``, equations, generator fields, check entries
 and each op's arguments in ``OPS``) declares its keys in one schema,
 read by one walk that parses each expression once.  An undeclared or
 missing key, an ill-typed value and a check that could only end in an
-ERROR (a system of order 0 for characters, a section short of the frame
-gauging needs, a witness short of a value its check evaluates, ...) are
-refused alike.  The first error names the file and a JSON path
+ERROR (a section short of the frame gauging needs, a witness short of a
+value its check evaluates, a jet its op's depth takes past max_order,
+...) are refused alike.  The first error names the file and a JSON path
 (``f.json:objects.S.order``), and ``vessiot check`` exits 2.  Objects
 are built on first use, from the inputs parsed at load.  The runner executes each check through the owning module with its
 arguments as read, and emits a deterministic text or JSON report; Janet
@@ -30,7 +30,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from operator import attrgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 
 from . import diffideal, geomkit, invariants, mechanics, systems
@@ -168,9 +168,9 @@ def parse_problem(data, path="<memory>", max_order=None):
         kind = _json_object(spec, where, None).get("kind")
         _require(isinstance(kind, str) and kind in KINDS, where,
                  f"unknown object kind {kind!r}")
-        make, schema = KINDS[kind]
-        load = _Load(path, ctx, definitions, objects, facts, spec)
-        facts[name] = _read_args(schema, spec, where, load)
+        make, schema, *depth = KINDS[kind]
+        load = _Load(path, ctx, definitions, objects, facts, spec, *depth)
+        facts[name] = _read_args(schema, spec, where, load, load.depth)
         objects[name] = (kind, cache(make(facts[name], where, load)))
     checks = []
     seen = set()
@@ -188,24 +188,26 @@ def parse_problem(data, path="<memory>", max_order=None):
         _require(expect in EXPECTED_STATUSES, where,
                  f"expect must be one of {EXPECTED_STATUSES}")
         args = c.get("args", {})
-        load = _Load(path, ctx, definitions, objects, facts, args)
+        _, schema, *depth = OPS[op]
+        load = _Load(path, ctx, definitions, objects, facts, args, *depth)
         checks.append(CheckSpec(cid, op, _read_args(
-            OPS[op][1], args, f"{where}.args", load), expect))
+            schema, args, f"{where}.args", load, load.depth), expect))
     return ProblemFile(path, ctx, objects, checks)
 
 
 # what a reader reads against: the problem file's path, the context, the
 # definitions, the objects (name -> (kind, constructor)) and their facts
 # (name -> the values its kind's schema read, and the defaults its make
-# filled in), and the JSON object being read
-_Load = namedtuple("_Load", "path ctx definitions objects facts args")
+# filled in), the JSON object being read, and its kind's or op's depths
+_Load = namedtuple("_Load", "path ctx definitions objects facts args depth",
+                   defaults=({},))
 
 
-def _read_args(schema, args, where, load):
+def _read_args(schema, args, where, load, depth=()):
     """``args`` read by ``schema`` ({key: (reader, required)}), in the
     schema's order: a key the schema does not declare, a missing
-    required key and a value its reader refuses are all errors at
-    ``where.key``."""
+    required key, a value its reader refuses and a value too deep for
+    its ``depth`` (``_within``) are all errors at ``where.key``."""
     for key in _json_object(args, where, load):
         _require(key in schema, f"{where}.{key}", "unknown argument "
                  f"(expected one of: {', '.join(schema)})")
@@ -213,6 +215,8 @@ def _read_args(schema, args, where, load):
     for key, (reader, required) in schema.items():
         if key in args:
             out[key] = reader(args[key], f"{where}.{key}", load)
+            if key in depth:
+                _within(out[key], depth[key], f"{where}.{key}", load)
         else:
             _require(not required, f"{where}.{key}", "missing argument")
     return out
@@ -355,28 +359,51 @@ def _order(value, where, load):
     return value
 
 
-def _within_order(comps, depth, where, load):
-    """Components whose jets, taken ``depth`` total derivatives further,
-    stay within max_order; jet-free components always do."""
-    top = max((jet_order(v) for c in comps for v in c.variables()
-               if v.kind == "jet"), default=None)
-    _require(top is None or top + depth <= load.ctx.max_order, where,
-             f"components carry a jet of order {top}, which {depth} total "
-             f"derivatives take above max_order {load.ctx.max_order}")
+def _jets(value):
+    """The jets of an expression, or of an array or a map of them."""
+    if isinstance(value, RationalExpr):
+        return [v for v in value.variables() if v.kind == "jet"]
+    return [v for x in (value.values() if isinstance(value, dict) else value)
+            for v in _jets(x)]
 
 
-def _explicit(invariants_of, n_independents, depths, c, where, load):
-    """A surface or a curve, from its ``components``; ``depths`` maps each
-    count allowed to the total derivatives its invariants take.
-    ``invariants_of`` names the geomkit function, looked up when the
-    object is built, so that a rebinding of it (a tracer's) is seen."""
-    ctx, comps = load.ctx, c["components"]
-    _require(len(ctx.independents) == n_independents
-             and len(comps) in depths, f"{where}.components",
-             f"expected {'/'.join(map(str, depths))} components over "
-             f"{n_independents} independent(s)")
-    _within_order(comps, depths[len(comps)], f"{where}.components", load)
-    return lambda: getattr(geomkit, invariants_of)(ctx, comps)
+def _within(value, depth, where, load):
+    """A value whose highest jet, ``depth`` total derivatives further,
+    stays within max_order: an expression, an array or a map of them, or
+    an object's name (a system of order q has jets of order q, and a
+    section's components are taken its order further).  A ``depth``
+    function reads which keys the JSON object gives, or ones read before."""
+    depth = depth(load.args) if callable(depth) else depth
+    facts = load.facts[value] if isinstance(value, str) else {}
+    key = next((k for k in ("jets", "generators") if k in facts), "components")
+    if "equations" in facts:
+        top, what = facts["order"], f"a system of order {facts['order']}"
+    else:
+        depth += facts.get("order", 0) if key == "components" else 0
+        top = max(map(jet_order, _jets(facts.get(key, value))), default=None)
+        what = ("an expression carries" if isinstance(value, RationalExpr)
+                else f"{key} carry") + f" a jet of order {top}"
+    m = load.ctx.max_order
+    _require(top is None or top + depth <= m, where,
+             f"{what}, which {depth} total derivative{'s' * (depth != 1)} "
+             f"take{'s' * (depth == 1)} above max_order {m}")
+
+
+def _explicit(invariants, n_independents, counts, depth):
+    """A surface or a curve kind of ``counts`` components over
+    ``n_independents`` independent(s); geomkit's ``invariants`` is looked up
+    when the object is built, so that a tracer's rebinding of it is seen."""
+    def components(value, where, load):
+        comps = _list(_expr)(value, where, load)
+        _require(len(load.ctx.independents) == n_independents
+                 and len(comps) in counts, where,
+                 f"expected {'/'.join(map(str, counts))} components over "
+                 f"{n_independents} independent(s)")
+        return comps
+    def make(c, where, load):
+        return lambda: getattr(geomkit, invariants)(load.ctx, c["components"])
+    schema = {**_KIND, "components": (components, True)}
+    return make, schema, {"components": depth}
 
 
 def _jet_index(mu, where, load):
@@ -389,9 +416,9 @@ def _jet_index(mu, where, load):
 
 
 def _section(s, where, load):
-    """Explicit ``components`` prolonged to ``order`` (within max_order),
-    or the ``jets`` themselves: every jet index of a listed dependent up
-    to ``order`` and no other."""
+    """Explicit ``components`` prolonged to ``order``, or the ``jets``
+    themselves: every jet index of a listed dependent up to ``order`` and
+    no other."""
     _require(not {"components", "jets"} <= s.keys(), f"{where}.jets",
              "a section gives 'components' or 'jets', not both")
     _require(s.keys() & {"components", "jets"}, f"{where}.components",
@@ -399,7 +426,6 @@ def _section(s, where, load):
     ctx, order = load.ctx, s["order"]
     if "components" in s:
         comps = s["components"]
-        _within_order(comps.values(), order, f"{where}.components", load)
         return lambda: holonomic_section(ctx, comps, order)
     for dep, jets in s["jets"].items():
         want = {mu for o in range(order + 1)
@@ -494,20 +520,19 @@ def _generators(g, where, load):
 
 _KIND = {"kind": (_name, True)}
 
-# object kind -> (make, {key: (reader, required)}): the one declaration
-# of each kind's keys.  The values read are the object's facts, which
-# some check arguments are read against; make(facts, where, load) checks
-# the rules that span keys and returns the object's constructor
+# object kind -> (make, {key: (reader, required)}[, {key: depth}]): the
+# one declaration of each kind's keys and depths.  The values read are the
+# object's facts, which some check arguments are read against; make(facts,
+# where, load) checks the rules that span keys and returns its constructor
 KINDS = {
-    "surface": (partial(_explicit, "surface_invariants", 2, {3: 2}),
-                {**_KIND, "components": (_list(_expr), True)}),
-    "curve": (partial(_explicit, "curve_invariants", 1, {2: 2, 3: 3}),
-              {**_KIND, "components": (_list(_expr), True)}),
+    "surface": _explicit("surface_invariants", 2, (3,), 2),
+    "curve": _explicit("curve_invariants", 1, (2, 3),
+                       lambda c: len(c["components"])),
     "section": (_section, {
         **_KIND, "order": (_order, True),
         "components": (_map(_dependent_name, _expr), False),
         "jets": (_map(_dependent_name, _map(_jet_index, _expr, "jet index")),
-                 False)}),
+                 False)}, {"components": itemgetter("order")}),
     "system": (_system, {**_KIND, "equations": (_list(_equation), False),
                          "ordering": (_list(_name), False),
                          "genericity": (_list(_expr), False),
@@ -575,11 +600,7 @@ _STRUCTURE_FORMS = {"P", "Q", "P_skew"}
 def _frame_section(value, where, load):
     """The name of a section that gives the context's moving frame:
     every dependent, up to the order the frame needs (the number of
-    dependents of a curve, 1 for a surface).  When the check asks for
-    the structure forms (P, Q or P_skew), which take one total
-    derivative of the section's values, explicit components taken
-    ``order`` + 1 total derivatives, and listed jet values taken one,
-    stay within max_order."""
+    dependents of a curve, 1 for a surface)."""
     _ref("section")(value, where, load)
     deps = load.ctx.dependents
     n, m = len(load.ctx.independents), len(deps)
@@ -593,21 +614,6 @@ def _frame_section(value, where, load):
              f"needs a section of every dependent ({', '.join(deps)}) up "
              f"to order {need}, got {', '.join(listed) or 'none'} up to "
              f"order {order}")
-    if _STRUCTURE_FORMS & load.args.keys():
-        # the structure forms take one total derivative of the values
-        if "components" in s:
-            _within_order(listed.values(), order + 1, where, load)
-        else:
-            _within_order([e for jets in listed.values()
-                           for e in jets.values()], 1, where, load)
-    return value
-
-
-def _codazzi_surface(value, where, load):
-    """The name of a surface whose compatibility residuals, one total
-    derivative past its invariants, stay within max_order."""
-    _ref("surface")(value, where, load)
-    _within_order(load.facts[value]["components"], 3, where, load)
     return value
 
 
@@ -664,8 +670,8 @@ def _reached(q, where, load):
     return q
 
 
-def _reached_count(value, where, load):
-    return _reached(_count(value, where, load), where, load)
+def _reached_order(value, where, load):
+    return _reached(_order(value, where, load), where, load)
 
 
 def _candidate(value, where, load):
@@ -793,13 +799,13 @@ _WITNESS = {"section": (_ref("section"), True),
             "point": (_rational_point, True)}
 
 
-def _witness_arg(system, prolongs=0):
+def _witness_arg(system):
     """A witness point on the variety of the system that the check's
     argument ``system`` names: a section's jets at ``point``.  It gives
     every value the check evaluates: the section lists each dependent
     whose jets the system's equations and genericity carry (those the
-    point does not bind), up to their highest order, one more for a
-    check that ``prolongs`` the system; the point binds every other
+    point does not bind), up to their highest order plus the depth (an
+    int) the op declares for ``system``; the point binds every other
     variable of them and of the section's values."""
     def read(value, where, load):
         w = _read_args(_WITNESS, value, where, load)
@@ -810,7 +816,8 @@ def _witness_arg(system, prolongs=0):
         used = {v for e in exprs for v in e.variables()} - point.keys()
         jets = {v for v in used if v.kind == "jet"}
         deps = sorted({load.ctx.jet_info(v)[0] for v in jets})
-        order = max(map(jet_order, jets), default=0) + prolongs
+        order = max(map(jet_order, jets), default=0) + load.depth.get(
+            system, 0)
         listed = s.get("components", s.get("jets"))
         _require(s["order"] >= order and all(d in listed for d in deps),
                  f"{where}.section", f"needs a section of "
@@ -1084,12 +1091,10 @@ _SURFACE, _CURVE, _SYSTEM, _GENERATORS = map(
     _needs, ("surface", "curve", "system", "generators"))
 
 
-def _pair_args(prolongs):
-    """A system, a groupoid and their optional witnesses (``_pair``), for
-    a check that ``prolongs`` them that many times."""
-    return {**_SYSTEM, **_needs("system", "groupoid"), **{
-        f"witness_{key}": (_witness_arg(key, prolongs), False)
-        for key in ("system", "groupoid")}}
+# a system, a groupoid and their optional witnesses (``_pair``)
+_PAIR = {**_SYSTEM, **_needs("system", "groupoid"), **{
+    f"witness_{key}": (_witness_arg(key), False)
+    for key in ("system", "groupoid")}}
 
 
 _EXPR, _COUNT, _FLAG = (_expr_arg, True), (_count, True), (_flag, False)
@@ -1098,16 +1103,15 @@ _SYSTEM1 = {"system": (_system_of_order_1, True)}
 _vector = _array(_expr_arg, "dependents")
 _FIELD = (_array(_expr_arg, "independents"), True)
 
-# op name -> (function, {argument: (reader, required)}): the one
-# declaration of each op's arguments, read by ``_read_args``
+# op name -> (function, {argument: (reader, required)}[, {argument: depth}]):
+# the one declaration of each op's arguments and depths (``_read_args``)
 OPS = {
     "surface_values": (partial(op_values, "surface"), {
         **_SURFACE, "values": (_map(_surface_quantity, _expr_arg), True)}),
     "surface_substitute": (op_surface_substitute, {
         **_SURFACE, "quantity": (_surface_quantity, True),
         "at": (_rational_point, True), "expected": _EXPR}),
-    "gauss_codazzi": (op_gauss_codazzi,
-                      {"surface": (_codazzi_surface, True)}),
+    "gauss_codazzi": (op_gauss_codazzi, _SURFACE, {"surface": 3}),
     "curve_values": (partial(op_values, "curve"), {
         **_CURVE, "values": (_map(_curve_quantity, _expr_arg), True)}),
     "curve_identities": (op_curve_identities, _CURVE),
@@ -1118,45 +1122,51 @@ OPS = {
         "A": (_array(_vector, "dependents"), False), "B": (_vector, False),
         "P": (_one_independent(_array(_vector, "dependents")), False),
         "Q": (_one_independent(_vector), False),
-        "P_skew": (_one_independent(_flag), False), "orthogonal": _FLAG}),
+        "P_skew": (_one_independent(_flag), False), "orthogonal": _FLAG},
+        dict.fromkeys(("source", "target"),
+                      lambda a: int(not _STRUCTURE_FORMS.isdisjoint(a)))),
     "characters": (op_characters, {
         **_SYSTEM1, "expected": (_array(_count, "independents"), True),
         "ordered": _FLAG}),
-    "cartan": (op_cartan, _SYSTEM1),
-    "cartan_bound": (op_cartan_bound, _SYSTEM1),
+    "cartan": (op_cartan, _SYSTEM1, {"system": 1}),
+    "cartan_bound": (op_cartan_bound, _SYSTEM1, {"system": 1}),
     "janet_board": (op_janet_board,
                     {"system": (_janet_system, True),
                      "golden": (_golden, True)}),
     "fiber_dimension": (op_fiber_dimension, {
         **_SYSTEM, "expected": _COUNT,
         "witness": (_witness_arg("system"), False)}),
-    "phs": (op_phs, _pair_args(0)),
-    "automorphic": (op_automorphic, _pair_args(1)),
+    "phs": (op_phs, _PAIR),
+    "automorphic": (op_automorphic, _PAIR, {"system": 1, "groupoid": 1}),
     "compatibility_count": (op_compatibility_count,
-                            {**_SYSTEM, "expected": _COUNT}),
+                            {**_SYSTEM, "expected": _COUNT}, {"system": 1}),
     "prolong_count": (op_prolong_count, {
-        **_needs("genset"), "rounds": _COUNT, "expected": _COUNT}),
+        "rounds": _COUNT, **_needs("genset"), "expected": _COUNT},
+        {"genset": itemgetter("rounds")}),
     "syzygy": (op_syzygy, {"combination": _EXPR}),
     "radical_membership": (op_radical_membership, {
-        "element": _EXPR, "direction": (_independent, True),
-        "r": (_positive, True)}),
+        "r": (_positive, True), "element": _EXPR,
+        "direction": (_independent, True)},
+        {"element": lambda a: max(2, a["r"]) if a["r"] <= 4 else 0}),
     "is_invariant": (op_is_invariant,
                      {**_GENERATORS, "candidate": (_candidate, True)}),
     "invariant_count": (op_invariant_count, {
-        **_GENERATORS, "order": (_reached_count, True), "expected": _COUNT}),
+        **_GENERATORS, "order": (_reached_order, True), "expected": _COUNT}),
     "structure_table": (op_structure_table,
                         {**_GENERATORS, "expected": (_structure_table, True)}),
     "jacobi_table": (op_jacobi_table, _GENERATORS),
     "lie_condition": (op_lie_condition, {"flip_chi": _FLAG}),
     "jacobi_multiplier": (op_jacobi_multiplier, {"n": (_positive, False)}),
     "multiplier_transport": (op_multiplier_transport, {
-        "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD}),
-    "hessian": (op_hessian, {"lagrangian": (
-        _declaring(mechanics.LAGRANGIAN_COORDINATES), False)}),
+        "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD},
+        {"multiplier": 1, "field": 1, "map": 2}),
+    "hessian": (op_hessian, {"lagrangian": (_declaring(
+        mechanics.LAGRANGIAN_COORDINATES), False)}, {"lagrangian": 3}),
     "hj_chain": (op_hj_chain, {"hamiltonian": (_contact_hamiltonian, False),
-                               "coefficient": (_chain_coefficient, False)}),
-    "separability": (op_separability, {"hamiltonian": (
-        _declaring(mechanics.HAMILTONIAN_COORDINATES), True)}),
+                               "coefficient": (_chain_coefficient, False)},
+                 {"hamiltonian": 2}),
+    "separability": (op_separability, {"hamiltonian": (_declaring(
+        mechanics.HAMILTONIAN_COORDINATES), True)}, {"hamiltonian": 2}),
 }
 
 

@@ -20,6 +20,11 @@ from test_systems import (
 )
 from vessiot import geomkit, mechanics, systems
 from vessiot.cli import Options, main, parse_problem, run
+from vessiot.errors import (
+    ContextMismatch,
+    ProblemSyntaxError,
+    UnknownReference,
+)
 from vessiot.invariants import (
     GeneratorSet,
     invariant_count,
@@ -623,3 +628,30 @@ class TestOutOfCorpusProblems:
         assert doc["summary"]["mismatched"] == 0
         assert doc["summary"]["total"] == len(
             json.loads(path.read_text())["checks"])
+
+
+class TestBelowDeclaredOrder:
+    """A file's checks fit its max_order or are refused at load: at each
+    ``--max-order`` from 0 to the file's own, every bundled and
+    out-of-corpus file is refused with a location, or loads and runs
+    with no check ending in ``ERROR: OrderOverflow``."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS.glob("*.json")) + sorted(
+            PROBLEMS.glob("*/*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_refused_or_no_order_overflow(self, path):
+        data = path.read_bytes()
+        for q in range(parse_problem(data, str(path)).ctx.max_order + 1):
+            try:
+                pf = parse_problem(data, str(path), max_order=q)
+            except (ProblemSyntaxError, UnknownReference,
+                    ContextMismatch) as exc:
+                # what vessiot check exits 2 on, at a JSON path
+                where = str(exc).removeprefix(f"{path}:")
+                assert where != str(exc) and where[:1].isalpha(), exc
+                continue
+            overflows = [(r.id, r.detail) for r in run(pf).results
+                         if r.status == "ERROR"
+                         and r.detail.startswith("OrderOverflow")]
+            assert overflows == [], f"--max-order {q}"

@@ -13,6 +13,8 @@ import pytest
 
 from vessiot import errors, geomkit, invariants, jets
 from vessiot.cli import (
+    KINDS,
+    OPS,
     Options,
     _build,
     default_corpus_dir,
@@ -82,35 +84,46 @@ def explicit_object(kind, components, op, **args):
             "checks": [{"id": "c", "op": op, "args": {kind: "S", **args}}]}
 
 
-# curves, surfaces and sections of unknown functions, each with the least
+# objects and check arguments of unknown functions, each with the least
 # max_order that loads it: the order of its highest jet plus the total
-# derivatives its checks take (2 for a plane curve and a surface's
-# invariants, 3 for a space curve and gauss_codazzi, a section's order,
-# and one more for gauging_forms' P, Q and P_skew); one less is refused
-# where it is read
+# derivatives its kind or op declares (cli.KINDS, cli.OPS) -- a plane
+# curve's and a surface's invariants 2, a space curve's and
+# gauss_codazzi 3, a section its order, and gauging_forms' P, Q and
+# P_skew one more; a system prolonged once by cartan, cartan_bound,
+# compatibility_count and automorphic its order + 1; prolong_count its
+# rounds; the expressions of the mechanics ops and radical_membership
+# what their identities differentiate.  One less is refused where the
+# value is read, with the text given
 DEPTH_BOUNDARY = [
     ("plane-curve",
      explicit_object("curve", ["x", "y"], "curve_identities"),
-     "objects.S.components", 2),
+     "objects.S.components", 2, "components carry a jet of order 0, which "
+     "2 total derivatives take above max_order 1"),
     ("plane-curve-of-a-first-jet",
      explicit_object("curve", ["x", "y[x]"], "curve_identities"),
-     "objects.S.components", 3),
+     "objects.S.components", 3, "components carry a jet of order 1, which "
+     "2 total derivatives take above max_order 2"),
     ("space-curve",
      explicit_object("curve", ["x", "y", "x*y"], "curve_identities"),
-     "objects.S.components", 3),
+     "objects.S.components", 3, "components carry a jet of order 0, which "
+     "3 total derivatives take above max_order 2"),
     ("surface", {"context": XY, **explicit_object(
         "surface", ["x", "z", "y"], "surface_values",
-        values={"sigma[1,1]": "y[x,x]"})}, "objects.S.components", 2),
+        values={"sigma[1,1]": "y[x,x]"})}, "objects.S.components", 2,
+     "components carry a jet of order 0, which 2 total derivatives take "
+     "above max_order 1"),
     ("gauss-codazzi", {"context": XY, **explicit_object(
         "surface", ["x", "z", "y"], "gauss_codazzi")},
-     "checks[0].args.surface", 3),
+     "checks[0].args.surface", 3, "components carry a jet of order 0, "
+     "which 3 total derivatives take above max_order 2"),
     ("section-of-a-first-jet", {"context": PLANE, "objects": {
         "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
                                         "components": {"y1": "x",
                                                        "y2": "y2[x]"}}},
         "checks": [{"id": "c", "op": "gauging_forms",
                     "args": {"source": "f", "target": "g"}}]},
-     "objects.g.components", 3),
+     "objects.g.components", 3, "components carry a jet of order 1, which "
+     "2 total derivatives take above max_order 2"),
     ("structure-forms", {"context": PLANE, "objects": {
         "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
                                         "components": {"y1": "x",
@@ -118,7 +131,8 @@ DEPTH_BOUNDARY = [
         "checks": [{"id": "c", "op": "gauging_forms", "args": {
             "source": "f", "target": "g", "Q": [
                 "0", "(x*y2[x] - y2)*y2[x,x,x]/y2[x,x]"]}}]},
-     "checks[0].args.target", 3),
+     "checks[0].args.target", 3, "components carry a jet of order 0, "
+     "which 3 total derivatives take above max_order 2"),
     # the same section given by its jets, which carry y2[x,x] itself
     ("structure-forms-of-listed-jets", {"context": PLANE, "objects": {
         "f": PLANE_SECTIONS["f"], "g": {"kind": "section", "order": 2,
@@ -128,11 +142,83 @@ DEPTH_BOUNDARY = [
         "checks": [{"id": "c", "op": "gauging_forms", "args": {
             "source": "f", "target": "g", "Q": [
                 "0", "(x*y2[x] - y2)*y2[x,x,x]/y2[x,x]"]}}]},
-     "checks[0].args.target", 3),
+     "checks[0].args.target", 3, "jets carry a jet of order 2, which 1 "
+     "total derivative takes above max_order 2"),
+    *((op, {"context": XY, "objects": {"S": system(
+        {"leading": "y[z]", "rhs": "y[x]"})}, "checks": [
+            {"id": "c", "op": op, "args": {"system": "S", **args}}]},
+       "checks[0].args.system", 2, "a system of order 1, which 1 total "
+       "derivative takes above max_order 1")
+      for op, args in (("cartan", {}), ("cartan_bound", {}),
+                       ("compatibility_count", {"expected": 0}),
+                       ("automorphic", {"groupoid": "S"}))),
+    ("prolong_count", {"objects": {"G": {
+        "kind": "genset", "generators": ["y[x]"]}}, "checks": [
+            {"id": "c", "op": "prolong_count", "args": {
+                "genset": "G", "rounds": 2, "expected": 3}}]},
+     "checks[0].args.genset", 3, "generators carry a jet of order 1, which "
+     "2 total derivatives take above max_order 2"),
+    ("invariant_count", {"objects": {"G": GENERATORS3}, "checks": [
+        {"id": "c", "op": "invariant_count", "args": {
+            "generators": "G", "order": 2, "expected": 1}}]},
+     "checks[0].args.order", 2,
+     "expected an integer from 0 to max_order 1, got 2"),
+    *((f"multiplier_transport-{key}", {"context": {
+        "independents": ["x", "z"], "dependents": [["g", ["z"]]]},
+        "checks": [{"id": "c", "op": "multiplier_transport", "args": {
+            "field": ["1", "0"], "map": ["x", "z"], **args}}]},
+       f"checks[0].args.{key}", least, f"{what} a jet of order 0, which "
+       f"{least} total derivative{'s' * (least > 1)} take"
+       f"{'s' * (least == 1)} above max_order {least - 1}")
+      for key, args, least, what in (
+          ("multiplier", {"multiplier": "g"}, 1, "an expression carries"),
+          ("field", {"field": ["g", "0"]}, 1, "components carry"),
+          ("map", {"field": ["0", "1"], "map": ["x + g", "z"]}, 2,
+           "components carry"))),
+    ("hj_chain", {"context": MECHANICS, "checks": [
+        {"id": "c", "op": "hj_chain", "args": {"hamiltonian": "H"}}]},
+     "checks[0].args.hamiltonian", 2, "an expression carries a jet of "
+     "order 0, which 2 total derivatives take above max_order 1"),
+    ("hessian", {"context": {"independents": ["t", "x", "v"],
+                             "dependents": ["L"]}, "checks": [
+        {"id": "c", "op": "hessian", "args": {"lagrangian": "L"}}]},
+     "checks[0].args.lagrangian", 3, "an expression carries a jet of "
+     "order 0, which 3 total derivatives take above max_order 2"),
+    # a Hamiltonian of x and t alone is not separable
+    ("separability", {"context": {"independents": ["t", "x", "p"],
+                                  "dependents": ["V"]}, "checks": [
+        {"id": "c", "op": "separability", "expect": "FAIL",
+         "args": {"hamiltonian": "p*p/2 + V"}}]},
+     "checks[0].args.hamiltonian", 2, "an expression carries a jet of "
+     "order 0, which 2 total derivatives take above max_order 1"),
+    ("radical_membership", {"checks": [
+        {"id": "c", "op": "radical_membership", "args": {
+            "element": "y", "direction": "x", "r": 3}}]},
+     "checks[0].args.element", 3, "an expression carries a jet of "
+     "order 0, which 3 total derivatives take above max_order 2"),
 ]
 
 
+# the ops that take no total derivative past their arguments' highest
+# jets: they read values off objects whose kinds declare the depths of
+# building them, count, compare, or run in a context of their own
+# (invariant_count's order is read from 0 to max_order)
+NO_DEPTH = {"surface_values", "surface_substitute", "curve_values",
+            "curve_identities", "frenet", "characters", "janet_board",
+            "fiber_dimension", "phs", "syzygy", "is_invariant",
+            "invariant_count", "structure_table", "jacobi_table",
+            "lie_condition", "jacobi_multiplier"}
+
+
 class TestParse:
+    def test_every_op_declares_its_depth_or_takes_none(self):
+        declared = {op for op, entry in OPS.items() if len(entry) == 3}
+        assert declared.isdisjoint(NO_DEPTH)
+        assert declared | NO_DEPTH == OPS.keys()
+        # a declaration names arguments of the op or keys of the kind
+        for _, schema, *depth in (*OPS.values(), *KINDS.values()):
+            assert all(d and d.keys() <= schema.keys() for d in depth)
+
     def test_corpus_file(self):
         pf = read_corpus("shell_monkey_saddle.json")
         assert len(pf.checks) == 7
@@ -1048,9 +1134,9 @@ class TestMain:
                      "section": "s", "point": {"x": "1"}}}}]},
             "checks[0].args.witness.point: gives no value for z",
             ProblemSyntaxError, None, id="witness-point-unbound"),
-        *(pytest.param(doc, f"{json_path}: components carry a jet of order",
-                       ProblemSyntaxError, least - 1, id=f"{name}-depth")
-          for name, doc, json_path, least in DEPTH_BOUNDARY),
+        *(pytest.param(doc, f"{json_path}: {text}", ProblemSyntaxError,
+                       least - 1, id=f"{name}-depth")
+          for name, doc, json_path, least, text in DEPTH_BOUNDARY),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, doc, json_path, error,
                               max_order):
@@ -1070,7 +1156,7 @@ class TestMain:
 
     @pytest.mark.parametrize("doc, least", [
         pytest.param(doc, least, id=name)
-        for name, doc, _, least in DEPTH_BOUNDARY])
+        for name, doc, _, least, _ in DEPTH_BOUNDARY])
     def test_depth_boundary_loads(self, tmp_path, capsys, doc, least):
         path = tmp_path / "boundary.json"
         path.write_text(problem(**doc))

@@ -974,7 +974,7 @@ def op_fiber_dimension(pf, args):
 
 
 def _pair(pf, args):
-    """The system, the groupoid and their witnesses (``_pair_args``)."""
+    """The system, the groupoid and their witnesses (``_PAIR``)."""
     return (_build(pf, args["system"], "system"),
             _build(pf, args["groupoid"], "system"),
             _witness(pf, args, "witness_system"),
@@ -1091,7 +1091,8 @@ _SURFACE, _CURVE, _SYSTEM, _GENERATORS = map(
     _needs, ("surface", "curve", "system", "generators"))
 
 
-# a system, a groupoid and their optional witnesses (``_pair``)
+# a system, a groupoid and their optional witnesses (``_pair``);
+# automorphic reads its system as ``_SYSTEM1``, for its Cartan test
 _PAIR = {**_SYSTEM, **_needs("system", "groupoid"), **{
     f"witness_{key}": (_witness_arg(key), False)
     for key in ("system", "groupoid")}}
@@ -1137,7 +1138,8 @@ OPS = {
         **_SYSTEM, "expected": _COUNT,
         "witness": (_witness_arg("system"), False)}),
     "phs": (op_phs, _PAIR),
-    "automorphic": (op_automorphic, _PAIR, {"system": 1, "groupoid": 1}),
+    "automorphic": (op_automorphic, {**_PAIR, **_SYSTEM1},
+                    {"system": 1, "groupoid": 1}),
     "compatibility_count": (op_compatibility_count,
                             {**_SYSTEM, "expected": _COUNT}, {"system": 1}),
     "prolong_count": (op_prolong_count, {

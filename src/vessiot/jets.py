@@ -229,7 +229,8 @@ class JetContext:
         return list(self._rules)
 
     def reduce(self, e):
-        return symcore.reduce_expr(e, self.rules)
+        self._ensure_special_tables()
+        return symcore.reduce_expr(e, self._rules)
 
     # -- calculus -----------------------------------------------------
     def total_derivative(self, e, i):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rational-function field.
 
-Entries are RationalExpr or rational numbers; zero tests are exact, so ranks
-and solutions are authoritative at generic points of the coefficient
-field.
+Entries are RationalExprs, Polynomials or rational numbers; zero tests
+are exact, so ranks and solutions are authoritative at generic points
+of the coefficient field.
 
 Elimination runs on sparse rows, ``{col: entry}`` dicts that hold only
 the nonzero entries, so a zero cell is never stored, updated or tested;
@@ -10,18 +10,16 @@ the nonzero entries, so a zero cell is never stored, updated or tested;
 one kernel, ``_forward``, works on one entry type: it clears each row
 on entry to a row of int-coefficient Polynomials (``clear``: the row
 over one denominator, ``symcore.over_one_denominator``, then divided by
-its integer content) and takes a row that is already cleared as it is,
-so a caller that keeps its rows cleared (``systems``' symbols) pays for
-the clearing once, where the rows are built, and not at every
-elimination.  The pivot is the entry of fewest terms, and
-rows are updated as row <- pv*row - a*prow over Polynomials
-(``_eliminate``), so it takes no polynomial gcd.  Its one column rule
-takes next a column of the lowest block that fewest remaining rows carry
-(Markowitz's rule, which keeps fill-in down); each caller names the
-blocks.  ``rank`` puts all columns
-in one block.  ``rref`` gives each its own, so the lowest comes first,
-as its pivot columns are part of its answer; it back-substitutes with
-the same update and then divides each row by its pivot once.
+its integer content); a row of Polynomials, as ``systems``' symbols
+hold them, is only divided by its content.  The pivot is the entry of
+fewest terms, and rows are updated as row <- pv*row - a*prow over
+Polynomials (``_eliminate``), so it takes no polynomial gcd.  Its one
+column rule takes next a column of the lowest block that fewest
+remaining rows carry (Markowitz's rule, which keeps fill-in down); each
+caller names the blocks.  ``rank`` puts all columns in one block.
+``rref`` gives each its own, so the lowest comes first, as its pivot
+columns are part of its answer; it back-substitutes with the same
+update and then divides each row by its pivot once.
 ``pivot_columns`` serves ``systems.characters``, one block per class.
 ``det`` and ``adjugate`` are cofactor expansions over small dense square
 matrices.
@@ -65,11 +63,11 @@ def clear(row):
     new row of Polynomials with int coefficients, without its zero
     entries: the row over one denominator (over_one_denominator), then
     divided by the integer content.  The row is only scaled by a nonzero
-    factor.  A row whose entries are all Polynomials is a row ``clear``
-    made, and is returned as it is: ``systems`` keeps the symbol's rows
-    cleared, so each is cleared once, not once per elimination."""
+    factor.  A row of int-coefficient Polynomials with no zero entry
+    (``symcore.linearize`` makes them) is only divided by its integer
+    content, and is returned as it is when that is 1."""
     if all(isinstance(x, Polynomial) for x in row.values()):
-        return row
+        return _primitive(row)
     nums, _ = over_one_denominator(row.values())
     return _primitive({j: p for j, p in zip(row, nums) if p.terms})
 

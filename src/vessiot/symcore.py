@@ -14,14 +14,15 @@ polynomials in one sweep over each one's terms (B the c_v's common
 denominator), one Henrici quotient rule and one division by B;
 coordinate partials, the chain rule for specials, total derivatives and
 vector fields go through it.
-``gradient`` forms all partials of one expression that a Jacobian row
-needs: one sweep over num's and one over den's terms (``poly_partials``)
-gives every dn/dv and dd/dv, and each partial then takes the same
-quotient rule (``_quotient``), the only one.  derive's ``_sweep`` walks
-the terms the same way but multiplies each partial's term by its a_v
-in place: summing ``poly_partials``' results times the a_v instead cost
-about 3 % of the ``prolong`` benchmark's pass time (Python 3.11, two
-shared CPUs).
+``linearize`` forms the row of one expression n/d that a symbol or a
+witness Jacobian needs, with no gcd: one sweep over num's and one over
+den's terms (``poly_partials``) gives every n_v and d_v, and the entry
+n_v*d - n*d_v (n_v when d carries none of the variables) is the partial
+times d^2 (or d), so the row has the rank of the partials.  derive's
+``_sweep`` walks the terms the same way but multiplies each partial's
+term by its a_v in place: summing ``poly_partials``' results times the
+a_v instead cost about 3 % of the ``prolong`` benchmark's pass time
+(Python 3.11, two shared CPUs).
 ``substitute`` sums a polynomial's terms over the product of its
 bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once.  ``sum_of_products`` groups
@@ -1262,8 +1263,8 @@ def coordinate_partial(e, v):
 
 
 def poly_partials(p, vs):
-    """{v: dp/dv} for each v of the set ``vs`` that p carries, in one
-    pass over p's terms.  Dividing out one v is one-to-one on the
+    """{v: dp/dv} for each v of the container ``vs`` that p carries, in
+    one pass over p's terms.  Dividing out one v is one-to-one on the
     monomials that carry v, so no two terms of one partial meet."""
     out = {}
     for m, c in p.terms.items():
@@ -1280,19 +1281,21 @@ def poly_partials(p, vs):
     return {v: _poly(t) for v, t in out.items()}
 
 
-def gradient(e, vs):
-    """{v: coordinate_partial(e, v)} for each v of ``vs``, ZERO where e
-    does not carry v: one sweep over num's and one over den's terms
-    (poly_partials), then the quotient rule for each v."""
+def linearize(e, vs):
+    """e = n/d linearized in the variables of the container ``vs``, with
+    no gcd: {v: n_v*d - n*d_v} as Polynomials, or {v: n_v} when d
+    carries none of them, for each v of vs that e carries.  That is
+    d^2 (or d) times d e/dv, one nonzero factor for the whole row, so a
+    row of them has the rank of the row of partials; e is in lowest
+    terms, so no entry is zero.  One sweep over num's and one over den's
+    terms (poly_partials)."""
     n, d = e.num, e.den
-    want = set(vs)
-    dn, dd = poly_partials(n, want), poly_partials(d, want)
+    dn, dd = poly_partials(n, vs), poly_partials(d, vs)
+    if not dd:
+        return dn
     none = Polynomial()
-    out = {}
-    for v in vs:
-        q = _quotient(n, d, dn.get(v, none), dd.get(v, none))
-        out[v] = ZERO if q is None else RationalExpr._coprime(*q)
-    return out
+    return {v: dn.get(v, none) * d - n * dd.get(v, none)
+            for v in {**dn, **dd}}
 
 
 def _check_acyclic(bindings):
@@ -1382,11 +1385,12 @@ def substitute(e, bindings):
 
 
 def reduce_expr(e, rules):
-    """Exhaustive rewrite of num and den, then renormalization."""
-    if not rules:
-        return e
+    """Exhaustive rewrite of num and den, then renormalization; e itself
+    when no rule fires."""
     n = poly_reduce(e.num, rules)
     d = poly_reduce(e.den, rules)
+    if n is e.num and d is e.den:
+        return e
     if d.is_zero():
         raise DivisionByZero("denominator reduced to zero")
     return RationalExpr(n, d)

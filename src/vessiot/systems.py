@@ -22,7 +22,7 @@ from .errors import (
 from .jets import jet_order
 from .linalg import clear, pivot_columns, rank
 from .report import CheckReport
-from .symcore import RationalExpr, eval_point, gradient
+from .symcore import RationalExpr, eval_point, linearize
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +294,19 @@ def prolong_system(S, r):
 
 class SymbolSystem:
     """Homogeneous linearization in the order-q jets ``columns`` (all of
-    them): each row is sparse, ``{j: coefficient of columns[j]}``, as
-    ``linalg.rank`` takes it, with no zero entry and never empty.
+    them): each row is sparse, ``{j: Polynomial}``, as ``linalg.rank``
+    takes it, with no zero entry and never empty.  Each row is a
+    residual's row of partials by ``columns`` times one nonzero factor
+    (``symcore.linearize``), which leaves every rank as it is."""
 
-    ``cleared`` holds each row times a nonzero factor, with its keys, as
-    ``linalg.clear`` makes it: ``symbol_of`` clears each row once, where
-    it is built, and ``_prolonged_symbol`` shifts the cleared rows with
-    the rows, so the eliminations of a symbol (``rank``, ``characters``)
-    clear no row.  A shifted cleared row may keep some integer content
-    (see ``_prolonged_symbol``)."""
-
-    def __init__(self, ctx, order, columns, rows, cleared):
+    def __init__(self, ctx, order, columns, rows):
         self.ctx = ctx
         self.order = order
         self.columns = columns
         self.rows = rows
-        self.cleared = cleared
 
     def rank(self):
-        return rank(self.cleared, len(self.columns))
+        return rank(self.rows, len(self.columns))
 
     def dimension(self):
         return len(self.columns) - self.rank()
@@ -325,29 +319,26 @@ def _order_q_jets(ctx, q):
 
 
 def symbol_of(S):
-    """S's symbol: each equation linearized in its order-q jets only.  A
-    residual is in lowest terms, so its partial by a jet it carries is
-    nonzero.
+    """S's symbol: each equation linearized in its order-q jets only
+    (``symcore.linearize``, no gcd), its row divided by its integer
+    content (``linalg.clear``).
 
     The symbol is built on the first call, kept on S and returned as the
     same object on every later call, so ``characters``, ``cartan_test``,
     ``compatibility_count`` and direct callers share one build.  No
-    caller may change its rows or cleared rows (``rank`` and ``rref``
-    read them and build new rows), and S's equations must not change
-    once it has been asked for.  Each row is cleared here, once
-    (``SymbolSystem.cleared``)."""
+    caller may change its rows (``rank`` and ``rref`` read them and
+    build new rows), and S's equations must not change once it has been
+    asked for."""
     sym = S._symbol
     if sym is None:
         cols = _order_q_jets(S.ctx, S.order)
         index = {v: j for j, v in enumerate(cols)}
         rows = []
         for res in S.residuals():
-            top = [v for v in res.variables() if v in index]
-            if top:
-                rows.append({index[v]: c
-                             for v, c in gradient(res, top).items()})
-        sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows,
-                                       [clear(r) for r in rows])
+            row = linearize(res, index)
+            if row:
+                rows.append(clear({index[v]: p for v, p in row.items()}))
+        sym = S._symbol = SymbolSystem(S.ctx, S.order, cols, rows)
     return sym
 
 
@@ -357,28 +348,23 @@ def _prolonged_symbol(sym):
 
     One table per independent x maps each order-q column to the column
     of its jet shifted by x (None where x is not in the dependent's
-    bases), and each row and its cleared row go through it alike.  The
-    cleared row is the row times a nonzero factor B*k, and the shift
-    moves entries without changing them, so the shifted cleared row is
-    the shifted row times B*k, with the same keys, even where the shift
-    drops entries; ``rank`` needs no more.  It need not be the row that
-    ``linalg.clear`` would make of the shifted row: where entries drop,
-    what is left may keep some integer content or a common factor."""
+    bases), and each row goes through it.  The shift moves entries
+    without changing them, so a row's one nonzero factor carries over,
+    even where the shift drops entries; what is left may then keep
+    some integer content, which ``rank`` divides out."""
     ctx = sym.ctx
     next_cols = _order_q_jets(ctx, sym.order + 1)
     index = {v: j for j, v in enumerate(next_cols)}
     tables = [[None if w is None else index[w]  # one-to-one in j
                for w in (ctx.shift(v, i) for v in sym.columns)]
               for i in range(len(ctx.independents))]
-    rows, cleared = [], []
-    for row, crow in zip(sym.rows, sym.cleared):
+    rows = []
+    for row in sym.rows:
         for to in tables:
-            out = {to[j]: c for j, c in row.items() if to[j] is not None}
+            out = {to[j]: p for j, p in row.items() if to[j] is not None}
             if out:
                 rows.append(out)
-                cleared.append({to[j]: p for j, p in crow.items()
-                                if to[j] is not None})
-    return SymbolSystem(ctx, sym.order + 1, next_cols, rows, cleared)
+    return SymbolSystem(ctx, sym.order + 1, next_cols, rows)
 
 
 def _column_classes(S, cols):
@@ -396,7 +382,7 @@ def characters(S):
     alpha^i = (#order-q jets of class i) - (#class-i equations); the
     class of a solved equation is the class of its leading jet, and
     implicit equations are classed by one exact elimination of the
-    symbol's cleared rows, class n's columns first
+    symbol's rows, class n's columns first
     (``linalg.pivot_columns``): beta^i
     is the number of its pivots in class-i columns."""
     if S.order < 1:
@@ -418,7 +404,7 @@ def characters(S):
         return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
     sym = symbol_of(S)
     block = [n - c for c in classes]
-    for j in pivot_columns(sym.cleared, len(cols), block):
+    for j in pivot_columns(sym.rows, len(cols), block):
         beta[classes[j]] += 1
     return tuple(counts[i - 1] - beta[i] for i in range(1, n + 1))
 
@@ -502,7 +488,9 @@ def fiber_dimension(S, witness=None):
     """#jets(<= q) minus the number of independent equations.
 
     Solved systems are counted directly; implicit systems need an exact
-    on-variety witness point at which the Jacobian rank is computed."""
+    on-variety witness point at which the Jacobian rank is computed.
+    There each residual n/d has n = 0, so its row (``symcore.linearize``)
+    at the point is its Jacobian row times d^2 (or d), nonzero there."""
     ctx = S.ctx
     njets = ctx.fiber_jet_count(S.order)
     if witness is None:
@@ -517,9 +505,8 @@ def fiber_dimension(S, witness=None):
         val = eval_point(res, witness)
         if val != 0:
             raise OffVariety(f"witness is not on the variety: residual {val}")
-        grad = gradient(res, [v for v in res.variables() if v in index])
-        rows.append({index[v]: eval_point(c, witness)
-                     for v, c in grad.items()})
+        rows.append({index[v]: p.eval(witness)
+                     for v, p in linearize(res, index).items()})
     for g in S.assumptions():
         if eval_point(g, witness) == 0:
             raise DegenerateLocus(f"witness kills genericity {g}")
@@ -572,7 +559,6 @@ def compatibility_count(S):
     when x is in the dependent's bases and nu_x >= 1; the entry is 0
     otherwise.  ``_prolonged_symbol`` places exactly these entries; it
     drops the all-zero rows of lower-order equations, which add nothing
-    to the rank but still count.  It shifts the symbol's cleared rows
-    too, so the rank clears no row: ``symbol_of`` cleared each once."""
+    to the rank but still count."""
     n_rows = len(S.equations) * len(S.ctx.independents)
     return n_rows - _prolonged_symbol(symbol_of(S)).rank()

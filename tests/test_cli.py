@@ -1063,7 +1063,8 @@ class TestMain:
             ProblemSyntaxError, None, id=f"{op}-order-0")
           for op, extra in (("characters", {"expected": [0]}),
                             ("cartan", {}), ("cartan_bound", {}),
-                            ("janet_board", {"golden": "b.txt"}))),
+                            ("janet_board", {"golden": "b.txt"}),
+                            ("automorphic", {"groupoid": "S"}))),
         pytest.param(
             {"context": {"independents": ["x"], "dependents": ["y", "u"]},
              "objects": {"S": system({"leading": "y[x]", "rhs": "0"},

@@ -18,7 +18,7 @@ from vessiot.invariants import (
 )
 from vessiot.jets import JetContext, VectorField, bracket
 from vessiot.linalg import inverse, mat_mul
-from vessiot.symcore import RationalExpr, gradient, substitute
+from vessiot.symcore import RationalExpr, coordinate_partial, substitute
 
 
 @pytest.fixture
@@ -425,9 +425,10 @@ def constancy_residuals(ctx, targets, pairs, identifications):
 
 
 def jacobian_rank(exprs):
-    """Rank of the gradient rows of ``exprs`` over the rational-function
-    field."""
-    return generic_rank([VectorField(gradient(e, e.variables()))
+    """Rank of the rows of partials of ``exprs`` over the
+    rational-function field."""
+    return generic_rank([VectorField({v: coordinate_partial(e, v)
+                                      for v in e.variables()})
                          for e in exprs])
 
 

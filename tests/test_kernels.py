@@ -1,11 +1,12 @@
 """Differential tests of the derivation kernel ``symcore.derive``, of
 ``substitute`` over one common denominator, of the sparse symbol rows
-of ``systems`` and of the fraction-free ``linalg.rank`` and
-``linalg.rref``, against the term-by-term operator loops, the dense row
-builders, the field elimination and the field back-substitution they
-replaced; those are kept here as references.
+and witness Jacobians of ``systems`` and of the fraction-free
+``linalg.rank`` and ``linalg.rref``, against the term-by-term operator
+loops, the dense row builders, the field elimination and the field
+back-substitution they replaced; those are kept here as references.
 """
 import contextlib
+import json
 import math
 import random
 import signal
@@ -20,7 +21,7 @@ from vessiot.errors import (
     DenominatorVanishes,
     DivisionByZero,
 )
-from vessiot.jets import JetContext, VectorField, jet_order
+from vessiot.jets import JetContext, VectorField, holonomic_section, jet_order
 from vessiot.symcore import (
     ONE,
     ZERO,
@@ -33,6 +34,7 @@ from vessiot.symcore import (
     sum_of_products,
 )
 from test_symcore import complexity, ref_poly_partial
+from test_systems import fraction_rank
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 PROLONG_SYSTEMS = (
@@ -544,42 +546,70 @@ def prolonged(stem, name, r):
     return systems.prolong_system(cli._build(pf, name, "system"), r)
 
 
+def assert_one_factor_per_row(rows, ref_rows):
+    """Each row has the support of its reference row and is that row
+    times one nonzero factor."""
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        assert row.keys() == ref.keys()
+        (ratio,) = {RationalExpr(row[j]) / ref[j] for j in row}
+        assert not ratio.is_zero()
+
+
+def cofactor_calls(monkeypatch):
+    """The list that each later poly_cofactors call appends to (every
+    gcd, poly_gcd's too, runs through it)."""
+    calls = []
+    cofactors0 = symcore.poly_cofactors
+
+    def counted(a, b):
+        calls.append((a, b))
+        return cofactors0(a, b)
+
+    monkeypatch.setattr(symcore, "poly_cofactors", counted)
+    return calls
+
+
 @pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
-def test_sparse_symbol_rows_equal_the_dense_builders(stem, name, r):
+def test_sparse_symbol_rows_scale_the_dense_builders(stem, name, r):
     P = prolonged(stem, name, r)
     sym = systems.symbol_of(P)
     cols, dense = ref_symbol(P)
     assert sym.columns == cols
-    # equal rows give equal ranks: rank runs one kernel on either
-    assert sym.rows == [ref_sparse(row, len(cols)) for row in dense]
+    want = [ref_sparse(row, len(cols)) for row in dense]
+    assert_one_factor_per_row(sym.rows, want)
     nxt = systems._prolonged_symbol(sym)
     next_cols, next_dense = ref_prolonged_symbol(P.ctx, P.order, cols, dense)
     assert nxt.columns == next_cols
-    assert nxt.rows == [ref_sparse(row, len(next_cols)) for row in next_dense]
+    next_want = [ref_sparse(row, len(next_cols)) for row in next_dense]
+    assert_one_factor_per_row(nxt.rows, next_want)
     for s in (sym, nxt):
-        # no stored row holds a zero or is empty
-        assert all(row and not any(c.is_zero() for c in row.values())
-                   for row in s.rows)
-        # entries are Fractions or RationalExprs, never ints
-        assert all(isinstance(c, (Fraction, RationalExpr))
-                   for row in s.rows for c in row.values())
+        # no stored row is empty, and its entries are nonzero Polynomials
+        # with int coefficients
+        assert all(row and all(
+            isinstance(p, Polynomial) and p.terms
+            and all(type(c) is int for c in p.terms.values())
+            for p in row.values()) for row in s.rows)
+    # rows scaled by nonzero factors keep their rank; complete_integral's
+    # prolonged symbol at r = 1 gets no rank in minutes (ROADMAP item 4)
+    assert sym.rank() == linalg.rank(want, len(cols))
+    if (name, r) != ("complete_integral", 1):
+        assert nxt.rank() == linalg.rank(next_want, len(next_cols))
 
 
 @pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
-def test_symbol_rows_are_cleared_once(stem, name, r, monkeypatch):
-    """symbol_of clears each symbol row once, and _prolonged_symbol
-    shifts the cleared rows with the rows: a shifted cleared row has its
-    row's keys and is that row times one nonzero factor.  So the rank
-    that compatibility_count takes puts no row over one denominator."""
+def test_symbol_rows_take_no_gcd_and_are_cleared(stem, name, r,
+                                                  monkeypatch):
+    """symbol_of linearizes each residual with no gcd, into a row that
+    linalg.clear returns as it is, and the rank that compatibility_count
+    takes puts no row over one denominator."""
     P = prolonged(stem, name, r)
-    sym = systems.symbol_of(P)
-    assert sym.cleared == [linalg.clear(row) for row in sym.rows]
-    nxt = systems._prolonged_symbol(sym)
-    assert len(nxt.cleared) == len(nxt.rows)
-    for row, crow in zip(nxt.rows, nxt.cleared):
-        assert crow.keys() == row.keys()
-        (ratio,) = {RationalExpr(crow[j]) / row[j] for j in row}
-        assert not ratio.is_zero()
+    P.residuals()  # each residual is formed once, with its gcd
+    with monkeypatch.context() as m:
+        calls = cofactor_calls(m)
+        sym = systems.symbol_of(P)
+    assert calls == []
+    assert all(linalg.clear(row) is row for row in sym.rows)
     # complete_integral's prolonged symbol at r = 1 gets no rank in
     # minutes (ROADMAP item 4)
     if (name, r) == ("complete_integral", 1):
@@ -599,9 +629,10 @@ def test_symbol_rows_are_cleared_once(stem, name, r, monkeypatch):
 
 
 def test_ranks_over_cleared_rows_equal_the_ranks_over_the_rows(ctx):
-    """rank takes a cleared row as it is, also one that kept some integer
-    content (as a shifted cleared row may): seeded matrices, and the
-    same with every cleared row times an int, have the same rank."""
+    """rank takes a cleared row as it is, and clear divides a row of
+    Polynomials by its integer content (as a shifted symbol row may
+    keep one): seeded matrices, and the same with every cleared row
+    times an int, have the same rank."""
     rng = random.Random(3501)
     for _ in range(60):
         rows, ncols = rand_matrix(rng, rng.sample(variables(ctx), 3))
@@ -609,8 +640,12 @@ def test_ranks_over_cleared_rows_equal_the_ranks_over_the_rows(ctx):
         assert all(linalg.clear(row) is row for row in cleared)
         scaled = []
         for row in cleared:
-            k = Polynomial.const(rng.choice([2, 3, -6]))
-            scaled.append({j: k * p for j, p in row.items()})
+            k = rng.choice([2, 3, -6])
+            scaled.append({j: Polynomial.const(k) * p
+                           for j, p in row.items()})
+            sign = Polynomial.const(k // abs(k))
+            assert linalg.clear(scaled[-1]) == {
+                j: sign * p for j, p in row.items()}
         want = linalg.rank(rows, ncols)
         assert linalg.rank(cleared, ncols) == want, rows
         assert linalg.rank(scaled, ncols) == want, rows
@@ -626,18 +661,20 @@ def test_one_symbol_per_system_shared_and_unchanged(stem, name, r,
     P = prolonged(stem, name, r)
     cols, dense = ref_symbol(P)
     want = [ref_sparse(row, len(cols)) for row in dense]
-    # one build: one gradient per residual that carries an order-q jet,
-    # over exactly those jets
+    # one build: one linearization per residual, with an entry for each
+    # order-q jet it carries
     one_build = [len(res.variables() & set(cols)) for res in P.residuals()]
     calls = []
-    gradient0 = systems.gradient
+    linearize0 = systems.linearize
 
     def counted(e, vs):
-        calls.append(len(vs))
-        return gradient0(e, vs)
+        out = linearize0(e, vs)
+        calls.append(len(out))
+        return out
 
-    monkeypatch.setattr(systems, "gradient", counted)
+    monkeypatch.setattr(systems, "linearize", counted)
     sym = systems.symbol_of(P)
+    built = [dict(row) for row in sym.rows]
     assert systems.symbol_of(P) is sym
     for consumer in (
         lambda: systems.symbol_of(P).rank(),
@@ -647,9 +684,89 @@ def test_one_symbol_per_system_shared_and_unchanged(stem, name, r,
     ):
         consumer()
         assert systems.symbol_of(P) is sym
-        assert sym.columns == cols and sym.rows == want
-        assert sym.cleared == [linalg.clear(row) for row in want]
-    assert calls == [k for k in one_build if k]
+        assert sym.columns == cols and sym.rows == built
+    assert_one_factor_per_row(sym.rows, want)
+    assert calls == one_build
+
+
+# -- witness Jacobians against the dense Fraction reference -------------
+PROBLEMS = Path(__file__).resolve().parent / "problems"
+# a check's witness argument -> the argument naming its system
+WITNESS_KEYS = {"witness": "system", "witness_system": "system",
+                "witness_groupoid": "groupoid"}
+
+
+def ref_witness_rank(S, witness):
+    """Rank of the dense Jacobian of S's residuals in its jets up to its
+    order, each entry a coordinate_partial evaluated at the witness."""
+    cols = S.ctx.jets_up_to(S.order)
+    rows = []
+    for res in S.residuals():
+        carried = res.variables()
+        rows.append([
+            symcore.eval_point(coordinate_partial(res, v), witness)
+            if v in carried else Fraction(0) for v in cols])
+    return fraction_rank(rows)
+
+
+def witness_cases():
+    """(label, system, witness): each witness that a check of the corpus
+    or of tests/problems gives a system (prolonged once more for
+    automorphic, which also counts there), the saddle file's systems at
+    r = 0 and 1 at its section ``graph``, read up to order 3, and a
+    system whose residual has a jet in its denominator, at r = 0 and 1,
+    at the section y = x."""
+    out = []
+    for path in sorted(CORPUS.glob("*.json")) + sorted(
+            PROBLEMS.glob("*/*.json")):
+        pf = cli.parse_problem(path.read_bytes(), str(path))
+        for check in pf.checks:
+            for key, system in WITNESS_KEYS.items():
+                if key not in check.args:
+                    continue
+                S = cli._build(pf, check.args[system], "system")
+                w = cli._witness(pf, check.args, key)
+                for r in (0, 1) if check.op == "automorphic" else (0,):
+                    out.append((f"{check.id}.{key}.r{r}",
+                                systems.prolong_system(S, r), w))
+    path = CORPUS / "shell_monkey_saddle.json"
+    data = json.loads(path.read_text())
+    data["objects"]["graph"]["order"] = 3
+    pf = cli.parse_problem(json.dumps(data), str(path), max_order=4)
+    w = systems.witness_from_section(
+        cli._build(pf, "graph", "section"),
+        {pf.ctx.var("x1"): Fraction(1), pf.ctx.var("x2"): Fraction(2)})
+    for name, (kind, _) in pf.objects.items():
+        if kind == "system":
+            S = cli._build(pf, name, "system")
+            out += [(f"saddle.{name}.r{r}", systems.prolong_system(S, r), w)
+                    for r in (0, 1)]
+    ctx = JetContext(["x"], ["y"], max_order=2)
+    E = ctx.expr
+    S = systems.SolvedSystem(ctx, 1, [systems.implicit_equation(
+        E("y[x]/(1 + y^2)"), E("1/(1 + x^2)"))])
+    w = systems.witness_from_section(
+        holonomic_section(ctx, {"y": E("x")}, 2), {ctx.var("x"): 2})
+    out += [(f"jet-denominator.r{r}", systems.prolong_system(S, r), w)
+            for r in (0, 1)]
+    return out
+
+
+def test_witness_ranks_equal_the_dense_fraction_reference(monkeypatch):
+    """fiber_dimension's rows, each a residual's linearization at the
+    witness, have the rank of the dense Jacobian there, and no gcd is
+    taken to form them."""
+    cases = witness_cases()
+    # the corpus check, 4 saddle systems x 2 and the jet denominator x 2
+    assert len(cases) == 11
+    for label, S, w in cases:
+        want = ref_witness_rank(S, w)
+        S.residuals()  # each residual is formed once, with its gcd
+        with monkeypatch.context() as m:
+            calls = cofactor_calls(m)
+            got = systems.fiber_dimension(S, w)
+        assert calls == [], label
+        assert got == S.ctx.fiber_jet_count(S.order) - want, label
 
 
 # -- fraction-free rank against the field elimination -------------------
@@ -674,7 +791,8 @@ def ref_rank(rows, ncols):
     def weight(x):
         return complexity(x) if isinstance(x, RationalExpr) else 2
 
-    rows = [{j: x if isinstance(x, RationalExpr) else Fraction(x)
+    rows = [{j: x if isinstance(x, RationalExpr) else
+             RationalExpr(x) if isinstance(x, Polynomial) else Fraction(x)
              for j, x in row.items() if x} for row in rows]
     free = list(range(len(rows)))
     rank = 0
@@ -726,15 +844,8 @@ def rand_matrix(rng, vs):
 def rank_without_gcd(monkeypatch, rows, ncols):
     """linalg.rank of the rows, asserting that it takes no gcd (every
     gcd, poly_gcd's too, runs through poly_cofactors)."""
-    calls = []
-    cofactors0 = symcore.poly_cofactors
-
-    def counted(a, b):
-        calls.append((a, b))
-        return cofactors0(a, b)
-
     with monkeypatch.context() as m:
-        m.setattr(symcore, "poly_cofactors", counted)
+        calls = cofactor_calls(m)
         got = linalg.rank(rows, ncols)
     assert calls == []
     return got

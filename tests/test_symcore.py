@@ -26,7 +26,7 @@ from vessiot.symcore import (
     VariableId,
     coordinate_partial,
     eval_point,
-    gradient,
+    linearize,
     mono_div,
     mono_gcd,
     mono_key,
@@ -209,6 +209,22 @@ class TestReduce:
     def test_frame_entry(self, hyp):
         e = hyp.expr("(ch*ch - sh*sh) / ch")  # orthonormal-frame entry
         assert hyp.reduce(e) == hyp.expr("1 / ch")
+
+    def test_no_rewrite_returns_the_expression(self, hyp, monkeypatch):
+        # no monomial of either part carries ch^2: no rule fires, and
+        # the expression comes back as it is, with no gcd taken
+        e = hyp.expr("(ch*sh + y1 + ch) / (sh^3 + 1)")
+        hyp.rules  # parses the rewrite rules first
+        calls = []
+        cofactors0 = symcore.poly_cofactors
+
+        def counted(a, b):
+            calls.append((a, b))
+            return cofactors0(a, b)
+
+        monkeypatch.setattr(symcore, "poly_cofactors", counted)
+        assert hyp.reduce(e) is e
+        assert calls == []
 
     def test_value_preserved(self, hyp):
         # at a point with c^2 - s^2 = 1, reduction must preserve values
@@ -409,15 +425,15 @@ class TestHenrici:
                 assert out.den.leading_coefficient() > 0
                 self.check_partial(e, v)
 
-    def test_gradient_equals_each_partial(self, xyz):
+    def test_linearize_scales_each_partial_by_one_factor(self, xyz):
         X, Y = (Polynomial.var(v) for v in xyz[:2])
-        # (xy + 1)/x = y + 1/x: the y terms cancel, and z is absent
-        assert gradient(RationalExpr(X * Y + 1, X), xyz) == {
-            xyz[0]: RationalExpr(Polynomial.const(-1), X * X),
-            xyz[1]: RationalExpr.const(1),
-            xyz[2]: RationalExpr.const(0),
-        }
-        assert gradient(RationalExpr(X), []) == {}
+        # (xy + 1)/x = y + 1/x: n_x*d - n*d_x = -1 and n_y*d = x^2, the
+        # partials times x^2; z is absent
+        assert linearize(RationalExpr(X * Y + 1, X), set(xyz)) == {
+            xyz[0]: Polynomial.const(-1), xyz[1]: X * X}
+        # a denominator free of the variables: n_v alone, times d = 2
+        assert linearize(RationalExpr(X * Y, 2), {xyz[1]}) == {xyz[1]: X}
+        assert linearize(RationalExpr(X), set()) == {}
         rng = random.Random(29)
         for _ in range(self.CASES):
             f = self.poly(rng, xyz) + Polynomial.var(xyz[2])
@@ -429,11 +445,14 @@ class TestHenrici:
                 RationalExpr(p, q),  # z absent
                 RationalExpr(p * f, q * f),  # f cancels: d/dz is zero
             ):
-                grad = gradient(e, xyz)
-                assert list(grad) == xyz
-                for v in xyz:
-                    assert grad[v] == coordinate_partial(e, v)
-                    self.check_partial(e, v)
+                for vs in (set(xyz), {xyz[0]}, {xyz[2]}):
+                    row = linearize(e, vs)
+                    assert row.keys() == vs & e.variables()
+                    d = RationalExpr(e.den)
+                    k = d * d if vs & e.den.variables() else d
+                    for v in vs:
+                        assert RationalExpr(row.get(v, Polynomial())) == (
+                            k * coordinate_partial(e, v))
 
     def test_gcd_with_a_nonzero_constant_is_one(self, xyz):
         rng = random.Random(25)

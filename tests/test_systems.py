@@ -551,9 +551,10 @@ class TestSymbol:
         ctx = shell["ctx"]
         E = ctx.expr
         col = sym.columns.index(ctx.jet_by_dirs("y2", ["x1", "x2"]))
-        # the row of the (r=1, ij=12) equation carries y2_{x1}
-        hits = [row[col] for row in sym.rows if col in row]
-        assert any((c - E("y2[x1]")).is_zero() for c in hits)
+        # the row of the (r=1, ij=12) equation carries y2_{x1}, times the
+        # row's one nonzero factor, here a constant
+        hits = [RationalExpr(row[col]) for row in sym.rows if col in row]
+        assert any((c / E("y2[x1]")).is_constant() for c in hits)
 
     def test_extra_row(self, shell, shell_extra):
         assert len(symbol_of(shell_extra).rows) == 7

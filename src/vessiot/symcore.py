@@ -633,10 +633,13 @@ def poly_cofactors(a, b):
 
     Each branch keeps the quotients it finds on the way, so the
     cofactors cost no division except after a subresultant sequence.
-    After the monomial content and the trial divisions (a quotient
-    q = a/b gives a/g and b/g as constants times q and 1), an operand p
-    of degree 1 in some variable (the operand with fewer terms first, w
-    the lowest such variable in the variable order) is split:
+    Once the monomial contents are removed, operands that share no
+    variable have only the monomial part in common: a gcd divides both,
+    so it carries only variables that both carry.  After that test and
+    the trial divisions (a quotient q = a/b gives a/g and b/g as
+    constants times q and 1), an operand p of degree 1 in some variable
+    (the operand with fewer terms first, w the lowest such variable in
+    the variable order) is split:
     p = u1*w + u0 with both parts nonzero and (c, u1/c, u0/c) the
     cofactors of u1 and u0, so that x = p/c = (u1/c)*w + u0/c needs no
     division.  x has degree 1 in w and is primitive in w, so it is
@@ -653,9 +656,10 @@ def poly_cofactors(a, b):
     (_lift then puts back the monomial content and the constant factor
     that makes g integer-primitive.)  When c is constant, p itself is
     irreducible and the trial divisions (or their gate) have shown that
-    it does not divide q, so only the monomial part remains.  A pair with no such operand takes its
-    contents in the largest common variable v, runs a subresultant
-    remainder sequence and divides the operands by the gcd it finds.
+    it does not divide q, so only the monomial part remains.  A pair
+    with no such operand takes its contents in the largest common
+    variable v, runs a subresultant remainder sequence and divides the
+    operands by the gcd it finds.
 
     The recursion terminates: each recursive call replaces an operand
     by polynomials free of w (u1 and u0, or c in place of p) or of v
@@ -679,8 +683,11 @@ def poly_cofactors(a, b):
     pa, pb = _mono_quotient(a, ma), _mono_quotient(b, mb)
     if pa.is_constant() or pb.is_constant():
         return _mono_cofactors(a, b, mg)
-    # cheap trial divisions first, each only where the degrees allow it
     da, db = _degrees(pa), _degrees(pb)
+    common = da.keys() & db.keys()
+    if not common:
+        return _mono_cofactors(a, b, mg)
+    # cheap trial divisions first, each only where the degrees allow it
     if _may_divide(db, da):
         q = poly_divexact(pa, pb)
         if q is not None:
@@ -713,9 +720,6 @@ def poly_cofactors(a, b):
         if p is pa:
             return _lift(mg, ma, mb, f, fp, fq)
         return _lift(mg, ma, mb, f, fq, fp)
-    common = da.keys() & db.keys()
-    if not common:
-        return _mono_cofactors(a, b, mg)
     v = max(common)
     ca, ra = _primitive_in(pa, v)
     cb, rb = _primitive_in(pb, v)

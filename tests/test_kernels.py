@@ -4,8 +4,11 @@ and witness Jacobians of ``systems`` and of the fraction-free
 ``linalg.rank`` and ``linalg.rref``, against the term-by-term operator
 loops, the dense row builders, the field elimination and the field
 back-substitution they replaced; those are kept here as references.
+The symbol dimensions along the prolongation tower are held to Cartan's
+formula.
 """
 import contextlib
+import itertools
 import json
 import math
 import random
@@ -34,7 +37,7 @@ from vessiot.symcore import (
     sum_of_products,
 )
 from test_symcore import complexity, ref_poly_partial
-from test_systems import fraction_rank
+from test_systems import fraction_rank, reference_compatibility_count
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 PROLONG_SYSTEMS = (
@@ -546,14 +549,34 @@ def prolonged(stem, name, r):
     return systems.prolong_system(cli._build(pf, name, "system"), r)
 
 
+def one_factor(row, ref):
+    """Whether row has the support of ref and is ref times one nonzero
+    factor."""
+    if row.keys() != ref.keys():
+        return False
+    ratios = {RationalExpr(row[j]) / ref[j] for j in row}
+    return len(ratios) == 1 and not ratios.pop().is_zero()
+
+
 def assert_one_factor_per_row(rows, ref_rows):
     """Each row has the support of its reference row and is that row
     times one nonzero factor."""
     assert len(rows) == len(ref_rows)
     for row, ref in zip(rows, ref_rows):
-        assert row.keys() == ref.keys()
-        (ratio,) = {RationalExpr(row[j]) / ref[j] for j in row}
-        assert not ratio.is_zero()
+        assert one_factor(row, ref), (row, ref)
+
+
+def assert_kept_rows_scale(rows, ref_rows):
+    """rows are ref_rows less some, in order: each row is the next
+    reference row it keeps times one nonzero factor, and each reference
+    row left out is a nonzero multiple of a row kept before it."""
+    k = 0
+    for ref in ref_rows:
+        if k < len(rows) and one_factor(rows[k], ref):
+            k += 1
+        else:
+            assert any(one_factor(row, ref) for row in rows[:k]), ref
+    assert k == len(rows)
 
 
 def cofactor_calls(monkeypatch):
@@ -582,7 +605,7 @@ def test_sparse_symbol_rows_scale_the_dense_builders(stem, name, r):
     next_cols, next_dense = ref_prolonged_symbol(P.ctx, P.order, cols, dense)
     assert nxt.columns == next_cols
     next_want = [ref_sparse(row, len(next_cols)) for row in next_dense]
-    assert_one_factor_per_row(nxt.rows, next_want)
+    assert_kept_rows_scale(nxt.rows, next_want)
     for s in (sym, nxt):
         # no stored row is empty, and its entries are nonzero Polynomials
         # with int coefficients
@@ -595,6 +618,33 @@ def test_sparse_symbol_rows_scale_the_dense_builders(stem, name, r):
     assert sym.rank() == linalg.rank(want, len(cols))
     if (name, r) != ("complete_integral", 1):
         assert nxt.rank() == linalg.rank(next_want, len(next_cols))
+
+
+def ref_shifted_rows(sym):
+    """sym's own rows through the dense reference shift, back as sparse
+    rows: the prolonged symbol's rows, repeats kept."""
+    dense = [[row.get(j, ZERO) for j in range(len(sym.columns))]
+             for row in sym.rows]
+    _, shifted = ref_prolonged_symbol(sym.ctx, sym.order, sym.columns, dense)
+    return [{j: p for j, p in enumerate(row) if not p.is_zero()}
+            for row in shifted]
+
+
+@pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
+def test_prolonged_symbol_keeps_each_shifted_row_once(stem, name, r):
+    P = prolonged(stem, name, r)
+    sym = systems.symbol_of(P)
+    kept = systems._prolonged_symbol(sym).rows
+    assert all(a != b for a, b in itertools.combinations(kept, 2))
+    full = ref_shifted_rows(sym)
+    assert all(row in kept for row in full)
+    assert all(row in full for row in kept)
+    # the count is n rows per equation, repeats and empty rows included;
+    # complete_integral's prolonged symbol at r = 1 gets no rank in
+    # minutes (ROADMAP item 4)
+    if (name, r) != ("complete_integral", 1):
+        assert systems.compatibility_count(P) \
+            == reference_compatibility_count(P)
 
 
 @pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
@@ -1038,6 +1088,62 @@ def test_one_pass_characters_equal_one_rank_per_class(stem, name, r,
         assert len(calls) == 1
         assert alpha == tuple(
             classes.count(i + 1) - b for i, b in enumerate(want))
+
+
+# -- the symbol tower against Cartan's formula (ROADMAP item 16) ---------
+def elimination_characters(S):
+    """(alpha^1, ..., alpha^n) of S's symbol by one elimination in the
+    declared ordering, for solved systems too."""
+    sym = systems.symbol_of(S)
+    n = len(S.ordering)
+    classes = systems._column_classes(S, sym.columns)
+    betas = one_pass_betas(sym.rows, len(sym.columns), classes, n)
+    return tuple(classes.count(i + 1) - b for i, b in enumerate(betas))
+
+
+# their declared orderings are delta-singular: with the elimination alpha
+# the tower reads the first list, Cartan's formula the second
+DELTA_SINGULAR = {
+    "unimodular": ([3, 4, 5], [3, 7, 12]),
+    "eleven_equation": ([1, 1, 1], [1, 2, 3]),
+    "nine_equation": ([3, 4, 5], [3, 7, 12]),
+}
+
+
+@pytest.mark.parametrize("stem, name", [
+    pytest.param(stem, name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"ROADMAP item 5: {name}'s symbol dimensions at r = 0, 1, 2"
+        f" are {DELTA_SINGULAR[name][0]}, the formula "
+        f"{DELTA_SINGULAR[name][1]}")) if name in DELTA_SINGULAR
+    else (stem, name)
+    for stem, name in CORPUS_SYSTEMS
+    if name not in ("complete_integral", "metric_system")])
+def test_involutive_symbol_tower_follows_cartans_formula(stem, name):
+    """When g_q is involutive with characters alpha, dim g_{q+r} =
+    sum_i C(r+i-1, r) alpha^i for every r (the Hilbert polynomial of an
+    involutive symbol).  metric_system is not involutive (below), and
+    complete_integral's tower gets no rank in minutes (ROADMAP item 4)."""
+    S = prolonged(stem, name, 0)
+    with deadline(60):
+        alpha = elimination_characters(S)
+        dims = [systems.symbol_of(systems.prolong_system(S, r)).dimension()
+                for r in range(3)]
+        want = [sum(math.comb(r + i - 1, r) * a
+                    for i, a in enumerate(alpha, 1)) for r in range(3)]
+        # the Cartan test with this alpha: g_{q+1} meets the bound
+        # sum_i i alpha^i, which is the formula at r = 1
+        assert systems._prolonged_symbol(
+            systems.symbol_of(S)).dimension() == want[1]
+        assert dims == want
+
+
+def test_metric_system_is_not_involutive():
+    S = prolonged("shell_monkey_saddle", "metric_system", 0)
+    alpha = elimination_characters(S)
+    bound = sum(i * a for i, a in enumerate(alpha, 1))
+    assert systems._prolonged_symbol(systems.symbol_of(S)).dimension() \
+        == 3 < bound == 4
 
 
 # -- rref against lazy clearing and the field back-substitution ---------

@@ -457,10 +457,23 @@ def _equation(value, where, load):
     return systems.implicit_equation(eq["lhs"], eq.get("rhs"), lead, gen)
 
 
+def _multiple(a, b):
+    """Whether the Polynomial a is a nonzero constant multiple of b, or
+    both are zero: equal supports, and s*a == t*b at every monomial for
+    the coefficients t of a and s of b at one of them."""
+    if a.terms.keys() != b.terms.keys():
+        return False
+    if not a.terms:
+        return True
+    m = next(iter(a.terms))
+    t, s, bt = a.terms[m], b.terms[m], b.terms
+    return all(s * c == t * bt[k] for k, c in a.terms.items())
+
+
 def _system(s, where, load):
-    """Equations whose leading jets do not clash and no two of whose
-    residuals are equal up to sign, at ``order``; an ``ordering``
-    permutes the independents."""
+    """Equations whose leading jets do not clash and no residual of which
+    is a constant multiple of an earlier one, at ``order``; an
+    ``ordering`` permutes the independents."""
     ctx, equations = load.ctx, s.setdefault("equations", [])
     conflict = systems.leading_conflict(equations)
     if conflict is not None:
@@ -469,14 +482,16 @@ def _system(s, where, load):
     if above is not None:
         _fail(f"{where}.equations[{above[0]}]", above[1])
     # a repeated residual would count twice where classes are counted
-    # from declared leading jets (systems.characters)
-    first = {}
-    for i, e in enumerate(equations):
-        j = systems.same_equation(first, e.residual)
-        if j is not None:
-            _fail(f"{where}.equations[{i}]",
-                  f"residual repeats that of equations[{j}] up to sign")
-        first[e.residual] = i
+    # from declared leading jets (systems.characters); residuals are
+    # normal forms, so r is k*q for a constant k exactly when r's num and
+    # den are constant multiples of q's
+    residuals = [e.residual for e in equations]
+    for i, r in enumerate(residuals):
+        for j, q in enumerate(residuals[:i]):
+            if _multiple(r.num, q.num) and _multiple(r.den, q.den):
+                _fail(f"{where}.equations[{i}]",
+                      f"residual is a constant multiple of that of "
+                      f"equations[{j}]")
     _require(sorted(s.get("ordering", ctx.independents))
              == sorted(ctx.independents), f"{where}.ordering",
              f"expected a permutation of the independents "

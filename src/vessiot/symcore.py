@@ -60,6 +60,17 @@ exponents positive.  VariableIds are interned, one object per
 declaration, so the kernels test "same variable" with ``is`` and compare
 _sk only to order two variables, and a monomial's hash and equality
 (dict keys, set members) run in C with no Python frame per variable.
+A variable's _sk is an int rank in the variable order, the order of
+(key, name): a new variable takes the midpoint of its neighbours'
+ranks, and when they leave no room every variable is ranked afresh,
+evenly spaced and in place.  Ranks stay below 2**30, so comparing two
+is comparing one-digit ints.  A rank thus changes only when a variable
+is created, and rank order never changes: every stored monomial stays
+canonical, printing does not move, and an unpickled variable goes back
+through the constructor and takes a rank in the loading interpreter.
+Nothing may keep a rank or a mono_key across a call that can create a
+variable; poly_divexact's keys, __repr__'s sort, invariants'
+_q_linear_solve sort and RewriteRule.__init__ create none.
 RationalExpr.var returns one expression per variable in the same way.
 The iteration order of a set of variables follows memory addresses, so
 nothing whose result is printed may depend on it.
@@ -67,6 +78,7 @@ nothing whose result is printed may depend on it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from numbers import Rational
 
@@ -87,7 +99,9 @@ class VariableId:
 
     ``key`` is a context-global sort key: kind rank first, then the
     declaration index (independents, parameters, specials) or
-    (dependent index, |mu|, mu) for jets.
+    (dependent index, |mu|, mu) for jets.  The variable order is that of
+    ``(key, name)``; ``_sk`` is the variable's int rank in it (see
+    _place).
     """
 
     __slots__ = ("kind", "name", "key", "_sk")
@@ -99,8 +113,7 @@ class VariableId:
             object.__setattr__(v, "kind", kind)
             object.__setattr__(v, "name", name)
             object.__setattr__(v, "key", key)
-            # the variable order's sort key, compared on every monomial build
-            object.__setattr__(v, "_sk", (key, name))
+            _place(v)
         return v
 
     def __setattr__(self, attr, value):
@@ -123,6 +136,37 @@ class VariableId:
 _VARIABLES = {}
 # VariableId -> its one RationalExpr (RationalExpr.var)
 _VAR_EXPRS = {}
+# every variable in the variable order, and its key at one index
+_ORDER = []
+_ORDER_KEYS = []
+# ranks stay below 2**30, so each is an int of one CPython digit, whose
+# comparisons the interpreter specializes
+_RANK_LIMIT = 1 << 30
+
+
+def _place(v):
+    """Insert the new variable v into the variable order and give it a
+    rank strictly between its neighbours' ranks, their midpoint; when
+    they leave no room, every variable is ranked afresh, evenly spaced in
+    [0, _RANK_LIMIT) in the order, which stays as it was.  So a rank
+    changes only when a variable is created, and rank order is always
+    (key, name) order."""
+    # bisecting the keys alone, and then the names of the few variables
+    # of an equal key, compares one tuple level less than (key, name)
+    key = v.key
+    i = bisect_right(_ORDER_KEYS, key)
+    while i and _ORDER_KEYS[i - 1] == key and _ORDER[i - 1].name > v.name:
+        i -= 1
+    _ORDER_KEYS.insert(i, key)
+    _ORDER.insert(i, v)
+    lo = _ORDER[i - 1]._sk if i else -1
+    hi = _ORDER[i + 1]._sk if i + 1 < len(_ORDER) else _RANK_LIMIT
+    if hi - lo > 1:
+        object.__setattr__(v, "_sk", (lo + hi) // 2)
+        return
+    step = max(1, _RANK_LIMIT // (len(_ORDER) + 1))
+    for r, w in enumerate(_ORDER, 1):
+        object.__setattr__(w, "_sk", r * step)
 
 
 # The unit monomial.
@@ -301,6 +345,8 @@ class Polynomial:
         return d
 
     def leading_monomial(self):
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
         return max(self.terms, key=mono_key)
 
     def leading_coefficient(self):
@@ -429,11 +475,12 @@ def _joint_primitive(num, den):
     ints with no common factor across both, and den's leading
     coefficient is positive (den nonzero)."""
     coeffs = [*num.terms.values(), *den.terms.values()]
-    integral = all(type(c) is int for c in coeffs)
-    if integral:
-        lcm = 1
+    integral, lcm = True, 1
+    try:
         g = math.gcd(*coeffs)
-    else:
+    except TypeError:
+        # a Fraction coefficient, which math.gcd refuses
+        integral = False
         lcm = math.lcm(*(c.denominator for c in coeffs))
         g = math.gcd(*(c.numerator * (lcm // c.denominator) for c in coeffs))
     if den.leading_coefficient() < 0:

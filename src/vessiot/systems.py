@@ -91,8 +91,9 @@ class SolvedSystem:
     board purposes; ``genericity`` lists expressions assumed nonzero;
     ``integrability`` collects lower-order conditions discovered during
     prolongation.  No two equations declare one leading jet
-    (LeadingJetConflict); the loader and prolong_system also give no two
-    whose residuals agree up to sign, which is not re-checked here.
+    (LeadingJetConflict); the loader gives no residual that is a constant
+    multiple of an earlier one, and prolong_system none that equals an
+    earlier one up to sign, which is not re-checked here.
 
     The first prolongation is kept on the system once it is formed, and
     the symbol once it is asked for (``prolong_system``, ``symbol_of``),
@@ -203,14 +204,6 @@ def _substitute_leadings(rhs, assignments, skip=None):
         rhs = symcore.substitute(rhs, {v: assignments[v] for v in hits})
 
 
-def same_equation(seen, res):
-    """What ``seen`` maps res or -res to, else None.  Two equations are
-    the same when their residuals agree up to sign: the loader refuses
-    such a repeat, and prolong_system leaves it out."""
-    k = seen.get(res)
-    return seen.get(-res) if k is None else k
-
-
 def _prolong_once(S, parents):
     """S prolonged once by differentiating only ``parents``, the
     equations of S that the previous round admitted (all of them in the
@@ -245,13 +238,17 @@ def _prolong_once(S, parents):
         derived.append(solved_equation(
             lead, _substitute_leadings(table[lead], table, lead), gen))
     equations = list(S.equations)
-    seen = {e.residual: k for k, e in enumerate(equations)}
+    # a repeat is left out up to sign only: the loader refuses any
+    # constant multiple (cli._system), as a repeat counts twice among the
+    # declared leading jets of characters' fast path, which ROADMAP item
+    # 2 deletes
+    seen = {e.residual for e in equations}
     declared = {e.leading for e in equations}
     for e in derived:
         res = e.residual
-        if res.is_zero() or same_equation(seen, res) is not None:
+        if res.is_zero() or res in seen or -res in seen:
             continue
-        seen[res] = len(equations)
+        seen.add(res)
         if e.leading is not None and e.leading in declared:
             e = implicit_equation(e.lhs, e.rhs, None, e.genericity)
         declared.add(e.leading)

@@ -348,12 +348,13 @@ class TestRun:
         assert r.witness is not None and r.witness != "0"
 
     def test_cartan_bound_failure_has_a_witness(self):
-        # the two residuals are proportional, so the symbol has rank 1,
-        # but their two leading jets count as two: the bound reads 0 (a
-        # residual repeated up to sign is refused at load)
+        # the two residuals' symbol rows are equal, so the symbol has
+        # rank 1, but their two leading jets count as two: the bound
+        # reads 0 (a residual that is a constant multiple of another is
+        # refused at load; these two differ in order 0)
         doc = problem(context=XY, objects={"S": system(
             {"lhs": "y[x] - y[z]", "leading": "y[x]"},
-            {"lhs": "2*y[x] - 2*y[z]", "leading": "y[z]"})}, checks=[{
+            {"lhs": "y[x] - y[z] + y", "leading": "y[z]"})}, checks=[{
                 "id": "c", "op": "cartan_bound", "args": {"system": "S"},
                 "expect": "FAIL"}])
         (r,) = run(parse_problem(doc)).results
@@ -685,16 +686,24 @@ class TestMain:
             {"context": XY, "objects": {"S": system(
                 {"lhs": "y[x] - y[z]", "leading": "y[x]"},
                 {"lhs": "y[x] - y[z]", "leading": "y[z]"})}},
-            "objects.S.equations[1]: residual repeats that of equations[0] "
-            "up to sign", ProblemSyntaxError, None, id="repeated-residual"),
+            "objects.S.equations[1]: residual is a constant multiple of "
+            "that of equations[0]", ProblemSyntaxError, None,
+            id="repeated-residual"),
+        pytest.param(
+            {"context": XY, "objects": {"S": system(
+                {"lhs": "y[x]", "rhs": "y[z]", "leading": "y[x]"},
+                {"lhs": "2*y[z]", "rhs": "2*y[x]", "leading": "y[z]"})}},
+            "objects.S.equations[1]: residual is a constant multiple of "
+            "that of equations[0]", ProblemSyntaxError, None,
+            id="scaled-residual"),
         pytest.param(
             {"context": XY, "objects": {"S": system(
                 {"lhs": "y[x]", "rhs": "y[z] + x"},
                 {"leading": "y[z]", "rhs": "0"},
                 {"lhs": "y[z] + x", "rhs": "y[x]", "leading": "y[x,z]"},
                 order=2)}},
-            "objects.S.equations[2]: residual repeats that of equations[0] "
-            "up to sign", ProblemSyntaxError, None,
+            "objects.S.equations[2]: residual is a constant multiple of "
+            "that of equations[0]", ProblemSyntaxError, None,
             id="negated-residual"),
         pytest.param(
             {"context": XY, "objects": {"S": system(

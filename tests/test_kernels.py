@@ -413,13 +413,13 @@ def ref_prolong_once(S):
         derived.append(systems.solved_equation(
             lead, systems._substitute_leadings(table[lead], rest), gen))
     equations = list(S.equations)
-    seen = {e.residual: k for k, e in enumerate(equations)}
+    seen = {e.residual for e in equations}
     declared = {e.leading for e in equations}
     for e in derived:
         res = e.residual
-        if res.is_zero() or systems.same_equation(seen, res) is not None:
+        if res.is_zero() or res in seen or -res in seen:
             continue
-        seen[res] = len(equations)
+        seen.add(res)
         if e.leading is not None and e.leading in declared:
             e = systems.implicit_equation(e.lhs, e.rhs, None, e.genericity)
         declared.add(e.leading)

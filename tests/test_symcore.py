@@ -2,10 +2,15 @@
 reduction and exact evaluation."""
 import copy
 import gc
+import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +46,8 @@ from vessiot.symcore import (
     substitute,
     sum_of_products,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -652,6 +659,17 @@ class TestIntCoefficients:
 # monomial kernels against comparison- and dict-based references
 
 
+def order_key(v):
+    """The variable order as declared: each kernel compares ranks
+    (VariableId._sk), and the references compare this instead."""
+    return v.key, v.name
+
+
+def ref_mono_make(pairs):
+    return tuple(sorted(((v, e) for v, e in pairs if e),
+                        key=lambda p: order_key(p[0])))
+
+
 def ref_mono_cmp(a, b):
     """Graded reverse-lexicographic comparison, -1, 0 or 1: degrees
     first; on ties scan variables ascending in the global order and the
@@ -662,13 +680,13 @@ def ref_mono_cmp(a, b):
     ia, ib = 0, 0
     while ia < len(a) and ib < len(b):
         (va, ea), (vb, eb) = a[ia], b[ib]
-        if va._sk == vb._sk:
+        if va is vb:
             if ea != eb:
                 return 1 if ea < eb else -1
             ia += 1
             ib += 1
         else:
-            return -1 if va._sk < vb._sk else 1
+            return -1 if order_key(va) < order_key(vb) else 1
     if ia < len(a):
         return -1
     if ib < len(b):
@@ -680,7 +698,7 @@ def ref_mono_mul(a, b):
     d = dict(a)
     for v, e in b:
         d[v] = d.get(v, 0) + e
-    return mono_make(d.items())
+    return ref_mono_make(d.items())
 
 
 def ref_mono_div(a, b):
@@ -689,12 +707,12 @@ def ref_mono_div(a, b):
         d[v] = d.get(v, 0) - e
         if d[v] < 0:
             return None
-    return mono_make(d.items())
+    return ref_mono_make(d.items())
 
 
 def ref_mono_gcd(a, b):
     db = dict(b)
-    return mono_make((v, min(e, db[v])) for v, e in a if v in db)
+    return ref_mono_make((v, min(e, db[v])) for v, e in a if v in db)
 
 
 def ref_poly_partial(p, v):
@@ -800,6 +818,110 @@ class TestMonomialKernels:
         assert poly_divexact(X * X + Y * Y, X + Y) is None
         h = Fraction(1, 2)
         assert poly_divexact(X * X * h - Y * h, X * 3 + Y * 2) is None
+
+
+class TestVariableOrder:
+    """Each variable's rank (VariableId._sk) is kept in (key, name)
+    order as variables are created; when no rank fits between a new
+    variable's neighbours, every variable is ranked afresh in place."""
+
+    @staticmethod
+    def assert_ranks_in_order():
+        by_rank = sorted(symcore._VARIABLES.values(), key=lambda v: v._sk)
+        for a, b in zip(by_rank, by_rank[1:]):
+            assert a._sk < b._sk and order_key(a) < order_key(b), (a, b)
+
+    def test_ranks_follow_the_order_as_variables_are_created(self):
+        rng = random.Random(61)
+        ctx = JetContext(["t", "s"], ["w", "q"], max_order=60)
+        pool = [ctx.var("t"), ctx.var("s"), ctx.jet("w", (0, 0)),
+                ctx.jet("q", (1, 0)), ctx.jet("w", (1, 1))]
+        monos = [UNIT] + [
+            ref_mono_make((v, rng.randint(1, 3))
+                          for v in rng.sample(pool, rng.randint(1, 3)))
+            for _ in range(20)
+        ]
+        polys = [Polynomial({m: rng.choice((-3, -1, 1, 2, 5))
+                             for m in rng.sample(monos, 4)})
+                 for _ in range(6)]
+        printed = [repr(p) for p in polys]
+        ranks = {v: v._sk for v in symcore._VARIABLES.values()}
+        # w's jets of rising order each fall right after the one before,
+        # in one gap, which halves until it closes; q's jets of order 40
+        # in falling mu each fall right before the one before; then w's
+        # jets of order 30 in no order
+        creations = (
+            [("w", (k, 0)) for k in range(2, 60)]
+            + [("q", (a, 40 - a)) for a in range(40, -1, -1)]
+            + rng.sample([("w", (a, 30 - a)) for a in range(31)], 31)
+        )
+
+        def created(v):
+            self.assert_ranks_in_order()
+            assert all(mono_make(m) == m == ref_mono_make(m) for m in monos)
+            assert [repr(p) for p in polys] == printed
+            # a monomial and a polynomial that carry the new variable
+            pool.append(v)
+            m = ref_mono_make(
+                (w, rng.randint(1, 2))
+                for w in dict.fromkeys([*rng.sample(pool, 3), v]))
+            monos.append(m)
+            p = Polynomial({m: 1, rng.choice(monos[:-1]): -2})
+            polys.append(p)
+            printed.append(repr(p))
+            for _ in range(30):
+                a, b = rng.choice(monos), rng.choice(monos)
+                assert mono_mul(a, b) == ref_mono_mul(a, b)
+                assert mono_div(a, b) == ref_mono_div(a, b)
+                assert mono_gcd(a, b) == ref_mono_gcd(a, b)
+                ka, kb = mono_key(a), mono_key(b)
+                assert (ka > kb) - (ka < kb) == ref_mono_cmp(a, b), (a, b)
+
+        # independents of one declaration index, so of one key, in
+        # falling name order: each goes before the one made before it
+        for name in ("order_c", "order_b", "order_a"):
+            created(JetContext([name], [], max_order=1).var(name))
+        for dep, mu in creations:
+            created(ctx.jet(dep, mu))
+        # a gap closed, so every variable was ranked afresh
+        assert any(v._sk != r for v, r in ranks.items())
+
+    def test_pickle_loads_under_another_creation_order(self):
+        """A pickled expression, loaded in an interpreter that created
+        its variables in another order, and so gave them other ranks,
+        equals, hashes and prints as the one built there."""
+        script = (
+            "import json, pickle, sys\n"
+            "from vessiot.jets import JetContext\n"
+            "ctx = JetContext(['x', 'z'], ['u', 'v'], max_order=3)\n"
+            "jets = [('u', (1, 0)), ('v', (0, 2)), ('u', (2, 1)),\n"
+            "        ('v', (0, 0)), ('u', (0, 1))]\n"
+            "if sys.argv[1] == 'load':\n"
+            "    jets.reverse()\n"
+            "ranks = {v.name: v._sk for v in (ctx.jet(*j) for j in jets)}\n"
+            "e = ctx.expr('(u[x]*v[z,z] - 3*x*u[x,x,z]^2 + v)/(x - u[z])')\n"
+            "data = pickle.dumps(e).hex()\n"
+            "if sys.argv[1] == 'load':\n"
+            "    f = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "    assert f == e and (f.num, f.den) == (e.num, e.den)\n"
+            "    assert hash(f) == hash(e) and {f: 1}[e] == 1\n"
+            "    assert repr(f) == repr(e)\n"
+            "print(json.dumps([ranks, data, repr(e)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+        def run(mode, data=""):
+            return json.loads(subprocess.run(
+                [sys.executable, "-c", script, mode], input=data, env=env,
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout)
+
+        ranks, data, text = run("dump")
+        other_ranks, _, other_text = run("load", data)
+        assert other_ranks != ranks
+        assert other_text == text == (
+            "(3*x*u[x,x,z]^2 - u[x]*v[z,z] - v)/(u[z] - x)")
 
 
 class TestSympyOracle:

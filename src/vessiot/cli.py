@@ -33,7 +33,7 @@ from functools import cache, partial
 from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 
-from . import diffideal, geomkit, invariants, mechanics, systems
+from . import diffideal, geomkit, invariants, linalg, mechanics, systems
 from .errors import (
     ContextMismatch,
     ProblemSyntaxError,
@@ -209,8 +209,9 @@ def _read_args(schema, args, where, load, depth=()):
     required key, a value its reader refuses and a value too deep for
     its ``depth`` (``_within``) are all errors at ``where.key``."""
     for key in _json_object(args, where, load):
-        _require(key in schema, f"{where}.{key}", "unknown argument "
-                 f"(expected one of: {', '.join(schema)})")
+        _require(key in schema, f"{where}.{key}", "unknown argument " + (
+            f"(expected one of: {', '.join(schema)})" if schema
+            else "(takes no arguments)"))
     out = {}
     for key, (reader, required) in schema.items():
         if key in args:
@@ -457,19 +458,6 @@ def _equation(value, where, load):
     return systems.implicit_equation(eq["lhs"], eq.get("rhs"), lead, gen)
 
 
-def _multiple(a, b):
-    """Whether the Polynomial a is a nonzero constant multiple of b, or
-    both are zero: equal supports, and s*a == t*b at every monomial for
-    the coefficients t of a and s of b at one of them."""
-    if a.terms.keys() != b.terms.keys():
-        return False
-    if not a.terms:
-        return True
-    m = next(iter(a.terms))
-    t, s, bt = a.terms[m], b.terms[m], b.terms
-    return all(s * c == t * bt[k] for k, c in a.terms.items())
-
-
 def _system(s, where, load):
     """Equations whose leading jets do not clash and no residual of which
     is a constant multiple of an earlier one, at ``order``; an
@@ -488,7 +476,8 @@ def _system(s, where, load):
     residuals = [e.residual for e in equations]
     for i, r in enumerate(residuals):
         for j, q in enumerate(residuals[:i]):
-            if _multiple(r.num, q.num) and _multiple(r.den, q.den):
+            if (linalg.proportion(r.num, q.num) is not None
+                    and linalg.proportion(r.den, q.den) is not None):
                 _fail(f"{where}.equations[{i}]",
                       f"residual is a constant multiple of that of "
                       f"equations[{j}]")
@@ -663,15 +652,6 @@ def _declaring(names):
                  f"{', '.join(have) or 'none'}")
         return _expr_arg(value, where, load)
     return read
-
-
-def _chain_coefficient(value, where, load):
-    """An expression, beside a ``hamiltonian``: without one the chain
-    runs over a context of its own, where the file's names may stand for
-    other variables."""
-    _require("hamiltonian" in load.args, where,
-             "needs a 'hamiltonian' beside it")
-    return _expr_arg(value, where, load)
 
 
 def _reached(q, where, load):
@@ -1074,14 +1054,11 @@ def op_multiplier_transport(pf, args):
 
 
 def op_hessian(pf, args):
-    ctx = pf.ctx if "lagrangian" in args else None
-    return mechanics.hessian_multiplier_identity(ctx, args.get("lagrangian"))
+    return mechanics.hessian_multiplier_identity()
 
 
 def op_hj_chain(pf, args):
-    ctx = pf.ctx if "hamiltonian" in args else None
-    H = args.get("hamiltonian")
-    rep, art = mechanics.hj_closure_chain(ctx, H)
+    rep, art = mechanics.hj_closure_chain(pf.ctx, args["hamiltonian"])
     if rep.ok and "coefficient" in args:
         res = pf.ctx.reduce(art["coefficient"] - args["coefficient"])
         if not res.is_zero():
@@ -1177,10 +1154,9 @@ OPS = {
     "multiplier_transport": (op_multiplier_transport, {
         "multiplier": (_expr_arg, False), "field": _FIELD, "map": _FIELD},
         {"multiplier": 1, "field": 1, "map": 2}),
-    "hessian": (op_hessian, {"lagrangian": (_declaring(
-        mechanics.LAGRANGIAN_COORDINATES), False)}, {"lagrangian": 3}),
-    "hj_chain": (op_hj_chain, {"hamiltonian": (_contact_hamiltonian, False),
-                               "coefficient": (_chain_coefficient, False)},
+    "hessian": (op_hessian, {}),
+    "hj_chain": (op_hj_chain, {"hamiltonian": (_contact_hamiltonian, True),
+                               "coefficient": (_expr_arg, False)},
                  {"hamiltonian": 2}),
     "separability": (op_separability, {"hamiltonian": (_declaring(
         mechanics.HAMILTONIAN_COORDINATES), True)}, {"hamiltonian": 2}),

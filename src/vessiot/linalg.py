@@ -72,11 +72,15 @@ def clear(row):
     return _primitive({j: p for j, p in zip(row, nums) if p.terms})
 
 
-def _ratio(a, b):
-    """Coprime ints (s, t), s > 0, with s*a == t*b, when the nonzero
-    Polynomials a and b are proportional; else None."""
+def proportion(a, b):
+    """Coprime ints (s, t), s > 0, with s*a == t*b, when the
+    int-coefficient Polynomials a and b are nonzero constant multiples of
+    each other, and (1, 1) when both are zero; else None: equal supports,
+    and one ratio read at one monomial holds at all of them."""
     if a.terms.keys() != b.terms.keys():
         return None
+    if not a.terms:
+        return 1, 1
     m = next(iter(a.terms))
     t, s = a.terms[m], b.terms[m]
     g = math.gcd(t, s) if s > 0 else -math.gcd(t, s)
@@ -92,7 +96,7 @@ def _eliminate(row, pv, prow, col):
     without column ``col``; an entry that cancels is left out.  When a
     is t/s times pv for ints s and t, the row is s*row - t*prow."""
     a = row[col]
-    st = _ratio(a, pv)
+    st = proportion(a, pv)
     if st is not None:
         pv, a = Polynomial.const(st[0]), Polynomial.const(st[1])
     na = -a

@@ -24,24 +24,17 @@ from .symcore import (
 
 # the coordinates of hj_closure_chain's contact form, in order
 CONTACT_COORDINATES = ("t", "x", "z", "p")
-# the coordinates that hessian_multiplier_identity's Lagrangian and
-# separability_conditions' Hamiltonian are differentiated by, in any order
-LAGRANGIAN_COORDINATES = ("t", "x", "v")
+# the coordinates that separability_conditions' Hamiltonian is
+# differentiated by, in any order
 HAMILTONIAN_COORDINATES = ("t", "x", "p")
 
 
 def _solve_and_substitute(expr, relation, designated):
     """Impose ``relation == 0`` on ``expr`` by solving the relation for
-    the ``designated`` variable (which must occur with constant nonzero
-    coefficient) and substituting."""
-    c = coordinate_partial(relation, designated)
-    if c.is_zero():
-        if not relation.is_zero():
-            raise ValueError(
-                "relation does not contain the designated variable"
-            )
-        return expr
-    solved = RationalExpr.var(designated) - relation / c
+    the ``designated`` variable, which occurs in it with a constant
+    nonzero coefficient, and substituting."""
+    solved = (RationalExpr.var(designated)
+              - relation / coordinate_partial(relation, designated))
     return substitute(expr, {designated: solved})
 
 
@@ -49,25 +42,19 @@ def _solve_and_substitute(expr, relation, designated):
 # first-order invariance condition and its integrating factor
 
 
-def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
-                              flip_chi=False):
-    """Verify that the two regroupings of the invariance condition for a
-    first-order flow agree, and that chi = 1/(eta - F*xi) satisfies the
-    divergence identity d_x(chi) - d_y(-F*chi) = 0 once the condition is
-    imposed (solved for the x-derivative of eta).
+def lie_condition_equivalence(flip_chi=False):
+    """Verify, for unknown xi, eta and F of (x, y), that the two
+    regroupings of the invariance condition for a first-order flow
+    agree, and that chi = 1/(eta - F*xi) satisfies the divergence
+    identity d_x(chi) - d_y(-F*chi) = 0 once the condition is imposed
+    (solved for the x-derivative of eta).
 
     With ``flip_chi`` the deliberately wrong factor 1/(eta + F*xi) is
     used instead; the report then carries the nonzero witness.
     """
-    if ctx is None:
-        ctx = JetContext(["x", "y"], ["xi", "eta", "F"], max_order=3)
+    ctx = JetContext(["x", "y"], ["xi", "eta", "F"], max_order=3)
     E = ctx.expr
-    if xi is None:
-        xi = E("xi")
-    if eta is None:
-        eta = E("eta")
-    if F is None:
-        F = E("F")
+    xi, eta, F = E("xi"), E("eta"), E("F")
     d = ctx.total_derivative
     cond = (
         d(eta, "x") + F * d(eta, "y") - F * d(xi, "x")
@@ -80,25 +67,9 @@ def lie_condition_equivalence(ctx=None, xi=None, eta=None, F=None,
         return CheckReport(
             witness=equiv,
             detail="the two regroupings of the condition disagree")
-    denom = eta + F * xi if flip_chi else W
-    if denom.is_zero():
-        raise ValueError("integrating-factor denominator vanishes")
-    chi = ONE / denom
-    omega = -F
-    divergence = d(chi, "x") - d(omega * chi, "y")
-    deps = {v for v in cond.variables() if v.kind == "jet"}
-    target = None
-    if "eta" in ctx.dependents:
-        v = ctx.jet("eta", (1, 0))
-        if v in deps:
-            target = v
-    if target is not None:
-        residual = _solve_and_substitute(divergence, cond, target)
-    else:
-        if not cond.is_zero():
-            return CheckReport(
-                witness=cond, detail="specialized data violates the condition")
-        residual = divergence
+    chi = ONE / (eta + F * xi if flip_chi else W)
+    divergence = d(chi, "x") - d(-F * chi, "y")
+    residual = _solve_and_substitute(divergence, cond, ctx.jet("eta", (1, 0)))
     return verdict([ctx.reduce(residual)])
 
 
@@ -132,23 +103,14 @@ def _pullback_divergence(ctx, adj, delta, fields):
     return sum_of_products(terms)
 
 
-def jacobi_multiplier_identity(n=2, ctx=None, phi=None):
-    """The chain-rule identity: for any change of variables phi with
-    jacobian determinant Delta, each column of (1/Delta) * d(phi) has
-    zero divergence in the target variables."""
-    if ctx is None:
-        names = [f"x{i}" for i in range(1, n + 1)]
-        ctx = JetContext(names, [f"phi{i}" for i in range(1, n + 1)],
-                         max_order=3)
-    if phi is None:
-        phi = [ctx.expr(dep) for dep in ctx.dependents]
-    n = len(ctx.independents)
-    if len(phi) != n:
-        raise ValueError("need one component per variable")
-    J = _jacobian(ctx, phi)
+def jacobi_multiplier_identity(n=2):
+    """The chain-rule identity: for an unknown change of variables phi of
+    n variables, with jacobian determinant Delta, each column of
+    (1/Delta) * d(phi) has zero divergence in the target variables."""
+    ctx = JetContext([f"x{i}" for i in range(1, n + 1)],
+                     [f"phi{i}" for i in range(1, n + 1)], max_order=3)
+    J = _jacobian(ctx, [ctx.expr(dep) for dep in ctx.dependents])
     delta = det(J)
-    if delta.is_zero():
-        raise SingularFrame("jacobian determinant vanishes identically")
     adj = adjugate(J)
     return verdict(
         (_pullback_divergence(ctx, adj, delta, [J[j][i] for j in range(n)])
@@ -184,14 +146,13 @@ def multiplier_transport(ctx, M, theta, phi):
         [ctx.reduce(_pullback_divergence(ctx, adjugate(J), delta, fields))])
 
 
-def hessian_multiplier_identity(ctx=None, L=None):
+def hessian_multiplier_identity():
     """The second velocity-derivative of any Lagrangian L(t, x, v) is a
     multiplier for the associated first-order flow: the displayed
-    three-term divergence vanishes identically in the jets of L."""
-    if ctx is None:
-        ctx = JetContext(LAGRANGIAN_COORDINATES, ["L"], max_order=4)
-    if L is None:
-        L = ctx.expr("L")
+    three-term divergence vanishes identically in the jets of an unknown
+    L."""
+    ctx = JetContext(["t", "x", "v"], ["L"], max_order=4)
+    L = ctx.expr("L")
     d = ctx.total_derivative
     v = ctx.expr("v")
     Lvv = d(d(L, "v"), "v")
@@ -206,9 +167,9 @@ def hessian_multiplier_identity(ctx=None, L=None):
 # contact form of a Hamiltonian: closure chain and separability
 
 
-def hj_closure_chain(ctx=None, H=None):
+def hj_closure_chain(ctx, H):
     """Close the contact form dz - p dx + H dt three times over the
-    coordinates (t, x, z, p):
+    coordinates (t, x, z, p), the independents of ``ctx``:
 
     1. its exterior derivative is exactly dx^dp + dH^dt;
     2. wedging the contact form with that 2-form gives the 3-form whose
@@ -219,10 +180,6 @@ def hj_closure_chain(ctx=None, H=None):
     Returns (report, artifacts) where artifacts carries the intermediate
     forms and the extracted volume coefficient.
     """
-    if ctx is None:
-        ctx = JetContext(["t", "x", "z", "p"], ["H"], max_order=3)
-    if H is None:
-        H = ctx.expr("H")
     if tuple(ctx.independents) != CONTACT_COORDINATES:
         raise ValueError("closure chain needs coordinates (t, x, z, p)")
     coords = [ctx.var(nm) for nm in CONTACT_COORDINATES]

@@ -253,6 +253,18 @@ def _prolong_once(S, parents):
             e = implicit_equation(e.lhs, e.rhs, None, e.genericity)
         declared.add(e.leading)
         equations.append(e)
+    # a kept strict rhs carries jets up to S.order and none of S's strict
+    # leading jets, but may carry one this round solved for (u = x^2 and
+    # v[x] = u[x] solve for u[x]), which leading_conflict would refuse:
+    # only such a rhs is cleared of the new system's strict leading jets
+    low = {e.leading for e in equations[len(S.equations):]
+           if e.strict and jet_order(e.leading) <= S.order}
+    if low:
+        strict = {e.leading: e.rhs for e in equations if e.strict}
+        for k, e in enumerate(S.equations):
+            if e.strict and not low.isdisjoint(e.rhs.variables()):
+                equations[k] = solved_equation(e.leading, _substitute_leadings(
+                    e.rhs, strict, e.leading), e.genericity)
     return SolvedSystem(ctx, new_order, equations, S.ordering, S.genericity,
                         ics)
 
@@ -263,7 +275,9 @@ def prolong_system(S, r):
     strictly solved equation is solved for its bumped leading jet, and
     two that reach the same jet leave their difference on
     ``integrability``; any other D_i is that of the residual.  A later
-    equation declaring an earlier one's leading jet is kept without it.
+    equation declaring an earlier one's leading jet is kept without it,
+    and a strictly solved rhs that carries a jet a round solves for is
+    cleared of the round's strict leading jets.
 
     Each round differentiates only the equations the round before it
     admitted, so an equation is differentiated once, in each of the n

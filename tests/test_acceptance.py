@@ -485,9 +485,9 @@ class TestCriterion09ReciprocalFrameSuite:
 
 class TestCriterion10HamiltonJacobi:
     def test_four_form_coefficient(self):
-        rep, art = mechanics.hj_closure_chain()
-        assert rep.ok
         ctx = JetContext(["t", "x", "z", "p"], ["H"], max_order=3)
+        rep, art = mechanics.hj_closure_chain(ctx, ctx.expr("H"))
+        assert rep.ok
         assert (
             normalize(art["coefficient"])
             - 2 * ctx.expr("H[z]")

@@ -179,11 +179,6 @@ DEPTH_BOUNDARY = [
         {"id": "c", "op": "hj_chain", "args": {"hamiltonian": "H"}}]},
      "checks[0].args.hamiltonian", 2, "an expression carries a jet of "
      "order 0, which 2 total derivatives take above max_order 1"),
-    ("hessian", {"context": {"independents": ["t", "x", "v"],
-                             "dependents": ["L"]}, "checks": [
-        {"id": "c", "op": "hessian", "args": {"lagrangian": "L"}}]},
-     "checks[0].args.lagrangian", 3, "an expression carries a jet of "
-     "order 0, which 3 total derivatives take above max_order 2"),
     # a Hamiltonian of x and t alone is not separable
     ("separability", {"context": {"independents": ["t", "x", "p"],
                                   "dependents": ["V"]}, "checks": [
@@ -207,7 +202,7 @@ NO_DEPTH = {"surface_values", "surface_substitute", "curve_values",
             "curve_identities", "frenet", "characters", "janet_board",
             "fiber_dimension", "phs", "syzygy", "is_invariant",
             "invariant_count", "structure_table", "jacobi_table",
-            "lie_condition", "jacobi_multiplier"}
+            "lie_condition", "jacobi_multiplier", "hessian"}
 
 
 class TestParse:
@@ -706,6 +701,11 @@ class TestMain:
             "that of equations[0]", ProblemSyntaxError, None,
             id="negated-residual"),
         pytest.param(
+            {"objects": {"S": system({"lhs": "0"}, {"lhs": "y - y"})}},
+            "objects.S.equations[1]: residual is a constant multiple of "
+            "that of equations[0]", ProblemSyntaxError, None,
+            id="zero-residuals"),
+        pytest.param(
             {"context": XY, "objects": {"S": system(
                 {"leading": "y[x]", "rhs": "y[z]"},
                 {"leading": "y[z]", "rhs": "0"})}},
@@ -1040,14 +1040,20 @@ class TestMain:
             {"context": MECHANICS, "checks": [{
                 "id": "c", "op": "hj_chain",
                 "args": {"coefficient": "2*H[z]"}}]},
-            "checks[0].args.coefficient: needs a 'hamiltonian' beside it",
+            "checks[0].args.hamiltonian: missing argument",
             ProblemSyntaxError, None, id="hj-chain-coefficient-alone"),
         pytest.param(
             {"context": MECHANICS, "checks": [{
-                "id": "c", "op": "hessian", "args": {"lagrangian": "H"}}]},
-            "checks[0].args.lagrangian: needs the independents t, x, v, got "
-            "t, x, z, p", ProblemSyntaxError, None,
-            id="hessian-coordinates"),
+                "id": "c", "op": "hj_chain", "args": {}}]},
+            "checks[0].args.hamiltonian: missing argument",
+            ProblemSyntaxError, None, id="hj-chain-without-hamiltonian"),
+        pytest.param(
+            {"context": {"independents": ["t", "x", "v"],
+                         "dependents": ["L"]}, "checks": [{
+                "id": "c", "op": "hessian", "args": {"lagrangian": "L"}}]},
+            "checks[0].args.lagrangian: unknown argument (takes no "
+            "arguments)", ProblemSyntaxError, None,
+            id="hessian-lagrangian"),
         pytest.param(
             {"context": {"independents": ["t", "x", "v"], "dependents": []},
              "checks": [{"id": "c", "op": "separability",

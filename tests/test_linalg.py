@@ -1,6 +1,6 @@
 """Determinant, adjugate and inverse on seeded matrices of sizes 1 to 4,
 over Q (int and Fraction entries) and over Q(x, y) (RationalExpr
-entries)."""
+entries); the constant-multiple rule ``proportion``."""
 import random
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import pytest
 
 from vessiot.errors import SingularFrame
 from vessiot.jets import JetContext
-from vessiot.linalg import adjugate, det, inverse, mat_mul
+from vessiot.linalg import adjugate, det, inverse, mat_mul, proportion
 
 CTX = JetContext(["x", "y"], [])
 
@@ -83,3 +83,21 @@ def test_known_values():
     assert det([[x, y], [y, x]]) == CTX.expr("x^2 - y^2")
     assert adjugate([[x, y], [1, x]]) == [[x, -y], [-1, x]]
     assert inverse([[2]]) == [[Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("a, b, st", [
+    pytest.param("2*x + 4*y", "x + 2*y", (1, 2), id="scaled"),
+    pytest.param("x - y", "y - x", (1, -1), id="negated"),
+    pytest.param("3*x*y", "2*x*y", (2, 3), id="fractional-ratio"),
+    pytest.param("0", "0", (1, 1), id="both-zero"),
+    pytest.param("x + y", "x + 2*y", None, id="other-ratio"),
+    pytest.param("x + y", "x", None, id="other-support"),
+    pytest.param("x", "0", None, id="zero-and-nonzero"),
+])
+def test_proportion(a, b, st):
+    # the one rule of _eliminate and of the loader's repeated residuals
+    a, b = (CTX.expr(e).num for e in (a, b))
+    assert proportion(a, b) == st
+    if st is not None:
+        s, t = st
+        assert s > 0 and a * s == b * t

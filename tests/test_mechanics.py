@@ -45,14 +45,6 @@ class TestLieCondition:
         assert rep.status == "FAIL"
         assert rep.witness is not None and not rep.witness.is_zero()
 
-    def test_translation_flow(self):
-        # vertical translation symmetry of a slope field depending on x
-        # alone: xi = 0, eta = 1 satisfies the condition outright
-        ctx = JetContext(["x", "y"], [("F", ("x",))], max_order=3)
-        rep = lie_condition_equivalence(ctx, xi=ZERO, eta=ONE,
-                                        F=ctx.expr("F"))
-        assert rep.ok
-
     def test_divergence_is_scaled_condition(self):
         # oracle: before any substitution, the divergence of (chi, omega
         # chi) equals minus the invariance condition divided by
@@ -77,27 +69,23 @@ class TestJacobiIdentity:
         rep = jacobi_multiplier_identity(n)
         assert rep.ok and rep.numbers["n"] == n
 
-    def test_identity_map(self):
-        ctx = JetContext(["x1", "x2"], ["phi1", "phi2"], max_order=3)
-        rep = jacobi_multiplier_identity(
-            ctx=ctx, phi=[ctx.expr("x1"), ctx.expr("x2")]
-        )
-        assert rep.ok
-
-    def test_concrete_map(self):
+    # jacobi_multiplier_identity checks the generic map; a concrete map
+    # is checked through multiplier_transport: M = 1 and a unit field
+    # theta = e_i transport to the i-th column of d(phi)
+    @staticmethod
+    def columns_transport(phi):
         ctx = JetContext(["x1", "x2"], [], max_order=3)
         E = ctx.expr
-        rep = jacobi_multiplier_identity(
-            ctx=ctx, phi=[E("x1^2"), E("x2 + x1*x2")]
-        )
-        assert rep.ok
+        return all(
+            multiplier_transport(ctx, ONE, theta, [E(c) for c in phi]).ok
+            for theta in ([ONE, ZERO], [ZERO, ONE]))
 
-    def test_singular_map(self):
-        ctx = JetContext(["x1", "x2"], ["phi1"], max_order=3)
-        with pytest.raises(SingularFrame):
-            jacobi_multiplier_identity(
-                ctx=ctx, phi=[ctx.expr("phi1"), ctx.expr("phi1")]
-            )
+    def test_identity_map(self):
+        assert self.columns_transport(["x1", "x2"])
+
+    def test_concrete_map(self):
+        # a map with a nonconstant determinant
+        assert self.columns_transport(["x1^2", "x2 + x1*x2"])
 
 
 class TestPullbackDivergence:
@@ -228,21 +216,6 @@ class TestMultiplierTransport:
 class TestHessianIdentity:
     def test_generic(self):
         assert hessian_multiplier_identity().ok
-
-    def test_free_particle(self):
-        ctx = JetContext(["t", "x", "v"], [], max_order=4)
-        assert hessian_multiplier_identity(ctx, ctx.expr("v^2/2")).ok
-
-    def test_potential(self):
-        ctx = JetContext(["t", "x", "v"], [("V", ("x",))], max_order=4)
-        assert hessian_multiplier_identity(
-            ctx, ctx.expr("v^2/2 - V")
-        ).ok
-
-    @pytest.mark.parametrize("order", [("t", "v", "x"), ("v", "x", "t")])
-    def test_velocity_is_read_by_name(self, order):
-        ctx = JetContext(order, ["L"], max_order=4)
-        assert hessian_multiplier_identity(ctx, ctx.expr("L")).ok
 
 
 class TestClosureChain:

@@ -488,6 +488,26 @@ class TestProlong:
         assert prolong_system(free, 1).residuals() == [E("u[x] - x"),
                                                        E("u[x,x] - 1")]
 
+    @pytest.mark.parametrize("r, solved", [
+        (1, {"u": "x^2", "v[x]": "2*x", "u[x]": "2*x", "v[x,x]": "u[x,x]"}),
+        (2, {"u": "x^2", "v[x]": "2*x", "u[x]": "2*x", "v[x,x]": "2",
+             "u[x,x]": "2", "v[x,x,x]": "u[x,x,x]"}),
+    ])
+    def test_kept_rhs_cleared_of_a_new_leading_jet(self, r, solved):
+        # round 1 solves u = x^2 for u[x], which v[x] = u[x] carries: the
+        # kept rhs is cleared of it, and round 2 clears v[x,x]'s of u[x,x]
+        ctx = JetContext(["x"], ["u", "v"], max_order=4)
+        E, j = ctx.expr, ctx.jet_by_dirs
+        S = SolvedSystem(ctx, 1, [solved_equation(j("u", []), E("x^2")),
+                                  solved_equation(j("v", ["x"]), E("u[x]"))])
+        P = prolong_system(S, r)
+        assert P.order == 1 + r and P.integrability == []
+        assert all(e.strict for e in P.equations)
+        assert [(e.leading.name, e.rhs) for e in P.equations] \
+            == [(lead, E(rhs)) for lead, rhs in solved.items()]
+        # S keeps its own equations
+        assert S.equations[1].rhs == E("u[x]")
+
 
 class TestSubstituteLeadings:
     @staticmethod

@@ -34,15 +34,6 @@ class OrderOverflow(VessiotError):
     """A jet bump would exceed the context's max_order."""
 
 
-class JetAboveOrder(VessiotError):
-    """An equation carries a jet above the order of its system."""
-
-
-class LeadingJetConflict(VessiotError):
-    """Two equations of a system are solved for the same leading jet, or
-    a strictly solved right-hand side carries a strict leading jet."""
-
-
 class LeadingsNotEliminated(VessiotError):
     """Solved leading jets remain in an expression after the cap on
     substitution passes."""

@@ -12,8 +12,6 @@ from . import symcore
 from .errors import (
     ClasslessLeading,
     DegenerateLocus,
-    JetAboveOrder,
-    LeadingJetConflict,
     LeadingsNotEliminated,
     OffVariety,
     OrderOverflow,
@@ -22,7 +20,7 @@ from .errors import (
 from .jets import jet_order
 from .linalg import clear, pivot_columns, rank
 from .report import CheckReport
-from .symcore import RationalExpr, eval_point, linearize
+from .symcore import RationalExpr, coordinate_partial, eval_point, linearize
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +82,23 @@ def implicit_equation(lhs, rhs=None, leading=None, genericity=()):
 
 
 class SolvedSystem:
-    """A finite system of jet equations of order <= order (a residual
-    carrying a higher jet raises JetAboveOrder).
+    """A finite system of jet equations of order <= order.
 
     ``ordering`` ranks the independents x^1 < ... < x^n for class and
     board purposes; ``genericity`` lists expressions assumed nonzero;
     ``integrability`` collects lower-order conditions discovered during
-    prolongation.  No two equations declare one leading jet
-    (LeadingJetConflict); the loader gives no residual that is a constant
-    multiple of an earlier one, and prolong_system none that equals an
-    earlier one up to sign, which is not re-checked here.
+    prolongation.
+
+    The constructor assumes, and does not check, that
+    - no residual carries a jet above ``order`` (``jet_above_order``);
+    - no two equations declare one leading jet, and no strictly solved
+      rhs carries a strict leading jet (``leading_conflict``);
+    - no residual is a repeat of an earlier one: the loader refuses a
+      constant multiple, and prolong_system leaves out an equal one up to
+      sign.
+    The loader (``cli._system``) establishes these for a problem file,
+    and ``prolong_system`` for the systems it forms (the proof is in
+    ``_prolong_once``); any other caller establishes them itself.
 
     The first prolongation is kept on the system once it is formed, and
     the symbol once it is asked for (``prolong_system``, ``symbol_of``),
@@ -108,12 +113,6 @@ class SolvedSystem:
             ordering = tuple(ordering)
             if sorted(ordering) != sorted(ctx.independents):
                 raise ValueError("ordering must permute the independents")
-        conflict = leading_conflict(equations)
-        if conflict is not None:
-            raise LeadingJetConflict(conflict[1])
-        above = jet_above_order(equations, order)
-        if above is not None:
-            raise JetAboveOrder(above[1])
         self.ctx = ctx
         self.order = order
         self.equations = equations
@@ -186,14 +185,12 @@ def jet_above_order(equations, order):
 MAX_PASSES = 12
 
 
-def _substitute_leadings(rhs, assignments, skip=None):
-    """Eliminate solved leading jets other than ``skip`` from rhs by
-    repeated substitution, each pass binding every such jet rhs carries
-    at once; LeadingsNotEliminated when some remain after MAX_PASSES
-    passes."""
+def _substitute_leadings(rhs, assignments):
+    """Eliminate solved leading jets from rhs by repeated substitution,
+    each pass binding every such jet rhs carries at once;
+    LeadingsNotEliminated when some remain after MAX_PASSES passes."""
     for passes in range(MAX_PASSES + 1):
-        hits = [v for v in rhs.variables()
-                if v in assignments and v != skip]
+        hits = [v for v in rhs.variables() if v in assignments]
         if not hits:
             return rhs
         if passes == MAX_PASSES:
@@ -207,14 +204,32 @@ def _substitute_leadings(rhs, assignments, skip=None):
 def _prolong_once(S, parents):
     """S prolonged once by differentiating only ``parents``, the
     equations of S that the previous round admitted (all of them in the
-    first round): D_i of an older equation was formed in that round."""
+    first round): D_i of an older equation was formed in that round.
+
+    The result keeps SolvedSystem's invariants, given that S holds them,
+    so it is not checked (``jet_above_order``, ``leading_conflict``):
+    - every new residual is D_i of a residual of order <= q, cleared with
+      table entries of order <= q+1, so no jet goes above q+1;
+    - a derived equation that declares a leading jet already declared is
+      kept without it (``declared``);
+    - every fresh strict rhs is cleared of the other strict leading jets:
+      in turn, each of S's and of those solved before it, and then, by
+      back substitution last to first, of those solved after it; no rhs
+      is substituted by a jet whose rhs carries it, and a clearing that
+      brings a rhs back to its own leading jet is solved for that jet or
+      leaves the equation unsolved;
+    - a kept strict rhs of S carries none of S's strict leading jets, and
+      one that carries a jet the round solves for is cleared of it
+      (``low``).
+    """
     ctx = S.ctx
     new_order = S.order + 1
     if new_order > ctx.max_order:
         raise OrderOverflow(
             f"prolongation to order {new_order} > max_order {ctx.max_order}"
         )
-    # strict leading jet -> rhs, S's and then each freshly solved one
+    # strict leading jet -> rhs: S's, then each freshly solved one,
+    # cleared of S's and of those solved before it
     table = {e.leading: e.rhs for e in S.equations if e.strict}
     derived, solved, ics = [], [], list(S.integrability)
     for eq in parents:
@@ -230,13 +245,35 @@ def _prolong_once(S, parents):
                 diff = _substitute_leadings(rhs - table[lead], table)
                 if not diff.is_zero():
                     ics.append(diff)
-            else:
-                table[lead] = rhs
-                solved.append((lead, eq.genericity))
-    # each freshly solved rhs, cleared of every other solved leading jet
-    for lead, gen in solved:
-        derived.append(solved_equation(
-            lead, _substitute_leadings(table[lead], table, lead), gen))
+                continue
+            carried = rhs.variables()
+            if not table.keys().isdisjoint(carried):
+                rhs = _substitute_leadings(rhs, table)
+                carried = rhs.variables()
+            if lead in carried:
+                # a clearing brought lead back (u[x] = w[x] and w[y] =
+                # u[y] make u[x,y] = w[x,y] and w[x,y] = u[x,y]): rhs =
+                # a*lead + b is solved for lead only when a is a constant
+                # other than 1, and is otherwise kept unsolved
+                a = coordinate_partial(rhs, lead)
+                if not a.is_constant() or a == 1:
+                    derived.append(implicit_equation(
+                        RationalExpr.var(lead) - rhs, None,
+                        None if a == 1 else lead, eq.genericity))
+                    continue
+                rhs = (rhs - a * RationalExpr.var(lead)) / (1 - a)
+                carried.discard(lead)
+            table[lead] = rhs
+            solved.append((lead, carried, eq.genericity))
+    # back substitution, last to first: a fresh rhs carries no leading
+    # jet solved before it, and those solved after it are cleared by now
+    after = set()
+    for lead, carried, _ in reversed(solved):
+        if not after.isdisjoint(carried):
+            table[lead] = _substitute_leadings(table[lead], table)
+        after.add(lead)
+    derived += [solved_equation(lead, table[lead], gen)
+                for lead, _, gen in solved]
     equations = list(S.equations)
     # a repeat is left out up to sign only: the loader refuses any
     # constant multiple (cli._system), as a repeat counts twice among the
@@ -255,8 +292,8 @@ def _prolong_once(S, parents):
         equations.append(e)
     # a kept strict rhs carries jets up to S.order and none of S's strict
     # leading jets, but may carry one this round solved for (u = x^2 and
-    # v[x] = u[x] solve for u[x]), which leading_conflict would refuse:
-    # only such a rhs is cleared of the new system's strict leading jets
+    # v[x] = u[x] solve for u[x]): only such a rhs is cleared, in one
+    # pass, as no strict rhs of the round carries a strict leading jet
     low = {e.leading for e in equations[len(S.equations):]
            if e.strict and jet_order(e.leading) <= S.order}
     if low:
@@ -264,7 +301,7 @@ def _prolong_once(S, parents):
         for k, e in enumerate(S.equations):
             if e.strict and not low.isdisjoint(e.rhs.variables()):
                 equations[k] = solved_equation(e.leading, _substitute_leadings(
-                    e.rhs, strict, e.leading), e.genericity)
+                    e.rhs, strict), e.genericity)
     return SolvedSystem(ctx, new_order, equations, S.ordering, S.genericity,
                         ics)
 
@@ -275,9 +312,18 @@ def prolong_system(S, r):
     strictly solved equation is solved for its bumped leading jet, and
     two that reach the same jet leave their difference on
     ``integrability``; any other D_i is that of the residual.  A later
-    equation declaring an earlier one's leading jet is kept without it,
-    and a strictly solved rhs that carries a jet a round solves for is
-    cleared of the round's strict leading jets.
+    equation declaring an earlier one's leading jet is kept without it.
+
+    Each round clears the strict rhs's it solves in the manner of
+    Gauss-Jordan elimination: each is cleared of S's strict leading jets
+    and of those solved before it, then the rhs's are back-substituted
+    last to first.  When a clearing brings a rhs back to its own leading
+    jet, as a*lead + b, the equation is solved for lead when a is a
+    constant other than 1, is kept unsolved with the residual -b when a
+    is 1, and is kept unsolved but declaring lead otherwise; it never
+    divides by an expression that is not a constant.  A strictly solved
+    rhs of S that carries a jet the round solves for is cleared of the
+    round's strict leading jets.
 
     Each round differentiates only the equations the round before it
     admitted, so an equation is differentiated once, in each of the n

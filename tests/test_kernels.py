@@ -37,7 +37,13 @@ from vessiot.symcore import (
     sum_of_products,
 )
 from test_symcore import complexity, ref_poly_partial
-from test_systems import fraction_rank, reference_compatibility_count
+from test_systems import (
+    KILLING_FAMILIES,
+    fraction_rank,
+    killing_system,
+    own_lead_systems,
+    reference_compatibility_count,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "vessiot" / "corpus"
 PROLONG_SYSTEMS = (
@@ -737,6 +743,32 @@ def test_one_symbol_per_system_shared_and_unchanged(stem, name, r,
         assert sym.columns == cols and sym.rows == built
     assert_one_factor_per_row(sym.rows, want)
     assert calls == one_build
+
+
+# -- prolongation keeps the invariants the constructor does not check ----
+def assert_load_invariants(P):
+    """What the loader checks (cli._system) and _prolong_once proves."""
+    assert systems.leading_conflict(P.equations) is None
+    assert systems.jet_above_order(P.equations, P.order) is None
+
+
+@pytest.mark.parametrize("stem, name, r", SYMBOL_CASES)
+def test_prolonged_corpus_systems_keep_the_load_invariants(stem, name, r):
+    assert_load_invariants(prolonged(stem, name, r))
+
+
+@pytest.mark.parametrize("n, conformal", [case[:2]
+                                          for case in KILLING_FAMILIES])
+def test_prolonged_killing_systems_keep_the_load_invariants(n, conformal):
+    S = killing_system(n, conformal)
+    for r in range(1, 4 if conformal else 3):
+        assert_load_invariants(systems.prolong_system(S, r))
+
+
+def test_prolongations_that_clear_a_lead_back_keep_the_load_invariants():
+    for S in own_lead_systems():
+        for r in (1, 2):
+            assert_load_invariants(systems.prolong_system(S, r))
 
 
 # -- witness Jacobians against the dense Fraction reference -------------

@@ -9,9 +9,10 @@ the nonzero entries, so a zero cell is never stored, updated or tested;
 ``systems`` and ``invariants`` build their matrices in this form.  The
 one kernel, ``_forward``, works on one entry type: it clears each row
 on entry to a row of int-coefficient Polynomials (``clear``: the row
-over one denominator, ``symcore.over_one_denominator``, then divided by
-its integer content); a row of Polynomials, as ``systems``' symbols
-hold them, is only divided by its content.  The pivot is the entry of
+over one denominator, ``symcore.over_one_denominator``, then made
+integral and divided by its integer content); a row of nonzero
+Polynomials, as ``systems``' symbols hold them, skips the first step.
+Entries of all these types may share a row.  The pivot is the entry of
 fewest terms, and rows are updated as row <- pv*row - a*prow over
 Polynomials (``_eliminate``), so it takes no polynomial gcd.  Its one
 column rule takes next a column of the lowest block that fewest
@@ -50,8 +51,17 @@ def _is_zero(x):
 
 def _primitive(row):
     """The Polynomial row ``row`` divided by the gcd of all the integer
-    coefficients of its entries."""
-    g = math.gcd(*(c for p in row.values() for c in p.terms.values()))
+    coefficients of its entries; a row with a Fraction coefficient is
+    first multiplied by the lcm of its coefficients' denominators."""
+    try:
+        g = math.gcd(*(c for p in row.values() for c in p.terms.values()))
+    except TypeError:
+        # a Fraction coefficient, which math.gcd refuses
+        lcm = math.lcm(*(c.denominator for p in row.values()
+                         for c in p.terms.values()))
+        return _primitive({
+            j: Polynomial({m: c * lcm for m, c in p.terms.items()})
+            for j, p in row.items()})
     if g < 2:
         return row
     g = Polynomial.const(g)
@@ -59,14 +69,15 @@ def _primitive(row):
 
 
 def clear(row):
-    """The sparse row ``row`` of ints, Fractions and RationalExprs as a
-    new row of Polynomials with int coefficients, without its zero
-    entries: the row over one denominator (over_one_denominator), then
-    divided by the integer content.  The row is only scaled by a nonzero
-    factor.  A row of int-coefficient Polynomials with no zero entry
-    (``symcore.linearize`` makes them) is only divided by its integer
-    content, and is returned as it is when that is 1."""
-    if all(isinstance(x, Polynomial) for x in row.values()):
+    """The sparse row ``row`` of ints, Fractions, Polynomials and
+    RationalExprs as a new row of Polynomials with int coefficients,
+    without its zero entries: the row over one denominator
+    (over_one_denominator), then made integral and divided by the
+    integer content (_primitive).  The row is only scaled by a nonzero
+    factor.  A row of nonzero Polynomials (``symcore.linearize`` makes
+    them) skips the first step, and one of int-coefficient Polynomials
+    with integer content 1 is returned as it is."""
+    if all(isinstance(x, Polynomial) and x.terms for x in row.values()):
         return _primitive(row)
     nums, _ = over_one_denominator(row.values())
     return _primitive({j: p for j, p in zip(row, nums) if p.terms})

@@ -28,9 +28,9 @@ bindings' denominators, each to the polynomial's degree in the bound
 variable, and normalizes the sum once.  ``sum_of_products`` groups
 terms by the multiset of their factors' denominators, forms each
 multiset's product once and merges multisets whose products are equal;
-it sums each group's numerators with no gcd and cancels the sum against
-the group's factor denominators one at a time, so no gcd is taken
-against their expanded product.
+it sums each group's numerators into one term dict with no gcd and
+cancels the sum against the group's factor denominators one at a time,
+so no gcd is taken against their expanded product.
 
 ``poly_cofactors`` returns a gcd with both cofactors, and ``poly_gcd``
 is its first part.  It takes out the monomial content and tries the
@@ -40,17 +40,21 @@ cofactor, and only a pair with no such operand runs a subresultant
 remainder sequence.  Each branch builds the cofactors from quotients it
 already holds, so only the subresultant branch divides by the gcd; the
 constructor, the field operators and ``derive`` cancel through the
-cofactors.
+cofactors.  Every divisor a cofactor comes from is in normal form
+(integer-primitive), so the cofactors of int-coefficient operands have
+int coefficients (Gauss's lemma).
 
 A coefficient is stored as an int when it is integral and as a Fraction
 otherwise (_coef), and the normal form's coefficients are all ints.
-Fractions appear only at the edges: in polynomials built from
-fractional input or holding an inexact quotient (arithmetic on them may
-leave an integral Fraction until the normal form turns it into an int),
-and in what constant_value returns.  Two coefficients are divided only
-through _qdiv, since int / int would give a float.  Equality, hashing
-and printing agree between the two types (3 == Fraction(3), with equal
-hashes and strings).
+Fractions appear only at the edges: in polynomials built from fractional
+input or holding an inexact quotient (arithmetic on them may leave an
+integral Fraction until the normal form turns it into an int), and in
+what constant_value returns.  The cofactors of int-coefficient operands
+are int-coefficient, so no integral Fraction arises from them, and the
+products and sums that follow run in int arithmetic.  Two coefficients
+are divided only through _qdiv, since int / int would give a float.
+Equality, hashing and printing agree between the two types (3 ==
+Fraction(3), with equal hashes and strings).
 
 A monomial is a tuple of (VariableId, exponent) pairs.  Every monomial
 kernel (mono_mul, mono_div, mono_gcd, mono_key and the variable lookups
@@ -354,10 +358,14 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------
     # the operators test the operand's own class first: Fraction's
-    # metaclass is ABCMeta, whose isinstance runs a Python-level frame
+    # metaclass is ABCMeta, whose isinstance runs a Python-level frame.
+    # An operand they do not know (a RationalExpr) gets NotImplemented,
+    # so that its reflected method answers.
     def __add__(self, other):
-        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
+        if type(other) is not Polynomial:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
             s = t.get(m, 0) + c
@@ -371,14 +379,18 @@ class Polynomial:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
+        if type(other) is not Polynomial:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         # a constant operand, an int, a Fraction or a constant Polynomial,
         # only scales the other operand's coefficients
-        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             k, p = _coef(other), self
         else:
             a, b = self.terms, other.terms
@@ -411,10 +423,9 @@ class Polynomial:
 
     def __eq__(self, other):
         if type(other) is not Polynomial:
-            if isinstance(other, (int, Fraction)):
-                other = Polynomial.const(other)
-            elif not isinstance(other, Polynomial):
-                return False
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -449,6 +460,16 @@ class Polynomial:
                 parts.append(f"{c}*{body}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+def _operand(x):
+    """x as a Polynomial operand: a Polynomial as it is, an int or a
+    Fraction as a constant, and NotImplemented for anything else."""
+    if isinstance(x, Polynomial):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Polynomial.const(x)
+    return NotImplemented
 
 
 def _poly(t):
@@ -648,17 +669,14 @@ def _mono_times(p, m):
     return _poly({mono_mul(t, m): c for t, c in p.terms.items()})
 
 
-def _lift(mg, ma, mb, f, fa, fb):
-    """(g, a/g, b/g) for g = gcd(a, b) in its normal form, where a = ma*A
-    and b = mb*B with ma and mb their monomial contents, mg = gcd(ma, mb),
-    and f is a gcd of A and B up to a constant with A = f*fa and
-    B = f*fb.  g is mg*f made integer-primitive, so mg*f = k*g for a
-    constant k, and a/g = k * (ma/mg) * fa."""
-    p = _mono_times(f, mg)
-    g = _norm_primitive(p)
-    k = _ratio(p, g)
-    return (g, _mono_times(fa, mono_div(ma, mg)) * k,
-            _mono_times(fb, mono_div(mb, mg)) * k)
+def _lift(mg, ma, mb, g, ga, gb):
+    """(mg*g, (ma/mg)*ga, (mb/mg)*gb): the gcd of a = ma*A and b = mb*B
+    and its cofactors, where ma and mb are their monomial contents, mg =
+    gcd(ma, mb), and g is the gcd of A and B in normal form (an
+    integer-primitive one keeps its coefficients times a monomial), with
+    A = g*ga and B = g*gb."""
+    return (_mono_times(g, mg), _mono_times(ga, mono_div(ma, mg)),
+            _mono_times(gb, mono_div(mb, mg)))
 
 
 def _mono_cofactors(a, b, m):
@@ -680,33 +698,42 @@ def poly_cofactors(a, b):
 
     Each branch keeps the quotients it finds on the way, so the
     cofactors cost no division except after a subresultant sequence.
+    Every cofactor is built from quotients by polynomials in normal
+    form (_norm_primitive: integer-primitive, positive leading
+    coefficient) and from integer contents.  By Gauss's lemma, an exact
+    quotient of an int-coefficient polynomial by an integer-primitive one
+    has int coefficients, so the cofactors of int-coefficient operands
+    do too, and their products stay in int arithmetic.
     Once the monomial contents are removed, operands that share no
     variable have only the monomial part in common: a gcd divides both,
-    so it carries only variables that both carry.  After that test and
-    the trial divisions (a quotient q = a/b gives a/g and b/g as
-    constants times q and 1), an operand p of degree 1 in some variable
+    so it carries only variables that both carry.  After that test
+    come the trial divisions, each of one operand by the other's normal
+    form g: a quotient q = a/g gives the cofactors q and the constant
+    b/g.  Then an operand p of degree 1 in some variable
     (the operand with fewer terms first, w the lowest such variable in
     the variable order) is split:
     p = u1*w + u0 with both parts nonzero and (c, u1/c, u0/c) the
-    cofactors of u1 and u0, so that x = p/c = (u1/c)*w + u0/c needs no
-    division.  x has degree 1 in w and is primitive in w, so it is
+    cofactors of u1 and u0, so that p/c = (u1/c)*w + u0/c needs no
+    division; x is its normal form, so p = k*c*x for a constant k.
+    x has degree 1 in w and is primitive in w, so it is
     irreducible (Gauss's lemma: a factor free of w would divide both its
     coefficients); c is free of w, so x does not divide c and the two
     are coprime.  For the other operand q:
 
     - if x | q, say q = x*r, then gcd(p, q) = gcd(x*c, x*r) = x * h with
-      (h, r/h, c/h) the cofactors of r and c, so p/g = c/h and
+      (h, r/h, c/h) the cofactors of r and c, so p/g = k*(c/h) and
       q/g = r/h; as x and c are coprime, h = gcd(q, c) as well;
     - otherwise the irreducible x is coprime to q, so gcd(p, q) = h with
-      (h, q/h, c/h) the cofactors of q and c, and p/g = (c/h) * x.
+      (h, q/h, c/h) the cofactors of q and c, and p/g = k*(c/h)*x.
 
-    (_lift then puts back the monomial content and the constant factor
-    that makes g integer-primitive.)  When c is constant, p itself is
-    irreducible and the trial divisions (or their gate) have shown that
-    it does not divide q, so only the monomial part remains.  A pair
-    with no such operand takes its contents in the largest common
+    h and x are in normal form, and so is their product, as Gauss's
+    lemma keeps it primitive and the leading coefficients multiply;
+    _lift then puts back the monomial content.  When c is constant, p
+    itself is irreducible and the trial divisions (or their gate) have
+    shown that it does not divide q, so only the monomial part remains.
+    A pair with no such operand takes its contents in the largest common
     variable v, runs a subresultant remainder sequence and divides the
-    operands by the gcd it finds.
+    operands by the normal form of the gcd it finds.
 
     The recursion terminates: each recursive call replaces an operand
     by polynomials free of w (u1 and u0, or c in place of p) or of v
@@ -734,15 +761,18 @@ def poly_cofactors(a, b):
     common = da.keys() & db.keys()
     if not common:
         return _mono_cofactors(a, b, mg)
-    # cheap trial divisions first, each only where the degrees allow it
+    # cheap trial divisions first, each only where the degrees allow it,
+    # by the divisor's normal form g, so int operands give an int quotient
     if _may_divide(db, da):
-        q = poly_divexact(pa, pb)
+        g = _norm_primitive(pb)
+        q = poly_divexact(pa, g)
         if q is not None:
-            return _lift(mg, ma, mb, pb, q, Polynomial.const(1))
+            return _lift(mg, ma, mb, g, q, Polynomial.const(_ratio(pb, g)))
     if _may_divide(da, db):
-        q = poly_divexact(pb, pa)
+        g = _norm_primitive(pa)
+        q = poly_divexact(pb, g)
         if q is not None:
-            return _lift(mg, ma, mb, pa, Polynomial.const(1), q)
+            return _lift(mg, ma, mb, g, Polynomial.const(_ratio(pa, g)), q)
     # an operand linear in some w splits as c * x with x irreducible
     for p, dp, q, dq in sorted(((pa, da, pb, db), (pb, db, pa, da)),
                                key=lambda t: len(t[0].terms)):
@@ -755,6 +785,9 @@ def poly_cofactors(a, b):
             # p itself is irreducible, and it does not divide q
             return _mono_cofactors(a, b, mg)
         x = _mono_times(u1, ((w, 1),)) + u0
+        # p = k*c*x for x's normal form, so int operands divide into ints
+        n = _norm_primitive(x)
+        x, k = n, _ratio(x, n)
         r = poly_divexact(q, x) if _may_divide(_degrees(x), dq) else None
         if r is not None:
             h, fq, fp = poly_cofactors(r, c)
@@ -764,6 +797,7 @@ def poly_cofactors(a, b):
             if h.is_constant():
                 return _mono_cofactors(a, b, mg)
             f, fp = h, fp * x
+        fp = fp * k
         if p is pa:
             return _lift(mg, ma, mb, f, fp, fq)
         return _lift(mg, ma, mb, f, fq, fp)
@@ -796,7 +830,7 @@ def poly_cofactors(a, b):
             h = _subresultant_div(gc ** delta, h ** (delta - 1), "h")
     if not g.is_constant():
         _, g = _primitive_in(g, v)
-    f = cg * g
+    f = _norm_primitive(cg * g)
     return _lift(mg, ma, mb, f, _cancel(pa, f), _cancel(pb, f))
 
 
@@ -1034,21 +1068,24 @@ def sum_of_products(terms):
     other than 1.  The product of each distinct multiset is formed once,
     and multisets whose products are equal share one group (L^2*L^2 and
     L*L^3 with L^4), so the groups are those of equal denominator
-    products.  A group of several terms is summed over its product: its
-    numerators are multiplied and added as plain polynomials, with no
-    gcd.  The sum num is then cancelled one factor at a time against
-    the group's first multiset d_1, ..., d_k: step i takes
-    (g_i, num, d_i') = poly_cofactors(num, d_i), and the value is
-    num / (d_1' * ... * d_k').  That is the group's value, since the
-    g_i taken out of num are those taken out of the d_i.  It is in
-    normal form up to the joint integer scaling: after step i, num is
-    coprime to d_i', and later steps only divide num, so the final num
-    is coprime to every d_i' and, in a UFD, to their product.  A factor
-    equal to the one before it, whose gcd was 1, takes no gcd: num has
-    not changed since, so g_i = 1 and d_i' = d_i (L^2*L^2 takes one gcd
-    against L^2, not two).  When
-    every g_i is constant (1), each d_i' is d_i and the group's product
-    is reused.  A term alone in its group is multiplied out with
+    products.  A group of several terms is summed over its product in
+    one term dict, with no gcd: each member's numerators but the last
+    are multiplied, its constant is folded into the smaller of that
+    product and the last numerator, and the two are multiplied straight
+    into the dict (_add_product), so no member forms a product
+    Polynomial of its own or copies the growing sum.  The sum num is
+    then cancelled one factor at a time against the group's first
+    multiset d_1, ..., d_k: step i takes (g_i, num, d_i') =
+    poly_cofactors(num, d_i), and the value is num / (d_1' * ... *
+    d_k').  That is the group's value, since the g_i taken out of num
+    are those taken out of the d_i.  It is in normal form up to the
+    joint integer scaling: after step i, num is coprime to d_i', and
+    later steps only divide num, so the final num is coprime to every
+    d_i' and, in a UFD, to their product.  A factor equal to the one
+    before it, whose gcd was 1, takes no gcd: num has not changed since,
+    so g_i = 1 and d_i' = d_i (L^2*L^2 takes one gcd against L^2, not
+    two).  When every g_i is constant (1), each d_i' is d_i and the
+    group's product is reused.  A term alone in its group is multiplied out with
     Henrici's operator instead, whose gcds are of the factors' own
     numerators and denominators, not of the whole product.  The groups'
     values are added with Henrici's operator in a balanced tree,
@@ -1097,12 +1134,19 @@ def sum_of_products(terms):
                 prod = prod * f
             values.append(prod if c == 1 else prod * c)
             continue
-        num = Polynomial()
+        t = {}
         for c, factors in members:
-            p = factors[0].num if factors else ONE.num
-            for f in factors[1:]:
-                p = p * f.num
-            num = num + (p if c == 1 else p * c)
+            a = ONE.num
+            for f in factors[:-1]:
+                a = a * f.num
+            a, b = a.terms, (factors[-1].num if factors else ONE.num).terms
+            if c != 1:
+                if len(a) <= len(b):
+                    a = {m: x * c for m, x in a.items()}
+                else:
+                    b = {m: x * c for m, x in b.items()}
+            _add_product(t, a, b)
+        num = _poly(t)
         if num.is_zero():
             values.append(ZERO)
             continue
@@ -1184,17 +1228,20 @@ def normalize(e):
 
 
 def over_one_denominator(values):
-    """(nums, B) for the ints, Fractions and RationalExprs ``values``,
-    with no gcd taken: B is the product of their distinct denominators
-    other than 1, compared with ==, and nums[i] = values[i]*B as a
-    Polynomial (its numerator times every distinct denominator but its
-    own).  When every denominator is 1, nums are the numerators and B is
-    1."""
+    """(nums, B) for the ints, Fractions, Polynomials and RationalExprs
+    ``values``, with no gcd taken: B is the product of their distinct
+    denominators other than 1, compared with ==, and nums[i] =
+    values[i]*B as a Polynomial (its numerator times every distinct
+    denominator but its own).  A Polynomial is its own numerator over 1,
+    its coefficients as they are.  When every denominator is 1, nums are
+    the numerators and B is 1."""
     one = ONE.den.terms
     nums, ks, dens = [], [], []  # ks[i]: index of values[i]'s den, or -1
     for x in values:
         if isinstance(x, RationalExpr):
             num, den = x.num, x.den
+        elif isinstance(x, Polynomial):
+            num, den = x, ONE.den
         else:  # an int or a Fraction
             num = Polynomial.const(x.numerator)
             den = Polynomial.const(x.denominator)

@@ -389,12 +389,35 @@ def test_prolongation_traffic_equals_the_reference_loops(monkeypatch):
 
 
 # -- frontier prolongation against re-deriving every equation ------------
+def ref_clear(e, table):
+    """e with the jets of ``table`` replaced one at a time, the first in
+    the variable order first, until it carries none; ``table`` must not
+    map a jet to an expression that brings it back."""
+    while True:
+        hits = sorted(v for v in e.variables() if v in table)
+        if not hits:
+            return e
+        e = substitute(e, {hits[0]: table[hits[0]]})
+
+
 def ref_prolong_once(S):
     """One round that differentiates every equation of S, the older
-    ones again, and leaves out what repeats."""
+    ones again, and leaves out what repeats.  The strict rhs's it solves
+    are cleared as in Gauss-Jordan elimination: forward, each of the
+    table as it stands (S's and those solved before it), where a
+    clearing that brings back the rhs's own leading jet, as a*lead + b,
+    solves for lead when a is a constant other than 1 and keeps the
+    equation unsolved otherwise (declaring lead unless a is 1); then
+    back, each of the whole forward table.  Two derivations that reach
+    a jet solved in the round leave their difference, cleared of the
+    table as it stands, as an integrability condition.  Last, every kept
+    strict rhs of S that carries a strict leading jet of the result is
+    cleared of them, and so is the difference that an older equation,
+    derived again, leaves against S's rhs of its jet: one that does not
+    clear to zero is a condition the frontier round never forms."""
     ctx = S.ctx
     table = {e.leading: e.rhs for e in S.equations if e.strict}
-    derived, solved, ics = [], [], list(S.integrability)
+    derived, solved, ics, older = [], {}, list(S.integrability), []
     for eq in S.equations:
         if eq.leading is not None:
             dep, mu = ctx.jet_info(eq.leading)
@@ -407,17 +430,27 @@ def ref_prolong_once(S):
                     eq.genericity))
                 continue
             rhs = ctx.total_derivative(eq.rhs, x)
-            if lead in table:
-                diff = systems._substitute_leadings(rhs - table[lead], table)
+            if lead in solved:
+                diff = ref_clear(rhs - table[lead], table)
                 if not diff.is_zero():
                     ics.append(diff)
-            else:
-                table[lead] = rhs
-                solved.append((lead, eq.genericity))
-    for lead, gen in solved:
-        rest = {v: r for v, r in table.items() if v != lead}
-        derived.append(systems.solved_equation(
-            lead, systems._substitute_leadings(table[lead], rest), gen))
+                continue
+            if lead in table:
+                older.append(rhs - table[lead])
+                continue
+            rhs = ref_clear(rhs, table)
+            a = coordinate_partial(rhs, lead)
+            if not a.is_zero():
+                if a == 1 or not a.is_constant():
+                    derived.append(systems.implicit_equation(
+                        RationalExpr.var(lead) - rhs, None,
+                        None if a == 1 else lead, eq.genericity))
+                    continue
+                rhs = (rhs - a * RationalExpr.var(lead)) / (1 - a)
+            table[lead] = rhs
+            solved[lead] = eq.genericity
+    derived += [systems.solved_equation(lead, ref_clear(table[lead], table),
+                                        gen) for lead, gen in solved.items()]
     equations = list(S.equations)
     seen = {e.residual for e in equations}
     declared = {e.leading for e in equations}
@@ -430,6 +463,16 @@ def ref_prolong_once(S):
             e = systems.implicit_equation(e.lhs, e.rhs, None, e.genericity)
         declared.add(e.leading)
         equations.append(e)
+    strict = {e.leading: e.rhs for e in equations if e.strict}
+    for k, e in enumerate(S.equations):
+        if e.strict:
+            rhs = ref_clear(e.rhs, strict)
+            if rhs != e.rhs:
+                equations[k] = systems.solved_equation(e.leading, rhs,
+                                                       e.genericity)
+                strict[e.leading] = rhs
+    ics += [d for d in (ref_clear(d, strict) for d in older)
+            if not d.is_zero()]
     return systems.SolvedSystem(ctx, S.order + 1, equations, S.ordering,
                                 S.genericity, ics)
 
@@ -454,7 +497,23 @@ def count_total_derivatives(monkeypatch, ctx):
 @pytest.mark.parametrize("stem, name", PDE_SYSTEMS)
 def test_frontier_prolongation_equals_rederiving_everything(
         stem, name, monkeypatch):
-    S = prolonged(stem, name, 0)
+    assert_frontier_equals_rederiving(prolonged(stem, name, 0), monkeypatch)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_frontier_prolongation_equals_rederiving_everything_own_lead(
+        k, monkeypatch):
+    """The same on the systems whose clearing comes back to a fresh rhs's
+    own leading jet (the two cyclic systems of TestClearingCycles'
+    solved and kept cases, and x*w[x]) or clears a kept rhs of S."""
+    assert_frontier_equals_rederiving(own_lead_systems()[k], monkeypatch)
+
+
+def assert_frontier_equals_rederiving(S, monkeypatch):
+    """prolong_system(S, r), for each r that max_order allows up to 3,
+    has the equations and integrability conditions of r rounds of
+    ref_prolong_once, and each round differentiates only the equations
+    the round before it admitted."""
     calls = count_total_derivatives(monkeypatch, S.ctx)
     n = len(S.ctx.independents)
     ref, prev, parents, total = S, S, S.equations, 0
@@ -1433,17 +1492,28 @@ def split_pairs(rng, vs):
     ]
 
 
+def is_integral(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
 def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
     """poly_gcd and poly_cofactors' gcd equal the reference in both
     argument orders, and the cofactors multiply back to the operands;
-    also with a zero and with a constant operand."""
+    also with a zero and with a constant operand.  The cofactors of two
+    int-coefficient operands have int coefficients (Gauss's lemma: the
+    gcd is integer-primitive), also where a trial division's divisor is
+    not, as 2*x + 2 against (x + 1)*(z + 1)."""
     rng, split_rng = random.Random(1901), random.Random(2101)
     zero, three = Polynomial(), Polynomial.const(Fraction(3, 2))
+    x, z = (Polynomial.var(ctx.var(n)) for n in ("x", "z"))
+    scaled = [((x + 1) * (z + 1), 2 * x + 2), (6 * x * z + 6, 4 * x * z + 4)]
+    integral = 0
     for k in range(120):
         vs = rng.sample(variables(ctx), 4)
         pairs = gcd_pairs(rng, vs) + split_pairs(split_rng, vs)
         a0 = pairs[0][0]
-        for a, b in pairs + [(a0, zero), (a0, three)]:
+        extra = [(a0, zero), (a0, three)] + (scaled if k == 0 else [])
+        for a, b in pairs + extra:
             want = ref_poly_gcd(a, b)
             for p, q in ((a, b), (b, a)):
                 g, pg, qg = symcore.poly_cofactors(p, q)
@@ -1451,7 +1521,36 @@ def test_gated_poly_gcd_equals_the_ungated_reference(ctx):
                     assert got == want, (k, p, q)
                     assert coefficient_types(got) == coefficient_types(want)
                 assert g * pg == p and g * qg == q, (k, p, q)
-            assert all(type(c) is int for c in want.terms.values())
+                if is_integral(p) and is_integral(q):
+                    assert is_integral(pg) and is_integral(qg), (k, p, q)
+                    integral += 1
+            assert is_integral(want)
+    assert integral > 1000
+
+
+def test_corpus_products_take_no_integral_fraction(monkeypatch, capsys):
+    """No polynomial product of ``vessiot check`` over the bundled corpus
+    (``symcore._add_product``, which Polynomial's ``*`` and
+    sum_of_products' group sums run on) has an operand coefficient that
+    is a Fraction of denominator 1: the gcd cofactors and the group sums
+    keep the corpus's int arithmetic in ints."""
+    calls, integral = [0], []
+    add0 = symcore._add_product
+
+    def checked(t, a, b):
+        calls[0] += 1
+        for d in (a, b):
+            integral.extend(c for c in d.values()
+                            if type(c) is Fraction and c.denominator == 1)
+        return add0(t, a, b)
+
+    with monkeypatch.context() as m:
+        m.setenv("VESSIOT_CORPUS", str(CORPUS))
+        m.setattr(symcore, "_add_product", checked)
+        assert cli.main(["check", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls[0] > 1000
+    assert integral == []
 
 
 def ref_normal_form(a, b):

@@ -126,6 +126,45 @@ class TestNormalize:
             value / e
 
 
+class TestMixedOperands:
+    """Polynomial's operators and == give a RationalExpr operand to
+    RationalExpr's reflected methods, so a mixed pair answers the same in
+    either order, as the RationalExpr of the Polynomial would."""
+
+    @staticmethod
+    def pairs(surf):
+        x1, x2 = (surf.var(n) for n in ("x1", "x2"))
+        X, Y = Polynomial.var(x1), Polynomial.var(x2)
+        E = surf.expr
+        return [(Polynomial.const(3), RationalExpr.const(3)),
+                (X * Y + 2, E("x1/(x2 + 1)")), (X - Y, E("x1 - x2")),
+                (Polynomial(), E("1/x1")), (X, RationalExpr.const(0))]
+
+    def test_equality_is_symmetric(self, surf):
+        for P, R in self.pairs(surf):
+            want = RationalExpr(P) == R
+            assert (P == R) is (R == P) is want
+            assert (P != R) is (R != P) is (not want)
+        assert Polynomial.const(3) == RationalExpr.const(3)
+        assert Polynomial.const(3) != "3" and not Polynomial.const(3) == 3.0
+
+    def test_operators_in_either_order(self, surf):
+        for P, R in self.pairs(surf):
+            RP = RationalExpr(P)
+            for got, want in [(P * R, RP * R), (R * P, RP * R),
+                              (P + R, RP + R), (R + P, RP + R),
+                              (P - R, RP - R), (R - P, R - RP)]:
+                assert type(got) is RationalExpr
+                assert got == want
+
+    @pytest.mark.parametrize("value", [1.5, "x", None])
+    def test_unknown_operands_are_a_type_error(self, value):
+        P = Polynomial.const(2)
+        for op in (lambda: P + value, lambda: P - value, lambda: P * value):
+            with pytest.raises(TypeError):
+                op()
+
+
 class TestSubstitute:
     @pytest.fixture
     def pair(self):
@@ -1082,6 +1121,9 @@ class TestOverOneDenominator:
         assert nums == [(X + 1) * 2, X * 2, X * (X + 1)]
         nums, B = self.check([x / 2, Fraction(3, 2), y])
         assert B == 2 and nums == [X, 3, Y * 2]
+        # a Polynomial is its own numerator over 1
+        nums, B = self.check([X * Y, 1 / x, Polynomial.const(2)])
+        assert B == X and nums == [X * X * Y, 1, X * 2]
 
 
 class TestSumOfProducts:

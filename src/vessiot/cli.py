@@ -209,9 +209,10 @@ def _read_args(schema, args, where, load, depth=()):
     required key, a value its reader refuses and a value too deep for
     its ``depth`` (``_within``) are all errors at ``where.key``."""
     for key in _json_object(args, where, load):
-        _require(key in schema, f"{where}.{key}", "unknown argument " + (
-            f"(expected one of: {', '.join(schema)})" if schema
-            else "(takes no arguments)"))
+        if key not in schema:
+            _fail(f"{where}.{key}", "unknown argument " + (
+                f"(expected one of: {', '.join(schema)})" if schema
+                else "(takes no arguments)"))
     out = {}
     for key, (reader, required) in schema.items():
         if key in args:
@@ -226,8 +227,8 @@ def _read_args(schema, args, where, load, depth=()):
 def _json(typ, what):
     """A JSON value of type ``typ`` (``what``), as it is."""
     def read(value, where, load):
-        _require(isinstance(value, typ), where,
-                 f"expected {what}, got {value!r}")
+        if not isinstance(value, typ):
+            _fail(where, f"expected {what}, got {value!r}")
         return value
     return read
 

@@ -72,9 +72,12 @@ is comparing one-digit ints.  A rank thus changes only when a variable
 is created, and rank order never changes: every stored monomial stays
 canonical, printing does not move, and an unpickled variable goes back
 through the constructor and takes a rank in the loading interpreter.
-Nothing may keep a rank or a mono_key across a call that can create a
-variable; poly_divexact's keys, __repr__'s sort, invariants'
-_q_linear_solve sort and RewriteRule.__init__ create none.
+A sort key holds ranks, and mono_key keeps one per monomial in one
+table, _KEYS, built on first request: a midpoint rank leaves every
+stored key valid, and _place clears the table when it ranks afresh.
+Nothing else may keep a rank or a key across a call that can create a
+variable; __repr__'s sort, invariants' _q_linear_solve sort and
+RewriteRule.__init__ create none.
 RationalExpr.var returns one expression per variable in the same way.
 The iteration order of a set of variables follows memory addresses, so
 nothing whose result is printed may depend on it.
@@ -171,6 +174,7 @@ def _place(v):
     step = max(1, _RANK_LIMIT // (len(_ORDER) + 1))
     for r, w in enumerate(_ORDER, 1):
         object.__setattr__(w, "_sk", r * step)
+    _KEYS.clear()
 
 
 # The unit monomial.
@@ -247,7 +251,7 @@ def mono_gcd(a, b):
     return tuple(out)
 
 
-def mono_key(m):
+def _mono_key(m):
     """Sort key of the graded reverse-lexicographic order: degree first;
     on ties the first variable, ascending in the global order, at which
     the exponents differ decides, the larger exponent ranking lower.
@@ -259,6 +263,21 @@ def mono_key(m):
         d += e
         k.append((v._sk, -e))
     return d, tuple(k)
+
+
+class _KeyTable(dict):
+    """monomial -> its _mono_key, built on the first request."""
+
+    def __missing__(self, m):
+        k = self[m] = _mono_key(m)
+        return k
+
+
+# the one keeper of sort keys, which hold ranks: _place clears it when
+# it ranks afresh.  mono_key(m) is _mono_key(m), and a monomial seen
+# before costs one lookup in C with no Python frame
+_KEYS = _KeyTable()
+mono_key = _KEYS.__getitem__
 
 
 def _index(m, v):
@@ -429,6 +448,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the number it equals
+        if self.is_constant():
+            return hash(self.terms.get(UNIT, 0))
         return hash(frozenset(self.terms.items()))
 
     def eval(self, point):
@@ -528,16 +550,14 @@ def poly_divexact(a, b):
         cb = b.terms[UNIT]
         return _poly({m: _qdiv(c, cb) for m, c in a.terms.items()})
     # long division on one remainder dict: each step takes the leading
-    # term off and subtracts coef * q * (b - lt(b)) in place; the sort
-    # keys of the remainder's monomials are kept for the whole call
+    # term off and subtracts coef * q * (b - lt(b)) in place
     lb = b.leading_monomial()
     cb = b.terms[lb]
     tail = [(m, c) for m, c in b.terms.items() if m != lb]
     rem = dict(a.terms)
-    keys = {m: mono_key(m) for m in rem}
     out = {}
     while rem:
-        la = max(rem, key=keys.__getitem__)
+        la = max(rem, key=mono_key)
         q = mono_div(la, lb)
         if q is None:
             return None
@@ -548,8 +568,6 @@ def poly_divexact(a, b):
             r = rem.get(t, 0) - coef * c
             if r:
                 rem[t] = r
-                if t not in keys:
-                    keys[t] = mono_key(t)
             else:
                 del rem[t]
     return _poly(out)
@@ -1025,6 +1043,14 @@ class RationalExpr:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial value hashes as the Polynomial (or number) it
+        # equals
+        if self.den.is_constant():
+            c = self.den.terms[UNIT]
+            if c == 1:
+                return hash(self.num)
+            return hash(_poly({m: _qdiv(a, c)
+                               for m, a in self.num.terms.items()}))
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -221,6 +221,8 @@ def _prolong_once(S, parents):
     - a kept strict rhs of S carries none of S's strict leading jets, and
       one that carries a jet the round solves for is cleared of it
       (``low``).
+    The round's integrability differences are cleared with its final
+    table, so none carries a strict leading jet of the round.
     """
     ctx = S.ctx
     new_order = S.order + 1
@@ -231,7 +233,7 @@ def _prolong_once(S, parents):
     # strict leading jet -> rhs: S's, then each freshly solved one,
     # cleared of S's and of those solved before it
     table = {e.leading: e.rhs for e in S.equations if e.strict}
-    derived, solved, ics = [], [], list(S.integrability)
+    derived, solved, diffs = [], [], []
     for eq in parents:
         for i in range(len(ctx.independents)):
             lead = None if eq.leading is None else ctx.shift(eq.leading, i)
@@ -242,9 +244,7 @@ def _prolong_once(S, parents):
                 continue
             rhs = ctx.total_derivative(eq.rhs, i)
             if lead in table:
-                diff = _substitute_leadings(rhs - table[lead], table)
-                if not diff.is_zero():
-                    ics.append(diff)
+                diffs.append(rhs - table[lead])
                 continue
             carried = rhs.variables()
             if not table.keys().isdisjoint(carried):
@@ -274,6 +274,13 @@ def _prolong_once(S, parents):
         after.add(lead)
     derived += [solved_equation(lead, table[lead], gen)
                 for lead, _, gen in solved]
+    # a difference is cleared with the final table, as a jet solved after
+    # it was found may reduce it, even to 0
+    ics = list(S.integrability)
+    for d in diffs:
+        d = _substitute_leadings(d, table)
+        if not d.is_zero():
+            ics.append(d)
     equations = list(S.equations)
     # a repeat is left out up to sign only: the loader refuses any
     # constant multiple (cli._system), as a repeat counts twice among the
@@ -310,9 +317,11 @@ def prolong_system(S, r):
     """All formal derivatives D_nu (|nu| <= r) of S's equations, with
     no residual zero or equal to an earlier one up to sign.  D_i of a
     strictly solved equation is solved for its bumped leading jet, and
-    two that reach the same jet leave their difference on
-    ``integrability``; any other D_i is that of the residual.  A later
-    equation declaring an earlier one's leading jet is kept without it.
+    two that reach the same jet leave their difference, cleared with
+    the round's final table of strict leading jets and dropped when it
+    clears to 0, on ``integrability``; any other D_i is that of the
+    residual.  A later equation declaring an earlier one's leading jet
+    is kept without it.
 
     Each round clears the strict rhs's it solves in the manner of
     Gauss-Jordan elimination: each is cleared of S's strict leading jets

@@ -410,14 +410,15 @@ def ref_prolong_once(S):
     equation unsolved otherwise (declaring lead unless a is 1); then
     back, each of the whole forward table.  Two derivations that reach
     a jet solved in the round leave their difference, cleared of the
-    table as it stands, as an integrability condition.  Last, every kept
+    final table (S's and the back-cleared ones), as an integrability
+    condition when it is not 0.  Last, every kept
     strict rhs of S that carries a strict leading jet of the result is
     cleared of them, and so is the difference that an older equation,
     derived again, leaves against S's rhs of its jet: one that does not
     clear to zero is a condition the frontier round never forms."""
     ctx = S.ctx
     table = {e.leading: e.rhs for e in S.equations if e.strict}
-    derived, solved, ics, older = [], {}, list(S.integrability), []
+    derived, solved, found, older = [], {}, [], []
     for eq in S.equations:
         if eq.leading is not None:
             dep, mu = ctx.jet_info(eq.leading)
@@ -431,9 +432,7 @@ def ref_prolong_once(S):
                 continue
             rhs = ctx.total_derivative(eq.rhs, x)
             if lead in solved:
-                diff = ref_clear(rhs - table[lead], table)
-                if not diff.is_zero():
-                    ics.append(diff)
+                found.append(rhs - table[lead])
                 continue
             if lead in table:
                 older.append(rhs - table[lead])
@@ -449,8 +448,12 @@ def ref_prolong_once(S):
                 rhs = (rhs - a * RationalExpr.var(lead)) / (1 - a)
             table[lead] = rhs
             solved[lead] = eq.genericity
-    derived += [systems.solved_equation(lead, ref_clear(table[lead], table),
-                                        gen) for lead, gen in solved.items()]
+    table.update({lead: ref_clear(table[lead], table) for lead in solved})
+    derived += [systems.solved_equation(lead, table[lead], gen)
+                for lead, gen in solved.items()]
+    ics = list(S.integrability)
+    ics += [d for d in (ref_clear(d, table) for d in found)
+            if not d.is_zero()]
     equations = list(S.equations)
     seen = {e.residual for e in equations}
     declared = {e.leading for e in equations}
@@ -828,6 +831,33 @@ def test_prolongations_that_clear_a_lead_back_keep_the_load_invariants():
     for S in own_lead_systems():
         for r in (1, 2):
             assert_load_invariants(systems.prolong_system(S, r))
+
+
+# -- integrability conditions are cleared with the round's final table ---
+def assert_conditions_cleared(P):
+    """No integrability condition of P carries a strict leading jet of
+    P's equations: the jets a round solves after a difference is found
+    are cleared out of it too."""
+    strict = {e.leading for e in P.equations if e.strict}
+    for d in P.integrability:
+        assert strict.isdisjoint(d.variables()), d
+
+
+@pytest.mark.parametrize("stem, name", PROLONG_SYSTEMS)
+@pytest.mark.parametrize("r", [1, 2])
+def test_prolonged_corpus_conditions_carry_no_strict_leading_jet(
+        stem, name, r):
+    assert_conditions_cleared(prolonged(stem, name, r))
+
+
+def test_own_lead_and_killing_conditions_carry_no_strict_leading_jet():
+    for S in own_lead_systems():
+        for r in (1, 2):
+            assert_conditions_cleared(systems.prolong_system(S, r))
+    for n, conformal, *_ in KILLING_FAMILIES:
+        S = killing_system(n, conformal)
+        for r in range(1, 4 if conformal else 3):
+            assert_conditions_cleared(systems.prolong_system(S, r))
 
 
 # -- witness Jacobians against the dense Fraction reference -------------

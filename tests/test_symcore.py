@@ -2,6 +2,7 @@
 reduction and exact evaluation."""
 import copy
 import gc
+import itertools
 import json
 import math
 import os
@@ -147,6 +148,20 @@ class TestMixedOperands:
             assert (P != R) is (R != P) is (not want)
         assert Polynomial.const(3) == RationalExpr.const(3)
         assert Polynomial.const(3) != "3" and not Polynomial.const(3) == 3.0
+
+    @pytest.mark.parametrize("c", [3, Fraction(1, 2), 0])
+    def test_equal_constants_hash_equal(self, c):
+        assert Polynomial.const(c) == RationalExpr.const(c) == c
+        assert len({Polynomial.const(c), RationalExpr.const(c), c}) == 1
+
+    def test_equal_values_hash_equal(self, surf):
+        X = Polynomial.var(surf.var("x1"))
+        half = X * Fraction(1, 2)
+        assert len({half, RationalExpr(X, Polynomial.const(2))}) == 1
+        assert len({X, RationalExpr(X)}) == 1
+        for P, R in self.pairs(surf):
+            if P == R:
+                assert hash(P) == hash(R)
 
     def test_operators_in_either_order(self, surf):
         for P, R in self.pairs(surf):
@@ -769,6 +784,24 @@ def ref_poly_partial(p, v):
     return Polynomial(t)
 
 
+# a fresh prefix for each rerank() call, so each one creates new variables
+_RERANKS = itertools.count()
+
+
+def rerank():
+    """Create independents of one key that each fall right before the
+    one made before them, until their gap closes and every variable is
+    ranked afresh."""
+    ranks = {v: v._sk for v in symcore._VARIABLES.values()}
+    prefix = f"rerank{next(_RERANKS)}"
+    for k in range(99, -1, -1):
+        name = f"{prefix}_{k:02d}"
+        JetContext([name], [], max_order=1).var(name)
+        if any(v._sk != r for v, r in ranks.items()):
+            return
+    raise AssertionError("no variable was ranked afresh")
+
+
 class TestMonomialKernels:
     @pytest.fixture
     def two_contexts(self):
@@ -858,6 +891,26 @@ class TestMonomialKernels:
         h = Fraction(1, 2)
         assert poly_divexact(X * X * h - Y * h, X * 3 + Y * 2) is None
 
+    def test_table_keys_across_a_rerank(self, two_contexts):
+        """Leading monomials and exact quotients read the keys table; they
+        equal those of freshly built keys before and after every variable
+        is ranked afresh, on polynomials whose monomials were keyed
+        before it, after it, or both."""
+        rng = random.Random(55)
+        xs = two_contexts[0][:3] + two_contexts[1][3:]
+        polys = []
+        for _ in range(2):
+            polys += [random_poly(rng, xs, terms=rng.randint(1, 6),
+                                  max_exp=3) for _ in range(40)]
+            for p in polys:
+                assert p.leading_monomial() == max(p.terms,
+                                                   key=symcore._mono_key)
+            for a, b in zip(polys, polys[1:]):
+                assert poly_divexact(a * b, b) == a
+                if not b.is_constant():
+                    assert poly_divexact(a * b + 1, b) is None
+            rerank()
+
 
 class TestVariableOrder:
     """Each variable's rank (VariableId._sk) is kept in (key, name)
@@ -924,6 +977,9 @@ class TestVariableOrder:
             created(ctx.jet(dep, mu))
         # a gap closed, so every variable was ranked afresh
         assert any(v._sk != r for v, r in ranks.items())
+        # and the keys table holds no key of the old ranks
+        assert symcore._KEYS and all(
+            k == symcore._mono_key(m) for m, k in symcore._KEYS.items())
 
     def test_pickle_loads_under_another_creation_order(self):
         """A pickled expression, loaded in an interpreter that created

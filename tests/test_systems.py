@@ -563,6 +563,17 @@ class TestClearingCycles:
         assert symbol_of(P).rank() == 4
         assert _prolonged_symbol(symbol_of(S)).rank() == 4
 
+    def test_condition_cleared_by_a_later_solution(self):
+        # at r = 2 two derivations reach a jet, and their difference
+        # -2*w[x,x,y] is found before the same round solves w[x,x,y] = 0:
+        # cleared with the round's final table, it is 0 and not kept
+        S = cyclic_system("2*w[x]")
+        P = prolong_system(S, 2)
+        E = S.ctx.expr
+        assert P.integrability == []
+        assert [e.rhs for e in P.equations
+                if e.strict and e.leading.name == "w[x,x,y]"] == [E("0")]
+
     def test_kept_rhs_of_s_brings_the_lead_back(self):
         # D_x of u = 2*v is u[x] = 2*v[x], and S's v[x] = u[x] makes it
         # u[x] = 2*u[x]: u[x] = 0, and the kept v[x] = u[x] clears to 0
